@@ -15,8 +15,9 @@ many threads).  Structure:
 * B-link sibling pointers + fence keys so readers survive concurrent
   splits and stale caches.
 
-SMART-BT (``repro.apps.smart_bt``) adds speculative lookup and runs the
-same client on the full SMART feature set.
+SMART-BT adds speculative lookup (:class:`SpeculativeCache`) and runs the
+same client on the full SMART feature set
+(``repro.bench.runner.SYSTEM_FEATURES["smart-bt"]``).
 """
 
 from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache

@@ -52,6 +52,8 @@ across R-MAT skew, AM fan-out and the three execution modes::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 import time
@@ -59,6 +61,14 @@ from typing import Callable, List, Optional
 
 from repro.bench.microbench import POLICIES, run_microbench
 from repro.bench.parallel import default_jobs
+from repro.bench.report import format_table, write_experiment_json
+from repro.workloads import ycsb
+
+#: ``traffic --workload`` choices
+_WORKLOADS = {
+    w.name: w
+    for w in (ycsb.WRITE_HEAVY, ycsb.READ_HEAVY, ycsb.READ_ONLY, ycsb.UPDATE_ONLY)
+}
 
 
 def profile_path_for(args) -> str:
@@ -71,23 +81,27 @@ def profile_path_for(args) -> str:
     return "repro-bench.pstats"
 
 
-def run_profiled(path: str, fn: Callable[[], int]) -> int:
-    """Run ``fn`` under cProfile; dump pstats to ``path`` and print the
-    top of the cumulative-time table so the hotspots are visible without
-    opening the dump.
+def dispatch(args, handler: Callable[[argparse.Namespace], int]) -> int:
+    """Run a subcommand's ``handler(args)`` — with ``--profile`` under
+    cProfile: dump pstats next to the result and print the top of the
+    cumulative-time table so the hotspots are visible without opening
+    the dump.
 
     Only the parent process is profiled — with ``--jobs`` > 1 the
     simulation work happens in pool workers, so profile kernel-level
     questions with ``--jobs 1``.
     """
+    if not args.profile:
+        return handler(args)
     import cProfile
     import io
     import pstats
 
+    path = profile_path_for(args)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        return fn()
+        return handler(args)
     finally:
         profiler.disable()
         profiler.dump_stats(path)
@@ -97,6 +111,95 @@ def run_profiled(path: str, fn: Callable[[], int]) -> int:
         print(table.getvalue().rstrip())
         print(f"profile: wrote {path} "
               f"(inspect with: python -m pstats {path})")
+
+
+#: The flags several subcommands share, declared once as their
+#: ``add_argument`` keywords.  A subcommand passes its own default; where
+#: the published ``--help`` of one subcommand words a flag differently,
+#: it passes that wording as an override.
+_COMMON_FLAGS = {
+    "threads": {"type": int},
+    "item_count": {"type": int},
+    "warmup_us": {"type": float},
+    "measure_us": {"type": float},
+    "seed": {"type": int},
+    "rate": {"type": float,
+             "help": "offered load in MOPS, split across tenants"},
+    "tenants": {"type": int,
+                "help": "tenant count; each gets rate/N and workers/N"},
+    "workers": {"type": int, "help": "total worker coroutines across tenants"},
+    "slo_p99_us": {"type": float,
+                   "help": "per-tenant p99 target; enables admission control"},
+    "jobs": {"type": int, "help": "process-pool workers (0 = all cores)"},
+    "json": {"metavar": "PATH", "help": "also write the result as JSON to PATH"},
+    "profile": {"action": "store_true",
+                "help": "run under cProfile and write a pstats dump next "
+                        "to the result JSON"},
+}
+
+
+def add_common_flags(parser: argparse.ArgumentParser,
+                     overrides: Optional[dict] = None, **defaults) -> None:
+    """Declare the shared flags named in ``defaults`` (in that order) on
+    ``parser``, each with this subcommand's default; ``overrides`` maps
+    a flag to the ``add_argument`` keywords it words differently."""
+    for name, default in defaults.items():
+        keywords = {**_COMMON_FLAGS[name], **(overrides or {}).get(name, {})}
+        if "action" not in keywords:
+            keywords["default"] = default
+        parser.add_argument("--" + name.replace("_", "-"), **keywords)
+
+
+def _csv(text: Optional[str], convert: Callable) -> Optional[tuple]:
+    """``"a,b"`` -> ``(convert("a"), convert("b"))``; ``None`` (the
+    sweep's own grid) when the flag was not given."""
+    if not text:
+        return None
+    return tuple(convert(item) for item in text.split(",") if item.strip())
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {path}")
+
+
+def _tenant_specs(args, arrivals, workload=None, max_queue=None,
+                  admission=None) -> list:
+    """``--tenants`` equal tenants sharing ``--workers`` between them,
+    under the SLO the admission flags ask for (none given: admit all)."""
+    from repro.traffic import NO_SLO, Slo, TenantSpec
+
+    slo = NO_SLO
+    if args.slo_p99_us is not None or max_queue is not None:
+        slo = Slo(
+            target_p99_ns=(args.slo_p99_us * 1e3
+                           if args.slo_p99_us is not None else None),
+            max_queue_depth=max_queue,
+            policy=admission or "shed",
+        )
+    workers_each = max(1, args.workers // args.tenants)
+    return [
+        TenantSpec(f"t{i}", arrivals, workload=workload, slo=slo,
+                   workers=workers_each)
+        for i in range(args.tenants)
+    ]
+
+
+def _run_sweep(args, sweep: Callable, **grid) -> int:
+    """Run a sweep experiment over the ``--jobs`` pool, print its table
+    and write ``--json``."""
+    jobs = args.jobs if args.jobs is not None else default_jobs()
+    started = time.time()  # lint: disable=SIM001 (host wall clock)
+    result = sweep(jobs=jobs, **grid)
+    wall_s = time.time() - started  # lint: disable=SIM001 (host wall clock)
+    print(result.format())
+    print(f"wall time={wall_s:.1f} s (jobs={jobs})")
+    if args.json:
+        write_experiment_json(result, args.json)
+        print(f"wrote {args.json}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--block-size", type=int, default=8,
                         help="payload bytes per work request (default: 8)")
     parser.add_argument("--memory-nodes", type=int, default=1)
-    parser.add_argument("--measure-us", type=float, default=1500.0,
-                        help="measured window, simulated microseconds")
-    parser.add_argument("--seed", type=int, default=1)
+    add_common_flags(
+        parser, {"measure_us": {"help": "measured window, simulated microseconds"}},
+        measure_us=1500.0, seed=1,
+    )
     parser.add_argument("--access", choices=("random", "seq"), default="random",
                         help="remote address pattern per batch; 'seq' makes "
                              "WRs contiguous (mergeable)")
@@ -152,17 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="regenerate a paper figure/table grid instead of "
                              "a single point (fig3..fig14, table1; 'all' runs "
                              "the whole suite)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="process-pool workers for --figure grids "
-                             "(default: $REPRO_JOBS or 1 = serial; "
-                             "0 = all cores)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="with --figure: also write the result rows as JSON")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and write a pstats dump next "
+    add_common_flags(
+        parser,
+        {"jobs": {"metavar": "N",
+                  "help": "process-pool workers for --figure grids "
+                          "(default: $REPRO_JOBS or 1 = serial; "
+                          "0 = all cores)"},
+         "json": {"help": "with --figure: also write the result rows as JSON"},
+         "profile": {"help": "run under cProfile and write a pstats dump next "
                              "to the result JSON/CSV (kernel PRs start from "
                              "data; profiles the parent process — use "
-                             "--jobs 1 to capture simulation work)")
+                             "--jobs 1 to capture simulation work)"}},
+        jobs=None, json=None, profile=False,
+    )
     return parser
 
 
@@ -177,10 +283,7 @@ def build_traffic_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", default=None,
                         help="system under test (default: the SMART variant "
                              "for --app; e.g. race, smart-ht, ford, sherman)")
-    parser.add_argument("--workload",
-                        choices=("write-heavy", "read-heavy", "read-only",
-                                 "update-only"),
-                        default=None,
+    parser.add_argument("--workload", choices=tuple(_WORKLOADS), default=None,
                         help="YCSB mix for hashtable/btree (default: write-heavy)")
     parser.add_argument("--theta", type=float, default=None,
                         help="override the workload's Zipfian skew")
@@ -190,28 +293,23 @@ def build_traffic_parser() -> argparse.ArgumentParser:
                         choices=("deterministic", "poisson", "onoff", "ramp",
                                  "diurnal"),
                         default="poisson")
-    parser.add_argument("--rate", type=float, default=1.0,
-                        help="offered load in MOPS, split across tenants "
-                             "(base/trough rate for onoff/ramp/diurnal)")
+    add_common_flags(
+        parser,
+        {"rate": {"help": "offered load in MOPS, split across tenants "
+                          "(base/trough rate for onoff/ramp/diurnal)"}},
+        rate=1.0,
+    )
     parser.add_argument("--peak", type=float, default=None,
                         help="peak rate in MOPS for onoff/ramp/diurnal "
                              "(default: 2x --rate)")
     parser.add_argument("--period-us", type=float, default=200.0,
                         help="on+off cycle / ramp / diurnal period, "
                              "simulated microseconds")
-    parser.add_argument("--tenants", type=int, default=1,
-                        help="tenant count; each gets rate/N and workers/N")
-    parser.add_argument("--workers", type=int, default=16,
-                        help="total worker coroutines across tenants")
-    parser.add_argument("--threads", type=int, default=8)
+    add_common_flags(parser, tenants=1, workers=16, threads=8)
     parser.add_argument("--servers", type=int, default=1,
                         help="btree only: combined compute+memory blades")
-    parser.add_argument("--item-count", type=int, default=30_000)
-    parser.add_argument("--warmup-us", type=float, default=1000.0)
-    parser.add_argument("--measure-us", type=float, default=1500.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--slo-p99-us", type=float, default=None,
-                        help="per-tenant p99 target; enables admission control")
+    add_common_flags(parser, item_count=30_000, warmup_us=1000.0,
+                     measure_us=1500.0, seed=0, slo_p99_us=None)
     parser.add_argument("--max-queue", type=int, default=None,
                         help="per-tenant hard queue-depth cap")
     parser.add_argument("--admission", choices=("none", "shed", "defer"),
@@ -221,14 +319,13 @@ def build_traffic_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sweep", default=None, metavar="RATES",
                         help="comma-separated offered rates (MOPS): run the "
                              "latency_throughput knee sweep instead of one point")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="process-pool workers for --sweep "
-                             "(0 = all cores)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write results as JSON to PATH")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and write a pstats dump next "
-                             "to the result JSON")
+    add_common_flags(
+        parser,
+        {"jobs": {"metavar": "N",
+                  "help": "process-pool workers for --sweep (0 = all cores)"},
+         "json": {"help": "also write results as JSON to PATH"}},
+        jobs=None, json=None, profile=False,
+    )
     return parser
 
 
@@ -240,58 +337,25 @@ def build_resharding_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--mode", choices=("add_blade", "drain", "autoscale"),
                         default="add_blade")
-    parser.add_argument("--rate", type=float, default=0.4,
-                        help="offered load in MOPS, split across tenants")
-    parser.add_argument("--tenants", type=int, default=1,
-                        help="tenant count; each gets rate/N and workers/N")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="total worker coroutines across tenants")
-    parser.add_argument("--threads", type=int, default=4)
+    add_common_flags(parser, rate=0.4, tenants=1, workers=4, threads=4)
     parser.add_argument("--memory-blades", type=int, default=2)
     parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument("--item-count", type=int, default=2_000)
-    parser.add_argument("--warmup-us", type=float, default=500.0)
+    add_common_flags(parser, item_count=2_000, warmup_us=500.0)
     parser.add_argument("--phase-us", type=float, default=1000.0,
                         help="length of each measured phase "
                              "(before / during / after), simulated us")
-    parser.add_argument("--slo-p99-us", type=float, default=None,
-                        help="per-tenant p99 target; enables admission control")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the result as JSON to PATH")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and write a pstats dump next "
-                             "to the result JSON")
+    add_common_flags(parser, slo_p99_us=None, seed=0, json=None, profile=False)
     return parser
 
 
-def run_resharding_cmd(argv: List[str]) -> int:
-    args = build_resharding_parser().parse_args(argv)
+def _run_resharding(args) -> int:
     if args.tenants < 1:
         print("--tenants must be >= 1", file=sys.stderr)
         return 2
-    if args.profile:
-        return run_profiled(profile_path_for(args),
-                            lambda: _run_resharding(args))
-    return _run_resharding(args)
 
+    from repro.traffic import PoissonArrivals, run_resharding
 
-def _run_resharding(args) -> int:
-    import json
-
-    from repro.bench.report import format_table
-    from repro.traffic import (
-        NO_SLO, PoissonArrivals, Slo, TenantSpec, run_resharding,
-    )
-
-    slo = (NO_SLO if args.slo_p99_us is None
-           else Slo(target_p99_ns=args.slo_p99_us * 1e3, policy="shed"))
-    workers_each = max(1, args.workers // args.tenants)
-    tenants = [
-        TenantSpec(f"t{i}", PoissonArrivals(args.rate / args.tenants),
-                   slo=slo, workers=workers_each)
-        for i in range(args.tenants)
-    ]
+    tenants = _tenant_specs(args, PoissonArrivals(args.rate / args.tenants))
 
     started = time.time()  # lint: disable=SIM001 (host wall clock)
     result = run_resharding(
@@ -327,10 +391,7 @@ def _run_resharding(args) -> int:
         print("no migration was triggered")
     print(f"wall time={wall_s:.1f} s")
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, result.to_dict())
     return 0
 
 
@@ -346,53 +407,28 @@ def build_odp_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depths", default=None, metavar="D1,D2,...",
                         help="outstanding-WR depths to sweep "
                              "(default: quick grid 4,32)")
-    parser.add_argument("--threads", type=int, default=8)
+    add_common_flags(parser, threads=8)
     parser.add_argument("--block-size", type=int, default=64, metavar="BYTES")
-    parser.add_argument("--measure-us", type=float, default=1000.0,
-                        help="measurement window per point, simulated us")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="process-pool workers (0 = all cores)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the result as JSON to PATH")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and write a pstats dump next "
-                             "to the result JSON")
+    add_common_flags(
+        parser,
+        {"measure_us": {"help": "measurement window per point, simulated us"}},
+        measure_us=1000.0, jobs=None, json=None, profile=False,
+    )
     return parser
-
-
-def run_odp_cmd(argv: List[str]) -> int:
-    args = build_odp_parser().parse_args(argv)
-    if args.profile:
-        return run_profiled(profile_path_for(args), lambda: _run_odp(args))
-    return _run_odp(args)
 
 
 def _run_odp(args) -> int:
     from repro.bench.experiments import odp_sweep
-    from repro.bench.report import write_experiment_json
 
-    ratios = None
-    if args.ratios:
-        ratios = tuple(float(r) for r in args.ratios.split(",") if r.strip())
-        if any(not 0.0 <= r <= 1.0 for r in ratios):
-            print("--ratios values must be in [0, 1]", file=sys.stderr)
-            return 2
-    depths = None
-    if args.depths:
-        depths = tuple(int(d) for d in args.depths.split(",") if d.strip())
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    started = time.time()  # lint: disable=SIM001 (host wall clock)
-    result = odp_sweep(
-        ratios=ratios, depths=depths, threads=args.threads,
-        payload=args.block_size, measure_ns=args.measure_us * 1e3, jobs=jobs,
+    ratios = _csv(args.ratios, float)
+    if any(not 0.0 <= r <= 1.0 for r in ratios or ()):
+        print("--ratios values must be in [0, 1]", file=sys.stderr)
+        return 2
+    return _run_sweep(
+        args, odp_sweep, ratios=ratios, depths=_csv(args.depths, int),
+        threads=args.threads, payload=args.block_size,
+        measure_ns=args.measure_us * 1e3,
     )
-    wall_s = time.time() - started  # lint: disable=SIM001 (host wall clock)
-    print(result.format())
-    print(f"wall time={wall_s:.1f} s (jobs={jobs})")
-    if args.json:
-        write_experiment_json(result, args.json)
-        print(f"wrote {args.json}")
-    return 0
 
 
 def build_offload_parser() -> argparse.ArgumentParser:
@@ -413,69 +449,33 @@ def build_offload_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algo", choices=("bfs", "pagerank"), default="bfs")
     parser.add_argument("--vertices", type=int, default=192)
     parser.add_argument("--degree", type=int, default=6)
-    parser.add_argument("--threads", type=int, default=2)
+    add_common_flags(parser, threads=2)
     parser.add_argument("--coroutines", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
+    add_common_flags(parser, seed=0)
     parser.add_argument("--sanitize", action="store_true",
                         help="run every point under RDMASan")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="process-pool workers (0 = all cores)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the result as JSON to PATH")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and write a pstats dump next "
-                             "to the result JSON")
+    add_common_flags(parser, jobs=None, json=None, profile=False)
     return parser
-
-
-def run_offload_cmd(argv: List[str]) -> int:
-    args = build_offload_parser().parse_args(argv)
-    if args.profile:
-        return run_profiled(profile_path_for(args), lambda: _run_offload(args))
-    return _run_offload(args)
 
 
 def _run_offload(args) -> int:
     from repro.apps.graph.client import MODES
     from repro.bench.experiments import offload_sweep
-    from repro.bench.report import write_experiment_json
 
-    skews = None
-    if args.skews:
-        skews = tuple(float(s) for s in args.skews.split(",") if s.strip())
-        if any(not 0.0 <= s < 1.0 for s in skews):
-            print("--skews values must be in [0, 1)", file=sys.stderr)
-            return 2
-    chunks = None
-    if args.chunks:
-        chunks = tuple(int(c) for c in args.chunks.split(",") if c.strip())
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+    skews = _csv(args.skews, float)
+    if any(not 0.0 <= s < 1.0 for s in skews or ()):
+        print("--skews values must be in [0, 1)", file=sys.stderr)
+        return 2
+    modes = _csv(args.modes, str.strip) or ()
     if any(m not in MODES for m in modes):
         print(f"--modes values must be among {MODES}", file=sys.stderr)
         return 2
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    started = time.time()  # lint: disable=SIM001 (host wall clock)
-    result = offload_sweep(
-        skews=skews, chunks=chunks, modes=modes, algo=args.algo,
-        vertices=args.vertices, degree=args.degree, threads=args.threads,
-        coroutines=args.coroutines, seed=args.seed, sanitize=args.sanitize,
-        jobs=jobs,
+    return _run_sweep(
+        args, offload_sweep, skews=skews, chunks=_csv(args.chunks, int),
+        modes=modes, algo=args.algo, vertices=args.vertices,
+        degree=args.degree, threads=args.threads, coroutines=args.coroutines,
+        seed=args.seed, sanitize=args.sanitize,
     )
-    wall_s = time.time() - started  # lint: disable=SIM001 (host wall clock)
-    print(result.format())
-    print(f"wall time={wall_s:.1f} s (jobs={jobs})")
-    if args.json:
-        write_experiment_json(result, args.json)
-        print(f"wrote {args.json}")
-    return 0
-
-
-_WORKLOADS = {
-    "write-heavy": "WRITE_HEAVY",
-    "read-heavy": "READ_HEAVY",
-    "read-only": "READ_ONLY",
-    "update-only": "UPDATE_ONLY",
-}
 
 
 def _traffic_arrivals(args):
@@ -497,29 +497,15 @@ def _traffic_arrivals(args):
                         shape="linear" if args.arrivals == "ramp" else "diurnal")
 
 
-def run_traffic(argv: List[str]) -> int:
-    args = build_traffic_parser().parse_args(argv)
+def _run_traffic(args) -> int:
     if args.tenants < 1:
         print("--tenants must be >= 1", file=sys.stderr)
         return 2
-    if args.profile:
-        return run_profiled(profile_path_for(args), lambda: _run_traffic(args))
-    return _run_traffic(args)
-
-
-def _run_traffic(args) -> int:
-    import dataclasses
-    import json
-
-    from repro.bench.report import format_table
-
     if args.sweep is not None:
         from repro.bench.experiments import latency_throughput
-        from repro.bench.report import write_experiment_json
 
-        rates = [float(r) for r in args.sweep.split(",") if r.strip()]
         result = latency_throughput(
-            app=args.app, rates_mops=rates, threads=args.threads,
+            app=args.app, rates_mops=_csv(args.sweep, float), threads=args.threads,
             workers=args.workers, item_count=args.item_count,
             warmup_ns=args.warmup_us * 1e3, measure_ns=args.measure_us * 1e3,
             jobs=args.jobs,
@@ -530,37 +516,16 @@ def _run_traffic(args) -> int:
             print(f"wrote {args.json}")
         return 0
 
-    from repro.traffic import NO_SLO, Slo, TenantSpec, run_open_loop
+    from repro.traffic import run_open_loop
 
-    workload = None
-    if args.workload is not None:
-        import repro.workloads.ycsb as ycsb
-
-        workload = getattr(ycsb, _WORKLOADS[args.workload])
+    workload = _WORKLOADS.get(args.workload)
     if args.theta is not None:
-        from repro.workloads.ycsb import WRITE_HEAVY
-
-        workload = (workload or WRITE_HEAVY).with_theta(args.theta)
+        workload = (workload or ycsb.WRITE_HEAVY).with_theta(args.theta)
     if args.app == "dtx":
         workload = args.benchmark
 
-    if args.slo_p99_us is None and args.max_queue is None:
-        slo = NO_SLO
-    else:
-        policy = args.admission or "shed"
-        slo = Slo(
-            target_p99_ns=(args.slo_p99_us * 1e3
-                           if args.slo_p99_us is not None else None),
-            max_queue_depth=args.max_queue,
-            policy=policy,
-        )
-    arrivals = _traffic_arrivals(args)
-    workers_each = max(1, args.workers // args.tenants)
-    tenants = [
-        TenantSpec(f"t{i}", arrivals, workload=workload, slo=slo,
-                   workers=workers_each)
-        for i in range(args.tenants)
-    ]
+    tenants = _tenant_specs(args, _traffic_arrivals(args), workload,
+                            args.max_queue, args.admission)
 
     started = time.time()  # lint: disable=SIM001 (host wall clock)
     result = run_open_loop(
@@ -588,24 +553,17 @@ def _run_traffic(args) -> int:
           f"achieved={result.achieved_mops:.3f} MOPS, "
           f"wall time={wall_s:.1f} s")
     if args.json:
-        payload = {
-            "app": result.app,
-            "system": result.system,
-            "threads": result.threads,
-            "measure_ns": result.measure_ns,
-            "tenants": [dataclasses.asdict(t) for t in result.tenants],
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, dataclasses.asdict(result))
     return 0
 
 
 def run_figures(args) -> int:
     from repro.bench.experiments import ALL_EXPERIMENTS
-    from repro.bench.report import write_experiment_json
 
+    if args.trace or args.metrics_out:
+        print("--trace/--metrics-out apply to single-point runs, "
+              "not --figure grids", file=sys.stderr)
+        return 2
     names = list(ALL_EXPERIMENTS) if args.figure == "all" else [args.figure]
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
@@ -644,30 +602,9 @@ def format_phase_breakdown(breakdown) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "traffic":
-        return run_traffic(argv[1:])
-    if argv and argv[0] == "resharding":
-        return run_resharding_cmd(argv[1:])
-    if argv and argv[0] == "odp":
-        return run_odp_cmd(argv[1:])
-    if argv and argv[0] == "offload":
-        return run_offload_cmd(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.figure:
-        if args.trace or args.metrics_out:
-            print("--trace/--metrics-out apply to single-point runs, "
-                  "not --figure grids", file=sys.stderr)
-            return 2
-        if args.profile:
-            return run_profiled(profile_path_for(args),
-                                lambda: run_figures(args))
-        return run_figures(args)
-    if args.profile:
-        return run_profiled(profile_path_for(args), lambda: run_single(args))
-    return run_single(args)
+def run_bench(args) -> int:
+    """The default command: one point, or a ``--figure`` grid."""
+    return run_figures(args) if args.figure else run_single(args)
 
 
 def run_single(args) -> int:
@@ -754,6 +691,24 @@ def run_single(args) -> int:
         if report["findings"]:
             return 1
     return 0
+
+
+#: subcommand -> (parser builder, handler); ``None`` is the bench tool itself
+SUBCOMMANDS = {
+    None: (build_parser, run_bench),
+    "traffic": (build_traffic_parser, _run_traffic),
+    "resharding": (build_resharding_parser, _run_resharding),
+    "odp": (build_odp_parser, _run_odp),
+    "offload": (build_offload_parser, _run_offload),
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    name = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    build, handler = SUBCOMMANDS[name]
+    return dispatch(build().parse_args(argv[1:] if name else argv), handler)
 
 
 if __name__ == "__main__":

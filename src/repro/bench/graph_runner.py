@@ -19,12 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.apps.graph.client import GraphClient, GraphStats, MODES
 from repro.apps.graph.server import GraphServer, UNVISITED
-from repro.bench.runner import (
-    attach_sanitizer,
-    build_deployment,
-    collect_sanitizer,
-    install_faults,
-)
+from repro.bench.runner import build_deployment, collect_sanitizer, instrument
 from repro.core.features import baseline
 from repro.rnic.config import RnicConfig, apply_feature_overrides
 from repro.workloads.graph import GraphSpec, checksum_u64s, edge_count
@@ -133,14 +128,9 @@ def run_graph(
     server = GraphServer(deployment.memory_nodes, spec)
     meta = server.meta()
 
-    injector = install_faults(
-        deployment, faults, fault_seed, 0.0, fault_window_ns
+    injector, sanitizer = instrument(
+        deployment, server, faults, fault_seed, 0.0, fault_window_ns, obs, sanitize
     )
-    if obs is not None:
-        obs.attach_deployment(deployment)
-    sanitizer = attach_sanitizer(sanitize, deployment.cluster)
-    if sanitizer is not None:
-        server.declare_sanitizer_regions(sanitizer)
 
     sim = deployment.cluster.sim
     handles = [

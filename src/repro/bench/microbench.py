@@ -13,8 +13,15 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.bench.runner import (
+    Deployment,
+    collect_obs,
+    collect_sanitizer,
+    effective_warmup_ns,
+    instrument,
+)
 from repro.cluster import Cluster, ComputeThread
-from repro.core import SmartContext, SmartFeatures, SmartThread
+from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
 from repro.core.features import baseline as baseline_features
 from repro.rnic import verbs
 from repro.rnic.config import RnicConfig, apply_feature_overrides
@@ -172,10 +179,9 @@ def run_microbench(
             dynamic_backoff_limit=False,
             coroutine_throttling=False,
         )
-    if features is not None and features.work_req_throttling and features.adaptive_credit:
+    if features is not None:
         # Measure in the stable phase, after the first UPDATE pass.
-        update_phase = len(features.cmax_candidates) * features.update_delta_ns
-        warmup_ns = max(warmup_ns, update_phase + 0.5e6)
+        warmup_ns = effective_warmup_ns(features, warmup_ns)
 
     cluster = Cluster(config)
     compute = cluster.add_node()
@@ -184,15 +190,6 @@ def run_microbench(
     regions = [r.storage.alloc_region("bench", min(DEFAULT_REGION_BYTES,
                r.storage.capacity - 4096), pinned=region_pinned)
                for r in remotes]
-
-    if faults is not None:
-        from repro.faults import FaultInjector, FaultSchedule
-
-        schedule = FaultSchedule.from_spec(
-            faults, seed=fault_seed, window_start_ns=warmup_ns,
-            window_ns=measure_ns, crash_nodes=[r.node_id for r in remotes],
-        )
-        FaultInjector(cluster, schedule).install()
 
     smart_threads: List[SmartThread] = []
     doorbells_used = 0
@@ -213,13 +210,13 @@ def run_microbench(
                 for i, t in enumerate(compute.threads)
             ]
 
-    if obs is not None:
-        obs.attach_cluster(cluster)
-        if smart_threads:
-            obs.attach_smart_threads(smart_threads)
-    from repro.bench.runner import attach_sanitizer
-
-    sanitizer = attach_sanitizer(sanitize, cluster)
+    # The verbs-only connection policies run no SMART features.
+    deployment = Deployment(
+        cluster, [compute], remotes, smart_threads, features or baseline_features()
+    )
+    _, sanitizer = instrument(
+        deployment, None, faults, fault_seed, warmup_ns, measure_ns, obs, sanitize
+    )
 
     latencies: List[float] = []
     sim = cluster.sim
@@ -289,21 +286,11 @@ def run_microbench(
         ordered = sorted(latencies)
         result.batch_latency_p50_ns = percentile(ordered, 0.50)
         result.batch_latency_p99_ns = percentile(ordered, 0.99)
-    if obs is not None:
-        obs.phase("warmup", 0, warmup_ns)
-        obs.phase("measure", warmup_ns, warmup_ns + measure_ns)
-        obs.collect_cluster(cluster, window_ns=measure_ns)
-        if smart_threads:
-            from repro.core.stats import OperationStats
-
-            obs.collect_stats(OperationStats.merge(
-                [s.stats for s in smart_threads]
-            ))
-        result.phase_breakdown = obs.phase_breakdown(cluster)
-    if sanitizer is not None:
-        sanitizer.finish()
-        result.sanitizer = sanitizer.report()
-    return result
+    stats = None
+    if smart_threads:
+        stats = OperationStats.merge([s.stats for s in smart_threads])
+    collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
+    return collect_sanitizer(sanitizer, result)
 
 
 @dataclass

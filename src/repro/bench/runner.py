@@ -1,8 +1,14 @@
-"""Application experiment runner.
+"""Application experiment runner: one pipeline, three :class:`App` adapters.
 
-Builds a cluster, deploys an application (hash table / B+Tree / DTX),
-spawns client threads x coroutines, and measures throughput/latency over
-a warm window — the common skeleton behind Figures 5 and 7-12.
+SMART-HT/-DTX/-BT are the RACE/FORD/Sherman clients plus a framework
+configuration (§5), so a point of any of them runs through the same
+steps — config overrides → build the cluster → bulk-load the server →
+arm faults → attach observability → attach the sanitizer → spawn client
+loops → :func:`measure` → collect — spelled once, in :func:`run_app`.
+An :class:`App` owns only what differs between the applications.
+``run_hashtable``/``run_dtx``/``run_btree`` bind an adapter to that
+pipeline; :func:`repro.traffic.runner.run_open_loop` drives the same
+adapters from an open-loop engine instead of closed client loops.
 """
 
 from __future__ import annotations
@@ -11,13 +17,19 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.apps.ford.recovery import RecoveryManager
+from repro.apps.ford.server import DtxServer
+from repro.apps.ford.txn import TxnClient
 from repro.apps.race.client import HashTableClient
 from repro.apps.race.server import HashTableServer
+from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache
+from repro.apps.sherman.server import BTreeServer
 from repro.cluster import Cluster, Node
 from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
 from repro.core.features import baseline, full
 from repro.rnic.config import RnicConfig, apply_feature_overrides
-from repro.workloads.ycsb import INSERT, READ, UPDATE, YcsbWorkload
+from repro.workloads import smallbank, tatp
+from repro.workloads.ycsb import READ, UPDATE, WRITE_HEAVY, YcsbWorkload
 
 #: Scaled-down adaptive-throttling epoch so the C_max search converges
 #: within millisecond-scale simulations (the paper's 8 ms Δ assumes
@@ -38,12 +50,16 @@ def bench_features(features: SmartFeatures) -> SmartFeatures:
     return features
 
 
+#: The framework configuration of every system under test: each SMART
+#: refactor is its baseline's client on the full feature set (§5.2), and
+#: "Sherman+ w/ SL" is Sherman+ features plus a speculative cache.
 SYSTEM_FEATURES: Dict[str, Callable[[], SmartFeatures]] = {
     "race": baseline,
     "smart-ht": full,
     "ford": baseline,
     "smart-dtx": full,
     "sherman": baseline,
+    "sherman-sl": baseline,
     "smart-bt": full,
 }
 
@@ -110,12 +126,17 @@ def build_deployment(
     memory_blades: int = 2,
     config: Optional[RnicConfig] = None,
     seed: int = 0,
+    colocated: bool = False,
 ) -> Deployment:
-    """Create the cluster and per-thread SMART state for an experiment."""
+    """Create the cluster and per-thread SMART state for an experiment.
+
+    ``colocated`` makes every compute blade its own memory blade
+    (Sherman's layout); ``memory_blades`` is then unused.
+    """
     features = bench_features(features)
     cluster = Cluster(config)
     compute_nodes = cluster.add_nodes(compute_blades)
-    memory_nodes = cluster.add_nodes(memory_blades)
+    memory_nodes = compute_nodes if colocated else cluster.add_nodes(memory_blades)
     smart_threads: List[SmartThread] = []
     for blade_index, node in enumerate(compute_nodes):
         node.add_threads(threads)
@@ -133,6 +154,7 @@ def install_faults(
     fault_seed: int,
     warmup_ns: float,
     measure_ns: float,
+    crash_unsafe: Optional[str] = None,
 ):
     """Arm a fault schedule on a freshly built deployment.
 
@@ -141,6 +163,11 @@ def install_faults(
     literal ``"seeded"``, or a clause spec string (see
     :meth:`repro.faults.FaultSchedule.parse`).  Seeded schedules target
     the measurement window and crash only memory blades.
+
+    ``crash_unsafe`` names an application with no crash-recovery path:
+    its seeded schedules draw link faults only, and an explicit crash
+    clause is rejected here, before the simulator starts (link faults
+    are always safe — RC retransmission sits below every client).
     """
     if faults is None:
         return None
@@ -151,8 +178,15 @@ def install_faults(
         seed=fault_seed,
         window_start_ns=effective_warmup_ns(deployment.features, warmup_ns),
         window_ns=measure_ns,
-        crash_nodes=[n.node_id for n in deployment.memory_nodes],
+        crash_nodes=() if crash_unsafe else
+        [n.node_id for n in deployment.memory_nodes],
     )
+    if crash_unsafe and schedule.crashes:
+        raise ValueError(
+            f"{crash_unsafe} has no crash-recovery path (only dtx recovers "
+            f"from blade crashes): its fault schedule accepts loss, dup, "
+            f"delay and invalidate clauses, not crash"
+        )
     return FaultInjector(deployment.cluster, schedule).install()
 
 
@@ -182,24 +216,35 @@ def apply_fault_stats(
     return result
 
 
-def attach_sanitizer(sanitize, cluster):
-    """Attach an RDMASan instance when ``sanitize`` is truthy.
-
-    ``sanitize`` may be ``True`` (builds a fresh sanitizer) or an
-    existing :class:`repro.analysis.RdmaSanitizer` to reuse; falsy
-    returns ``None`` and the run stays byte-identical to an unsanitized
-    build.
+def instrument(deployment: Deployment, server=None, faults=None,
+               fault_seed: int = 0, warmup_ns: float = 0.0,
+               measure_ns: float = 0.0, obs=None, sanitize=False,
+               crash_unsafe: Optional[str] = None):
+    """The attach sequence every runner performs on a loaded deployment;
+    each step is a no-op (and the run byte-identical to a build without
+    that package) when its argument is off.  Arms ``faults`` (see
+    :func:`install_faults`), attaches the ``obs`` Observability, then
+    RDMASan — ``sanitize`` is ``True`` or an existing
+    :class:`repro.analysis.RdmaSanitizer` to reuse — with ``server``'s
+    regions declared to it.  Returns ``(injector, sanitizer)``.
     """
-    if not sanitize:
-        return None
-    from repro.analysis.rdmasan import RdmaSanitizer
+    injector = install_faults(
+        deployment, faults, fault_seed, warmup_ns, measure_ns, crash_unsafe
+    )
+    if obs is not None:
+        obs.attach_deployment(deployment)
+    sanitizer = None
+    if sanitize:
+        from repro.analysis.rdmasan import RdmaSanitizer
 
-    sanitizer = sanitize if isinstance(sanitize, RdmaSanitizer) else RdmaSanitizer()
-    sanitizer.attach_cluster(cluster)
-    return sanitizer
+        sanitizer = sanitize if isinstance(sanitize, RdmaSanitizer) else RdmaSanitizer()
+        sanitizer.attach_cluster(deployment.cluster)
+        if server is not None:
+            server.declare_sanitizer_regions(sanitizer)
+    return injector, sanitizer
 
 
-def collect_sanitizer(sanitizer, result: RunResult) -> RunResult:
+def collect_sanitizer(sanitizer, result):
     """Run teardown leak checks and embed the report (no-op on None)."""
     if sanitizer is not None:
         sanitizer.finish()
@@ -235,23 +280,28 @@ def measure(
     return OperationStats.merge([s.stats for s in deployment.smart_threads])
 
 
-def collect_obs(
+def collect_window(
     obs,
     deployment: Deployment,
-    stats: OperationStats,
-    result: RunResult,
+    stats: Optional[OperationStats],
     warmup_ns: float,
     measure_ns: float,
-) -> RunResult:
-    """Post-run collection into an attached Observability (no-op on None)."""
-    if obs is None:
-        return result
+) -> None:
+    """Record the warmup/measure phases, the cluster's counters and the
+    merged op stats (when there are any) into an attached Observability."""
     warmup_ns = effective_warmup_ns(deployment.features, warmup_ns)
     obs.phase("warmup", 0, warmup_ns)
     obs.phase("measure", warmup_ns, warmup_ns + measure_ns)
     obs.collect_cluster(deployment.cluster, window_ns=measure_ns)
-    obs.collect_stats(stats)
-    result.phase_breakdown = obs.phase_breakdown(deployment.cluster)
+    if stats is not None:
+        obs.collect_stats(stats)
+
+
+def collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns):
+    """Post-run collection into an attached Observability (no-op on None)."""
+    if obs is not None:
+        collect_window(obs, deployment, stats, warmup_ns, measure_ns)
+        result.phase_breakdown = obs.phase_breakdown(deployment.cluster)
     return result
 
 
@@ -282,51 +332,229 @@ def result_from_stats(
     )
 
 
-# -- hash table experiments (Figures 5, 7, 8, 9) -------------------------------
+# -- what differs between the applications -------------------------------------
 
 
-def load_hashtable_server(
-    deployment: Deployment,
-    item_count: int,
-    seed: int,
-    rebuild: Callable[[], Deployment],
-):
-    """Size and bulk-load a RACE hash table onto a deployment.
+class App:
+    """What differs between the applications, as the pipeline sees it.
 
-    Sizes the table for ~30% load so splits stay out of the measurement
-    window; a freak both-buckets-full collision during loading retries
-    with a doubled directory on a fresh deployment (``rebuild``).
-    Returns the (possibly rebuilt) deployment and the loaded server.
+    ``name``, ``default_system`` (the app's SMART refactor) and ``label``
+    (the result's workload column) identify it.  ``load(system,
+    deployment, seed, rebuild)`` deploys and bulk-loads ``server`` —
+    whose ``declare_sanitizer_regions`` goes to RDMASan — and returns
+    the deployment to run on (``rebuild()`` builds a fresh one).
+    ``stream(workload, seed)`` is one client's infinite op stream
+    (``None``: the app's own workload), ``make_client(smart)`` a client
+    on a SMART thread, and ``dispatch(client, item)`` — a plain
+    function, so nothing sits between the driver loop and the client's
+    own generator — starts one stream item on it.
     """
-    slots_needed = int(item_count / 0.30)
-    buckets = 512
-    segments = 1
-    while segments * buckets * 7 < slots_needed:
-        segments *= 2
-    for _ in range(3):
-        try:
-            server = HashTableServer(
-                deployment.memory_nodes,
-                segments=segments,
-                buckets_per_segment=buckets,
-                heap_bytes_per_blade=max(8 << 20, item_count * 64),
-            )
-            server.bulk_load(YcsbWorkload.load_items(item_count, seed))
-            return deployment, server
-        except MemoryError:
+
+    #: every server is both a compute and a memory blade (Sherman)
+    colocated = False
+    #: clients survive a blade crash (only FORD's log-ring recovery
+    #: does; see :func:`install_faults`)
+    recovers_from_crash = False
+
+
+class _YcsbApp(App):
+    """A key-value app driven by a YCSB mix (write-heavy by default)."""
+
+    def __init__(self, item_count: int = 100_000,
+                 workload: Optional[YcsbWorkload] = None):
+        self.item_count = item_count
+        self.workload = workload or WRITE_HEAVY
+        self.label = self.workload.name
+
+    def stream(self, workload, seed):
+        return (workload or self.workload).stream(self.item_count, seed)
+
+
+class HashTableApp(_YcsbApp):
+    """RACE / SMART-HT (Figures 5, 7, 8, 9)."""
+
+    name = "hashtable"
+    default_system = "smart-ht"
+
+    def load(self, system, deployment, seed, rebuild):
+        """Size the table for ~30% load so splits stay out of the
+        measurement window; a freak both-buckets-full collision during
+        loading retries with a doubled directory on a fresh deployment.
+        """
+        slots_needed = int(self.item_count / 0.30)
+        buckets = 512
+        segments = 1
+        while segments * buckets * 7 < slots_needed:
             segments *= 2
-            deployment = rebuild()
-    raise MemoryError("could not load the table even after resizing")
+        for _ in range(3):
+            try:
+                self.server = HashTableServer(
+                    deployment.memory_nodes,
+                    segments=segments,
+                    buckets_per_segment=buckets,
+                    heap_bytes_per_blade=max(8 << 20, self.item_count * 64),
+                )
+                self.server.bulk_load(YcsbWorkload.load_items(self.item_count, seed))
+                self.meta = self.server.meta()
+                return deployment
+            except MemoryError:
+                segments *= 2
+                deployment = rebuild()
+        raise MemoryError("could not load the table even after resizing")
+
+    def make_client(self, smart):
+        return HashTableClient(smart.handle(), self.meta)
+
+    @staticmethod
+    def dispatch(client, item):
+        op, key, value = item
+        if op == READ:
+            return client.search(key)
+        if op == UPDATE:
+            return client.update(key, value)
+        return client.insert(key, value)
 
 
-def run_hashtable(
-    system: str = "smart-ht",
-    workload: Optional[YcsbWorkload] = None,
+class DtxApp(App):
+    """FORD / SMART-DTX (Figures 10, 11); an op is one committed txn."""
+
+    name = "dtx"
+    default_system = "smart-dtx"
+    recovers_from_crash = True
+    _BENCHMARKS = {"smallbank": smallbank, "tatp": tatp}
+
+    def __init__(self, item_count: int = 100_000, benchmark: str = "smallbank"):
+        if benchmark not in self._BENCHMARKS:
+            raise ValueError(f"benchmark must be smallbank or tatp, got {benchmark!r}")
+        self.item_count = item_count
+        self.label = benchmark
+        self.benchmark = self._BENCHMARKS[benchmark]
+        #: every client's NVM undo-log ring (what recovery rolls back)
+        self.log_rings: List = []
+
+    def load(self, system, deployment, seed, rebuild):
+        nodes = deployment.memory_nodes
+        self.server = DtxServer(nodes, replicas=min(2, len(nodes)))
+        self.tables = self.benchmark.setup(self.server, self.item_count)
+        return deployment
+
+    def wire_recovery(self, injector) -> RecoveryManager:
+        """Blade restarts run FORD's recovery manager over every
+        client's log ring, rolling back in-doubt records before traffic
+        resumes."""
+        recovery = RecoveryManager(self.server)
+        injector.wire_ford_recovery(recovery, self.log_rings)
+        return recovery
+
+    def stream(self, workload, seed):
+        if workload not in (None, self.label):
+            raise ValueError(
+                f"this DTX point runs {self.label}, got workload {workload!r}")
+        return self.benchmark.transaction_stream(self.item_count, seed)
+
+    def make_client(self, smart):
+        ring = self.server.alloc_log_ring()
+        self.log_rings.append(ring)
+        return TxnClient(smart.handle(), ring)
+
+    def dispatch(self, client, item):
+        return client.run(
+            lambda txn: self.benchmark.run_profile(txn, self.tables, *item))
+
+
+class BTreeApp(_YcsbApp):
+    """Sherman+ / Sherman+ w/ SL / SMART-BT (Figure 12).
+
+    Matching the paper's setup, every server is both a memory blade and
+    a compute blade; each blade shares one ``index_cache``, one HOPL
+    :class:`LocalLockTable` and (with speculative lookup) one
+    :class:`SpeculativeCache` between its threads.
+    """
+
+    name = "btree"
+    default_system = "smart-bt"
+    colocated = True
+
+    def __init__(self, item_count: int = 100_000,
+                 workload: Optional[YcsbWorkload] = None,
+                 speculative: Optional[bool] = None,
+                 client_cpu_ns: float = 2000.0, hopl: bool = True):
+        super().__init__(item_count, workload)
+        self.speculative = speculative
+        self.client_cpu_ns = client_cpu_ns
+        self.hopl = hopl
+
+    def load(self, system, deployment, seed, rebuild):
+        nodes = deployment.memory_nodes
+        self.server = BTreeServer(
+            nodes, heap_bytes_per_blade=max(16 << 20, self.item_count * 64))
+        self.server.bulk_load(YcsbWorkload.load_items(self.item_count, seed))
+        self.meta = self.server.meta()
+        speculative = self.speculative
+        if speculative is None:
+            speculative = system in ("sherman-sl", "smart-bt")
+        sim = deployment.cluster.sim
+        self.blade_state = {
+            node.node_id: (
+                {},
+                LocalLockTable(sim, use_local_queues=self.hopl),
+                SpeculativeCache() if speculative else None,
+            )
+            for node in nodes
+        }
+        return deployment
+
+    def make_client(self, smart):
+        index_cache, locks, spec = self.blade_state[smart.thread.node.node_id]
+        return BTreeClient(
+            smart.handle(), self.meta, index_cache, locks, spec_cache=spec,
+            client_cpu_ns=self.client_cpu_ns,
+        )
+
+    @staticmethod
+    def dispatch(client, item):
+        op, key, value = item
+        if op == READ:
+            return client.lookup(key)
+        if op == UPDATE:
+            return client.update(key, value)
+        return client.insert(key, value)
+
+
+# -- the pipeline --------------------------------------------------------------
+
+
+def deploy_app(app: App, system: str, threads: int, compute_blades: int,
+               memory_blades: int, features: Optional[SmartFeatures],
+               config: Optional[RnicConfig], seed: int) -> Deployment:
+    """Build ``system``'s cluster for ``app`` and bulk-load its server."""
+    if features is None:
+        features = SYSTEM_FEATURES[system]()
+
+    def build():
+        return build_deployment(features, threads, compute_blades, memory_blades,
+                                config, seed, colocated=app.colocated)
+
+    return app.load(system, build(), seed, build)
+
+
+def client_loop(app: App, smart: SmartThread, stream, gap):
+    """One closed-loop client coroutine: next op when the last completes."""
+    client = app.make_client(smart)
+    dispatch = app.dispatch
+    for item in stream:
+        yield from dispatch(client, item)
+        if gap is not None:
+            yield gap
+
+
+def run_app(
+    app: App,
+    system: str,
     threads: int = 8,
     coroutines: int = 8,
     compute_blades: int = 1,
     memory_blades: int = 2,
-    item_count: int = 100_000,
     features: Optional[SmartFeatures] = None,
     config: Optional[RnicConfig] = None,
     warmup_ns: float = 1.0e6,
@@ -341,188 +569,50 @@ def run_hashtable(
     merge_wrs: Optional[bool] = None,
     adaptive_poll: Optional[bool] = None,
 ) -> RunResult:
-    """One point of the hash-table experiments.
+    """One closed-loop point of ``app`` (the arguments every app runner
+    shares).
 
     ``throttle_gap_ns`` inserts idle time between ops (used by the
     Fig-9 throughput/latency curve to sweep offered load).
-    ``faults`` arms a fault schedule (loss/dup/delay windows; the RACE
-    client has no crash-recovery path, so crash faults belong to the DTX
-    runner where FORD's recovery handles them).
+    ``faults`` arms a fault schedule (see :func:`install_faults`): link
+    faults for every app, blade crashes only where
+    ``app.recovers_from_crash``.
+    ``obs`` attaches a :class:`repro.obs.Observability`, ``sanitize``
+    RDMASan; both are passive.
     ``pinned_ratio``/``merge_wrs``/``adaptive_poll`` override the
     matching :class:`RnicConfig` knobs (ODP + doorbell batching axes).
     """
-    from repro.workloads.ycsb import WRITE_HEAVY
-
     config = apply_feature_overrides(
         config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
         adaptive_poll=adaptive_poll,
     )
-    workload = workload or WRITE_HEAVY
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
+    deployment = deploy_app(
+        app, system, threads, compute_blades, memory_blades, features, config, seed
     )
-
-    deployment, server = load_hashtable_server(
-        deployment, item_count, seed,
-        rebuild=lambda: build_deployment(
-            features, threads, compute_blades, memory_blades, config, seed
-        ),
+    injector, sanitizer = instrument(
+        deployment, app.server, faults, fault_seed, warmup_ns, measure_ns,
+        obs, sanitize,
+        crash_unsafe=None if app.recovers_from_crash else app.name,
     )
-    meta = server.meta()
+    recovery = None
+    if injector is not None and app.recovers_from_crash:
+        recovery = app.wire_recovery(injector)
 
-    injector = install_faults(deployment, faults, fault_seed, warmup_ns, measure_ns)
-    if obs is not None:
-        obs.attach_deployment(deployment)
-    sanitizer = attach_sanitizer(sanitize, deployment.cluster)
-    if sanitizer is not None:
-        server.declare_sanitizer_regions(sanitizer)
     sim = deployment.cluster.sim
     # One reusable pure-delay object serves every coroutine's gap sleeps
     # (the kernel's cheap Timeout alternative for fire-and-forget waits).
     gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
-
-    def client_coroutine(smart: SmartThread, stream):
-        client = HashTableClient(smart.handle(), meta)
-        for op, key, value in stream:
-            if op == READ:
-                yield from client.search(key)
-            elif op == UPDATE:
-                yield from client.update(key, value)
-            elif op == INSERT:
-                yield from client.insert(key, value)
-            if gap is not None:
-                yield gap
-
     stream_seed = random.Random(seed)
-    clients = []
-    for smart in deployment.smart_threads:
-        for _ in range(coroutines):
-            stream = workload.stream(item_count, stream_seed.getrandbits(31))
-            clients.append(sim.spawn(client_coroutine(smart, stream)))
+    clients = [
+        sim.spawn(client_loop(
+            app, smart, app.stream(None, stream_seed.getrandbits(31)), gap))
+        for smart in deployment.smart_threads
+        for _ in range(coroutines)
+    ]
 
     stats = measure(deployment, warmup_ns, measure_ns)
     result = result_from_stats(
-        stats, system, workload.name, threads, coroutines, compute_blades,
-        measure_ns, sim=sim,
-    )
-    apply_fault_stats(result, stats, deployment, injector)
-    result = collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
-    return collect_sanitizer(sanitizer, result)
-
-
-# -- distributed transaction experiments (Figures 10, 11) ---------------------
-
-
-def run_dtx(
-    system: str = "smart-dtx",
-    benchmark: str = "smallbank",
-    threads: int = 8,
-    coroutines: int = 8,
-    compute_blades: int = 1,
-    memory_blades: int = 2,
-    item_count: int = 100_000,
-    features: Optional[SmartFeatures] = None,
-    config: Optional[RnicConfig] = None,
-    warmup_ns: float = 1.0e6,
-    measure_ns: float = 2.0e6,
-    seed: int = 0,
-    throttle_gap_ns: float = 0.0,
-    faults=None,
-    fault_seed: int = 0,
-    obs=None,
-    sanitize=False,
-    pinned_ratio: Optional[float] = None,
-    merge_wrs: Optional[bool] = None,
-    adaptive_poll: Optional[bool] = None,
-) -> RunResult:
-    """One point of the FORD / SMART-DTX experiments (throughput in
-    committed M txn/s).
-
-    ``faults`` arms a fault schedule (see :func:`install_faults`); blade
-    restarts then run FORD's recovery manager over every client's NVM
-    log ring, rolling back in-doubt records before traffic resumes.
-    ``pinned_ratio``/``merge_wrs``/``adaptive_poll`` override the
-    matching :class:`RnicConfig` knobs (ODP + doorbell batching axes).
-    """
-    from repro.apps.ford.server import DtxServer
-    from repro.apps.ford.txn import TxnClient
-    from repro.workloads import smallbank as sb
-    from repro.workloads import tatp as tp
-
-    config = apply_feature_overrides(
-        config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
-        adaptive_poll=adaptive_poll,
-    )
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
-    server = DtxServer(deployment.memory_nodes, replicas=min(2, memory_blades))
-    if benchmark == "smallbank":
-        tables = sb.setup(server, accounts=item_count)
-    elif benchmark == "tatp":
-        tables = tp.setup(server, subscribers=item_count)
-    else:
-        raise ValueError(f"benchmark must be smallbank or tatp, got {benchmark!r}")
-
-    injector = install_faults(deployment, faults, fault_seed, warmup_ns, measure_ns)
-    recovery = None
-    log_rings: List = []
-    if injector is not None:
-        from repro.apps.ford.recovery import RecoveryManager
-
-        recovery = RecoveryManager(server)
-        injector.wire_ford_recovery(recovery, log_rings)
-
-    if obs is not None:
-        obs.attach_deployment(deployment)
-    sanitizer = attach_sanitizer(sanitize, deployment.cluster)
-    if sanitizer is not None:
-        server.declare_sanitizer_regions(sanitizer)
-    sim = deployment.cluster.sim
-    stream_seed = random.Random(seed)
-    gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
-
-    def client_coroutine(smart: SmartThread, seed_value: int):
-        ring = server.alloc_log_ring()
-        log_rings.append(ring)
-        client = TxnClient(smart.handle(), ring)
-        if benchmark == "smallbank":
-            stream = sb.transaction_stream(item_count, seed_value)
-            while True:
-                profile, accounts, amount = next(stream)
-                yield from client.run(
-                    lambda txn, p=profile, a=accounts, m=amount: sb.run_profile(
-                        txn, tables, p, a, m
-                    )
-                )
-                if gap is not None:
-                    yield gap
-        else:
-            stream = tp.transaction_stream(item_count, seed_value)
-            while True:
-                profile, sub, aux = next(stream)
-                yield from client.run(
-                    lambda txn, p=profile, s=sub, x=aux: tp.run_profile(
-                        txn, tables, p, s, x
-                    )
-                )
-                if gap is not None:
-                    yield gap
-
-    clients = []
-    for smart in deployment.smart_threads:
-        for _ in range(coroutines):
-            clients.append(
-                sim.spawn(client_coroutine(smart, stream_seed.getrandbits(31)))
-            )
-
-    stats = measure(deployment, warmup_ns, measure_ns)
-    result = result_from_stats(
-        stats, system, benchmark, threads, coroutines, compute_blades,
+        stats, system, app.label, threads, coroutines, compute_blades,
         measure_ns, sim=sim,
     )
     apply_fault_stats(result, stats, deployment, injector, recovery)
@@ -530,116 +620,39 @@ def run_dtx(
     return collect_sanitizer(sanitizer, result)
 
 
-# -- B+Tree experiments (Figure 12) --------------------------------------------
+def run_hashtable(system: str = "smart-ht",
+                  workload: Optional[YcsbWorkload] = None,
+                  item_count: int = 100_000, **run) -> RunResult:
+    """One point of the hash-table experiments (``system``: ``race`` or
+    ``smart-ht``; ``workload`` defaults to write-heavy).  ``run`` is
+    :func:`run_app`'s keyword arguments."""
+    return run_app(HashTableApp(item_count, workload), system, **run)
 
 
-def run_btree(
-    system: str = "smart-bt",
-    workload: Optional[YcsbWorkload] = None,
-    threads: int = 8,
-    coroutines: int = 8,
-    servers: int = 1,
-    item_count: int = 100_000,
-    features: Optional[SmartFeatures] = None,
-    config: Optional[RnicConfig] = None,
-    warmup_ns: float = 1.0e6,
-    measure_ns: float = 2.0e6,
-    seed: int = 0,
-    speculative: Optional[bool] = None,
-    client_cpu_ns: float = 2000.0,
-    throttle_gap_ns: float = 0.0,
-    hopl: bool = True,
-    obs=None,
-    sanitize=False,
-    pinned_ratio: Optional[float] = None,
-    merge_wrs: Optional[bool] = None,
-    adaptive_poll: Optional[bool] = None,
-) -> RunResult:
+def run_dtx(system: str = "smart-dtx", benchmark: str = "smallbank",
+            item_count: int = 100_000, **run) -> RunResult:
+    """One point of the FORD / SMART-DTX experiments (throughput in
+    committed M txn/s; ``benchmark``: ``smallbank`` or ``tatp``).
+    ``run`` is :func:`run_app`'s keyword arguments."""
+    return run_app(DtxApp(item_count, benchmark), system, **run)
+
+
+def run_btree(system: str = "smart-bt",
+              workload: Optional[YcsbWorkload] = None,
+              servers: int = 1, item_count: int = 100_000,
+              speculative: Optional[bool] = None,
+              client_cpu_ns: float = 2000.0, hopl: bool = True,
+              **run) -> RunResult:
     """One point of the Sherman / SMART-BT experiments.
 
-    Matching the paper's setup, every server is both a memory blade and a
-    compute blade (``servers`` scales both out together).  Systems:
+    ``servers`` scales compute and memory out together.  Systems:
     ``sherman`` (Sherman+), ``sherman-sl`` (Sherman+ w/ speculative
-    lookup) and ``smart-bt``.  ``hopl=False`` degrades node locks to naive
-    remote CAS spinlocks (the §3.3 behaviour HOPL avoids) — used by the
-    HOPL ablation bench.
+    lookup) and ``smart-bt``; ``speculative`` overrides the system's
+    choice.  ``hopl=False`` degrades node locks to naive remote CAS
+    spinlocks (the §3.3 behaviour HOPL avoids) — used by the HOPL
+    ablation bench.  ``run`` is :func:`run_app`'s remaining keyword
+    arguments (the blade counts are ``servers``).
     """
-    from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache
-    from repro.apps.sherman.server import BTreeServer
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    config = apply_feature_overrides(
-        config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
-        adaptive_poll=adaptive_poll,
-    )
-    workload = workload or WRITE_HEAVY
-    if features is None:
-        base = {"sherman": "sherman", "sherman-sl": "sherman", "smart-bt": "smart-bt"}
-        features = SYSTEM_FEATURES[base[system]]()
-    if speculative is None:
-        speculative = system in ("sherman-sl", "smart-bt")
-    features = bench_features(features)
-
-    cluster = Cluster(config)
-    nodes = cluster.add_nodes(servers)
-    server = BTreeServer(nodes, heap_bytes_per_blade=max(16 << 20, item_count * 64))
-    rng = random.Random(seed)
-    server.bulk_load([(k, rng.getrandbits(32)) for k in range(item_count)])
-    meta = server.meta()
-    sanitizer = attach_sanitizer(sanitize, cluster)
-    if sanitizer is not None:
-        server.declare_sanitizer_regions(sanitizer)
-
-    smart_threads: List[SmartThread] = []
-    clients_per_node = []
-    for blade_index, node in enumerate(nodes):
-        node.add_threads(threads)
-        SmartContext(node, nodes, features)
-        index_cache: Dict = {}
-        locks = LocalLockTable(cluster.sim, use_local_queues=hopl)
-        spec = SpeculativeCache() if speculative else None
-        node_threads = []
-        for thread in node.threads:
-            smart = SmartThread(thread, features, seed=seed + blade_index * 1000)
-            smart_threads.append(smart)
-            node_threads.append((smart, index_cache, locks, spec))
-        clients_per_node.append(node_threads)
-
-    sim = cluster.sim
-    stream_seed = random.Random(seed)
-    gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
-
-    def client_coroutine(smart, index_cache, locks, spec, stream):
-        client = BTreeClient(
-            smart.handle(), meta, index_cache, locks, spec_cache=spec,
-            client_cpu_ns=client_cpu_ns,
-        )
-        for op, key, value in stream:
-            if op == READ:
-                yield from client.lookup(key)
-            elif op == UPDATE:
-                yield from client.update(key, value)
-            elif op == INSERT:
-                yield from client.insert(key, value)
-            if gap is not None:
-                yield gap
-
-    clients = []
-    for node_threads in clients_per_node:
-        for smart, index_cache, locks, spec in node_threads:
-            for _ in range(coroutines):
-                stream = workload.stream(item_count, stream_seed.getrandbits(31))
-                clients.append(
-                    sim.spawn(client_coroutine(smart, index_cache, locks, spec, stream))
-                )
-
-    deployment = Deployment(cluster, nodes, nodes, smart_threads, features)
-    if obs is not None:
-        obs.attach_deployment(deployment)
-    stats = measure(deployment, warmup_ns, measure_ns)
-    result = result_from_stats(
-        stats, system, workload.name, threads, coroutines, servers,
-        measure_ns, sim=sim,
-    )
-    result = collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
-    return collect_sanitizer(sanitizer, result)
+    app = BTreeApp(item_count, workload, speculative, client_cpu_ns, hopl)
+    return run_app(app, system, compute_blades=servers, memory_blades=servers,
+                   **run)

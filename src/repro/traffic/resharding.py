@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.apps.sharded import (
@@ -38,15 +39,16 @@ from repro.apps.sharded import (
 )
 from repro.bench.runner import (
     SYSTEM_FEATURES,
+    HashTableApp,
     build_deployment,
     effective_warmup_ns,
+    instrument,
 )
 from repro.memory.elastic import Autoscaler
 from repro.obs.metrics import LogHistogram
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.engine import OpenLoopEngine
 from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
-from repro.workloads.ycsb import INSERT, READ, UPDATE
 
 PHASES = ("before", "during", "after")
 MODES = ("add_blade", "drain", "autoscale")
@@ -205,8 +207,7 @@ def run_resharding(
     rng = random.Random(seed)
     service.bulk_load((k, rng.getrandbits(32)) for k in range(item_count))
 
-    if obs is not None:
-        obs.attach_deployment(deployment)
+    instrument(deployment, obs=obs)
 
     # -- tenants -----------------------------------------------------------
     if tenants is None:
@@ -226,7 +227,7 @@ def run_resharding(
             smart = deployment.smart_threads[
                 worker_index % len(deployment.smart_threads)
             ]
-            executors.append(_executor_factory(service, smart))
+            executors.append(partial(_executor, service, smart))
             worker_index += 1
         engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
 
@@ -369,19 +370,8 @@ def _phase_rows_from_zero(states) -> List[PhaseStats]:
     return rows
 
 
-def _executor_factory(service: ShardedHashTableService, smart):
-    def factory():
-        client = ShardedHashTableClient(service, smart.handle())
-
-        def execute(item):
-            op, key, value = item
-            if op == READ:
-                yield from client.search(key)
-            elif op == UPDATE:
-                yield from client.update(key, value)
-            elif op == INSERT:
-                yield from client.insert(key, value)
-
-        return execute
-
-    return factory
+def _executor(service: ShardedHashTableService, smart):
+    """A worker's executor factory: a fresh sharded client behind the
+    hash table's op dispatch."""
+    client = ShardedHashTableClient(service, smart.handle())
+    return partial(HashTableApp.dispatch, client)

@@ -1,10 +1,11 @@
 """Open-loop experiment runner for the three SMART applications.
 
-Mirrors :mod:`repro.bench.runner` — same deployments, same app servers
-and clients, same warmup/measure discipline — but drives the clients
-from an :class:`OpenLoopEngine` instead of closed client loops, so
-offered load is independent of service progress and queueing delay is
-measured rather than omitted.
+Runs the :class:`repro.bench.runner.App` adapters of the closed-loop
+pipeline — same deployments, same app servers and clients, same
+warmup/measure discipline — but drives the clients from an
+:class:`OpenLoopEngine` instead of closed client loops, so offered load
+is independent of service progress and queueing delay is measured
+rather than omitted.
 
 ``run_open_loop`` is registered with :mod:`repro.bench.parallel`, so
 every argument (including :class:`TenantSpec` and its arrival process /
@@ -15,23 +16,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from functools import partial
+from typing import List, Optional
 
 from repro.bench.runner import (
-    SYSTEM_FEATURES,
-    Deployment,
-    build_deployment,
+    App,
+    BTreeApp,
+    DtxApp,
+    HashTableApp,
+    collect_window,
+    deploy_app,
     effective_warmup_ns,
-    load_hashtable_server,
+    instrument,
 )
 from repro.core import OperationStats
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.engine import OpenLoopEngine
 from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
-from repro.workloads.ycsb import INSERT, READ, UPDATE
-
-#: default system per app (mirrors the closed-loop runners)
-DEFAULT_SYSTEMS = {"hashtable": "smart-ht", "dtx": "smart-dtx", "btree": "smart-bt"}
 
 
 @dataclass
@@ -125,191 +126,6 @@ def _tenant_result(state, measure_ns: float) -> TenantResult:
     )
 
 
-# -- per-app wiring ------------------------------------------------------------
-
-
-def _setup_hashtable(system, threads, compute_blades, memory_blades, servers,
-                     item_count, features, config, seed, client_cpu_ns):
-    from repro.apps.race.client import HashTableClient
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
-    deployment, server = load_hashtable_server(
-        deployment, item_count, seed,
-        rebuild=lambda: build_deployment(
-            features, threads, compute_blades, memory_blades, config, seed
-        ),
-    )
-    meta = server.meta()
-
-    def stream_for(spec: TenantSpec, stream_seed: int):
-        workload = spec.workload or WRITE_HEAVY
-        return workload.stream(item_count, stream_seed)
-
-    def executor_for(spec: TenantSpec, smart):
-        def factory():
-            client = HashTableClient(smart.handle(), meta)
-
-            def execute(item):
-                op, key, value = item
-                if op == READ:
-                    yield from client.search(key)
-                elif op == UPDATE:
-                    yield from client.update(key, value)
-                elif op == INSERT:
-                    yield from client.insert(key, value)
-
-            return execute
-
-        return factory
-
-    return deployment, stream_for, executor_for
-
-
-def _setup_dtx(system, threads, compute_blades, memory_blades, servers,
-               item_count, features, config, seed, client_cpu_ns,
-               benchmark="smallbank"):
-    from repro.apps.ford.server import DtxServer
-    from repro.apps.ford.txn import TxnClient
-    from repro.workloads import smallbank as sb
-    from repro.workloads import tatp as tp
-
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
-    server = DtxServer(deployment.memory_nodes, replicas=min(2, memory_blades))
-    tables = {}
-    benchmarks = {spec_bench for spec_bench in ("smallbank", "tatp")}
-
-    def bench_of(spec: TenantSpec) -> str:
-        bench = spec.workload or benchmark
-        if bench not in benchmarks:
-            raise ValueError(f"DTX workload must be smallbank or tatp, got {bench!r}")
-        return bench
-
-    def tables_of(bench: str):
-        # Lazy so a run only populates the benchmarks its tenants use.
-        if bench not in tables:
-            setup = sb.setup if bench == "smallbank" else tp.setup
-            kwargs = ({"accounts": item_count} if bench == "smallbank"
-                      else {"subscribers": item_count})
-            tables[bench] = setup(server, **kwargs)
-        return tables[bench]
-
-    def stream_for(spec: TenantSpec, stream_seed: int):
-        bench = bench_of(spec)
-        tables_of(bench)
-        module = sb if bench == "smallbank" else tp
-        return module.transaction_stream(item_count, stream_seed)
-
-    def executor_for(spec: TenantSpec, smart):
-        bench = bench_of(spec)
-
-        def factory():
-            client = TxnClient(smart.handle(), server.alloc_log_ring())
-            bench_tables = tables_of(bench)
-            if bench == "smallbank":
-                def execute(item):
-                    profile, accounts, amount = item
-                    yield from client.run(
-                        lambda txn, p=profile, a=accounts, m=amount:
-                        sb.run_profile(txn, bench_tables, p, a, m)
-                    )
-            else:
-                def execute(item):
-                    profile, sub, aux = item
-                    yield from client.run(
-                        lambda txn, p=profile, s=sub, x=aux:
-                        tp.run_profile(txn, bench_tables, p, s, x)
-                    )
-            return execute
-
-        return factory
-
-    return deployment, stream_for, executor_for
-
-
-def _setup_btree(system, threads, compute_blades, memory_blades, servers,
-                 item_count, features, config, seed, client_cpu_ns):
-    from repro.apps.sherman.client import (
-        BTreeClient, LocalLockTable, SpeculativeCache,
-    )
-    from repro.apps.sherman.server import BTreeServer
-    from repro.cluster import Cluster
-    from repro.core import SmartContext, SmartThread
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    if features is None:
-        base = {"sherman": "sherman", "sherman-sl": "sherman", "smart-bt": "smart-bt"}
-        features = SYSTEM_FEATURES[base[system]]()
-    speculative = system in ("sherman-sl", "smart-bt")
-    from repro.bench.runner import bench_features
-
-    features = bench_features(features)
-    cluster = Cluster(config)
-    nodes = cluster.add_nodes(servers)
-    server = BTreeServer(nodes, heap_bytes_per_blade=max(16 << 20, item_count * 64))
-    rng = random.Random(seed)
-    server.bulk_load([(k, rng.getrandbits(32)) for k in range(item_count)])
-    meta = server.meta()
-
-    smart_threads: List = []
-    contexts: List = []  # (index_cache, locks, spec_cache) per smart thread
-    for blade_index, node in enumerate(nodes):
-        node.add_threads(threads)
-        SmartContext(node, nodes, features)
-        index_cache = {}
-        locks = LocalLockTable(cluster.sim)
-        spec_cache = SpeculativeCache() if speculative else None
-        for thread in node.threads:
-            smart_threads.append(
-                SmartThread(thread, features, seed=seed + blade_index * 1000)
-            )
-            contexts.append((index_cache, locks, spec_cache))
-    deployment = Deployment(cluster, nodes, nodes, smart_threads, features)
-
-    def stream_for(spec: TenantSpec, stream_seed: int):
-        workload = spec.workload or WRITE_HEAVY
-        return workload.stream(item_count, stream_seed)
-
-    def executor_for(spec: TenantSpec, smart):
-        index_cache, locks, spec_cache = contexts[smart_threads.index(smart)]
-
-        def factory():
-            client = BTreeClient(
-                smart.handle(), meta, index_cache, locks, spec_cache=spec_cache,
-                client_cpu_ns=client_cpu_ns,
-            )
-
-            def execute(item):
-                op, key, value = item
-                if op == READ:
-                    yield from client.lookup(key)
-                elif op == UPDATE:
-                    yield from client.update(key, value)
-                elif op == INSERT:
-                    yield from client.insert(key, value)
-
-            return execute
-
-        return factory
-
-    return deployment, stream_for, executor_for
-
-
-_SETUPS: dict = {
-    "hashtable": _setup_hashtable,
-    "dtx": _setup_dtx,
-    "btree": _setup_btree,
-}
-
-
 # -- the runner ----------------------------------------------------------------
 
 
@@ -344,9 +160,17 @@ def run_open_loop(
     so tenants contend for the same RNICs and fabric while keeping
     private queues, stats and admission state.
     """
-    if app not in _SETUPS:
-        raise ValueError(f"app must be one of {sorted(_SETUPS)}, got {app!r}")
-    system = system or DEFAULT_SYSTEMS[app]
+    if app == "hashtable":
+        adapter: App = HashTableApp(item_count)
+    elif app == "dtx":
+        adapter = DtxApp(item_count, benchmark)
+    elif app == "btree":
+        adapter = BTreeApp(item_count, client_cpu_ns=client_cpu_ns)
+        compute_blades = servers
+    else:
+        raise ValueError(
+            f"app must be one of ['btree', 'dtx', 'hashtable'], got {app!r}")
+    system = system or adapter.default_system
     if tenants is None:
         tenants = [TenantSpec(
             "t0",
@@ -355,27 +179,24 @@ def run_open_loop(
             workers=workers,
         )]
 
-    kwargs = {"benchmark": benchmark} if app == "dtx" else {}
-    deployment, stream_for, executor_for = _SETUPS[app](
-        system, threads, compute_blades, memory_blades, servers,
-        item_count, features, config, seed, client_cpu_ns, **kwargs
+    deployment = deploy_app(
+        adapter, system, threads, compute_blades, memory_blades, features,
+        config, seed,
     )
-
-    if obs is not None:
-        obs.attach_deployment(deployment)
+    instrument(deployment, obs=obs)
 
     sim = deployment.cluster.sim
     engine = OpenLoopEngine(sim, seed=seed)
     seeder = random.Random(seed)
     worker_index = 0
     for spec in tenants:
-        stream = stream_for(spec, seeder.getrandbits(31))
+        stream = adapter.stream(spec.workload, seeder.getrandbits(31))
         executors = []
         for _ in range(spec.workers):
             smart = deployment.smart_threads[
                 worker_index % len(deployment.smart_threads)
             ]
-            executors.append(executor_for(spec, smart))
+            executors.append(partial(_executor, adapter, smart))
             worker_index += 1
         engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
 
@@ -392,12 +213,15 @@ def run_open_loop(
     )
 
     if obs is not None:
-        obs.phase("warmup", 0, warm)
-        obs.phase("measure", warm, warm + measure_ns)
-        obs.collect_cluster(deployment.cluster, window_ns=measure_ns)
-        obs.collect_stats(
-            OperationStats.merge([s.stats for s in deployment.smart_threads])
-        )
+        merged = OperationStats.merge([s.stats for s in deployment.smart_threads])
+        collect_window(obs, deployment, merged, warmup_ns, measure_ns)
         for state in engine.tenants:
             obs.collect_stats(state.stats, prefix=f"tenant.{state.spec.name}")
     return result
+
+
+def _executor(app: App, smart):
+    """A worker's executor factory (see :class:`OpenLoopEngine`): a
+    fresh client, and ``execute(op)`` returning that client's own
+    generator for the op."""
+    return partial(app.dispatch, app.make_client(smart))

@@ -625,6 +625,60 @@ class TestChaosSmoke:
         assert dataclasses.asdict(result) == dataclasses.asdict(again)
 
 
+# -- faults through the shared app pipeline ------------------------------------
+
+APP_KW = dict(threads=2, coroutines=2, item_count=2_000,
+              warmup_ns=0.2e6, measure_ns=0.6e6)
+APP_RUNNERS = [("run_hashtable", "race"), ("run_dtx", "ford"),
+               ("run_btree", "sherman")]
+
+
+@pytest.mark.chaos
+class TestAppPipelineFaults:
+    @pytest.mark.parametrize("runner,system", APP_RUNNERS)
+    def test_link_loss_works_and_replays_on_every_app(self, runner, system):
+        """RC retransmission sits below all three clients, so a loss
+        window is survivable everywhere — and replays under its seed."""
+        import repro.bench.runner as bench_runner
+
+        run = getattr(bench_runner, runner)
+        kw = dict(system=system, faults="loss=0.05@0.25ms+0.3ms",
+                  fault_seed=5, **APP_KW)
+        first, second = run(**kw), run(**kw)
+        assert first.ops > 0
+        assert first.messages_dropped > 0 and first.retransmissions > 0
+        assert first.crashes == 0 and first.error_completions == 0
+        assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+    @pytest.mark.parametrize("runner,system",
+                             [r for r in APP_RUNNERS if r[0] != "run_dtx"])
+    def test_crash_clause_on_app_without_recovery_is_rejected_up_front(
+            self, runner, system, monkeypatch):
+        """Regression: this used to die mid-simulation as ``TypeError:
+        'NoneType' object is not subscriptable`` in the RACE client (and
+        ``run_btree`` had no ``faults`` argument at all)."""
+        import repro.bench.runner as bench_runner
+        from repro.sim import Simulator
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("the simulator started")
+
+        monkeypatch.setattr(Simulator, "run", never)
+        run = getattr(bench_runner, runner)
+        with pytest.raises(ValueError, match="no crash-recovery path") as error:
+            run(system=system, faults="loss=0.01@0.3ms+0.1ms,crash=2@0.4ms+0.1ms",
+                **APP_KW)
+        assert runner.split("_")[1] in str(error.value)
+        assert "loss" in str(error.value)
+
+    def test_seeded_faults_on_app_without_recovery_draw_link_faults_only(self):
+        from repro.bench.runner import run_hashtable
+
+        result = run_hashtable(system="race", faults="seeded", **APP_KW)
+        assert result.ops > 0 and result.crashes == 0
+        assert result.messages_dropped > 0
+
+
 # -- active-message chaos (near-memory offload) -------------------------------
 
 from repro.rnic.offload import register_handler

@@ -123,3 +123,38 @@ class TestCli:
         stats = pstats.Stats(str(pstats_path))
         assert any("core.py" in key[0] and key[2] == "run"
                    for key in stats.stats)
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["traffic", "--app", "dtx", "--benchmark", "tatp", "--rate", "0.3",
+          "--threads", "2", "--workers", "4", "--tenants", "2",
+          "--item-count", "2000", "--warmup-us", "200", "--measure-us", "300"],
+         {"app", "system", "threads", "measure_ns", "tenants"}),
+        (["resharding", "--mode", "add_blade", "--threads", "2", "--workers", "2",
+          "--item-count", "500", "--warmup-us", "200", "--phase-us", "300"],
+         {"mode", "phases", "moves", "keys_copied", "blades_before",
+          "blades_after", "allocator_stats"}),
+        (["odp", "--ratios", "1.0,0.5", "--depths", "4", "--threads", "2",
+          "--measure-us", "100", "--jobs", "1"],
+         {"name", "headers", "rows"}),
+        (["offload", "--skews", "0.0", "--chunks", "8", "--modes", "offload",
+          "--vertices", "48", "--degree", "3", "--jobs", "1"],
+         {"name", "headers", "rows"}),
+    ], ids=["traffic", "resharding", "odp", "offload"])
+    def test_cli_subcommand_writes_json(self, argv, keys, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "out.json"
+        assert cli_main(argv + ["--json", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert keys <= set(payload)
+
+    @pytest.mark.parametrize("argv", [
+        ["traffic", "--tenants", "0"],
+        ["resharding", "--tenants", "0"],
+        ["odp", "--ratios", "1.5"],
+        ["offload", "--modes", "bogus"],
+    ])
+    def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
+        assert cli_main(argv) == 2
+        assert "must be" in capsys.readouterr().err

@@ -1,10 +1,8 @@
-"""Tests for the counter sampler and the SMART app-wrapper modules."""
+"""Tests for the counter sampler and the SMART system configurations."""
 
 import pytest
 
-from repro.apps.smart_bt import SmartBTree, sherman_plus_features, smart_bt_features
-from repro.apps.smart_dtx import SmartTxnClient, ford_features, smart_dtx_features
-from repro.apps.smart_ht import SmartHashTable, race_features, smart_ht_features
+from repro.bench.runner import SYSTEM_FEATURES
 from repro.bench.sampler import CounterSampler
 from repro.cluster import Cluster
 from repro.rnic import verbs
@@ -63,24 +61,35 @@ class TestWrapperConfigurations:
     """The paper's refactors are configuration diffs; pin them down."""
 
     def test_ht_wrappers(self):
+        race_features = SYSTEM_FEATURES["race"]
         assert not race_features().thread_aware_alloc
         assert not race_features().backoff
-        full = smart_ht_features()
+        full = SYSTEM_FEATURES["smart-ht"]()
         assert full.thread_aware_alloc and full.work_req_throttling and full.backoff
 
     def test_dtx_wrappers(self):
-        assert not ford_features().work_req_throttling
-        assert smart_dtx_features().coroutine_throttling
+        assert not SYSTEM_FEATURES["ford"]().work_req_throttling
+        assert SYSTEM_FEATURES["smart-dtx"]().coroutine_throttling
 
     def test_bt_wrappers(self):
-        assert not sherman_plus_features().thread_aware_alloc
-        assert smart_bt_features().dynamic_backoff_limit
+        assert not SYSTEM_FEATURES["sherman"]().thread_aware_alloc
+        assert SYSTEM_FEATURES["sherman-sl"]() == SYSTEM_FEATURES["sherman"]()
+        assert SYSTEM_FEATURES["smart-bt"]().dynamic_backoff_limit
 
-    def test_aliases_subclass_the_shared_clients(self):
+    def test_smart_systems_run_the_shared_clients(self):
+        """A SMART refactor is its baseline's client class on other
+        features: one adapter serves both systems of an app."""
         from repro.apps.ford.txn import TxnClient
         from repro.apps.race.client import HashTableClient
         from repro.apps.sherman.client import BTreeClient
+        from repro.bench.runner import BTreeApp, DtxApp, HashTableApp, deploy_app
 
-        assert issubclass(SmartHashTable, HashTableClient)
-        assert issubclass(SmartTxnClient, TxnClient)
-        assert issubclass(SmartBTree, BTreeClient)
+        for app, baseline, client_class in (
+            (HashTableApp(2_000), "race", HashTableClient),
+            (DtxApp(2_000), "ford", TxnClient),
+            (BTreeApp(2_000), "sherman", BTreeClient),
+        ):
+            for system in (baseline, app.default_system):
+                deployment = deploy_app(app, system, 1, 1, 2, None, None, 0)
+                client = app.make_client(deployment.smart_threads[0])
+                assert type(client) is client_class

@@ -77,6 +77,16 @@ def test_zipfian_determinism():
     assert [a.next() for _ in range(100)] == [b.next() for _ in range(100)]
 
 
+def test_zipfian_zeta_is_summed_once_per_item_count_and_theta():
+    # Every client coroutine of a point builds a generator over the same
+    # key space: the O(n) zeta sum must not be repeated per client.
+    ZipfianGenerator(12_345, theta=0.5, seed=1)
+    misses = ZipfianGenerator._zeta.cache_info().misses
+    again = ZipfianGenerator(12_345, theta=0.5, seed=2)
+    assert ZipfianGenerator._zeta.cache_info().misses == misses
+    assert again._zeta_n == sum(1.0 / (i ** 0.5) for i in range(1, 12_346))
+
+
 def test_scrambled_zipfian_spreads_hot_keys():
     gen = ScrambledZipfianGenerator(100_000, theta=0.99, seed=6)
     samples = [gen.next() for _ in range(20_000)]
