@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.bench.microbench import run_microbench
 from repro.bench.parallel import PointSpec, run_points
 from repro.sim.core import Simulator
 
@@ -140,12 +141,12 @@ def test_figure_point_wallclock(benchmark):
 
 
 def _odp_merge_point():
-    from repro.bench.microbench import run_microbench
+    from repro.rnic.config import RnicConfig
 
     return run_microbench(
         policy="per-thread-db", threads=8, depth=16, payload=64,
-        op="read", access="seq", pinned_ratio=0.5, merge_wrs=True,
-        adaptive_poll=True, warmup_ns=0.2e6, measure_ns=0.6e6,
+        op="read", access="seq", warmup_ns=0.2e6, measure_ns=0.6e6,
+        config=RnicConfig(pinned_ratio=0.5, merge_wrs=True, adaptive_poll=True),
     )
 
 
@@ -190,7 +191,7 @@ def test_offload_point_wallclock(benchmark):
 
 def _small_grid():
     return [
-        PointSpec("run_microbench", dict(
+        PointSpec(run_microbench, dict(
             policy="per-thread-db", threads=threads, depth=8,
             warmup_ns=0.2e6, measure_ns=0.6e6,
         ))

@@ -3,7 +3,7 @@
 ``analyze_source`` runs the per-file rules (FLW1xx–FLW3xx) on one
 module.  ``analyze_paths`` adds the cross-module protocol checker
 (FLW4xx) over app packages and can fan the per-file work out on the
-persistent bench worker pool (``repro.bench.parallel``) — static
+bench process pool (``repro.bench.parallel``) — static
 analysis of one file is exactly the kind of independent, picklable
 point the pool was built for.
 
@@ -128,11 +128,9 @@ def analyze_source(source: str, path: str = "<string>") -> List[FlowFinding]:
 
 
 def analyze_files(files: Sequence[str]) -> List[Dict[str, object]]:
-    """Worker entry point: per-file findings as picklable dicts.
-
-    Registered with the bench pool registry under ``analyze_files`` so a
-    :class:`~repro.bench.parallel.PointSpec` can name it.
-    """
+    """Worker entry point (the ``fn`` of a
+    :class:`~repro.bench.parallel.PointSpec`): per-file findings as
+    picklable dicts."""
     results: List[Dict[str, object]] = []
     for path in files:
         try:
@@ -171,13 +169,12 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
 
 
 def _analyze_parallel(files: List[Path], jobs: int) -> List[FlowFinding]:
-    from repro.bench.parallel import PointSpec, register_experiment, run_points
+    from repro.bench.parallel import PointSpec, run_points
 
-    register_experiment("analyze_files", "repro.analysis.flow.engine")
     chunk = max(1, len(files) // (jobs * 4))
     names = [str(f) for f in files]
     specs = [
-        PointSpec(fn="analyze_files", kwargs={"files": names[i:i + chunk]})
+        PointSpec(analyze_files, kwargs={"files": names[i:i + chunk]})
         for i in range(0, len(names), chunk)
     ]
     findings: List[FlowFinding] = []

@@ -62,6 +62,7 @@ from typing import Callable, List, Optional
 from repro.bench.microbench import POLICIES, run_microbench
 from repro.bench.parallel import default_jobs
 from repro.bench.report import format_table, write_experiment_json
+from repro.rnic.config import RnicConfig
 from repro.workloads import ycsb
 
 #: ``traffic --workload`` choices
@@ -187,18 +188,17 @@ def _tenant_specs(args, arrivals, workload=None, max_queue=None,
     ]
 
 
-def _run_sweep(args, sweep: Callable, **grid) -> int:
+def _run_sweep(args, sweep: Callable, tag: str = "", **grid) -> int:
     """Run a sweep experiment over the ``--jobs`` pool, print its table
-    and write ``--json``."""
+    (``tag`` prefixes the timing line) and write ``--json``."""
     jobs = args.jobs if args.jobs is not None else default_jobs()
     started = time.time()  # lint: disable=SIM001 (host wall clock)
     result = sweep(jobs=jobs, **grid)
     wall_s = time.time() - started  # lint: disable=SIM001 (host wall clock)
     print(result.format())
-    print(f"wall time={wall_s:.1f} s (jobs={jobs})")
+    print(f"{tag}wall time={wall_s:.1f} s (jobs={jobs})")
     if args.json:
-        write_experiment_json(result, args.json)
-        print(f"wrote {args.json}")
+        print(f"wrote {write_experiment_json(result, args.json)}")
     return 0
 
 
@@ -504,17 +504,12 @@ def _run_traffic(args) -> int:
     if args.sweep is not None:
         from repro.bench.experiments import latency_throughput
 
-        result = latency_throughput(
-            app=args.app, rates_mops=_csv(args.sweep, float), threads=args.threads,
+        return _run_sweep(
+            args, latency_throughput, app=args.app,
+            rates_mops=_csv(args.sweep, float), threads=args.threads,
             workers=args.workers, item_count=args.item_count,
             warmup_ns=args.warmup_us * 1e3, measure_ns=args.measure_us * 1e3,
-            jobs=args.jobs,
         )
-        print(result.format())
-        if args.json:
-            write_experiment_json(result, args.json)
-            print(f"wrote {args.json}")
-        return 0
 
     from repro.traffic import run_open_loop
 
@@ -570,16 +565,14 @@ def run_figures(args) -> int:
         print(f"unknown figure(s) {unknown}; choose from "
               f"{', '.join(ALL_EXPERIMENTS)} or 'all'", file=sys.stderr)
         return 2
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    if len(names) > 1 and args.json and args.json.endswith(".json"):
+        # A .json target is the file itself: each figure would overwrite it.
+        print("--json must be a directory (one <figure>.json each) when "
+              f"several figures run, got {args.json!r}", file=sys.stderr)
+        return 2
     for name in names:
-        started = time.time()  # lint: disable=SIM001 (host wall clock)
-        result = ALL_EXPERIMENTS[name](jobs=jobs)
-        wall_s = time.time() - started  # lint: disable=SIM001 (host wall clock)
-        print(result.format())
-        print(f"[{name}] wall time={wall_s:.1f} s (jobs={jobs})")
+        _run_sweep(args, ALL_EXPERIMENTS[name], tag=f"[{name}] ")
         print()
-        if args.json:
-            write_experiment_json(result, args.json)
     return 0
 
 
@@ -611,6 +604,10 @@ def run_single(args) -> int:
     if args.pinned_ratio is not None and not 0.0 <= args.pinned_ratio <= 1.0:
         print("--pinned-ratio must be in [0, 1]", file=sys.stderr)
         return 2
+    # Flags not given keep the RnicConfig defaults.
+    config = RnicConfig(merge_wrs=args.merge_wrs, adaptive_poll=args.adaptive_poll)
+    if args.pinned_ratio is not None:
+        config = config.with_overrides(pinned_ratio=args.pinned_ratio)
     obs = None
     if args.trace or args.metrics_out:
         from repro.obs import Observability
@@ -627,9 +624,7 @@ def run_single(args) -> int:
         measure_ns=args.measure_us * 1e3,
         seed=args.seed,
         access=args.access,
-        pinned_ratio=args.pinned_ratio,
-        merge_wrs=args.merge_wrs or None,
-        adaptive_poll=args.adaptive_poll or None,
+        config=config,
         faults=args.faults,
         fault_seed=args.fault_seed,
         obs=obs,

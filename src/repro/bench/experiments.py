@@ -5,12 +5,14 @@ Every function regenerates the corresponding experiment and returns an
 Grids default to a "quick" subsample of the paper's x-axes so the whole
 suite runs in minutes; set ``REPRO_FULL=1`` for the full grids.
 
-Each figure declares its grid as a list of :class:`PointSpec`s and
-routes them through :func:`repro.bench.parallel.run_points`, so the
-fully independent simulation points can fan out over a process pool:
-pass ``jobs=N`` (or set ``REPRO_JOBS=N``) to parallelize.  Results are
-collected in spec order, which keeps the emitted tables — and every
-simulated number in them — identical between serial and parallel runs.
+Each figure declares its grid as ``(label, PointSpec)`` pairs and hands
+them to :func:`_sweep`, which routes the specs through
+:func:`repro.bench.parallel.run_points` — so the fully independent
+simulation points can fan out over a process pool: pass ``jobs=N`` (or
+set ``REPRO_JOBS=N``) to parallelize — and builds one table row per
+point (or per group of consecutive points).  Results are collected in
+spec order, which keeps the emitted tables — and every simulated number
+in them — identical between serial and parallel runs.
 
 Absolute numbers come from the simulated RNIC, so they are compared to
 the paper by *shape* (who wins, by what factor, where curves peak) — see
@@ -21,12 +23,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.graph_runner import run_graph
+from repro.bench.microbench import run_dynamic_microbench, run_microbench
 from repro.bench.parallel import PointSpec, run_points
-from repro.bench.report import format_table
-from repro.bench.runner import BENCH_DELTA_NS, bench_features
-from repro.core.features import SmartFeatures, baseline, cumulative_ladder, full
+from repro.bench.report import find_knee, format_table
+from repro.bench.runner import BENCH_DELTA_NS, bench_features, run_btree, run_dtx, run_hashtable
+from repro.core.features import baseline, cumulative_ladder, full
+from repro.rnic.config import RnicConfig
+from repro.traffic.resharding import run_resharding
+from repro.traffic.runner import run_open_loop
 from repro.workloads.ycsb import (
     READ_HEAVY,
     READ_ONLY,
@@ -72,20 +79,6 @@ class ExperimentResult:
                     x_labels=self.series(x_column),
                 )
             )
-        breakdown = self.telemetry.get("phase_breakdown")
-        if breakdown:
-            from repro.obs.tracing import SEGMENTS
-
-            lines.append("")
-            lines.append(format_table(
-                ["segment", "mean ns", "share"],
-                [[name, breakdown[name],
-                  breakdown[name] / breakdown["total"] if breakdown["total"] else 0.0]
-                 for name, _, _ in SEGMENTS]
-                + [["total", breakdown["total"], 1.0]],
-                title=(f"batch lifecycle breakdown "
-                       f"({breakdown['batches']:.0f} batches)"),
-            ))
         lines.append(f"paper: {self.paper_claim}")
         lines.extend(f"note:  {o}" for o in self.observations)
         return "\n".join(lines)
@@ -110,6 +103,71 @@ class ExperimentResult:
         return data
 
 
+# -- the sweep helper every figure goes through ---------------------------------------
+
+
+def _sweep(
+    name: str,
+    headers: List[str],
+    points: Sequence[Tuple[Any, PointSpec]],
+    row: Callable[[Any, Any], List],
+    paper_claim: str,
+    jobs: Optional[int] = None,
+    group: int = 1,
+    observe: Optional[Callable[[List[Tuple[Any, Any]]], List[str]]] = None,
+    chart_spec: Optional[Tuple[str, Tuple[str, ...]]] = None,
+) -> ExperimentResult:
+    """Run a figure's ``(label, PointSpec)`` grid and build its table.
+
+    The specs go through :func:`run_points` (in order, over the ``jobs``
+    pool) and each becomes ``row(label, result)``.  With ``group=n`` the
+    table is pivoted: every ``n`` consecutive points make one row,
+    ``row(label, results)``, under the first point's label.  ``observe``
+    turns the same ``(label, result)`` list into the notes printed under
+    the table.
+    """
+    labels = [label for label, _ in points]
+    results = run_points([spec for _, spec in points], jobs=jobs)
+    if group > 1:
+        labels = labels[::group]
+        results = [results[i:i + group] for i in range(0, len(results), group)]
+    labelled = list(zip(labels, results))
+    return ExperimentResult(
+        name=name,
+        headers=headers,
+        rows=[row(label, result) for label, result in labelled],
+        paper_claim=paper_claim,
+        observations=observe(labelled) if observe else [],
+        chart_spec=chart_spec,
+    )
+
+
+#: the closed-loop window of every app figure that does not say otherwise
+_APP_WINDOW = dict(warmup_ns=1.0e6, measure_ns=1.5e6)
+
+
+def _app_point(run: Callable, system: str, threads: int, item_count: int,
+               **kwargs) -> PointSpec:
+    """One ``run_hashtable``/``run_dtx``/``run_btree`` point over the
+    shared window (``kwargs`` may override it)."""
+    return PointSpec(run, dict(_APP_WINDOW, system=system, threads=threads,
+                               item_count=item_count, **kwargs))
+
+
+def _us(ns: Optional[float]) -> float:
+    """A latency column in microseconds (0 when nothing was sampled)."""
+    return (ns or 0) / 1e3
+
+
+def _mops_row(label: List, result) -> List:
+    return label + [result.throughput_mops]
+
+
+def _latency_row(label: List, result) -> List:
+    return label + [result.throughput_mops, _us(result.p50_latency_ns),
+                    _us(result.p99_latency_ns)]
+
+
 # -- Section 3: scalability bottlenecks ---------------------------------------------
 
 
@@ -122,27 +180,25 @@ def fig3_qp_policies(
     """Figure 3: 8-byte READ/WRITE throughput under QP allocation policies."""
     threads = threads or _grid((2, 8, 32, 48, 96), (2, 4, 8, 16, 24, 32, 48, 64, 80, 96))
     policies = ("shared-qp", "multiplexed-qp", "per-thread-qp", "per-thread-db")
-    specs = [
-        PointSpec("run_microbench", dict(
-            policy=policy, threads=t, depth=8, op=op, measure_ns=measure_ns,
-        ))
-        for t in threads
-        for policy in policies
-    ]
-    results = iter(run_points(specs, jobs=jobs))
-    rows = [
-        [t] + [next(results).throughput_mops for _ in policies] for t in threads
-    ]
-    return ExperimentResult(
+    return _sweep(
         name=f"Figure 3 ({op}): throughput (MOPS) vs threads by QP policy",
         headers=["threads"] + list(policies),
-        rows=rows,
+        points=[
+            (t, PointSpec(run_microbench, dict(
+                policy=policy, threads=t, depth=8, op=op, measure_ns=measure_ns,
+            )))
+            for t in threads
+            for policy in policies
+        ],
+        group=len(policies),
+        row=lambda t, results: [t] + [r.throughput_mops for r in results],
         paper_claim=(
             "per-thread QP collapses past 32 threads (halves by 96); per-thread "
             "doorbell reaches the 110 MOPS hardware limit; shared QP is flat and "
             "up to 130x worse; multiplexed QP sits in between"
         ),
         chart_spec=("threads", policies),
+        jobs=jobs,
     )
 
 
@@ -155,25 +211,23 @@ def fig4_cache_thrashing(
     """Figure 4: throughput and DRAM traffic vs outstanding work requests."""
     threads = threads or _grid((16, 36, 96), (16, 36, 64, 96))
     depths = depths or _grid((2, 8, 32), (1, 2, 4, 8, 16, 32, 64))
-    points = [(t, d) for t in threads for d in depths]
-    specs = [
-        PointSpec("run_microbench", dict(
-            policy="per-thread-db", threads=t, depth=d, op=op, measure_ns=1.0e6,
-        ))
-        for t, d in points
-    ]
-    rows = [
-        [t, d, t * d, result.throughput_mops, result.dram_bytes_per_wr]
-        for (t, d), result in zip(points, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name=f"Figure 4 ({op}): OWR sweep (per-thread doorbell)",
         headers=["threads", "owrs/thread", "total_owrs", "MOPS", "dram_B/wr"],
-        rows=rows,
+        points=[
+            ((t, d), PointSpec(run_microbench, dict(
+                policy="per-thread-db", threads=t, depth=d, op=op, measure_ns=1.0e6,
+            )))
+            for t in threads
+            for d in depths
+        ],
+        row=lambda td, r: [td[0], td[1], td[0] * td[1], r.throughput_mops,
+                           r.dram_bytes_per_wr],
         paper_claim=(
             "throughput peaks near 768 total OWRs; 96x32 runs at ~49.5% of the "
             "peak while DRAM traffic per WR grows 93 -> 180 bytes"
         ),
+        jobs=jobs,
     )
 
 
@@ -185,35 +239,25 @@ def fig5_race_contention(
     """Figure 5: RACE update throughput/latency vs threads and skew."""
     threads = threads or _grid((2, 8, 96), (2, 4, 8, 16, 32, 64, 96))
     thetas = thetas or _grid((0.0, 0.99), (0.0, 0.5, 0.8, 0.9, 0.95, 0.99))
-    labels = [("threads", t, 0.99) for t in threads] + [
-        ("theta", 16, theta) for theta in thetas
-    ]
-    specs = [
-        PointSpec("run_hashtable", dict(
-            system="race", workload=UPDATE_ONLY, threads=t, item_count=100_000,
-            warmup_ns=1.0e6, measure_ns=1.5e6,
-        ))
-        for t in threads
-    ] + [
-        PointSpec("run_hashtable", dict(
-            system="race", workload=UPDATE_ONLY.with_theta(theta), threads=16,
-            item_count=100_000, warmup_ns=1.0e6, measure_ns=1.5e6,
-        ))
-        for theta in thetas
-    ]
-    rows = [
-        [sweep, t, theta, result.throughput_mops,
-         (result.p50_latency_ns or 0) / 1e3, (result.p99_latency_ns or 0) / 1e3]
-        for (sweep, t, theta), result in zip(labels, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 5: RACE updates vs parallelism and Zipfian skew",
         headers=["sweep", "threads", "theta", "MOPS", "p50_us", "p99_us"],
-        rows=rows,
+        points=[
+            (["threads", t, 0.99],
+             _app_point(run_hashtable, "race", t, 100_000, workload=UPDATE_ONLY))
+            for t in threads
+        ] + [
+            (["theta", 16, theta], _app_point(
+                run_hashtable, "race", 16, 100_000,
+                workload=UPDATE_ONLY.with_theta(theta)))
+            for theta in thetas
+        ],
+        row=_latency_row,
         paper_claim=(
             "RACE peaks at only 8 threads; p99 latency grows up to 17.1x with "
             "more threads; raising theta 0 -> 0.99 grows p50 1.9x and p99 78.4x"
         ),
+        jobs=jobs,
     )
 
 
@@ -227,6 +271,34 @@ _HT_WORKLOADS = (
 )
 
 
+def _ht_workloads() -> Sequence[Tuple[str, YcsbWorkload]]:
+    """The YCSB mixes of Figs 7/8/12.  Read-heavy behaves between the
+    other two; the quick grid skips it (``REPRO_FULL=1`` restores it)."""
+    return _HT_WORKLOADS if full_grids() else (_HT_WORKLOADS[0], _HT_WORKLOADS[2])
+
+
+def _scaling_points(run: Callable, systems: Sequence[str], threads: Sequence[int],
+                    scale_out: Sequence[int], scale_out_threads: int,
+                    scale_out_kwarg: str, item_count: int) -> List:
+    """Figs 7/12: per YCSB mix, a scale-up sweep over ``threads`` then a
+    scale-out sweep (``scale_out_kwarg`` = blade count), every system at
+    each step."""
+    points = []
+    for label, workload in _ht_workloads():
+        for t in threads:
+            for system in systems:
+                points.append((["scale-up", label, system, t, 1], _app_point(
+                    run, system, t, item_count, workload=workload)))
+        for n in scale_out:
+            for system in systems:
+                points.append((
+                    ["scale-out", label, system, scale_out_threads, n],
+                    _app_point(run, system, scale_out_threads, item_count,
+                               workload=workload, **{scale_out_kwarg: n}),
+                ))
+    return points
+
+
 def fig7_hashtable(
     threads: Optional[Sequence[int]] = None,
     compute_blades: Optional[Sequence[int]] = None,
@@ -236,42 +308,21 @@ def fig7_hashtable(
     """Figure 7: RACE vs SMART-HT, scale-up (a-c) and scale-out (d-f)."""
     threads = threads or _grid((8, 96), (2, 8, 16, 32, 48, 64, 96))
     compute_blades = compute_blades or _grid((2, 4), (2, 3, 4, 5, 6))
-    workloads = _HT_WORKLOADS if full_grids() else (
-        _HT_WORKLOADS[0], _HT_WORKLOADS[2],
-    )
-    scale_out_threads = 96 if full_grids() else 24
-    labels: List[List] = []
-    specs: List[PointSpec] = []
-    for label, workload in workloads:
-        for t in threads:
-            for system in ("race", "smart-ht"):
-                specs.append(PointSpec("run_hashtable", dict(
-                    system=system, workload=workload, threads=t,
-                    item_count=item_count, warmup_ns=1.0e6, measure_ns=1.5e6,
-                )))
-                labels.append(["scale-up", label, system, t, 1])
-        for blades in compute_blades:
-            for system in ("race", "smart-ht"):
-                specs.append(PointSpec("run_hashtable", dict(
-                    system=system, workload=workload, threads=scale_out_threads,
-                    compute_blades=blades, item_count=item_count,
-                    warmup_ns=1.0e6, measure_ns=1.5e6,
-                )))
-                labels.append(["scale-out", label, system, scale_out_threads, blades])
-    rows = [
-        label + [result.throughput_mops]
-        for label, result in zip(labels, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 7: hash table throughput (MOPS), RACE vs SMART-HT",
         headers=["mode", "workload", "system", "threads", "blades", "MOPS"],
-        rows=rows,
+        points=_scaling_points(
+            run_hashtable, ("race", "smart-ht"), threads, compute_blades,
+            96 if full_grids() else 24, "compute_blades", item_count,
+        ),
+        row=_mops_row,
         paper_claim=(
             "scale-up: RACE peaks at 2.8 (write-heavy, 8 threads) while SMART-HT "
             "reaches 5.7 at 48; read-only 11.4 vs 23.7.  scale-out (576 threads): "
             "SMART-HT up to 132.4x (write-heavy), 77.3x (read-heavy), "
             "2.0-3.8x (read-only)"
         ),
+        jobs=jobs,
     )
 
 
@@ -282,35 +333,24 @@ def fig8_breakdown(
 ) -> ExperimentResult:
     """Figure 8: cumulative technique ladder on the hash table."""
     threads = threads or _grid((8, 96), (8, 16, 32, 48, 64, 96))
-    # read-heavy behaves between the other two mixes; the quick grid
-    # skips it (REPRO_FULL=1 restores it).
-    workloads = _HT_WORKLOADS if full_grids() else (
-        _HT_WORKLOADS[0], _HT_WORKLOADS[2],
-    )
-    labels = []
-    specs = []
-    for label, workload in workloads:
-        for t in threads:
-            for name, features in cumulative_ladder():
-                specs.append(PointSpec("run_hashtable", dict(
-                    system="smart-ht", workload=workload, threads=t,
-                    item_count=item_count, features=features,
-                    warmup_ns=1.0e6, measure_ns=1.5e6,
-                )))
-                labels.append([label, t, name])
-    rows = [
-        label + [result.throughput_mops]
-        for label, result in zip(labels, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 8: hash table performance breakdown (MOPS)",
         headers=["workload", "threads", "config", "MOPS"],
-        rows=rows,
+        points=[
+            ([label, t, name], _app_point(
+                run_hashtable, "smart-ht", t, item_count,
+                workload=workload, features=features))
+            for label, workload in _ht_workloads()
+            for t in threads
+            for name, features in cumulative_ladder()
+        ],
+        row=_mops_row,
         paper_claim=(
             "ThdResAlloc dominates read-heavy gains; WorkReqThrot helps "
             "write-heavy at 8-32 threads; ConflictAvoid dominates write-heavy "
             "at high thread counts"
         ),
+        jobs=jobs,
     )
 
 
@@ -324,28 +364,22 @@ def fig9_ht_latency(
     gaps_ns = gaps_ns or _grid(
         (0.0, 20_000.0), (0.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 40_000.0, 80_000.0)
     )
-    points = [(system, gap) for system in ("race", "smart-ht") for gap in gaps_ns]
-    specs = [
-        PointSpec("run_hashtable", dict(
-            system=system, workload=READ_ONLY, threads=threads,
-            item_count=item_count, throttle_gap_ns=gap,
-            warmup_ns=1.0e6, measure_ns=1.5e6,
-        ))
-        for system, gap in points
-    ]
-    rows = [
-        [system, gap / 1e3, result.throughput_mops,
-         (result.p50_latency_ns or 0) / 1e3, (result.p99_latency_ns or 0) / 1e3]
-        for (system, gap), result in zip(points, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 9: hash table throughput vs latency (read-only, 96 threads)",
         headers=["system", "gap_us", "MOPS", "p50_us", "p99_us"],
-        rows=rows,
+        points=[
+            ([system, gap / 1e3], _app_point(
+                run_hashtable, system, threads, item_count,
+                workload=READ_ONLY, throttle_gap_ns=gap))
+            for system in ("race", "smart-ht")
+            for gap in gaps_ns
+        ],
+        row=_latency_row,
         paper_claim=(
             "SMART-HT cuts median latency by 69.6% and tail latency by up to "
             "80.6% at matched throughput"
         ),
+        jobs=jobs,
     )
 
 
@@ -359,31 +393,22 @@ def fig10_dtx(
 ) -> ExperimentResult:
     """Figure 10: FORD+ vs SMART-DTX throughput (SmallBank, TATP)."""
     threads = threads or _grid((8, 24, 96), (8, 16, 24, 32, 40, 48, 64, 80, 96))
-    points = [
-        (benchmark, t, system)
-        for benchmark in ("smallbank", "tatp")
-        for t in threads
-        for system in ("ford", "smart-dtx")
-    ]
-    specs = [
-        PointSpec("run_dtx", dict(
-            system=system, benchmark=benchmark, threads=t, item_count=item_count,
-            warmup_ns=1.0e6, measure_ns=1.5e6,
-        ))
-        for benchmark, t, system in points
-    ]
-    rows = [
-        [benchmark, system, t, result.throughput_mops]
-        for (benchmark, t, system), result in zip(points, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 10: committed txns (M/s), FORD+ vs SMART-DTX",
         headers=["benchmark", "system", "threads", "Mtxn/s"],
-        rows=rows,
+        points=[
+            ([benchmark, system, t],
+             _app_point(run_dtx, system, t, item_count, benchmark=benchmark))
+            for benchmark in ("smallbank", "tatp")
+            for t in threads
+            for system in ("ford", "smart-dtx")
+        ],
+        row=_mops_row,
         paper_claim=(
             "FORD+ peaks at 24 (SmallBank) / 32 (TATP) threads then degrades; "
             "SMART-DTX keeps scaling: up to 5.2x (SmallBank) and 2.6x (TATP)"
         ),
+        jobs=jobs,
     )
 
 
@@ -395,33 +420,23 @@ def fig11_dtx_latency(
 ) -> ExperimentResult:
     """Figure 11: throughput vs median latency, 96 threads x 8 coroutines."""
     gaps_ns = gaps_ns or _grid((0.0, 40_000.0), (0.0, 5_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0))
-    points = [
-        (benchmark, system, gap)
-        for benchmark in ("smallbank", "tatp")
-        for system in ("ford", "smart-dtx")
-        for gap in gaps_ns
-    ]
-    specs = [
-        PointSpec("run_dtx", dict(
-            system=system, benchmark=benchmark, threads=threads,
-            item_count=item_count, throttle_gap_ns=gap,
-            warmup_ns=1.0e6, measure_ns=1.5e6,
-        ))
-        for benchmark, system, gap in points
-    ]
-    rows = [
-        [benchmark, system, gap / 1e3, result.throughput_mops,
-         (result.p50_latency_ns or 0) / 1e3]
-        for (benchmark, system, gap), result in zip(points, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 11: DTX throughput vs median latency (96 threads)",
         headers=["benchmark", "system", "gap_us", "Mtxn/s", "p50_us"],
-        rows=rows,
+        points=[
+            ([benchmark, system, gap / 1e3], _app_point(
+                run_dtx, system, threads, item_count,
+                benchmark=benchmark, throttle_gap_ns=gap))
+            for benchmark in ("smallbank", "tatp")
+            for system in ("ford", "smart-dtx")
+            for gap in gaps_ns
+        ],
+        row=lambda label, r: label + [r.throughput_mops, _us(r.p50_latency_ns)],
         paper_claim=(
             "SMART-DTX cuts median latency by up to 45.8% (SmallBank) and "
             "77.0% (TATP); at low load the systems match"
         ),
+        jobs=jobs,
     )
 
 
@@ -437,43 +452,21 @@ def fig12_btree(
     """Figure 12: Sherman+ vs Sherman+ w/SL vs SMART-BT."""
     threads = threads or _grid((16, 94), (2, 8, 16, 32, 48, 64, 94))
     servers = servers or _grid((2,), (2, 3, 4, 5, 6))
-    systems = ("sherman", "sherman-sl", "smart-bt")
-    workloads = _HT_WORKLOADS if full_grids() else (
-        _HT_WORKLOADS[0], _HT_WORKLOADS[2],
-    )
-    so_threads = 94 if full_grids() else 32
-    labels = []
-    specs = []
-    for label, workload in workloads:
-        for t in threads:
-            for system in systems:
-                specs.append(PointSpec("run_btree", dict(
-                    system=system, workload=workload, threads=t,
-                    item_count=item_count, warmup_ns=1.0e6, measure_ns=1.5e6,
-                )))
-                labels.append(["scale-up", label, system, t, 1])
-        for n in servers:
-            for system in systems:
-                specs.append(PointSpec("run_btree", dict(
-                    system=system, workload=workload, threads=so_threads,
-                    servers=n, item_count=item_count,
-                    warmup_ns=1.0e6, measure_ns=1.5e6,
-                )))
-                labels.append(["scale-out", label, system, so_threads, n])
-    rows = [
-        label + [result.throughput_mops]
-        for label, result in zip(labels, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 12: B+Tree throughput (MOPS)",
         headers=["mode", "workload", "system", "threads", "servers", "MOPS"],
-        rows=rows,
+        points=_scaling_points(
+            run_btree, ("sherman", "sherman-sl", "smart-bt"), threads, servers,
+            94 if full_grids() else 32, "servers", item_count,
+        ),
+        row=_mops_row,
         paper_claim=(
             "speculative lookup gives up to 1.6x on read-heavy; Sherman+ w/SL "
             "stops scaling past 64 threads (16.3 at 94); SMART-BT reaches 2.0x "
             "Sherman+ on read-only; write-heavy is roughly tied (HOPL already "
             "minimizes lock messages)"
         ),
+        jobs=jobs,
     )
 
 
@@ -489,37 +482,26 @@ def fig13_micro(
     threads = threads or _grid((16, 56, 96), (8, 16, 24, 32, 40, 56, 72, 96))
     batches = batches or _grid((4, 16, 64), (1, 2, 4, 8, 16, 32, 64))
     policies = ("per-thread-qp", "per-thread-context", "per-thread-db", "smart")
-    labels = [["threads", t, 16] for t in threads] + [
-        ["batch", 96, b] for b in batches
-    ]
-    specs = [
-        PointSpec("run_microbench", dict(
-            policy=policy, threads=t, depth=16, measure_ns=1.5e6,
-        ))
-        for t in threads
-        for policy in policies
-    ] + [
-        PointSpec("run_microbench", dict(
-            policy=policy, threads=96, depth=b, measure_ns=1.5e6,
-        ))
-        for b in batches
-        for policy in policies
-    ]
-    results = iter(run_points(specs, jobs=jobs))
-    rows = [
-        label + [next(results).throughput_mops for _ in policies]
-        for label in labels
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Figure 13: QP allocation + throttling micro-bench (MOPS)",
         headers=["sweep", "threads", "batch"] + list(policies),
-        rows=rows,
+        points=[
+            ([sweep, t, b], PointSpec(run_microbench, dict(
+                policy=policy, threads=t, depth=b, measure_ns=1.5e6,
+            )))
+            for sweep, t, b in [("threads", t, 16) for t in threads]
+            + [("batch", 96, b) for b in batches]
+            for policy in policies
+        ],
+        group=len(policies),
+        row=lambda label, results: label + [r.throughput_mops for r in results],
         paper_claim=(
             "(a) +ThdResAlloc reaches the 110 MOPS limit, up to 4.3x over "
             "per-thread QP; +WorkReqThrot stays flat at 56+ threads (up to "
             "5.0x / 1.9x over per-thread QP / context).  (b) with batch > 8, "
             "+WorkReqThrot is the best configuration"
         ),
+        jobs=jobs,
     )
 
 
@@ -551,35 +533,27 @@ def table1_dynamic(
     features_off = bench_features(
         baseline().with_overrides(thread_aware_alloc=True)
     )
-    specs = []
-    for interval in intervals_ns:
-        run_total = max(total_ns, interval * 5)
-        specs.append(PointSpec("run_dynamic_microbench", dict(
-            changing_interval_ns=interval, throttled=False,
-            features=features_off, total_ns=run_total,
-        )))
-        specs.append(PointSpec("run_dynamic_microbench", dict(
-            changing_interval_ns=interval, throttled=True,
-            features=features_on, total_ns=run_total,
-        )))
-    results = iter(run_points(specs, jobs=jobs))
-    rows = []
-    for interval in intervals_ns:
-        off = next(results)
-        on = next(results)
-        rows.append(
-            [interval / 1e6, interval / epoch_ns, off.throughput_mops,
-             on.throughput_mops]
-        )
-    return ExperimentResult(
+    return _sweep(
         name="Table 1: dynamic workload, w/ and w/o WorkReqThrot (MOPS)",
         headers=["interval_ms", "interval/epoch", "w/o_throttle", "w/_throttle"],
-        rows=rows,
+        points=[
+            (interval, PointSpec(run_dynamic_microbench, dict(
+                changing_interval_ns=interval, throttled=throttled,
+                features=features, total_ns=max(total_ns, interval * 5),
+            )))
+            for interval in intervals_ns
+            for throttled, features in ((False, features_off), (True, features_on))
+        ],
+        group=2,
+        row=lambda interval, off_on: [
+            interval / 1e6, interval / epoch_ns,
+            off_on[0].throughput_mops, off_on[1].throughput_mops],
         paper_claim=(
             "with changing intervals longer than the epoch, throttled "
             "throughput is near the 110 MOPS maximum; faster changes lose up "
             "to 13%, but throttling still wins at every interval"
         ),
+        jobs=jobs,
     )
 
 
@@ -598,39 +572,36 @@ def fig14_conflict(
         ("+DynLimit", full().with_overrides(coroutine_throttling=False)),
         ("+CoroThrot", full()),
     ]
-    points = [(t, name) for t in threads for name, _ in ladder]
-    specs = [
-        PointSpec("run_hashtable", dict(
-            system="smart-ht", workload=UPDATE_ONLY, threads=t,
-            item_count=item_count, features=features,
-            warmup_ns=1.8e6, measure_ns=2.0e6,
-        ))
-        for t in threads
-        for _, features in ladder
-    ]
-    rows = []
-    distributions: Dict[str, Dict[int, float]] = {}
-    for (t, name), result in zip(points, run_points(specs, jobs=jobs)):
-        rows.append([t, name, result.throughput_mops, result.avg_retries])
-        if t == max(threads):
-            distributions[name] = result.retry_distribution
-    observations = []
-    for name, dist in distributions.items():
-        zero = dist.get(0, 0.0)
-        observations.append(
-            f"{name}: {zero * 100:.1f}% of updates complete without retries "
-            f"at {max(threads)} threads"
-        )
-    return ExperimentResult(
+
+    def retry_free(labelled):
+        distributions = {
+            name: result.retry_distribution
+            for (t, name), result in labelled if t == max(threads)
+        }
+        return [
+            f"{name}: {dist.get(0, 0.0) * 100:.1f}% of updates complete "
+            f"without retries at {max(threads)} threads"
+            for name, dist in distributions.items()
+        ]
+
+    return _sweep(
         name="Figure 14: conflict avoidance (100% updates, theta=0.99)",
         headers=["threads", "config", "MOPS", "avg_retries"],
-        rows=rows,
+        points=[
+            ((t, name), _app_point(
+                run_hashtable, "smart-ht", t, item_count, workload=UPDATE_ONLY,
+                features=features, warmup_ns=1.8e6, measure_ns=2.0e6))
+            for t in threads
+            for name, features in ladder
+        ],
+        row=lambda label, r: [*label, r.throughput_mops, r.avg_retries],
+        observe=retry_free,
         paper_claim=(
             "without conflict avoidance retries reach 11.5/op at 96 threads; "
             "+Backoff keeps them under 1.7; +DynLimit adds 1.6x throughput; "
             "all techniques: 1.1 retries/op and 93.3% of updates retry-free"
         ),
-        observations=observations,
+        jobs=jobs,
     )
 
 
@@ -665,58 +636,56 @@ def latency_throughput(
     Past the knee the baseline's queue grows without bound while SMART's
     higher capacity keeps absorbing load.
     """
-    from repro.bench.report import find_knee
-
     systems = _OPEN_LOOP_SYSTEMS[app]
     rates_mops = rates_mops or _grid(
         (0.5, 1.0, 2.0, 4.0), (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
     )
-    specs = [
-        PointSpec("run_open_loop", dict(
-            app=app, system=system, rate_mops=rate, threads=threads,
-            workers=workers, item_count=item_count,
-            warmup_ns=warmup_ns, measure_ns=measure_ns,
-        ))
-        for rate in rates_mops
-        for system in systems
-    ]
-    results = iter(run_points(specs, jobs=jobs))
-    headers = ["offered"]
-    for system in systems:
-        headers += [f"{system}_mops", f"{system}_p99_us", f"{system}_qd99_us"]
-    rows = []
-    achieved: Dict[str, List[float]] = {system: [] for system in systems}
-    for rate in rates_mops:
-        row: List = [rate]
-        for system in systems:
-            tenant = next(results).tenants[0]
-            achieved[system].append(tenant.achieved_mops)
-            row += [
-                tenant.achieved_mops,
-                (tenant.p99_latency_ns or 0) / 1e3,
-                (tenant.queue_p99_ns or 0) / 1e3,
-            ]
-        rows.append(row)
-    observations = []
-    for system in systems:
-        knee = find_knee(list(rates_mops), achieved[system])
-        observations.append(
-            f"{system}: knee at {knee} MOPS offered" if knee is not None
-            else f"{system}: no knee within the sweep "
-                 f"(kept up through {max(rates_mops)} MOPS)"
-        )
-    return ExperimentResult(
+
+    def tenant_row(rate, results):
+        row = [rate]
+        for tenant in (result.tenants[0] for result in results):
+            row += [tenant.achieved_mops, _us(tenant.p99_latency_ns),
+                    _us(tenant.queue_p99_ns)]
+        return row
+
+    def knees(labelled):
+        observations = []
+        for index, system in enumerate(systems):
+            achieved = [results[index].tenants[0].achieved_mops
+                        for _, results in labelled]
+            knee = find_knee(list(rates_mops), achieved)
+            observations.append(
+                f"{system}: knee at {knee} MOPS offered" if knee is not None
+                else f"{system}: no knee within the sweep "
+                     f"(kept up through {max(rates_mops)} MOPS)"
+            )
+        return observations
+
+    return _sweep(
         name=f"Open-loop latency-throughput knee ({app}, {threads} threads)",
-        headers=headers,
-        rows=rows,
+        headers=["offered"] + [
+            f"{system}_{column}" for system in systems
+            for column in ("mops", "p99_us", "qd99_us")],
+        points=[
+            (rate, PointSpec(run_open_loop, dict(
+                app=app, system=system, rate_mops=rate, threads=threads,
+                workers=workers, item_count=item_count,
+                warmup_ns=warmup_ns, measure_ns=measure_ns,
+            )))
+            for rate in rates_mops
+            for system in systems
+        ],
+        group=len(systems),
+        row=tenant_row,
+        observe=knees,
         paper_claim=(
             "not a paper figure — open-loop companion to Figs 9/11: offered "
             "load is independent of completions, so past-saturation queueing "
             "delay is measured instead of omitted (coordinated omission); "
             "SMART's knee sits at a higher offered rate than the baseline's"
         ),
-        observations=observations,
         chart_spec=("offered", tuple(f"{system}_mops" for system in systems)),
+        jobs=jobs,
     )
 
 
@@ -743,35 +712,34 @@ def resharding(
     :func:`repro.traffic.resharding.run_resharding`.
     """
     modes = modes or _grid(("add_blade",), ("add_blade", "drain", "autoscale"))
-    specs = [
-        PointSpec("run_resharding", dict(
-            mode=mode, rate_mops=rate_mops, workers=workers, threads=threads,
-            num_shards=num_shards, item_count=item_count, phase_ns=phase_ns,
-        ))
-        for mode in modes
-    ]
-    rows = []
-    observations = []
-    for mode, result in zip(modes, run_points(specs, jobs=jobs)):
-        for row in result.phases:
-            rows.append([
-                mode, row.phase, row.tenant, row.completed, row.shed,
-                row.deferred, (row.queue_p50_ns or 0) / 1e3,
-                (row.queue_p99_ns or 0) / 1e3,
-            ])
+
+    def migration_note(mode, result):
         migration = result.migration_ns
-        observations.append(
+        return (
             f"{mode}: {len(result.moves)} shard move(s), "
             f"{result.keys_copied} keys copied, "
             f"{result.bytes_freed / 1024:.0f} KiB freed, "
             + (f"migration took {migration / 1e3:.0f} us"
                if migration is not None else "no migration triggered")
         )
-    return ExperimentResult(
+
+    table = _sweep(
         name="Elastic resharding: per-phase queue delay around a rebalance",
         headers=["mode", "phase", "tenant", "completed", "shed", "deferred",
                  "queue_p50_us", "queue_p99_us"],
-        rows=rows,
+        points=[
+            (mode, PointSpec(run_resharding, dict(
+                mode=mode, rate_mops=rate_mops, workers=workers, threads=threads,
+                num_shards=num_shards, item_count=item_count, phase_ns=phase_ns,
+            )))
+            for mode in modes
+        ],
+        row=lambda mode, result: [
+            [mode, p.phase, p.tenant, p.completed, p.shed, p.deferred,
+             _us(p.queue_p50_ns), _us(p.queue_p99_ns)]
+            for p in result.phases
+        ],
+        observe=lambda labelled: [migration_note(*pair) for pair in labelled],
         paper_claim=(
             "not a paper figure — elasticity harness: shards migrate online "
             "between blades over one-sided verbs (dual-write + tombstone "
@@ -779,8 +747,11 @@ def resharding(
             "allocator, and queue delay returns to its pre-migration level "
             "in the after phase"
         ),
-        observations=observations,
+        jobs=jobs,
     )
+    # The one table with several rows per point (one per phase).
+    table.rows = [row for per_mode in table.rows for row in per_mode]
+    return table
 
 
 # -- chaos harness (not a paper figure) ----------------------------------------------
@@ -809,33 +780,28 @@ def chaos_recovery(
         ("crash", "crash=2@1.4ms+0.5ms"),
         ("crash+loss", "loss=0.01@1.1ms+1.6ms,crash=1@1.4ms+0.4ms"),
     ]
-    specs = [
-        PointSpec("run_dtx", dict(
-            system="ford", benchmark="smallbank", threads=4, coroutines=4,
-            item_count=20_000, warmup_ns=1.0e6, measure_ns=measure_ns,
-            faults=spec, fault_seed=fault_seed,
-        ))
-        for _, spec in scenarios
-    ]
-    rows = [
-        [name, result.throughput_mops, result.crashes, result.recoveries,
-         round(result.avg_recovery_us, 2), result.fault_aborts,
-         result.retransmissions, result.error_completions, result.wasted_wrs,
-         result.rolled_back]
-        for (name, _), result in zip(scenarios, run_points(specs, jobs=jobs))
-    ]
-    return ExperimentResult(
+    return _sweep(
         name="Chaos: FORD DTX under injected faults (SmallBank)",
         headers=["scenario", "Mtxn/s", "crashes", "recoveries", "avg_rec_us",
                  "fault_aborts", "retransmits", "error_cqes", "wasted_wrs",
                  "rolled_back"],
-        rows=rows,
+        points=[
+            (name, _app_point(
+                run_dtx, "ford", 4, 20_000, benchmark="smallbank", coroutines=4,
+                measure_ns=measure_ns, faults=faults, fault_seed=fault_seed))
+            for name, faults in scenarios
+        ],
+        row=lambda name, r: [
+            name, r.throughput_mops, r.crashes, r.recoveries,
+            round(r.avg_recovery_us, 2), r.fault_aborts, r.retransmissions,
+            r.error_completions, r.wasted_wrs, r.rolled_back],
         paper_claim=(
             "not a paper figure — fault-injection harness: FORD's NVM undo "
             "logs (§2.3 of the FORD design) make blade crashes recoverable; "
             "throughput dips inside fault windows, clients reconnect with "
             "jittered probes, and in-doubt records are rolled back at restart"
         ),
+        jobs=jobs,
     )
 
 
@@ -859,35 +825,27 @@ def odp_sweep(
     """
     ratios = ratios or _grid((1.0, 0.75, 0.5), (1.0, 0.9, 0.75, 0.5, 0.25))
     depths = depths or _grid((4, 32), (2, 4, 8, 16, 32, 64))
-    specs = [
-        PointSpec("run_microbench", dict(
-            policy="per-thread-db", threads=threads, depth=depth,
-            payload=payload, op="read", access="seq",
-            pinned_ratio=ratio, merge_wrs=merged, adaptive_poll=merged,
-            latency_samples=True, measure_ns=measure_ns,
-        ))
-        for ratio in ratios
-        for depth in depths
-        for merged in (False, True)
-    ]
-    results = iter(run_points(specs, jobs=jobs))
-    rows = []
-    for ratio in ratios:
-        for depth in depths:
-            plain = next(results)
-            merged = next(results)
-            rows.append([
-                ratio, depth,
-                plain.throughput_mops, merged.throughput_mops,
-                (plain.batch_latency_p50_ns or 0.0) / 1e3,
-                (merged.batch_latency_p50_ns or 0.0) / 1e3,
-                plain.odp_faults, merged.merged_wrs,
-            ])
-    return ExperimentResult(
+    return _sweep(
         name="ODP: pinned-ratio sweep x OWR, +/- doorbell merging",
         headers=["pinned_ratio", "depth", "MOPS", "MOPS+merge",
                  "p50_us", "p50_us+merge", "odp_faults", "merged_wrs"],
-        rows=rows,
+        points=[
+            ([ratio, depth], PointSpec(run_microbench, dict(
+                policy="per-thread-db", threads=threads, depth=depth,
+                payload=payload, op="read", access="seq",
+                config=RnicConfig(pinned_ratio=ratio, merge_wrs=merged,
+                                  adaptive_poll=merged),
+                latency_samples=True, measure_ns=measure_ns,
+            )))
+            for ratio in ratios
+            for depth in depths
+            for merged in (False, True)
+        ],
+        group=2,
+        row=lambda label, pair: label + [
+            pair[0].throughput_mops, pair[1].throughput_mops,
+            _us(pair[0].batch_latency_p50_ns), _us(pair[1].batch_latency_p50_ns),
+            pair[0].odp_faults, pair[1].merged_wrs],
         chart_spec=("depth", ("MOPS", "MOPS+merge")),
         paper_claim=(
             "not a SMART figure — realism axes from related work: NP-RDMA "
@@ -897,6 +855,7 @@ def odp_sweep(
             "WRs and recovers the per-WR RNIC processing cost at high "
             "queue depth"
         ),
+        jobs=jobs,
     )
 
 
@@ -927,34 +886,27 @@ def offload_sweep(
     """
     skews = skews or _grid((0.0, 0.6), (0.0, 0.2, 0.4, 0.6, 0.8))
     chunks = chunks or _grid((8, 32), (4, 8, 16, 32, 64))
-    specs = []
-    labels = []
-    for skew in skews:
-        for mode in modes:
-            mode_chunks = chunks if mode == "offload" else [chunks[-1]]
-            for chunk in mode_chunks:
-                specs.append(PointSpec("run_graph", dict(
-                    mode=mode, algo=algo, vertices=vertices, degree=degree,
-                    skew=skew, threads=threads, coroutines=coroutines,
-                    chunk=chunk, seed=seed, sanitize=sanitize,
-                )))
-                labels.append((skew, mode, chunk))
-    rows = []
-    for (skew, mode, chunk), result in zip(labels, run_points(specs, jobs=jobs)):
-        rows.append([
-            skew, mode, chunk if mode == "offload" else "-",
-            round(result.elapsed_ns / 1e3, 1),
-            round(result.edges_per_us, 2),
-            result.wasted_iops, result.am_messages, result.am_rejected,
-            round(result.handler_busy_ns / 1e3, 1),
-            result.visited, result.levels_checksum % 10**8,
-        ])
-    return ExperimentResult(
+    return _sweep(
         name=f"Offload: near-memory {algo} — skew x fan-out x mode",
         headers=["skew", "mode", "chunk", "elapsed_us", "edges/us",
                  "wasted_iops", "am_msgs", "am_rejected", "handler_us",
                  "visited", "checksum"],
-        rows=rows,
+        points=[
+            ([skew, mode, chunk if mode == "offload" else "-"],
+             PointSpec(run_graph, dict(
+                 mode=mode, algo=algo, vertices=vertices, degree=degree,
+                 skew=skew, threads=threads, coroutines=coroutines,
+                 chunk=chunk, seed=seed, sanitize=sanitize,
+             )))
+            for skew in skews
+            for mode in modes
+            for chunk in (chunks if mode == "offload" else [chunks[-1]])
+        ],
+        row=lambda label, r: label + [
+            round(r.elapsed_ns / 1e3, 1), round(r.edges_per_us, 2),
+            r.wasted_iops, r.am_messages, r.am_rejected,
+            round(r.handler_busy_ns / 1e3, 1),
+            r.visited, r.levels_checksum % 10**8],
         paper_claim=(
             "not a SMART figure — near-memory extension: offloading "
             "traversal chunks to blade-side handlers eliminates the "
@@ -963,6 +915,7 @@ def offload_sweep(
             "wimpy-core handler occupancy; all modes produce bit-identical "
             "results (equal checksums per skew row)"
         ),
+        jobs=jobs,
     )
 
 

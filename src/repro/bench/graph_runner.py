@@ -21,7 +21,7 @@ from repro.apps.graph.client import GraphClient, GraphStats, MODES
 from repro.apps.graph.server import GraphServer, UNVISITED
 from repro.bench.runner import build_deployment, collect_sanitizer, instrument
 from repro.core.features import baseline
-from repro.rnic.config import RnicConfig, apply_feature_overrides
+from repro.rnic.config import RnicConfig
 from repro.workloads.graph import GraphSpec, checksum_u64s, edge_count
 
 #: slice length the runner advances the simulation by while polling the
@@ -89,9 +89,6 @@ def run_graph(
     fault_window_ns: float = 1.0e6,
     obs=None,
     sanitize=False,
-    offload_slowdown: Optional[float] = None,
-    offload_dispatch_ns: Optional[float] = None,
-    offload_queue_depth: Optional[int] = None,
     deadline_ns: float = 5.0e9,
 ) -> GraphRunResult:
     """One point of the near-memory offload experiment.
@@ -99,19 +96,13 @@ def run_graph(
     ``mode`` picks the execution strategy (see
     :data:`repro.apps.graph.client.MODES`); ``algo`` is ``"bfs"`` or
     ``"pagerank"``.  ``chunk`` is the offload fan-out (frontier slots
-    per active message).  The ``offload_*`` arguments override the
-    matching :class:`RnicConfig` knobs.
+    per active message).  The handler-core cost knobs (``offload_*``)
+    are :class:`RnicConfig` fields: pass ``config``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if algo not in ("bfs", "pagerank"):
         raise ValueError(f"algo must be bfs or pagerank, got {algo!r}")
-    config = apply_feature_overrides(
-        config,
-        offload_slowdown=offload_slowdown,
-        offload_dispatch_ns=offload_dispatch_ns,
-        offload_queue_depth=offload_queue_depth,
-    )
     if features is None:
         features = baseline()
     deployment = build_deployment(

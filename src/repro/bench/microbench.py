@@ -24,7 +24,7 @@ from repro.cluster import Cluster, ComputeThread
 from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
 from repro.core.features import baseline as baseline_features
 from repro.rnic import verbs
-from repro.rnic.config import RnicConfig, apply_feature_overrides
+from repro.rnic.config import RnicConfig
 from repro.rnic.policies import (
     ConnectionPolicy,
     MultiplexedQpPolicy,
@@ -106,23 +106,19 @@ def _make_wrs(op: str, payload: int, depth: int, region_base: int, region_size: 
     if access == "seq":
         # One random window start, then `depth` contiguous slots — the
         # access pattern RDMAbox's adjacent-WR merging is built for.
-        base_slot = rng.randrange(max(1, slots - depth + 1))
-        offsets = [region_base + (base_slot + i) * stride for i in range(depth)]
+        first = rng.randrange(max(1, slots - depth + 1))
+        picked = range(first, first + depth)
     elif access == "random":
-        offsets = [region_base + rng.randrange(slots) * stride
-                   for _ in range(depth)]
+        picked = [rng.randrange(slots) for _ in range(depth)]
     else:
         raise ValueError(f"access must be 'random' or 'seq', got {access!r}")
-    wrs = []
-    for offset in offsets:
-        addr = blade.global_addr(offset)
-        if op == "read":
-            wrs.append(read_wr(addr, payload))
-        elif op == "write":
-            wrs.append(write_wr(addr, b"\x00" * payload))
-        else:
-            raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-    return wrs
+    # Addresses inside one blade add like offsets: pack the region's once.
+    base = blade.global_addr(region_base)
+    if op == "read":
+        return [read_wr(base + slot * stride, payload) for slot in picked]
+    if op == "write":
+        return [write_wr(base + slot * stride, b"\x00" * payload) for slot in picked]
+    raise ValueError(f"op must be 'read' or 'write', got {op!r}")
 
 
 def run_microbench(
@@ -144,9 +140,6 @@ def run_microbench(
     obs=None,
     sanitize=False,
     access: str = "random",
-    pinned_ratio: Optional[float] = None,
-    merge_wrs: Optional[bool] = None,
-    adaptive_poll: Optional[bool] = None,
     region_pinned: Optional[bool] = None,
 ) -> MicrobenchResult:
     """Run the bench tool at one (policy, threads, depth) point.
@@ -163,13 +156,9 @@ def run_microbench(
     ``access`` picks the offset pattern: ``"random"`` (the paper's
     uniform draw) or ``"seq"`` (contiguous batches — what RDMAbox-style
     merging fuses).  ``pinned_ratio``/``merge_wrs``/``adaptive_poll``
-    override the matching :class:`RnicConfig` knobs; ``region_pinned``
+    are :class:`RnicConfig` fields (pass ``config``); ``region_pinned``
     registers the bench MR with that pinning (``False`` = fully ODP).
     """
-    config = apply_feature_overrides(
-        config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
-        adaptive_poll=adaptive_poll,
-    )
     if policy == "smart" and features is None:
         # Scale the paper's Δ = 8 ms epoch down so the C_max search
         # converges inside a short simulation (ratios preserved).

@@ -1,29 +1,22 @@
 """Parallel sweep execution for the figure grids.
 
-Every paper figure is a grid of fully independent simulation points
-(one deterministic simulation per (experiment fn, kwargs, seed) tuple),
-so the grid parallelizes embarrassingly across a process pool.  This
-module provides the pieces:
+Every paper figure is a grid of fully independent simulation points, so
+the grid parallelizes embarrassingly across a process pool:
 
-* :class:`PointSpec` — a picklable description of one grid point: the
-  *name* of a registered experiment function, its keyword arguments and
-  an optional explicit seed.  Specs carry names rather than callables so
-  they cross process boundaries cheaply and reproducibly.
-* :class:`WorkerPool` — a *persistent* pool of warm worker processes.
-  Each worker imports the experiment registry once at startup and then
-  only ever receives batches of specs over a shared task queue — idle
-  workers steal the next batch the moment they finish one, so the grid
-  load-balances without any per-point fork/import cost.  The pool is
-  cached module-wide and reused by every subsequent sweep.
+* :class:`PointSpec` — one grid point: the runner (a module-level
+  function, pickled by reference), its keyword arguments and an optional
+  explicit seed.
 * :func:`run_points` — executes a list of specs, serially (``jobs=1``)
-  or on the warm pool (``jobs=N``; ``jobs=0`` = all cores), and returns
-  results **in input order**.  A point's result depends only on its spec
-  (simulations are seeded, self-contained and share no mutable state),
-  so serial and parallel execution produce identical results — asserted
-  by ``tests/test_parallel_exec.py``.
-* :class:`PointFailure` — raised when a point raises (or its worker
-  dies) with the failing spec attached, so a grid error names the exact
-  (experiment, kwargs, seed) to replay instead of a bare pool traceback.
+  or one future per point on a cached
+  :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=N``;
+  ``jobs=0`` = all cores), and returns results **in input order**.  A
+  point's result depends only on its spec (simulations are seeded,
+  self-contained and share no mutable state), so serial and parallel
+  execution produce identical results — asserted by
+  ``tests/test_parallel_exec.py``.
+* :class:`PointFailure` — raised when a point raises (or a worker dies)
+  with the failing spec attached, so a grid error names the exact
+  (runner, kwargs, seed) to replay instead of a bare pool traceback.
 
 The default job count comes from the ``REPRO_JOBS`` environment
 variable (``1`` — serial — when unset, ``0`` meaning all cores), which
@@ -32,32 +25,13 @@ the bench CLI's ``--jobs`` flag and the figure suite both honour.
 
 from __future__ import annotations
 
-import atexit
+import multiprocessing
 import os
-import queue
 import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from importlib import import_module
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-#: Experiment functions a :class:`PointSpec` may name, mapped to the
-#: module that defines them.  Names (not callables) keep specs picklable
-#: and make the executor surface auditable.
-_REGISTRY: Dict[str, str] = {
-    "run_microbench": "repro.bench.microbench",
-    "run_dynamic_microbench": "repro.bench.microbench",
-    "run_hashtable": "repro.bench.runner",
-    "run_dtx": "repro.bench.runner",
-    "run_btree": "repro.bench.runner",
-    "run_open_loop": "repro.traffic.runner",
-    "run_resharding": "repro.traffic.resharding",
-    "run_graph": "repro.bench.graph_runner",
-}
-
-
-def register_experiment(name: str, module: str) -> None:
-    """Expose another module-level experiment function to PointSpecs."""
-    _REGISTRY[name] = module
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def default_jobs() -> int:
@@ -91,37 +65,29 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 class PointSpec:
     """One independent simulation point of an experiment grid."""
 
-    fn: str
+    #: the runner; a module-level function, so the spec pickles
+    fn: Callable[..., Any]
     kwargs: Dict[str, Any] = field(default_factory=dict)
     #: explicit per-point seed; ``None`` keeps the experiment's default
     seed: Optional[int] = None
-
-    def resolve(self) -> Callable:
-        module = _REGISTRY.get(self.fn)
-        if module is None:
-            raise KeyError(
-                f"unknown experiment fn {self.fn!r}; "
-                f"choose from {sorted(_REGISTRY)} or register_experiment() it"
-            )
-        return getattr(import_module(module), self.fn)
 
     def run(self) -> Any:
         kwargs = dict(self.kwargs)
         if self.seed is not None:
             kwargs["seed"] = self.seed
-        return self.resolve()(**kwargs)
+        return self.fn(**kwargs)
 
     def describe(self) -> str:
-        return f"{self.fn}(kwargs={self.kwargs!r}, seed={self.seed!r})"
+        return f"{self.fn.__name__}(kwargs={self.kwargs!r}, seed={self.seed!r})"
 
 
 class PointFailure(RuntimeError):
-    """A grid point raised (or its worker died); carries the failing spec.
+    """A grid point raised (or a worker died); carries the failing spec.
 
-    ``spec`` names the exact (experiment fn, kwargs, seed) to replay the
-    failure serially; ``worker_traceback`` is the remote traceback text
-    when the point raised inside a worker (``None`` when the worker
-    process died without reporting).
+    ``spec`` names the exact (runner, kwargs, seed) to replay the
+    failure serially; ``worker_traceback`` is the remote traceback text.
+    Both are ``None`` when a worker process died without reporting —
+    the pool cannot tell which point it held.
     """
 
     def __init__(self, spec: Optional[PointSpec], message: str,
@@ -134,199 +100,59 @@ class PointFailure(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def _run_spec(spec: PointSpec) -> Any:
-    """Module-level trampoline so specs survive pickling into workers."""
-    return spec.run()
+def _run_spec(spec: PointSpec) -> Tuple[bool, Any]:
+    """Worker side of one future: ``(True, result)``, or ``(False,
+    (repr, traceback text))`` — the text survives pickling whatever the
+    exception holds, and it is the worker's frames the reader needs."""
+    try:
+        return True, spec.run()
+    except Exception as exc:
+        return False, (repr(exc), traceback.format_exc())
 
 
-def _worker_main(tasks, results) -> None:
-    """Body of one persistent worker process.
-
-    Imports the experiment registry once (the warm-up the old
-    pool-per-sweep executor paid on every sweep), then serves batches
-    from the shared task queue until it receives the ``None`` sentinel.
-    Each task is ``(batch_index, [spec, ...])``; each reply is
-    ``(batch_index, ok, payload)`` where payload is the result list or a
-    ``(spec, repr, traceback)`` failure triple.
-    """
-    for module in set(_REGISTRY.values()):
-        try:
-            import_module(module)
-        except Exception:  # pragma: no cover - registry module missing
-            pass
-    while True:
-        task = tasks.get()
-        if task is None:
-            return
-        batch_index, specs, registry = task
-        # Late register_experiment() calls in the parent must resolve
-        # here too — each task carries the registry snapshot it was
-        # built under.
-        _REGISTRY.update(registry)
-        batch_results = []
-        try:
-            for spec in specs:
-                batch_results.append(spec.run())
-        except BaseException as exc:  # report, keep serving other batches
-            failed = specs[len(batch_results)]
-            results.put(
-                (batch_index, False, (failed, repr(exc), traceback.format_exc()))
-            )
-            continue
-        results.put((batch_index, True, batch_results))
+#: the cached warm executor and its size (one at a time)
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_size = 0
 
 
-class WorkerPool:
-    """A persistent pool of warm experiment workers.
-
-    Workers are forked (where the platform allows — they then inherit
-    the already-imported simulator for free) or spawned once and reused
-    across sweeps.  Dispatch is a single shared task queue acting as the
-    work-stealing deque: idle workers pull the next batch as soon as
-    they finish one, so stragglers don't serialize the tail of a grid.
-    """
-
-    #: seconds between liveness checks while waiting on results
-    _POLL_S = 0.25
-
-    def __init__(self, workers: int):
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        self.workers = workers
-        self._tasks = context.Queue()
-        self._results = context.Queue()
-        self._procs = [
-            context.Process(
-                target=_worker_main,
-                args=(self._tasks, self._results),
-                daemon=True,
-                name=f"repro-worker-{index}",
-            )
-            for index in range(workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-
-    @property
-    def alive(self) -> bool:
-        return all(proc.is_alive() for proc in self._procs)
-
-    def run(self, specs: Sequence[PointSpec],
-            batch_size: Optional[int] = None) -> List[Any]:
-        """Run every spec on the pool; results come back in input order.
-
-        Specs are chunked into batches (small enough that the shared
-        queue load-balances, large enough to amortize the IPC) and the
-        ordered reassembly makes the output independent of which worker
-        ran what.  A failing point raises :class:`PointFailure` naming
-        its spec; a worker that dies mid-grid is detected by a liveness
-        poll instead of hanging the collection loop forever.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        if batch_size is None:
-            # ~4 batches per worker bounds tail imbalance at ~1/4 of a
-            # worker's share while keeping queue traffic low.
-            batch_size = max(1, len(specs) // (self.workers * 4))
-        batches = [
-            specs[start:start + batch_size]
-            for start in range(0, len(specs), batch_size)
-        ]
-        registry = dict(_REGISTRY)
-        for index, batch in enumerate(batches):
-            self._tasks.put((index, batch, registry))
-        slots: List[Any] = [None] * len(batches)
-        pending = len(batches)
-        while pending:
-            try:
-                batch_index, ok, payload = self._results.get(
-                    timeout=self._POLL_S
-                )
-            except queue.Empty:
-                dead = [p for p in self._procs if not p.is_alive()]
-                if dead:
-                    # Can't tell which batch the dead worker held; fail
-                    # the sweep but name the casualties and keep the
-                    # other workers from going zombie.
-                    self.shutdown()
-                    raise PointFailure(
-                        None,
-                        f"worker(s) {[p.name for p in dead]} died "
-                        f"(exitcodes {[p.exitcode for p in dead]}) with "
-                        f"{pending} batch(es) outstanding",
-                    )
-                continue
-            if not ok:
-                spec, exc_repr, tb = payload
-                self.shutdown()  # in-flight batches would pollute reuse
-                raise PointFailure(spec, exc_repr, worker_traceback=tb)
-            slots[batch_index] = payload
-            pending -= 1
-        return [result for batch in slots for result in batch]
-
-    def shutdown(self) -> None:
-        """Terminate the workers and drain the queues."""
-        global _POOL
-        if _POOL is self:
-            _POOL = None
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-        for q in (self._tasks, self._results):
-            q.cancel_join_thread()
-            q.close()
-
-    def stop(self) -> None:
-        """Graceful shutdown: let workers finish their current batch."""
-        global _POOL
-        if _POOL is self:
-            _POOL = None
-        for _ in self._procs:
-            self._tasks.put(None)
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        self.shutdown()
+def _get_pool(workers: int) -> ProcessPoolExecutor:
+    """The cached executor, rebuilt when the size changes.  Workers are
+    forked where the platform allows — they then inherit the
+    already-imported simulator for free — and stay warm across sweeps."""
+    global _pool, _pool_size
+    if _pool is not None and _pool_size != workers:
+        _drop_pool()
+    if _pool is None:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        _pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context(method))
+        _pool_size = workers
+    return _pool
 
 
-#: the cached warm pool (one at a time; rebuilt when the size changes)
-_POOL: Optional[WorkerPool] = None
+def _drop_pool() -> None:
+    """Forget the cached executor; points not yet started are cancelled
+    (after a failure they would only delay the next sweep)."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(wait=False, cancel_futures=True)
+        _pool = None
 
 
-def _get_pool(workers: int) -> WorkerPool:
-    global _POOL
-    if _POOL is not None and (_POOL.workers != workers or not _POOL.alive):
-        _POOL.shutdown()
-    if _POOL is None:
-        _POOL = WorkerPool(workers)
-    return _POOL
-
-
-@atexit.register
-def _shutdown_pool() -> None:
-    if _POOL is not None:
-        _POOL.shutdown()
-
-
-def run_points(
-    specs: Sequence[PointSpec],
-    jobs: Optional[int] = None,
-    batch_size: Optional[int] = None,
-) -> List[Any]:
+def run_points(specs: Sequence[PointSpec], jobs: Optional[int] = None) -> List[Any]:
     """Run every spec and return results in input order.
 
     ``jobs=None`` falls back to :func:`default_jobs` (the ``REPRO_JOBS``
     environment variable); ``jobs=0`` means all cores.  With an
-    effective ``jobs=1`` — or a single spec — points run in-process;
-    otherwise the persistent :class:`WorkerPool` executes them with one
-    deterministic simulation per point, and ordered collection keeps the
-    output independent of worker scheduling.
+    effective ``jobs=1`` — or a single spec — points run in-process and
+    a failure raises the original exception.  Otherwise each point is
+    one future on the warm pool (idle workers take the next point as
+    they finish, so stragglers don't serialize the tail), and collecting
+    in input order keeps the output independent of worker scheduling.  A
+    raising point becomes a :class:`PointFailure` naming its spec; a
+    worker that dies breaks the executor, which surfaces as a
+    ``PointFailure`` ("died") instead of a hang.  Either way the pool is
+    dropped and the next sweep gets a fresh one.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -335,5 +161,21 @@ def run_points(
     # The pool is sized by the jobs request (not the grid) so repeated
     # sweeps of different sizes reuse the same warm workers.
     pool = _get_pool(jobs)
-    return pool.run(specs, batch_size=batch_size)
-
+    futures = [pool.submit(_run_spec, spec) for spec in specs]
+    results = []
+    for spec, future in zip(specs, futures):
+        try:
+            ok, payload = future.result()
+        except BrokenProcessPool as exc:
+            _drop_pool()
+            raise PointFailure(
+                None,
+                f"a worker process died with {len(specs) - len(results)} "
+                f"point(s) outstanding ({exc})",
+            ) from exc
+        if not ok:
+            _drop_pool()
+            message, worker_traceback = payload
+            raise PointFailure(spec, message, worker_traceback)
+        results.append(payload)
+    return results

@@ -27,7 +27,7 @@ from repro.apps.sherman.server import BTreeServer
 from repro.cluster import Cluster, Node
 from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
 from repro.core.features import baseline, full
-from repro.rnic.config import RnicConfig, apply_feature_overrides
+from repro.rnic.config import RnicConfig
 from repro.workloads import smallbank, tatp
 from repro.workloads.ycsb import READ, UPDATE, WRITE_HEAVY, YcsbWorkload
 
@@ -565,9 +565,6 @@ def run_app(
     fault_seed: int = 0,
     obs=None,
     sanitize=False,
-    pinned_ratio: Optional[float] = None,
-    merge_wrs: Optional[bool] = None,
-    adaptive_poll: Optional[bool] = None,
 ) -> RunResult:
     """One closed-loop point of ``app`` (the arguments every app runner
     shares).
@@ -579,13 +576,9 @@ def run_app(
     ``app.recovers_from_crash``.
     ``obs`` attaches a :class:`repro.obs.Observability`, ``sanitize``
     RDMASan; both are passive.
-    ``pinned_ratio``/``merge_wrs``/``adaptive_poll`` override the
-    matching :class:`RnicConfig` knobs (ODP + doorbell batching axes).
+    The ODP and doorbell-batching axes (``pinned_ratio``, ``merge_wrs``,
+    ``adaptive_poll``) are :class:`RnicConfig` fields: pass ``config``.
     """
-    config = apply_feature_overrides(
-        config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
-        adaptive_poll=adaptive_poll,
-    )
     deployment = deploy_app(
         app, system, threads, compute_blades, memory_blades, features, config, seed
     )

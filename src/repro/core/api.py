@@ -162,7 +162,7 @@ class SmartHandle:
                 batch = yield from verbs.post_send(
                     self.thread, qp, chunk, actor=self.actor
                 )
-                batch.done._subscribe(lambda b: throttler.on_complete(len(b)))
+                batch.done._subscribe(throttler.on_complete)
                 self._pending.append(batch)
 
     def sync(self):

@@ -6,11 +6,17 @@ on a named track) and *instants* (a point event).  Tracks are
 one lane per pipeline inside it — which the Chrome-trace exporter
 (:mod:`repro.obs.export`) turns into Perfetto tracks.
 
-:class:`SpanTracer` generalizes :class:`repro.rnic.trace.Tracer`: it
-keeps the exact stage-timestamp API (so ``summary()`` and every existing
-caller still work) and additionally emits one span per pipeline segment
-— posted→issued→remote_start→executed→completed — onto the recorder the
-moment a batch completes.
+:class:`SpanTracer` is the per-batch lifecycle tracer.  Attach one to a
+device (``device.tracer = SpanTracer()``) and every work batch passing
+through records its pipeline timestamps:
+
+    posted -> issued -> remote_start -> executed -> completed
+
+``summary()`` then reports where the time went — queueing at the
+requester (a sign of an IOPS/bandwidth ceiling), flight time, responder
+queueing (a remote-side ceiling) or return flight.  Given a recorder, it
+additionally emits one span per pipeline segment onto it the moment a
+batch completes.
 
 Recording never schedules simulator events and never draws randomness:
 attaching a recorder cannot change a single simulated number, and with
@@ -20,10 +26,10 @@ no recorder attached the instrumented code paths reduce to one
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.rnic.trace import STAGES, Tracer
+STAGES = ("posted", "issued", "remote_start", "executed", "completed")
 
 #: (segment name, start stage, end stage) — the batch lifecycle pipeline.
 SEGMENTS: Tuple[Tuple[str, str, str], ...] = (
@@ -117,30 +123,43 @@ class TraceRecorder:
         return list(seen)
 
 
-class SpanTracer(Tracer):
-    """A :class:`repro.rnic.trace.Tracer` that also emits timeline spans.
+class SpanTracer:
+    """Bounded trace of batch lifecycles (oldest evicted first).
 
-    Drop-in for ``device.tracer``: stage recording, ``summary()`` and the
-    eviction/dropped accounting behave exactly like the base class.  When
-    the ``completed`` stage of a batch lands, the four lifecycle segments
-    are emitted as spans grouped under ``track`` (one lane per pipeline
-    stage), with all five raw stage timestamps attached as span args.
+    The duck-typed ``device.tracer``.  With a ``recorder``, the four
+    lifecycle segments of a batch are also emitted as spans grouped
+    under ``track`` (one lane per pipeline stage) when its ``completed``
+    stage lands, with all five raw stage timestamps attached as span
+    args.
     """
 
-    def __init__(self, recorder: TraceRecorder, track: str,
-                 capacity: int = 10_000):
-        super().__init__(capacity)
+    def __init__(self, recorder: Optional[TraceRecorder] = None,
+                 track: str = "", capacity: int = 10_000):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
         self.recorder = recorder
         self.track = track
+        self.capacity = capacity
+        self._batches: "OrderedDict[int, Dict[str, int]]" = OrderedDict()
+        self.dropped = 0
 
     def record(self, batch_id: int, stage: str, now) -> None:
-        super().record(batch_id, stage, now)
-        if stage != "completed":
-            return
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r}")
         timestamps = self._batches.get(batch_id)
-        if timestamps is None or len(timestamps) != len(STAGES):
-            return
+        if timestamps is None:
+            if stage != "posted":
+                return  # batch predates the tracer; ignore its tail
+            timestamps = {}
+            self._batches[batch_id] = timestamps
+            if len(self._batches) > self.capacity:
+                self._batches.popitem(last=False)
+                self.dropped += 1
+        timestamps[stage] = now
         recorder = self.recorder
+        if (recorder is None or stage != "completed"
+                or len(timestamps) != len(STAGES)):
+            return
         for name, start, end in SEGMENTS:
             recorder.span(self.track, SEGMENT_LANES[name], name,
                           timestamps[start], timestamps[end],
@@ -150,9 +169,24 @@ class SpanTracer(Tracer):
                       timestamps["posted"], timestamps["completed"],
                       dict(timestamps, batch=batch_id))
 
+    def complete_batches(self) -> List[Dict[str, int]]:
+        return [t for t in self._batches.values() if len(t) == len(STAGES)]
+
+    def summary(self) -> Optional[Dict[str, float]]:
+        """Mean nanoseconds per pipeline segment over complete batches."""
+        complete = self.complete_batches()
+        if not complete:
+            return None
+        result = {
+            name: sum(t[end] - t[start] for t in complete) / len(complete)
+            for name, start, end in SEGMENTS + (("total", "posted", "completed"),)
+        }
+        result["batches"] = float(len(complete))
+        return result
+
 
 def merge_summaries(summaries) -> Optional[Dict[str, float]]:
-    """Batch-weighted mean of several ``Tracer.summary()`` dicts."""
+    """Batch-weighted mean of several ``SpanTracer.summary()`` dicts."""
     summaries = [s for s in summaries if s]
     if not summaries:
         return None

@@ -250,39 +250,3 @@ def connectx6() -> RnicConfig:
 def small_scale() -> RnicConfig:
     """A reduced-rate profile for fast unit tests (not used by benches)."""
     return RnicConfig(max_iops=10e6, responder_iops=10.5e6, wqe_cache_capacity=64)
-
-
-def apply_feature_overrides(
-    config: "RnicConfig | None",
-    pinned_ratio: "float | None" = None,
-    merge_wrs: "bool | None" = None,
-    adaptive_poll: "bool | None" = None,
-    offload_slowdown: "float | None" = None,
-    offload_dispatch_ns: "float | None" = None,
-    offload_queue_depth: "int | None" = None,
-) -> "RnicConfig | None":
-    """Fold the per-runner feature kwargs into ``config``.
-
-    Every bench runner exposes ``pinned_ratio`` / ``merge_wrs`` /
-    ``adaptive_poll`` (and the offload cost knobs) as plain keyword
-    arguments so sweeps don't have to construct configs; ``None`` means
-    "leave the config's value alone".  Returns ``config`` unchanged
-    (possibly ``None``) when nothing is overridden, so default runs build
-    the identical default config.
-    """
-    overrides = {}
-    if pinned_ratio is not None:
-        overrides["pinned_ratio"] = pinned_ratio
-    if merge_wrs is not None:
-        overrides["merge_wrs"] = merge_wrs
-    if adaptive_poll is not None:
-        overrides["adaptive_poll"] = adaptive_poll
-    if offload_slowdown is not None:
-        overrides["offload_slowdown"] = offload_slowdown
-    if offload_dispatch_ns is not None:
-        overrides["offload_dispatch_ns"] = offload_dispatch_ns
-    if offload_queue_depth is not None:
-        overrides["offload_queue_depth"] = offload_queue_depth
-    if not overrides:
-        return config
-    return (config or RnicConfig()).with_overrides(**overrides)

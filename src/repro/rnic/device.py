@@ -94,7 +94,7 @@ class RnicDevice:
         #: WRs posted but not yet completed, device-wide (drives the WQE
         #: cache model)
         self.outstanding = 0
-        #: optional :class:`repro.rnic.trace.Tracer` for batch lifecycles
+        #: optional :class:`repro.obs.tracing.SpanTracer` for batch lifecycles
         self.tracer = None
         #: optional :class:`repro.obs.tracing.TraceRecorder` for instants
         self.recorder = None
@@ -224,7 +224,10 @@ class RnicDevice:
             self.tracer.record(batch.batch_id, "completed", self.sim.now)
         if self.sanitizer is not None:
             self.sanitizer.on_complete(batch)
-        batch.done.fire(batch)
+        # The CQE count, not the batch: an event holding its own batch is a
+        # reference cycle, and only the cyclic collector could then free a
+        # completed batch and its WRs.
+        batch.done.fire(len(batch))
 
     def __repr__(self) -> str:
         return f"RnicDevice({self.name}, contexts={len(self.contexts)})"

@@ -181,6 +181,7 @@ class WorkBatch:
         self.batch_id = sim.next_batch_id
         self.wrs = wrs
         self.qp = qp
+        #: fires with the number of CQEs once the batch completes
         self.done: Event = sim.event()
         self.posted_at = sim.now
         self.completed_at: Optional[int] = None

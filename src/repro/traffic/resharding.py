@@ -20,8 +20,8 @@ per-tenant queue-delay histograms are snapshotted at each boundary
 impact of rebalancing is a first-class result rather than something
 smeared into a run-wide percentile.
 
-Registered with :mod:`repro.bench.parallel`; everything in the result
-is plain data, and fixed seeds replay the whole dance — migration,
+It runs as a :mod:`repro.bench.parallel` sweep point: everything in the
+result is plain data, and fixed seeds replay the whole dance — migration,
 frees, reallocation — bit-identically.
 """
 

@@ -7,7 +7,7 @@ warmup/measure discipline — but drives the clients from an
 is independent of service progress and queueing delay is measured
 rather than omitted.
 
-``run_open_loop`` is registered with :mod:`repro.bench.parallel`, so
+``run_open_loop`` runs as a :mod:`repro.bench.parallel` sweep point, so
 every argument (including :class:`TenantSpec` and its arrival process /
 SLO members) must stay picklable.
 """

@@ -1,8 +1,8 @@
 """Experiment functions used by the parallel-executor failure tests.
 
 These live in a separate importable module (not a ``test_*`` file) so
-worker processes can resolve them through ``register_experiment`` the
-same way real experiments are resolved.
+worker processes can unpickle them by reference, the same way real
+runners are.
 """
 
 import os
@@ -17,8 +17,8 @@ def run_exit(code: int = 3, seed: int = 0):
     """An experiment that kills its worker process outright.
 
     ``os._exit`` bypasses Python exception handling entirely, so the
-    worker can't report a failure — the pool's liveness poll is the only
-    thing standing between this and a hung sweep.
+    worker can't report a failure — the executor noticing the broken
+    pool is the only thing standing between this and a hung sweep.
     """
     os._exit(code)
 
@@ -26,8 +26,3 @@ def run_exit(code: int = 3, seed: int = 0):
 def run_ok(value: int = 1, seed: int = 0):
     """A trivially cheap well-behaved experiment."""
     return value * 2
-
-
-#: registered under a distinct name by the late-registration test so the
-#: workers can't have inherited it at fork time
-run_ok_late = run_ok

@@ -1,39 +1,127 @@
 """Smoke tests: every figure/table entry point runs end to end on a tiny
 grid and produces well-formed rows.  (Shape assertions live in
-benchmarks/; these only verify wiring, so they use minimal parameters.)"""
+benchmarks/; these only verify wiring, so they use minimal parameters.)
 
-import pytest
+Each case also pins its output byte for byte: ``run_pinned`` compares the
+sha256 of the result's JSON and of its formatted table with the pair in
+``EXPERIMENT_DIGESTS``, recorded at the commit *before* the sweep-layer
+rewrite (PR 13) with
+
+    PYTHONPATH=<parent>/src python tests/test_experiments_smoke.py
+
+which prints the table.  Re-record only when a model change is intended,
+and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
 
 from repro.bench import experiments as exp
+
+#: experiment -> the tiny grid its smoke case runs
+TINY_GRIDS = {
+    "fig3": dict(threads=(2, 4), measure_ns=0.3e6),
+    "fig4": dict(threads=(4,), depths=(2, 4)),
+    "fig5": dict(threads=(2,), thetas=(0.0,)),
+    "fig7": dict(threads=(2,), compute_blades=(2,), item_count=5_000),
+    "fig8": dict(threads=(2,), item_count=5_000),
+    "fig9": dict(gaps_ns=(0.0,), item_count=5_000, threads=4),
+    "fig10": dict(threads=(2,), item_count=2_000),
+    "fig11": dict(gaps_ns=(0.0,), item_count=2_000, threads=4),
+    "fig12": dict(threads=(2,), servers=(2,), item_count=5_000),
+    "fig13": dict(threads=(4,), batches=(4,)),
+    "table1": dict(intervals_ns=(2e6,), total_ns=8e6),
+    "fig14": dict(threads=(2,), item_count=5_000),
+    "latency_throughput": dict(rates_mops=(0.4,), threads=2, workers=4,
+                               item_count=2_000, warmup_ns=0.2e6,
+                               measure_ns=0.4e6),
+    "resharding": dict(modes=("add_blade",), workers=2, threads=2,
+                       item_count=500, phase_ns=0.3e6),
+    "chaos": dict(measure_ns=1.0e6),
+    "odp": dict(ratios=(1.0, 0.5), depths=(4,), threads=2, measure_ns=0.3e6),
+    "offload": dict(skews=(0.0, 0.6), chunks=(16,), vertices=64, degree=4),
+}
+
+#: experiment -> (sha256 of the sorted-key JSON, sha256 of format())
+EXPERIMENT_DIGESTS = {
+    "fig3": ("e016fbc4af6b0ec7dfbc8c2180831254b3225cb7bb012e05c63d111631b09445",
+             "c1b0148fe4d0f40a43d77ae964e53b1d566cd8dbc9122a3823f7d951ed3026ce"),
+    "fig4": ("2e868666fdd89a5c70dafc483f7faffe254c2a0b69a7b5273ada3902a1ce0847",
+             "728fdc585d3a18007ffa177725a05a97d42be35bbadc728b50de966c16ecf1bc"),
+    "fig5": ("7fedbe54d9b92bb34edfcffe16011b3601388f7d620e5988e786e8bd573a481a",
+             "37ecc052729ec6ba7a4811483a19ff9c880ae560403fffba79dc474761539e7e"),
+    "fig7": ("a6233ec7b31b6fa0dc38e6015c1d86b653484df2c158825bc929d167c6f3bac2",
+             "bbf6f5a82ba6cb1ac1d240d3b1c7a3838e52e7bd1a0fa0d2546afd39cbee0cba"),
+    "fig8": ("76075c61b5bc6a4c71ecabd253ce611430da30faf2e0d93e37e75d424301d881",
+             "8c774e1bcdf6f9051d0e28afc20165402a869a75e499f99e40a07cbd9c779054"),
+    "fig9": ("623aab0ca128e2d314520ad5505bb7fe556eb80d66d3bed03a57449d7302588a",
+             "7024cafb485830afb6f42c32991424f34f40587f25e0ff67f9969bff8d6e000a"),
+    "fig10": ("39a520940b56304346bef569e185e7cd28813810b2f36623edc31c5aec257d54",
+              "61ed587eea59e2d72abd398625ef245a7af48b0527d8b75459d63be0054cc889"),
+    "fig11": ("35e3d4fe12dcb14b5ebcc542bc7a79e9082777e5b9debfe705a0ed2c3c0bf988",
+              "37541ac09d4af735b080a472508b78bd98cfc97a4d5f363c204097b0107acc4b"),
+    "fig12": ("d83c9f265b9ad323f2c7d813320c795d4b658f76924c7b58515f7bfd72b4c9b5",
+              "81779e19bf8d1c5c0d8757e4c79d47747d50e08eda7101a1ec686d250addbe17"),
+    "fig13": ("601434e2f7e9e029931c3b05181d5d780e7537a7e00a4fcd67a65f73fc4951df",
+              "9fa25cc5e8b3aabe0b66d77ac2cdb9432ee07c93e3a8a01b95f0d058249bc90e"),
+    "table1": ("6e8946613b1fbf04e057f169a782fef1726b724c14c1836c80349a31e7b62e3d",
+               "f88bb87d2ba518fdc14907ea2d56a33602d8974c7f88a7640ee7de6d03282ab9"),
+    "fig14": ("c14d29831bf3c21e7e99431298217e1b64a6ad99dfe09c3d922e17130f303805",
+              "6972186194ae7adfa5fbfb00d9daeda5a92a0919d6e6eea7caf26b5dbf39304f"),
+    "latency_throughput": ("94dd9bb66041e51607097e667a75241fd88b3910ad85dd0ada347a4119e895ab",
+                           "1030b23a5cf69bc382dc094ada2009139dac07e9d86285e274b48b3c5c78bea2"),
+    "resharding": ("cf6fb4d8d2dd6e942c70ac9e3d53fabd929dc5a1baa3cf5ca7db8cb72c30df34",
+                   "97bb8ef6abecffa8c9e760676bf9bd3e14e961840d72443014d005cf722bbcfb"),
+    "chaos": ("3bba9506e3aee48efed8e8a2f7c3af0ea397fa59d4b69fac5c4eb607f64e9330",
+              "009614bbe2d7fd769c1766614b7466335ae4dd7d094b844898fdca9fa210efb2"),
+    "odp": ("8887872755004869d85988002cb4e97ed83fcc924b60d5b71899342d64737719",
+            "f590f7bcba00565f1675b839553cfa0d0fae9085673fc55e02f23c67b2c6df46"),
+    "offload": ("be05fb16f59a5944ca70ef7557df8c27c68a996ccb55d1ba0b20d5b8e0373322",
+                "64201cbb265a4eb7b4c67342fb4507c7b312b446fa81291c7c86441a6cf532b1"),
+}
+
+
+def digests(result):
+    blob = json.dumps(result.to_dict(), sort_keys=True)
+    return tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (blob, result.format()))
+
+
+def run_pinned(name, jobs=(1,)):
+    """Run ``name`` on its tiny grid once per ``jobs`` value; every run
+    must reproduce the pinned digests.  Returns the last result."""
+    for n in jobs:
+        result = exp.ALL_EXPERIMENTS[name](jobs=n, **TINY_GRIDS[name])
+        assert digests(result) == EXPERIMENT_DIGESTS[name], (name, n)
+    return result
 
 
 class TestMicroExperiments:
     def test_fig3(self):
-        result = exp.fig3_qp_policies(threads=(2, 4), measure_ns=0.3e6)
+        result = run_pinned("fig3", jobs=(1, 2))
         assert result.headers[0] == "threads"
         assert len(result.rows) == 2
         assert "paper:" in result.format()
 
     def test_fig4(self):
-        result = exp.fig4_cache_thrashing(threads=(4,), depths=(2, 4))
+        result = run_pinned("fig4")
         assert len(result.rows) == 2
         assert result.rows[0][2] == 8  # total OWRs = threads * depth
 
     def test_fig13(self):
-        result = exp.fig13_micro(threads=(4,), batches=(4,))
+        result = run_pinned("fig13")
         assert len(result.rows) == 2  # one threads row + one batch row
         assert result.rows[0][0] == "threads"
         assert result.rows[1][0] == "batch"
 
     def test_table1(self):
-        result = exp.table1_dynamic(intervals_ns=(2e6,), total_ns=8e6)
+        result = run_pinned("table1")
         assert len(result.rows) == 1
         interval_ms, ratio, off, on = result.rows[0]
         assert off > 0 and on > 0
 
     def test_odp(self):
-        result = exp.odp_sweep(ratios=(1.0, 0.5), depths=(4,), threads=2,
-                               measure_ns=0.3e6)
+        result = run_pinned("odp", jobs=(1, 2))
         assert result.headers[0] == "pinned_ratio"
         assert len(result.rows) == 2
         pinned, odp = result.rows
@@ -42,8 +130,7 @@ class TestMicroExperiments:
         assert odp[2] < pinned[2]  # faulting costs throughput
 
     def test_offload(self):
-        result = exp.offload_sweep(skews=(0.0, 0.6), chunks=(16,),
-                                   vertices=64, degree=4)
+        result = run_pinned("offload")
         assert result.headers[0] == "skew"
         assert len(result.rows) == 6  # 2 skews x 3 modes, one chunk
         for skew in (0.0, 0.6):
@@ -57,50 +144,71 @@ class TestMicroExperiments:
 
 class TestHashTableExperiments:
     def test_fig5(self):
-        result = exp.fig5_race_contention(threads=(2,), thetas=(0.0,))
+        result = run_pinned("fig5")
         sweeps = {row[0] for row in result.rows}
         assert sweeps == {"threads", "theta"}
 
     def test_fig7(self):
-        result = exp.fig7_hashtable(threads=(2,), compute_blades=(2,),
-                                    item_count=5_000)
+        result = run_pinned("fig7", jobs=(1, 2))
         modes = {row[0] for row in result.rows}
         assert modes == {"scale-up", "scale-out"}
         # 2 quick-mode workloads x (1 thread point + 1 blade point) x 2 systems
         assert len(result.rows) == 8
 
     def test_fig8(self):
-        result = exp.fig8_breakdown(threads=(2,), item_count=5_000)
+        result = run_pinned("fig8")
         configs = {row[2] for row in result.rows}
         assert configs == {"baseline", "+ThdResAlloc", "+WorkReqThrot",
                            "+ConflictAvoid"}
 
     def test_fig9(self):
-        result = exp.fig9_ht_latency(gaps_ns=(0.0,), item_count=5_000, threads=4)
+        result = run_pinned("fig9")
         assert {row[0] for row in result.rows} == {"race", "smart-ht"}
 
     def test_fig14(self):
-        result = exp.fig14_conflict(threads=(2,), item_count=5_000)
+        result = run_pinned("fig14")
         assert len(result.rows) == 4
         assert result.observations  # retry-free percentages reported
 
 
 class TestDtxExperiments:
     def test_fig10(self):
-        result = exp.fig10_dtx(threads=(2,), item_count=2_000)
+        result = run_pinned("fig10")
         assert {row[0] for row in result.rows} == {"smallbank", "tatp"}
         assert all(row[3] > 0 for row in result.rows)
 
     def test_fig11(self):
-        result = exp.fig11_dtx_latency(gaps_ns=(0.0,), item_count=2_000, threads=4)
+        result = run_pinned("fig11")
         assert all(row[4] > 0 for row in result.rows)  # p50 measured
 
 
 class TestBtreeExperiments:
     def test_fig12(self):
-        result = exp.fig12_btree(threads=(2,), servers=(2,), item_count=5_000)
+        result = run_pinned("fig12")
         systems = {row[2] for row in result.rows}
         assert systems == {"sherman", "sherman-sl", "smart-bt"}
+
+
+class TestCompanionExperiments:
+    """The three entries that are not paper figures."""
+
+    def test_latency_throughput(self):
+        result = run_pinned("latency_throughput")
+        assert result.headers[:2] == ["offered", "race_mops"]
+        assert len(result.rows) == 1
+        assert len(result.observations) == 2  # one knee verdict per system
+
+    def test_resharding(self):
+        result = run_pinned("resharding")
+        assert [row[1] for row in result.rows] == ["before", "during", "after"]
+        assert "shard move(s)" in result.observations[0]
+
+    def test_chaos(self):
+        result = run_pinned("chaos")
+        assert [row[0] for row in result.rows] == [
+            "none", "loss", "crash", "crash+loss"]
+        assert result.rows[0][2:] == [0, 0, 0.0, 0, 0, 0, 0, 0]
+        assert result.rows[2][2] == 1  # the crash scenario crashed a blade
 
 
 class TestRegistry:
@@ -117,3 +225,12 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_FULL", "0")
         assert not exp.full_grids()
         assert exp._grid((1,), (1, 2, 3)) == (1,)
+
+
+if __name__ == "__main__":  # record mode: print the table for this src tree
+    print("EXPERIMENT_DIGESTS = {")
+    for name, grid in TINY_GRIDS.items():
+        json_digest, text_digest = digests(exp.ALL_EXPERIMENTS[name](jobs=1, **grid))
+        print(f'    "{name}": ("{json_digest}",\n'
+              f'{" " * (len(name) + 9)}"{text_digest}"),')
+    print("}")

@@ -62,15 +62,14 @@ def test_fig4_deep_queues_lose_half_the_throughput():
 # -- near-memory offload crossover (offload experiment) ------------------------
 
 
-def graph_point(mode, **overrides):
+def graph_point(mode, **rnic_knobs):
     from repro.bench.graph_runner import run_graph
+    from repro.rnic.config import RnicConfig
 
-    kw = dict(
+    return run_graph(
         mode=mode, algo="bfs", vertices=96, degree=4, skew=0.6,
-        seed=3, chunk=16,
+        seed=3, chunk=16, config=RnicConfig(**rnic_knobs),
     )
-    kw.update(overrides)
-    return run_graph(**kw)
 
 
 def test_offload_eliminates_wasted_cas_at_high_skew():

@@ -154,6 +154,8 @@ class TestCli:
         ["resharding", "--tenants", "0"],
         ["odp", "--ratios", "1.5"],
         ["offload", "--modes", "bogus"],
+        # one .json file cannot hold seventeen figures (it kept the last)
+        ["--figure", "all", "--json", "out.json"],
     ])
     def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
         assert cli_main(argv) == 2

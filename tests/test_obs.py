@@ -13,6 +13,7 @@ from repro.obs.metrics import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.tracing import (
     SEGMENT_LANES,
     SEGMENTS,
+    STAGES,
     SpanTracer,
     TraceRecorder,
     merge_summaries,
@@ -21,7 +22,6 @@ from repro.obs.validate import main as validate_main, validate_chrome_trace
 from repro.rnic import verbs
 from repro.rnic.policies import PerThreadQpPolicy
 from repro.rnic.qp import read_wr
-from repro.rnic.trace import STAGES
 
 
 class TestLogHistogram:
@@ -322,11 +322,9 @@ class TestObservability:
         assert validate_chrome_trace(trace, expect_spans=["measure", "batch"]) == []
 
     def test_existing_tracer_kept(self):
-        from repro.rnic.trace import Tracer
-
         cluster = Cluster()
         node = cluster.add_node()
-        mine = Tracer()
+        mine = SpanTracer()
         node.device.tracer = mine
         Observability().attach_cluster(cluster)
         assert node.device.tracer is mine
@@ -389,6 +387,3 @@ class TestExperimentTelemetry:
             "remote_queue_and_exec": 3.0, "return_flight": 4.0, "total": 10.0,
         }}
         assert result.to_dict()["telemetry"] == result.telemetry
-        text = result.format()
-        assert "batch lifecycle breakdown" in text
-        assert "post_to_issue" in text

@@ -12,19 +12,21 @@ import pickle
 
 import pytest
 
+from repro.bench.microbench import run_microbench
 from repro.bench.parallel import (
     PointFailure,
     PointSpec,
     default_jobs,
-    register_experiment,
     resolve_jobs,
     run_points,
 )
+from repro.bench.runner import run_hashtable
+from tests._parallel_helpers import run_boom, run_exit, run_ok
 
 #: A small Fig-7-style grid: hash-table points across systems/threads,
 #: sized to keep the pooled run affordable in CI.
 _FIG7_GRID = [
-    PointSpec("run_hashtable", dict(
+    PointSpec(run_hashtable, dict(
         system=system, threads=threads, item_count=4_000,
         warmup_ns=0.2e6, measure_ns=0.4e6,
     ), seed=seed)
@@ -37,27 +39,17 @@ _FIG7_GRID = [
 
 
 class TestPointSpec:
-    def test_resolves_registered_fn(self):
-        from repro.bench.microbench import run_microbench
-
-        spec = PointSpec("run_microbench", dict(threads=2))
-        assert spec.resolve() is run_microbench
-
-    def test_unknown_fn_rejected(self):
-        with pytest.raises(KeyError, match="unknown experiment fn"):
-            PointSpec("not_a_bench", {}).resolve()
-
     def test_picklable(self):
         spec = _FIG7_GRID[0]
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
     def test_seed_overrides_kwargs(self):
-        spec = PointSpec("run_microbench", dict(
+        spec = PointSpec(run_microbench, dict(
             policy="per-thread-db", threads=4, depth=2,
             warmup_ns=0.1e6, measure_ns=0.2e6, seed=1,
         ), seed=9)
-        explicit = PointSpec("run_microbench", dict(
+        explicit = PointSpec(run_microbench, dict(
             policy="per-thread-db", threads=4, depth=2,
             warmup_ns=0.1e6, measure_ns=0.2e6, seed=9,
         ))
@@ -69,8 +61,6 @@ class TestRunPoints:
         assert run_points([], jobs=4) == []
 
     def test_serial_matches_direct_calls(self):
-        from repro.bench.runner import run_hashtable
-
         direct = [
             run_hashtable(**{**spec.kwargs, "seed": spec.seed})
             for spec in _FIG7_GRID
@@ -106,18 +96,16 @@ class TestFailurePropagation:
     """A failing point must name its spec; a dead worker must not hang."""
 
     def test_point_failure_carries_failing_spec(self):
-        register_experiment("run_boom", "tests._parallel_helpers")
-        register_experiment("run_ok", "tests._parallel_helpers")
         grid = [
-            PointSpec("run_ok", dict(value=1)),
-            PointSpec("run_boom", dict(x=3), seed=11),
-            PointSpec("run_ok", dict(value=2)),
+            PointSpec(run_ok, dict(value=1)),
+            PointSpec(run_boom, dict(x=3), seed=11),
+            PointSpec(run_ok, dict(value=2)),
         ]
         with pytest.raises(PointFailure) as info:
-            run_points(grid, jobs=2, batch_size=1)
+            run_points(grid, jobs=2)
         failure = info.value
         assert failure.spec == grid[1]
-        assert failure.spec.fn == "run_boom"
+        assert failure.spec.fn is run_boom
         assert failure.spec.kwargs == {"x": 3}
         assert failure.spec.seed == 11
         text = str(failure)
@@ -126,35 +114,22 @@ class TestFailurePropagation:
         assert "boom x=3 seed=11" in failure.worker_traceback
 
     def test_dead_worker_detected_instead_of_hanging(self):
-        register_experiment("run_exit", "tests._parallel_helpers")
-        register_experiment("run_ok", "tests._parallel_helpers")
-        grid = [PointSpec("run_exit", dict(code=7))] + [
-            PointSpec("run_ok", dict(value=i)) for i in range(6)
+        grid = [PointSpec(run_exit, dict(code=7))] + [
+            PointSpec(run_ok, dict(value=i)) for i in range(6)
         ]
         with pytest.raises(PointFailure, match="died"):
-            run_points(grid, jobs=2, batch_size=1)
+            run_points(grid, jobs=2)
 
     def test_pool_rebuilt_after_failure(self):
         """The sweep after a failure gets a fresh pool and just works."""
-        register_experiment("run_ok", "tests._parallel_helpers")
-        grid = [PointSpec("run_ok", dict(value=i)) for i in range(8)]
-        assert run_points(grid, jobs=2, batch_size=2) == [
-            2 * i for i in range(8)
-        ]
+        grid = [PointSpec(run_ok, dict(value=i)) for i in range(8)]
+        assert run_points(grid, jobs=2) == [2 * i for i in range(8)]
 
     def test_serial_failure_propagates_original_exception(self):
         """jobs=1 runs in-process: the original exception (with its real
         traceback) is more useful than a PointFailure wrapper there."""
-        register_experiment("run_boom", "tests._parallel_helpers")
         with pytest.raises(ValueError, match="boom"):
-            run_points([PointSpec("run_boom", dict(x=1))], jobs=1)
-
-    def test_late_registration_reaches_warm_workers(self):
-        """Experiments registered *after* the pool forked must still
-        resolve in the workers (the registry snapshot rides each task)."""
-        register_experiment("run_ok_late", "tests._parallel_helpers")
-        grid = [PointSpec("run_ok_late", dict(value=i)) for i in range(4)]
-        assert run_points(grid, jobs=2, batch_size=1) == [0, 2, 4, 6]
+            run_points([PointSpec(run_boom, dict(x=1))], jobs=1)
 
 
 class TestSerialParallelEquivalence:
@@ -169,7 +144,7 @@ class TestSerialParallelEquivalence:
 
     def test_microbench_points_equivalent(self):
         grid = [
-            PointSpec("run_microbench", dict(
+            PointSpec(run_microbench, dict(
                 policy=policy, threads=4, depth=4,
                 warmup_ns=0.1e6, measure_ns=0.3e6,
             ), seed=seed)

@@ -1,5 +1,7 @@
 """End-to-end tests of the RDMA data path (post -> remote exec -> CQE)."""
 
+import gc
+
 import pytest
 
 from repro.cluster import Cluster
@@ -10,7 +12,7 @@ from repro.rnic.policies import (
     PerThreadQpPolicy,
     SharedQpPolicy,
 )
-from repro.rnic.qp import cas_wr, faa_wr, read_wr, write_wr
+from repro.rnic.qp import WorkBatch, cas_wr, faa_wr, read_wr, write_wr
 
 
 def make_cluster(threads=2, memory_nodes=1, policy=None):
@@ -125,6 +127,32 @@ class TestDataPath:
         assert compute.device.counters.wqe_processed == 32
         assert compute.device.counters.cqe_delivered == 32
         assert remote.device.counters.responder_ops == 32
+
+    def test_completed_batches_need_no_cyclic_collector(self):
+        # ``done`` fires with the CQE count; were it to hold its own batch,
+        # every completed batch would be a cycle only the collector frees.
+        cluster, compute, (remote,) = make_cluster(threads=1)
+        thread = compute.threads[0]
+        fired = []
+
+        def proc():
+            qp = thread.qp_for(remote.node_id)
+            addr = remote.storage.global_addr(0)
+            for _ in range(50):
+                batch = yield from verbs.post_and_wait(
+                    thread, qp, [read_wr(addr, 8), read_wr(addr + 8, 8)])
+                fired.append(batch.done.value)
+
+        gc.collect()
+        gc.disable()
+        try:
+            cluster.sim.spawn(proc())
+            cluster.sim.run()
+            live = sum(isinstance(o, WorkBatch) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert fired == [2] * 50
+        assert live == 0
 
     def test_wrong_blade_routing_raises(self):
         cluster, compute, remotes = make_cluster(memory_nodes=2)
@@ -453,21 +481,22 @@ class TestFeatureOffIdentity:
         import dataclasses
 
         from repro.bench.microbench import run_microbench
+        from repro.rnic.config import RnicConfig
 
         stock = run_microbench(**self.KW)
-        knobs_off = run_microbench(
-            **self.KW, pinned_ratio=1.0, merge_wrs=False, adaptive_poll=False
-        )
+        knobs_off = run_microbench(**self.KW, config=RnicConfig(
+            pinned_ratio=1.0, merge_wrs=False, adaptive_poll=False))
         assert dataclasses.asdict(stock) == dataclasses.asdict(knobs_off)
 
     def test_odp_merge_run_replays_bit_identically(self):
         import dataclasses
 
         from repro.bench.microbench import run_microbench
+        from repro.rnic.config import RnicConfig
 
-        kw = dict(self.KW, access="seq", pinned_ratio=0.5, merge_wrs=True,
-                  adaptive_poll=True, faults="invalidate=all@0.2ms+0",
-                  fault_seed=3, sanitize=True)
+        kw = dict(self.KW, access="seq", faults="invalidate=all@0.2ms+0",
+                  fault_seed=3, sanitize=True, config=RnicConfig(
+                      pinned_ratio=0.5, merge_wrs=True, adaptive_poll=True))
         first = run_microbench(**kw)
         second = run_microbench(**kw)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.obs.tracing import STAGES, SpanTracer as Tracer
 from repro.rnic import verbs
 from repro.rnic.policies import PerThreadQpPolicy
 from repro.rnic.qp import read_wr
-from repro.rnic.trace import STAGES, Tracer
 
 
 def traced_cluster(threads=2):
@@ -26,7 +26,7 @@ class TestTracerUnit:
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            Tracer(0)
+            Tracer(capacity=0)
 
     def test_eviction_beyond_capacity(self):
         tracer = Tracer(capacity=2)

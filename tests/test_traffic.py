@@ -294,11 +294,12 @@ def test_obs_exports_tenant_metrics_and_closed_loop_unchanged():
                    or key.endswith("queue_delay_ns") for key in closed_names)
 
 
-def test_run_open_loop_registered_for_parallel_sweeps():
+def test_run_open_loop_runs_as_a_sweep_point():
     from repro.bench.parallel import PointSpec, run_points
+    from repro.traffic import run_open_loop
 
     specs = [
-        PointSpec("run_open_loop", dict(
+        PointSpec(run_open_loop, dict(
             app="hashtable", rate_mops=rate, threads=2, workers=4,
             item_count=10_000, warmup_ns=0.3e6, measure_ns=0.5e6,
         ))
