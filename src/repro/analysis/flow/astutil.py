@@ -5,31 +5,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Sequence, Set
 
-#: attribute calls whose yielded result marks a function as a DES process
-#: generator (``sim.timeout(...)``, ``lock.acquire(...)``, ``take``, …)
-PROCESS_YIELD_ATTRS = {"timeout", "acquire", "take", "event", "begin_op", "all_of"}
-
-BROAD_EXCEPTION_NAMES = {"Exception", "BaseException"}
-
-
-def leaf_name(node: ast.AST) -> Optional[str]:
-    """The rightmost identifier of a Name/Attribute chain."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def own_scope(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node``'s body without descending into nested functions."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
+# One copy of the process-generator heuristic (and its attribute table)
+# serves both analysers; it lives with the older one.
+from repro.analysis.lint import (  # noqa: F401
+    _BROAD_EXCEPTION_NAMES as BROAD_EXCEPTION_NAMES,
+    _is_process_generator as is_process_generator,
+    _leaf_name as leaf_name,
+    _own_scope as own_scope,
+)
 
 
 def is_generator(fn: ast.AST) -> bool:
@@ -37,27 +20,6 @@ def is_generator(fn: ast.AST) -> bool:
     return any(
         isinstance(child, (ast.Yield, ast.YieldFrom)) for child in own_scope(fn)
     )
-
-
-def is_process_generator(fn: ast.AST) -> bool:
-    """Heuristic: does this function look like a DES process generator?
-
-    ``yield from``-delegating functions count (all verbs helpers do), as
-    does yielding the result of a known waitable factory (``timeout``,
-    ``acquire``, ``take``, …) or a ``.done`` event.
-    """
-    for child in own_scope(fn):
-        if isinstance(child, ast.YieldFrom):
-            return True
-        if isinstance(child, ast.Yield) and child.value is not None:
-            value = child.value
-            if isinstance(value, ast.Call):
-                name = leaf_name(value.func)
-                if name in PROCESS_YIELD_ATTRS:
-                    return True
-            if isinstance(value, ast.Attribute) and value.attr == "done":
-                return True
-    return False
 
 
 def parent_map(root: ast.AST) -> Dict[ast.AST, ast.AST]:

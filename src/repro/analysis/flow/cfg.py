@@ -138,14 +138,26 @@ class CFG:
         return "\n".join(lines)
 
 
+#: acquire attr -> matching release attr
+ACQUIRE_PAIRS = {"acquire": "release", "take": "put"}
+#: grant-on-the-spot attr -> the yielded acquire it stands in for:
+#: ``if not x.try_acquire(): yield x.acquire()`` is *one* acquisition
+SPOT_ACQUIRES = {"try_acquire": "acquire", "try_take": "take"}
+
+
 def _contains_direct_acquire(stmt: ast.AST) -> bool:
-    """Does ``stmt`` yield a direct ``.acquire(...)``/``.take(...)`` call?"""
+    """Does ``stmt`` yield a direct ``.acquire(...)``/``.take(...)`` call,
+    or take one on the spot (``.try_acquire(...)``/``.try_take(...)``)?"""
     for sub in ast.walk(stmt):
+        if isinstance(sub, ast.Yield):
+            sub = sub.value
+            attrs = ACQUIRE_PAIRS
+        else:
+            attrs = SPOT_ACQUIRES
         if (
-            isinstance(sub, ast.Yield)
-            and isinstance(sub.value, ast.Call)
-            and isinstance(sub.value.func, ast.Attribute)
-            and sub.value.func.attr in {"acquire", "take"}
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in attrs
         ):
             return True
     return False

@@ -3,14 +3,16 @@
 The ownership rules need exactly one lattice: sets of *resource keys*
 under union (``may hold``).  Each node contributes ``gen`` (resources
 acquired by the statement) and ``kill`` (resources released); transfer is
-``OUT = (IN - kill) | gen``; ``IN`` is the union over predecessors.  The
-worklist iterates to the (finite, monotone) fixpoint.
+``OUT = (IN - kill) | gen``; ``IN`` is the union over predecessors, plus
+whatever is born on the incoming *edge* (``edge_gen`` — a resource a
+branch test granted is held on the branch that saw the grant, not on the
+other).  The worklist iterates to the (finite, monotone) fixpoint.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Set, Tuple
 
 from repro.analysis.flow.cfg import CFG, ENTRY
 
@@ -22,6 +24,7 @@ def forward_may(
     cfg: CFG,
     gen: Mapping[int, Set[Hashable]],
     kill: Mapping[int, Set[Hashable]],
+    edge_gen: Optional[Mapping[Tuple[int, int], Set[Hashable]]] = None,
 ) -> Tuple[Dict[int, Facts], Dict[int, Facts]]:
     """Solve the may-analysis; returns ``(IN, OUT)`` per node id."""
     node_ids = range(cfg.node_count)
@@ -38,6 +41,8 @@ def forward_may(
             incoming = EMPTY
             for pred in cfg.preds[node]:
                 incoming |= out_facts[pred]
+                if edge_gen and (pred, node) in edge_gen:
+                    incoming |= frozenset(edge_gen[(pred, node)])
         in_facts[node] = incoming
         outgoing = frozenset(
             (incoming - frozenset(kill.get(node, ()))) | frozenset(gen.get(node, ()))

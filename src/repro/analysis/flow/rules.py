@@ -44,7 +44,7 @@ from repro.analysis.flow.astutil import (
     own_scope,
     parent_map,
 )
-from repro.analysis.flow.cfg import EXIT, build_cfg
+from repro.analysis.flow.cfg import ACQUIRE_PAIRS, EXIT, SPOT_ACQUIRES, build_cfg
 from repro.analysis.flow.dataflow import forward_may
 from repro.analysis.flow.symbols import ModuleSymbols, build_symbols
 
@@ -58,9 +58,6 @@ RULES: Dict[str, str] = {
     "FLW301": "yield inside a broad except handler of a process generator",
     "FLW302": "yield inside finally of a process generator",
 }
-
-#: acquire attr -> matching release attr
-_ACQUIRE_PAIRS = {"acquire": "release", "take": "put"}
 
 _SCHEDULING_CALLS = {
     "spawn", "call_at", "call_after", "timeout", "fire", "interrupt", "schedule",
@@ -103,7 +100,13 @@ def _flag(findings: List[RawFinding], rule: str, node: ast.AST, message: str,
 def _acquire_call(node: ast.expr) -> Optional[Tuple[ast.Call, str]]:
     """``(call, kind)`` when ``node`` is a ``yield``/``yield from`` of an
     acquire-style call; kind is 'direct' for ``yield x.acquire(...)``
-    (FifoLock idiom), 'delegated' for ``yield from helper.acquire(...)``."""
+    (FifoLock idiom) and for a bare ``x.try_acquire(...)`` — a grant
+    without a yield, assumed (may-analysis) to have succeeded —
+    'delegated' for ``yield from helper.acquire(...)``."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in SPOT_ACQUIRES:
+            return node, "direct"
+        return None
     if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
         call = node.value
         kind = "direct"
@@ -112,7 +115,7 @@ def _acquire_call(node: ast.expr) -> Optional[Tuple[ast.Call, str]]:
         kind = "delegated"
     else:
         return None
-    if isinstance(call.func, ast.Attribute) and call.func.attr in _ACQUIRE_PAIRS:
+    if isinstance(call.func, ast.Attribute) and call.func.attr in ACQUIRE_PAIRS:
         return call, kind
     return None
 
@@ -179,11 +182,37 @@ def _check_ownership(info, findings: List[RawFinding],
                     # across functions); only the sim-lock idiom is tracked.
                     continue
                 key = _resource_key(call)
-                release_attr = _ACQUIRE_PAIRS[call.func.attr]
+                attr = SPOT_ACQUIRES.get(call.func.attr, call.func.attr)
+                release_attr = ACQUIRE_PAIRS[attr]
                 acquires[node_id] = (key, release_attr, kind, call)
                 release_attrs.add(release_attr)
     if not acquires:
         return
+    # ``if not x.try_acquire(): yield x.acquire()`` is one acquisition:
+    # held after the yield, and held on the edges that *skip* the body
+    # (the test granted it) — not in the header's own post-state, which
+    # is also the pre-state of the yield that may still be interrupted.
+    slow_half: Dict[int, int] = {}  # the yield's node -> the header's
+    for header, (key, _attr, _kind, call) in acquires.items():
+        stmt = cfg.stmts[header]
+        if not (
+            call.func.attr in SPOT_ACQUIRES
+            and isinstance(stmt, ast.If)
+            and isinstance(stmt.test, ast.UnaryOp)
+            and isinstance(stmt.test.op, ast.Not)
+            and stmt.test.operand is call
+            and len(stmt.body) == 1
+            and not stmt.orelse
+        ):
+            continue
+        for node_id in cfg.nodes_for(stmt.body[0]):
+            slow = acquires.get(node_id)
+            if (
+                slow is not None
+                and slow[0] == key
+                and slow[3].func.attr == SPOT_ACQUIRES[call.func.attr]
+            ):
+                slow_half[node_id] = header
     for node_id in range(cfg.node_count):
         keys: Set[Tuple[str, Optional[str]]] = set()
         for root in cfg.own_exprs(node_id):
@@ -214,10 +243,21 @@ def _check_ownership(info, findings: List[RawFinding],
     gen: Dict[int, Set[object]] = {}
     kill: Dict[int, Set[object]] = {}
     facts: Dict[object, Tuple[Tuple[str, Optional[str]], str, str, ast.Call, int]] = {}
+    edge_gen: Dict[Tuple[int, int], Set[object]] = {}
+    paired_headers = set(slow_half.values())
     for node_id, (key, release_attr, kind, call) in acquires.items():
-        fact = ("res", node_id)
-        facts[fact] = (key, release_attr, kind, call, node_id)
-        gen[node_id] = {fact}
+        header = slow_half.get(node_id, node_id)
+        fact = ("res", header)
+        if header == node_id:
+            facts[fact] = (key, release_attr, kind, call, node_id)
+        if node_id not in paired_headers:
+            gen[node_id] = {fact}
+    for node_id, header in slow_half.items():
+        # The header's fall-through successors are the yield's too (its
+        # other edges are the body and the yield's own pre-state
+        # exception edges).
+        for succ in cfg.succs[header] & cfg.succs[node_id]:
+            edge_gen[(header, succ)] = {("res", header)}
     for node_id, released in releases.items():
         killed: Set[object] = set()
         for fact, (key, _attr, _kind, _call, acq_node) in facts.items():
@@ -226,7 +266,7 @@ def _check_ownership(info, findings: List[RawFinding],
         if killed:
             kill[node_id] = killed
 
-    in_facts, _out = forward_may(cfg, gen, kill)
+    in_facts, _out = forward_may(cfg, gen, kill, edge_gen)
 
     # FLW101: held at EXIT though the function does release it somewhere.
     for fact in in_facts[EXIT]:

@@ -68,6 +68,9 @@ _UNSEEDED_RANDOM = {
 #: attribute calls whose yielded result marks a function as a process
 #: generator (sim.timeout(...), lock.acquire(...), throttler.take(...), …)
 _PROCESS_YIELD_ATTRS = {"timeout", "acquire", "take", "event", "begin_op", "all_of"}
+#: their grant-on-the-spot forms: the call itself (not yielded — that is
+#: the point) marks a generator as a process step just the same
+_ON_THE_SPOT_ATTRS = {"try_acquire", "try_take", "try_begin_op"}
 _BROAD_EXCEPTION_NAMES = {"Exception", "BaseException"}
 
 
@@ -134,12 +137,15 @@ def _is_process_generator(fn: ast.AST) -> bool:
 
     ``yield from``-delegating functions count (all verbs helpers do), as
     does yielding the result of a known waitable factory (``timeout``,
-    ``acquire``, ``take``, …) or a ``.done`` event.
+    ``acquire``, ``take``, …) or a ``.done`` event, and a generator that
+    takes a resource on the spot (``try_acquire``, ``try_take``, …).
     """
+    yields = on_the_spot = False
     for child in _own_scope(fn):
         if isinstance(child, ast.YieldFrom):
             return True
-        if isinstance(child, ast.Yield) and child.value is not None:
+        if isinstance(child, ast.Yield):
+            yields = True
             value = child.value
             if isinstance(value, ast.Call):
                 name = _leaf_name(value.func)
@@ -147,7 +153,9 @@ def _is_process_generator(fn: ast.AST) -> bool:
                     return True
             if isinstance(value, ast.Attribute) and value.attr == "done":
                 return True
-    return False
+        elif isinstance(child, ast.Call):
+            on_the_spot |= _leaf_name(child.func) in _ON_THE_SPOT_ATTRS
+    return yields and on_the_spot
 
 
 def _mentions(node: ast.AST, attr_names: Set[str]) -> bool:

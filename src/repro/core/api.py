@@ -158,7 +158,8 @@ class SmartHandle:
                 cursor += chunk_len
                 # Algorithm 1 line 4: batch size rides in the last wr_id.
                 chunk[-1].wr_id = ("batch", len(chunk))
-                yield throttler.take(len(chunk))
+                if not throttler.try_take(len(chunk)):
+                    yield throttler.take(len(chunk))
                 batch = yield from verbs.post_send(
                     self.thread, qp, chunk, actor=self.actor
                 )
@@ -294,7 +295,9 @@ class SmartHandle:
 
     def begin_op(self):
         """Mark the start of one application-level operation."""
-        yield self.smart.avoider.begin_op()
+        avoider = self.smart.avoider
+        if not avoider.try_begin_op():
+            yield avoider.begin_op()
         self._op_started_at = self.sim.now
         self._op_retries = 0
         self._attempts = 0

@@ -73,6 +73,14 @@ class ConflictAvoider:
             return ticket
         return self._op_credits.take(1)
 
+    def try_begin_op(self) -> bool:
+        """Take the operation credit on the spot when :meth:`begin_op`
+        would not have made the caller wait (see ``TokenBucket.try_take``).
+        """
+        if not self.features.coroutine_throttling:
+            return self.sim.rest_of_tick_empty()
+        return self._op_credits.try_take(1)
+
     def end_op(self) -> None:
         self._window_ops += 1
         if self.features.coroutine_throttling:

@@ -45,6 +45,15 @@ class WorkRequestThrottler:
             return ticket
         return self.credits.take(amount)
 
+    def try_take(self, amount: int) -> bool:
+        """"Unless credit is enough": debit on the spot when :meth:`take`
+        would not have made the caller wait (see ``TokenBucket.try_take``);
+        with throttling off only the tick's other events can be in the way.
+        """
+        if not self.enabled:
+            return self.sim.rest_of_tick_empty()
+        return self.credits.try_take(amount)
+
     def on_complete(self, amount: int) -> None:
         """SmartPollCq's replenish path (wired to batch completion)."""
         self.completed += amount

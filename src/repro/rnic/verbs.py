@@ -53,7 +53,8 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
     thread_id = getattr(thread, "thread_id", 0)
     if qp.share_lock is not None:
         qp.note_user(thread_id)
-        yield qp.share_lock.acquire(owner=thread_id)
+        if not qp.share_lock.try_acquire(owner=thread_id):
+            yield qp.share_lock.acquire(owner=thread_id)
     try:
         if qp.share_lock is not None:
             thread.mark_busy_until_now()
@@ -63,7 +64,8 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
         doorbell = qp.doorbell
         doorbell.note_user(thread_id)
         wait_start = device.sim.now
-        yield doorbell.lock.acquire(owner=thread_id)
+        if not doorbell.lock.try_acquire(owner=thread_id):
+            yield doorbell.lock.acquire(owner=thread_id)
         try:
             # The wait above was a spin: the thread's CPU was burning the
             # whole time, so bring its watermark up to now before the

@@ -59,7 +59,7 @@ class Interrupt(Exception):
 class Waitable:
     """Base class for things a process may yield.
 
-    A waitable accepts at most many subscribers; when it triggers, each
+    A waitable accepts any number of subscribers; when it triggers, each
     subscriber is invoked with the waitable's value.  A subscriber is
     either a plain callable or a :class:`Process` instance — the kernel
     resumes processes directly (the fused fast path) instead of going
@@ -84,7 +84,8 @@ class Waitable:
 
     def _subscribe(self, callback: Any) -> None:
         if self._triggered:
-            # Deliver on the next tick to preserve run-to-completion
+            # Deliver later in the *same* tick, behind everything already
+            # queued at this instant, to preserve run-to-completion
             # semantics of the subscribing process.
             self._sim._schedule_at(self._sim.now, callback, self._value)
         else:
@@ -319,7 +320,9 @@ class Simulator:
         #: drained bucket lists recycled here instead of reallocated
         self._free: List[list] = []
         #: bucket currently being drained (events scheduled for ``now``
-        #: append here so same-tick cascades stay FIFO) and its cursor
+        #: append here so same-tick cascades stay FIFO) and its cursor,
+        #: which every drain path keeps one entry past the event being
+        #: executed (see :meth:`rest_of_tick_empty`)
         self._active: Optional[list] = None
         self._active_pos = 0
         self.now = 0
@@ -390,6 +393,23 @@ class Simulator:
                 heapq.heappush(self._overflow_times, when)
         bucket.append(what)
         bucket.append(value)
+
+    def rest_of_tick_empty(self) -> bool:
+        """Is the running step the last thing queued at this instant?
+
+        This is the kernel's one rule for skipping a suspension: a step
+        that finds its resource free while nothing else is pending at
+        ``now`` may continue in place, because yielding an already-fired
+        ticket would re-queue it at the back of this tick — which is the
+        head, the tick being otherwise empty — and resume it next, at the
+        same instant, with nothing in between.  Same-tick FIFO order is
+        therefore untouched and only :attr:`events_executed` can tell the
+        difference.  False while no tick is being drained (set-up code
+        before ``run``) and whenever anything else is queued at ``now``;
+        callers then take the ordinary ticket-and-yield path.
+        """
+        bucket = self._active
+        return bucket is not None and self._active_pos >= len(bucket)
 
     def call_at(self, when: float, callback: Callable, value: Any = _NO_VALUE) -> None:
         """Run ``callback()`` — or ``callback(value)`` if ``value`` is
@@ -544,9 +564,9 @@ class Simulator:
             # Drain the whole tick.  The outer loop rechecks the length —
             # entries appended mid-drain (same-tick cascades) extend the
             # bucket past the hoisted bound, while the inner loop runs
-            # free of len() calls.  The finally clause keeps the cursor
-            # consistent when a callback raises, so remaining entries
-            # survive for a rerun.
+            # free of len() calls.  The cursor is published before each
+            # event runs, so when a callback raises the remaining entries
+            # survive for a rerun; the finally clause settles the count.
             try:
               while True:
                 n = len(bucket)
@@ -556,6 +576,9 @@ class Simulator:
                     what = bucket[i]
                     value = bucket[i + 1]
                     i += 2
+                    # Publish the cursor: the step about to run may ask
+                    # rest_of_tick_empty().
+                    self._active_pos = i
                     if what.__class__ is Process:
                         # Fused process resume (mirrors Process._resume).
                         if not what._alive:
@@ -610,7 +633,6 @@ class Simulator:
                     else:
                         what(value)
             finally:
-                self._active_pos = i
                 self.events_executed += (i - start) >> 1
         if until is not None and until > self.now:
             self.now = until

@@ -32,6 +32,11 @@ class FifoLock:
     holder raises :class:`SimulationError`; RDMASan's lock-discipline
     checker relies on this being a trustworthy oracle.  Callers that
     pass no owner keep the old unchecked behaviour.
+
+    A hot path that expects the lock to be free skips the ticket::
+
+        if not lock.try_acquire():
+            yield lock.acquire()
     """
 
     def __init__(self, sim: Simulator, name: str = "lock"):
@@ -66,6 +71,23 @@ class FifoLock:
             self._waiters.append((ticket, self._sim.now, owner))
             self.max_queue_len = max(self.max_queue_len, len(self._waiters))
         return ticket
+
+    def try_acquire(self, owner: Any = None) -> bool:
+        """Take the lock on the spot, or return False and change nothing.
+
+        Succeeds exactly when :meth:`acquire` would grant at once *and*
+        the caller, had it yielded that ticket, would have been resumed
+        next (:meth:`Simulator.rest_of_tick_empty`) — so continuing in
+        place preserves the order of everything else at this instant.
+        The grant is the same grant: ``owner``, ``acquisitions`` and a
+        zero wait are recorded as ``acquire`` records them.
+        """
+        if self._locked or self._waiters or not self._sim.rest_of_tick_empty():
+            return False
+        self._locked = True
+        self.owner = owner
+        self.acquisitions += 1
+        return True
 
     def release(self, owner: Any = None) -> None:
         if not self._locked:
@@ -165,11 +187,24 @@ class TokenBucket:
         return ticket
 
     def try_take(self, amount: int = 1) -> bool:
-        """Non-blocking take; only succeeds when no one is queued before us."""
-        if not self._waiters and self._tokens - amount >= 0:
-            self._tokens -= amount
-            return True
-        return False
+        """Debit ``amount`` on the spot, or return False and change nothing.
+
+        Succeeds exactly when :meth:`take` would fire its ticket at once
+        (enough tokens, no one queued before us) *and* the caller, had it
+        yielded that ticket, would have been resumed next
+        (:meth:`Simulator.rest_of_tick_empty`)::
+
+            if not bucket.try_take(n):
+                yield bucket.take(n)
+        """
+        if (
+            self._waiters
+            or self._tokens - amount < 0
+            or not self._sim.rest_of_tick_empty()
+        ):
+            return False
+        self._tokens -= amount
+        return True
 
     def put(self, amount: int = 1) -> None:
         self._tokens += amount

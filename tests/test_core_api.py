@@ -191,6 +191,36 @@ class TestSmartHandleVerbs:
         assert smart.stats.ops == 1
         assert smart.stats.latencies_ns[0] > 0
 
+    @pytest.mark.parametrize("features", [baseline(), full()],
+                             ids=["all-off", "all-on"])
+    def test_uncontended_op_allocates_no_tickets(self, features):
+        """Regression: with throttling *off* every post and every op still
+        built and fired an Event and took a same-tick round trip for it.
+        A lone coroutine now allocates one Event per op — the batch's
+        ``done`` — whether the features are on or off."""
+        cluster, _, remotes, _, smart_threads = make_smart(
+            threads=1, features=features
+        )
+        smart = smart_threads[0]
+        handle = smart.handle()
+        addr = remotes[0].storage.global_addr(4096)
+        sim = cluster.sim
+        made = []
+        event = sim.event
+        sim.event = lambda: made.append(sim.now) or event()
+
+        def proc():
+            for _ in range(3):
+                yield from handle.begin_op()
+                yield from handle.write_sync(addr, b"x" * 8)
+                handle.end_op()
+
+        sim.spawn(proc())
+        sim.run(until=1e5)
+        smart.stop()
+        assert smart.stats.ops == 3
+        assert len(made) == 3  # parent: 12 (begin_op, credit, doorbell, done)
+
     def test_end_op_without_begin_raises(self):
         _, _, _, _, smart_threads = make_smart(threads=1)
         handle = smart_threads[0].handle()

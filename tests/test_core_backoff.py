@@ -161,3 +161,22 @@ class TestCoroutineThrottling:
         sim.run(until=10_000)
         avoider.stop()
         assert admitted == [0] * 100
+
+    @pytest.mark.parametrize("throttled", [False, True])
+    def test_try_begin_op_admits_on_the_spot_only_when_the_tick_is_ours(
+            self, throttled):
+        sim = Simulator()
+        avoider = make_avoider(sim, coroutine_throttling=throttled)
+        seen = []
+
+        def op(tag, at):
+            yield sim.timeout(at)
+            seen.append((tag, avoider.try_begin_op()))
+
+        sim.spawn(op("lone", 5))
+        sim.spawn(op("first-of-two", 9))
+        sim.spawn(op("second-of-two", 9))
+        sim.run(until=100)
+        avoider.stop()
+        assert seen == [("lone", True), ("first-of-two", False),
+                        ("second-of-two", True)]

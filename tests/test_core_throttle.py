@@ -61,6 +61,31 @@ class TestCredits:
         sim.run()
         assert fired == [0]
 
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_try_take_debits_on_the_spot_only_when_the_tick_is_ours(self, enabled):
+        """Off or on, a free credit costs no ticket and no suspension —
+        unless another step is queued at the same instant, in which case
+        ``try_take`` declines (and debits nothing) so order is kept."""
+        sim = Simulator()
+        features = (SmartFeatures() if enabled else baseline()).with_overrides(
+            adaptive_credit=False
+        )
+        throttler = WorkRequestThrottler(sim, features)
+        before = throttler.credits.tokens
+        seen = []
+
+        def poster(tag, at):
+            yield sim.timeout(at)
+            seen.append((tag, throttler.try_take(2)))
+
+        sim.spawn(poster("lone", 5))
+        sim.spawn(poster("first-of-two", 9))
+        sim.spawn(poster("second-of-two", 9))
+        sim.run()
+        assert seen == [("lone", True), ("first-of-two", False),
+                        ("second-of-two", True)]
+        assert throttler.credits.tokens == before - (4 if enabled else 0)
+
     def test_completed_counter_tracks_all_completions(self):
         sim = Simulator()
         throttler = make_throttler(sim)

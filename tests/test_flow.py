@@ -255,6 +255,63 @@ class TestOwnership:
         """)
         assert "FLW102" not in _rules_of(findings)
 
+    def test_grant_on_the_spot_is_an_acquire(self):
+        # ``try_acquire`` never yields, but a grant is a grant: leaving
+        # without a release on some path, or parking while holding, is
+        # the same finding as after ``yield lock.acquire()`` — once per
+        # acquisition, not once per half of the idiom.
+        findings = _analyze("""
+            def f(lock, sim, cond):
+                if not lock.try_acquire():
+                    yield lock.acquire()
+                yield sim.timeout(5)
+                if cond:
+                    lock.release()
+        """)
+        rules = [f.rule for f in findings]
+        assert rules.count("FLW101") == 1 and rules.count("FLW102") == 1
+        assert all(f.line == 3 for f in findings if f.rule == "FLW101")
+        findings = _analyze("""
+            def f(bucket, cond):
+                if not bucket.try_take(3):
+                    yield bucket.take(3)
+                if cond:
+                    bucket.put(3)
+        """)
+        assert "FLW101" in _rules_of(findings)
+        # Outside the idiom (no yielded fallback) the grant is assumed.
+        findings = _analyze("""
+            def f(lock, sim, cond):
+                yield sim.timeout(1)
+                if lock.try_acquire():
+                    if cond:
+                        lock.release()
+        """)
+        assert _rules_of(findings) == ["FLW101"]
+
+    def test_grant_on_the_spot_negative_released_in_finally(self):
+        # The verbs.py shape: both locks taken on the spot when free, the
+        # inner one inside the outer one's try.  An Interrupt delivered
+        # at the inner ``yield`` arrives with the inner lock *not* held
+        # (try_acquire said no), so the outer finally leaks nothing.
+        findings = _analyze("""
+            def f(qp, doorbell, thread, tid):
+                if qp.share_lock is not None:
+                    if not qp.share_lock.try_acquire(owner=tid):
+                        yield qp.share_lock.acquire(owner=tid)
+                try:
+                    if not doorbell.lock.try_acquire(owner=tid):
+                        yield doorbell.lock.acquire(owner=tid)
+                    try:
+                        yield from thread.compute(5)
+                    finally:
+                        doorbell.lock.release(owner=tid)
+                finally:
+                    if qp.share_lock is not None:
+                        qp.share_lock.release(owner=tid)
+        """)
+        assert _rules_of(findings) == []
+
     def test_flw103_bare_spawn(self):
         findings = _analyze("""
             def setup(sim):
@@ -467,6 +524,23 @@ class TestPragmas:
                 return time.time()  # lint: disable=SIM001
         """)
         assert lint_source(source, "fixture.py") == []
+
+    def test_lint_knows_a_process_by_its_grant_on_the_spot(self):
+        # The SIM lint's process-generator table: a generator that takes
+        # a resource on the spot is a process step, so swallowing
+        # Interrupt in it is SIM003 ...
+        source = textwrap.dedent("""
+            def worker(lock, parked):
+                if lock.try_acquire():
+                    try:
+                        yield parked
+                    except Exception:
+                        pass
+        """)
+        assert [f.rule for f in lint_source(source, "fixture.py")] == ["SIM003"]
+        # ... while the same shape without the grant is just a generator.
+        plain = source.replace("lock.try_acquire()", "lock.looks_free()")
+        assert lint_source(plain, "fixture.py") == []
 
 
 # -- protocol checker ---------------------------------------------------------

@@ -119,16 +119,19 @@ def test_wimpy_core_slowdown_crossover():
 
 # -- cross-commit byte-identity pins for the app runners -----------------------
 #
-# Every digest below was recorded at the commit *before* the run-pipeline
-# refactor (PR 12) with
+# Every digest below was recorded at the commit *before* the post path
+# stopped suspending (PR 14), after the two host-cost counters were taken
+# out of the hashed payload, with
 #
 #     PYTHONPATH=<parent>/src python tests/test_golden_shapes.py
 #
-# which prints this table.  A digest is the sha256 of the runner's whole
-# result dataclass (the ``sim_digest`` of ``benchmarks/e2e``), so any
-# change to a simulated number, a fault counter, the phase breakdown or
-# the sanitizer report of these points fails here — re-record only when
-# a model change is intended, and say so in CHANGES.md.
+# which prints this table (the 9 digests whose payload carried neither
+# counter are still the ones PR 12 recorded).  A digest is the sha256 of the
+# runner's whole result dataclass minus ``sim_events`` (with them, the
+# ``sim_digest`` of ``benchmarks/e2e``), so any change to a simulated
+# number, a fault counter, the phase breakdown or the sanitizer report of
+# these points fails here — re-record only when a model change is
+# intended, and say so in CHANGES.md.
 
 _HT = dict(threads=2, coroutines=2, item_count=2_000,
            warmup_ns=0.2e6, measure_ns=0.4e6)
@@ -164,53 +167,74 @@ _LOSS = dict(faults="loss=0.05@0.25ms+0.2ms", fault_seed=5)
 _LOSS_SMART = dict(faults="loss=0.05@2.05ms+0.2ms", fault_seed=5)
 
 GOLDEN_DIGESTS = {
-    "ht-race": "36a6a4fdc76035e8a06a050c294ccabbed3cce06783fe41561aed8c7bdb741d3",
-    "ht-race+obs": "0cc7e3c0587981fd931a7f9576c0f1bce4274c2be6b5922db9d307bbb87d79ab",
-    "ht-race+sanitize": "b53025726d3c1ba31e5595cab585653bc1b12356af4d6e31e51a25ac1825c268",
-    "ht-race+loss": "3b77e51bd4181a30896c23a08f5344fc8abb0bcbae112c8db3b4d0798a177ddc",
-    "ht-smart": "24179f31a7c14b80de0ad8fee1380d08201cec02df02460aac18ff9cdab328e8",
-    "ht-smart+obs": "8d179eaadb36f04211eec2afcb02420d30f591346c5309c07678c68abf5a9ff4",
-    "ht-smart+sanitize": "7a67f16f3b6167acbc5209f788da95e11221f300a58b7494e56bc1ee3f090373",
-    "ht-smart+loss": "d80c9a6b028791c87fb04042b876020d990d61362c12b75a3ab8b268dbad1f37",
-    "dtx-smallbank": "b0f8c19806e1386a14f7fbb84163b06d993b84705e2a0a183e727a545fe51926",
-    "dtx-smallbank+obs": "9f6f181f55f74e20c22153cc0ebdf904d8ba501f919e12ea9d4f5713ff0c7a55",
-    "dtx-smallbank+sanitize": "3420fed6509e4591e176c28eaa8579f737de4d806beb7d07e4ddbd3987c711cb",
-    "dtx-smallbank+loss": "278908ac8393b1bce0c8fb5535b2f1ea8e8def3f8315342f9fe455cc4e61b0b8",
-    "dtx-tatp": "cb2e9dd32de11cde687c091119b2d4e25be49aff7ae3d95fa68832957b016370",
-    "dtx-tatp+obs": "fc198e0883d0d23af8feb88ea27840ef904f98e4c4398fbc42111e26203b491b",
-    "dtx-tatp+sanitize": "3728a3f6aa583305254495d7da5825e9710754a6fa573d58077558cd05272a3e",
-    "dtx-tatp+loss": "f61f8e08facdedcb56e8117d69bfae8ed2df4235eca0c20807da0830ec9372f6",
-    "bt-sherman": "78efaa6f640500884bbe02fdfa5a2a96a7b4d948e847f3750af63b7139374354",
-    "bt-sherman+obs": "880f019c8404e1450028a2053e7fc4f37eca46364ac1731cf25cda9ee21dafe0",
-    "bt-sherman+sanitize": "d383b36a6226ea7bc24c96286b27340d3beecfcaeb3ed870ffcb35f7f55e94ce",
-    "bt-sherman-sl": "f9144788a5614610c27a23879666540e1faeb31a0ec186ba9114aefe68762d2d",
-    "bt-sherman-sl+obs": "60e29df78261726c808b2c81adf28178888dc32cc4fa6a4d06932bcf9e205e5c",
-    "bt-sherman-sl+sanitize": "ea35ad48edcaaac1f128c8a9291b44886ed436a328299d534022049120b4ec54",
-    "bt-smart": "eec13282ebf7452f6082d59f0769253b47fde60201753fcfb6fd3094d8120016",
-    "bt-smart+obs": "e5319ba5656cdf4db6b2adf23258a1d2d940ddac4b985696a6c47d5419277e16",
-    "bt-smart+sanitize": "e35266211ed34baffa2e79f81a0e168125be4ea1a4dd509af4f0c85ca2991d7a",
-    "bt-smart-nohopl": "bf4e275b11f271d03d6b11c087f12b659943b1265ff6a643a6492e25352c02bf",
-    "bt-smart-nohopl+obs": "c4487d016c53cd568507585942b656c5349019e6ba72a7477a5e4369e9e71eb3",
-    "bt-smart-nohopl+sanitize": "b7179c030afcd1186d6d122ed9f18102e5506a1b579b15013d9866cc593cff2d",
-    "bt-sherman-nohopl": "69a2e8ba227b8ded638cdaca50bb51f590451addf221e09fc6ac0167bca71a22",
-    "bt-sherman-nohopl+obs": "c0509ee3d16578261feff7a5a319caa82e226144538c3559f488cbc24face437",
-    "bt-sherman-nohopl+sanitize": "1a1113de08dc9729f2d5ada2f467476996ae7947c0dd56e94408c67e1a8f8bb1",
+    "ht-race": "b4d421b047425e674e37d2d5dcf0be94ccc54b14fdbbf3e1a10d17d53eab800f",
+    "ht-race+obs": "5bccd1753c4cf35aa911ffbec1b8c94a6778d0f61a99f185702cf869d5e8fbd9",
+    "ht-race+sanitize": "671d4ca8ceeb23a06f12ad9059b9341a81b8b846dc2f2093727658901aa2c0e4",
+    "ht-race+loss": "7979fd87e593d99232bd2492aa3dddbf84a57b8edb0ae030ccdfbe30afcf9e64",
+    "ht-smart": "7a619fdf193199d0edbfc94762e37357bf613963bc84fe69994a2a586127d15f",
+    "ht-smart+obs": "e4d4f6a358d995b2bd71aee502df86452209a9cdc9c04add1a382d3f45157c12",
+    "ht-smart+sanitize": "65997a0877ab64e6241c132b8ad944432ce9cd1de2f5ac514076a4952b7ec4aa",
+    "ht-smart+loss": "18eb8471293ba8f8837afb4216fa11fe55e80b59bf481e0cc1474ca6cacee5ed",
+    "dtx-smallbank": "7171b0ebb1b676cca04871aafebd8def9364be5c04945e28035f6a7b51524200",
+    "dtx-smallbank+obs": "49a4fcbbcfb92409e8491d2610d204e1e3063c6ec44640eb809f3563608955b7",
+    "dtx-smallbank+sanitize": "34e53fa5f28fb54fbee982a7a4ddb90fbbff1b81913852e19254eb69f5ddd196",
+    "dtx-smallbank+loss": "0f15d8555521ccedf92661a68a1a03573b3b65c8b67f9363d15aff481f5d4d7d",
+    "dtx-tatp": "36216362f8843b0fe65ca2e591b565de7c8dc9b2d5195b1de259d24b5fb3d507",
+    "dtx-tatp+obs": "fa27a01ff9ecc2bfb4e3a3d202197fd6edee05a4de6a10d5c42d8e73cc8547c2",
+    "dtx-tatp+sanitize": "1ac06340399a78e4379d74866406038eb81b40eb498a4a8af1efe36a79166eb1",
+    "dtx-tatp+loss": "12f3b05b58eb9e0ba5a8a2eae2735e1d25a864a926d5a803e32e4a3828c2ef90",
+    "bt-sherman": "218468094cde785b99ddb69dfb74b73d33f2300edcd0b6cc333715cf645f0106",
+    "bt-sherman+obs": "4d5213733247f5b82e356bfb167b428818c4e0d98a21544e6681dbe1f96911c5",
+    "bt-sherman+sanitize": "ce6e4fa60dcb2587d5128113e30bf4030cf11a02c461985c0e34a462ce0f42db",
+    "bt-sherman-sl": "7f69b9546d2a74bb867eee5463f6eb71712b116412ec86e0539a6359de49a476",
+    "bt-sherman-sl+obs": "3c41d9e66b8912a80179cc09a53086a04e3d8adcef49cedf989c99f4fc752916",
+    "bt-sherman-sl+sanitize": "7cf8bdd9c9ec05fc017ad3b35391f7006fa6ea88c43b40759149150360a372dd",
+    "bt-smart": "fabc31b2fdfabd9acea68a8232dffe92c6235e89baab75f23e019d53c5e8e540",
+    "bt-smart+obs": "e8b9c5c5492cc11e3bb1a62e7acbe82ed3d7fcce7448ef43823d429cc29ae127",
+    "bt-smart+sanitize": "b2776af833d3884acaf8035d3580efeae6b6ee2c2fd0bcf2c9d35700b4e6d3c4",
+    "bt-smart-nohopl": "c9e46a2feebbdad3d2327850e0d1bd747086386e104e6ea8f67cef04c92d88ba",
+    "bt-smart-nohopl+obs": "3212dd7df070cb1ed5686b693efe7ee6a8197dfcc1042edd45bad3805d26ba67",
+    "bt-smart-nohopl+sanitize": "22885ecb19f48a499fc8ed53a4e259d01543ee956ca35d8f85d2824f1bcc77d3",
+    "bt-sherman-nohopl": "d451b483e5f45aca0ab70ffe739057a2c0bc77818faa7834f234f93313bf12e9",
+    "bt-sherman-nohopl+obs": "3eccb3b486bd6b5bc7d7ed6b0432ea8057861368412f28b580f7657a149bcfdb",
+    "bt-sherman-nohopl+sanitize": "9bdeb79362b26e11ee84d2f386eed07c0b690ceaa8c6943f763c506f531e316b",
     "open-hashtable": "fde3ee6bd5bba089999f63450a3c5fd7fa4699a982726ee9f56d4cbcc16b40aa",
-    "open-hashtable+obs": "29b77330a854b53597dfcedfc4365d505d515351c39be65010b6d09e70e6969b",
+    "open-hashtable+obs": "52eb61ce7d0cd28a2f51fb2a5c413c90e58a461d6efdd256cccadf2f76bd4f0a",
     "open-dtx": "3ea266cd12f19b47e8f700702bc369777d2adaef8750d0846f1325ac0a16de42",
-    "open-dtx+obs": "efbdc353ba8f1f4c56fe5b14ac679a7784f497229bc83a8c47161afec592e722",
+    "open-dtx+obs": "0f7e2e6f507bf14b027f55d5224e436d84406880bed5a6645baa2c1fab7b5a25",
     "open-btree": "16de8f8a2a5e069bdf739b635b5137f39ac87a947c5c35f7a8938864a520a8a1",
-    "open-btree+obs": "0b1c81da38812726156cd4e2b2e3ea3dabce5a1f6a303ae86d0c7e6bfd5e39d1",
+    "open-btree+obs": "b1015c1e734429dff9c764ab148427ef0ea5fb3fe57ba30ad3b5fa8134a64af1",
     "micro-smart": "4da43a6c0d1244f66630375c015f1fb953154b7b783d95fdc7f1bb1af1eb147d",
-    "micro-smart+obs": "39860afce2ed815aad61d21f4f4c24d34f04538c8670e61572f6e19caa25ffc3",
+    "micro-smart+obs": "b221fead80072f0520ccab083402458e8025286ae905b25f10ee7dd253a0c7fa",
     "micro-smart+sanitize": "114064d70ca8576fbfdea6f5bd4908fe6263e5393bcec3c18e4c15d272c89124",
     "micro-smart+loss": "50283a029708732bb7a153ab529e0a87cba6888e4e301daca5b724822850f396",
     "micro-per-thread-qp": "89dd9a1c77ca6d238bebaf1ab5edf0a00d7ac1c951bc1a3ca3734617e268d946",
-    "micro-per-thread-qp+obs": "9138297420bb6f10ce190ba96e4d8c627ba26d4ef564546f9b05447f0fe075e3",
+    "micro-per-thread-qp+obs": "19fe8b22047ff82143bb2b0f366c8a770d9facb8b30378991f34de0d3ba8de21",
     "micro-per-thread-qp+sanitize": "7960070ede5646e5df588d15408af815ba1f216f43805201d340ef57df40a460",
     "micro-per-thread-qp+loss": "e1f6c40de4b13cb78ebc3e7798faed4c158760300f9ce909a0c54451834a397b",
-    "dtx-smallbank+crash": "89997fa82b25efdf6cadd5a9c5f6c5ef7b5bdacae9750401af33f788484d482f",
-    "dtx-tatp+seeded": "bfd694036ec9586d2f517400cb9020d97d0f778bc007a405e02a9be4fdf1d26f",
+    "dtx-smallbank+crash": "6a098f6cc1fbd9b3095763074fb8339d4f92f76dfbd945edf955dbf822e38ce4",
+    "dtx-tatp+seeded": "9995f374b50078605b243578af583bf196b9188c5428093c80d61fd08c1ced3c",
+}
+
+#: Kernel events each point executes — what it costs the host, not what
+#: the model computes (the digests above do not hash it).  Pinned, one
+#: count per point, so a change that puts a suspension back on the post
+#: path fails here; the record mode prints this table too.
+GOLDEN_EVENTS = {
+    "ht-race": 11806,
+    "ht-smart": 46789,
+    "dtx-smallbank": 55822,
+    "dtx-tatp": 16972,
+    "bt-sherman": 8405,
+    "bt-sherman-sl": 8343,
+    "bt-smart": 33331,
+    "bt-smart-nohopl": 33853,
+    "bt-sherman-nohopl": 8627,
+    "open-hashtable+obs": 29247,
+    "open-dtx+obs": 24437,
+    "open-btree+obs": 34833,
+    "micro-smart+obs": 81031,
+    "micro-per-thread-qp+obs": 12786,
 }
 
 
@@ -236,7 +260,15 @@ def _golden_cases():
     return cases
 
 
-def _golden_digest(point, extra, with_obs):
+def _golden_run(point, extra, with_obs):
+    """``(digest, kernel events)`` of one pinned point.
+
+    The digest covers simulated output only: ``RunResult.sim_events`` and
+    the ``sim.events_executed`` counter say what the point cost the host,
+    not what the model computed, so they are taken out of the hashed
+    payload and returned beside it (``None`` where the result carries
+    neither).
+    """
     import dataclasses
     import hashlib
     import json
@@ -253,10 +285,15 @@ def _golden_digest(point, extra, with_obs):
     obs = Observability() if with_obs else None
     result = run_point(**kwargs, **extra, **({"obs": obs} if with_obs else {}))
     payload = dataclasses.asdict(result)
+    events = payload.pop("sim_events", None)
     if with_obs:
-        payload = {"result": payload, "metrics": obs.registry.to_dict()}
+        metrics = obs.registry.to_dict()
+        counted = metrics["counters"].pop("sim.events_executed", None)
+        if events is None and counted is not None:
+            events = int(counted["value"])
+        payload = {"result": payload, "metrics": metrics}
     blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(blob.encode()).hexdigest(), events
 
 
 @pytest.mark.parametrize(
@@ -265,11 +302,29 @@ def _golden_digest(point, extra, with_obs):
 )
 def test_runner_results_are_byte_identical_to_the_pinned_commit(
         case, point, extra, with_obs):
-    assert _golden_digest(point, extra, with_obs) == GOLDEN_DIGESTS[case]
+    digest, events = _golden_run(point, extra, with_obs)
+    assert digest == GOLDEN_DIGESTS[case]
+    if case in GOLDEN_EVENTS:
+        assert events == GOLDEN_EVENTS[case], (
+            f"{case}: kernel events {events} != pinned {GOLDEN_EVENTS[case]} "
+            "(host cost, not model: the simulated output above is unchanged; "
+            "a rise means a suspension came back on a hot path — re-record "
+            "only for an intended change in what the kernel executes)"
+        )
 
 
-if __name__ == "__main__":  # record mode: print the table for this src tree
+if __name__ == "__main__":  # record mode: print both tables for this src tree
+    runs = [(case, *_golden_run(point, extra, with_obs))
+            for case, point, extra, with_obs in _golden_cases()]
     print("GOLDEN_DIGESTS = {")
-    for case, point, extra, with_obs in _golden_cases():
-        print(f'    "{case}": "{_golden_digest(point, extra, with_obs)}",')
+    for case, digest, _events in runs:
+        print(f'    "{case}": "{digest}",')
+    print("}")
+    print("GOLDEN_EVENTS = {")
+    pinned = set()  # one count per point: the first case that carries one
+    for case, _digest, events in runs:
+        point = case.split("+")[0]
+        if events is not None and point not in pinned:
+            pinned.add(point)
+            print(f'    "{case}": {events},')
     print("}")

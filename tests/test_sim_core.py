@@ -358,3 +358,74 @@ def test_all_of_all_already_triggered():
     p = sim.spawn(parent())
     sim.run()
     assert p.value == [0, 1, 2]
+
+
+# -- the one rule for skipping a suspension (MODEL.md §12) ---------------------
+
+
+def _drive_run(sim):
+    sim.run()
+
+
+def _drive_step(sim):
+    while sim.step():
+        pass
+
+
+def _drive_budget(sim):
+    while sim.peek() is not None:
+        sim.run(max_events=3)
+
+
+def _drive_slices(sim, horizon=80, slices=40):
+    for index in range(1, slices + 1):
+        sim.run(until=horizon * index / slices)
+    sim.run()
+
+
+#: every way the kernel drains a tick; each must publish the same cursor
+DRIVERS = [_drive_run, _drive_step, _drive_budget, _drive_slices]
+
+
+def test_rest_of_tick_empty_is_false_while_no_tick_is_drained():
+    sim = Simulator()
+    assert not sim.rest_of_tick_empty()
+    sim.call_at(3, lambda: None)
+    assert not sim.rest_of_tick_empty()
+    sim.run()
+    assert not sim.rest_of_tick_empty()
+
+
+@pytest.mark.parametrize("drive", DRIVERS)
+def test_rest_of_tick_empty_only_for_the_last_step_of_an_instant(drive):
+    sim = Simulator()
+    seen = []
+
+    def ask(tag):
+        seen.append((tag, sim.now, sim.rest_of_tick_empty()))
+
+    def asks_then_schedules(tag):
+        ask(tag)  # last entry of the tick so far ...
+        sim.call_at(sim.now, ask, tag + "-child")
+        ask(tag + "-again")  # ... but not once it queued a successor
+
+    def process():
+        yield sim.timeout(7)
+        ask("proc")  # the Timeout's sole waker: nothing queued behind it
+        yield sim.delay(2)
+        ask("proc-9")  # shares t=9 with the call_at below, which is later
+
+    sim.call_at(5, ask, "first")
+    sim.call_at(5, ask, "second")
+    sim.call_at(6, asks_then_schedules, "parent")
+    sim.call_at(9, ask, "late")
+    sim.spawn(process())
+    drive(sim)
+    assert seen == [
+        ("first", 5, False), ("second", 5, True),
+        ("parent", 6, True), ("parent-again", 6, False),
+        ("parent-child", 6, True),
+        ("proc", 7, True),
+        ("late", 9, False), ("proc-9", 9, True),
+    ]
+    assert sim.events_executed == 9  # 5 callbacks + 4 process steps

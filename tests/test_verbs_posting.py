@@ -119,3 +119,110 @@ class TestPostingPath:
         cluster.sim.spawn(proc())
         cluster.sim.run()
         assert out[0] is not None and out[0] < 100_000
+
+
+class TestPostingWithoutSuspending:
+    """The QP-share and doorbell locks are taken on the spot when free and
+    nothing else is queued at that instant (MODEL.md §12).  Every number
+    below except the event counts was recorded from the parent commit,
+    where each acquisition parked the coroutine on a ticket."""
+
+    def _two_posters(self, policy):
+        cluster = Cluster()
+        compute = cluster.add_node()
+        compute.add_threads(2)
+        (remote,) = cluster.add_nodes(1)
+        policy.connect(compute, [remote])
+        sim = cluster.sim
+        trace = []
+
+        def proc(thread):
+            qp = thread.qp_for(remote.node_id)
+            for _ in range(2):
+                batch = yield from verbs.post_send(
+                    thread, qp, [read_wr(remote.storage.global_addr(0), 8)]
+                )
+                trace.append(("rung", thread.thread_id, sim.now))
+                yield from verbs.wait_completion(thread, batch)
+                trace.append(("done", thread.thread_id, sim.now))
+
+        for thread in compute.threads:  # both runnable at t=0
+            sim.spawn(proc(thread))
+        sim.run()
+        locks = {}
+        for thread in compute.threads:
+            qp = thread.qp_for(remote.node_id)
+            for lock in (qp.share_lock, qp.doorbell.lock):
+                if lock is not None:
+                    locks[lock.name] = (lock.acquisitions, lock.total_wait_ns,
+                                        lock.max_queue_len, lock.locked)
+        return trace, locks, sim.events_executed
+
+    def test_shared_qp_contenders_ring_in_the_parents_order(self):
+        trace, locks, events = self._two_posters(SharedQpPolicy())
+        assert trace == [
+            ("rung", 0, 195), ("rung", 1, 555), ("done", 0, 2253),
+            ("rung", 0, 2543), ("done", 1, 2613), ("rung", 1, 2903),
+            ("done", 0, 4601), ("done", 1, 4961),
+        ]
+        assert locks == {"qp-shared-1": (4, 265, 1, False),
+                         "db0": (4, 0, 0, False)}
+        assert events == 53  # parent: 59
+
+    def test_per_thread_doorbells_ring_in_the_parents_order(self):
+        trace, locks, events = self._two_posters(PerThreadQpPolicy())
+        assert trace == [
+            ("rung", 0, 120), ("rung", 1, 120), ("done", 0, 2178),
+            ("done", 1, 2187), ("rung", 0, 2298), ("rung", 1, 2307),
+            ("done", 0, 4356), ("done", 1, 4365),
+        ]
+        assert locks == {"db0": (2, 0, 0, False), "db1": (2, 0, 0, False)}
+        assert events == 44  # parent: 46
+
+    def test_lone_poster_never_parks_on_a_lock_ticket(self):
+        """One thread, nothing else at its instants: both grants are on
+        the spot, so the only suspensions left are the three CPU charges
+        and the completion wait."""
+        cluster = Cluster()
+        compute = cluster.add_node()
+        compute.add_threads(1)
+        (remote,) = cluster.add_nodes(1)
+        SharedQpPolicy().connect(compute, [remote])
+        thread = compute.threads[0]
+        qp = thread.qp_for(remote.node_id)
+        made = []
+        event = cluster.sim.event
+        cluster.sim.event = lambda: made.append(1) or event()
+
+        def proc():
+            yield from verbs.post_and_wait(
+                thread, qp, [read_wr(remote.storage.global_addr(0), 8)]
+            )
+
+        cluster.sim.spawn(proc())
+        cluster.sim.run()
+        assert qp.share_lock.acquisitions == qp.doorbell.lock.acquisitions == 1
+        assert made == [1]  # the batch's own ``done``; no lock ticket (parent: 3)
+
+    def test_rdmasan_reports_a_lock_granted_on_the_spot_as_held(self):
+        from repro.analysis import RdmaSanitizer
+
+        cluster = Cluster()
+        compute = cluster.add_node()
+        compute.add_threads(1)
+        (remote,) = cluster.add_nodes(1)
+        PerThreadQpPolicy().connect(compute, [remote])
+        sanitizer = RdmaSanitizer().attach_cluster(cluster)
+        lock = compute.threads[0].qp_for(remote.node_id).doorbell.lock
+        granted = []
+
+        def leaker():
+            yield cluster.sim.timeout(10)
+            granted.append(lock.try_acquire(owner=7))  # and never releases
+
+        cluster.sim.spawn(leaker())
+        cluster.sim.run()
+        assert granted == [True]
+        sanitizer.finish(expect_idle=True)
+        assert {"kind": "lock-held", "node": compute.node_id,
+                "lock": lock.name, "owner": 7} in sanitizer.report()["leaks"]
