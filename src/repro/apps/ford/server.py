@@ -79,6 +79,7 @@ class DtxServer:
         if replicas == 2 and len(memory_nodes) < 2:
             raise ValueError("backup replicas require at least 2 memory blades")
         self.memory_nodes = list(memory_nodes)
+        self._nodes_by_id = {node.node_id: node for node in self.memory_nodes}
         self.replicas = replicas
         self.tables: Dict[str, TableInfo] = {}
         self._log_count = 0
@@ -97,7 +98,7 @@ class DtxServer:
         if self.shard_map is None:
             return self.memory_nodes[index % len(self.memory_nodes)]
         blade_id = self.shard_map.blade_for_shard(index % self.shard_map.num_shards)
-        return next(n for n in self.memory_nodes if n.node_id == blade_id)
+        return self._nodes_by_id[blade_id]
 
     def create_table(
         self, name: str, item_count: int, payload_bytes: int,
@@ -107,18 +108,31 @@ class DtxServer:
         (or filled with ``initial_payload``)."""
         if name in self.tables:
             raise ValueError(f"table {name!r} exists")
+        if initial_payload and len(initial_payload) != payload_bytes:
+            raise ValueError("initial_payload size mismatch")
         record_bytes = RECORD_HEADER_BYTES + payload_bytes
         parts = len(self.memory_nodes)
         rows_per_part = (item_count + parts - 1) // parts
         part_bytes = rows_per_part * record_bytes
+        # A loaded row is version 0, unlocked; an absent or all-zero
+        # payload is what a fresh region already holds, so nothing is written.
+        record = (
+            b"\x00" * RECORD_HEADER_BYTES + initial_payload
+            if any(initial_payload) else b""
+        )
 
         primary, backup = [], []
         for i in range(parts):
+            # Partition i holds keys i, i + parts, ...: one image per
+            # replica instead of a write per row.
+            image = record * len(range(i, item_count, parts))
             node = self._host_for_partition(i)
             region = node.storage.alloc_region(
                 f"tbl_{name}_p{i}", part_bytes, persistent=True
             )
             primary.append((node.node_id, region.base))
+            if image:
+                node.storage.bulk_write(region.base, image)
             if self.replicas > 1:
                 # Backup on the next blade in fleet order — guaranteed to
                 # differ from the primary host.
@@ -129,32 +143,14 @@ class DtxServer:
                     f"tbl_{name}_b{i}", part_bytes, persistent=True
                 )
                 backup.append((bnode.node_id, bregion.base))
+                if image:
+                    bnode.storage.bulk_write(bregion.base, image)
         info = TableInfo(
             name, payload_bytes, item_count, tuple(primary), tuple(backup),
             replicas=self.replicas,
         )
         self.tables[name] = info
-        if initial_payload:
-            if len(initial_payload) != payload_bytes:
-                raise ValueError("initial_payload size mismatch")
-            for key in range(item_count):
-                self.fill_row(info, key, initial_payload)
         return info
-
-    def fill_row(self, info: TableInfo, key: int, payload: bytes) -> None:
-        """Setup-phase write of one row (version 0, unlocked) to all
-        replicas."""
-        record = b"\x00" * RECORD_HEADER_BYTES + payload
-        for addr in info.replica_addrs(key):
-            blade_id = (addr >> 48) - 1
-            offset = addr & ((1 << 48) - 1)
-            self._node(blade_id).storage.bulk_write(offset, record)
-
-    def _node(self, blade_id: int) -> Node:
-        for node in self.memory_nodes:
-            if node.node_id == blade_id:
-                return node
-        raise KeyError(blade_id)
 
     def declare_sanitizer_regions(self, sanitizer) -> None:
         """Teach RDMASan FORD's protocol.
@@ -170,7 +166,9 @@ class DtxServer:
             for i, (blade_id, base) in enumerate(info.primary_bases):
                 sanitizer.set_region_policy(blade_id, f"tbl_{info.name}_p{i}",
                                             "optimistic-read")
-                region = self._node(blade_id).storage.region(f"tbl_{info.name}_p{i}")
+                region = self._nodes_by_id[blade_id].storage.region(
+                    f"tbl_{info.name}_p{i}"
+                )
                 sanitizer.declare_striped_locks(
                     blade_id, region.base, region.end, info.record_bytes,
                     lock_offset=0, span=info.record_bytes,

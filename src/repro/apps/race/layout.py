@@ -139,3 +139,15 @@ def bucket_indices(key: int, buckets_per_segment: int):
 def directory_index(key: int, global_depth: int) -> int:
     """Directory slot for a key: the low ``global_depth`` bits of hash1."""
     return hash1(key) & ((1 << global_depth) - 1)
+
+
+def placement(key: int, global_depth: int, buckets_per_segment: int):
+    """``(directory_index, bucket 1, bucket 2, fingerprint)`` of a key with
+    each hash evaluated once — the bulk loader's form of the three
+    functions above, which clients call at different points of an op."""
+    h1 = hash1(key)
+    b1 = (h1 >> 16) % buckets_per_segment
+    b2 = (hash2(key) >> 16) % buckets_per_segment
+    if b2 == b1:
+        b2 = (b2 + 1) % buckets_per_segment
+    return h1 & ((1 << global_depth) - 1), b1, b2, ((h1 >> 48) & 0xFF) or 1

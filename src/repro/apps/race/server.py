@@ -157,31 +157,46 @@ class HashTableServer:
         Uses the same placement as client inserts, so clients can find
         every loaded key.  Returns the number of items loaded.
         """
-        node_by_id = {n.node_id: n for n in self.memory_nodes}
+        storages = {n.node_id: n.storage for n in self.memory_nodes}
+        # Resolved once per directory entry, not once per key.
+        segments = [
+            (blade_of(addr), storages[blade_of(addr)], offset_of(addr))
+            for addr in self.segment_addrs
+        ]
+        # The heap heads live in a local while loading and are stored once
+        # — also when the load fails part-way, so a later call (or a
+        # client's FAA) resumes behind every block already handed out.
+        heads = {
+            blade_id: storages[blade_id].read_u64(offset_of(head_addr))
+            for blade_id, (head_addr, _, _) in self.heaps.items()
+        }
         loaded = 0
-        for key, value in items:
-            dir_index = layout.directory_index(key, self.global_depth)
-            seg_addr = self.segment_addrs[dir_index]
-            blade_id = blade_of(seg_addr)
-            seg_offset = offset_of(seg_addr)
-            storage = node_by_id[blade_id].storage
-            # Allocate the KV block by bumping the blade's heap head.
-            head_addr, _, heap_end = self.heaps[blade_id]
-            head_offset = offset_of(head_addr)
-            kv_offset = storage.read_u64(head_offset)
-            if kv_offset + layout.KV_BLOCK_BYTES > heap_end:
-                raise MemoryError(f"heap exhausted on blade {blade_id}")
-            storage.write_u64(head_offset, kv_offset + layout.KV_BLOCK_BYTES)
-            storage.bulk_write(kv_offset, layout.pack_kv(key, value))
-
-            b1, b2 = layout.bucket_indices(key, self.buckets_per_segment)
-            slot_value = layout.make_slot(key, kv_offset)
-            if not self._place(storage, seg_offset, (b1, b2), slot_value):
-                raise MemoryError(
-                    f"bulk load: both buckets full for key {key}; "
-                    "increase segments or buckets_per_segment"
+        try:
+            for key, value in items:
+                dir_index, b1, b2, tag = layout.placement(
+                    key, self.global_depth, self.buckets_per_segment
                 )
-            loaded += 1
+                blade_id, storage, seg_offset = segments[dir_index]
+                # Allocate the KV block by bumping the blade's heap head.
+                kv_offset = heads[blade_id]
+                _, _, heap_end = self.heaps[blade_id]
+                if kv_offset + layout.KV_BLOCK_BYTES > heap_end:
+                    raise MemoryError(f"heap exhausted on blade {blade_id}")
+                heads[blade_id] = kv_offset + layout.KV_BLOCK_BYTES
+                storage.bulk_write(kv_offset, layout.pack_kv(key, value))
+
+                slot_value = layout.Slot(
+                    tag, layout.KV_BLOCK_BYTES // 8, kv_offset
+                ).encode()
+                if not self._place(storage, seg_offset, (b1, b2), slot_value):
+                    raise MemoryError(
+                        f"bulk load: both buckets full for key {key}; "
+                        "increase segments or buckets_per_segment"
+                    )
+                loaded += 1
+        finally:
+            for blade_id, (head_addr, _, _) in self.heaps.items():
+                storages[blade_id].write_u64(offset_of(head_addr), heads[blade_id])
         return loaded
 
     def _place(self, storage, seg_offset: int, buckets, slot_value: int) -> bool:

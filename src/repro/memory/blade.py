@@ -4,10 +4,15 @@ Memory blades in the paper have "near-zero compute" (1-2 weak cores): they
 never post RDMA requests, so their RNIC only runs the responder pipeline.
 The blade therefore exposes only *data* operations here; the timing of
 remote access lives in :mod:`repro.rnic.engine`.
+
+Capacity is *reserved*, not touched: the bytes live in an anonymous
+demand-zero mapping, so a deployment pays (page faults, resident memory)
+for the pages it writes, not for the blade size it declares.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -17,6 +22,15 @@ from repro.memory.allocator import BladeAllocator
 
 _U64 = struct.Struct("<Q")
 U64_MAX = (1 << 64) - 1
+
+
+def _demand_zero(capacity: int) -> mmap.mmap:
+    """``capacity`` zero bytes the OS materializes page by page on first
+    touch.  Private where the platform has the flag, so a forked sweep
+    worker keeps the copy-on-write isolation a heap buffer would have."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, capacity, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, capacity)
 
 
 @dataclass
@@ -57,7 +71,7 @@ class MemoryBlade:
             raise ValueError("capacity must be positive")
         self.blade_id = blade_id
         self.capacity = capacity
-        self._memory = bytearray(capacity)
+        self._memory = _demand_zero(capacity)
         self._regions: Dict[str, Region] = {}
         # Offset 0 is reserved so no object lives at NULL; regions are
         # carved from a first-fit arena that places them exactly like the
@@ -163,17 +177,16 @@ class MemoryBlade:
         in for the durable metadata a real blade would re-derive.
         """
         self.power_failures += 1
-        survivors = sorted(
-            (r for r in self._regions.values() if r.persistent),
-            key=lambda r: r.base,
-        )
-        cursor = 0
-        for region in survivors:
-            if cursor < region.base:
-                self._memory[cursor : region.base] = bytes(region.base - cursor)
-            cursor = max(cursor, region.end)
-        if cursor < self.capacity:
-            self._memory[cursor :] = bytes(self.capacity - cursor)
+        # A fresh mapping *is* the zeroed DRAM; only the surviving bytes
+        # are copied, so a crash costs what outlives it, not the capacity.
+        crashed = self._memory
+        self._memory = _demand_zero(self.capacity)
+        for region in self._regions.values():
+            if region.persistent:
+                self._memory[region.base : region.end] = (
+                    crashed[region.base : region.end]
+                )
+        crashed.close()
 
     # -- data operations -----------------------------------------------------
 
@@ -191,7 +204,7 @@ class MemoryBlade:
     def read(self, offset: int, size: int) -> bytes:
         self._check(offset, size)
         self.reads += 1
-        return bytes(self._memory[offset : offset + size])
+        return self._memory[offset : offset + size]
 
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))

@@ -1,11 +1,15 @@
 """Tests for the memory-blade substrate."""
 
+import mmap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
 from repro.memory import MemoryBlade, blade_of, make_addr, offset_of
 from repro.memory.address import MAX_BLADE_ID, NULL_ADDR, OFFSET_MASK
+from repro.rnic.config import RnicConfig
 
 
 class TestAddress:
@@ -208,6 +212,14 @@ class TestDataOps:
         assert blade.read(tail.base, 64) == bytes(64)
         assert blade.power_failures == 1
 
+    def test_read_is_an_immutable_snapshot(self):
+        blade = MemoryBlade(0)
+        blade.write(100, b"hello")
+        data = blade.read(100, 5)
+        assert type(data) is bytes
+        blade.write(100, b"HELLO")
+        assert data == b"hello"
+
     def test_bounds_checked(self):
         blade = MemoryBlade(0, capacity=128)
         with pytest.raises(IndexError):
@@ -232,3 +244,35 @@ class TestDataOps:
             assert blade.read_u64(0) == desired % (1 << 64)
         else:
             assert blade.read_u64(0) == initial
+
+
+def _minor_faults():
+    resource = pytest.importorskip("resource")
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class TestCapacityIsReservedNotTouched:
+    """A blade costs what is written to it, not what it declares: the
+    default 64 MiB must not be zeroed (or re-zeroed) page by page."""
+
+    BLADE_PAGES = RnicConfig().blade_capacity_bytes // mmap.PAGESIZE
+
+    def test_building_a_cluster_does_not_fault_in_the_blades(self):
+        before = _minor_faults()
+        nodes = Cluster().add_nodes(3)
+        faults = _minor_faults() - before
+        assert len(nodes) == 3
+        assert faults < 3 * self.BLADE_PAGES // 8
+
+    def test_power_fail_costs_what_survives(self):
+        blade = MemoryBlade(0)
+        nvm = blade.alloc_region("nvm", 4096, persistent=True)
+        dram = blade.alloc_region("dram", 4096)
+        blade.write(nvm.base, b"\x11" * 4096)
+        blade.write(dram.base, b"\x22" * 4096)
+        before = _minor_faults()
+        blade.power_fail()
+        faults = _minor_faults() - before
+        assert blade.read(nvm.base, 4096) == b"\x11" * 4096
+        assert blade.read(dram.base, 4096) == bytes(4096)
+        assert faults < self.BLADE_PAGES // 8

@@ -32,6 +32,15 @@ class TestLayout:
     def test_fingerprint_never_zero(self):
         assert all(layout.fingerprint(k) != 0 for k in range(2000))
 
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 12), st.integers(1, 4096))
+    @settings(max_examples=200, deadline=None)
+    def test_placement_is_the_three_lookups_in_one(self, key, depth, buckets):
+        assert layout.placement(key, depth, buckets) == (
+            layout.directory_index(key, depth),
+            *layout.bucket_indices(key, buckets),
+            layout.fingerprint(key),
+        )
+
     def test_bucket_indices_distinct(self):
         for key in range(1000):
             b1, b2 = layout.bucket_indices(key, 64)
