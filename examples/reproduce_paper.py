@@ -21,8 +21,11 @@ def main(argv):
         print(__doc__)
         print("available experiments:")
         for name, fn in ALL_EXPERIMENTS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"  {name:8s} {doc}")
+            # a key may be a functools.partial of another key's function
+            target = getattr(fn, "func", fn)
+            doc = target.__doc__.strip().splitlines()[0]
+            bound = f" {fn.keywords}" if target is not fn else ""
+            print(f"  {name:8s} {doc}{bound}")
         return 0
     names = list(ALL_EXPERIMENTS) if "all" in argv[1:] else argv[1:]
     for name in names:

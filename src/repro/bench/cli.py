@@ -47,6 +47,12 @@ across R-MAT skew, AM fan-out and the three execution modes::
 
     python -m repro.bench.cli offload --skews 0.0,0.6 --chunks 8,32
     python -m repro.bench.cli offload --algo pagerank --sanitize --json out.json
+
+``claims`` runs the claim-bearing figure grids, evaluates the paper's
+claims (``repro.bench.claims``) on them and prints the scorecard::
+
+    python -m repro.bench.cli claims --jobs 2 > docs/SCORECARD.md
+    python -m repro.bench.cli claims --figure fig3 --figure fig4
 """
 
 from __future__ import annotations
@@ -478,6 +484,31 @@ def _run_offload(args) -> int:
     )
 
 
+def build_claims_parser() -> argparse.ArgumentParser:
+    from repro.bench.claims import CLAIMS
+
+    parser = argparse.ArgumentParser(
+        prog="repro-bench claims",
+        description="run the claim-bearing figure grids and print the "
+                    "scorecard (docs/SCORECARD.md is this command's output)",
+    )
+    parser.add_argument("--figure", action="append", choices=tuple(CLAIMS),
+                        metavar="KEY",
+                        help="only this figure's section (repeatable; "
+                             f"default: all of {', '.join(CLAIMS)})")
+    add_common_flags(parser, jobs=None, profile=False)
+    return parser
+
+
+def _run_claims(args) -> int:
+    from repro.bench.claims import CLAIMS, scorecard
+
+    # stdout is the document; progress goes to stderr
+    print(scorecard(args.figure or list(CLAIMS), args.jobs,
+                    progress=lambda line: print(line, file=sys.stderr)), end="")
+    return 0
+
+
 def _traffic_arrivals(args):
     from repro.traffic import (
         DeterministicArrivals, OnOffArrivals, PoissonArrivals, RampArrivals,
@@ -695,6 +726,7 @@ SUBCOMMANDS = {
     "resharding": (build_resharding_parser, _run_resharding),
     "odp": (build_odp_parser, _run_odp),
     "offload": (build_offload_parser, _run_offload),
+    "claims": (build_claims_parser, _run_claims),
 }
 
 

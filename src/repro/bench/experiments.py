@@ -15,12 +15,14 @@ spec order, which keeps the emitted tables — and every simulated number
 in them — identical between serial and parallel runs.
 
 Absolute numbers come from the simulated RNIC, so they are compared to
-the paper by *shape* (who wins, by what factor, where curves peak) — see
-EXPERIMENTS.md for the per-experiment comparison.
+the paper by *shape* (who wins, by what factor, where curves peak): the
+claims are predicates in :mod:`repro.bench.claims`, their verdicts on the
+quick grids are docs/SCORECARD.md.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -921,6 +923,7 @@ def offload_sweep(
 
 ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "fig3": fig3_qp_policies,
+    "fig3_write": functools.partial(fig3_qp_policies, op="write"),
     "fig4": fig4_cache_thrashing,
     "fig5": fig5_race_contention,
     "fig7": fig7_hashtable,

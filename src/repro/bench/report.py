@@ -75,20 +75,11 @@ def result_slug(name: str) -> str:
     return slug or "experiment"
 
 
-def write_experiment_text(result, directory) -> Path:
-    """Write ``result.format()`` to ``<slug>.txt`` under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{result_slug(result.name)}.txt"
-    path.write_text(result.format() + "\n")
-    return path
-
-
 def write_experiment_json(result, target) -> Path:
     """Write an :class:`ExperimentResult` as JSON.
 
-    ``target`` may be a directory (the file becomes ``<slug>.json`` next
-    to the ``.txt`` table) or an explicit ``.json`` file path.
+    ``target`` may be a directory (the file becomes ``<slug>.json``) or
+    an explicit ``.json`` file path.
     """
     target = Path(target)
     if target.suffix == ".json":

@@ -1,6 +1,8 @@
 """Smoke tests: every figure/table entry point runs end to end on a tiny
-grid and produces well-formed rows.  (Shape assertions live in
-benchmarks/; these only verify wiring, so they use minimal parameters.)
+grid and produces well-formed rows.  (The paper's shape claims live in
+``repro/bench/claims.py`` and run on the quick grids through
+``benchmarks/test_figures.py``; these only verify wiring, so they use
+minimal parameters.)
 
 Each case also pins its output byte for byte: ``run_pinned`` compares the
 sha256 of the result's JSON and of its formatted table with the pair in
@@ -9,7 +11,9 @@ rewrite (PR 13) with
 
     PYTHONPATH=<parent>/src python tests/test_experiments_smoke.py
 
-which prints the table.  Re-record only when a model change is intended,
+which prints the table (``fig3_write`` at the parent of the PR that gave
+it a key, by calling ``fig3_qp_policies(op="write", ...)`` there).
+Re-record only when a model change is intended,
 and say so in CHANGES.md.
 """
 
@@ -21,6 +25,7 @@ from repro.bench import experiments as exp
 #: experiment -> the tiny grid its smoke case runs
 TINY_GRIDS = {
     "fig3": dict(threads=(2, 4), measure_ns=0.3e6),
+    "fig3_write": dict(threads=(2, 4), measure_ns=0.3e6),
     "fig4": dict(threads=(4,), depths=(2, 4)),
     "fig5": dict(threads=(2,), thetas=(0.0,)),
     "fig7": dict(threads=(2,), compute_blades=(2,), item_count=5_000),
@@ -46,6 +51,8 @@ TINY_GRIDS = {
 EXPERIMENT_DIGESTS = {
     "fig3": ("e016fbc4af6b0ec7dfbc8c2180831254b3225cb7bb012e05c63d111631b09445",
              "c1b0148fe4d0f40a43d77ae964e53b1d566cd8dbc9122a3823f7d951ed3026ce"),
+    "fig3_write": ("9e636e7b4c72ab1ddc4df4ae738da2bdb55f7233623fc83d36c197ee8c632aa8",
+                   "08feb50a79f7644d9d8ff85a839bcab4f22d42a0c9fde4502533f2918ca73e01"),
     "fig4": ("2e868666fdd89a5c70dafc483f7faffe254c2a0b69a7b5273ada3902a1ce0847",
              "728fdc585d3a18007ffa177725a05a97d42be35bbadc728b50de966c16ecf1bc"),
     "fig5": ("7fedbe54d9b92bb34edfcffe16011b3601388f7d620e5988e786e8bd573a481a",
@@ -103,6 +110,11 @@ class TestMicroExperiments:
         assert len(result.rows) == 2
         assert "paper:" in result.format()
 
+    def test_fig3_write(self):
+        result = run_pinned("fig3_write")
+        assert result.name.startswith("Figure 3 (write)")
+        assert len(result.rows) == 2
+
     def test_fig4(self):
         result = run_pinned("fig4")
         assert len(result.rows) == 2
@@ -149,7 +161,7 @@ class TestHashTableExperiments:
         assert sweeps == {"threads", "theta"}
 
     def test_fig7(self):
-        result = run_pinned("fig7", jobs=(1, 2))
+        result = run_pinned("fig7")
         modes = {row[0] for row in result.rows}
         assert modes == {"scale-up", "scale-out"}
         # 2 quick-mode workloads x (1 thread point + 1 blade point) x 2 systems
@@ -214,7 +226,7 @@ class TestCompanionExperiments:
 class TestRegistry:
     def test_all_experiments_registered(self):
         assert set(exp.ALL_EXPERIMENTS) == {
-            "fig3", "fig4", "fig5", "fig7", "fig8", "fig9",
+            "fig3", "fig3_write", "fig4", "fig5", "fig7", "fig8", "fig9",
             "fig10", "fig11", "fig12", "fig13", "table1", "fig14",
             "latency_throughput", "resharding", "chaos", "odp", "offload",
         }
