@@ -304,18 +304,20 @@ def _scaling_points(run: Callable, systems: Sequence[str], threads: Sequence[int
 def fig7_hashtable(
     threads: Optional[Sequence[int]] = None,
     compute_blades: Optional[Sequence[int]] = None,
+    scale_out_threads: Optional[int] = None,
     item_count: int = 50_000,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Figure 7: RACE vs SMART-HT, scale-up (a-c) and scale-out (d-f)."""
     threads = threads or _grid((8, 96), (2, 8, 16, 32, 48, 64, 96))
     compute_blades = compute_blades or _grid((2, 4), (2, 3, 4, 5, 6))
+    scale_out_threads = scale_out_threads or (96 if full_grids() else 24)
     return _sweep(
         name="Figure 7: hash table throughput (MOPS), RACE vs SMART-HT",
         headers=["mode", "workload", "system", "threads", "blades", "MOPS"],
         points=_scaling_points(
             run_hashtable, ("race", "smart-ht"), threads, compute_blades,
-            96 if full_grids() else 24, "compute_blades", item_count,
+            scale_out_threads, "compute_blades", item_count,
         ),
         row=_mops_row,
         paper_claim=(
@@ -448,18 +450,20 @@ def fig11_dtx_latency(
 def fig12_btree(
     threads: Optional[Sequence[int]] = None,
     servers: Optional[Sequence[int]] = None,
+    scale_out_threads: Optional[int] = None,
     item_count: int = 30_000,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Figure 12: Sherman+ vs Sherman+ w/SL vs SMART-BT."""
     threads = threads or _grid((16, 94), (2, 8, 16, 32, 48, 64, 94))
     servers = servers or _grid((2,), (2, 3, 4, 5, 6))
+    scale_out_threads = scale_out_threads or (94 if full_grids() else 32)
     return _sweep(
         name="Figure 12: B+Tree throughput (MOPS)",
         headers=["mode", "workload", "system", "threads", "servers", "MOPS"],
         points=_scaling_points(
             run_btree, ("sherman", "sherman-sl", "smart-bt"), threads, servers,
-            94 if full_grids() else 32, "servers", item_count,
+            scale_out_threads, "servers", item_count,
         ),
         row=_mops_row,
         paper_claim=(
