@@ -12,7 +12,9 @@ rewrite (PR 13) with
     PYTHONPATH=<parent>/src python tests/test_experiments_smoke.py
 
 which prints the table (``fig3_write`` at the parent of the PR that gave
-it a key, by calling ``fig3_qp_policies(op="write", ...)`` there).
+it a key, by calling ``fig3_qp_policies(op="write", ...)`` there;
+``fig7`` / ``fig12`` one commit after ``scale_out_threads`` became an
+argument and passed with the old pairs).
 Re-record only when a model change is intended,
 and say so in CHANGES.md.
 """
@@ -22,18 +24,22 @@ import json
 
 from repro.bench import experiments as exp
 
-#: experiment -> the tiny grid its smoke case runs
+#: experiment -> the tiny grid its smoke case runs (fig7 / fig12 scale out
+#: at their scale-up thread count: a closed-loop point costs what it
+#: simulates, threads x blades until saturation, so 4 is as dear as 24)
 TINY_GRIDS = {
     "fig3": dict(threads=(2, 4), measure_ns=0.3e6),
     "fig3_write": dict(threads=(2, 4), measure_ns=0.3e6),
     "fig4": dict(threads=(4,), depths=(2, 4)),
     "fig5": dict(threads=(2,), thetas=(0.0,)),
-    "fig7": dict(threads=(2,), compute_blades=(2,), item_count=5_000),
+    "fig7": dict(threads=(2,), compute_blades=(2,), scale_out_threads=2,
+                 item_count=5_000),
     "fig8": dict(threads=(2,), item_count=5_000),
     "fig9": dict(gaps_ns=(0.0,), item_count=5_000, threads=4),
     "fig10": dict(threads=(2,), item_count=2_000),
     "fig11": dict(gaps_ns=(0.0,), item_count=2_000, threads=4),
-    "fig12": dict(threads=(2,), servers=(2,), item_count=5_000),
+    "fig12": dict(threads=(2,), servers=(2,), scale_out_threads=2,
+                  item_count=5_000),
     "fig13": dict(threads=(4,), batches=(4,)),
     "table1": dict(intervals_ns=(2e6,), total_ns=8e6),
     "fig14": dict(threads=(2,), item_count=5_000),
@@ -57,8 +63,8 @@ EXPERIMENT_DIGESTS = {
              "728fdc585d3a18007ffa177725a05a97d42be35bbadc728b50de966c16ecf1bc"),
     "fig5": ("7fedbe54d9b92bb34edfcffe16011b3601388f7d620e5988e786e8bd573a481a",
              "37ecc052729ec6ba7a4811483a19ff9c880ae560403fffba79dc474761539e7e"),
-    "fig7": ("a6233ec7b31b6fa0dc38e6015c1d86b653484df2c158825bc929d167c6f3bac2",
-             "bbf6f5a82ba6cb1ac1d240d3b1c7a3838e52e7bd1a0fa0d2546afd39cbee0cba"),
+    "fig7": ("325d1e8efef033f30468a4b5868d23fb134a64765d7f0f712bbd5294eb265a4a",
+             "0eefa6a174e7d08904a3892596f99cdddc6c82701d38c206097af0d087261a6f"),
     "fig8": ("76075c61b5bc6a4c71ecabd253ce611430da30faf2e0d93e37e75d424301d881",
              "8c774e1bcdf6f9051d0e28afc20165402a869a75e499f99e40a07cbd9c779054"),
     "fig9": ("623aab0ca128e2d314520ad5505bb7fe556eb80d66d3bed03a57449d7302588a",
@@ -67,8 +73,8 @@ EXPERIMENT_DIGESTS = {
               "61ed587eea59e2d72abd398625ef245a7af48b0527d8b75459d63be0054cc889"),
     "fig11": ("35e3d4fe12dcb14b5ebcc542bc7a79e9082777e5b9debfe705a0ed2c3c0bf988",
               "37541ac09d4af735b080a472508b78bd98cfc97a4d5f363c204097b0107acc4b"),
-    "fig12": ("d83c9f265b9ad323f2c7d813320c795d4b658f76924c7b58515f7bfd72b4c9b5",
-              "81779e19bf8d1c5c0d8757e4c79d47747d50e08eda7101a1ec686d250addbe17"),
+    "fig12": ("d00707f188d921fe2bc94081b6f0ac9524420c6b870ec5593d3d8da626f4290b",
+              "e730b2d84da65ae572300440e54a09f4915830940ff459b13395ad248da850e3"),
     "fig13": ("601434e2f7e9e029931c3b05181d5d780e7537a7e00a4fcd67a65f73fc4951df",
               "9fa25cc5e8b3aabe0b66d77ac2cdb9432ee07c93e3a8a01b95f0d058249bc90e"),
     "table1": ("6e8946613b1fbf04e057f169a782fef1726b724c14c1836c80349a31e7b62e3d",
