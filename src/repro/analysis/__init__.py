@@ -1,5 +1,5 @@
-"""Correctness tooling: RDMASan (remote-memory race sanitizer) and the
-simulation-hygiene lint (``python -m repro.analysis.lint``).
+"""Correctness tooling: RDMASan (the remote-memory race sanitizer) and
+the static analyser (``python -m repro.analysis.flow``).
 
 Both halves are passive and off by default: a cluster without an attached
 sanitizer runs byte-identically to a tree without this package, the same

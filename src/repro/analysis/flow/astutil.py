@@ -1,18 +1,63 @@
-"""Small AST helpers shared by the flow rules and the protocol checker."""
+"""Small AST helpers shared by the rule families and the protocol checker."""
 
 from __future__ import annotations
 
 import ast
 from typing import Dict, Iterator, Optional, Sequence, Set
 
-# One copy of the process-generator heuristic (and its attribute table)
-# serves both analysers; it lives with the older one.
-from repro.analysis.lint import (  # noqa: F401
-    _BROAD_EXCEPTION_NAMES as BROAD_EXCEPTION_NAMES,
-    _is_process_generator as is_process_generator,
-    _leaf_name as leaf_name,
-    _own_scope as own_scope,
-)
+#: attribute calls whose yielded result marks a function as a process
+#: generator (sim.timeout(...), lock.acquire(...), throttler.take(...), …)
+_PROCESS_YIELD_ATTRS = {"timeout", "acquire", "take", "event", "begin_op", "all_of"}
+#: their grant-on-the-spot forms: the call itself (not yielded — that is
+#: the point) marks a generator as a process step just the same
+_ON_THE_SPOT_ATTRS = {"try_acquire", "try_take", "try_begin_op"}
+BROAD_EXCEPTION_NAMES = {"Exception", "BaseException"}
+
+
+def own_scope(node: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``node``'s body without descending into nested functions."""
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        yield child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(child))
+
+
+def leaf_name(node: ast.AST) -> Optional[str]:
+    """The rightmost identifier of a Name/Attribute chain."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def is_process_generator(fn: ast.AST) -> bool:
+    """Heuristic: does this function look like a DES process generator?
+
+    ``yield from``-delegating functions count (all verbs helpers do), as
+    does yielding the result of a known waitable factory (``timeout``,
+    ``acquire``, ``take``, …) or a ``.done`` event, and a generator that
+    takes a resource on the spot (``try_acquire``, ``try_take``, …).
+    """
+    yields = on_the_spot = False
+    for child in own_scope(fn):
+        if isinstance(child, ast.YieldFrom):
+            return True
+        if isinstance(child, ast.Yield):
+            yields = True
+            value = child.value
+            if isinstance(value, ast.Call):
+                name = leaf_name(value.func)
+                if name in _PROCESS_YIELD_ATTRS:
+                    return True
+            if isinstance(value, ast.Attribute) and value.attr == "done":
+                return True
+        elif isinstance(child, ast.Call):
+            on_the_spot |= leaf_name(child.func) in _ON_THE_SPOT_ATTRS
+    return yields and on_the_spot
 
 
 def is_generator(fn: ast.AST) -> bool:

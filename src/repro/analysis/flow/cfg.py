@@ -124,19 +124,6 @@ class CFG:
                     stack.append(succ)
         return False
 
-    def to_dot(self) -> str:  # pragma: no cover - debugging aid
-        lines = ["digraph cfg {"]
-        for i, stmt in enumerate(self.stmts):
-            label = {ENTRY: "ENTRY", EXIT: "EXIT"}.get(i)
-            if label is None:
-                label = "join" if stmt is None else type(stmt).__name__
-            lines.append(f'  n{i} [label="{i}:{label}"];')
-        for a, bs in sorted(self.succs.items()):
-            for b in sorted(bs):
-                lines.append(f"  n{a} -> n{b};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 #: acquire attr -> matching release attr
 ACQUIRE_PAIRS = {"acquire": "release", "take": "put"}

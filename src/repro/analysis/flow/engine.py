@@ -1,15 +1,13 @@
-"""The analysis driver: file collection, parallelism, pragmas, baseline, CLI.
+"""The analysis driver: file collection, pragmas, baseline, CLI.
 
-``analyze_source`` runs the per-file rules (FLW1xx–FLW3xx) on one
-module.  ``analyze_paths`` adds the cross-module protocol checker
-(FLW4xx) over app packages and can fan the per-file work out on the
-bench process pool (``repro.bench.parallel``) — static
-analysis of one file is exactly the kind of independent, picklable
-point the pool was built for.
+``analyze_source`` runs the per-file rules (SIM001–SIM005,
+FLW1xx–FLW3xx) on one module; ``analyze_paths`` reads every file once,
+runs them over each and adds the cross-module protocol checker (FLW4xx)
+over app packages.
 
-Suppression is the lint pragma, same syntax, honored on either the
-first *or* the last line of the flagged statement (multi-line calls keep
-their pragma next to the closing parenthesis)::
+Suppression is a ``# lint: disable=RULE[,RULE...]`` comment, honored on
+either the first *or* the last line of the flagged statement (multi-line
+calls keep their pragma next to the closing parenthesis)::
 
     old = yield from handle.cas_sync(  # lint: disable=FLW401
         entry_addr, seg_addr, new_seg_addr
@@ -24,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
+import re
 import sys
-from dataclasses import dataclass
+import tokenize
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -33,53 +33,29 @@ from repro.analysis.flow import baseline as baseline_mod
 from repro.analysis.flow import output as output_mod
 from repro.analysis.flow import protocol as protocol_mod
 from repro.analysis.flow import rules as rules_mod
-from repro.analysis.lint import _pragmas
+from repro.analysis.flow.rules import FlowFinding
 
 #: the complete rule catalog (per-file + protocol families)
 RULES: Dict[str, str] = {**rules_mod.RULES, **protocol_mod.PROTOCOL_RULES}
 
+_PRAGMA = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
-@dataclass(frozen=True)
-class FlowFinding:
-    path: str
-    line: int
-    col: int
-    end_line: int
-    rule: str
-    message: str
-    #: enclosing function qualname ('' at module level)
-    scope: str = ""
 
-    def fingerprint(self) -> str:
-        return baseline_mod.fingerprint(self.path, self.scope, self.rule)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "end_line": self.end_line,
-            "rule": self.rule,
-            "message": self.message,
-            "scope": self.scope,
-            "fingerprint": self.fingerprint(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FlowFinding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            end_line=int(data["end_line"]),
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-            scope=str(data.get("scope", "")),
-        )
-
-    def __str__(self) -> str:
-        where = f" [{self.scope}]" if self.scope else ""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule}{where} {self.message}"
+def _pragmas(source: str) -> Dict[int, Set[str]]:
+    """Map line number -> set of rules disabled on that line."""
+    disabled: Dict[int, Set[str]] = {}
+    try:
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        for token in tokens:
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _PRAGMA.search(token.string)
+            if match:
+                rules = {r.strip() for r in match.group(1).split(",") if r.strip()}
+                disabled.setdefault(token.start[0], set()).update(rules)
+    except tokenize.TokenizeError:  # pragma: no cover - unparsable source
+        pass
+    return disabled
 
 
 def _apply_pragmas(findings: List[FlowFinding], source: str) -> List[FlowFinding]:
@@ -96,15 +72,9 @@ def _apply_pragmas(findings: List[FlowFinding], source: str) -> List[FlowFinding
     return kept
 
 
-def _lift(raw: "rules_mod.RawFinding", path: str) -> FlowFinding:
+def _unanalyzable(path: str, message: str, line: int = 0, col: int = 0) -> FlowFinding:
     return FlowFinding(
-        path=path,
-        line=raw.line,
-        col=raw.col,
-        end_line=raw.end_line,
-        rule=raw.rule,
-        message=raw.message,
-        scope=raw.scope,
+        path=path, line=line, col=col, end_line=line, rule="FLW000", message=message
     )
 
 
@@ -114,37 +84,11 @@ def analyze_source(source: str, path: str = "<string>") -> List[FlowFinding]:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
         return [
-            FlowFinding(
-                path=path,
-                line=error.lineno or 0,
-                col=error.offset or 0,
-                end_line=error.lineno or 0,
-                rule="FLW000",
-                message=f"syntax error: {error.msg}",
+            _unanalyzable(
+                path, f"syntax error: {error.msg}", error.lineno or 0, error.offset or 0
             )
         ]
-    findings = [_lift(raw, path) for raw in rules_mod.check_module(tree, path)]
-    return _apply_pragmas(findings, source)
-
-
-def analyze_files(files: Sequence[str]) -> List[Dict[str, object]]:
-    """Worker entry point (the ``fn`` of a
-    :class:`~repro.bench.parallel.PointSpec`): per-file findings as
-    picklable dicts."""
-    results: List[Dict[str, object]] = []
-    for path in files:
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError as error:
-            results.append(
-                FlowFinding(
-                    path=path, line=0, col=0, end_line=0,
-                    rule="FLW000", message=f"unreadable: {error}",
-                ).to_dict()
-            )
-            continue
-        results.extend(f.to_dict() for f in analyze_source(source, path))
-    return results
+    return _apply_pragmas(rules_mod.check_module(tree, path), source)
 
 
 def collect_files(paths: Sequence[Path]) -> List[Path]:
@@ -168,56 +112,27 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
     return files
 
 
-def _analyze_parallel(files: List[Path], jobs: int) -> List[FlowFinding]:
-    from repro.bench.parallel import PointSpec, run_points
-
-    chunk = max(1, len(files) // (jobs * 4))
-    names = [str(f) for f in files]
-    specs = [
-        PointSpec(analyze_files, kwargs={"files": names[i:i + chunk]})
-        for i in range(0, len(names), chunk)
-    ]
-    findings: List[FlowFinding] = []
-    for batch in run_points(specs, jobs=jobs):
-        findings.extend(FlowFinding.from_dict(d) for d in batch)
-    return findings
-
-
-def analyze_paths(
-    paths: Sequence[Path],
-    jobs: Optional[int] = None,
-    protocol: bool = True,
-) -> Tuple[List[FlowFinding], int]:
+def analyze_paths(paths: Sequence[Path]) -> Tuple[List[FlowFinding], int]:
     """Analyze every ``.py`` under ``paths``; returns (findings, file count).
 
-    ``jobs`` follows the bench convention (``None`` → ``REPRO_JOBS``,
-    ``0`` → all cores, ``1`` → serial).  The protocol checker always runs
-    in-process: app units are few and its cost is dwarfed by the
-    per-file pass.
+    A path that cannot be read (missing, a permission error) is an
+    ``FLW000`` finding, not a crash.
     """
-    from repro.bench.parallel import resolve_jobs
-
     files = collect_files(paths)
-    effective = resolve_jobs(jobs)
-    if effective > 1 and len(files) > 1:
-        findings = _analyze_parallel(files, effective)
-    else:
-        findings = [
-            FlowFinding.from_dict(d) for d in analyze_files([str(f) for f in files])
-        ]
+    findings: List[FlowFinding] = []
+    sources: Dict[str, str] = {}
+    for file in files:
+        path = str(file)
+        try:
+            sources[path] = file.read_text(encoding="utf-8")
+        except OSError as error:
+            findings.append(_unanalyzable(path, f"unreadable: {error}"))
+            continue
+        findings.extend(analyze_source(sources[path], path))
 
-    if protocol:
-        sources: Dict[str, str] = {}
-
-        def read_source(path: str) -> str:
-            if path not in sources:
-                sources[path] = Path(path).read_text(encoding="utf-8")
-            return sources[path]
-
-        for app in protocol_mod.group_apps([str(f) for f in files], read_source):
-            for path, raw_findings in protocol_mod.check_app(app).items():
-                lifted = [_lift(raw, path) for raw in raw_findings]
-                findings.extend(_apply_pragmas(lifted, app[path]))
+    for app in protocol_mod.group_apps(sources):
+        for path, found in protocol_mod.check_app(app).items():
+            findings.extend(_apply_pragmas(found, app[path]))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, len(files)
@@ -226,7 +141,7 @@ def analyze_paths(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.flow",
-        description="Dataflow-aware static analysis (FLW101-FLW403).",
+        description="Static analysis of the simulator (SIM001-SIM005, FLW101-FLW403).",
     )
     parser.add_argument(
         "paths",
@@ -236,15 +151,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="write the report to a file instead of stdout",
     )
     parser.add_argument(
         "--baseline",
@@ -257,23 +166,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="record the current findings as the baseline and exit 0",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: REPRO_JOBS; 0 = all cores)",
-    )
-    parser.add_argument(
-        "--no-protocol",
-        action="store_true",
-        help="skip the cross-module protocol checker (FLW4xx)",
-    )
     options = parser.parse_args(argv)
     paths = options.paths or [Path(__file__).resolve().parents[2]]
 
-    findings, file_count = analyze_paths(
-        paths, jobs=options.jobs, protocol=not options.no_protocol
-    )
+    findings, file_count = analyze_paths(paths)
 
     if options.write_baseline:
         if options.baseline is None:
@@ -288,26 +184,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     accepted_count = 0
     if options.baseline is not None:
         known = baseline_mod.load(options.baseline)
-        new, accepted = baseline_mod.suppress(findings, known)
+        findings, accepted = baseline_mod.suppress(findings, known)
         accepted_count = len(accepted)
-        report_findings = new
-    else:
-        report_findings = findings
 
-    if options.format == "sarif":
-        report = output_mod.to_sarif(report_findings, RULES)
-    elif options.format == "json":
-        report = output_mod.to_json(report_findings, file_count)
+    if options.format == "json":
+        print(output_mod.to_json(findings, file_count))
     else:
-        report = output_mod.to_text(report_findings, file_count)
+        report = output_mod.to_text(findings, file_count)
         if accepted_count:
             report += f" ({accepted_count} baseline finding(s) suppressed)"
-
-    if options.output is not None:
-        options.output.write_text(report + "\n", encoding="utf-8")
-    else:
         print(report)
-    return 1 if report_findings else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,21 +1,9 @@
-"""Report writers: plain text, JSON, and SARIF 2.1.0.
-
-SARIF is the interchange format CI annotation tooling consumes; the
-writer emits the minimal valid document — one run, one driver, the rule
-catalog, and one result per finding with a partial fingerprint matching
-the baseline's ``path::scope::rule`` scheme.
-"""
+"""Report writers: plain text and JSON."""
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+from typing import Sequence
 
 
 def to_text(findings: Sequence, file_count: int) -> str:
@@ -33,57 +21,3 @@ def to_json(findings: Sequence, file_count: int) -> str:
         },
         indent=2,
     )
-
-
-def to_sarif(findings: Sequence, rules: Dict[str, str],
-             tool_name: str = "repro-flow") -> str:
-    rule_ids = sorted(rules)
-    index = {rule: i for i, rule in enumerate(rule_ids)}
-    results: List[Dict] = []
-    for finding in findings:
-        results.append(
-            {
-                "ruleId": finding.rule,
-                "ruleIndex": index.get(finding.rule, -1),
-                "level": "error",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": finding.path},
-                            "region": {
-                                "startLine": max(finding.line, 1),
-                                "startColumn": finding.col + 1,
-                                "endLine": max(finding.end_line, 1),
-                            },
-                        }
-                    }
-                ],
-                "partialFingerprints": {
-                    "reproFlow/v1": finding.fingerprint(),
-                },
-            }
-        )
-    document = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": tool_name,
-                        "informationUri": "https://example.invalid/repro-flow",
-                        "rules": [
-                            {
-                                "id": rule,
-                                "shortDescription": {"text": rules[rule]},
-                            }
-                            for rule in rule_ids
-                        ],
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2)

@@ -33,12 +33,13 @@ not evidence of a missing declaration.
 from __future__ import annotations
 
 import ast
+import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.flow.astutil import leaf_name, names_in, string_pattern
-from repro.analysis.flow.rules import RawFinding
+from repro.analysis.flow.rules import FlowFinding, finding_at
 
 PROTOCOL_RULES: Dict[str, str] = {
     "FLW401": "CAS target region is allocated but never declared to the sanitizer",
@@ -309,23 +310,13 @@ def build_app_model(sources: Dict[str, str]) -> AppModel:
     return model
 
 
-def check_app(sources: Dict[str, str]) -> Dict[str, List[RawFinding]]:
+def check_app(sources: Dict[str, str]) -> Dict[str, List[FlowFinding]]:
     """Run FLW401–403 over one app; returns findings grouped by path."""
     model = build_app_model(sources)
-    findings: Dict[str, List[RawFinding]] = {path: [] for path in sources}
+    findings: Dict[str, List[FlowFinding]] = {path: [] for path in sources}
 
     def flag(path: str, rule: str, node: ast.AST, message: str, scope: str) -> None:
-        findings[path].append(
-            RawFinding(
-                rule=rule,
-                line=getattr(node, "lineno", 0),
-                col=getattr(node, "col_offset", 0),
-                end_line=getattr(node, "end_lineno", None)
-                or getattr(node, "lineno", 0),
-                message=message,
-                scope=scope,
-            )
-        )
+        findings[path].append(finding_at(path, rule, node, message, scope))
 
     # Region patterns covered by a declaration of any kind.
     covered: Set[str] = {decl.pattern for decl in model.declarations}
@@ -388,28 +379,17 @@ def check_app(sources: Dict[str, str]) -> Dict[str, List[RawFinding]]:
     return findings
 
 
-def group_apps(paths: Sequence[str],
-               read_source) -> List[Dict[str, str]]:
-    """Group ``paths`` into app units: one unit per directory containing a
-    ``declare_sanitizer_regions`` definition, holding every module in
-    that directory.  ``read_source(path) -> str``."""
-    import os
-
+def group_apps(sources: Dict[str, str]) -> List[Dict[str, str]]:
+    """Group modules (``sources``: path -> source text) into app units:
+    one unit per directory containing a ``declare_sanitizer_regions``
+    definition, holding every module in that directory."""
     by_dir: Dict[str, Dict[str, str]] = {}
-    for path in paths:
-        by_dir.setdefault(os.path.dirname(os.path.abspath(path)), {})[path] = None
-    apps: List[Dict[str, str]] = []
-    for _dirname, members in sorted(by_dir.items()):
-        sources: Dict[str, str] = {}
-        is_app = False
-        for path in sorted(members):
-            try:
-                source = read_source(path)
-            except OSError:
-                continue
-            sources[path] = source
-            if "def declare_sanitizer_regions" in source:
-                is_app = True
-        if is_app and sources:
-            apps.append(sources)
-    return apps
+    for path in sorted(sources):
+        by_dir.setdefault(os.path.dirname(os.path.abspath(path)), {})[path] = (
+            sources[path]
+        )
+    return [
+        members
+        for _dirname, members in sorted(by_dir.items())
+        if any("def declare_sanitizer_regions" in text for text in members.values())
+    ]

@@ -1,7 +1,19 @@
-"""Per-file flow rules: ownership/leak, determinism hazards, interrupt safety.
+"""Per-file rules: simulation hygiene, ownership/leak, determinism
+hazards, interrupt safety.
 
 Rule catalog (see docs/MODEL.md §15 for rationale and suppression):
 
+* **SIM001 wall-clock** — ``time.time``/``datetime.now``/… in simulation
+  code.  Real time leaking into a run breaks determinism.
+* **SIM002 unseeded-random** — ``random``-module functions outside
+  ``sim/rng.py``.  Use a seeded ``random.Random`` instance.
+* **SIM003 broad-except** — a broad ``except``/``except Exception``
+  inside a process generator that can swallow
+  :class:`~repro.sim.core.Interrupt`.
+* **SIM004 float-timestamp-equality** — ``==``/``!=`` on simulation
+  timestamps that may be floats (``busy_until`` and friends).
+* **SIM005 non-waitable-yield** — a process yields a literal (the kernel
+  would raise at run time, on whichever path reaches it first).
 * **FLW101 lock-path-leak** — a lock/token acquired in a function
   (``yield x.acquire()`` / ``yield from x.acquire()`` / ``yield
   x.take()``) is released on at least one path but *not* on every path
@@ -25,16 +37,17 @@ Rule catalog (see docs/MODEL.md §15 for rationale and suppression):
 * **FLW302 yield-in-finally** — a process generator yields inside
   ``finally``; a second interrupt (or generator close) skips cleanup.
 
-Each rule reports :class:`RawFinding` tuples; the engine applies
-pragmas, paths and the baseline.
+Every rule reports :class:`FlowFinding` records; the engine applies
+pragmas and the baseline.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.analysis.flow import baseline
 from repro.analysis.flow.astutil import (
     BROAD_EXCEPTION_NAMES,
     ancestors,
@@ -49,6 +62,11 @@ from repro.analysis.flow.dataflow import forward_may
 from repro.analysis.flow.symbols import ModuleSymbols, build_symbols
 
 RULES: Dict[str, str] = {
+    "SIM001": "wall-clock use in simulation code (use sim.now, integer ns)",
+    "SIM002": "unseeded random-module use outside sim/rng.py (use a seeded Random)",
+    "SIM003": "broad except in a process generator can swallow sim.core.Interrupt",
+    "SIM004": "float equality comparison on simulation timestamps",
+    "SIM005": "process yields a non-Waitable literal",
     "FLW101": "resource acquired but not released on every path to exit",
     "FLW102": "yield while holding a lock without a finally that releases it",
     "FLW103": "spawned process neither stored nor awaited",
@@ -59,6 +77,11 @@ RULES: Dict[str, str] = {
     "FLW302": "yield inside finally of a process generator",
 }
 
+_WALL_CLOCK_TIME = {
+    "time", "monotonic", "perf_counter", "time_ns", "monotonic_ns",
+    "perf_counter_ns",
+}
+_WALL_CLOCK_DATETIME = {"now", "utcnow", "today"}
 _SCHEDULING_CALLS = {
     "spawn", "call_at", "call_after", "timeout", "fire", "interrupt", "schedule",
 }
@@ -69,29 +92,54 @@ _RNG_CALLS = {
 
 
 @dataclass(frozen=True)
-class RawFinding:
-    rule: str
+class FlowFinding:
+    path: str
     line: int
     col: int
     end_line: int
+    rule: str
     message: str
     #: enclosing function qualname ('' at module level) — the stable
     #: scope component of baseline fingerprints
     scope: str = ""
 
+    def fingerprint(self) -> str:
+        return baseline.fingerprint(self.path, self.scope, self.rule)
 
-def _flag(findings: List[RawFinding], rule: str, node: ast.AST, message: str,
-          scope: str = "") -> None:
-    findings.append(
-        RawFinding(
-            rule=rule,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            end_line=getattr(node, "end_lineno", None) or getattr(node, "lineno", 0),
-            message=message,
-            scope=scope,
-        )
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "end_line": self.end_line,
+            "rule": self.rule,
+            "message": self.message,
+            "scope": self.scope,
+            "fingerprint": self.fingerprint(),
+        }
+
+    def __str__(self) -> str:
+        where = f" [{self.scope}]" if self.scope else ""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule}{where} {self.message}"
+
+
+def finding_at(path: str, rule: str, node: ast.AST, message: str,
+               scope: str = "") -> FlowFinding:
+    """A finding spanning ``node``'s first to last source line."""
+    line = getattr(node, "lineno", 0)
+    return FlowFinding(
+        path=path,
+        line=line,
+        col=getattr(node, "col_offset", 0),
+        end_line=getattr(node, "end_lineno", None) or line,
+        rule=rule,
+        message=message,
+        scope=scope,
     )
+
+
+#: ``flag(rule, node, message, scope="")`` — what every rule family reports to
+Flag = Callable[..., None]
 
 
 # -- resource-key extraction --------------------------------------------------
@@ -156,7 +204,7 @@ def _keys_match(acquired: Tuple[str, Optional[str]],
 # -- ownership rules (CFG + dataflow) ----------------------------------------
 
 
-def _check_ownership(info, findings: List[RawFinding],
+def _check_ownership(info, flag: Flag,
                      parents: Dict[ast.AST, ast.AST]) -> None:
     fn = info.node
     cfg = build_cfg(fn)
@@ -277,8 +325,8 @@ def _check_ownership(info, findings: List[RawFinding],
         )
         if not has_release:
             continue  # ownership transferred out of this function
-        _flag(
-            findings, "FLW101", call,
+        flag(
+            "FLW101", call,
             f"{key[0]}.{call.func.attr}() is released on some paths but a "
             "path to function exit keeps it held (release in a finally or "
             "on every branch)",
@@ -321,8 +369,8 @@ def _check_ownership(info, findings: List[RawFinding],
             if _finally_protected(stmt, key, release_attr, parents):
                 continue
             reported.add(fact)
-            _flag(
-                findings, "FLW102", stmt,
+            flag(
+                "FLW102", stmt,
                 f"yield while holding {key[0]} (acquired line {call.lineno}) "
                 "outside a try/finally that releases it; an Interrupt "
                 "delivered here leaks the lock",
@@ -353,8 +401,7 @@ def _finally_protected(stmt: ast.AST, key: Tuple[str, Optional[str]],
 # -- FLW103: unjoined spawns --------------------------------------------------
 
 
-def _check_spawns(symbols: ModuleSymbols, findings: List[RawFinding],
-                  scope_of) -> None:
+def _check_spawns(symbols: ModuleSymbols, flag: Flag, scope_of) -> None:
     for node in ast.walk(symbols.tree):
         if not isinstance(node, ast.Expr):
             continue
@@ -365,8 +412,8 @@ def _check_spawns(symbols: ModuleSymbols, findings: List[RawFinding],
             isinstance(value, ast.Call)
             and leaf_name(value.func) == "spawn"
         ):
-            _flag(
-                findings, "FLW103", node,
+            flag(
+                "FLW103", node,
                 "spawn(...) result discarded: the Process (completion event "
                 "and error) can never be awaited or checked — store the "
                 "handle",
@@ -405,8 +452,7 @@ def own_scope_many(stmt: ast.stmt):
     yield from own_scope(stmt)
 
 
-def _check_determinism(symbols: ModuleSymbols, findings: List[RawFinding],
-                       parents: Dict[ast.AST, ast.AST], scope_of,
+def _check_determinism(symbols: ModuleSymbols, flag: Flag,
                        in_rng_module: bool) -> None:
     # Set-typed attribute names anywhere in the module (``self.users =
     # set()`` inside __init__ marks ``users``).
@@ -437,8 +483,8 @@ def _check_determinism(symbols: ModuleSymbols, findings: List[RawFinding],
             ):
                 culprit = _body_schedules_or_draws(node.body)
                 if culprit is not None:
-                    _flag(
-                        findings, "FLW201", node,
+                    flag(
+                        "FLW201", node,
                         "iterating a set while scheduling or drawing RNG "
                         f"inside the loop ({call_text(culprit)[:60]}): set "
                         "order is not stable across runs — iterate "
@@ -452,8 +498,8 @@ def _check_determinism(symbols: ModuleSymbols, findings: List[RawFinding],
                 target_name = leaf_name(node.target)
                 if target_name and target_name.endswith("_ns"):
                     if _float_tainted(node.value):
-                        _flag(
-                            findings, "FLW202", node,
+                        flag(
+                            "FLW202", node,
                             f"float arithmetic accumulates into "
                             f"{target_name}; timestamps are integer ns — "
                             "wrap the increment in int(round(...))",
@@ -464,8 +510,8 @@ def _check_determinism(symbols: ModuleSymbols, findings: List[RawFinding],
                 if in_rng_module:
                     continue
                 if not node.args and not node.keywords:
-                    _flag(
-                        findings, "FLW203", node,
+                    flag(
+                        "FLW203", node,
                         "Random() with no seed draws entropy from the OS; "
                         "thread the configured seed through instead",
                         scope=info.qualname,
@@ -476,8 +522,8 @@ def _check_determinism(symbols: ModuleSymbols, findings: List[RawFinding],
                     and isinstance(node.args[0].value, (int, float))
                     and _has_seed_param(info.node)
                 ):
-                    _flag(
-                        findings, "FLW203", node,
+                    flag(
+                        "FLW203", node,
                         "constant seed ignores this function's `seed` "
                         "parameter; derive the RNG from the configured seed",
                         scope=info.qualname,
@@ -513,8 +559,7 @@ def _has_seed_param(fn: ast.AST) -> bool:
 # -- interrupt safety ---------------------------------------------------------
 
 
-def _check_interrupt_safety(symbols: ModuleSymbols,
-                            findings: List[RawFinding]) -> None:
+def _check_interrupt_safety(symbols: ModuleSymbols, flag: Flag) -> None:
     for info in symbols.functions:
         if not info.is_process:
             continue
@@ -534,8 +579,8 @@ def _check_interrupt_safety(symbols: ModuleSymbols,
                 for stmt in handler.body:
                     for sub in own_scope_many(stmt):
                         if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                            _flag(
-                                findings, "FLW301", sub,
+                            flag(
+                                "FLW301", sub,
                                 "yield inside a broad except of a process "
                                 "generator: a pending Interrupt can be "
                                 "swallowed or re-entered while waiting in "
@@ -550,8 +595,8 @@ def _check_interrupt_safety(symbols: ModuleSymbols,
             for stmt in node.finalbody:
                 for sub in own_scope_many(stmt):
                     if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                        _flag(
-                            findings, "FLW302", sub,
+                        flag(
+                            "FLW302", sub,
                             "yield inside finally of a process generator: "
                             "an Interrupt (or generator close) during the "
                             "wait skips the rest of the cleanup",
@@ -563,14 +608,98 @@ def _check_interrupt_safety(symbols: ModuleSymbols,
                 break
 
 
+# -- simulation hygiene (SIM001-SIM005) ---------------------------------------
+
+
+def _mentions(node: ast.AST, name: str) -> bool:
+    return any(leaf_name(sub) == name for sub in ast.walk(node))
+
+
+def _has_float_or_ns(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
+            return True
+        name = leaf_name(sub)
+        if name is not None and name.endswith("_ns"):
+            return True
+    return False
+
+
+def _check_hygiene(symbols: ModuleSymbols, flag: Flag, scope_of,
+                   in_rng_module: bool) -> None:
+    def hit(rule: str, node: ast.AST, scope: str) -> None:
+        flag(rule, node, RULES[rule], scope=scope)
+
+    for node in ast.walk(symbols.tree):
+        # SIM001 / SIM002: wall clock and unseeded randomness.
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            base = leaf_name(node.func.value)
+            if base == "time" and attr in _WALL_CLOCK_TIME:
+                hit("SIM001", node, scope_of(node))
+            elif base in {"datetime", "date"} and attr in _WALL_CLOCK_DATETIME:
+                hit("SIM001", node, scope_of(node))
+            elif base == "random" and attr in _RNG_CALLS and not in_rng_module:
+                hit("SIM002", node, scope_of(node))
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module == "time" and names & _WALL_CLOCK_TIME:
+                hit("SIM001", node, scope_of(node))
+            elif node.module == "random" and names & _RNG_CALLS and not in_rng_module:
+                hit("SIM002", node, scope_of(node))
+        # SIM004: float equality on timestamps.
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+        ):
+            sides = [node.left, *node.comparators]
+            if any(_mentions(s, "busy_until") for s in sides) or (
+                any(_mentions(s, "now") for s in sides)
+                and any(_has_float_or_ns(s) for s in sides)
+            ):
+                hit("SIM004", node, scope_of(node))
+
+    # SIM003 / SIM005: rules scoped to process generators.
+    for info in symbols.functions:
+        if not info.is_process:
+            continue
+        for node in own_scope(info.node):
+            if isinstance(node, ast.Try):
+                interrupt_handled = False
+                for handler in node.handlers:
+                    names = handler_names(handler)
+                    if "Interrupt" in names:
+                        interrupt_handled = True
+                    elif (
+                        (handler.type is None or names & BROAD_EXCEPTION_NAMES)
+                        and not interrupt_handled
+                        # a bare ``raise`` passes Interrupt on
+                        and not any(
+                            isinstance(sub, ast.Raise) and sub.exc is None
+                            for sub in ast.walk(handler)
+                        )
+                    ):
+                        hit("SIM003", handler, info.qualname)
+            elif isinstance(node, ast.Yield) and (
+                node.value is None
+                or isinstance(
+                    node.value,
+                    (ast.Constant, ast.Tuple, ast.List, ast.Dict, ast.Set),
+                )
+            ):
+                hit("SIM005", node, info.qualname)
+
+
 # -- entry point --------------------------------------------------------------
 
 
-def check_module(tree: ast.Module, path: str = "<string>") -> List[RawFinding]:
+def check_module(tree: ast.Module, path: str = "<string>") -> List[FlowFinding]:
     """Run every per-file rule over one parsed module."""
     symbols = build_symbols(tree, path)
     parents = parent_map(tree)
-    findings: List[RawFinding] = []
+    findings: List[FlowFinding] = []
+
+    def flag(rule: str, node: ast.AST, message: str, scope: str = "") -> None:
+        findings.append(finding_at(path, rule, node, message, scope))
 
     def scope_of(node: ast.AST) -> str:
         for anc in ancestors(node, parents):
@@ -579,14 +708,14 @@ def check_module(tree: ast.Module, path: str = "<string>") -> List[RawFinding]:
                 return info.qualname
         return ""
 
-    norm = path.replace("\\", "/")
-    in_rng_module = norm.endswith("sim/rng.py")
+    in_rng_module = path.replace("\\", "/").endswith("sim/rng.py")
 
+    _check_hygiene(symbols, flag, scope_of, in_rng_module)
     for info in symbols.functions:
-        _check_ownership(info, findings, parents)
-    _check_spawns(symbols, findings, scope_of)
-    _check_determinism(symbols, findings, parents, scope_of, in_rng_module)
-    _check_interrupt_safety(symbols, findings)
+        _check_ownership(info, flag, parents)
+    _check_spawns(symbols, flag, scope_of)
+    _check_determinism(symbols, flag, in_rng_module)
+    _check_interrupt_safety(symbols, flag)
 
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings

@@ -95,10 +95,6 @@ class RnicConfig:
     """Service multiplier coefficient applied to miss rate in excess of the
     shared-context baseline (so one shared context runs at max_iops)."""
 
-    # -- QP sharing --------------------------------------------------------------
-    qp_lock_hold_ns: float = 60.0
-    """Driver work under the QP lock when a QP is shared between threads."""
-
     # -- CPU cost model -----------------------------------------------------------
     wqe_build_ns: float = 30.0
     """CPU time to build and enqueue one WQE."""

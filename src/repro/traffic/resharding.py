@@ -47,7 +47,7 @@ from repro.bench.runner import (
 from repro.memory.elastic import Autoscaler
 from repro.obs.metrics import LogHistogram
 from repro.traffic.arrivals import PoissonArrivals
-from repro.traffic.engine import OpenLoopEngine
+from repro.traffic.runner import build_engine
 from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
 
 PHASES = ("before", "during", "after")
@@ -216,20 +216,12 @@ def run_resharding(
         )]
     from repro.workloads.ycsb import WRITE_HEAVY
 
-    engine = OpenLoopEngine(sim, seed=seed)
-    seeder = random.Random(seed)
-    worker_index = 0
-    for spec in tenants:
-        workload = spec.workload or WRITE_HEAVY
-        stream = workload.stream(item_count, seeder.getrandbits(31))
-        executors = []
-        for _ in range(spec.workers):
-            smart = deployment.smart_threads[
-                worker_index % len(deployment.smart_threads)
-            ]
-            executors.append(partial(_executor, service, smart))
-            worker_index += 1
-        engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
+    engine = build_engine(
+        sim, seed, tenants, deployment.smart_threads,
+        lambda spec, stream_seed: (
+            spec.workload or WRITE_HEAVY).stream(item_count, stream_seed),
+        partial(_executor, service),
+    )
 
     # -- migration machinery -----------------------------------------------
     alloc_hist = LogHistogram()

@@ -1,15 +1,11 @@
-"""Tests for repro.analysis: RDMASan and the simulation-hygiene lint."""
+"""Tests for repro.analysis: RDMASan and the SIM rules of the static analyser."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import RdmaSanitizer
-from repro.analysis.lint import lint_paths, lint_source
+from repro.analysis.flow import analyze_source
 from repro.bench.experiments import ExperimentResult
 from repro.bench.microbench import run_microbench
 from repro.bench.runner import build_deployment, run_btree, run_dtx, run_hashtable
@@ -19,8 +15,6 @@ from repro.rnic.qp import QueuePair, cas_wr, write_wr
 from repro.sim import Simulator
 from repro.sim.core import SimulationError
 from repro.sim.resources import FifoLock
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 APP_KW = dict(threads=2, coroutines=2, item_count=2000,
               warmup_ns=1e5, measure_ns=2e5, seed=1)
@@ -406,7 +400,7 @@ def test_spawn_registry_records_processes():
     assert not proc.alive
 
 
-# -- the static lint ----------------------------------------------------------
+# -- the simulation-hygiene rules (SIM001-SIM005) ----------------------------
 
 
 def _rules(findings):
@@ -415,19 +409,19 @@ def _rules(findings):
 
 def test_sim001_wall_clock():
     src = "import time\n\ndef f():\n    return time.time()\n"
-    assert _rules(lint_source(src)) == ["SIM001"]
+    assert _rules(analyze_source(src)) == ["SIM001"]
     src = "from time import monotonic\n"
-    assert _rules(lint_source(src)) == ["SIM001"]
+    assert _rules(analyze_source(src)) == ["SIM001"]
     suppressed = "import time\n\ndef f():\n    return time.time()  # lint: disable=SIM001\n"
-    assert lint_source(suppressed) == []
+    assert analyze_source(suppressed) == []
 
 
 def test_sim002_unseeded_random():
     src = "import random\nx = random.randint(1, 5)\n"
-    assert _rules(lint_source(src)) == ["SIM002"]
+    assert _rules(analyze_source(src)) == ["SIM002"]
     # random.Random(seed) is fine, and rng.py itself is exempt.
-    assert lint_source("import random\nr = random.Random(3)\n") == []
-    assert lint_source(src, path="src/repro/sim/rng.py") == []
+    assert analyze_source("import random\nr = random.Random(3)\n") == []
+    assert analyze_source(src, path="src/repro/sim/rng.py") == []
 
 
 SIM003_FIXTURE = """\
@@ -441,60 +435,28 @@ def worker(sim, lock):
 
 
 def test_sim003_broad_except_in_process_generator():
-    assert _rules(lint_source(SIM003_FIXTURE)) == ["SIM003"]
+    assert _rules(analyze_source(SIM003_FIXTURE)) == ["SIM003"]
     # A bare re-raise passes Interrupt on: clean.
     reraising = SIM003_FIXTURE.replace("        pass\n", "        raise\n")
-    assert lint_source(reraising) == []
+    assert analyze_source(reraising) == []
     # Handling Interrupt first is clean too.
     guarded = SIM003_FIXTURE.replace(
         "    except Exception:\n",
         "    except Interrupt:\n        return\n    except Exception:\n",
     )
-    assert lint_source(guarded) == []
+    assert analyze_source(guarded) == []
     # A non-process function may catch broadly.
     plain = "def f():\n    try:\n        g()\n    except Exception:\n        pass\n"
-    assert lint_source(plain) == []
+    assert analyze_source(plain) == []
 
 
 def test_sim004_float_timestamp_equality():
     src = "def f(self, now):\n    return self.busy_until == now\n"
-    assert _rules(lint_source(src)) == ["SIM004"]
-    assert lint_source("def f(self, now):\n    return self.busy_until >= now\n") == []
+    assert _rules(analyze_source(src)) == ["SIM004"]
+    assert analyze_source("def f(self, now):\n    return self.busy_until >= now\n") == []
 
 
 def test_sim005_yield_non_waitable_literal():
     src = "def f(sim):\n    yield sim.timeout(1)\n    yield 5\n"
-    assert _rules(lint_source(src)) == ["SIM005"]
-    assert lint_source("def f(sim):\n    yield sim.timeout(1)\n") == []
-
-
-def test_lint_clean_on_final_tree():
-    findings, files = lint_paths([REPO_ROOT / "src" / "repro"])
-    assert findings == []
-    assert files > 50
-
-
-def _run_lint_cli(target: Path, fmt="text"):
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint", str(target),
-         f"--format={fmt}"],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-    )
-
-
-def test_lint_cli_flags_sim003_fixture(tmp_path):
-    fixture = tmp_path / "fixture.py"
-    fixture.write_text(SIM003_FIXTURE)
-    proc = _run_lint_cli(tmp_path)
-    assert proc.returncode == 1
-    assert "SIM003" in proc.stdout
-    proc = _run_lint_cli(tmp_path, fmt="json")
-    payload = json.loads(proc.stdout)
-    assert payload["version"] == 1
-    assert [f["rule"] for f in payload["findings"]] == ["SIM003"]
-    # The pragma suppresses it and the exit code goes green.
-    fixture.write_text(SIM003_FIXTURE.replace(
-        "    except Exception:", "    except Exception:  # lint: disable=SIM003"
-    ))
-    assert _run_lint_cli(tmp_path).returncode == 0
+    assert _rules(analyze_source(src)) == ["SIM005"]
+    assert analyze_source("def f(sim):\n    yield sim.timeout(1)\n") == []

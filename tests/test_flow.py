@@ -1,5 +1,5 @@
 """Tests for repro.analysis.flow: CFG, dataflow rules, protocol checker,
-baseline workflow, SARIF output, and the lint-satellite fixes."""
+pragmas, baseline workflow and the CLI."""
 
 import ast
 import json
@@ -21,7 +21,7 @@ from repro.analysis.flow.engine import (
     collect_files,
     main,
 )
-from repro.analysis.lint import lint_paths, lint_source
+from tests.test_analysis import SIM003_FIXTURE
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
@@ -506,41 +506,52 @@ class TestPragmas:
         assert _rules_of(findings) == ["FLW103"]
 
     def test_lint_multiline_end_pragma(self):
-        # Satellite: the SIM lint honors the closing line too.
-        source = textwrap.dedent("""
+        # A SIM finding honors the closing line too.
+        assert _analyze("""
             import time
 
             def f():
                 return time.time(
                 )  # lint: disable=SIM001
-        """)
-        assert lint_source(source, "fixture.py") == []
+        """) == []
 
     def test_lint_start_line_pragma_still_works(self):
-        source = textwrap.dedent("""
+        assert _analyze("""
             import time
 
             def f():
                 return time.time()  # lint: disable=SIM001
-        """)
-        assert lint_source(source, "fixture.py") == []
+        """) == []
+
+    def test_one_pragma_disables_a_sim_and_an_flw_rule(self):
+        source = """
+            import time
+
+            def f(self):
+                self.spent_ns += time.time() / 2{pragma}
+        """
+        assert _rules_of(_analyze(source.format(pragma=""))) == ["FLW202", "SIM001"]
+        assert _analyze(source.format(
+            pragma="  # lint: disable=SIM001,FLW202")) == []
+        assert _rules_of(_analyze(source.format(
+            pragma="  # lint: disable=FLW202"))) == ["SIM001"]
 
     def test_lint_knows_a_process_by_its_grant_on_the_spot(self):
-        # The SIM lint's process-generator table: a generator that takes
-        # a resource on the spot is a process step, so swallowing
+        # The process-generator table (flow/astutil.py): a generator that
+        # takes a resource on the spot is a process step, so swallowing
         # Interrupt in it is SIM003 ...
-        source = textwrap.dedent("""
+        source = """
             def worker(lock, parked):
                 if lock.try_acquire():
                     try:
                         yield parked
                     except Exception:
                         pass
-        """)
-        assert [f.rule for f in lint_source(source, "fixture.py")] == ["SIM003"]
+        """
+        assert _rules_of(_analyze(source)) == ["SIM003"]
         # ... while the same shape without the grant is just a generator.
         plain = source.replace("lock.try_acquire()", "lock.looks_free()")
-        assert lint_source(plain, "fixture.py") == []
+        assert _analyze(plain) == []
 
 
 # -- protocol checker ---------------------------------------------------------
@@ -702,20 +713,6 @@ class TestBaseline:
 
 
 class TestOutput:
-    def test_sarif_shape(self):
-        report = json.loads(output_mod.to_sarif([_finding()], RULES))
-        assert report["version"] == "2.1.0"
-        run = report["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-flow"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "FLW101" in rule_ids and "FLW401" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "FLW103"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "a.py"
-        assert location["region"]["startLine"] == 1
-        assert result["partialFingerprints"]["reproFlow/v1"] == "a.py::f::FLW103"
-
     def test_json_shape(self):
         report = json.loads(output_mod.to_json([_finding()], 7))
         assert report["files"] == 7
@@ -723,8 +720,9 @@ class TestOutput:
         assert report["findings"][0]["fingerprint"] == "a.py::f::FLW103"
 
     def test_rule_catalog_size(self):
-        # Acceptance: at least 8 new rule IDs with fixtures.
-        assert len(RULES) >= 8
+        # One catalog: the hygiene rules beside the flow families.
+        assert {f"SIM00{n}" for n in range(1, 6)} <= set(RULES)
+        assert sum(rule.startswith("FLW") for rule in RULES) >= 8
 
 
 # -- engine / CLI -------------------------------------------------------------
@@ -739,24 +737,9 @@ class TestEngine:
         files = collect_files([pkg, file, pkg])
         assert len(files) == 1
 
-    def test_lint_paths_dedupes_overlap(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        file = pkg / "mod.py"
-        file.write_text("import time\ntime.time()\n")
-        findings, count = lint_paths([pkg, file])
-        assert count == 1
-        assert len(findings) == 1
-
     def test_syntax_error_reported(self):
         findings = analyze_source("def broken(:\n", "bad.py")
         assert _rules_of(findings) == ["FLW000"]
-
-    def test_parallel_matches_serial(self):
-        serial, count_s = analyze_paths([SRC / "rnic"], jobs=1, protocol=False)
-        parallel, count_p = analyze_paths([SRC / "rnic"], jobs=2, protocol=False)
-        assert count_s == count_p
-        assert [str(f) for f in serial] == [str(f) for f in parallel]
 
     def test_cli_gate_with_baseline(self, capsys):
         code = main([
@@ -771,6 +754,24 @@ class TestEngine:
         bad.write_text("def setup(sim):\n    sim.spawn(worker())\n")
         assert main([str(bad)]) == 1
         assert "FLW103" in capsys.readouterr().out
+        # A path that cannot be read is a finding, not a traceback.
+        assert main([str(tmp_path / "absent.py")]) == 1
+        assert "FLW000 unreadable" in capsys.readouterr().out
+        # A hygiene rule through the same gate, text and JSON ...
+        fixture = tmp_path / "sim" / "fixture.py"
+        fixture.parent.mkdir()
+        fixture.write_text(SIM003_FIXTURE)
+        assert main([str(fixture.parent)]) == 1
+        assert "SIM003" in capsys.readouterr().out
+        assert main([str(fixture.parent), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["version"] == 1 and payload["files"] == 1
+        assert [f["rule"] for f in payload["findings"]] == ["SIM003"]
+        # ... and the pragma turns the exit status green.
+        fixture.write_text(SIM003_FIXTURE.replace(
+            "    except Exception:", "    except Exception:  # lint: disable=SIM003"
+        ))
+        assert main([str(fixture.parent)]) == 0
 
     def test_cli_write_baseline_then_clean(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -780,11 +781,3 @@ class TestEngine:
                      "--write-baseline"]) == 0
         capsys.readouterr()
         assert main([str(bad), "--baseline", str(baseline_file)]) == 0
-
-    def test_cli_sarif_output(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def setup(sim):\n    sim.spawn(worker())\n")
-        out = tmp_path / "report.sarif"
-        main([str(bad), "--format", "sarif", "--output", str(out)])
-        report = json.loads(out.read_text())
-        assert report["runs"][0]["results"][0]["ruleId"] == "FLW103"
