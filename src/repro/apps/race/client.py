@@ -77,11 +77,19 @@ class HashTableClient:
 
     # -- placement ---------------------------------------------------------------
 
-    def _locate(self, key: int) -> Tuple[int, int, int]:
-        """(dir_index, segment global addr, blade id) for a key."""
-        dir_index = layout.directory_index(key, self.meta.global_depth)
-        seg_addr = self.meta.segment_addrs[dir_index]
-        return dir_index, seg_addr, blade_of(seg_addr)
+    def _locate(self, key: int) -> Tuple[int, int, int, Tuple[int, int], int]:
+        """(dir_index, segment global addr, blade id, the two candidate
+        bucket addrs, fingerprint) for a key — each hash evaluated once."""
+        meta = self.meta
+        dir_index, b1, b2, fp = layout.placement(
+            key, meta.global_depth, meta.buckets_per_segment
+        )
+        seg_addr = meta.segment_addrs[dir_index]
+        buckets = (
+            seg_addr + layout.bucket_offset(b1),
+            seg_addr + layout.bucket_offset(b2),
+        )
+        return dir_index, seg_addr, blade_of(seg_addr), buckets, fp
 
     def _allocator(self, blade_id: int) -> RemoteAllocator:
         allocator = self._allocators.get(blade_id)
@@ -91,23 +99,16 @@ class HashTableClient:
             self._allocators[blade_id] = allocator
         return allocator
 
-    def _bucket_addrs(self, key: int, seg_addr: int) -> Tuple[int, int]:
-        b1, b2 = layout.bucket_indices(key, self.meta.buckets_per_segment)
-        return (
-            seg_addr + layout.bucket_offset(b1),
-            seg_addr + layout.bucket_offset(b2),
-        )
-
     # -- lookups ---------------------------------------------------------------------
 
-    def _read_buckets(self, key: int, seg_addr: int, extra_write=None):
+    def _read_buckets(self, buckets: Tuple[int, int], extra_write=None):
         """One doorbell: optional KV write + both candidate bucket READs.
 
         Returns [(slot global addr, raw slot value), ...] across both
         buckets.
         """
         handle = self.handle
-        addr1, addr2 = self._bucket_addrs(key, seg_addr)
+        addr1, addr2 = buckets
         if extra_write is not None:
             handle.write(*extra_write)
         wr1 = handle.read(addr1, layout.BUCKET_BYTES)
@@ -116,34 +117,30 @@ class HashTableClient:
         yield from handle.sync()
         slots = []
         for base_addr, wr in ((addr1, wr1), (addr2, wr2)):
-            data = wr.result
-            for i in range(layout.SLOTS_PER_BUCKET):
-                raw = layout.unpack_u64(data[i * 8 : i * 8 + 8])
-                slots.append((base_addr + i * 8, raw))
+            for raw in layout.unpack_slots(wr.result):
+                slots.append((base_addr, raw))
+                base_addr += 8
         return slots
 
-    def _match_candidates(self, key: int, slots, blade_id: int):
-        """Slots whose fingerprint matches ``key``."""
-        fp = layout.fingerprint(key)
-        return [
-            (slot_addr, raw)
-            for slot_addr, raw in slots
-            if raw != layout.EMPTY_SLOT and layout.decode_slot(raw).fingerprint == fp
-        ]
+    @staticmethod
+    def _match_candidates(fp: int, slots):
+        """Slots carrying fingerprint ``fp`` (never 0, so never an empty
+        slot)."""
+        shift = layout.FP_SHIFT
+        return [pair for pair in slots if pair[1] >> shift == fp]
 
     def _verify(self, key: int, raw: int, blade_id: int):
         """READ the KV block behind a slot; returns value or None."""
-        slot = layout.decode_slot(raw)
         kv = yield from self.handle.read_sync(
-            make_addr(blade_id, slot.addr), layout.KV_BLOCK_BYTES
+            make_addr(blade_id, raw & layout.ADDR_MASK), layout.KV_BLOCK_BYTES
         )
         stored_key, value = layout.unpack_kv(kv)
         return value if stored_key == key else None
 
     def _search_inner(self, key: int, may_refresh: bool):
-        _, seg_addr, blade_id = self._locate(key)
-        slots = yield from self._read_buckets(key, seg_addr)
-        for slot_addr, raw in self._match_candidates(key, slots, blade_id):
+        _, _, blade_id, buckets, fp = self._locate(key)
+        slots = yield from self._read_buckets(buckets)
+        for slot_addr, raw in self._match_candidates(fp, slots):
             value = yield from self._verify(key, raw, blade_id)
             if value is not None:
                 return (slot_addr, value, raw)
@@ -158,13 +155,13 @@ class HashTableClient:
     def _insert_inner(self, key: int, value: int):
         handle = self.handle
         for _attempt in range(self.MAX_ATTEMPTS):
-            _, seg_addr, blade_id = self._locate(key)
+            _, _, blade_id, buckets, fp = self._locate(key)
             kv_offset = yield from self._allocator(blade_id).alloc(
                 layout.KV_BLOCK_BYTES
             )
             kv_payload = (make_addr(blade_id, kv_offset), layout.pack_kv(key, value))
-            slots = yield from self._read_buckets(key, seg_addr, extra_write=kv_payload)
-            for _slot_addr, raw in self._match_candidates(key, slots, blade_id):
+            slots = yield from self._read_buckets(buckets, extra_write=kv_payload)
+            for _slot_addr, raw in self._match_candidates(fp, slots):
                 existing = yield from self._verify(key, raw, blade_id)
                 if existing is not None:
                     return False  # duplicate key
@@ -198,9 +195,8 @@ class HashTableClient:
         handle = self.handle
         refreshed = False
         known = None  # (bucket_addr, slot_index) after the first full pass
-        fp = layout.fingerprint(key)
         for _attempt in range(self.MAX_ATTEMPTS):
-            _, seg_addr, blade_id = self._locate(key)
+            _, _, blade_id, buckets, fp = self._locate(key)
             kv_offset = yield from self._allocator(blade_id).alloc(
                 layout.KV_BLOCK_BYTES
             )
@@ -215,17 +211,17 @@ class HashTableClient:
                 bucket_wr = handle.read(bucket_addr, layout.BUCKET_BYTES)
                 yield from handle.post_send()
                 yield from handle.sync()
-                raw = layout.unpack_u64(bucket_wr.result[index * 8 : index * 8 + 8])
-                if raw == layout.EMPTY_SLOT or layout.decode_slot(raw).fingerprint != fp:
+                raw = layout.unpack_slots(bucket_wr.result)[index]
+                if raw >> layout.FP_SHIFT != fp:
                     known = None  # slot reused; fall back to full path
                     continue
                 slot_addr = bucket_addr + index * 8
             else:
                 slots = yield from self._read_buckets(
-                    key, seg_addr, extra_write=(kv_addr, kv_data)
+                    buckets, extra_write=(kv_addr, kv_data)
                 )
                 located = None
-                for slot_addr, raw in self._match_candidates(key, slots, blade_id):
+                for slot_addr, raw in self._match_candidates(fp, slots):
                     existing = yield from self._verify(key, raw, blade_id)
                     if existing is not None:
                         located = (slot_addr, raw)
@@ -241,7 +237,7 @@ class HashTableClient:
             old = yield from handle.backoff_cas_sync(slot_addr, raw, new_slot)
             if old == raw:
                 return True
-            addr1, addr2 = self._bucket_addrs(key, seg_addr)
+            addr1, addr2 = buckets
             bucket_addr = addr1 if addr1 <= slot_addr < addr1 + layout.BUCKET_BYTES else addr2
             known = (bucket_addr, (slot_addr - bucket_addr) // 8)
         raise RuntimeError(f"update({key}): too many retries")
@@ -284,7 +280,7 @@ class HashTableClient:
         measured window.
         """
         handle = self.handle
-        dir_index, seg_addr, blade_id = self._locate(key)
+        dir_index, seg_addr, blade_id = self._locate(key)[:3]
         old = yield from handle.cas_sync(seg_addr + 8, 0, 1)  # segment lock
         if old != 0:
             # Someone else is splitting: wait and refresh.

@@ -34,8 +34,13 @@ DIR_HEADER_BYTES = 24
 
 _U64 = struct.Struct("<Q")
 _KV = struct.Struct("<QQ")
+_SLOTS = struct.Struct(f"<{SLOTS_PER_BUCKET}Q")
 
-_ADDR_MASK = (1 << 48) - 1
+#: slot fields a client tests without decoding the whole slot: the
+#: fingerprint is ``raw >> FP_SHIFT``, the KV block's 48-bit
+#: packed address ``raw & ADDR_MASK``
+FP_SHIFT = 56
+ADDR_MASK = (1 << 48) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK_64 = (1 << 64) - 1
 
@@ -81,9 +86,9 @@ class Slot:
             raise ValueError("fingerprint out of range")
         if not 0 <= self.kv_units <= 0xFF:
             raise ValueError("kv_units out of range")
-        if self.addr & ~_ADDR_MASK:
+        if self.addr & ~ADDR_MASK:
             raise ValueError("slot address needs more than 48 bits")
-        return (self.fingerprint << 56) | (self.kv_units << 48) | self.addr
+        return (self.fingerprint << FP_SHIFT) | (self.kv_units << 48) | self.addr
 
 
 EMPTY_SLOT = 0
@@ -91,9 +96,9 @@ EMPTY_SLOT = 0
 
 def decode_slot(value: int) -> Slot:
     return Slot(
-        fingerprint=(value >> 56) & 0xFF,
+        fingerprint=(value >> FP_SHIFT) & 0xFF,
         kv_units=(value >> 48) & 0xFF,
-        addr=value & _ADDR_MASK,
+        addr=value & ADDR_MASK,
     )
 
 
@@ -116,6 +121,11 @@ def pack_u64(value: int) -> bytes:
 
 def unpack_u64(data: bytes) -> int:
     return _U64.unpack(data)[0]
+
+
+def unpack_slots(bucket: bytes):
+    """The raw slot values of one bucket, in slot order."""
+    return _SLOTS.unpack_from(bucket)
 
 
 def segment_bytes(buckets_per_segment: int) -> int:

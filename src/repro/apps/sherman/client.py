@@ -144,7 +144,9 @@ class BTreeClient:
     def lookup(self, key: int):
         handle = self.handle
         yield from handle.begin_op()
-        yield from handle.thread.compute(self.client_cpu_ns)
+        delay = handle.thread.charge(self.client_cpu_ns)
+        if delay > 0:
+            yield handle.sim.timeout(delay)
         value = yield from self._lookup_inner(key)
         handle.end_op(failed=value is None)
         return value
@@ -153,7 +155,9 @@ class BTreeClient:
         """Upsert (Sherman's insert overwrites an existing key)."""
         handle = self.handle
         yield from handle.begin_op()
-        yield from handle.thread.compute(self.client_cpu_ns)
+        delay = handle.thread.charge(self.client_cpu_ns)
+        if delay > 0:
+            yield handle.sim.timeout(delay)
         yield from self._upsert_inner(key, value)
         handle.end_op()
         return True
@@ -163,7 +167,9 @@ class BTreeClient:
     def delete(self, key: int):
         handle = self.handle
         yield from handle.begin_op()
-        yield from handle.thread.compute(self.client_cpu_ns)
+        delay = handle.thread.charge(self.client_cpu_ns)
+        if delay > 0:
+            yield handle.sim.timeout(delay)
         removed = yield from self._delete_inner(key)
         handle.end_op(failed=not removed)
         return removed

@@ -34,14 +34,20 @@ class ComputeThread:
         #: allocation policy or by SMART's thread-aware allocator)
         self.qps = {}
 
-    def compute(self, ns: float) -> Generator:
-        """Charge ``ns`` of serialized CPU time to this thread."""
+    def charge(self, ns: float) -> float:
+        """Charge ``ns`` of serialized CPU time to this thread; returns how
+        long from now the charge ends (the caller sleeps it when positive:
+        ``d = thread.charge(ns)`` / ``if d > 0: yield sim.timeout(d)``)."""
         if ns < 0:
             raise ValueError("negative CPU time")
-        start = max(self.sim.now, self.busy_until)
-        end = start + ns
+        now = self.sim.now
+        end = max(now, self.busy_until) + ns
         self.busy_until = end
-        delay = end - self.sim.now
+        return end - now
+
+    def compute(self, ns: float) -> Generator:
+        """:meth:`charge` and sleep, as one generator."""
+        delay = self.charge(ns)
         if delay > 0:
             yield self.sim.timeout(delay)
 

@@ -23,7 +23,7 @@ from repro.core.features import SmartFeatures
 from repro.core.stats import OperationStats
 from repro.core.throttle import WorkRequestThrottler
 from repro.cluster import ComputeThread
-from repro.memory.address import blade_of
+from repro.memory.address import BLADE_SHIFT, blade_of
 from repro.rnic import verbs
 from repro.rnic.qp import (
     WorkBatch,
@@ -143,23 +143,38 @@ class SmartHandle:
         if not self._buffer:
             return
         wrs, self._buffer = self._buffer, []
-        by_node: Dict[int, List[WorkRequest]] = {}
+        # One destination is the common case: route it by the blade tag
+        # alone.  The first WR whose tag differs (a null address has none)
+        # falls back to grouping, where blade_of rejects a null address.
+        tag = wrs[0].remote_addr >> BLADE_SHIFT
+        groups = ((tag - 1, wrs),)
         for wr in wrs:
-            by_node.setdefault(blade_of(wr.remote_addr), []).append(wr)
+            if wr.remote_addr >> BLADE_SHIFT != tag or not tag:
+                by_node: Dict[int, List[WorkRequest]] = {}
+                for each in wrs:
+                    by_node.setdefault(blade_of(each.remote_addr), []).append(each)
+                groups = by_node.items()
+                break
         throttler = self.smart.throttler
-        for node_id, group in by_node.items():
+        for node_id, group in groups:
             qp = self.thread.qp_for(node_id)
+            total = len(group)
             cursor = 0
-            while cursor < len(group):
-                chunk_len = len(group) - cursor
+            while cursor < total:
+                chunk_len = total - cursor
                 if throttler.enabled:
                     chunk_len = min(chunk_len, max(1, throttler.cmax))
-                chunk = group[cursor : cursor + chunk_len]
+                # The whole group in one chunk is the list itself: nothing
+                # else holds it (self._buffer was replaced above).
+                chunk = (
+                    group if chunk_len == total
+                    else group[cursor : cursor + chunk_len]
+                )
                 cursor += chunk_len
                 # Algorithm 1 line 4: batch size rides in the last wr_id.
-                chunk[-1].wr_id = ("batch", len(chunk))
-                if not throttler.try_take(len(chunk)):
-                    yield throttler.take(len(chunk))
+                chunk[-1].wr_id = ("batch", chunk_len)
+                if not throttler.try_take(chunk_len):
+                    yield throttler.take(chunk_len)
                 batch = yield from verbs.post_send(
                     self.thread, qp, chunk, actor=self.actor
                 )

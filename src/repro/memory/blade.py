@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import mmap
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -73,6 +74,10 @@ class MemoryBlade:
         self.capacity = capacity
         self._memory = _demand_zero(capacity)
         self._regions: Dict[str, Region] = {}
+        # The same regions ordered by base (they never overlap), for the
+        # responder's per-WR offset lookups.
+        self._bases: List[int] = []
+        self._by_base: List[Region] = []
         # Offset 0 is reserved so no object lives at NULL; regions are
         # carved from a first-fit arena that places them exactly like the
         # historical bump pointer until something is freed.
@@ -113,6 +118,9 @@ class MemoryBlade:
             ) from None
         region = Region(name, base, size, persistent, remote_access, pinned)
         self._regions[name] = region
+        index = bisect_left(self._bases, base)
+        self._bases.insert(index, base)
+        self._by_base.insert(index, region)
         if pinned is False:
             self.unpinned_regions += 1
         return region
@@ -137,15 +145,17 @@ class MemoryBlade:
         if region is None:
             raise KeyError(f"no region named {name!r}")
         self.allocator.free(region.base)
+        index = bisect_left(self._bases, region.base)
+        del self._bases[index], self._by_base[index]
         self._memory[region.base : region.end] = bytes(region.size)
         if region.pinned is False:
             self.unpinned_regions -= 1
 
     def find_region(self, offset: int, size: int = 1) -> Optional[Region]:
         """The region fully containing [offset, offset+size), if any."""
-        for region in self._regions.values():
-            if region.contains(offset, size):
-                return region
+        index = bisect_right(self._bases, offset) - 1
+        if index >= 0 and self._by_base[index].contains(offset, size):
+            return self._by_base[index]
         return None
 
     def region(self, name: str) -> Region:
@@ -158,11 +168,14 @@ class MemoryBlade:
         """True when [offset, offset+size) *overlaps* any persistent
         region — a write only partially landing in NVM still pays the
         media penalty for the NVM part (overlap, not containment)."""
-        end = offset + size
-        return any(
-            r.persistent and r.base < end and offset < r.end
-            for r in self._regions.values()
-        )
+        bases = self._bases
+        # Candidates: from the last region starting at or before offset
+        # to the last one starting before the span's end.
+        first = max(bisect_right(bases, offset) - 1, 0)
+        for region in self._by_base[first : bisect_left(bases, offset + size)]:
+            if region.persistent and offset < region.end:
+                return True
+        return False
 
     def global_addr(self, offset: int) -> int:
         return make_addr(self.blade_id, offset)

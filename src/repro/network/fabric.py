@@ -80,12 +80,6 @@ class Fabric:
     def clear_expired_faults(self, now: float) -> None:
         self.faults = [f for f in self.faults if f.end_ns > now]
 
-    def record(self, payload_bytes: int) -> float:
-        """Account one message and return its propagation delay."""
-        self.messages += 1
-        self.bytes_carried += payload_bytes
-        return self.one_way_latency_ns
-
     def transit(
         self,
         payload_bytes: int,
@@ -95,7 +89,8 @@ class Fabric:
     ) -> Tuple[float, bool, bool]:
         """Account one message; returns ``(delay_ns, dropped, duplicated)``.
 
-        The fast path (no installed faults) is exactly :meth:`record`.
+        The fast path (no installed faults) only counts the message and
+        returns the propagation delay.
         """
         self.messages += 1
         self.bytes_carried += payload_bytes

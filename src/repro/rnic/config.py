@@ -17,12 +17,18 @@ Defaults are calibrated to the paper's testbed (Mellanox ConnectX-6,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 
-@dataclass
+@dataclass(frozen=True)
 class RnicConfig:
-    """All tunables of the simulated RNIC, CPU cost model and fabric."""
+    """All tunables of the simulated RNIC, CPU cost model and fabric.
+
+    Immutable: one instance is shared by every device, thread, doorbell
+    and cache model of a deployment, and the derived rates below are
+    computed once per instance.  :meth:`with_overrides` builds a variant.
+    """
 
     name: str = "ConnectX-6"
 
@@ -217,19 +223,19 @@ class RnicConfig:
     def cycles_to_ns(self, cycles: float) -> float:
         return cycles / self.cpu_ghz
 
-    @property
+    @cached_property
     def iops_service_ns(self) -> float:
         return 1e9 / self.max_iops
 
-    @property
+    @cached_property
     def responder_service_ns(self) -> float:
         return 1e9 / self.responder_iops
 
-    @property
+    @cached_property
     def network_bytes_per_ns(self) -> float:
         return self.network_bandwidth_gbps / 8.0
 
-    @property
+    @cached_property
     def pcie_bytes_per_ns(self) -> float:
         return self.pcie_bandwidth_gbps / 8.0
 

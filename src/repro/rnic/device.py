@@ -189,13 +189,13 @@ class RnicDevice:
             if wr.status == WorkRequest.STATUS_OK:
                 wr.status = status
         if status == WorkRequest.STATUS_FLUSH:
-            self.counters.flushed_wrs += len(batch)
+            self.counters.flushed_wrs += batch.n
         else:
-            self.counters.error_completions += len(batch)
+            self.counters.error_completions += batch.n
         if self.recorder is not None:
             self.recorder.instant(
                 self.name, "faults", "batch_failed", self.sim.now,
-                {"batch": batch.batch_id, "status": status, "wrs": len(batch)},
+                {"batch": batch.batch_id, "status": status, "wrs": batch.n},
             )
         # The QP transitions to ERROR when the error CQE is *delivered*,
         # not when the fault is scheduled: nothing observable (neither the
@@ -213,11 +213,12 @@ class RnicDevice:
 
     def complete(self, batch: WorkBatch) -> None:
         """Response arrived: DMA the CQEs and wake the poster."""
-        self.outstanding -= len(batch)
+        n = batch.n
+        self.outstanding -= n
         if self.outstanding < 0:  # pragma: no cover - invariant guard
             raise RuntimeError(f"{self.name}: negative outstanding WR count")
-        self.counters.cqe_delivered += len(batch)
-        batch.qp.completed_wrs += len(batch)
+        self.counters.cqe_delivered += n
+        batch.qp.completed_wrs += n
         batch.qp.cq.deliver(batch)
         batch.completed_at = self.sim.now
         if self.tracer is not None:
@@ -227,7 +228,7 @@ class RnicDevice:
         # The CQE count, not the batch: an event holding its own batch is a
         # reference cycle, and only the cyclic collector could then free a
         # completed batch and its WRs.
-        batch.done.fire(len(batch))
+        batch.done.fire(n)
 
     def __repr__(self) -> str:
         return f"RnicDevice({self.name}, contexts={len(self.contexts)})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.memory.address import blade_of, offset_of
+from repro.memory.address import BLADE_SHIFT, OFFSET_MASK, blade_of, offset_of
 from repro.rnic import qp as qpmod
 from repro.rnic.qp import WorkBatch
 
@@ -31,7 +31,7 @@ class RequesterEngine:
         device = self.device
         sim = device.sim
         config = device.config
-        n = len(batch)
+        n = batch.n
 
         device.outstanding += n
         outstanding = device.outstanding
@@ -131,7 +131,7 @@ class RequesterEngine:
                     delay_ns=(ready_ns - sim.now) + config.retransmit_timeout_ns,
                 )
                 return
-            counters.retransmissions += len(batch)
+            counters.retransmissions += batch.n
             if device.recorder is not None:
                 device.recorder.instant(
                     device.name, "wire-out", "retransmit", ready_ns,
@@ -167,7 +167,6 @@ class ResponderEngine:
         device = self.device
         sim = device.sim
         config = device.config
-        n = len(batch)
 
         if not device.online:
             # The blade died while the request was in flight: blackhole.
@@ -194,13 +193,14 @@ class ResponderEngine:
         odp_penalty = 0.0
         storage = device.storage
         if storage is not None:
-            for wr in batch.wrs:
-                # The penalty applies when any part of the written span
-                # lands in NVM, not just the first byte.
-                if wr.opcode == qpmod.WRITE and storage.is_persistent(
-                    offset_of(wr.remote_addr), wr.size
-                ):
-                    nvm_penalty += config.nvm_write_extra_ns
+            if batch.write_bytes:
+                for wr in batch.wrs:
+                    # The penalty applies when any part of the written span
+                    # lands in NVM, not just the first byte.
+                    if wr.opcode == qpmod.WRITE and storage.is_persistent(
+                        offset_of(wr.remote_addr), wr.size
+                    ):
+                        nvm_penalty += config.nvm_write_extra_ns
             odp = device.odp
             if odp is None and (
                 storage.unpinned_regions or config.pinned_ratio < 1.0
@@ -256,13 +256,20 @@ class ResponderEngine:
         if storage is None:
             raise RuntimeError(f"{device.name}: one-sided op targets a blade without memory")
         enforce = device.config.enforce_protection
+        blade_tag = storage.blade_id + 1
         for wr in batch.wrs:
             if enforce and not self._access_allowed(storage, wr):
                 wr.status = wr.STATUS_ACCESS_ERROR
                 device.counters.protection_faults += 1
                 continue
-            self._execute(storage, wr)
-        device.counters.responder_ops += len(batch)
+            addr = wr.remote_addr
+            if wr.opcode == qpmod.READ and addr >> BLADE_SHIFT == blade_tag:
+                # The common verb, in place; a READ addressed to another
+                # blade (or to null) gets its error from _execute.
+                wr.result = storage.read(addr & OFFSET_MASK, wr.size)
+            else:
+                self._execute(storage, wr)
+        device.counters.responder_ops += batch.n
         origin = batch.qp.device
         if origin.tracer is not None:
             origin.tracer.record(batch.batch_id, "executed", device.sim.now)
@@ -302,7 +309,7 @@ class ResponderEngine:
                     + origin.config.retransmit_timeout_ns,
                 )
                 return
-            origin.counters.retransmissions += len(batch)
+            origin.counters.retransmissions += batch.n
             if origin.recorder is not None:
                 origin.recorder.instant(
                     origin.name, "wire-back", "retransmit", send_ns,
@@ -322,15 +329,15 @@ class ResponderEngine:
 
     @staticmethod
     def _execute(storage, wr) -> None:
+        """Check the address, then run the verb — every verb but a READ
+        addressed to this blade, which ``_execute_and_reply`` runs in its loop."""
         offset = offset_of(wr.remote_addr)
         if blade_of(wr.remote_addr) != storage.blade_id:
             raise RuntimeError(
                 f"WR routed to blade {storage.blade_id} but addressed to "
                 f"blade {blade_of(wr.remote_addr)}"
             )
-        if wr.opcode == qpmod.READ:
-            wr.result = storage.read(offset, wr.size)
-        elif wr.opcode == qpmod.WRITE:
+        if wr.opcode == qpmod.WRITE:
             storage.write(offset, wr.payload)
             wr.result = len(wr.payload)
         elif wr.opcode == qpmod.CAS:

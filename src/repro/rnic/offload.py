@@ -150,7 +150,7 @@ class OffloadRuntime:
         if self.pending >= config.offload_queue_depth:
             for wr in batch.wrs:
                 wr.status = WorkRequest.STATUS_HANDLER_BUSY
-            counters.am_rejected += len(batch)
+            counters.am_rejected += batch.n
             if device.recorder is not None:
                 device.recorder.instant(
                     device.name, "offload", "am_rejected", ready_ns,
@@ -184,7 +184,7 @@ class OffloadRuntime:
             # visible.  The requester sees a remote abort after its
             # detection timeout and replays through the retry path —
             # exactly-once-visible semantics.
-            device.counters.am_aborted += len(batch)
+            device.counters.am_aborted += batch.n
             origin = batch.qp.device
             origin.fail_batch(
                 batch,
@@ -196,8 +196,8 @@ class OffloadRuntime:
         for wr in batch.wrs:
             wr.result = get_handler(wr.handler).fn(storage, wr.am_args)
         counters = device.counters
-        counters.am_handled += len(batch)
-        counters.responder_ops += len(batch)
+        counters.am_handled += batch.n
+        counters.responder_ops += batch.n
         origin = batch.qp.device
         if origin.tracer is not None:
             origin.tracer.record(batch.batch_id, "executed", device.sim.now)
@@ -205,6 +205,6 @@ class OffloadRuntime:
             device.recorder.span(
                 device.name, "offload", batch.wrs[0].handler,
                 start, device.sim.now,
-                {"batch": batch.batch_id, "wrs": len(batch)},
+                {"batch": batch.batch_id, "wrs": batch.n},
             )
         device.responder.send_response(batch)

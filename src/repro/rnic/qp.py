@@ -162,6 +162,7 @@ class WorkBatch:
 
     __slots__ = (
         "wrs",
+        "n",
         "qp",
         "done",
         "posted_at",
@@ -180,6 +181,9 @@ class WorkBatch:
         sim.next_batch_id += 1
         self.batch_id = sim.next_batch_id
         self.wrs = wrs
+        #: ``len(wrs)``, fixed at construction: every stage of the batch's
+        #: life prices by it
+        self.n = n = len(wrs)
         self.qp = qp
         #: fires with the number of CQEs once the batch completes
         self.done: Event = sim.event()
@@ -205,16 +209,16 @@ class WorkBatch:
             else:
                 # READ response carries the data; atomics return 8 bytes
                 response += wr.size + MESSAGE_OVERHEAD_BYTES
-        if 0 < am_count < len(wrs):
+        if 0 < am_count < n:
             # The responder routes whole batches: an active message rides
             # alone or with other AMs, never mixed with one-sided verbs.
             raise ValueError("AM_SEND cannot share a batch with one-sided WRs")
-        #: wire messages this batch issues; == len(wrs) unless RDMAbox
-        #: request merging fused adjacent WRs (``RnicConfig.merge_wrs``)
-        self.wire_wrs = len(wrs)
-        if qp.context.device.config.merge_wrs and len(wrs) > 1 and not am_count:
+        #: wire messages this batch issues; == n unless RDMAbox request
+        #: merging fused adjacent WRs (``RnicConfig.merge_wrs``)
+        self.wire_wrs = n
+        if qp.context.device.config.merge_wrs and n > 1 and not am_count:
             groups = plan_merges(wrs)
-            if len(groups) < len(wrs):
+            if len(groups) < n:
                 self.wire_wrs = len(groups)
                 wire = response = 0
                 index = 0
@@ -238,7 +242,7 @@ class WorkBatch:
         self.response_bytes = response
 
     def __len__(self) -> int:
-        return len(self.wrs)
+        return self.n
 
     @property
     def status(self) -> str:
@@ -250,7 +254,10 @@ class WorkBatch:
 
     @property
     def ok(self) -> bool:
-        return all(wr.status == WorkRequest.STATUS_OK for wr in self.wrs)
+        for wr in self.wrs:
+            if wr.status != WorkRequest.STATUS_OK:
+                return False
+        return True
 
     def errors(self) -> List[WorkRequest]:
         """The WRs that completed with a non-OK status."""
@@ -271,7 +278,7 @@ class CompletionQueue:
         self.batches_delivered = 0
 
     def deliver(self, batch: WorkBatch) -> None:
-        self.cqes_delivered += len(batch)
+        self.cqes_delivered += batch.n
         self.batches_delivered += 1
 
 

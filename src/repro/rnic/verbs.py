@@ -10,8 +10,9 @@ The cost structure mirrors the mlx5 driver:
    the CQEs have been DMA-ed back;
 5. polling the CQ costs CPU per CQE.
 
-Threads are duck-typed: anything with ``compute(ns)`` (a generator that
-charges serialized CPU time) and ``sim`` works — see
+Threads are duck-typed: anything with ``charge(ns)`` (books serialized
+CPU time and returns how long from now it ends; the poster sleeps that
+when positive), ``mark_busy_until_now()`` and ``sim`` works — see
 :class:`repro.cluster.ComputeThread`.
 """
 
@@ -33,18 +34,22 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
     """
     device = qp.device
     config = device.config
-    batch = WorkBatch(device.sim, qp, wrs)
+    sim = device.sim
+    batch = WorkBatch(sim, qp, wrs)
+    n = batch.n
     if actor is not None:
         batch.actor = actor
 
-    yield from thread.compute(config.wqe_build_ns * len(wrs))
+    delay = thread.charge(config.wqe_build_ns * n)
+    if delay > 0:
+        yield sim.timeout(delay)
 
     if qp.state == QueuePair.STATE_ERROR:
         # Posting on an ERROR QP skips the doorbell entirely: the driver
         # flushes the WRs straight to the CQ with IBV_WC_WR_FLUSH_ERR.
         # CPU for WQE building is still charged (the check happens at
         # ring time), which also keeps retry loops from spinning at t=0.
-        qp.posted_wrs += len(wrs)
+        qp.posted_wrs += n
         if device.sanitizer is not None:
             device.sanitizer.on_post(thread, qp, batch)
         device.requester.submit(batch)
@@ -60,10 +65,12 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
             thread.mark_busy_until_now()
             # Contended lock word: every acquisition fights the sharers'
             # spinning reads (cache-line bouncing).
-            yield from thread.compute(qp.sharing_penalty_ns(config))
+            delay = thread.charge(qp.sharing_penalty_ns(config))
+            if delay > 0:
+                yield sim.timeout(delay)
         doorbell = qp.doorbell
         doorbell.note_user(thread_id)
-        wait_start = device.sim.now
+        wait_start = sim.now
         if not doorbell.lock.try_acquire(owner=thread_id):
             yield doorbell.lock.acquire(owner=thread_id)
         try:
@@ -71,17 +78,18 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
             # whole time, so bring its watermark up to now before the
             # locked section.
             thread.mark_busy_until_now()
-            if device.recorder is not None and device.sim.now > wait_start:
+            if device.recorder is not None and sim.now > wait_start:
                 device.recorder.instant(
-                    device.name, "requester", "doorbell_stall", device.sim.now,
+                    device.name, "requester", "doorbell_stall", sim.now,
                     {"doorbell": doorbell.index, "thread": thread_id,
-                     "stall_ns": device.sim.now - wait_start},
+                     "stall_ns": sim.now - wait_start},
                 )
             # With request merging on, fused neighbours share one WQE: the
             # write-combining copy under the lock covers wire_wrs WQEs,
-            # not one per posted WR (wire_wrs == len(wrs) when merging is
-            # off).
-            yield from thread.compute(doorbell.held_cost_ns(config, batch.wire_wrs))
+            # not one per posted WR (wire_wrs == n when merging is off).
+            delay = thread.charge(doorbell.held_cost_ns(config, batch.wire_wrs))
+            if delay > 0:
+                yield sim.timeout(delay)
         finally:
             doorbell.lock.release(owner=thread_id)
     finally:
@@ -90,7 +98,7 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
 
     doorbell.rings += 1
     device.counters.doorbell_rings += 1
-    qp.posted_wrs += len(wrs)
+    qp.posted_wrs += n
     if device.sanitizer is not None:
         device.sanitizer.on_post(thread, qp, batch)
     device.requester.submit(batch)
@@ -111,26 +119,31 @@ def wait_completion(thread, batch: WorkBatch) -> Generator:
     increasingly better as more CQEs arrive per wakeup.
     """
     config = thread.config
+    sim = thread.sim
+    n = batch.n
     if not config.adaptive_poll:
         if not batch.done.triggered:
             yield batch.done
-        yield from thread.compute(config.cqe_poll_ns * len(batch))
-        return batch
-    amortized_ns = config.cqe_poll_ns * (
-        1.0 + config.poll_drain_factor * (len(batch) - 1)
-    )
-    if batch.done.triggered:
-        # Already completed when the poller arrived: one cold drain
-        # (the CQEs piled up while the thread was elsewhere).
-        yield from thread.compute(amortized_ns)
-        return batch
-    wait_start = thread.sim.now
-    yield batch.done
-    if thread.sim.now - wait_start <= config.poll_spin_ns:
-        # Caught within the spin budget — hot path, per-CQE cost.
-        yield from thread.compute(config.cqe_poll_ns * len(batch))
+        poll_ns = config.cqe_poll_ns * n
     else:
-        yield from thread.compute(config.poll_yield_ns + amortized_ns)
+        amortized_ns = config.cqe_poll_ns * (
+            1.0 + config.poll_drain_factor * (n - 1)
+        )
+        if batch.done.triggered:
+            # Already completed when the poller arrived: one cold drain
+            # (the CQEs piled up while the thread was elsewhere).
+            poll_ns = amortized_ns
+        else:
+            wait_start = sim.now
+            yield batch.done
+            if sim.now - wait_start <= config.poll_spin_ns:
+                # Caught within the spin budget — hot path, per-CQE cost.
+                poll_ns = config.cqe_poll_ns * n
+            else:
+                poll_ns = config.poll_yield_ns + amortized_ns
+    delay = thread.charge(poll_ns)
+    if delay > 0:
+        yield sim.timeout(delay)
     return batch
 
 

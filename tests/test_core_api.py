@@ -249,6 +249,98 @@ class TestSmartHandleVerbs:
         assert smart.throttler.credits.tokens == 2
 
 
+class TestPostSendRouting:
+    """``post_send`` routes a one-destination buffer by its blade tag and
+    falls back to grouping on the first WR that differs."""
+
+    @staticmethod
+    def _posted(handle):
+        return [list(batch.wrs) for batch in handle._pending]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_null_address_raises_before_anything_is_posted(self, position):
+        cluster, compute, remotes, _, smart_threads = make_smart(threads=1)
+        handle = smart_threads[0].handle()
+        addr = remotes[0].storage.global_addr(64)
+        for i in range(3):
+            handle.read(0 if i == position else addr, 8)
+
+        def proc():
+            yield from handle.post_send()
+
+        cluster.sim.spawn(proc())
+        with pytest.raises(ValueError, match="null address"):
+            cluster.sim.run(until=1e6)
+        assert compute.device.counters.doorbell_rings == 0
+        assert handle._pending == []
+
+    def test_two_destinations_post_one_batch_per_node_in_first_seen_order(self):
+        cluster, compute, remotes, _, smart_threads = make_smart(threads=1)
+        handle = smart_threads[0].handle()
+        a0 = remotes[0].storage.global_addr(64)
+        a1 = remotes[1].storage.global_addr(64)
+        posted = []
+
+        def proc():
+            wrs = [handle.read(a, 8) for a in (a1, a0, a1, a0, a1)]
+            yield from handle.post_send()
+            posted.extend(self._posted(handle))
+            yield from handle.sync()
+            return wrs
+
+        proc_obj = cluster.sim.spawn(proc())
+        cluster.sim.run(until=1e6)
+        wrs = proc_obj.value
+        assert posted == [[wrs[0], wrs[2], wrs[4]], [wrs[1], wrs[3]]]
+        assert [group[-1].wr_id for group in posted] == [("batch", 3), ("batch", 2)]
+        assert all(wr.wr_id is None for group in posted for wr in group[:-1])
+
+    def test_single_destination_longer_than_cmax_is_chunked(self):
+        features = full().with_overrides(adaptive_credit=False, initial_cmax=4)
+        cluster, _, remotes, _, smart_threads = make_smart(
+            threads=1, features=features
+        )
+        handle = smart_threads[0].handle()
+        addr = remotes[0].storage.global_addr(64)
+        posted = []
+
+        def proc():
+            for _ in range(10):
+                handle.read(addr, 8)
+            yield from handle.post_send()
+            posted.extend(self._posted(handle))
+            yield from handle.sync()
+
+        cluster.sim.spawn(proc())
+        cluster.sim.run(until=1e7)
+        assert [len(group) for group in posted] == [4, 4, 2]
+        assert [group[-1].wr_id for group in posted] == [
+            ("batch", 4), ("batch", 4), ("batch", 2)
+        ]
+
+    def test_a_later_verb_does_not_grow_a_posted_batch(self):
+        # An unchunked post may hand WorkBatch the buffer list itself only
+        # because post_send has already replaced self._buffer.
+        cluster, _, remotes, _, smart_threads = make_smart(threads=1)
+        handle = smart_threads[0].handle()
+        addr = remotes[0].storage.global_addr(64)
+        sizes = []
+
+        def proc():
+            handle.read(addr, 8)
+            handle.read(addr, 8)
+            yield from handle.post_send()
+            (batch,) = handle._pending
+            handle.read(addr, 8)
+            sizes.append((batch.n, len(batch.wrs), len(handle._buffer)))
+            yield from handle.post_send()
+            yield from handle.sync()
+
+        cluster.sim.spawn(proc())
+        cluster.sim.run(until=1e6)
+        assert sizes == [(2, 2, 1)]
+
+
 class TestFeatureLadder:
     def test_cumulative_ladder_ordering(self):
         ladder = cumulative_ladder()

@@ -177,6 +177,34 @@ class TestThreadCpuModel:
         with pytest.raises(ValueError):
             list(compute.threads[0].compute(-1))
 
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=400),
+                  st.floats(min_value=0, max_value=300, allow_nan=False)),
+        min_size=1, max_size=30,
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_charge_is_the_arithmetic_compute_used_to_do(self, steps):
+        """``charge`` against the four lines ``compute`` held before it:
+        same watermark, same delay, after any mix of idle gaps and
+        back-to-back charges."""
+        cluster, compute, _ = make_cluster(1)
+        thread, sim = compute.threads[0], cluster.sim
+        busy_until = 0.0
+        for advance, ns in steps:
+            sim.run(until=sim.now + advance)
+            start = max(sim.now, busy_until)
+            end = start + ns
+            busy_until = end
+            assert thread.charge(ns) == end - sim.now
+            assert thread.busy_until == busy_until
+
+    def test_charge_rejects_negative(self):
+        cluster, compute, _ = make_cluster(1)
+        thread = compute.threads[0]
+        with pytest.raises(ValueError, match="negative CPU time"):
+            thread.charge(-1)
+        assert thread.busy_until == 0.0
+
 
 class TestUtilizationCounters:
     def test_saturated_requester_near_full_utilization(self):

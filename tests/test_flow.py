@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.flow import baseline as baseline_mod
 from repro.analysis.flow import output as output_mod
 from repro.analysis.flow import protocol as protocol_mod
+from repro.analysis.flow.astutil import is_process_generator
 from repro.analysis.flow.cfg import ENTRY, EXIT, build_cfg
 from repro.analysis.flow.dataflow import forward_may
 from repro.analysis.flow.engine import (
@@ -552,6 +553,35 @@ class TestPragmas:
         # ... while the same shape without the grant is just a generator.
         plain = source.replace("lock.try_acquire()", "lock.looks_free()")
         assert _analyze(plain) == []
+
+    def test_lint_knows_a_process_by_its_cpu_charge_sleep(self):
+        # The generator-free CPU charge: `d = thread.charge(ns)` then
+        # `if d > 0: yield sim.timeout(d)` — the sleep is the table's
+        # `timeout`, so the poster is a process step (SIM003 applies) ...
+        source = """
+            def poster(thread, sim, ns):
+                try:
+                    delay = thread.charge(ns)
+                    if delay > 0:
+                        yield sim.timeout(delay)
+                except Exception:
+                    pass
+        """
+        assert _rules_of(_analyze(source)) == ["SIM003"]
+        # ... and so is every function in src/ that holds the idiom.
+        holders = []
+        for path in (SRC / "rnic" / "verbs.py", SRC / "apps" / "sherman" / "client.py",
+                     SRC / "cluster.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "charge"
+                    for node in ast.walk(fn)
+                ):
+                    holders.append(fn.name)
+                    assert is_process_generator(fn), (path.name, fn.name)
+        assert sorted(holders) == [
+            "compute", "delete", "insert", "lookup", "post_send", "wait_completion",
+        ]
 
 
 # -- protocol checker ---------------------------------------------------------

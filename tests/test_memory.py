@@ -139,6 +139,47 @@ class TestRegions:
         assert blade.find_region(region.end, 0) is None
         assert blade.find_region(region.base, 64) is region
 
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("alloc"), st.integers(1, 700), st.booleans()),
+            st.tuples(st.just("free"), st.integers(0, 63), st.just(False)),
+            st.tuples(st.just("power_fail"), st.just(0), st.just(False)),
+        ),
+        min_size=1, max_size=40,
+    ), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_lookup_matches_the_linear_scan(self, steps, data):
+        """``find_region`` / ``is_persistent`` (sorted bases + bisect)
+        against the scan over every region they replace, after any mix of
+        allocations, frees and a power failure; queries sit on and around
+        every region boundary, with zero, partial-overlap and
+        span-two-regions sizes."""
+        blade = MemoryBlade(0, capacity=8192)
+        live = []
+        for step, (op, arg, persistent) in enumerate(steps):
+            if op == "alloc":
+                try:
+                    blade.alloc_region(f"r{step}", arg, persistent=persistent)
+                    live.append(f"r{step}")
+                except MemoryError:
+                    pass
+            elif op == "free" and live:
+                blade.free_region(live.pop(arg % len(live)))
+            elif op == "power_fail":
+                blade.power_fail()
+            regions = blade.regions()
+            edges = sorted(
+                {0, blade.capacity} | {e for r in regions for e in (r.base, r.end)}
+            )
+            offset = data.draw(st.sampled_from(edges)) + data.draw(st.integers(-2, 2))
+            for size in (0, 1, 8, 64, 65, 900):
+                found = next((r for r in regions if r.contains(offset, size)), None)
+                assert blade.find_region(offset, size) is found
+                assert blade.is_persistent(offset, size) == any(
+                    r.persistent and r.base < offset + size and offset < r.end
+                    for r in regions
+                )
+
     def test_data_ops_reject_non_positive_size(self):
         blade = MemoryBlade(0, capacity=1024)
         with pytest.raises(IndexError):

@@ -41,6 +41,27 @@ class TestLayout:
             layout.fingerprint(key),
         )
 
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=7, max_size=7),
+           st.binary(min_size=8, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_unpack_slots_is_seven_u64_slices(self, raws, spare):
+        bucket = b"".join(layout.pack_u64(raw) for raw in raws) + spare
+        assert len(bucket) == layout.BUCKET_BYTES
+        assert layout.unpack_slots(bucket) == tuple(
+            layout.unpack_u64(bucket[i * 8 : i * 8 + 8])
+            for i in range(layout.SLOTS_PER_BUCKET)
+        )
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_slot_fields_by_shift_and_mask_are_the_decoded_ones(self, raw, key):
+        # What the client compares without building a Slot.
+        slot = layout.decode_slot(raw)
+        assert raw >> layout.FP_SHIFT == slot.fingerprint
+        assert raw & layout.ADDR_MASK == slot.addr
+        # fingerprint(key) is never 0, so an empty slot never matches it.
+        assert layout.EMPTY_SLOT >> layout.FP_SHIFT != layout.fingerprint(key)
+
     def test_bucket_indices_distinct(self):
         for key in range(1000):
             b1, b2 = layout.bucket_indices(key, 64)

@@ -3,6 +3,8 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.rnic import verbs
@@ -12,7 +14,7 @@ from repro.rnic.policies import (
     PerThreadQpPolicy,
     SharedQpPolicy,
 )
-from repro.rnic.qp import WorkBatch, cas_wr, faa_wr, read_wr, write_wr
+from repro.rnic.qp import WorkBatch, WorkRequest, cas_wr, faa_wr, read_wr, write_wr
 
 
 def make_cluster(threads=2, memory_nodes=1, policy=None):
@@ -22,6 +24,32 @@ def make_cluster(threads=2, memory_nodes=1, policy=None):
     remotes = cluster.add_nodes(memory_nodes)
     (policy or PerThreadQpPolicy()).connect(compute, remotes)
     return cluster, compute, remotes
+
+
+_STATUSES = sorted(
+    value for name, value in vars(WorkRequest).items() if name.startswith("STATUS_")
+)
+
+
+class TestWorkBatch:
+    @given(st.lists(st.sampled_from(_STATUSES), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_size_and_ok_are_what_the_wrs_say(self, statuses):
+        """``n`` is ``len(wrs)`` stored once; ``ok`` is the ``all(...)``
+        form, under every completion status in every position."""
+        cluster, compute, (remote,) = make_cluster()
+        qp = compute.threads[0].qp_for(remote.node_id)
+        addr = remote.storage.global_addr(64)
+        batch = WorkBatch(cluster.sim, qp, [read_wr(addr, 8) for _ in statuses])
+        assert len(batch) == batch.n == len(batch.wrs) == len(statuses)
+        assert batch.ok
+        for wr, status in zip(batch.wrs, statuses):
+            wr.status = status
+        assert batch.ok == all(
+            wr.status == WorkRequest.STATUS_OK for wr in batch.wrs
+        )
+        assert batch.ok == (batch.status == WorkRequest.STATUS_OK)
+        assert batch.ok == (not batch.errors())
 
 
 class TestDataPath:

@@ -1,5 +1,7 @@
 """Tests for the RNIC cache/doorbell models and config."""
 
+import dataclasses
+
 import pytest
 
 from repro.rnic.caches import MttCacheModel, WqeCacheModel
@@ -31,6 +33,30 @@ class TestConfig:
     def test_cycles_to_ns(self):
         config = RnicConfig(cpu_ghz=2.0)
         assert config.cycles_to_ns(4096) == pytest.approx(2048.0)
+
+    def test_shared_config_cannot_be_mutated(self):
+        # One instance is handed to every device, thread, doorbell and
+        # cache model of a deployment.
+        config = connectx6()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_iops = 1e6
+
+    def test_overrides_never_see_a_stale_cached_rate(self):
+        config = connectx6()
+        before = config.iops_service_ns  # cached on `config` from here on
+        faster = config.with_overrides(max_iops=2 * config.max_iops)
+        assert faster.iops_service_ns == pytest.approx(before / 2)
+        assert config.iops_service_ns == before
+
+    def test_cached_rates_are_not_fields(self):
+        config = connectx6()
+        fields = set(dataclasses.asdict(config))
+        for rate in ("iops_service_ns", "responder_service_ns",
+                     "network_bytes_per_ns", "pcie_bytes_per_ns"):
+            getattr(config, rate)
+        assert set(dataclasses.asdict(config)) == fields
+        assert "iops_service_ns" not in fields
+        assert config == connectx6()  # equality is by field, cache or not
 
 
 class TestWqeCache:
