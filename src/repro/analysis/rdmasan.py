@@ -2,8 +2,8 @@
 
 Disaggregated applications coordinate through *unsynchronized* one-sided
 READ/WRITE/CAS — a missed conflict is silent data corruption, not a
-crash.  RDMASan attaches passively at the verbs/device boundary (same
-pattern as :mod:`repro.obs`) and records every in-flight access as an
+crash.  RDMASan attaches passively as a device observer (same seam as
+:mod:`repro.obs`'s tracer) and records every in-flight access as an
 interval ``(actor, qp, [addr, addr+len), kind, issue/complete sim-time)``
 in a per-blade shadow map.  Two accesses race when their in-flight
 intervals overlap in sim-time *and* their byte ranges overlap *and* no
@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.memory.address import blade_of, offset_of
+from repro.rnic.device import BatchObserver
 from repro.rnic.qp import AM_SEND, CAS, FAA, READ, WRITE, QueuePair, WorkRequest
 
 #: shadow chunk granularity (bytes = 1 << shift); 256 B keeps bucket
@@ -124,9 +125,9 @@ class _BladeShadow:
     """Per-blade shadow state: the chunked interval index plus protocol
     declarations (policies, lock words, striped tables)."""
 
-    __slots__ = ("chunks", "policies", "striped", "sync_words", "lock_words", "storage")
+    __slots__ = ("chunks", "policies", "striped", "sync_words", "lock_words")
 
-    def __init__(self, storage=None):
+    def __init__(self):
         self.chunks: Dict[int, List[_Access]] = {}
         self.policies: List[Tuple[int, int, str, str]] = []  # (base, end, policy, name)
         self.striped: List[_StripedLocks] = []
@@ -134,10 +135,9 @@ class _BladeShadow:
         self.sync_words: Set[int] = set()
         #: words declared as locks by the application
         self.lock_words: Set[int] = set()
-        self.storage = storage  # MemoryBlade, for region names in findings
 
 
-class RdmaSanitizer:
+class RdmaSanitizer(BatchObserver):
     """The sanitizer facade: attach, declare protocol facts, collect
     findings, report leaks at teardown.
 
@@ -158,6 +158,7 @@ class RdmaSanitizer:
         self.ops_checked = 0
         self.dropped_findings = 0
         self._shadows: Dict[int, _BladeShadow] = {}
+        #: blade id -> MemoryBlade (region names in findings, AM regions)
         self._storages: Dict[int, Any] = {}
         self._batches: Dict[int, List[_Access]] = {}
         #: current holder of each tracked lock word: (blade, word) -> actor
@@ -171,15 +172,18 @@ class RdmaSanitizer:
     # -- attachment ---------------------------------------------------------
 
     def attach_cluster(self, cluster) -> "RdmaSanitizer":
-        """Hook every device of ``cluster``; enables leak checking too."""
-        for node in cluster.nodes:
-            node.device.sanitizer = self
-            self._storages.setdefault(node.node_id, node.storage)
-        cluster.sanitizer = self
+        """Observe every device of ``cluster``, those of blades that join
+        later included; enables leak checking too."""
+        cluster.attach(self)
         if cluster.sim.process_registry is None:
             cluster.sim.process_registry = []
         self._clusters.append(cluster)
         return self
+
+    def attach_node(self, node) -> None:
+        if self not in node.device.observers:
+            node.device.observers += (self,)
+        self._storages.setdefault(node.node_id, node.storage)
 
     def attach_deployment(self, deployment) -> "RdmaSanitizer":
         return self.attach_cluster(deployment.cluster)
@@ -220,7 +224,7 @@ class RdmaSanitizer:
             _StripedLocks(base, end, stride, lock_offset, span or stride)
         )
 
-    # -- hook points (called from rnic.verbs / rnic.device) -----------------
+    # -- the observer calls (from rnic.verbs / rnic.device / rnic.odp) ------
 
     def on_post(self, thread, qp: QueuePair, batch) -> None:
         """A batch was rung in: index its accesses as in-flight."""
@@ -281,7 +285,7 @@ class RdmaSanitizer:
         records = self._batches.pop(batch.batch_id, None)
         if records is None:
             return
-        now = batch.qp.device.sim.now
+        now = batch.completed_at
         for record in records:
             record.completed_ns = now
             shadow = self._shadows[record.blade]
@@ -309,7 +313,7 @@ class RdmaSanitizer:
                     # translation the host had already revoked — the
                     # completed buffer can hold stale or torn data.
                     self._emit(
-                        "odp-invalidated-read", shadow, record.blade,
+                        "odp-invalidated-read", record.blade,
                         record.start, record.end, record, None,
                         detected_ns=now,
                         extra={"invalidated_ns": record.inv_ns},
@@ -374,7 +378,6 @@ class RdmaSanitizer:
         )
         self._emit(
             kind,
-            shadow,
             first.blade,
             overlap_start,
             overlap_end,
@@ -433,7 +436,6 @@ class RdmaSanitizer:
                 if holder != record.actor:
                     self._emit(
                         "lock-discipline",
-                        shadow,
                         record.blade,
                         covered_start,
                         covered_end,
@@ -493,7 +495,6 @@ class RdmaSanitizer:
     def _emit(
         self,
         kind: str,
-        shadow: _BladeShadow,
         blade: int,
         overlap_start: int,
         overlap_end: int,
@@ -521,8 +522,9 @@ class RdmaSanitizer:
             self.dropped_findings += 1
             return
         region = None
-        if shadow.storage is not None:
-            found = shadow.storage.find_region(overlap_start)
+        storage = self._storages.get(blade)
+        if storage is not None:
+            found = storage.find_region(overlap_start)
             region = found.name if found is not None else None
         finding: Dict[str, Any] = {
             "kind": kind,
@@ -553,7 +555,7 @@ class RdmaSanitizer:
     def _instant(self, kind: str, finding: Dict[str, Any]) -> None:
         """Surface the finding as an obs instant so it lands in traces."""
         for cluster in self._clusters:
-            recorder = getattr(cluster, "recorder", None)
+            recorder = cluster.recorder
             if recorder is not None:
                 recorder.instant(
                     "sanitizer",
@@ -651,6 +653,6 @@ class RdmaSanitizer:
     def _shadow(self, blade_id: int) -> _BladeShadow:
         shadow = self._shadows.get(blade_id)
         if shadow is None:
-            shadow = _BladeShadow(self._storages.get(blade_id))
+            shadow = _BladeShadow()
             self._shadows[blade_id] = shadow
         return shadow

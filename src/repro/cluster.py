@@ -144,10 +144,22 @@ class Cluster:
         #: optional :class:`repro.obs.tracing.TraceRecorder` (set by
         #: :meth:`repro.obs.Observability.attach_cluster`)
         self.recorder = None
+        #: what :meth:`attach` was given (``Observability``, ``RdmaSanitizer``)
+        self.attached: List = []
+
+    def attach(self, instrument) -> None:
+        """Run ``instrument.attach_node(node)`` on every node, present and
+        future: a blade that joins mid-run gets what its peers were given."""
+        if instrument not in self.attached:
+            self.attached.append(instrument)
+        for node in self.nodes:
+            instrument.attach_node(node)
 
     def add_node(self) -> Node:
         node = Node(self.sim, self.config, self.fabric, len(self.nodes))
         self.nodes.append(node)
+        for instrument in self.attached:
+            instrument.attach_node(node)
         return node
 
     def add_nodes(self, count: int) -> List[Node]:

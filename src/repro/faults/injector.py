@@ -90,7 +90,7 @@ class FaultInjector:
 
     def _invalidate(self, inv: OdpInvalidate) -> None:
         fired = self._invalidate_odp(inv.node_id)
-        recorder = getattr(self.cluster, "recorder", None)
+        recorder = self.cluster.recorder
         if recorder is not None and fired:
             recorder.instant(
                 "faults", "blades", "odp_invalidate_window",
@@ -121,7 +121,7 @@ class FaultInjector:
             return  # overlapping schedules: already down
         self.crashes_fired += 1
         node.crash()
-        recorder = getattr(self.cluster, "recorder", None)
+        recorder = self.cluster.recorder
         if recorder is not None:
             recorder.instant(
                 "faults", "blades", "blade_crash", self.cluster.sim.now,
@@ -135,7 +135,7 @@ class FaultInjector:
             return
         node.restart()
         self.restarts_fired += 1
-        recorder = getattr(self.cluster, "recorder", None)
+        recorder = self.cluster.recorder
         if recorder is not None:
             recorder.instant(
                 "faults", "blades", "blade_restart", self.cluster.sim.now,

@@ -9,13 +9,13 @@ metrics and write the artifacts::
     result = run_microbench(..., obs=obs)
     obs.write(trace_path="trace.json", metrics_path="metrics.json")
 
-Attachment is strictly passive — it installs per-device
-:class:`SpanTracer` objects and recorder references that instrumented
-code paths check with a single ``is not None`` test.  No recorder ever
-schedules simulator events or consumes randomness, so an instrumented
-run produces *bit-identical* simulated results, and an un-instrumented
-run is byte-identical to a build without this package (the same
-determinism bar as the fault-free fast path).
+Attachment is strictly passive — it adds one :class:`SpanTracer` to
+each device's ``observers`` and installs recorder references that
+``instant`` sites check with a single ``is not None`` test.  Neither
+ever schedules simulator events or consumes randomness, so an
+instrumented run produces *bit-identical* simulated results, and an
+un-instrumented run is byte-identical to a build without this package
+(the same determinism bar as the fault-free fast path).
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ _DEVICE_COUNTERS = (
 )
 
 
+def _tracer_of(device) -> Optional[SpanTracer]:
+    """The :class:`SpanTracer` among ``device``'s observers, if any."""
+    for observer in device.observers:
+        if isinstance(observer, SpanTracer):
+            return observer
+    return None
+
+
 class Observability:
     """Metrics + tracing for one simulated run."""
 
@@ -77,22 +85,24 @@ class Observability:
     def attach_cluster(self, cluster) -> "Observability":
         """Instrument every device, the fabric and the fault layer.
 
-        Call after the cluster's nodes exist and before the simulation
-        runs.  Devices that already carry a tracer keep it (only the
-        recorder reference is added).
+        Call before the simulation runs; a node the cluster adds later is
+        attached as it joins.  Devices that already carry a tracer keep it
+        (only the recorder reference is added).
         """
         cluster.recorder = self.recorder
         cluster.fabric.recorder = self.recorder
-        for node in cluster.nodes:
-            device = node.device
-            device.recorder = self.recorder
-            if device.tracer is None:
-                device.tracer = SpanTracer(
-                    self.recorder, device.name, capacity=self.batch_capacity
-                )
         if cluster not in self._clusters:
             self._clusters.append(cluster)
+        cluster.attach(self)
         return self
+
+    def attach_node(self, node) -> None:
+        device = node.device
+        device.recorder = self.recorder
+        if _tracer_of(device) is None:
+            device.observers += (
+                SpanTracer(self.recorder, device.name, capacity=self.batch_capacity),
+            )
 
     def attach_smart_threads(self, smart_threads) -> "Observability":
         """Emit application-level op spans from these threads' handles."""
@@ -134,7 +144,7 @@ class Observability:
                 registry.gauge(f"{prefix}.requester_utilization").set(
                     counters.requester_utilization(window_ns)
                 )
-            tracer = device.tracer
+            tracer = _tracer_of(device)
             if tracer is not None:
                 registry.counter(f"{prefix}.trace_batches_dropped").value = float(
                     tracer.dropped
@@ -188,7 +198,7 @@ class Observability:
         summaries = []
         for member in clusters:
             for node in member.nodes:
-                tracer = node.device.tracer
+                tracer = _tracer_of(node.device)
                 if tracer is not None:
                     summaries.append(tracer.summary())
         return merge_summaries(summaries)

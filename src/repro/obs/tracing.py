@@ -6,9 +6,10 @@ on a named track) and *instants* (a point event).  Tracks are
 one lane per pipeline inside it — which the Chrome-trace exporter
 (:mod:`repro.obs.export`) turns into Perfetto tracks.
 
-:class:`SpanTracer` is the per-batch lifecycle tracer.  Attach one to a
-device (``device.tracer = SpanTracer()``) and every work batch passing
-through records its pipeline timestamps:
+:class:`SpanTracer` is the per-batch lifecycle tracer: a
+:class:`~repro.rnic.device.BatchObserver` that, when a batch completes,
+reads the timeline the pipeline stamped on the batch itself
+(:class:`~repro.rnic.qp.WorkBatch`) under the stage names
 
     posted -> issued -> remote_start -> executed -> completed
 
@@ -20,16 +21,25 @@ batch completes.
 
 Recording never schedules simulator events and never draws randomness:
 attaching a recorder cannot change a single simulated number, and with
-no recorder attached the instrumented code paths reduce to one
-``is not None`` check (the fault-free fast-path rule).
+no recorder attached an ``instant`` site is one ``is not None`` check.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-STAGES = ("posted", "issued", "remote_start", "executed", "completed")
+from repro.rnic.device import BatchObserver
+
+#: lifecycle stage -> the ``WorkBatch`` stamp it reads, in pipeline order
+#: (the trace's "posted" is the doorbell ring, not WQE construction)
+STAGES: Dict[str, str] = {
+    "posted": "rung_at",
+    "issued": "issued_at",
+    "remote_start": "remote_start_at",
+    "executed": "executed_at",
+    "completed": "completed_at",
+}
 
 #: (segment name, start stage, end stage) — the batch lifecycle pipeline.
 SEGMENTS: Tuple[Tuple[str, str, str], ...] = (
@@ -123,14 +133,15 @@ class TraceRecorder:
         return list(seen)
 
 
-class SpanTracer:
+class SpanTracer(BatchObserver):
     """Bounded trace of batch lifecycles (oldest evicted first).
 
-    The duck-typed ``device.tracer``.  With a ``recorder``, the four
-    lifecycle segments of a batch are also emitted as spans grouped
-    under ``track`` (one lane per pipeline stage) when its ``completed``
-    stage lands, with all five raw stage timestamps attached as span
-    args.
+    Keeps the timeline of every batch that reached all five stages; one
+    that was flushed, aborted, bounced or lost on the way has a ``None``
+    stamp and is not reported.  With a ``recorder``, the four lifecycle
+    segments of a batch are also emitted as spans grouped under ``track``
+    (one lane per pipeline stage) as it completes, with all five stage
+    timestamps attached as span args.
     """
 
     def __init__(self, recorder: Optional[TraceRecorder] = None,
@@ -140,37 +151,35 @@ class SpanTracer:
         self.recorder = recorder
         self.track = track
         self.capacity = capacity
-        self._batches: "OrderedDict[int, Dict[str, int]]" = OrderedDict()
+        self._timelines: deque = deque(maxlen=capacity)
         self.dropped = 0
 
-    def record(self, batch_id: int, stage: str, now) -> None:
-        if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}")
-        timestamps = self._batches.get(batch_id)
-        if timestamps is None:
-            if stage != "posted":
-                return  # batch predates the tracer; ignore its tail
-            timestamps = {}
-            self._batches[batch_id] = timestamps
-            if len(self._batches) > self.capacity:
-                self._batches.popitem(last=False)
-                self.dropped += 1
-        timestamps[stage] = now
+    def on_complete(self, batch) -> None:
+        timestamps = {stage: getattr(batch, stamp) for stage, stamp in STAGES.items()}
+        if None in timestamps.values():
+            return
+        # The requester's finish is a float; every other stamp is an
+        # instant of the event loop, which quantizes with round() —
+        # truncating here instead skewed the post_to_issue/issue_to_remote
+        # split by up to 1 ns per batch.
+        timestamps["issued"] = int(round(timestamps["issued"]))
+        if len(self._timelines) == self.capacity:
+            self.dropped += 1
+        self._timelines.append(timestamps)
         recorder = self.recorder
-        if (recorder is None or stage != "completed"
-                or len(timestamps) != len(STAGES)):
+        if recorder is None:
             return
         for name, start, end in SEGMENTS:
             recorder.span(self.track, SEGMENT_LANES[name], name,
                           timestamps[start], timestamps[end],
-                          {"batch": batch_id})
-        # The whole-lifecycle span carries every raw stage timestamp.
+                          {"batch": batch.batch_id})
+        # The whole-lifecycle span carries every stage timestamp.
         recorder.span(self.track, "batches", "batch",
                       timestamps["posted"], timestamps["completed"],
-                      dict(timestamps, batch=batch_id))
+                      dict(timestamps, batch=batch.batch_id))
 
     def complete_batches(self) -> List[Dict[str, int]]:
-        return [t for t in self._batches.values() if len(t) == len(STAGES)]
+        return list(self._timelines)
 
     def summary(self) -> Optional[Dict[str, float]]:
         """Mean nanoseconds per pipeline segment over complete batches."""

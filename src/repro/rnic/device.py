@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.sim import Simulator
 from repro.rnic.caches import MttCacheModel, WqeCacheModel
@@ -10,7 +10,27 @@ from repro.rnic.config import RnicConfig
 from repro.rnic.counters import PerfCounters
 from repro.rnic.doorbell import Doorbell, DoorbellAllocator
 from repro.rnic.engine import RequesterEngine, ResponderEngine
-from repro.rnic.qp import CompletionQueue, QueuePair, WorkBatch
+from repro.rnic.qp import CompletionQueue, QueuePair, WorkBatch, WorkRequest
+
+
+class BatchObserver:
+    """The device's one notification seam: three calls, no-ops here.
+
+    An observer is passive — it may read the batch (every pipeline stage
+    has stamped it by the time ``on_complete`` runs, see
+    :class:`~repro.rnic.qp.WorkBatch`) but schedules no event and draws no
+    randomness, so any tuple of observers, in any order, leaves every
+    simulated number alone.
+    """
+
+    def on_post(self, thread, qp, batch) -> None:
+        """``batch`` was rung in on ``qp`` by ``thread`` (``verbs.post_send``)."""
+
+    def on_complete(self, batch) -> None:
+        """``batch``'s CQEs were delivered, OK or not (``RnicDevice.complete``)."""
+
+    def on_odp_invalidate(self, blade_id: int, ranges, now: float) -> None:
+        """ODP translations covering byte ``ranges`` of ``blade_id`` were shot down."""
 
 
 class DeviceContext:
@@ -94,13 +114,12 @@ class RnicDevice:
         #: WRs posted but not yet completed, device-wide (drives the WQE
         #: cache model)
         self.outstanding = 0
-        #: optional :class:`repro.obs.tracing.SpanTracer` for batch lifecycles
-        self.tracer = None
+        #: :class:`BatchObserver` objects told of every post, completion
+        #: and ODP invalidation at this device (wiring: appended by
+        #: ``Observability`` / ``RdmaSanitizer`` attachment, empty otherwise)
+        self.observers: Tuple[BatchObserver, ...] = ()
         #: optional :class:`repro.obs.tracing.TraceRecorder` for instants
         self.recorder = None
-        #: optional :class:`repro.analysis.rdmasan.RdmaSanitizer`; like the
-        #: recorder it is a passive observer — None keeps the hot path free
-        self.sanitizer = None
         #: lazily created :class:`repro.rnic.odp.OdpState`; stays None on
         #: fully pinned configurations so the fault-free fast path never
         #: pays more than one ``is None`` check
@@ -183,8 +202,6 @@ class RnicDevice:
         routes the batch through the normal completion path (so credit
         replenishment and outstanding-WR accounting stay balanced).
         """
-        from repro.rnic.qp import WorkRequest
-
         for wr in batch.wrs:
             if wr.status == WorkRequest.STATUS_OK:
                 wr.status = status
@@ -201,10 +218,17 @@ class RnicDevice:
         # not when the fault is scheduled: nothing observable (neither the
         # app nor later posts) may learn of the failure before the
         # detection delay has elapsed.
-        if delay_ns > 0:
-            self.sim.call_after(delay_ns, self._deliver_failure, (batch, status))
-        else:
-            self.sim.call_at(self.sim.now, self._deliver_failure, (batch, status))
+        self.sim.call_after(delay_ns, self._deliver_failure, (batch, status))
+
+    def abort_remote(self, batch: WorkBatch, after_ns: float = 0.0) -> None:
+        """``batch``'s remote blade is down and no ack will ever arrive:
+        this (origin) device surfaces completion-with-error once the
+        crash-detection timeout has run, ``after_ns`` from now (what was
+        left of the request's own path when the blade was found dead)."""
+        self.fail_batch(
+            batch, WorkRequest.STATUS_REMOTE_ABORT,
+            delay_ns=after_ns + self.config.crash_detect_ns,
+        )
 
     def _deliver_failure(self, pair) -> None:
         batch, status = pair
@@ -221,10 +245,8 @@ class RnicDevice:
         batch.qp.completed_wrs += n
         batch.qp.cq.deliver(batch)
         batch.completed_at = self.sim.now
-        if self.tracer is not None:
-            self.tracer.record(batch.batch_id, "completed", self.sim.now)
-        if self.sanitizer is not None:
-            self.sanitizer.on_complete(batch)
+        for observer in self.observers:
+            observer.on_complete(batch)
         # The CQE count, not the batch: an event holding its own batch is a
         # reference cycle, and only the cyclic collector could then free a
         # completed batch and its WRs.

@@ -36,8 +36,7 @@ class RequesterEngine:
         device.outstanding += n
         outstanding = device.outstanding
         context_count = len(device.contexts)
-        if device.tracer is not None:
-            device.tracer.record(batch.batch_id, "posted", sim.now)
+        batch.rung_at = sim.now
 
         qp = batch.qp
         if qp.state == qpmod.QueuePair.STATE_ERROR:
@@ -46,13 +45,7 @@ class RequesterEngine:
             device.fail_batch(batch, qpmod.WorkRequest.STATUS_FLUSH)
             return
         if not qp.remote_node.device.online:
-            # Remote blade is down: no ack will ever arrive.  Surface
-            # completion-with-error after the detection timeout.
-            device.fail_batch(
-                batch,
-                qpmod.WorkRequest.STATUS_REMOTE_ABORT,
-                delay_ns=config.crash_detect_ns,
-            )
+            device.abort_remote(batch)
             return
 
         # One memoized evaluation per cache model: service multiplier,
@@ -88,11 +81,7 @@ class RequesterEngine:
                 {"batch": batch.batch_id, "miss_rate": round(wqe_miss, 4),
                  "outstanding": outstanding},
             )
-        if device.tracer is not None:
-            # Every other stage records sim.now, which the event loop
-            # quantizes with round() — truncating here instead skewed the
-            # post_to_issue/issue_to_remote split by up to 1 ns per batch.
-            device.tracer.record(batch.batch_id, "issued", int(round(finish)))
+        batch.issued_at = finish
         self._transmit(batch, finish, 0)
 
     def _transmit(self, batch: WorkBatch, ready_ns: float, attempt: int) -> None:
@@ -110,11 +99,7 @@ class RequesterEngine:
         config = device.config
         remote = batch.qp.remote_node.device
         if not remote.online:
-            device.fail_batch(
-                batch,
-                qpmod.WorkRequest.STATUS_REMOTE_ABORT,
-                delay_ns=(ready_ns - sim.now) + config.crash_detect_ns,
-            )
+            device.abort_remote(batch, ready_ns - sim.now)
             return
         delay, dropped, duplicated = device.fabric.transit(
             batch.wire_bytes, ready_ns, device.node_id, remote.node_id
@@ -170,29 +155,19 @@ class ResponderEngine:
 
         if not device.online:
             # The blade died while the request was in flight: blackhole.
-            # The requester surfaces completion-with-error after its
-            # detection timeout.
-            origin = batch.qp.device
-            origin.fail_batch(
-                batch,
-                qpmod.WorkRequest.STATUS_REMOTE_ABORT,
-                delay_ns=origin.config.crash_detect_ns,
-            )
+            batch.qp.device.abort_remote(batch)
             return
 
-        if batch.wrs[0].opcode == qpmod.AM_SEND:
-            # Active messages pay the same reception pipeline, then hand
-            # off to the blade-side handler runtime (created on first AM;
-            # one-sided runs never allocate it).
-            self._handle_am(batch)
-            return
-
+        # Active messages pay the same reception pipeline as one-sided
+        # verbs (no NVM or ODP penalty: they carry no address range), then
+        # go to the handler runtime instead of the verb executor.
+        is_am = batch.wrs[0].opcode == qpmod.AM_SEND
         per_wr_ns = config.responder_service_ns
         bandwidth_ns = batch.wire_bytes / config.network_bytes_per_ns
         nvm_penalty = 0.0
         odp_penalty = 0.0
         storage = device.storage
-        if storage is not None:
+        if storage is not None and not is_am:
             if batch.write_bytes:
                 for wr in batch.wrs:
                     # The penalty applies when any part of the written span
@@ -209,9 +184,7 @@ class ResponderEngine:
             if odp is not None:
                 odp_penalty = odp.charge(batch, sim.now)
 
-        origin_tracer = batch.qp.device.tracer
-        if origin_tracer is not None:
-            origin_tracer.record(batch.batch_id, "remote_start", sim.now)
+        batch.remote_start_at = sim.now
         start = max(sim.now, self.busy_until)
         finish = (
             start + max(batch.wire_wrs * per_wr_ns, bandwidth_ns)
@@ -219,38 +192,18 @@ class ResponderEngine:
         )
         self.busy_until = finish
         device.counters.responder_busy_ns += finish - start
-        sim.call_at(finish, self._execute_and_reply, batch)
-
-    def _handle_am(self, batch: WorkBatch) -> None:
-        """Receive an active-message batch and admit it to the handler
-        runtime (see :mod:`repro.rnic.offload`)."""
-        device = self.device
-        sim = device.sim
-        config = device.config
-        origin_tracer = batch.qp.device.tracer
-        if origin_tracer is not None:
-            origin_tracer.record(batch.batch_id, "remote_start", sim.now)
-        per_wr_ns = config.responder_service_ns
-        bandwidth_ns = batch.wire_bytes / config.network_bytes_per_ns
-        start = max(sim.now, self.busy_until)
-        ready = start + max(batch.wire_wrs * per_wr_ns, bandwidth_ns)
-        self.busy_until = ready
-        device.counters.responder_busy_ns += ready - start
-        runtime = device.offload
-        if runtime is None:
-            runtime = device.ensure_offload()
-        runtime.admit(batch, ready)
+        if is_am:
+            # the runtime is created on the first AM; one-sided runs never
+            # allocate it (see :mod:`repro.rnic.offload`)
+            device.ensure_offload().admit(batch, finish)
+        else:
+            sim.call_at(finish, self._execute_and_reply, batch)
 
     def _execute_and_reply(self, batch: WorkBatch) -> None:
         device = self.device
         if not device.online:
             # Crash landed between queueing and execution: nothing ran.
-            origin = batch.qp.device
-            origin.fail_batch(
-                batch,
-                qpmod.WorkRequest.STATUS_REMOTE_ABORT,
-                delay_ns=origin.config.crash_detect_ns,
-            )
+            batch.qp.device.abort_remote(batch)
             return
         storage = device.storage
         if storage is None:
@@ -270,9 +223,7 @@ class ResponderEngine:
             else:
                 self._execute(storage, wr)
         device.counters.responder_ops += batch.n
-        origin = batch.qp.device
-        if origin.tracer is not None:
-            origin.tracer.record(batch.batch_id, "executed", device.sim.now)
+        batch.executed_at = device.sim.now
         self.send_response(batch)
 
     def send_response(self, batch: WorkBatch) -> None:

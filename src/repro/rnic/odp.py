@@ -158,10 +158,10 @@ class OdpState:
                 device.name, "odp", "odp_invalidation", now,
                 {"pages": len(pages)},
             )
-        if device.sanitizer is not None:
-            device.sanitizer.on_odp_invalidate(
-                device.storage.blade_id, self._coalesce(pages), now,
-            )
+        if device.observers:
+            ranges = self._coalesce(pages)
+            for observer in device.observers:
+                observer.on_odp_invalidate(device.storage.blade_id, ranges, now)
         return len(pages)
 
     def _coalesce(self, pages: List[int]) -> List[Tuple[int, int]]:

@@ -185,12 +185,7 @@ class OffloadRuntime:
             # detection timeout and replays through the retry path —
             # exactly-once-visible semantics.
             device.counters.am_aborted += batch.n
-            origin = batch.qp.device
-            origin.fail_batch(
-                batch,
-                WorkRequest.STATUS_REMOTE_ABORT,
-                delay_ns=origin.config.crash_detect_ns,
-            )
+            batch.qp.device.abort_remote(batch)
             return
         storage = device.storage
         for wr in batch.wrs:
@@ -198,9 +193,7 @@ class OffloadRuntime:
         counters = device.counters
         counters.am_handled += batch.n
         counters.responder_ops += batch.n
-        origin = batch.qp.device
-        if origin.tracer is not None:
-            origin.tracer.record(batch.batch_id, "executed", device.sim.now)
+        batch.executed_at = device.sim.now
         if device.recorder is not None:
             device.recorder.span(
                 device.name, "offload", batch.wrs[0].handler,

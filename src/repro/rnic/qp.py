@@ -158,6 +158,19 @@ class WorkBatch:
     each is needed several times along a batch's lifecycle (requester
     bandwidth ceiling, fabric transit, responder bandwidth ceiling), so
     they are summed once at construction instead of per consumer.
+
+    The batch is also its own lifecycle record.  Each pipeline stage
+    stamps the simulated instant it reached the batch — unconditionally,
+    whoever is or is not observing:
+
+    ``posted_at`` (built) ≤ ``rung_at`` (doorbell rung, handed to the
+    requester) ≤ ``issued_at`` (requester pipeline done; a float, the
+    only stamp that is not an event-loop instant) ≤ ``remote_start_at``
+    (reached the responder) ≤ ``executed_at`` (verbs / handler ran) ≤
+    ``completed_at`` (CQEs delivered).
+
+    A stage the batch never reached — it was flushed, aborted, bounced
+    or lost — leaves its stamp ``None``.
     """
 
     __slots__ = (
@@ -166,6 +179,10 @@ class WorkBatch:
         "qp",
         "done",
         "posted_at",
+        "rung_at",
+        "issued_at",
+        "remote_start_at",
+        "executed_at",
         "completed_at",
         "batch_id",
         "wire_bytes",
@@ -188,7 +205,8 @@ class WorkBatch:
         #: fires with the number of CQEs once the batch completes
         self.done: Event = sim.event()
         self.posted_at = sim.now
-        self.completed_at: Optional[int] = None
+        self.rung_at = self.issued_at = self.remote_start_at = None
+        self.executed_at = self.completed_at = None
         #: stable identity of the logical issuer (RDMASan attribution);
         #: set by ``post_send`` when the caller supplies one
         self.actor: Any = None
@@ -216,7 +234,7 @@ class WorkBatch:
         #: wire messages this batch issues; == n unless RDMAbox request
         #: merging fused adjacent WRs (``RnicConfig.merge_wrs``)
         self.wire_wrs = n
-        if qp.context.device.config.merge_wrs and n > 1 and not am_count:
+        if qp.device.config.merge_wrs and n > 1 and not am_count:
             groups = plan_merges(wrs)
             if len(groups) < n:
                 self.wire_wrs = len(groups)
@@ -309,6 +327,8 @@ class QueuePair:
         QueuePair._next_id += 1
         self.qp_id = QueuePair._next_id
         self.context = context
+        #: the local RNIC (``context.device``, read several times per batch)
+        self.device = context.device
         self.doorbell = doorbell
         self.cq = cq
         self.remote_node = remote_node
@@ -331,7 +351,7 @@ class QueuePair:
             return
         self.state = QueuePair.STATE_ERROR
         self.error_cause = cause
-        device = self.context.device
+        device = self.device
         device.counters.qp_errors += 1
         if device.recorder is not None:
             device.recorder.instant(
@@ -355,10 +375,6 @@ class QueuePair:
             return 0.0
         sharers = min(max(len(self.users) - 1, 0), config.doorbell_bounce_cap)
         return config.doorbell_share_ns * sharers
-
-    @property
-    def device(self):
-        return self.context.device
 
     @property
     def outstanding(self) -> int:

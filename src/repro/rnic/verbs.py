@@ -44,63 +44,59 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
     if delay > 0:
         yield sim.timeout(delay)
 
-    if qp.state == QueuePair.STATE_ERROR:
-        # Posting on an ERROR QP skips the doorbell entirely: the driver
-        # flushes the WRs straight to the CQ with IBV_WC_WR_FLUSH_ERR.
-        # CPU for WQE building is still charged (the check happens at
-        # ring time), which also keeps retry loops from spinning at t=0.
-        qp.posted_wrs += n
-        if device.sanitizer is not None:
-            device.sanitizer.on_post(thread, qp, batch)
-        device.requester.submit(batch)
-        return batch
-
-    thread_id = getattr(thread, "thread_id", 0)
-    if qp.share_lock is not None:
-        qp.note_user(thread_id)
-        if not qp.share_lock.try_acquire(owner=thread_id):
-            yield qp.share_lock.acquire(owner=thread_id)
-    try:
+    # Posting on an ERROR QP skips the locks and the doorbell: the driver
+    # flushes the WRs straight to the CQ with IBV_WC_WR_FLUSH_ERR
+    # (``submit`` does, below).  CPU for WQE building is still charged (the
+    # check happens at ring time), which also keeps retry loops from
+    # spinning at t=0.
+    if qp.state != QueuePair.STATE_ERROR:
+        thread_id = getattr(thread, "thread_id", 0)
         if qp.share_lock is not None:
-            thread.mark_busy_until_now()
-            # Contended lock word: every acquisition fights the sharers'
-            # spinning reads (cache-line bouncing).
-            delay = thread.charge(qp.sharing_penalty_ns(config))
-            if delay > 0:
-                yield sim.timeout(delay)
-        doorbell = qp.doorbell
-        doorbell.note_user(thread_id)
-        wait_start = sim.now
-        if not doorbell.lock.try_acquire(owner=thread_id):
-            yield doorbell.lock.acquire(owner=thread_id)
+            qp.note_user(thread_id)
+            if not qp.share_lock.try_acquire(owner=thread_id):
+                yield qp.share_lock.acquire(owner=thread_id)
         try:
-            # The wait above was a spin: the thread's CPU was burning the
-            # whole time, so bring its watermark up to now before the
-            # locked section.
-            thread.mark_busy_until_now()
-            if device.recorder is not None and sim.now > wait_start:
-                device.recorder.instant(
-                    device.name, "requester", "doorbell_stall", sim.now,
-                    {"doorbell": doorbell.index, "thread": thread_id,
-                     "stall_ns": sim.now - wait_start},
-                )
-            # With request merging on, fused neighbours share one WQE: the
-            # write-combining copy under the lock covers wire_wrs WQEs,
-            # not one per posted WR (wire_wrs == n when merging is off).
-            delay = thread.charge(doorbell.held_cost_ns(config, batch.wire_wrs))
-            if delay > 0:
-                yield sim.timeout(delay)
+            if qp.share_lock is not None:
+                thread.mark_busy_until_now()
+                # Contended lock word: every acquisition fights the sharers'
+                # spinning reads (cache-line bouncing).
+                delay = thread.charge(qp.sharing_penalty_ns(config))
+                if delay > 0:
+                    yield sim.timeout(delay)
+            doorbell = qp.doorbell
+            doorbell.note_user(thread_id)
+            wait_start = sim.now
+            if not doorbell.lock.try_acquire(owner=thread_id):
+                yield doorbell.lock.acquire(owner=thread_id)
+            try:
+                # The wait above was a spin: the thread's CPU was burning
+                # the whole time, so bring its watermark up to now before
+                # the locked section.
+                thread.mark_busy_until_now()
+                if device.recorder is not None and sim.now > wait_start:
+                    device.recorder.instant(
+                        device.name, "requester", "doorbell_stall", sim.now,
+                        {"doorbell": doorbell.index, "thread": thread_id,
+                         "stall_ns": sim.now - wait_start},
+                    )
+                # With request merging on, fused neighbours share one WQE:
+                # the write-combining copy under the lock covers wire_wrs
+                # WQEs, not one per posted WR (wire_wrs == n when merging
+                # is off).
+                delay = thread.charge(doorbell.held_cost_ns(config, batch.wire_wrs))
+                if delay > 0:
+                    yield sim.timeout(delay)
+            finally:
+                doorbell.lock.release(owner=thread_id)
         finally:
-            doorbell.lock.release(owner=thread_id)
-    finally:
-        if qp.share_lock is not None:
-            qp.share_lock.release(owner=thread_id)
+            if qp.share_lock is not None:
+                qp.share_lock.release(owner=thread_id)
+        doorbell.rings += 1
+        device.counters.doorbell_rings += 1
 
-    doorbell.rings += 1
-    device.counters.doorbell_rings += 1
     qp.posted_wrs += n
-    if device.sanitizer is not None:
-        device.sanitizer.on_post(thread, qp, batch)
+    for observer in device.observers:
+        observer.on_post(thread, qp, batch)
     device.requester.submit(batch)
     return batch
 

@@ -22,6 +22,7 @@ from repro.obs.validate import main as validate_main, validate_chrome_trace
 from repro.rnic import verbs
 from repro.rnic.policies import PerThreadQpPolicy
 from repro.rnic.qp import read_wr
+from tests.test_trace import stamped
 
 
 class TestLogHistogram:
@@ -163,14 +164,10 @@ class TestTraceRecorder:
 
 
 class TestSpanTracer:
-    def _complete_batch(self, tracer, batch_id, base=0):
-        for offset, stage in enumerate(STAGES):
-            tracer.record(batch_id, stage, base + offset * 10)
-
     def test_emits_segments_and_batch_span(self):
         rec = TraceRecorder()
         tracer = SpanTracer(rec, "rnic0")
-        self._complete_batch(tracer, 7, base=100)
+        tracer.on_complete(stamped(7, base=100))
         for name, start_stage, end_stage in SEGMENTS:
             (span,) = rec.spans(name)
             assert span.track == "rnic0"
@@ -179,27 +176,26 @@ class TestSpanTracer:
             assert span.args["batch"] == 7
         (batch_span,) = rec.spans("batch")
         assert batch_span.dur == 40
-        # Every raw stage timestamp rides in the batch span's args.
+        # Every stage timestamp rides in the batch span's args.
         for stage in STAGES:
             assert stage in batch_span.args
 
     def test_incomplete_batch_emits_nothing(self):
         rec = TraceRecorder()
         tracer = SpanTracer(rec, "rnic0")
-        tracer.record(1, "posted", 0)
-        tracer.record(1, "issued", 5)
-        assert len(rec) == 0
-        # A completed stage on a pre-tracer batch is also silent.
-        tracer.record(99, "completed", 50)
+        # lost on the wire after issue: never reached the responder
+        tracer.on_complete(stamped(1, remote_start_at=None, executed_at=None))
+        # flushed on an ERROR QP: rung in, nothing else
+        tracer.on_complete(stamped(99, issued_at=None, remote_start_at=None,
+                                    executed_at=None))
         assert len(rec) == 0
 
     def test_keeps_base_tracer_behaviour(self):
         rec = TraceRecorder()
         tracer = SpanTracer(rec, "rnic0", capacity=2)
         for batch_id in range(4):
-            tracer.record(batch_id, "posted", batch_id)
+            tracer.on_complete(stamped(batch_id))
         assert tracer.dropped == 2
-        self._complete_batch(SpanTracer(rec, "x"), 10)
         summary = SpanTracer(rec, "y").summary()
         assert summary is None
 
@@ -325,9 +321,9 @@ class TestObservability:
         cluster = Cluster()
         node = cluster.add_node()
         mine = SpanTracer()
-        node.device.tracer = mine
+        node.device.observers = (mine,)
         Observability().attach_cluster(cluster)
-        assert node.device.tracer is mine
+        assert node.device.observers == (mine,)
 
 
 class TestBenchIntegration:
