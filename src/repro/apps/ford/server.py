@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster import Node
 from repro.memory.address import make_addr
-from repro.memory.shard import ShardMap
 
 RECORD_HEADER_BYTES = 16
 _U64 = struct.Struct("<Q")
@@ -72,8 +71,7 @@ class TableInfo:
 class DtxServer:
     """Creates tables and log rings across the memory blades."""
 
-    def __init__(self, memory_nodes: Sequence[Node], replicas: int = 2,
-                 shard_map: "ShardMap" = None):
+    def __init__(self, memory_nodes: Sequence[Node], replicas: int = 2):
         if replicas not in (1, 2):
             raise ValueError("replicas must be 1 or 2")
         if replicas == 2 and len(memory_nodes) < 2:
@@ -83,22 +81,6 @@ class DtxServer:
         self.replicas = replicas
         self.tables: Dict[str, TableInfo] = {}
         self._log_count = 0
-        # With a shard map, partition -> blade placement comes off the
-        # consistent-hash ring instead of list order, so tables created
-        # after a scale-out land on the rebalanced fleet.
-        self.shard_map = shard_map
-        if shard_map is not None:
-            known = {n.node_id for n in memory_nodes}
-            missing = [b for b in shard_map.ring.members if b not in known]
-            if missing:
-                raise ValueError(f"shard map references unknown blades {missing}")
-
-    def _host_for_partition(self, index: int) -> Node:
-        """Blade hosting partition ``index`` (ring placement when sharded)."""
-        if self.shard_map is None:
-            return self.memory_nodes[index % len(self.memory_nodes)]
-        blade_id = self.shard_map.blade_for_shard(index % self.shard_map.num_shards)
-        return self._nodes_by_id[blade_id]
 
     def create_table(
         self, name: str, item_count: int, payload_bytes: int,
@@ -126,7 +108,7 @@ class DtxServer:
             # Partition i holds keys i, i + parts, ...: one image per
             # replica instead of a write per row.
             image = record * len(range(i, item_count, parts))
-            node = self._host_for_partition(i)
+            node = self.memory_nodes[i]
             region = node.storage.alloc_region(
                 f"tbl_{name}_p{i}", part_bytes, persistent=True
             )
@@ -136,9 +118,7 @@ class DtxServer:
             if self.replicas > 1:
                 # Backup on the next blade in fleet order — guaranteed to
                 # differ from the primary host.
-                bnode = self.memory_nodes[
-                    (self.memory_nodes.index(node) + 1) % len(self.memory_nodes)
-                ]
+                bnode = self.memory_nodes[(i + 1) % parts]
                 bregion = bnode.storage.alloc_region(
                     f"tbl_{name}_b{i}", part_bytes, persistent=True
                 )

@@ -10,8 +10,7 @@ service:
   blade, placed by a consistent-hash ring (:class:`ShardMap`);
 * shards move between blades **online** — under live traffic — with a
   dual-write protocol (below), and the source instance's regions are
-  freed back to the blade allocator afterwards, which is what makes
-  scale-in/drain possible at all.
+  freed back to the blade allocator afterwards.
 
 Migration protocol (one shard, src → dst):
 
@@ -43,9 +42,9 @@ from repro.apps.race import layout
 from repro.apps.race.client import HashTableClient
 from repro.apps.race.server import HashTableServer, TableMeta
 from repro.cluster import Node
-from repro.memory.address import blade_of, make_addr, offset_of
-from repro.memory.lease import LeaseManager
+from repro.memory.address import blade_of, make_addr
 from repro.memory.shard import ShardMap, ShardMove
+from repro.obs.metrics import LogHistogram
 
 #: modeled control-plane cost of carving one region (RPC + bookkeeping)
 CONTROL_ALLOC_BASE_NS = 3000.0
@@ -54,10 +53,6 @@ CONTROL_ALLOC_PER_KIB_NS = 2.0
 #: how long the router keeps a flipped-away source instance alive so
 #: straggler reads drain before its regions are freed
 DEFAULT_GRACE_NS = 100_000.0
-
-#: shard states
-SERVING = "serving"
-MIGRATING = "migrating"
 
 _MIRROR_ATTEMPTS = 8
 
@@ -73,7 +68,6 @@ class ShardedHashTableService:
         buckets_per_segment: int = 64,
         heap_bytes_per_shard: int = 1 << 20,
         vnodes: int = 16,
-        lease_term_ns: float = 50_000_000,
     ):
         if not memory_nodes:
             raise ValueError("need at least one memory blade")
@@ -85,50 +79,40 @@ class ShardedHashTableService:
         self.segments_per_shard = segments_per_shard
         self.buckets_per_segment = buckets_per_segment
         self.heap_bytes_per_shard = heap_bytes_per_shard
-        self.leases = LeaseManager(term_ns=int(lease_term_ns))
 
-        self._servers: Dict[int, HashTableServer] = {}
-        self._metas: Dict[int, TableMeta] = {}
         #: per-shard incarnation — bumped at every (re)placement, part of
         #: the region prefix so old and new instances never collide
         self.incarnation: Dict[int, int] = {s: 0 for s in range(num_shards)}
-        self.state: Dict[int, str] = {s: SERVING for s in range(num_shards)}
-        #: during migration: shard -> (dst table meta, dst server)
+        #: during migration: shard -> (dst table meta, dst server); a shard
+        #: is migrating exactly while it has an entry here
         self._mirror: Dict[int, Tuple[TableMeta, HashTableServer]] = {}
         #: during migration: keys deleted on src and not re-inserted
         self._tombstones: Dict[int, Set[int]] = {}
         # Statistics
-        self.migrations_started = 0
-        self.migrations_completed = 0
         self.bytes_freed = 0
         self.mirror_writes = 0
 
-        for shard in range(num_shards):
-            self._build_shard(shard, self.shard_map.blade_for_shard(shard))
+        self._servers = {
+            shard: self.build_shard(shard, self.shard_map.blade_for_shard(shard), 0)
+            for shard in range(num_shards)
+        }
+        self._metas: Dict[int, TableMeta] = {
+            shard: server.meta() for shard, server in self._servers.items()
+        }
 
     # -- shard instances ---------------------------------------------------
 
-    def _region_prefix(self, shard: int, incarnation: int) -> str:
-        return f"ht_s{shard}_i{incarnation}_"
-
-    def _build_shard(self, shard: int, blade_id: int,
-                     incarnation: Optional[int] = None) -> HashTableServer:
-        node = self.memory_nodes[blade_id]
-        inc = self.incarnation[shard] if incarnation is None else incarnation
-        server = HashTableServer(
-            [node],
+    def build_shard(self, shard: int, blade_id: int,
+                    incarnation: int) -> HashTableServer:
+        """A fresh instance of ``shard`` on ``blade_id``; its regions are
+        named by ``incarnation``."""
+        return HashTableServer(
+            [self.memory_nodes[blade_id]],
             segments=self.segments_per_shard,
             buckets_per_segment=self.buckets_per_segment,
             heap_bytes_per_blade=self.heap_bytes_per_shard,
-            region_prefix=self._region_prefix(shard, inc),
+            region_prefix=f"ht_s{shard}_i{incarnation}_",
         )
-        if incarnation is None:
-            self._servers[shard] = server
-            self._metas[shard] = server.meta()
-        return server
-
-    def server_for_shard(self, shard: int) -> HashTableServer:
-        return self._servers[shard]
 
     def meta_for_shard(self, shard: int) -> TableMeta:
         return self._metas[shard]
@@ -141,10 +125,6 @@ class ShardedHashTableService:
         it (the caller runs them through a :class:`ShardMigrator`)."""
         self.memory_nodes[node.node_id] = node
         return self.shard_map.plan_add(node.node_id)
-
-    def drain_blade(self, node: Node) -> List[ShardMove]:
-        """Take a blade off the ring; returns the moves that empty it."""
-        return self.shard_map.plan_remove(node.node_id)
 
     # -- bulk loading ------------------------------------------------------
 
@@ -159,22 +139,21 @@ class ShardedHashTableService:
 
     # -- migration state transitions (called by the migrator) --------------
 
-    def begin_migration(self, move: ShardMove, dst_server: HashTableServer,
-                        client_name: str, now: int) -> None:
+    def migrating(self, shard: int) -> bool:
+        return shard in self._mirror
+
+    def begin_migration(self, move: ShardMove, dst_server: HashTableServer) -> None:
         shard = move.shard
-        if self.state[shard] != SERVING:
-            raise RuntimeError(f"shard {shard} is already {self.state[shard]}")
-        self.leases.grant(f"shard{shard}", client_name, now)
+        if shard in self._mirror:
+            raise RuntimeError(f"shard {shard} is already migrating")
         self._mirror[shard] = (dst_server.meta(), dst_server)
         self._tombstones[shard] = set()
-        self.state[shard] = MIGRATING
-        self.migrations_started += 1
 
-    def commit_migration(self, move: ShardMove, client_name: str) -> HashTableServer:
+    def commit_migration(self, move: ShardMove) -> HashTableServer:
         """Flip the shard to dst; returns the old (src) server so the
         caller can free its regions after the grace period."""
         shard = move.shard
-        if self.state[shard] != MIGRATING:
+        if shard not in self._mirror:
             raise RuntimeError(f"shard {shard} is not migrating")
         old_server = self._servers[shard]
         dst_meta, dst_server = self._mirror.pop(shard)
@@ -183,9 +162,6 @@ class ShardedHashTableService:
         self._servers[shard] = dst_server
         self._metas[shard] = dst_meta
         self.incarnation[shard] += 1
-        self.state[shard] = SERVING
-        self.leases.release(f"shard{shard}", client_name)
-        self.migrations_completed += 1
         return old_server
 
     def free_source(self, old_server: HashTableServer) -> int:
@@ -211,15 +187,6 @@ class ShardedHashTableService:
 
     def tombstones(self, shard: int) -> Set[int]:
         return self._tombstones.get(shard, set())
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "migrations_started": self.migrations_started,
-            "migrations_completed": self.migrations_completed,
-            "bytes_freed": self.bytes_freed,
-            "mirror_writes": self.mirror_writes,
-            **{f"lease_{k}": v for k, v in self.leases.stats().items()},
-        }
 
 
 class ShardedHashTableClient:
@@ -294,7 +261,7 @@ class ShardedHashTableClient:
     def insert(self, key: int, value: int):
         shard = self.service.shard_of(key)
         ok = yield from self._client(shard).insert(key, value)
-        if ok and self.service.state[shard] == MIGRATING:
+        if ok and self.service.migrating(shard):
             self.service.note_insert(shard, key)
             yield from self._mirror_put(shard, key, value)
         return ok
@@ -302,14 +269,14 @@ class ShardedHashTableClient:
     def update(self, key: int, value: int):
         shard = self.service.shard_of(key)
         ok = yield from self._client(shard).update(key, value)
-        if ok and self.service.state[shard] == MIGRATING:
+        if ok and self.service.migrating(shard):
             yield from self._mirror_put(shard, key, value)
         return ok
 
     def delete(self, key: int):
         shard = self.service.shard_of(key)
         ok = yield from self._client(shard).delete(key)
-        if ok and self.service.state[shard] == MIGRATING:
+        if ok and self.service.migrating(shard):
             self.service.note_delete(shard, key)
             yield from self._mirror_delete(shard, key)
         return ok
@@ -324,20 +291,17 @@ class ShardMigrator:
     """
 
     def __init__(self, service: ShardedHashTableService, handle, sim,
-                 grace_ns: float = DEFAULT_GRACE_NS, name: str = "migrator",
-                 alloc_latency_hist=None):
+                 grace_ns: float = DEFAULT_GRACE_NS):
         self.service = service
         self.handle = handle
         self.sim = sim
         self.grace_ns = grace_ns
-        self.name = name
-        #: optional LogHistogram fed with modeled control-plane
-        #: allocation latencies (the obs "allocation latency" metric)
-        self.alloc_latency_hist = alloc_latency_hist
+        #: modeled control-plane allocation latencies (the obs
+        #: "allocation latency" metric)
+        self.alloc_latency = LogHistogram()
         # Statistics
         self.keys_copied = 0
         self.keys_skipped = 0
-        self.moves_done: List[ShardMove] = []
 
     # -- control-plane cost model ------------------------------------------
 
@@ -351,8 +315,7 @@ class ShardMigrator:
                 cost = CONTROL_ALLOC_BASE_NS + (
                     region.size / 1024.0
                 ) * CONTROL_ALLOC_PER_KIB_NS
-                if self.alloc_latency_hist is not None:
-                    self.alloc_latency_hist.record(cost)
+                self.alloc_latency.record(cost)
                 yield self.sim.timeout(cost)
 
     # -- the migration ------------------------------------------------------
@@ -365,13 +328,13 @@ class ShardMigrator:
             raise RuntimeError(f"shard {shard} is not on blade {move.src}")
 
         # 1. build the destination instance (charged control-plane time)
-        dst_server = service._build_shard(
-            shard, move.dst, incarnation=service.incarnation[shard] + 1
+        dst_server = service.build_shard(
+            shard, move.dst, service.incarnation[shard] + 1
         )
         yield from self._charge_region_allocs(dst_server)
 
         # 2. dual-write begins
-        service.begin_migration(move, dst_server, self.name, int(self.sim.now))
+        service.begin_migration(move, dst_server)
         dst_client = HashTableClient(self.handle, dst_server.meta())
 
         # 3. copy scan over one-sided verbs
@@ -392,12 +355,11 @@ class ShardMigrator:
             yield from dst_client.delete(key)
 
         # 5. flip
-        old_server = service.commit_migration(move, self.name)
+        old_server = service.commit_migration(move)
 
         # 6. grace period, then free + scrub the source regions
         yield self.sim.timeout(self.grace_ns)
         service.free_source(old_server)
-        self.moves_done.append(move)
         return copied
 
     def migrate_all(self, moves: List[ShardMove]):

@@ -8,7 +8,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.apps.sherman import layout
 from repro.cluster import Node
 from repro.memory.address import blade_of, make_addr, offset_of
-from repro.memory.shard import ShardMap
 
 
 @dataclass
@@ -29,18 +28,9 @@ BULK_FILL = 0.7
 class BTreeServer:
     """Creates and bulk-loads the tree across memory blades."""
 
-    def __init__(self, memory_nodes: Sequence[Node], heap_bytes_per_blade: int = 16 << 20,
-                 shard_map: "ShardMap" = None):
+    def __init__(self, memory_nodes: Sequence[Node], heap_bytes_per_blade: int = 16 << 20):
         self.memory_nodes = list(memory_nodes)
-        # With a shard map, node placement hashes the allocation ordinal
-        # through the consistent-hash ring instead of round-robin, so the
-        # tree spreads over whatever fleet the ring currently describes.
-        self.shard_map = shard_map
-        if shard_map is not None:
-            known = {n.node_id for n in memory_nodes}
-            missing = [b for b in shard_map.ring.members if b not in known]
-            if missing:
-                raise ValueError(f"shard map references unknown blades {missing}")
+        self.memory_nodes_by_id = {n.node_id: n for n in self.memory_nodes}
         primary = self.memory_nodes[0].storage
         self._meta_region = primary.alloc_region("bt_meta", 24)
         self.heaps: Dict[int, Tuple[int, int, int]] = {}
@@ -60,14 +50,9 @@ class BTreeServer:
     # -- node allocation (setup phase: direct, no RDMA) ------------------------
 
     def _alloc_node(self) -> int:
-        """Place a node on a blade (round-robin, or via the shard map's
-        consistent-hash ring when one is attached); returns its global
+        """Place a node on a blade (round-robin); returns its global
         address."""
-        if self.shard_map is None:
-            node = self.memory_nodes[self._next_blade % len(self.memory_nodes)]
-        else:
-            blade_id = self.shard_map.blade_for_key(self._next_blade)
-            node = self.memory_nodes_by_id[blade_id]
+        node = self.memory_nodes[self._next_blade % len(self.memory_nodes)]
         self._next_blade += 1
         storage = node.storage
         head_addr, _, end = self.heaps[node.node_id]
@@ -81,10 +66,6 @@ class BTreeServer:
     def _write_node(self, addr: int, node: layout.Node) -> None:
         storage = self.memory_nodes_by_id[blade_of(addr)].storage
         storage.bulk_write(offset_of(addr), node.encode())
-
-    @property
-    def memory_nodes_by_id(self) -> Dict[int, Node]:
-        return {n.node_id: n for n in self.memory_nodes}
 
     # -- bulk load ---------------------------------------------------------------
 

@@ -34,7 +34,7 @@ under the same open-loop traffic, and prints per-tenant queue delay
 for the before/during/after phases::
 
     python -m repro.bench.cli resharding --mode add_blade
-    python -m repro.bench.cli resharding --mode drain --json out.json
+    python -m repro.bench.cli resharding --mode autoscale --json out.json
 
 ``odp`` sweeps the on-demand-paging pinned ratio against the
 outstanding-WR count, with and without doorbell request merging::
@@ -339,9 +339,9 @@ def build_resharding_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench resharding",
         description="online shard migration under live open-loop traffic "
-                    "(sharded hash table; blade join / drain / autoscale)",
+                    "(sharded hash table; blade join / autoscale)",
     )
-    parser.add_argument("--mode", choices=("add_blade", "drain", "autoscale"),
+    parser.add_argument("--mode", choices=("add_blade", "autoscale"),
                         default="add_blade")
     add_common_flags(parser, rate=0.4, tenants=1, workers=4, threads=4)
     parser.add_argument("--memory-blades", type=int, default=2)

@@ -710,14 +710,14 @@ def resharding(
 ) -> ExperimentResult:
     """Online shard migration under live open-loop traffic.
 
-    For each elasticity mode (blade join / blade drain / autoscaler-
-    driven) a sharded hash table serves Poisson traffic while shards
-    move between blades; the table reports per-phase queue delay —
+    For each elasticity mode (blade join / autoscaler-driven join) a
+    sharded hash table serves Poisson traffic while shards move onto
+    the new blade; the table reports per-phase queue delay —
     before, during and after the rebalance — so the SLO cost of
     elasticity is visible directly.  See
     :func:`repro.traffic.resharding.run_resharding`.
     """
-    modes = modes or _grid(("add_blade",), ("add_blade", "drain", "autoscale"))
+    modes = modes or _grid(("add_blade",), ("add_blade", "autoscale"))
 
     def migration_note(mode, result):
         migration = result.migration_ns

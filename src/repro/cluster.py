@@ -82,9 +82,6 @@ class Node:
             node_id=node_id,
         )
         self.threads: List[ComputeThread] = []
-        #: a draining blade accepts no *new* placements (shards, tables);
-        #: existing data stays readable until migrated off
-        self.draining = False
         #: set by :class:`repro.core.SmartContext` when this node is a
         #: compute blade — lets elasticity machinery add connections
         self.smart_context = None
@@ -167,21 +164,3 @@ class Cluster:
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
-
-    def drain_node(self, node_id: int) -> Node:
-        """Mark a blade as draining (no new placements).  The blade stays
-        online serving reads/writes; the caller (usually an autoscaler +
-        migrator) is responsible for moving its shards elsewhere before
-        taking it out of service."""
-        node = self.nodes[node_id]
-        node.draining = True
-        return node
-
-    def undrain_node(self, node_id: int) -> Node:
-        node = self.nodes[node_id]
-        node.draining = False
-        return node
-
-    def active_nodes(self) -> List[Node]:
-        """Online, non-draining nodes — valid targets for new placements."""
-        return [n for n in self.nodes if n.online and not n.draining]

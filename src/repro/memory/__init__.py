@@ -5,10 +5,10 @@ One-sided operations (READ/WRITE/CAS/FAA) execute atomically at a single
 simulated instant, which is exactly the atomicity an RNIC provides for
 8-byte atomics and cacheline-sized accesses.
 
-On top of the flat byte space sit the pieces that make the layer
-*elastic*: slab/arena allocation with free/reuse (:mod:`.allocator`),
-lease-based client ownership (:mod:`.lease`), and consistent-hash
-sharding with rebalance plans (:mod:`.shard`).
+On top of the flat byte space sit the two pieces the resharding
+experiment runs on: a first-fit arena with free/reuse
+(:mod:`.allocator`) and consistent-hash sharding with scale-out plans
+(:mod:`.shard`); :mod:`.elastic` is its shed-pressure autoscaler.
 """
 
 from repro.memory.address import (
@@ -20,22 +20,17 @@ from repro.memory.address import (
     make_addr,
     offset_of,
 )
-from repro.memory.allocator import ArenaAllocator, BladeAllocator, SlabAllocator
+from repro.memory.allocator import ArenaAllocator
 from repro.memory.blade import MemoryBlade, Region
 from repro.memory.elastic import Autoscaler, ScaleEvent
-from repro.memory.lease import Lease, LeaseError, LeaseManager
 from repro.memory.shard import HashRing, ShardMap, ShardMove, shard_of
 
 __all__ = [
     "ArenaAllocator",
     "Autoscaler",
     "BLADE_SHIFT",
-    "BladeAllocator",
     "ScaleEvent",
     "HashRing",
-    "Lease",
-    "LeaseError",
-    "LeaseManager",
     "MAX_BLADE_ID",
     "MemoryBlade",
     "NULL_ADDR",
@@ -43,7 +38,6 @@ __all__ = [
     "Region",
     "ShardMap",
     "ShardMove",
-    "SlabAllocator",
     "blade_of",
     "make_addr",
     "offset_of",

@@ -1,22 +1,12 @@
-"""Slab/arena allocation for blade memory.
+"""Arena allocation for blade memory.
 
 Replaces the original bump-pointer arena ("regions are never freed") with
-a layered allocator that supports free/reuse, the prerequisite for shard
-migration and blade draining:
-
-* :class:`ArenaAllocator` — an address-ordered first-fit free list with
-  split-on-alloc and coalesce-on-free.  First-fit over an address-ordered
-  list is deterministic and, while nothing has been freed, produces the
-  *exact same* placement as the old bump pointer — which keeps every
-  bulk-loaded table layout (and therefore every simulated number)
-  bit-identical to the pre-allocator code.
-* :class:`SlabAllocator` — power-of-two size classes carved out of the
-  arena in fixed chunks, with LIFO per-class free lists.  Small-object
-  alloc/free (KV blocks, lease extents) cycles through slabs without
-  touching the arena, and an entirely-free chunk is returned to it.
-* :class:`BladeAllocator` — the facade a :class:`MemoryBlade` owns:
-  routes requests by size, tracks fragmentation/occupancy statistics and
-  publishes them into a :mod:`repro.obs` registry on demand.
+an address-ordered first-fit free list that supports free/reuse, the
+prerequisite for shard migration: split-on-alloc, coalesce-on-free.
+First-fit over an address-ordered list is deterministic and, while
+nothing has been freed, produces the *exact same* placement as the old
+bump pointer — which keeps every bulk-loaded table layout (and therefore
+every simulated number) bit-identical to the pre-allocator code.
 
 Everything here is plain bookkeeping over integers: no simulator events,
 no RNG, no wall clock — identical call sequences produce identical
@@ -29,38 +19,42 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from typing import Dict, List, Tuple
 
-#: chunk size slabs carve from the arena
-SLAB_CHUNK_BYTES = 64 << 10
-#: largest request served from a slab class; bigger goes to the arena
-SLAB_MAX_BYTES = 4096
-#: smallest slab class (one cacheline)
-SLAB_MIN_BYTES = 64
-
-
-def _size_class(size: int) -> int:
-    """Smallest power-of-two slab class that fits ``size``."""
-    cls = SLAB_MIN_BYTES
-    while cls < size:
-        cls <<= 1
-    return cls
-
 
 class ArenaAllocator:
-    """Address-ordered first-fit free-list allocator over ``[base, end)``."""
+    """Address-ordered first-fit free-list allocator over ``[base, end)``.
+
+    The caller remembers each allocation's size and hands it back to
+    :meth:`free` (a :class:`~repro.memory.blade.MemoryBlade` keeps it in
+    its :class:`~repro.memory.blade.Region`); the allocator keeps only
+    the free extents and the occupancy counters, which
+    :meth:`publish_metrics` snapshots into a :class:`repro.obs.MetricsRegistry`
+    — pull-based, so metric collection never perturbs simulated behaviour.
+    """
 
     def __init__(self, base: int, end: int):
         if not 0 <= base < end:
             raise ValueError(f"bad arena bounds [{base}, {end})")
         self.base = base
         self.end = end
+        self.capacity = end - base
         #: sorted, non-adjacent, non-overlapping (base, size) free extents
         self._free: List[Tuple[int, int]] = [(base, end - base)]
+        # Statistics
+        self.allocs = 0
+        self.frees = 0
+        self.failed_allocs = 0
 
     # -- queries -----------------------------------------------------------
 
     @property
     def free_bytes(self) -> int:
         return sum(size for _, size in self._free)
+
+    @property
+    def bytes_in_use(self) -> int:
+        # Alignment gaps stay on the free list, so this is exactly the
+        # sum of the live allocations' sizes.
+        return self.capacity - self.free_bytes
 
     @property
     def largest_free_block(self) -> int:
@@ -99,7 +93,9 @@ class ArenaAllocator:
             if tail_size:
                 replacement.append((tail_base, tail_size))
             self._free[index : index + 1] = replacement
+            self.allocs += 1
             return aligned
+        self.failed_allocs += 1
         raise MemoryError(
             f"arena exhausted: {size} bytes requested, "
             f"{self.free_bytes} free (largest block {self.largest_free_block})"
@@ -132,174 +128,9 @@ class ArenaAllocator:
             size += self._free[index][1]
             del self._free[index]
         insort(self._free, (base, size))
-
-
-class SlabAllocator:
-    """Power-of-two size classes over chunks leased from an arena."""
-
-    def __init__(self, arena: ArenaAllocator, chunk_bytes: int = SLAB_CHUNK_BYTES):
-        self.arena = arena
-        self.chunk_bytes = chunk_bytes
-        #: class -> LIFO of free object offsets
-        self._free: Dict[int, List[int]] = {}
-        #: class -> set mirror of the free list (O(1) double-free check)
-        self._free_set: Dict[int, set] = {}
-        #: class -> list of chunk base offsets (for accounting/teardown)
-        self._chunks: Dict[int, List[int]] = {}
-        #: class -> per-chunk count of objects currently allocated
-        self._live: Dict[int, Dict[int, int]] = {}
-
-    def _chunk_of(self, cls: int, offset: int) -> int:
-        for chunk in self._chunks[cls]:
-            if chunk <= offset < chunk + self.chunk_bytes:
-                return chunk
-        raise ValueError(f"offset {offset} not in any size-{cls} slab chunk")
-
-    def alloc(self, size: int) -> Tuple[int, int]:
-        """Allocate; returns ``(offset, size_class)``."""
-        cls = _size_class(size)
-        stack = self._free.setdefault(cls, [])
-        members = self._free_set.setdefault(cls, set())
-        if not stack:
-            chunk = self.arena.alloc(self.chunk_bytes, align=SLAB_MIN_BYTES)
-            self._chunks.setdefault(cls, []).append(chunk)
-            self._live.setdefault(cls, {})[chunk] = 0
-            # Push in reverse so objects pop in ascending address order.
-            for off in range(chunk + self.chunk_bytes - cls, chunk - 1, -cls):
-                stack.append(off)
-                members.add(off)
-        offset = stack.pop()
-        members.discard(offset)
-        self._live[cls][self._chunk_of(cls, offset)] += 1
-        return offset, cls
-
-    def free(self, offset: int, size: int) -> None:
-        """Free an object; a fully-free chunk is returned to the arena."""
-        cls = _size_class(size)
-        chunk = self._chunk_of(cls, offset)
-        if offset in self._free_set.get(cls, ()):
-            raise ValueError(f"double free of slab object at {offset}")
-        live = self._live[cls]
-        live[chunk] -= 1
-        self._free[cls].append(offset)
-        self._free_set[cls].add(offset)
-        if live[chunk] == 0:
-            keep = [
-                off for off in self._free[cls]
-                if not chunk <= off < chunk + self.chunk_bytes
-            ]
-            self._free[cls] = keep
-            self._free_set[cls] = set(keep)
-            self._chunks[cls].remove(chunk)
-            del live[chunk]
-            self.arena.free(chunk, self.chunk_bytes)
-
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes held in per-class free lists (reserved, reusable)."""
-        return sum(cls * len(stack) for cls, stack in self._free.items())
-
-    @property
-    def chunk_count(self) -> int:
-        return sum(len(chunks) for chunks in self._chunks.values())
-
-
-class BladeAllocator:
-    """Per-blade allocation facade: slab classes over a shared arena.
-
-    Small requests (≤ :data:`SLAB_MAX_BYTES`, default 8-byte alignment)
-    ride the slab layer; large or specially-aligned requests go straight
-    to the arena.  Statistics cover both layers, and
-    :meth:`publish_metrics` snapshots them into a
-    :class:`repro.obs.MetricsRegistry` — pull-based, so metric collection
-    never perturbs simulated behaviour.
-    """
-
-    def __init__(self, base: int, end: int):
-        self.arena = ArenaAllocator(base, end)
-        self.slabs = SlabAllocator(self.arena)
-        self.capacity = end - base
-        # Statistics
-        self.allocs = 0
-        self.frees = 0
-        self.failed_allocs = 0
-        self.bytes_in_use = 0
-        #: (offset -> (rounded size, is_slab)) of every live allocation
-        self._live: Dict[int, Tuple[int, bool]] = {}
-        #: histogram feed of requested sizes (attached lazily by obs)
-        self.size_hist = None
-
-    # -- allocation --------------------------------------------------------
-
-    def alloc(self, size: int, align: int = 8, prefer_slab: bool = True) -> int:
-        """Allocate ``size`` bytes; returns the offset.
-
-        ``prefer_slab=False`` forces the arena even for small requests —
-        region allocation uses it so placement stays first-fit sequential
-        (bit-identical to the historical bump pointer while nothing has
-        been freed) instead of landing inside a 64 KiB slab chunk.
-
-        Raises :class:`MemoryError` with the true free-space picture when
-        neither layer can satisfy the request.
-        """
-        if size <= 0:
-            raise ValueError(f"allocation size must be positive, got {size}")
-        try:
-            if prefer_slab and size <= SLAB_MAX_BYTES and align <= SLAB_MIN_BYTES:
-                offset, cls = self.slabs.alloc(max(size, align))
-                rounded, is_slab = cls, True
-            else:
-                offset = self.arena.alloc(size, align)
-                rounded, is_slab = size, False
-        except MemoryError:
-            self.failed_allocs += 1
-            raise
-        self.allocs += 1
-        self.bytes_in_use += rounded
-        self._live[offset] = (rounded, is_slab)
-        if self.size_hist is not None:
-            self.size_hist.record(size)
-        return offset
-
-    def free(self, offset: int) -> None:
-        """Free a live allocation by its offset."""
-        entry = self._live.pop(offset, None)
-        if entry is None:
-            raise ValueError(f"free of unknown offset {offset}")
-        rounded, is_slab = entry
-        if is_slab:
-            self.slabs.free(offset, rounded)
-        else:
-            self.arena.free(offset, rounded)
         self.frees += 1
-        self.bytes_in_use -= rounded
-
-    def size_of(self, offset: int) -> int:
-        """Rounded size of a live allocation."""
-        return self._live[offset][0]
 
     # -- statistics --------------------------------------------------------
-
-    @property
-    def live_allocations(self) -> int:
-        return len(self._live)
-
-    @property
-    def free_bytes(self) -> int:
-        """Arena free bytes plus reusable slab cache bytes."""
-        return self.arena.free_bytes + self.slabs.cached_bytes
-
-    @property
-    def largest_free_block(self) -> int:
-        return self.arena.largest_free_block
-
-    @property
-    def fragmentation(self) -> float:
-        """1 − largest_free_block/free_bytes across both layers."""
-        free = self.free_bytes
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_free_block / free
 
     def stats(self) -> Dict[str, float]:
         return {
@@ -308,10 +139,8 @@ class BladeAllocator:
             "free_bytes": float(self.free_bytes),
             "largest_free_block": float(self.largest_free_block),
             "fragmentation": self.fragmentation,
-            "free_blocks": float(self.arena.free_blocks),
-            "slab_cached_bytes": float(self.slabs.cached_bytes),
-            "slab_chunks": float(self.slabs.chunk_count),
-            "live_allocations": float(self.live_allocations),
+            "free_blocks": float(self.free_blocks),
+            "live_allocations": float(self.allocs - self.frees),
             "allocs": float(self.allocs),
             "frees": float(self.frees),
             "failed_allocs": float(self.failed_allocs),
@@ -323,6 +152,6 @@ class BladeAllocator:
         for name in ("allocs", "frees", "failed_allocs"):
             registry.counter(f"{prefix}.{name}").value = stats.pop(name)
         for name, value in stats.items():
-            unit = "" if name in ("fragmentation", "free_blocks", "slab_chunks",
+            unit = "" if name in ("fragmentation", "free_blocks",
                                   "live_allocations") else "B"
             registry.gauge(f"{prefix}.{name}", unit).set(value)

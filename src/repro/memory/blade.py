@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.memory.address import make_addr
-from repro.memory.allocator import BladeAllocator
+from repro.memory.allocator import ArenaAllocator
 
 _U64 = struct.Struct("<Q")
 U64_MAX = (1 << 64) - 1
@@ -81,7 +81,7 @@ class MemoryBlade:
         # Offset 0 is reserved so no object lives at NULL; regions are
         # carved from a first-fit arena that places them exactly like the
         # historical bump pointer until something is freed.
-        self.allocator = BladeAllocator(8, capacity)
+        self.allocator = ArenaAllocator(8, capacity)
         #: live regions registered with an explicit ``pinned=False`` —
         #: the responder's cheap "could anything here fault?" gate
         self.unpinned_regions = 0
@@ -109,7 +109,7 @@ class MemoryBlade:
         if size <= 0:
             raise ValueError(f"region size must be positive, got {size}")
         try:
-            base = self.allocator.alloc(size, align=64, prefer_slab=False)
+            base = self.allocator.alloc(size, align=64)
         except MemoryError:
             raise MemoryError(
                 f"blade {self.blade_id}: out of memory allocating {name!r} "
@@ -144,7 +144,7 @@ class MemoryBlade:
         region = self._regions.pop(name, None)
         if region is None:
             raise KeyError(f"no region named {name!r}")
-        self.allocator.free(region.base)
+        self.allocator.free(region.base, region.size)
         index = bisect_left(self._bases, region.base)
         del self._bases[index], self._by_base[index]
         self._memory[region.base : region.end] = bytes(region.size)

@@ -1,33 +1,28 @@
-"""Autoscaling policy: grow or drain the blade fleet from SLO pressure.
+"""Autoscaling policy: grow the blade fleet from SLO pressure.
 
-The PR-5 admission controller already computes the honest overload
-signal — operations it had to SHED or DEFER to protect each tenant's
-p99.  The autoscaler consumes exactly that: it samples the cumulative
-shed/defer counters each period, and
-
-* **scales out** when the per-period delta crosses a threshold (the
-  fleet is too small for the offered load), or
-* **scales in** after enough consecutive quiet periods (the fleet is
-  over-provisioned).
+The admission controller already computes the honest overload signal —
+operations it had to SHED or DEFER to protect each tenant's p99.  The
+autoscaler consumes exactly that: it samples the cumulative shed/defer
+counters each period and scales out when the per-period delta crosses a
+threshold (the fleet is too small for the offered load).
 
 The mechanism (adding a blade, rewiring QPs, migrating shards) is
-injected as generator callbacks, so this module stays free of app- and
+injected as a generator callback, so this module stays free of app- and
 traffic-layer imports; the policy itself is a plain seeded-state
 coroutine and replays bit-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Sequence
 
 
 @dataclass
 class ScaleEvent:
-    """One autoscaler decision, for reports and assertions."""
+    """One scale-out decision, for reports and assertions."""
 
     at_ns: float
-    action: str  # "scale_out" | "scale_in"
     shed_delta: int
     defer_delta: int
     blades_before: int
@@ -35,7 +30,7 @@ class ScaleEvent:
 
 
 class Autoscaler:
-    """Periodic scaling loop over admission-control pressure signals.
+    """Periodic scale-out loop over admission-control pressure signals.
 
     Parameters
     ----------
@@ -44,8 +39,6 @@ class Autoscaler:
         cumulative counters (:class:`repro.traffic.engine.TenantState`).
     blade_count_fn : current number of active blades.
     scale_out_fn : generator; adds one blade and rebalances onto it.
-    scale_in_fn : optional generator; drains one blade.  ``None``
-        disables scale-in.
     """
 
     def __init__(
@@ -54,29 +47,23 @@ class Autoscaler:
         tenant_states: Sequence,
         blade_count_fn: Callable[[], int],
         scale_out_fn: Callable[[], object],
-        scale_in_fn: Optional[Callable[[], object]] = None,
         period_ns: float = 200_000.0,
         shed_threshold: int = 1,
         defer_threshold: int = 64,
-        quiet_periods: int = 4,
-        min_blades: int = 1,
         max_blades: int = 16,
         cooldown_periods: int = 2,
     ):
         if period_ns <= 0:
             raise ValueError("period_ns must be positive")
-        if min_blades < 1 or max_blades < min_blades:
-            raise ValueError("need 1 <= min_blades <= max_blades")
+        if max_blades < 1:
+            raise ValueError("need max_blades >= 1")
         self.sim = sim
         self.tenant_states = list(tenant_states)
         self.blade_count_fn = blade_count_fn
         self.scale_out_fn = scale_out_fn
-        self.scale_in_fn = scale_in_fn
         self.period_ns = period_ns
         self.shed_threshold = shed_threshold
         self.defer_threshold = defer_threshold
-        self.quiet_periods = quiet_periods
-        self.min_blades = min_blades
         self.max_blades = max_blades
         self.cooldown_periods = cooldown_periods
         self.events: List[ScaleEvent] = []
@@ -93,7 +80,6 @@ class Autoscaler:
     def run(self):
         """The scaling loop — spawn with ``sim.spawn(autoscaler.run())``."""
         last_shed, last_deferred = self._pressure()
-        quiet = 0
         cooldown = 0
         while not self._stopped:
             yield self.sim.timeout(self.period_ns)
@@ -112,29 +98,11 @@ class Autoscaler:
             )
             blades = self.blade_count_fn()
             if overloaded and blades < self.max_blades:
-                quiet = 0
                 cooldown = self.cooldown_periods
                 yield from self.scale_out_fn()
                 self.events.append(ScaleEvent(
-                    self.sim.now, "scale_out", shed_delta, defer_delta,
+                    self.sim.now, shed_delta, defer_delta,
                     blades, self.blade_count_fn(),
                 ))
                 # Reset the baseline: migration itself sheds/defers.
                 last_shed, last_deferred = self._pressure()
-            elif not overloaded:
-                quiet += 1
-                if (
-                    self.scale_in_fn is not None
-                    and quiet >= self.quiet_periods
-                    and blades > self.min_blades
-                ):
-                    quiet = 0
-                    cooldown = self.cooldown_periods
-                    yield from self.scale_in_fn()
-                    self.events.append(ScaleEvent(
-                        self.sim.now, "scale_in", shed_delta, defer_delta,
-                        blades, self.blade_count_fn(),
-                    ))
-                    last_shed, last_deferred = self._pressure()
-            else:
-                quiet = 0

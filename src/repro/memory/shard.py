@@ -4,15 +4,15 @@ Two layers:
 
 * :class:`HashRing` — a classic consistent-hash ring with virtual nodes.
   Each blade contributes ``vnodes`` points; a key (or shard id) maps to
-  the first ring point clockwise from its hash.  Adding or removing a
-  blade only remaps the arcs adjacent to that blade's points — the
-  property that makes elastic scale-out cheap.
+  the first ring point clockwise from its hash.  Adding a blade only
+  remaps the arcs adjacent to its points onto it — the property that
+  makes elastic scale-out cheap.
 * :class:`ShardMap` — a level of indirection the apps actually use: the
   key space is pre-partitioned into a fixed number of *shards*, each
   shard placed on a blade by the ring.  Migration moves whole shards, so
-  the unit of rebalance is bounded and enumerable; :meth:`rebalance`
-  diffs the current placement against the ring and returns the exact
-  :class:`ShardMove` list (deterministic order).
+  the unit of rebalance is bounded and enumerable; :meth:`ShardMap.plan_add`
+  diffs the current placement against the grown ring and returns the
+  exact :class:`ShardMove` list (deterministic order).
 
 Pure integer arithmetic (splitmix64 finalizer, same family as the RACE
 layout hashes) — no RNG, no simulator state — so placement and move
@@ -22,8 +22,8 @@ plans replay bit-identically under fixed seeds.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK_64 = (1 << 64) - 1
@@ -78,24 +78,6 @@ class HashRing:
             self._owner[pos] = blade_id
         self._members.append(blade_id)
 
-    def remove_node(self, blade_id: int) -> None:
-        if blade_id not in self._members:
-            raise ValueError(f"blade {blade_id} not on the ring")
-        self._members.remove(blade_id)
-        for pos in self._positions(blade_id):
-            if self._owner.get(pos) != blade_id:
-                continue
-            # A tied point falls back to the smallest surviving claimant.
-            claimants = [
-                b for b in self._members
-                if any(p == pos for p in self._positions(b))
-            ]
-            if claimants:
-                self._owner[pos] = min(claimants)
-            else:
-                del self._owner[pos]
-                self._points.remove(pos)
-
     @property
     def members(self) -> List[int]:
         return list(self._members)
@@ -108,9 +90,6 @@ class HashRing:
         if index == len(self._points):
             index = 0
         return self._owner[self._points[index]]
-
-    def lookup_key(self, key: int) -> int:
-        return self.lookup(mix64(key))
 
 
 @dataclass(frozen=True)
@@ -146,32 +125,11 @@ class ShardMap:
     def blade_for_shard(self, shard: int) -> int:
         return self.placement[shard]
 
-    def blade_for_key(self, key: int) -> int:
-        return self.placement[self.shard_of(key)]
-
-    def shards_on(self, blade_id: int) -> List[int]:
-        return [s for s in range(self.num_shards) if self.placement[s] == blade_id]
-
-    def load(self) -> Dict[int, int]:
-        """blade -> shard count, for balance assertions and autoscaling."""
-        counts: Dict[int, int] = {b: 0 for b in self.ring.members}
-        for blade in self.placement.values():
-            counts[blade] = counts.get(blade, 0) + 1
-        return counts
-
     # -- elasticity --------------------------------------------------------
 
     def plan_add(self, blade_id: int) -> List[ShardMove]:
         """Add a blade to the ring; the plan moves only stolen shards."""
         self.ring.add_node(blade_id)
-        return self._diff()
-
-    def plan_remove(self, blade_id: int) -> List[ShardMove]:
-        """Remove a blade from the ring; the plan drains its shards."""
-        self.ring.remove_node(blade_id)
-        return self._diff()
-
-    def _diff(self) -> List[ShardMove]:
         moves = []
         for shard in range(self.num_shards):
             target = self.ring.lookup(mix64(shard))

@@ -1,17 +1,16 @@
 """Online shard migration under live open-loop traffic.
 
 The experiment this module runs is the elasticity headline: a sharded
-RACE table serves multi-tenant open-loop traffic while the fleet
-changes shape underneath it —
+RACE table (:class:`repro.bench.runner.ShardedHashTableApp`, deployed and
+driven open-loop like every other app adapter) serves multi-tenant
+traffic while the fleet grows underneath it —
 
 * ``mode="add_blade"`` — a new memory blade joins mid-run; the
   consistent-hash ring steals shards onto it and the migrator moves
   them online (scale-out);
-* ``mode="drain"`` — the last blade is drained; its shards move to the
-  survivors (scale-in);
 * ``mode="autoscale"`` — an :class:`repro.memory.elastic.Autoscaler`
   watches the admission controller's shed/defer deltas and triggers
-  scale-out itself.
+  that scale-out itself.
 
 The run is cut into three equal measured phases — *before* (steady
 state), *during* (migration in flight), *after* (new placement) — and
@@ -27,31 +26,23 @@ frees, reallocation — bit-identically.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional
 
-from repro.apps.sharded import (
-    ShardMigrator,
-    ShardedHashTableClient,
-    ShardedHashTableService,
-)
+from repro.apps.sharded import ShardMigrator
 from repro.bench.runner import (
-    SYSTEM_FEATURES,
-    HashTableApp,
-    build_deployment,
+    ShardedHashTableApp,
+    deploy_app,
     effective_warmup_ns,
     instrument,
 )
 from repro.memory.elastic import Autoscaler
-from repro.obs.metrics import LogHistogram
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.runner import build_engine
 from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
 
 PHASES = ("before", "during", "after")
-MODES = ("add_blade", "drain", "autoscale")
+MODES = ("add_blade", "autoscale")
 
 
 @dataclass
@@ -94,7 +85,7 @@ class ReshardingResult:
     alloc_count: int = 0
     #: blade id -> allocator stats snapshot at run end
     allocator_stats: Dict[int, Dict[str, float]] = field(default_factory=dict)
-    #: autoscaler decisions as (at_ns, action, blades_before, blades_after)
+    #: autoscaler scale-outs as (at_ns, blades_before, blades_after)
     scale_events: List[tuple] = field(default_factory=list)
 
     @property
@@ -146,16 +137,25 @@ class _Snapshot:
         self.queue_hist = state.stats.queue_delay_hist.copy()
 
 
-def _phase_rows(phase: str, states, snapshots) -> List[PhaseStats]:
+def _phase_rows(phase: str, states, snapshots=None) -> List[PhaseStats]:
+    """One row per tenant for the window since ``snapshots`` — or, with
+    ``None`` (the first phase), since the window reset, read off the
+    whole histogram so its exact extrema clamp the percentiles."""
     rows = []
-    for state, snap in zip(states, snapshots):
-        window = state.stats.queue_delay_hist.delta(snap.queue_hist)
+    for index, state in enumerate(states):
+        stats = state.stats
+        window = stats.queue_delay_hist
+        ops, shed, deferred = stats.ops, stats.shed, stats.deferred
+        if snapshots is not None:
+            snap = snapshots[index]
+            window = window.delta(snap.queue_hist)
+            ops, shed, deferred = ops - snap.ops, shed - snap.shed, deferred - snap.deferred
         rows.append(PhaseStats(
             tenant=state.spec.name,
             phase=phase,
-            completed=state.stats.ops - snap.ops,
-            shed=state.stats.shed - snap.shed,
-            deferred=state.stats.deferred - snap.deferred,
+            completed=ops,
+            shed=shed,
+            deferred=deferred,
             queue_p50_ns=window.percentile(0.50),
             queue_p99_ns=window.percentile(0.99),
             queue_mean_ns=window.mean,
@@ -189,71 +189,42 @@ def run_resharding(
     """One resharding experiment point (see module docstring)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
-    cluster = deployment.cluster
-    sim = cluster.sim
-
-    service = ShardedHashTableService(
-        deployment.memory_nodes,
-        num_shards=num_shards,
-        segments_per_shard=segments_per_shard,
+    app = ShardedHashTableApp(
+        item_count, num_shards=num_shards, segments_per_shard=segments_per_shard,
         buckets_per_segment=buckets_per_segment,
         heap_bytes_per_shard=heap_bytes_per_shard,
     )
-    rng = random.Random(seed)
-    service.bulk_load((k, rng.getrandbits(32)) for k in range(item_count))
-
+    deployment = deploy_app(app, system, threads, compute_blades, memory_blades,
+                            features, config, seed)
     instrument(deployment, obs=obs)
+    cluster = deployment.cluster
+    sim = cluster.sim
+    service = app.service
 
     # -- tenants -----------------------------------------------------------
     if tenants is None:
         tenants = [TenantSpec(
             "t0", PoissonArrivals(rate_mops), slo=slo or NO_SLO, workers=workers,
         )]
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    engine = build_engine(
-        sim, seed, tenants, deployment.smart_threads,
-        lambda spec, stream_seed: (
-            spec.workload or WRITE_HEAVY).stream(item_count, stream_seed),
-        partial(_executor, service),
-    )
+    engine = build_engine(sim, seed, tenants, deployment.smart_threads, app)
 
     # -- migration machinery -----------------------------------------------
-    alloc_hist = LogHistogram()
     migrator = ShardMigrator(
-        service, deployment.smart_threads[0].handle(), sim,
-        grace_ns=grace_ns, alloc_latency_hist=alloc_hist,
+        service, deployment.smart_threads[0].handle(), sim, grace_ns=grace_ns,
     )
     result = ReshardingResult(mode=mode, seed=seed, phase_ns=phase_ns)
     result.blades_before = len(service.shard_map.ring.members)
 
-    def grow_fleet():
-        """Add a blade, wire every compute thread to it, rebalance."""
+    def scale_out():
+        """Add a blade, wire every compute thread to it, move the shards
+        the ring steals onto it online."""
+        result.migration_start_ns = sim.now
         node = cluster.add_node()
         for compute in deployment.compute_nodes:
             compute.smart_context.connect_node(node)
         moves = service.add_blade(node)
         result.moves.extend((m.shard, m.src, m.dst) for m in moves)
-        moved = yield from migrator.migrate_all(moves)
-        return moved
-
-    def drain_last():
-        """Drain the highest-numbered blade and empty it online."""
-        node = deployment.memory_nodes[-1]
-        cluster.drain_node(node.node_id)
-        moves = service.drain_blade(node)
-        result.moves.extend((m.shard, m.src, m.dst) for m in moves)
-        moved = yield from migrator.migrate_all(moves)
-        return moved
-
-    def tracked(action):
-        result.migration_start_ns = sim.now
-        yield from action()
+        yield from migrator.migrate_all(moves)
         result.migration_end_ns = sim.now
 
     autoscaler = None
@@ -262,7 +233,7 @@ def run_resharding(
             sim,
             engine.tenants,
             blade_count_fn=lambda: len(service.shard_map.ring.members),
-            scale_out_fn=lambda: tracked(grow_fleet),
+            scale_out_fn=scale_out,
             period_ns=phase_ns / 8,
             shed_threshold=1,
             defer_threshold=8,
@@ -281,15 +252,12 @@ def run_resharding(
 
     sim.run(until=boundaries[0])
     snaps = [_Snapshot(s) for s in states]
-    result.phases.extend(_phase_rows_from_zero(states))
+    result.phases.extend(_phase_rows("before", states))
 
     if mode == "autoscale":
         migrator_process = sim.spawn(autoscaler.run(), name="autoscaler")
     else:
-        migrator_process = sim.spawn(
-            tracked(grow_fleet if mode == "add_blade" else drain_last),
-            name="migrator",
-        )
+        migrator_process = sim.spawn(scale_out(), name="migrator")
     # The during window lasts at least phase_ns and stretches (in
     # half-phase slices, capped at 8 extra phases) until the migration
     # has completed, so "after" genuinely measures the post-rebalance
@@ -311,7 +279,7 @@ def run_resharding(
     if autoscaler is not None:
         autoscaler.stop()
         result.scale_events = [
-            (e.at_ns, e.action, e.blades_before, e.blades_after)
+            (e.at_ns, e.blades_before, e.blades_after)
             for e in autoscaler.events
         ]
 
@@ -321,6 +289,7 @@ def run_resharding(
     result.mirror_writes = service.mirror_writes
     result.bytes_freed = service.bytes_freed
     result.blades_after = len(service.shard_map.ring.members)
+    alloc_hist = migrator.alloc_latency
     result.alloc_count = alloc_hist.count
     result.alloc_p50_ns = alloc_hist.percentile(0.50)
     result.alloc_p99_ns = alloc_hist.percentile(0.99)
@@ -342,28 +311,3 @@ def run_resharding(
         for state in states:
             obs.collect_stats(state.stats, prefix=f"tenant.{state.spec.name}")
     return result
-
-
-def _phase_rows_from_zero(states) -> List[PhaseStats]:
-    """Rows for the first phase (baseline is the window reset)."""
-    rows = []
-    for state in states:
-        hist = state.stats.queue_delay_hist
-        rows.append(PhaseStats(
-            tenant=state.spec.name,
-            phase="before",
-            completed=state.stats.ops,
-            shed=state.stats.shed,
-            deferred=state.stats.deferred,
-            queue_p50_ns=hist.percentile(0.50),
-            queue_p99_ns=hist.percentile(0.99),
-            queue_mean_ns=hist.mean,
-        ))
-    return rows
-
-
-def _executor(service: ShardedHashTableService, smart):
-    """A worker's executor factory: a fresh sharded client behind the
-    hash table's op dispatch."""
-    client = ShardedHashTableClient(service, smart.handle())
-    return partial(HashTableApp.dispatch, client)

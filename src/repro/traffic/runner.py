@@ -186,11 +186,7 @@ def run_open_loop(
     instrument(deployment, obs=obs)
 
     sim = deployment.cluster.sim
-    engine = build_engine(
-        sim, seed, tenants, deployment.smart_threads,
-        lambda spec, stream_seed: adapter.stream(spec.workload, stream_seed),
-        partial(_executor, adapter),
-    )
+    engine = build_engine(sim, seed, tenants, deployment.smart_threads, adapter)
 
     warm = effective_warmup_ns(deployment.features, warmup_ns)
     sim.run(until=warm)
@@ -213,20 +209,20 @@ def run_open_loop(
 
 
 def build_engine(sim, seed: int, tenants: List[TenantSpec], smart_threads,
-                 stream_for, executor_for) -> OpenLoopEngine:
+                 app: App) -> OpenLoopEngine:
     """An :class:`OpenLoopEngine` with every tenant wired in: its op
-    stream from ``stream_for(spec, stream_seed)``, one
-    ``executor_for(smart)`` factory per worker (round-robin over
-    ``smart_threads`` across tenants), then its arrival seed."""
+    stream ``app.stream(spec.workload, stream_seed)``, one executor
+    factory per worker (round-robin over ``smart_threads`` across
+    tenants), then its arrival seed."""
     engine = OpenLoopEngine(sim, seed=seed)
     seeder = random.Random(seed)
     worker_index = 0
     for spec in tenants:
-        stream = stream_for(spec, seeder.getrandbits(31))
+        stream = app.stream(spec.workload, seeder.getrandbits(31))
         executors = []
         for _ in range(spec.workers):
             smart = smart_threads[worker_index % len(smart_threads)]
-            executors.append(partial(executor_for, smart))
+            executors.append(partial(_executor, app, smart))
             worker_index += 1
         engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
     return engine

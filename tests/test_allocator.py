@@ -1,26 +1,13 @@
-"""Tests for the slab/arena allocation layer (repro.memory.allocator)."""
+"""Tests for the blade arena allocator (repro.memory.allocator)."""
 
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.memory.allocator import (
-    SLAB_CHUNK_BYTES,
-    SLAB_MAX_BYTES,
-    SLAB_MIN_BYTES,
-    ArenaAllocator,
-    BladeAllocator,
-    SlabAllocator,
-    _size_class,
-)
-
-
-class TestSizeClass:
-    def test_rounds_up_to_power_of_two(self):
-        assert _size_class(1) == SLAB_MIN_BYTES
-        assert _size_class(64) == 64
-        assert _size_class(65) == 128
-        assert _size_class(4096) == 4096
+from repro.memory.allocator import ArenaAllocator
 
 
 class TestArena:
@@ -107,98 +94,39 @@ class TestArena:
             arena.free(0, 0)
 
 
-class TestSlab:
-    def test_small_objects_share_one_chunk(self):
-        arena = ArenaAllocator(0, 1 << 20)
-        slabs = SlabAllocator(arena)
-        offsets = [slabs.alloc(64)[0] for _ in range(8)]
-        assert slabs.chunk_count == 1
-        # Objects pop in ascending address order within the chunk.
-        assert offsets == sorted(offsets)
-        assert offsets[1] - offsets[0] == 64
-
-    def test_free_then_alloc_reuses_lifo(self):
-        arena = ArenaAllocator(0, 1 << 20)
-        slabs = SlabAllocator(arena)
-        offset, cls = slabs.alloc(100)
-        assert cls == 128
-        slabs.free(offset, 100)
-        again, _ = slabs.alloc(100)
-        assert again == offset
-
-    def test_empty_chunk_returns_to_arena(self):
-        arena = ArenaAllocator(0, 1 << 20)
-        slabs = SlabAllocator(arena)
-        free_before = arena.free_bytes
-        live = [slabs.alloc(256)[0] for _ in range(4)]
-        assert arena.free_bytes == free_before - SLAB_CHUNK_BYTES
-        for offset in live:
-            slabs.free(offset, 256)
-        assert slabs.chunk_count == 0
-        assert arena.free_bytes == free_before
-        assert slabs.cached_bytes == 0
-
-    def test_double_free_detected(self):
-        arena = ArenaAllocator(0, 1 << 20)
-        slabs = SlabAllocator(arena)
-        a = slabs.alloc(64)[0]
-        b = slabs.alloc(64)[0]
-        slabs.free(a, 64)
-        with pytest.raises(ValueError, match="double free"):
-            slabs.free(a, 64)
-        # The chunk must still hold b (the double free must not have
-        # decremented the live count and released the chunk).
-        assert slabs.chunk_count == 1
-        slabs.free(b, 64)
-        assert slabs.chunk_count == 0
-
-
 class TestBladeAllocator:
-    def test_routes_by_size_and_alignment(self):
-        blade = BladeAllocator(8, 1 << 20)
-        small = blade.alloc(64)
-        big = blade.alloc(SLAB_MAX_BYTES + 1)
-        aligned = blade.alloc(64, align=128)  # align > slab min -> arena
-        assert blade.size_of(small) == 64
-        assert blade.size_of(big) == SLAB_MAX_BYTES + 1
-        assert aligned % 128 == 0
-        assert blade.live_allocations == 3
+    """The statistics side of the arena a MemoryBlade owns."""
 
-    def test_prefer_slab_false_uses_arena(self):
-        blade = BladeAllocator(8, 1 << 20)
-        offset = blade.alloc(100, align=64, prefer_slab=False)
-        assert offset == 64  # first-fit from the arena head, not a chunk
-        assert blade.stats()["slab_chunks"] == 0
-
-    def test_stats_track_both_layers(self):
-        blade = BladeAllocator(0, 1 << 20)
+    def test_stats_track_allocs_and_frees(self):
+        blade = ArenaAllocator(0, 1 << 20)
         a = blade.alloc(64)
-        blade.alloc(8192, prefer_slab=False)
+        blade.alloc(8192, align=64)  # an alignment gap stays free
         stats = blade.stats()
         assert stats["allocs"] == 2
         assert stats["bytes_in_use"] == 64 + 8192
-        assert stats["slab_chunks"] == 1
-        blade.free(a)
+        blade.free(a, 64)
         stats = blade.stats()
         assert stats["frees"] == 1
         assert stats["bytes_in_use"] == 8192
         assert stats["live_allocations"] == 1
+        assert stats["free_bytes"] == (1 << 20) - 8192
 
     def test_failed_alloc_counted_and_raises(self):
-        blade = BladeAllocator(0, 1024)
+        blade = ArenaAllocator(0, 1024)
         with pytest.raises(MemoryError):
-            blade.alloc(4096, prefer_slab=False)
+            blade.alloc(4096)
         assert blade.stats()["failed_allocs"] == 1
 
     def test_free_unknown_offset_rejected(self):
-        blade = BladeAllocator(0, 1 << 20)
-        with pytest.raises(ValueError, match="unknown offset"):
-            blade.free(12345)
+        blade = ArenaAllocator(0, 1 << 20)
+        with pytest.raises(ValueError, match="double free"):
+            blade.free(12345, 64)
+        assert blade.stats()["frees"] == 0
 
     def test_publish_metrics(self):
         from repro.obs.metrics import MetricsRegistry
 
-        blade = BladeAllocator(0, 1 << 20)
+        blade = ArenaAllocator(0, 1 << 20)
         blade.alloc(64)
         registry = MetricsRegistry()
         blade.publish_metrics(registry, "memory.blade0")
@@ -213,14 +141,13 @@ class TestBladeAllocator:
         # and re-carve whole regions) replay bit-identically.
         def trace(seed):
             rng = random.Random(seed)
-            blade = BladeAllocator(8, 1 << 20)
+            blade = ArenaAllocator(8, 1 << 20)
             live = {}
             events = []
             for step in range(400):
                 if live and rng.random() < 0.4:
                     offset = rng.choice(sorted(live))
-                    del live[offset]
-                    blade.free(offset)
+                    blade.free(offset, live.pop(offset))
                     events.append(("free", offset))
                 else:
                     size = rng.choice((64, 100, 256, 4096, 8192))
@@ -231,3 +158,70 @@ class TestBladeAllocator:
 
         assert trace(7) == trace(7)
         assert trace(7) != trace(8)
+
+
+class ArenaMachine(RuleBasedStateMachine):
+    """The arena against the obviously correct model: free space is the
+    complement of the live allocations, and first fit is the lowest
+    aligned address of the first gap that holds the request.  Checks
+    placement, full coalescing and the occupancy counters after every
+    step of random alloc / free / bad-free sequences."""
+
+    BASE, END = 8, 8 + 4096
+
+    def __init__(self):
+        super().__init__()
+        self.arena = ArenaAllocator(self.BASE, self.END)
+        self.live = {}  # base -> size
+
+    def gaps(self):
+        gaps, cursor = [], self.BASE
+        for base in sorted(self.live):
+            if base > cursor:
+                gaps.append((cursor, base))
+            cursor = base + self.live[base]
+        if cursor < self.END:
+            gaps.append((cursor, self.END))
+        return gaps
+
+    @rule(size=st.integers(1, 1500), align=st.sampled_from((1, 8, 64, 256)))
+    def alloc(self, size, align):
+        fits = [aligned for start, end in self.gaps()
+                for aligned in [(start + align - 1) & -align]
+                if aligned + size <= end]
+        if not fits:
+            with pytest.raises(MemoryError):
+                self.arena.alloc(size, align)
+            return
+        assert self.arena.alloc(size, align) == fits[0]
+        self.live[fits[0]] = size
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def free(self, data):
+        base = data.draw(st.sampled_from(sorted(self.live)))
+        self.arena.free(base, self.live.pop(base))
+
+    @precondition(lambda self: self.gaps())
+    @rule(data=st.data())
+    def free_of_free_space_raises(self, data):
+        start, end = data.draw(st.sampled_from(self.gaps()))
+        offset = data.draw(st.integers(start, end - 1))
+        size = data.draw(st.integers(1, self.END - offset))
+        with pytest.raises(ValueError, match="double free"):
+            self.arena.free(offset, size)
+
+    @invariant()
+    def matches_the_model(self):
+        gaps = self.gaps()
+        assert self.arena.free_blocks == len(gaps)  # fully coalesced
+        assert self.arena.free_bytes == sum(end - start for start, end in gaps)
+        assert self.arena.largest_free_block == max(
+            (end - start for start, end in gaps), default=0)
+        assert self.arena.bytes_in_use == sum(self.live.values())
+        assert self.arena.stats()["live_allocations"] == len(self.live)
+
+
+TestArenaMachine = ArenaMachine.TestCase
+TestArenaMachine.settings = settings(max_examples=60, stateful_step_count=40,
+                                     deadline=None)

@@ -1,5 +1,6 @@
 """Tests for online shard migration under live traffic."""
 
+import hashlib
 import json
 
 import pytest
@@ -75,8 +76,15 @@ def add_blade_result():
 
 
 @pytest.fixture(scope="module")
-def drain_result():
-    return run_resharding(mode="drain", item_count=1000, seed=3)
+def autoscale_result():
+    slo = Slo(target_p99_ns=20_000.0, policy="shed")
+    spec = TenantSpec("t0", PoissonArrivals(1.2), slo=slo, workers=4)
+    return run_resharding(mode="autoscale", tenants=[spec], seed=0)
+
+
+def _digest(result):
+    blob = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class TestPhases:
@@ -114,18 +122,11 @@ class TestPhases:
         assert len(result.allocator_stats) == 3
         assert all("fragmentation" in s for s in result.allocator_stats.values())
 
-    def test_drain_shrinks_the_ring(self, drain_result):
-        result = drain_result
-        assert (result.blades_before, result.blades_after) == (2, 1)
-        drained = {src for _, src, _ in result.moves}
-        assert len(drained) == 1  # all moves leave the drained blade
-        assert result.migration_ns is not None
-        assert result.bytes_freed > 0
-
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_resharding(mode="explode")
-        assert set(MODES) == {"add_blade", "drain", "autoscale"}
+        for mode in ("explode", "drain"):
+            with pytest.raises(ValueError, match="mode"):
+                run_resharding(mode=mode)
+        assert set(MODES) == {"add_blade", "autoscale"}
 
 
 class TestReplay:
@@ -141,15 +142,24 @@ class TestReplay:
         b = json.dumps(other.to_dict(), sort_keys=True)
         assert a != b
 
+    def test_same_run_as_before_the_app_adapter(self, add_blade_result,
+                                                 autoscale_result):
+        """Digests of the whole result, recorded with the runner that
+        built its service and executors by hand, slab allocator and
+        leases included (minus the two columns that went with them and
+        were constant: the slab stats, all zero, and the scale events'
+        action, always "scale_out")."""
+        assert _digest(add_blade_result) == (
+            "647118c65aa1a8d39bc87e5fb6e999d2ad9158ba2ec5976d7fd35672bb996743")
+        assert _digest(autoscale_result) == (
+            "3f7cb25c7383e55d13c8ecb27a0b5bf540c1e78e40d298f8838889d60f7625d8")
+
 
 class TestAutoscale:
-    def test_shed_pressure_triggers_scale_out(self):
-        slo = Slo(target_p99_ns=20_000.0, policy="shed")
-        spec = TenantSpec("t0", PoissonArrivals(1.2), slo=slo, workers=4)
-        result = run_resharding(mode="autoscale", tenants=[spec], seed=0)
+    def test_shed_pressure_triggers_scale_out(self, autoscale_result):
+        result = autoscale_result
         assert result.scale_events
-        at_ns, action, before, after = result.scale_events[0]
-        assert action == "scale_out"
+        at_ns, before, after = result.scale_events[0]
         assert (before, after) == (2, 3)
         assert result.migration_ns is not None
         assert result.blades_after == 3

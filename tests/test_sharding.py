@@ -1,9 +1,8 @@
-"""Tests for consistent-hash sharding, leases and the autoscaler."""
+"""Tests for consistent-hash sharding and the autoscaler."""
 
 import pytest
 
 from repro.memory.elastic import Autoscaler
-from repro.memory.lease import LeaseError, LeaseManager
 from repro.memory.shard import HashRing, ShardMap, ShardMove, mix64, shard_of
 from repro.sim import Simulator
 
@@ -15,48 +14,27 @@ class TestHashRing:
         for blade in (1, 2, 5):
             a.add_node(blade)
             b.add_node(blade)
-        assert [a.lookup_key(k) for k in range(100)] == [
-            b.lookup_key(k) for k in range(100)
+        assert [a.lookup(mix64(k)) for k in range(100)] == [
+            b.lookup(mix64(k)) for k in range(100)
         ]
 
     def test_adding_a_node_only_steals_keys(self):
         ring = HashRing(vnodes=32)
         for blade in (1, 2):
             ring.add_node(blade)
-        before = {k: ring.lookup_key(k) for k in range(1000)}
+        before = {k: ring.lookup(mix64(k)) for k in range(1000)}
         ring.add_node(3)
-        after = {k: ring.lookup_key(k) for k in range(1000)}
+        after = {k: ring.lookup(mix64(k)) for k in range(1000)}
         moved = {k for k in before if before[k] != after[k]}
         # Every remap lands on the new node; no key moves 1 <-> 2.
         assert moved
         assert all(after[k] == 3 for k in moved)
 
-    def test_removing_a_node_only_moves_its_keys(self):
-        ring = HashRing(vnodes=32)
-        for blade in (1, 2, 3):
-            ring.add_node(blade)
-        before = {k: ring.lookup_key(k) for k in range(1000)}
-        ring.remove_node(3)
-        after = {k: ring.lookup_key(k) for k in range(1000)}
-        moved = {k for k in before if before[k] != after[k]}
-        assert moved == {k for k in before if before[k] == 3}
-
-    def test_add_remove_roundtrip_restores_placement(self):
-        ring = HashRing(vnodes=16)
-        for blade in (1, 2):
-            ring.add_node(blade)
-        before = [ring.lookup_key(k) for k in range(500)]
-        ring.add_node(9)
-        ring.remove_node(9)
-        assert [ring.lookup_key(k) for k in range(500)] == before
-
-    def test_duplicate_and_missing_members_rejected(self):
+    def test_duplicate_member_and_bad_vnodes_rejected(self):
         ring = HashRing()
         ring.add_node(1)
         with pytest.raises(ValueError):
             ring.add_node(1)
-        with pytest.raises(ValueError):
-            ring.remove_node(2)
         with pytest.raises(ValueError):
             HashRing(vnodes=0)
 
@@ -70,13 +48,12 @@ class TestShardMap:
         # Keys of one shard must not cluster on the ring: both blades
         # should own shards.
         shard_map = ShardMap([1, 2], num_shards=64)
-        assert set(shard_map.load()) == {1, 2}
-        assert all(count > 0 for count in shard_map.load().values())
+        assert set(shard_map.placement.values()) == {1, 2}
 
     def test_shard_of_is_stable(self):
         assert shard_of(12345, 64) == mix64(12345 ^ 0x3C6EF372FE94F82A) % 64
         shard_map = ShardMap([1], num_shards=8)
-        assert shard_map.blade_for_key(42) == 1
+        assert shard_map.blade_for_shard(shard_map.shard_of(42)) == 1
 
     def test_plan_add_moves_only_onto_new_blade(self):
         shard_map = ShardMap([1, 2], num_shards=64)
@@ -89,16 +66,6 @@ class TestShardMap:
             shard_map.commit(move)
         assert all(shard_map.blade_for_shard(m.shard) == 3 for m in moves)
 
-    def test_plan_remove_drains_the_blade(self):
-        shard_map = ShardMap([1, 2, 3], num_shards=64)
-        victims = shard_map.shards_on(3)
-        moves = shard_map.plan_remove(3)
-        assert sorted(m.shard for m in moves) == sorted(victims)
-        assert all(m.src == 3 and m.dst != 3 for m in moves)
-        for move in moves:
-            shard_map.commit(move)
-        assert shard_map.shards_on(3) == []
-
     def test_commit_validates_current_placement(self):
         shard_map = ShardMap([1, 2], num_shards=8)
         shard = 0
@@ -109,50 +76,6 @@ class TestShardMap:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             ShardMap([1], num_shards=0)
-
-
-class TestLeases:
-    def test_grant_renew_release(self):
-        leases = LeaseManager(term_ns=1000)
-        lease = leases.grant("shard0", "alice", now=0)
-        assert lease.expires_ns == 1000
-        assert leases.holder("shard0", now=500) == "alice"
-        leases.renew("shard0", "alice", now=500)
-        assert leases.holder("shard0", now=1200) == "alice"
-        leases.release("shard0", "alice")
-        assert leases.holder("shard0", now=1200) is None
-
-    def test_live_lease_conflicts(self):
-        leases = LeaseManager(term_ns=1000)
-        leases.grant("shard0", "alice", now=0)
-        with pytest.raises(LeaseError):
-            leases.grant("shard0", "bob", now=500)
-        assert leases.stats()["conflicts"] == 1
-        # Same client may re-grant (idempotent ownership refresh).
-        leases.grant("shard0", "alice", now=500)
-
-    def test_expired_lease_is_reclaimable(self):
-        leases = LeaseManager(term_ns=1000)
-        leases.grant("shard0", "alice", now=0)
-        assert leases.holder("shard0", now=1000) is None  # expiry is exclusive
-        # A new client takes over an expired lease implicitly...
-        leases.grant("shard0", "bob", now=1500)
-        assert leases.holder("shard0", now=1600) == "bob"
-        # ...and reclaim_expired sweeps the rest.
-        leases.grant("shard1", "carol", now=1500)
-        dead = leases.reclaim_expired(now=99_999)
-        assert {l.resource for l in dead} == {"shard0", "shard1"}
-        assert leases.live_count(now=99_999) == 0
-
-    def test_renew_requires_live_ownership(self):
-        leases = LeaseManager(term_ns=1000)
-        leases.grant("shard0", "alice", now=0)
-        with pytest.raises(LeaseError):
-            leases.renew("shard0", "bob", now=100)
-        with pytest.raises(LeaseError):
-            leases.renew("shard0", "alice", now=5000)
-        with pytest.raises(LeaseError):
-            leases.release("shard0", "bob")
 
 
 class _FakeStats:
@@ -176,20 +99,12 @@ class TestAutoscaler:
             log.append(("out", sim.now))
             yield sim.timeout(10.0)
 
-        def scale_in():
-            blades.pop()
-            log.append(("in", sim.now))
-            yield sim.timeout(10.0)
-
         scaler = Autoscaler(
             sim, [tenant],
             blade_count_fn=lambda: len(blades),
             scale_out_fn=scale_out,
-            scale_in_fn=scale_in,
             period_ns=100.0,
             shed_threshold=1,
-            quiet_periods=3,
-            min_blades=2,
             cooldown_periods=2,
             **kwargs,
         )
@@ -206,7 +121,6 @@ class TestAutoscaler:
         assert [(what, pytest.approx(at)) for what, at in log] == [("out", 100.0)]
         assert len(blades) == 3
         event = scaler.events[0]
-        assert event.action == "scale_out"
         assert event.shed_delta == 5
         assert (event.blades_before, event.blades_after) == (2, 3)
 
@@ -223,19 +137,28 @@ class TestAutoscaler:
         sim.run(until=450.0)  # sample at 400 sees the new delta -> second out
         assert len(scaler.events) == 2
 
-    def test_scales_in_after_quiet_periods(self):
+    def test_quiet_fleet_is_left_alone(self):
         sim = Simulator()
         tenant = _FakeTenant()
         scaler, blades, log = self._build(sim, tenant)
-        blades.append(3)  # start over-provisioned
-        sim.spawn(scaler.run())
+        blades.append(3)  # over-provisioned: the policy only ever grows
+        loop = sim.spawn(scaler.run())
         sim.run(until=1000.0)
-        # 3 quiet samples at t=100/200/300 trigger the scale-in.
-        assert log[0][0] == "in"
-        assert log[0][1] == pytest.approx(300.0)
-        assert len(blades) == 2  # respects min_blades from then on
-        assert all(e.action == "scale_in" for e in scaler.events)
-        assert len(scaler.events) == 1
+        assert loop.alive
+        assert log == [] and scaler.events == []
+        assert len(blades) == 3
+
+    def test_never_grows_past_max_blades(self):
+        sim = Simulator()
+        tenant = _FakeTenant()
+        scaler, blades, _ = self._build(sim, tenant, max_blades=3)
+        loop = sim.spawn(scaler.run())
+        for step in range(1, 11):  # fresh shedding every period
+            tenant.stats.shed = 100 * step
+            sim.run(until=100.0 * step + 50.0)
+        assert loop.alive
+        assert len(blades) == 3
+        assert [(e.blades_before, e.blades_after) for e in scaler.events] == [(2, 3)]
 
     def test_stop_halts_the_loop(self):
         sim = Simulator()
@@ -253,5 +176,4 @@ class TestAutoscaler:
         with pytest.raises(ValueError):
             Autoscaler(sim, [], lambda: 1, lambda: iter(()), period_ns=0)
         with pytest.raises(ValueError):
-            Autoscaler(sim, [], lambda: 1, lambda: iter(()),
-                       min_blades=3, max_blades=2)
+            Autoscaler(sim, [], lambda: 1, lambda: iter(()), max_blades=0)
