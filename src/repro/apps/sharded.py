@@ -53,6 +53,8 @@ CONTROL_ALLOC_PER_KIB_NS = 2.0
 #: how long the router keeps a flipped-away source instance alive so
 #: straggler reads drain before its regions are freed
 DEFAULT_GRACE_NS = 100_000.0
+#: ring points per blade of the shard placement
+SHARD_VNODES = 16
 
 _MIRROR_ATTEMPTS = 8
 
@@ -60,25 +62,14 @@ _MIRROR_ATTEMPTS = 8
 class ShardedHashTableService:
     """Control plane of the sharded table: placement, state, metadata."""
 
-    def __init__(
-        self,
-        memory_nodes: List[Node],
-        num_shards: int = 8,
-        segments_per_shard: int = 16,
-        buckets_per_segment: int = 64,
-        heap_bytes_per_shard: int = 1 << 20,
-        vnodes: int = 16,
-    ):
+    def __init__(self, memory_nodes: List[Node], num_shards: int = 8):
         if not memory_nodes:
             raise ValueError("need at least one memory blade")
         self.memory_nodes: Dict[int, Node] = {n.node_id: n for n in memory_nodes}
         self.shard_map = ShardMap(
-            [n.node_id for n in memory_nodes], num_shards, vnodes
+            [n.node_id for n in memory_nodes], num_shards, SHARD_VNODES
         )
         self.num_shards = num_shards
-        self.segments_per_shard = segments_per_shard
-        self.buckets_per_segment = buckets_per_segment
-        self.heap_bytes_per_shard = heap_bytes_per_shard
 
         #: per-shard incarnation — bumped at every (re)placement, part of
         #: the region prefix so old and new instances never collide
@@ -104,13 +95,14 @@ class ShardedHashTableService:
 
     def build_shard(self, shard: int, blade_id: int,
                     incarnation: int) -> HashTableServer:
-        """A fresh instance of ``shard`` on ``blade_id``; its regions are
-        named by ``incarnation``."""
+        """A fresh instance of ``shard`` on ``blade_id`` (16 segments of
+        64 buckets, a 1 MiB KV heap); its regions are named by
+        ``incarnation``."""
         return HashTableServer(
             [self.memory_nodes[blade_id]],
-            segments=self.segments_per_shard,
-            buckets_per_segment=self.buckets_per_segment,
-            heap_bytes_per_blade=self.heap_bytes_per_shard,
+            segments=16,
+            buckets_per_segment=64,
+            heap_bytes_per_blade=1 << 20,
             region_prefix=f"ht_s{shard}_i{incarnation}_",
         )
 

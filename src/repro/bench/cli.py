@@ -60,7 +60,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from typing import Callable, List, Optional
@@ -76,48 +75,6 @@ _WORKLOADS = {
     w.name: w
     for w in (ycsb.WRITE_HEAVY, ycsb.READ_HEAVY, ycsb.READ_ONLY, ycsb.UPDATE_ONLY)
 }
-
-
-def profile_path_for(args) -> str:
-    """Where ``--profile`` writes its pstats dump: next to the result
-    JSON (or CSV dump file) when one is requested, else the cwd."""
-    for attr in ("json", "dump_file_path"):
-        target = getattr(args, attr, None)
-        if target:
-            return os.path.splitext(target)[0] + ".pstats"
-    return "repro-bench.pstats"
-
-
-def dispatch(args, handler: Callable[[argparse.Namespace], int]) -> int:
-    """Run a subcommand's ``handler(args)`` — with ``--profile`` under
-    cProfile: dump pstats next to the result and print the top of the
-    cumulative-time table so the hotspots are visible without opening
-    the dump.
-
-    Only the parent process is profiled — with ``--jobs`` > 1 the
-    simulation work happens in pool workers, so profile kernel-level
-    questions with ``--jobs 1``.
-    """
-    if not args.profile:
-        return handler(args)
-    import cProfile
-    import io
-    import pstats
-
-    path = profile_path_for(args)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        return handler(args)
-    finally:
-        profiler.disable()
-        profiler.dump_stats(path)
-        table = io.StringIO()
-        stats = pstats.Stats(profiler, stream=table)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(10)
-        print(table.getvalue().rstrip())
-        print(f"profile: wrote {path} "
-              f"(inspect with: python -m pstats {path})")
 
 
 #: The flags several subcommands share, declared once as their
@@ -139,9 +96,6 @@ _COMMON_FLAGS = {
                    "help": "per-tenant p99 target; enables admission control"},
     "jobs": {"type": int, "help": "process-pool workers (0 = all cores)"},
     "json": {"metavar": "PATH", "help": "also write the result as JSON to PATH"},
-    "profile": {"action": "store_true",
-                "help": "run under cProfile and write a pstats dump next "
-                        "to the result JSON"},
 }
 
 
@@ -152,9 +106,8 @@ def add_common_flags(parser: argparse.ArgumentParser,
     a flag to the ``add_argument`` keywords it words differently."""
     for name, default in defaults.items():
         keywords = {**_COMMON_FLAGS[name], **(overrides or {}).get(name, {})}
-        if "action" not in keywords:
-            keywords["default"] = default
-        parser.add_argument("--" + name.replace("_", "-"), **keywords)
+        parser.add_argument("--" + name.replace("_", "-"), default=default,
+                            **keywords)
 
 
 def _csv(text: Optional[str], convert: Callable) -> Optional[tuple]:
@@ -268,12 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                   "help": "process-pool workers for --figure grids "
                           "(default: $REPRO_JOBS or 1 = serial; "
                           "0 = all cores)"},
-         "json": {"help": "with --figure: also write the result rows as JSON"},
-         "profile": {"help": "run under cProfile and write a pstats dump next "
-                             "to the result JSON/CSV (kernel PRs start from "
-                             "data; profiles the parent process — use "
-                             "--jobs 1 to capture simulation work)"}},
-        jobs=None, json=None, profile=False,
+         "json": {"help": "with --figure: also write the result rows as JSON"}},
+        jobs=None, json=None,
     )
     return parser
 
@@ -330,7 +279,7 @@ def build_traffic_parser() -> argparse.ArgumentParser:
         {"jobs": {"metavar": "N",
                   "help": "process-pool workers for --sweep (0 = all cores)"},
          "json": {"help": "also write results as JSON to PATH"}},
-        jobs=None, json=None, profile=False,
+        jobs=None, json=None,
     )
     return parser
 
@@ -350,7 +299,7 @@ def build_resharding_parser() -> argparse.ArgumentParser:
     parser.add_argument("--phase-us", type=float, default=1000.0,
                         help="length of each measured phase "
                              "(before / during / after), simulated us")
-    add_common_flags(parser, slo_p99_us=None, seed=0, json=None, profile=False)
+    add_common_flags(parser, slo_p99_us=None, seed=0, json=None)
     return parser
 
 
@@ -418,7 +367,7 @@ def build_odp_parser() -> argparse.ArgumentParser:
     add_common_flags(
         parser,
         {"measure_us": {"help": "measurement window per point, simulated us"}},
-        measure_us=1000.0, jobs=None, json=None, profile=False,
+        measure_us=1000.0, jobs=None, json=None,
     )
     return parser
 
@@ -430,8 +379,12 @@ def _run_odp(args) -> int:
     if any(not 0.0 <= r <= 1.0 for r in ratios or ()):
         print("--ratios values must be in [0, 1]", file=sys.stderr)
         return 2
+    depths = _csv(args.depths, int)
+    if any(d < 1 for d in depths or ()):
+        print("--depths values must be >= 1", file=sys.stderr)
+        return 2
     return _run_sweep(
-        args, odp_sweep, ratios=ratios, depths=_csv(args.depths, int),
+        args, odp_sweep, ratios=ratios, depths=depths,
         threads=args.threads, payload=args.block_size,
         measure_ns=args.measure_us * 1e3,
     )
@@ -460,7 +413,7 @@ def build_offload_parser() -> argparse.ArgumentParser:
     add_common_flags(parser, seed=0)
     parser.add_argument("--sanitize", action="store_true",
                         help="run every point under RDMASan")
-    add_common_flags(parser, jobs=None, json=None, profile=False)
+    add_common_flags(parser, jobs=None, json=None)
     return parser
 
 
@@ -472,9 +425,9 @@ def _run_offload(args) -> int:
     if any(not 0.0 <= s < 1.0 for s in skews or ()):
         print("--skews values must be in [0, 1)", file=sys.stderr)
         return 2
-    modes = _csv(args.modes, str.strip) or ()
-    if any(m not in MODES for m in modes):
-        print(f"--modes values must be among {MODES}", file=sys.stderr)
+    modes = _csv(args.modes, str.strip)
+    if not modes or any(m not in MODES for m in modes):
+        print(f"--modes must be one or more of {MODES}", file=sys.stderr)
         return 2
     return _run_sweep(
         args, offload_sweep, skews=skews, chunks=_csv(args.chunks, int),
@@ -496,7 +449,7 @@ def build_claims_parser() -> argparse.ArgumentParser:
                         metavar="KEY",
                         help="only this figure's section (repeatable; "
                              f"default: all of {', '.join(CLAIMS)})")
-    add_common_flags(parser, jobs=None, profile=False)
+    add_common_flags(parser, jobs=None)
     return parser
 
 
@@ -632,6 +585,9 @@ def run_bench(args) -> int:
 
 
 def run_single(args) -> int:
+    if args.depth < 1:
+        print("depth must be >= 1 WR per batch", file=sys.stderr)
+        return 2
     if args.pinned_ratio is not None and not 0.0 <= args.pinned_ratio <= 1.0:
         print("--pinned-ratio must be in [0, 1]", file=sys.stderr)
         return 2
@@ -735,7 +691,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     name = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     build, handler = SUBCOMMANDS[name]
-    return dispatch(build().parse_args(argv[1:] if name else argv), handler)
+    return handler(build().parse_args(argv[1:] if name else argv))
 
 
 if __name__ == "__main__":

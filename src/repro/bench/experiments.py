@@ -64,9 +64,6 @@ class ExperimentResult:
     observations: List[str] = field(default_factory=list)
     #: optional (x_column, y_columns) to render an ASCII chart in format()
     chart_spec: Optional[Tuple[str, Tuple[str, ...]]] = None
-    #: optional observability block (metrics snapshots, phase breakdowns)
-    #: attached by instrumented runs; empty for ordinary grid runs
-    telemetry: Dict = field(default_factory=dict)
 
     def format(self) -> str:
         lines = [format_table(self.headers, self.rows, title=self.name)]
@@ -91,18 +88,13 @@ class ExperimentResult:
 
     def to_dict(self) -> Dict:
         """JSON-ready form (the machine-readable twin of :meth:`format`)."""
-        data = {
+        return {
             "name": self.name,
             "headers": list(self.headers),
             "rows": [list(row) for row in self.rows],
             "paper_claim": self.paper_claim,
             "observations": list(self.observations),
         }
-        # Key present only when telemetry was attached, so JSON artifacts
-        # from un-instrumented runs stay byte-identical.
-        if self.telemetry:
-            data["telemetry"] = dict(self.telemetry)
-        return data
 
 
 # -- the sweep helper every figure goes through ---------------------------------------

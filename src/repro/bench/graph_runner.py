@@ -27,6 +27,9 @@ from repro.workloads.graph import GraphSpec, checksum_u64s, edge_count
 #: slice length the runner advances the simulation by while polling the
 #: driver; a pure scheduling horizon, invisible to simulated behaviour
 RUN_SLICE_NS = 0.5e6
+#: simulated time after which a still-running job is an error, not a
+#: result (with the per-slice deadlock check: a run fails, never hangs)
+RUN_DEADLINE_NS = 5.0e9
 
 
 @dataclass
@@ -76,38 +79,31 @@ def run_graph(
     skew: float = 0.0,
     threads: int = 2,
     coroutines: int = 2,
-    compute_blades: int = 1,
-    memory_blades: int = 2,
     chunk: int = 32,
     rounds: int = 2,
-    source: int = 0,
-    features=None,
     config: Optional[RnicConfig] = None,
     seed: int = 0,
     faults=None,
     fault_seed: int = 0,
-    fault_window_ns: float = 1.0e6,
     obs=None,
     sanitize=False,
-    deadline_ns: float = 5.0e9,
 ) -> GraphRunResult:
     """One point of the near-memory offload experiment.
 
     ``mode`` picks the execution strategy (see
-    :data:`repro.apps.graph.client.MODES`); ``algo`` is ``"bfs"`` or
-    ``"pagerank"``.  ``chunk`` is the offload fan-out (frontier slots
-    per active message).  The handler-core cost knobs (``offload_*``)
-    are :class:`RnicConfig` fields: pass ``config``.
+    :data:`repro.apps.graph.client.MODES`); ``algo`` is ``"bfs"`` (from
+    vertex 0) or ``"pagerank"``.  ``chunk`` is the offload fan-out
+    (frontier slots per active message).  One compute blade runs the
+    baseline features against two memory blades; a seeded fault
+    schedule targets the first simulated millisecond.  The handler-core
+    cost knobs (``offload_*``) are :class:`RnicConfig` fields: pass
+    ``config``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if algo not in ("bfs", "pagerank"):
         raise ValueError(f"algo must be bfs or pagerank, got {algo!r}")
-    if features is None:
-        features = baseline()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
+    deployment = build_deployment(baseline(), threads, config=config, seed=seed)
     spec = GraphSpec(
         name=f"graph-v{vertices}-d{degree}-s{seed}",
         vertex_count=vertices,
@@ -120,7 +116,8 @@ def run_graph(
     meta = server.meta()
 
     injector, sanitizer = instrument(
-        deployment, server, faults, fault_seed, 0.0, fault_window_ns, obs, sanitize
+        deployment, server, faults, fault_seed, warmup_ns=0.0,
+        measure_ns=1.0e6, obs=obs, sanitize=sanitize,
     )
 
     sim = deployment.cluster.sim
@@ -132,7 +129,7 @@ def run_graph(
     stats = GraphStats()
     client = GraphClient(meta, handles, mode, chunk=chunk, stats=stats)
     if algo == "bfs":
-        driver = sim.spawn(client.bfs(source))
+        driver = sim.spawn(client.bfs(0))
     else:
         driver = sim.spawn(client.pagerank(rounds))
 
@@ -146,9 +143,9 @@ def run_graph(
                 f"graph run deadlocked at t={sim.now:.0f} ns "
                 f"(mode={mode}, algo={algo})"
             )
-        if sim.now > deadline_ns:
+        if sim.now > RUN_DEADLINE_NS:
             raise RuntimeError(
-                f"graph run exceeded the {deadline_ns:.0f} ns deadline"
+                f"graph run exceeded the {RUN_DEADLINE_NS:.0f} ns deadline"
             )
     if driver.error is not None:
         raise driver.error
@@ -184,7 +181,7 @@ def run_graph(
         chunk=chunk,
         threads=threads,
         coroutines=coroutines,
-        memory_blades=memory_blades,
+        memory_blades=len(deployment.memory_nodes),
         elapsed_ns=elapsed,
         edges=edges,
         edges_per_us=(edges / elapsed * 1e3) if elapsed > 0 else 0.0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.bench.runner import (
     Deployment,
@@ -37,6 +37,9 @@ from repro.sim.rng import percentile
 
 #: Remote region the paper's bench tool targets.
 DEFAULT_REGION_BYTES = 1 << 30
+
+#: Table 1's active-thread counts: the workload jumps between them.
+TABLE1_THREADS = (36, 96)
 
 POLICIES = (
     "shared-qp",
@@ -85,11 +88,11 @@ class MicrobenchResult:
         )
 
 
-def _policy_instance(policy: str, multiplex_q: int) -> Optional[ConnectionPolicy]:
+def _policy_instance(policy: str) -> Optional[ConnectionPolicy]:
     if policy == "shared-qp":
         return SharedQpPolicy()
     if policy == "multiplexed-qp":
-        return MultiplexedQpPolicy(multiplex_q)
+        return MultiplexedQpPolicy(threads_per_qp=8)
     if policy == "per-thread-qp":
         return PerThreadQpPolicy()
     if policy == "per-thread-context":
@@ -131,8 +134,6 @@ def run_microbench(
     warmup_ns: float = 0.4e6,
     measure_ns: float = 1.6e6,
     config: Optional[RnicConfig] = None,
-    features: Optional[SmartFeatures] = None,
-    multiplex_q: int = 8,
     seed: int = 1,
     latency_samples: bool = False,
     faults=None,
@@ -140,7 +141,6 @@ def run_microbench(
     obs=None,
     sanitize=False,
     access: str = "random",
-    region_pinned: Optional[bool] = None,
 ) -> MicrobenchResult:
     """Run the bench tool at one (policy, threads, depth) point.
 
@@ -156,10 +156,14 @@ def run_microbench(
     ``access`` picks the offset pattern: ``"random"`` (the paper's
     uniform draw) or ``"seq"`` (contiguous batches — what RDMAbox-style
     merging fuses).  ``pinned_ratio``/``merge_wrs``/``adaptive_poll``
-    are :class:`RnicConfig` fields (pass ``config``); ``region_pinned``
-    registers the bench MR with that pinning (``False`` = fully ODP).
+    are :class:`RnicConfig` fields (pass ``config``).
     """
-    if policy == "smart" and features is None:
+    if depth < 1:
+        # A SMART worker with nothing to post never yields: the run would
+        # spin inside one generator step, out of reach of any deadline.
+        raise ValueError(f"depth must be >= 1 WR per batch, got {depth}")
+    features = None
+    if policy == "smart":
         # Scale the paper's Δ = 8 ms epoch down so the C_max search
         # converges inside a short simulation (ratios preserved).
         features = SmartFeatures().with_overrides(
@@ -168,29 +172,26 @@ def run_microbench(
             dynamic_backoff_limit=False,
             coroutine_throttling=False,
         )
-    if features is not None:
         # Measure in the stable phase, after the first UPDATE pass.
         warmup_ns = effective_warmup_ns(features, warmup_ns)
+    elif policy == "per-thread-db":
+        # Thread-aware allocation only; no throttling or backoff.
+        features = baseline_features().with_overrides(thread_aware_alloc=True)
 
     cluster = Cluster(config)
     compute = cluster.add_node()
     compute.add_threads(threads)
     remotes = cluster.add_nodes(memory_nodes)
     regions = [r.storage.alloc_region("bench", min(DEFAULT_REGION_BYTES,
-               r.storage.capacity - 4096), pinned=region_pinned)
+               r.storage.capacity - 4096))
                for r in remotes]
 
     smart_threads: List[SmartThread] = []
     doorbells_used = 0
-    conn = _policy_instance(policy, multiplex_q)
+    conn = _policy_instance(policy)
     if conn is not None:
         conn.connect(compute, remotes)
     else:
-        if policy == "per-thread-db":
-            # Thread-aware allocation only; no throttling or backoff.
-            features = baseline_features().with_overrides(thread_aware_alloc=True)
-        elif features is None:
-            features = SmartFeatures()
         context = SmartContext(compute, remotes, features)
         doorbells_used = context.doorbells_in_use()
         if policy == "smart":
@@ -294,29 +295,22 @@ class DynamicWorkloadResult:
 def run_dynamic_microbench(
     changing_interval_ns: float,
     throttled: bool,
-    depth: int = 64,
-    thread_range: Sequence[int] = (36, 96),
-    payload: int = 8,
+    features: SmartFeatures,
     total_ns: float = 20e6,
     config: Optional[RnicConfig] = None,
-    features: Optional[SmartFeatures] = None,
     seed: int = 1,
 ) -> DynamicWorkloadResult:
     """The Table-1 experiment: the number of *active* threads jumps
-    between ``thread_range`` bounds every ``changing_interval_ns``.
+    between the :data:`TABLE1_THREADS` counts every
+    ``changing_interval_ns``; each active thread posts 64 8-byte READs
+    per doorbell.  ``throttled`` labels the result; ``features`` is what
+    decides it.
 
     With throttling enabled, the adaptive C_max search keeps the
     outstanding-WR count near the sweet spot as long as the workload is
     stable for at least one epoch; faster changes leave C_max stale.
     """
-    max_threads = max(thread_range)
-    if features is None:
-        base = SmartFeatures() if throttled else baseline_features().with_overrides(
-            thread_aware_alloc=True
-        )
-        features = base.with_overrides(
-            backoff=False, dynamic_backoff_limit=False, coroutine_throttling=False
-        )
+    max_threads = max(TABLE1_THREADS)
     cluster = Cluster(config)
     compute = cluster.add_node()
     compute.add_threads(max_threads)
@@ -330,7 +324,7 @@ def run_dynamic_microbench(
     ]
 
     sim = cluster.sim
-    active = [min(thread_range)]
+    active = [min(TABLE1_THREADS)]
     rng = random.Random(seed)
 
     idle = sim.delay(changing_interval_ns / 8)
@@ -342,14 +336,14 @@ def run_dynamic_microbench(
             if index >= active[0]:
                 yield idle
                 continue
-            for wr in _make_wrs("read", payload, depth, region.base, region.size,
+            for wr in _make_wrs("read", 8, 64, region.base, region.size,
                                 wrng, blade):
                 handle._buffer.append(wr)
             yield from handle.post_send()
             yield from handle.sync()
 
     def controller():
-        choices = list(thread_range)
+        choices = list(TABLE1_THREADS)
         while True:
             yield sim.timeout(changing_interval_ns)
             active[0] = choices[rng.randrange(len(choices))]

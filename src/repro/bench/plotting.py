@@ -1,26 +1,12 @@
 """Terminal plotting: ASCII charts for benchmark series.
 
 No plotting stack is assumed (the reference environment is offline);
-these renderers make the figure shapes visible directly in bench output.
+this renderer makes the figure shapes visible directly in bench output.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
-
-_BARS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line bar sketch of a series (max-normalized)."""
-    values = list(values)
-    if not values:
-        return ""
-    top = max(values)
-    if top <= 0:
-        return _BARS[0] * len(values)
-    scaled = [int(round(v / top * (len(_BARS) - 1))) for v in values]
-    return "".join(_BARS[max(0, min(s, len(_BARS) - 1))] for s in scaled)
 
 
 def line_chart(

@@ -106,10 +106,6 @@ class RunResult:
     #: same currency as benchmarks/results/BENCH_kernel.json
     sim_events: int = 0
 
-    @property
-    def total_threads(self) -> int:
-        return self.threads * self.compute_blades
-
 
 @dataclass
 class Deployment:
@@ -422,18 +418,19 @@ class ShardedHashTableApp(HashTableApp):
     """The sharded RACE table of the resharding experiment: one small
     table per shard, placed by a consistent-hash ring, each movable to
     another blade online.  ``service`` is the
-    :class:`ShardedHashTableService` ``load`` builds (from ``shape``, its
-    keyword arguments); ops dispatch as in :class:`HashTableApp`.
+    :class:`ShardedHashTableService` of ``num_shards`` shards that
+    ``load`` builds; ops dispatch as in :class:`HashTableApp`.
     """
 
     name = "sharded-hashtable"
 
-    def __init__(self, item_count: int, **shape):
+    def __init__(self, item_count: int, num_shards: int):
         super().__init__(item_count)
-        self.shape = shape
+        self.num_shards = num_shards
 
     def load(self, system, deployment, seed, rebuild):
-        self.service = ShardedHashTableService(deployment.memory_nodes, **self.shape)
+        self.service = ShardedHashTableService(deployment.memory_nodes,
+                                               self.num_shards)
         self.service.bulk_load(YcsbWorkload.load_items(self.item_count, seed))
         return deployment
 
@@ -502,12 +499,8 @@ class BTreeApp(_YcsbApp):
     colocated = True
 
     def __init__(self, item_count: int = 100_000,
-                 workload: Optional[YcsbWorkload] = None,
-                 speculative: Optional[bool] = None,
-                 client_cpu_ns: float = 2000.0, hopl: bool = True):
+                 workload: Optional[YcsbWorkload] = None, hopl: bool = True):
         super().__init__(item_count, workload)
-        self.speculative = speculative
-        self.client_cpu_ns = client_cpu_ns
         self.hopl = hopl
 
     def load(self, system, deployment, seed, rebuild):
@@ -516,9 +509,7 @@ class BTreeApp(_YcsbApp):
             nodes, heap_bytes_per_blade=max(16 << 20, self.item_count * 64))
         self.server.bulk_load(YcsbWorkload.load_items(self.item_count, seed))
         self.meta = self.server.meta()
-        speculative = self.speculative
-        if speculative is None:
-            speculative = system in ("sherman-sl", "smart-bt")
+        speculative = system in ("sherman-sl", "smart-bt")
         sim = deployment.cluster.sim
         self.blade_state = {
             node.node_id: (
@@ -533,9 +524,7 @@ class BTreeApp(_YcsbApp):
     def make_client(self, smart):
         index_cache, locks, spec = self.blade_state[smart.thread.node.node_id]
         return BTreeClient(
-            smart.handle(), self.meta, index_cache, locks, spec_cache=spec,
-            client_cpu_ns=self.client_cpu_ns,
-        )
+            smart.handle(), self.meta, index_cache, locks, spec_cache=spec)
 
     @staticmethod
     def dispatch(client, item):
@@ -659,19 +648,16 @@ def run_dtx(system: str = "smart-dtx", benchmark: str = "smallbank",
 def run_btree(system: str = "smart-bt",
               workload: Optional[YcsbWorkload] = None,
               servers: int = 1, item_count: int = 100_000,
-              speculative: Optional[bool] = None,
-              client_cpu_ns: float = 2000.0, hopl: bool = True,
-              **run) -> RunResult:
+              hopl: bool = True, **run) -> RunResult:
     """One point of the Sherman / SMART-BT experiments.
 
     ``servers`` scales compute and memory out together.  Systems:
     ``sherman`` (Sherman+), ``sherman-sl`` (Sherman+ w/ speculative
-    lookup) and ``smart-bt``; ``speculative`` overrides the system's
-    choice.  ``hopl=False`` degrades node locks to naive remote CAS
-    spinlocks (the §3.3 behaviour HOPL avoids) — used by the HOPL
-    ablation bench.  ``run`` is :func:`run_app`'s remaining keyword
-    arguments (the blade counts are ``servers``).
+    lookup) and ``smart-bt``.  ``hopl=False`` degrades node locks to
+    naive remote CAS spinlocks (the §3.3 behaviour HOPL avoids) — used
+    by the HOPL ablation bench.  ``run`` is :func:`run_app`'s remaining
+    keyword arguments (the blade counts are ``servers``).
     """
-    app = BTreeApp(item_count, workload, speculative, client_cpu_ns, hopl)
+    app = BTreeApp(item_count, workload, hopl)
     return run_app(app, system, compute_blades=servers, memory_blades=servers,
                    **run)

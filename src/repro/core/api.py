@@ -15,7 +15,6 @@ and drives them with generator calls::
 from __future__ import annotations
 
 import random
-import struct
 from typing import Dict, List, Optional
 
 from repro.core.backoff import ConflictAvoider
@@ -34,8 +33,6 @@ from repro.rnic.qp import (
     read_wr,
     write_wr,
 )
-
-_U64 = struct.Struct("<Q")
 
 
 class SmartThread:
@@ -240,10 +237,6 @@ class SmartHandle:
         yield from self.post_send()
         yield from self.sync()
         return wr.result
-
-    def read_u64_sync(self, remote_addr: int):
-        data = yield from self.read_sync(remote_addr, 8)
-        return _U64.unpack(data)[0]
 
     def write_sync(self, remote_addr: int, payload: bytes):
         self.write(remote_addr, payload)

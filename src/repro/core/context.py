@@ -45,10 +45,6 @@ class QpPool:
             raise ValueError("QP released to a foreign pool")
         self._idle.setdefault(qp.remote_node.node_id, []).append(qp)
 
-    @property
-    def idle_count(self) -> int:
-        return sum(len(v) for v in self._idle.values())
-
 
 class SmartContext:
     """SMART's per-compute-node resource allocator.

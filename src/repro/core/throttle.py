@@ -97,13 +97,3 @@ class WorkRequestThrottler:
                     best_completed, best_target = progress, target
             self.update_cmax(best_target)
             yield self.sim.timeout(features.stable_epochs * delta)
-
-
-class StaticThrottler(WorkRequestThrottler):
-    """Throttling with a fixed C_max (the paper's +WorkReqThrot without
-    the adaptive search; used in ablations)."""
-
-    def __init__(self, sim: Simulator, features: SmartFeatures, name: str = "throttler"):
-        super().__init__(
-            sim, features.with_overrides(adaptive_credit=False), name=name
-        )

@@ -73,11 +73,9 @@ def _tracer_of(device) -> Optional[SpanTracer]:
 class Observability:
     """Metrics + tracing for one simulated run."""
 
-    def __init__(self, trace_capacity: int = 200_000,
-                 batch_capacity: int = 50_000):
+    def __init__(self):
         self.registry = MetricsRegistry()
-        self.recorder = TraceRecorder(trace_capacity)
-        self.batch_capacity = batch_capacity
+        self.recorder = TraceRecorder()
         self._clusters = []
 
     # -- wiring ------------------------------------------------------------
@@ -101,7 +99,7 @@ class Observability:
         device.recorder = self.recorder
         if _tracer_of(device) is None:
             device.observers += (
-                SpanTracer(self.recorder, device.name, capacity=self.batch_capacity),
+                SpanTracer(self.recorder, device.name, capacity=50_000),
             )
 
     def attach_smart_threads(self, smart_threads) -> "Observability":

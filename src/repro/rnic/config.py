@@ -247,8 +247,3 @@ class RnicConfig:
 def connectx6() -> RnicConfig:
     """The paper's testbed NIC."""
     return RnicConfig()
-
-
-def small_scale() -> RnicConfig:
-    """A reduced-rate profile for fast unit tests (not used by benches)."""
-    return RnicConfig(max_iops=10e6, responder_iops=10.5e6, wqe_cache_capacity=64)

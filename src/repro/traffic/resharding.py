@@ -39,7 +39,7 @@ from repro.bench.runner import (
 from repro.memory.elastic import Autoscaler
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.runner import build_engine
-from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
+from repro.traffic.tenant import TenantSpec
 
 PHASES = ("before", "during", "after")
 MODES = ("add_blade", "autoscale")
@@ -166,36 +166,28 @@ def _phase_rows(phase: str, states, snapshots=None) -> List[PhaseStats]:
 def run_resharding(
     tenants: Optional[List[TenantSpec]] = None,
     rate_mops: float = 0.4,
-    slo: Optional[Slo] = None,
     workers: int = 4,
     threads: int = 4,
-    compute_blades: int = 1,
     memory_blades: int = 2,
     num_shards: int = 8,
-    segments_per_shard: int = 16,
-    buckets_per_segment: int = 64,
-    heap_bytes_per_shard: int = 1 << 20,
     item_count: int = 2_000,
     mode: str = "add_blade",
-    system: str = "smart-ht",
-    features=None,
     config=None,
     warmup_ns: float = 0.5e6,
     phase_ns: float = 1.0e6,
-    grace_ns: float = 50_000.0,
     seed: int = 0,
     obs=None,
 ) -> ReshardingResult:
-    """One resharding experiment point (see module docstring)."""
+    """One resharding experiment point (see module docstring): SMART-HT
+    clients on one compute blade; with ``tenants=None`` one tenant of
+    ``workers`` Poisson workers at ``rate_mops``, admitting everything.
+    A moved shard's source instance is freed 50 us after its flip."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    app = ShardedHashTableApp(
-        item_count, num_shards=num_shards, segments_per_shard=segments_per_shard,
-        buckets_per_segment=buckets_per_segment,
-        heap_bytes_per_shard=heap_bytes_per_shard,
-    )
-    deployment = deploy_app(app, system, threads, compute_blades, memory_blades,
-                            features, config, seed)
+    app = ShardedHashTableApp(item_count, num_shards)
+    deployment = deploy_app(app, "smart-ht", threads, compute_blades=1,
+                            memory_blades=memory_blades, features=None,
+                            config=config, seed=seed)
     instrument(deployment, obs=obs)
     cluster = deployment.cluster
     sim = cluster.sim
@@ -203,14 +195,12 @@ def run_resharding(
 
     # -- tenants -----------------------------------------------------------
     if tenants is None:
-        tenants = [TenantSpec(
-            "t0", PoissonArrivals(rate_mops), slo=slo or NO_SLO, workers=workers,
-        )]
+        tenants = [TenantSpec("t0", PoissonArrivals(rate_mops), workers=workers)]
     engine = build_engine(sim, seed, tenants, deployment.smart_threads, app)
 
     # -- migration machinery -----------------------------------------------
     migrator = ShardMigrator(
-        service, deployment.smart_threads[0].handle(), sim, grace_ns=grace_ns,
+        service, deployment.smart_threads[0].handle(), sim, grace_ns=50_000.0,
     )
     result = ReshardingResult(mode=mode, seed=seed, phase_ns=phase_ns)
     result.blades_before = len(service.shard_map.ring.members)

@@ -95,12 +95,6 @@ class OpenLoopResult:
     def backlog(self) -> int:
         return sum(t.backlog for t in self.tenants)
 
-    @property
-    def worst_p99_latency_ns(self) -> Optional[float]:
-        values = [t.p99_latency_ns for t in self.tenants
-                  if t.p99_latency_ns is not None]
-        return max(values) if values else None
-
 
 def _tenant_result(state, measure_ns: float) -> TenantResult:
     stats: OperationStats = state.stats
@@ -138,17 +132,13 @@ def run_open_loop(
     slo: Optional[Slo] = None,
     workers: int = 8,
     threads: int = 8,
-    compute_blades: int = 1,
-    memory_blades: int = 2,
     servers: int = 1,
     item_count: int = 50_000,
     benchmark: str = "smallbank",
-    features=None,
     config=None,
     warmup_ns: float = 1.0e6,
     measure_ns: float = 2.0e6,
     seed: int = 0,
-    client_cpu_ns: float = 2000.0,
     obs=None,
 ) -> OpenLoopResult:
     """One open-loop experiment point.
@@ -158,14 +148,17 @@ def run_open_loop(
     arrivals unless an explicit process is given).  Each tenant's
     workers are spread round-robin over the deployment's SMART threads,
     so tenants contend for the same RNICs and fabric while keeping
-    private queues, stats and admission state.
+    private queues, stats and admission state.  ``system`` runs on its
+    own feature set; the hash table and DTX deploy one compute blade
+    against two memory blades, the B+Tree ``servers`` combined blades.
     """
+    compute_blades = 1
     if app == "hashtable":
         adapter: App = HashTableApp(item_count)
     elif app == "dtx":
         adapter = DtxApp(item_count, benchmark)
     elif app == "btree":
-        adapter = BTreeApp(item_count, client_cpu_ns=client_cpu_ns)
+        adapter = BTreeApp(item_count)
         compute_blades = servers
     else:
         raise ValueError(
@@ -179,10 +172,9 @@ def run_open_loop(
             workers=workers,
         )]
 
-    deployment = deploy_app(
-        adapter, system, threads, compute_blades, memory_blades, features,
-        config, seed,
-    )
+    deployment = deploy_app(adapter, system, threads, compute_blades,
+                            memory_blades=2, features=None, config=config,
+                            seed=seed)
     instrument(deployment, obs=obs)
 
     sim = deployment.cluster.sim

@@ -1,12 +1,10 @@
 """Tests for repro.analysis: RDMASan and the SIM rules of the static analyser."""
 
-import json
 
 import pytest
 
 from repro.analysis import RdmaSanitizer
 from repro.analysis.flow import analyze_source
-from repro.bench.experiments import ExperimentResult
 from repro.bench.microbench import run_microbench
 from repro.bench.runner import build_deployment, run_btree, run_dtx, run_hashtable
 from repro.core.features import baseline
@@ -295,19 +293,6 @@ def test_sanitizer_is_passive():
     assert on.pop("sanitizer")["findings"] == []
     assert off.pop("sanitizer") is None
     assert on == off
-
-
-# -- telemetry surfacing ------------------------------------------------------
-
-
-def test_sanitizer_report_rides_experiment_telemetry():
-    report = _run_race()
-    result = ExperimentResult(
-        name="race-demo", headers=("x",), rows=[(1,)], paper_claim="",
-        telemetry={"sanitizer": report},
-    )
-    data = json.loads(json.dumps(result.to_dict()))
-    assert data["telemetry"]["sanitizer"]["findings"][0]["kind"] == "write-write"
 
 
 # -- FifoLock owner guard (satellite) -----------------------------------------

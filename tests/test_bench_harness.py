@@ -1,10 +1,16 @@
 """Tests for the benchmark harness: report tables, microbench tool,
 experiment runners and the common apps helper."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.common import RemoteAllocator
-from repro.bench.microbench import MicrobenchResult, run_microbench
+from repro.bench.microbench import (
+    MicrobenchResult,
+    run_dynamic_microbench,
+    run_microbench,
+)
 from repro.bench.report import format_table, ratio, result_slug
 from repro.bench.runner import (
     bench_features,
@@ -16,6 +22,8 @@ from repro.bench.runner import (
 from repro.cluster import Cluster
 from repro.core import SmartContext, SmartThread
 from repro.core.features import baseline, full
+from repro.rnic.config import RnicConfig
+from repro.traffic.runner import run_open_loop
 from repro.workloads.ycsb import READ_ONLY, WRITE_HEAVY
 
 
@@ -54,6 +62,13 @@ class TestMicrobench:
     def test_bad_op_rejected(self):
         with pytest.raises(ValueError):
             run_microbench(policy="per-thread-db", threads=1, op="cas")
+
+    @pytest.mark.parametrize("policy", ["smart", "per-thread-qp"])
+    def test_empty_batches_rejected_before_the_run(self, policy):
+        """A SMART worker with no WR to post never yields, so ``depth=0``
+        would spin forever inside one generator step."""
+        with pytest.raises(ValueError, match="depth"):
+            run_microbench(policy=policy, threads=1, depth=0)
 
     def test_small_run_reports_throughput(self):
         result = run_microbench(
@@ -161,6 +176,42 @@ class TestRunners:
             throttle_gap_ns=50_000.0,
         )
         assert slow.throughput_mops < fast.throughput_mops / 2
+
+
+#: One tiny point of every runner a ``CLAIMS`` key sweeps (fig3/4/13,
+#: fig5/7/8/9/14, fig10/11, fig12, table1, latency_throughput).
+_CLAIMS_RUNNERS = {
+    "run_microbench": lambda **kw: run_microbench(
+        policy="per-thread-db", threads=2, depth=4, warmup_ns=0.05e6,
+        measure_ns=0.1e6, **kw),
+    "run_hashtable": lambda **kw: run_hashtable(
+        "race", READ_ONLY, threads=1, coroutines=2, item_count=2_000,
+        warmup_ns=0.05e6, measure_ns=0.1e6, **kw),
+    "run_dtx": lambda **kw: run_dtx(
+        "ford", "smallbank", threads=1, coroutines=2, item_count=2_000,
+        warmup_ns=0.05e6, measure_ns=0.1e6, **kw),
+    "run_btree": lambda **kw: run_btree(
+        "sherman", READ_ONLY, threads=1, coroutines=2, item_count=2_000,
+        warmup_ns=0.05e6, measure_ns=0.1e6, **kw),
+    "run_dynamic_microbench": lambda **kw: run_dynamic_microbench(
+        changing_interval_ns=0.1e6, throttled=False,
+        features=bench_features(baseline().with_overrides(thread_aware_alloc=True)),
+        total_ns=1.0e6, **kw),
+    "run_open_loop": lambda **kw: run_open_loop(
+        app="hashtable", system="race", rate_mops=0.5, threads=1, workers=2,
+        item_count=2_000, warmup_ns=0.05e6, measure_ns=0.1e6, **kw),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_CLAIMS_RUNNERS))
+def test_claims_runners_honour_config(runner):
+    """``config=`` reaches the simulated RNIC of every runner behind a
+    claim: the sensitivity sweep of the model's constants relies on it."""
+    point = _CLAIMS_RUNNERS[runner]
+    default = dataclasses.asdict(point())
+    slower_wire = dataclasses.asdict(
+        point(config=RnicConfig(one_way_latency_ns=2000.0)))
+    assert slower_wire != default
 
 
 class TestRemoteAllocator:

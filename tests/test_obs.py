@@ -370,16 +370,3 @@ class TestBenchIntegration:
 
     def test_cli_rejects_trace_with_figure(self, capsys):
         assert cli_main(["--figure", "fig3", "--trace", "t.json"]) == 2
-
-
-class TestExperimentTelemetry:
-    def test_telemetry_key_only_when_present(self):
-        from repro.bench.experiments import ExperimentResult
-
-        result = ExperimentResult("n", ["h"], [[1]], "claim")
-        assert "telemetry" not in result.to_dict()
-        result.telemetry = {"phase_breakdown": {
-            "batches": 2.0, "post_to_issue": 1.0, "issue_to_remote": 2.0,
-            "remote_queue_and_exec": 3.0, "return_flight": 4.0, "total": 10.0,
-        }}
-        assert result.to_dict()["telemetry"] == result.telemetry

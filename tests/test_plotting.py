@@ -1,24 +1,6 @@
-"""Tests for the ASCII chart helpers."""
+"""Tests for the ASCII line chart."""
 
-from repro.bench.plotting import line_chart, sparkline
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_monotone_series(self):
-        line = sparkline([0, 1, 2, 3, 4])
-        assert len(line) == 5
-        assert line[-1] == "█"
-
-    def test_all_zero(self):
-        assert sparkline([0, 0, 0]) == "   "
-
-    def test_peak_position(self):
-        line = sparkline([1, 10, 1])
-        assert line[1] == "█"
-        assert line[0] != "█"
+from repro.bench.plotting import line_chart
 
 
 class TestLineChart:

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.rnic.caches import MttCacheModel, WqeCacheModel
-from repro.rnic.config import RnicConfig, connectx6, small_scale
+from repro.rnic.config import RnicConfig, connectx6
 from repro.rnic.counters import PerfCounters
 from repro.rnic.doorbell import LOW_LATENCY, MEDIUM_LATENCY, DoorbellAllocator
 from repro.sim import Simulator

@@ -177,7 +177,7 @@ def _graph_run(mode, algo, seed, skew, **overrides):
 
     kw = dict(
         mode=mode, algo=algo, vertices=64, degree=4, skew=skew,
-        threads=2, coroutines=2, memory_blades=2, chunk=16,
+        threads=2, coroutines=2, chunk=16,
         rounds=2, seed=seed,
     )
     kw.update(overrides)

@@ -17,12 +17,6 @@ class TestRecording:
         assert stats.failed_ops == 1
         assert stats.avg_retries == 1.0
 
-    def test_recording_flag_suppresses(self):
-        stats = OperationStats()
-        stats.recording = False
-        stats.record_op(1000)
-        assert stats.ops == 0
-
     def test_retry_histogram_caps_at_32(self):
         stats = OperationStats()
         stats.record_op(1, retries=100)
