@@ -45,6 +45,10 @@ class HashTableServer:
     ):
         if segments & (segments - 1):
             raise ValueError("segments must be a power of two")
+        if segments < len(memory_nodes):
+            raise ValueError(
+                f"segments must be >= the number of memory blades "
+                f"({len(memory_nodes)}), got {segments}")
         self.memory_nodes = list(memory_nodes)
         self.segments = segments
         self.buckets_per_segment = buckets_per_segment

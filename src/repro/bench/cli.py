@@ -67,6 +67,7 @@ from typing import Callable, List, Optional
 from repro.bench.microbench import POLICIES, run_microbench
 from repro.bench.parallel import default_jobs
 from repro.bench.report import format_table, write_experiment_json
+from repro.bench.runner import RunArgumentError
 from repro.rnic.config import RnicConfig
 from repro.workloads import ycsb
 
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a Perfetto/chrome://tracing timeline "
                              "(JSON) of the run to PATH")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the metrics registry (counters, gauges, "
+                        help="write the metrics (counters, gauges, "
                              "latency histograms) as JSON to PATH")
     parser.add_argument("--figure", default=None, metavar="NAME",
                         help="regenerate a paper figure/table grid instead of "
@@ -691,7 +692,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     name = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     build, handler = SUBCOMMANDS[name]
-    return handler(build().parse_args(argv[1:] if name else argv))
+    try:
+        return handler(build().parse_args(argv[1:] if name else argv))
+    except RunArgumentError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from typing import List, Optional
 
 from repro.bench.runner import (
     Deployment,
+    check_run_args,
     collect_obs,
     collect_sanitizer,
     effective_warmup_ns,
@@ -162,6 +163,8 @@ def run_microbench(
         # A SMART worker with nothing to post never yields: the run would
         # spin inside one generator step, out of reach of any deadline.
         raise ValueError(f"depth must be >= 1 WR per batch, got {depth}")
+    check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
+                   memory_nodes=memory_nodes)
     features = None
     if policy == "smart":
         # Scale the paper's Δ = 8 ms epoch down so the C_max search

@@ -251,6 +251,22 @@ def collect_sanitizer(sanitizer, result):
     return result
 
 
+class RunArgumentError(ValueError):
+    """A runner argument that could only give a meaningless point."""
+
+
+def check_run_args(warmup_ns: float, **positive: float) -> None:
+    """Fail before anything is built on a window or a count that can only
+    give nonsense: ``warmup_ns`` must be >= 0, every other argument (the
+    measured window, thread / coroutine / blade counts) > 0.  The error
+    names the argument."""
+    if not warmup_ns >= 0:
+        raise RunArgumentError(f"warmup_ns must be >= 0, got {warmup_ns!r}")
+    for name, value in positive.items():
+        if not value > 0:
+            raise RunArgumentError(f"{name} must be > 0, got {value!r}")
+
+
 def effective_warmup_ns(features: SmartFeatures, warmup_ns: float) -> float:
     """The warmup :func:`measure` will actually use.
 
@@ -382,7 +398,10 @@ class HashTableApp(_YcsbApp):
         """
         slots_needed = int(self.item_count / 0.30)
         buckets = 512
+        # Segments are placed round-robin: every blade needs at least one.
         segments = 1
+        while segments < len(deployment.memory_nodes):
+            segments *= 2
         while segments * buckets * 7 < slots_needed:
             segments *= 2
         for _ in range(3):
@@ -594,6 +613,9 @@ def run_app(
     The ODP and doorbell-batching axes (``pinned_ratio``, ``merge_wrs``,
     ``adaptive_poll``) are :class:`RnicConfig` fields: pass ``config``.
     """
+    check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
+                   coroutines=coroutines, compute_blades=compute_blades,
+                   memory_blades=memory_blades)
     deployment = deploy_app(
         app, system, threads, compute_blades, memory_blades, features, config, seed
     )

@@ -27,8 +27,8 @@ class ArenaAllocator:
     :meth:`free` (a :class:`~repro.memory.blade.MemoryBlade` keeps it in
     its :class:`~repro.memory.blade.Region`); the allocator keeps only
     the free extents and the occupancy counters, which
-    :meth:`publish_metrics` snapshots into a :class:`repro.obs.MetricsRegistry`
-    — pull-based, so metric collection never perturbs simulated behaviour.
+    ``Observability.collect_memory`` reads through :meth:`stats` —
+    pull-based, so metric collection never perturbs simulated behaviour.
     """
 
     def __init__(self, base: int, end: int):
@@ -145,13 +145,3 @@ class ArenaAllocator:
             "frees": float(self.frees),
             "failed_allocs": float(self.failed_allocs),
         }
-
-    def publish_metrics(self, registry, prefix: str) -> None:
-        """Snapshot the current statistics into a metrics registry."""
-        stats = self.stats()
-        for name in ("allocs", "frees", "failed_allocs"):
-            registry.counter(f"{prefix}.{name}").value = stats.pop(name)
-        for name, value in stats.items():
-            unit = "" if name in ("fragmentation", "free_blocks",
-                                  "live_allocations") else "B"
-            registry.gauge(f"{prefix}.{name}", unit).set(value)

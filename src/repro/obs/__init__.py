@@ -1,9 +1,14 @@
-"""Unified observability: metrics registry + timeline tracing + export.
+"""Unified observability: collect-time metrics + timeline tracing + export.
 
-One :class:`Observability` object owns a :class:`MetricsRegistry` and a
-:class:`TraceRecorder` for a run.  Attach it to a cluster (and its
-SMART threads) *before* the simulation starts; afterwards collect
-metrics and write the artifacts::
+One :class:`Observability` object owns a :class:`TraceRecorder` for a
+run and the metrics its ``collect_*`` methods build once the run is
+over: ``counters`` and ``gauges`` map a dotted name to ``(value, unit)``
+and ``histograms`` a name to a :class:`LogHistogram` (``ops.latency_ns``
+is built from the exact latency list of the run's ``OperationStats``).
+Nothing is recorded per op for the metrics, so a run nobody observes
+pays nothing for them.  Attach it to a cluster (and its SMART threads)
+*before* the simulation starts; afterwards collect metrics and write
+the artifacts::
 
     obs = Observability()
     result = run_microbench(..., obs=obs)
@@ -20,10 +25,12 @@ un-instrumented run is byte-identical to a build without this package
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import json
+from pathlib import Path
+from typing import Dict, Optional, Tuple
 
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.metrics import Counter, Gauge, LogHistogram, MetricsRegistry
+from repro.obs.metrics import LogHistogram
 from repro.obs.tracing import (
     SEGMENT_LANES,
     SEGMENTS,
@@ -35,10 +42,7 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Observability",
-    "MetricsRegistry",
     "LogHistogram",
-    "Counter",
-    "Gauge",
     "TraceRecorder",
     "TraceEvent",
     "SpanTracer",
@@ -61,6 +65,11 @@ _DEVICE_COUNTERS = (
     "am_queue_peak",
 )
 
+#: allocator statistics that count events; the rest are gauges
+_ALLOCATOR_COUNTERS = ("allocs", "frees", "failed_allocs")
+#: allocator gauges that are not byte amounts
+_ALLOCATOR_UNITLESS = ("fragmentation", "free_blocks", "live_allocations")
+
 
 def _tracer_of(device) -> Optional[SpanTracer]:
     """The :class:`SpanTracer` among ``device``'s observers, if any."""
@@ -74,7 +83,10 @@ class Observability:
     """Metrics + tracing for one simulated run."""
 
     def __init__(self):
-        self.registry = MetricsRegistry()
+        #: dotted name -> (value, unit), written at collect time
+        self.counters: Dict[str, Tuple[float, str]] = {}
+        self.gauges: Dict[str, Tuple[float, str]] = {}
+        self.histograms: Dict[str, LogHistogram] = {}
         self.recorder = TraceRecorder()
         self._clusters = []
 
@@ -124,71 +136,69 @@ class Observability:
     # -- collection --------------------------------------------------------
 
     def collect_cluster(self, cluster, window_ns: Optional[float] = None) -> None:
-        """Snapshot device/fabric/sim counters into the registry."""
-        registry = self.registry
+        """Snapshot device/fabric/sim counters into the metrics."""
+        counters, gauges = self.counters, self.gauges
         for node in cluster.nodes:
             device = node.device
             prefix = device.name
-            counters = device.counters
+            perf = device.counters
             for field in _DEVICE_COUNTERS:
-                metric = registry.counter(f"{prefix}.{field}")
-                metric.value = float(getattr(counters, field))
-            registry.gauge(f"{prefix}.outstanding_wrs").set(device.outstanding)
-            registry.gauge(f"{prefix}.contexts").set(len(device.contexts))
-            registry.gauge(f"{prefix}.dram_bytes_per_wr", "B").set(
-                counters.dram_bytes_per_wr
-            )
+                counters[f"{prefix}.{field}"] = (float(getattr(perf, field)), "")
+            gauges[f"{prefix}.outstanding_wrs"] = (device.outstanding, "")
+            gauges[f"{prefix}.contexts"] = (len(device.contexts), "")
+            gauges[f"{prefix}.dram_bytes_per_wr"] = (perf.dram_bytes_per_wr, "B")
             if window_ns:
-                registry.gauge(f"{prefix}.requester_utilization").set(
-                    counters.requester_utilization(window_ns)
-                )
+                gauges[f"{prefix}.requester_utilization"] = (
+                    perf.requester_utilization(window_ns), "")
             tracer = _tracer_of(device)
             if tracer is not None:
-                registry.counter(f"{prefix}.trace_batches_dropped").value = float(
-                    tracer.dropped
-                )
+                counters[f"{prefix}.trace_batches_dropped"] = (
+                    float(tracer.dropped), "")
         fabric = cluster.fabric
-        registry.counter("fabric.messages").value = float(fabric.messages)
-        registry.counter("fabric.bytes_carried", "B").value = float(fabric.bytes_carried)
-        registry.counter("fabric.messages_dropped").value = float(fabric.messages_dropped)
-        registry.counter("fabric.messages_duplicated").value = float(
-            fabric.messages_duplicated
-        )
-        registry.counter("fabric.messages_delayed").value = float(fabric.messages_delayed)
-        registry.counter("sim.events_executed").value = float(
-            cluster.sim.events_executed
-        )
-        registry.gauge("sim.now_ns", "ns").set(cluster.sim.now)
-        registry.counter("trace.events_dropped").value = float(self.recorder.dropped)
+        counters["fabric.messages"] = (float(fabric.messages), "")
+        counters["fabric.bytes_carried"] = (float(fabric.bytes_carried), "B")
+        counters["fabric.messages_dropped"] = (float(fabric.messages_dropped), "")
+        counters["fabric.messages_duplicated"] = (
+            float(fabric.messages_duplicated), "")
+        counters["fabric.messages_delayed"] = (float(fabric.messages_delayed), "")
+        counters["sim.events_executed"] = (float(cluster.sim.events_executed), "")
+        gauges["sim.now_ns"] = (cluster.sim.now, "ns")
+        counters["trace.events_dropped"] = (float(self.recorder.dropped), "")
 
     def collect_stats(self, stats, prefix: str = "ops") -> None:
-        """Fold an :class:`OperationStats` into the registry."""
-        registry = self.registry
-        registry.counter(f"{prefix}.completed").value = float(stats.ops)
-        registry.counter(f"{prefix}.retries").value = float(stats.retries)
-        registry.counter(f"{prefix}.failed").value = float(stats.failed_ops)
-        registry.counter(f"{prefix}.fault_aborts").value = float(stats.fault_aborts)
-        registry.counter(f"{prefix}.recoveries").value = float(stats.recoveries)
-        hist = getattr(stats, "latency_hist", None)
-        if hist is not None and hist.count:
-            registry.adopt_histogram(f"{prefix}.latency_ns", hist)
+        """Fold an :class:`OperationStats` into the metrics; the latency
+        histogram is built here, from the stats' exact latency list."""
+        counters = self.counters
+        counters[f"{prefix}.completed"] = (float(stats.ops), "")
+        counters[f"{prefix}.retries"] = (float(stats.retries), "")
+        counters[f"{prefix}.failed"] = (float(stats.failed_ops), "")
+        counters[f"{prefix}.fault_aborts"] = (float(stats.fault_aborts), "")
+        counters[f"{prefix}.recoveries"] = (float(stats.recoveries), "")
+        if stats.latencies_ns:
+            hist = LogHistogram()
+            for latency in stats.latencies_ns:
+                hist.record(latency)
+            self.histograms[f"{prefix}.latency_ns"] = hist
         # Open-loop traffic accounting (repro.traffic).  All zero for
         # closed-loop runs, so their metrics JSON stays byte-identical.
-        if getattr(stats, "offered", 0):
-            registry.counter(f"{prefix}.offered").value = float(stats.offered)
-            registry.counter(f"{prefix}.shed").value = float(stats.shed)
-            registry.counter(f"{prefix}.deferred").value = float(stats.deferred)
-        queue_hist = getattr(stats, "queue_delay_hist", None)
-        if queue_hist is not None and queue_hist.count:
-            registry.adopt_histogram(f"{prefix}.queue_delay_ns", queue_hist)
+        if stats.offered:
+            counters[f"{prefix}.offered"] = (float(stats.offered), "")
+            counters[f"{prefix}.shed"] = (float(stats.shed), "")
+            counters[f"{prefix}.deferred"] = (float(stats.deferred), "")
+        if stats.queue_delay_hist.count:
+            self.histograms[f"{prefix}.queue_delay_ns"] = stats.queue_delay_hist
 
     def collect_memory(self, cluster) -> None:
         """Snapshot every blade allocator's occupancy/fragmentation
         statistics (pull-based — never perturbs simulated behaviour)."""
         for node in cluster.nodes:
-            node.storage.allocator.publish_metrics(
-                self.registry, f"memory.blade{node.node_id}"
-            )
+            prefix = f"memory.blade{node.node_id}"
+            for name, value in node.storage.allocator.stats().items():
+                if name in _ALLOCATOR_COUNTERS:
+                    self.counters[f"{prefix}.{name}"] = (value, "")
+                else:
+                    unit = "" if name in _ALLOCATOR_UNITLESS else "B"
+                    self.gauges[f"{prefix}.{name}"] = (value, unit)
 
     def phase_breakdown(self, cluster=None) -> Optional[Dict[str, float]]:
         """Batch-weighted per-segment means across the attached devices."""
@@ -203,10 +213,25 @@ class Observability:
 
     # -- output ------------------------------------------------------------
 
+    def metrics(self) -> Dict:
+        """The metrics JSON object, each kind sorted by name."""
+        def scalars(metrics):
+            return {name: {"value": value, "unit": unit}
+                    for name, (value, unit) in sorted(metrics.items())}
+
+        return {
+            "counters": scalars(self.counters),
+            "gauges": scalars(self.gauges),
+            "histograms": {name: hist.to_dict()
+                           for name, hist in sorted(self.histograms.items())},
+        }
+
     def write(self, trace_path=None, metrics_path=None,
               metadata: Optional[Dict] = None) -> None:
         """Write the Perfetto trace and/or the metrics JSON."""
         if trace_path is not None:
             write_chrome_trace(self.recorder, trace_path, metadata)
         if metrics_path is not None:
-            self.registry.write_json(metrics_path)
+            path = Path(metrics_path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(self.metrics(), indent=2) + "\n")

@@ -1,23 +1,19 @@
-"""Named metrics: counters, gauges and log-bucketed latency histograms.
+"""Log-bucketed histograms for the metrics JSON and queueing delays.
 
-The registry is the fixed-memory replacement for ad-hoc sample lists:
-a :class:`LogHistogram` keeps HDR-style logarithmic buckets (bounded
+A :class:`LogHistogram` keeps HDR-style logarithmic buckets (bounded
 relative error, ~2% at the default resolution) in O(log(max value))
 memory regardless of how many values are recorded, and two histograms
-merge exactly by adding bucket counts — the property thread-local stats
-aggregation needs and plain percentile-sample lists lack.
+merge exactly by adding bucket counts.
 
-Everything here is simulation-passive: recording a metric never touches
+Everything here is simulation-passive: recording a value never touches
 the event loop or any RNG, so instrumented runs produce bit-identical
 simulated results.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 
 class LogHistogram:
@@ -116,14 +112,6 @@ class LogHistogram:
             out.max = out.bucket_value(max(out.buckets))
         return out
 
-    @staticmethod
-    def merged(parts: Iterable["LogHistogram"]) -> "LogHistogram":
-        parts = list(parts)
-        total = LogHistogram(parts[0].sub_buckets if parts else 16)
-        for part in parts:
-            total.merge(part)
-        return total
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -159,127 +147,6 @@ class LogHistogram:
             "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
         }
 
-    @staticmethod
-    def from_dict(data: Dict) -> "LogHistogram":
-        hist = LogHistogram(data["sub_buckets"])
-        hist.buckets = {int(k): v for k, v in data["buckets"].items()}
-        hist.count = data["count"]
-        hist.total = data["sum"]
-        hist.min = data["min"]
-        hist.max = data["max"]
-        return hist
-
     def __repr__(self) -> str:
         return f"LogHistogram(count={self.count}, mean={self.mean:.1f})"
 
-
-class Counter:
-    """A named monotonic counter."""
-
-    __slots__ = ("name", "unit", "value")
-
-    def __init__(self, name: str, unit: str = ""):
-        self.name = name
-        self.unit = unit
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
-
-
-class Gauge:
-    """A named point-in-time value."""
-
-    __slots__ = ("name", "unit", "value")
-
-    def __init__(self, name: str, unit: str = ""):
-        self.name = name
-        self.unit = unit
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class MetricsRegistry:
-    """Name-indexed counters, gauges and histograms for one run.
-
-    Names are dotted paths (``rnic0.wqe_processed``,
-    ``ops.latency_ns``); asking for an existing name returns the same
-    instrument, asking with a conflicting kind raises.
-    """
-
-    def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, LogHistogram] = {}
-
-    def _check_free(self, name: str, kind: Dict) -> None:
-        for owner, instruments in (
-            ("counter", self._counters),
-            ("gauge", self._gauges),
-            ("histogram", self._histograms),
-        ):
-            if instruments is not kind and name in instruments:
-                raise ValueError(f"{name!r} is already registered as a {owner}")
-
-    def counter(self, name: str, unit: str = "") -> Counter:
-        existing = self._counters.get(name)
-        if existing is None:
-            self._check_free(name, self._counters)
-            existing = self._counters[name] = Counter(name, unit)
-        return existing
-
-    def gauge(self, name: str, unit: str = "") -> Gauge:
-        existing = self._gauges.get(name)
-        if existing is None:
-            self._check_free(name, self._gauges)
-            existing = self._gauges[name] = Gauge(name, unit)
-        return existing
-
-    def histogram(self, name: str, sub_buckets: int = 16) -> LogHistogram:
-        existing = self._histograms.get(name)
-        if existing is None:
-            self._check_free(name, self._histograms)
-            existing = self._histograms[name] = LogHistogram(sub_buckets)
-        return existing
-
-    def adopt_histogram(self, name: str, hist: LogHistogram) -> LogHistogram:
-        """Register an externally built histogram (merged if one exists)."""
-        existing = self._histograms.get(name)
-        if existing is None:
-            self._check_free(name, self._histograms)
-            self._histograms[name] = hist
-            return hist
-        return existing.merge(hist)
-
-    def names(self) -> Dict[str, str]:
-        kinds = {}
-        kinds.update({n: "counter" for n in self._counters})
-        kinds.update({n: "gauge" for n in self._gauges})
-        kinds.update({n: "histogram" for n in self._histograms})
-        return kinds
-
-    def to_dict(self) -> Dict:
-        return {
-            "counters": {
-                name: {"value": c.value, "unit": c.unit}
-                for name, c in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: {"value": g.value, "unit": g.unit}
-                for name, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                name: h.to_dict() for name, h in sorted(self._histograms.items())
-            },
-        }
-
-    def write_json(self, path) -> Path:
-        path = Path(path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path

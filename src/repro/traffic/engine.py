@@ -10,7 +10,7 @@ order is deterministic and workers park without polling.
 The engine measures what closed-loop runners cannot: the arrival→issue
 *queueing delay* of every admitted op (fed to a mergeable
 :class:`LogHistogram` on the tenant's stats) and the arrival→completion
-*total latency* (the tenant's ``OperationStats`` reservoir, so p50/p99
+*total latency* (the tenant's ``OperationStats`` latency list, so p50/p99
 come out of the standard percentile path).  Per-tenant shed/deferred
 counters come from the admission controller's decisions.
 """

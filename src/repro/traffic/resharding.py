@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 from repro.apps.sharded import ShardMigrator
 from repro.bench.runner import (
     ShardedHashTableApp,
+    check_run_args,
     deploy_app,
     effective_warmup_ns,
     instrument,
@@ -184,6 +185,8 @@ def run_resharding(
     A moved shard's source instance is freed 50 us after its flip."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_run_args(warmup_ns, phase_ns=phase_ns, threads=threads,
+                   memory_blades=memory_blades)
     app = ShardedHashTableApp(item_count, num_shards)
     deployment = deploy_app(app, "smart-ht", threads, compute_blades=1,
                             memory_blades=memory_blades, features=None,
@@ -297,7 +300,7 @@ def run_resharding(
         obs.collect_cluster(cluster, window_ns=2 * phase_ns + result.during_ns)
         obs.collect_memory(cluster)
         if alloc_hist.count:
-            obs.registry.adopt_histogram("memory.alloc_latency_ns", alloc_hist)
+            obs.histograms["memory.alloc_latency_ns"] = alloc_hist
         for state in states:
             obs.collect_stats(state.stats, prefix=f"tenant.{state.spec.name}")
     return result

@@ -24,6 +24,7 @@ from repro.bench.runner import (
     BTreeApp,
     DtxApp,
     HashTableApp,
+    check_run_args,
     collect_window,
     deploy_app,
     effective_warmup_ns,
@@ -152,6 +153,7 @@ def run_open_loop(
     own feature set; the hash table and DTX deploy one compute blade
     against two memory blades, the B+Tree ``servers`` combined blades.
     """
+    check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads)
     compute_blades = 1
     if app == "hashtable":
         adapter: App = HashTableApp(item_count)

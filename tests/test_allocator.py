@@ -124,16 +124,21 @@ class TestBladeAllocator:
         assert blade.stats()["frees"] == 0
 
     def test_publish_metrics(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.cluster import Cluster
+        from repro.obs import Observability
 
-        blade = ArenaAllocator(0, 1 << 20)
-        blade.alloc(64)
-        registry = MetricsRegistry()
-        blade.publish_metrics(registry, "memory.blade0")
-        snap = registry.to_dict()
-        assert snap["counters"]["memory.blade0.allocs"]["value"] == 1.0
-        assert snap["gauges"]["memory.blade0.capacity"]["value"] == float(1 << 20)
-        assert "memory.blade0.fragmentation" in snap["gauges"]
+        cluster = Cluster()
+        node = cluster.add_node()
+        node.storage.alloc_region("r", 64)
+        obs = Observability()
+        obs.collect_memory(cluster)
+        snap = obs.metrics()
+        prefix = f"memory.blade{node.node_id}"
+        assert snap["counters"][f"{prefix}.allocs"] == {"value": 1.0, "unit": ""}
+        assert snap["gauges"][f"{prefix}.capacity"] == {
+            "value": float(node.storage.allocator.capacity), "unit": "B"}
+        assert snap["gauges"][f"{prefix}.fragmentation"]["unit"] == ""
+        assert snap["gauges"][f"{prefix}.live_allocations"]["unit"] == ""
 
     def test_free_reuse_is_deterministic_under_fixed_seed(self):
         # Identical seeded alloc/free sequences must produce identical

@@ -23,6 +23,7 @@ from repro.cluster import Cluster
 from repro.core import SmartContext, SmartThread
 from repro.core.features import baseline, full
 from repro.rnic.config import RnicConfig
+from repro.traffic.resharding import run_resharding
 from repro.traffic.runner import run_open_loop
 from repro.workloads.ycsb import READ_ONLY, WRITE_HEAVY
 
@@ -131,6 +132,49 @@ class TestRunners:
         assert result.throughput_mops > 0
         assert result.p50_latency_ns > 0
         assert result.system == "smart-ht"
+
+    def test_small_tables_get_a_segment_per_blade(self):
+        """A table small enough for one segment crashed on two blades."""
+        closed = run_hashtable(
+            "smart-ht", READ_ONLY, threads=1, coroutines=2,
+            item_count=1_000, warmup_ns=0.05e6, measure_ns=0.1e6,
+        )
+        assert closed.ops > 0
+        open_loop = run_open_loop(
+            app="hashtable", rate_mops=0.5, threads=1, workers=2,
+            item_count=1_000, warmup_ns=0.05e6, measure_ns=0.1e6,
+        )
+        assert open_loop.tenants[0].completed > 0
+
+    @pytest.mark.parametrize("runner,bad,name", [
+        (lambda **kw: run_hashtable(item_count=1_000, **kw),
+         {"measure_ns": -1e5}, "measure_ns"),
+        (lambda **kw: run_hashtable(item_count=1_000, **kw),
+         {"measure_ns": 0}, "measure_ns"),
+        (lambda **kw: run_hashtable(item_count=1_000, **kw),
+         {"warmup_ns": -1.0}, "warmup_ns"),
+        (lambda **kw: run_hashtable(item_count=1_000, **kw),
+         {"coroutines": 0}, "coroutines"),
+        (lambda **kw: run_microbench(threads=1, **kw),
+         {"memory_nodes": 0}, "memory_nodes"),
+        (lambda **kw: run_open_loop(item_count=1_000, **kw),
+         {"measure_ns": 0}, "measure_ns"),
+        (lambda **kw: run_resharding(**kw), {"phase_ns": -1.0}, "phase_ns"),
+    ], ids=["negative-window", "empty-window", "negative-warmup",
+            "no-coroutines", "no-blades", "open-loop", "resharding"])
+    def test_bad_windows_fail_before_the_build(self, runner, bad, name,
+                                               monkeypatch):
+        import repro.bench.runner as runner_module
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the cluster was built")
+
+        monkeypatch.setattr(runner_module, "deploy_app", no_build)
+        monkeypatch.setattr("repro.traffic.runner.deploy_app", no_build)
+        monkeypatch.setattr("repro.traffic.resharding.deploy_app", no_build)
+        monkeypatch.setattr("repro.bench.microbench.Cluster", no_build)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            runner(**bad)
 
     def test_run_hashtable_race_baseline(self):
         result = run_hashtable(

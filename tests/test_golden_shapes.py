@@ -287,7 +287,7 @@ def _golden_run(point, extra, with_obs):
     payload = dataclasses.asdict(result)
     events = payload.pop("sim_events", None)
     if with_obs:
-        metrics = obs.registry.to_dict()
+        metrics = obs.metrics()
         counted = metrics["counters"].pop("sim.events_executed", None)
         if events is None and counted is not None:
             events = int(counted["value"])

@@ -144,6 +144,11 @@ class TestCli:
         ["odp", "--depths", "4,0"],
         # nothing to sweep: an empty table is not a result
         ["offload", "--modes", ""],
+        # a window or a count that can only give nonsense numbers
+        ["8", "4", "--measure-us", "-5"],
+        ["8", "4", "--memory-nodes", "0"],
+        ["traffic", "--measure-us", "0"],
+        ["resharding", "--phase-us", "-1"],
     ])
     def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
         assert cli_main(argv) == 2

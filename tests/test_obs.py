@@ -9,7 +9,7 @@ from repro.bench.microbench import run_microbench
 from repro.cluster import Cluster
 from repro.obs import Observability
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.metrics import Counter, Gauge, LogHistogram, MetricsRegistry
+from repro.obs.metrics import LogHistogram
 from repro.obs.tracing import (
     SEGMENT_LANES,
     SEGMENTS,
@@ -75,64 +75,25 @@ class TestLogHistogram:
         with pytest.raises(ValueError):
             LogHistogram().percentile(1.5)
 
-    def test_dict_roundtrip(self):
-        hist = LogHistogram()
-        for v in (5.0, 500.0, 50_000.0):
-            hist.record(v)
-        clone = LogHistogram.from_dict(hist.to_dict())
-        assert clone.buckets == hist.buckets
-        assert clone.count == hist.count
-        assert clone.percentile(0.5) == hist.percentile(0.5)
-
 
 class TestMetricsRegistry:
-    def test_get_or_create(self):
-        registry = MetricsRegistry()
-        c = registry.counter("a.b")
-        c.inc(3)
-        assert registry.counter("a.b") is c
-        assert registry.counter("a.b").value == 3.0
-        g = registry.gauge("a.g", unit="ns")
-        g.set(7)
-        assert registry.gauge("a.g").value == 7.0
-        assert registry.histogram("a.h") is registry.histogram("a.h")
-
-    def test_kind_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-        with pytest.raises(ValueError):
-            registry.histogram("x")
-
-    def test_counter_monotonic(self):
-        with pytest.raises(ValueError):
-            Counter("c").inc(-1)
-
-    def test_adopt_histogram_merges(self):
-        registry = MetricsRegistry()
-        first, second = LogHistogram(), LogHistogram()
-        first.record(10.0)
-        second.record(20.0)
-        registry.adopt_histogram("lat", first)
-        registry.adopt_histogram("lat", second)
-        assert registry.histogram("lat").count == 2
+    """The metrics an Observability builds at collect time: name ->
+    (value, unit) dicts and name -> LogHistogram, rendered by metrics()."""
 
     def test_write_json(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("ops", unit="1").inc(5)
-        registry.gauge("depth").set(8)
-        registry.histogram("lat").record(100.0)
-        path = registry.write_json(tmp_path / "metrics.json")
-        data = json.loads(path.read_text())
-        assert data["counters"]["ops"]["value"] == 5.0
-        assert data["gauges"]["depth"]["value"] == 8.0
+        obs = Observability()
+        obs.counters["ops"] = (5.0, "1")
+        obs.counters["a.first"] = (1.0, "")
+        obs.gauges["depth"] = (8, "")
+        obs.histograms["lat"] = LogHistogram()
+        obs.histograms["lat"].record(100.0)
+        obs.write(metrics_path=tmp_path / "out" / "metrics.json")
+        data = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert data == obs.metrics()
+        assert list(data["counters"]) == ["a.first", "ops"]
+        assert data["counters"]["ops"] == {"value": 5.0, "unit": "1"}
+        assert data["gauges"]["depth"]["value"] == 8
         assert data["histograms"]["lat"]["count"] == 1
-
-    def test_gauge_set(self):
-        g = Gauge("g")
-        g.set(4.5)
-        assert g.value == 4.5
 
 
 class TestTraceRecorder:
@@ -299,7 +260,7 @@ class TestObservability:
         obs = Observability()
         cluster = _traced_read_cluster(obs)
         obs.collect_cluster(cluster, window_ns=cluster.sim.now)
-        data = obs.registry.to_dict()
+        data = obs.metrics()
         assert data["counters"]["rnic0.wqe_processed"]["value"] == 10.0
         assert data["counters"]["fabric.messages"]["value"] > 0
         assert data["counters"]["sim.events_executed"]["value"] > 0

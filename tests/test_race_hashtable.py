@@ -130,6 +130,13 @@ class TestServer:
         with pytest.raises(ValueError):
             HashTableServer(remotes, segments=6)
 
+    def test_rejects_fewer_segments_than_blades(self):
+        """Round-robin placement would leave a blade a zero-byte region."""
+        cluster = Cluster()
+        remotes = cluster.add_nodes(2)
+        with pytest.raises(ValueError, match="segments must be >= the number"):
+            HashTableServer(remotes, segments=1)
+
     def test_segments_spread_across_blades(self):
         cluster = Cluster()
         remotes = cluster.add_nodes(2)

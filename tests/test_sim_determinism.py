@@ -135,7 +135,7 @@ def _instrumented_chaos_run():
         (result.throughput_mops, result.dram_bytes_per_wr,
          result.messages_dropped, result.retransmissions, result.wasted_wrs),
         result.sanitizer,
-        obs.registry.to_dict(),
+        obs.metrics(),
         chrome_trace(obs.recorder),
     )
 
@@ -145,7 +145,7 @@ def test_chaos_traced_sanitized_run_replays_bit_identically():
     second = _instrumented_chaos_run()
     assert first[0] == second[0]  # simulated outcomes
     assert first[1] == second[1]  # sanitizer report
-    assert first[2] == second[2]  # metrics registry snapshot
+    assert first[2] == second[2]  # metrics snapshot
     assert first[3] == second[3]  # full chrome trace
     # The faults actually fired (the run exercised the chaos path).
     assert first[0][2] > 0

@@ -1,10 +1,12 @@
-"""Tests for OperationStats (latency sampling, retries, merging)."""
+"""Tests for OperationStats (latency list, retries, merging)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stats import OperationStats
+from repro.obs import LogHistogram, Observability
+from repro.sim.rng import percentile
 
 
 class TestRecording:
@@ -39,6 +41,12 @@ class TestRecording:
         assert stats.ops == 0 and stats.retries == 0
         assert stats.latencies_ns == []
 
+    def test_negative_latency_rejected(self):
+        stats = OperationStats()
+        with pytest.raises(ValueError, match="negative latency"):
+            stats.record_op(-1)
+        assert stats.ops == 0 and stats.latencies_ns == []
+
 
 class TestLatencySampling:
     def test_percentiles(self):
@@ -48,17 +56,6 @@ class TestLatencySampling:
         assert stats.latency_percentile_ns(0.5) == 50.0
         assert stats.latency_percentile_ns(0.99) == 99.0
         assert OperationStats().latency_percentile_ns(0.5) is None
-
-    def test_stride_doubles_when_full(self):
-        stats = OperationStats()
-        stats.MAX_LATENCY_SAMPLES = 100
-        for latency in range(500):
-            stats.record_op(float(latency))
-        assert stats._sample_stride > 1
-        assert len(stats.latencies_ns) < 200
-        # Percentiles still roughly correct under downsampling.
-        p50 = stats.latency_percentile_ns(0.5)
-        assert 150 < p50 < 350
 
     @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
@@ -76,20 +73,9 @@ class TestSortCaching:
         for latency in (50.0, 10.0, 90.0):
             stats.record_op(latency)
         assert stats.latency_percentile_ns(0.5) == 50.0
-        assert stats._sorted == [10.0, 50.0, 90.0]
         # A new minimum must show up in the next query.
         stats.record_op(1.0)
-        assert stats._sorted is None
         assert stats.latency_percentile_ns(0.0) == 1.0
-
-    def test_repeated_queries_reuse_cache(self):
-        stats = OperationStats()
-        for latency in range(100, 0, -1):
-            stats.record_op(float(latency))
-        first = stats.latency_percentile_ns(0.5)
-        cached = stats._sorted
-        assert stats.latency_percentile_ns(0.5) == first
-        assert stats._sorted is cached
 
     def test_merge_result_is_presorted(self):
         a, b = OperationStats(), OperationStats()
@@ -98,30 +84,61 @@ class TestSortCaching:
         b.record_op(20.0)
         merged = OperationStats.merge([a, b])
         assert merged.latencies_ns == [10.0, 20.0, 30.0]
-        assert merged._sorted == [10.0, 20.0, 30.0]
         assert merged.latency_percentile_ns(0.5) == 20.0
 
 
 class TestLatencyHistogram:
-    def test_tracks_every_op_despite_sampling(self):
-        stats = OperationStats()
-        stats.MAX_LATENCY_SAMPLES = 100
-        for latency in range(1, 501):
-            stats.record_op(float(latency))
-        # The reservoir downsampled, the histogram did not.
-        assert len(stats.latencies_ns) < 500
-        assert stats.latency_hist.count == 500
-        assert stats.latency_hist.percentile(0.5) == pytest.approx(250, rel=0.05)
-
     def test_merge_combines_histograms(self):
         a, b = OperationStats(), OperationStats()
         a.record_op(100.0)
         b.record_op(200.0)
         b.record_op(300.0)
-        merged = OperationStats.merge([a, b])
-        assert merged.latency_hist.count == 3
-        assert merged.latency_hist.min == 100.0
-        assert merged.latency_hist.max == 300.0
+        obs = Observability()
+        obs.collect_stats(OperationStats.merge([a, b]))
+        hist = obs.histograms["ops.latency_ns"]
+        assert hist.count == 3
+        assert hist.min == 100.0
+        assert hist.max == 300.0
+
+    def test_empty_stats_build_no_histogram(self):
+        obs = Observability()
+        obs.collect_stats(OperationStats())
+        assert obs.histograms == {}
+        assert obs.counters["ops.completed"] == (0.0, "")
+
+
+@given(
+    parts=st.lists(
+        st.lists(st.floats(min_value=0, max_value=1e9), max_size=40),
+        min_size=1, max_size=6,
+    ),
+    fraction=st.floats(min_value=0, max_value=1),
+)
+@settings(max_examples=60, deadline=None)
+def test_merge_and_histogram_see_every_latency(parts, fraction):
+    """However the latencies are split between threads, the merged
+    percentile is the exact one over all of them, and the metrics
+    histogram is a LogHistogram fed every latency."""
+    stats = []
+    for latencies in parts:
+        part = OperationStats()
+        for latency in latencies:
+            part.record_op(latency)
+        stats.append(part)
+    merged = OperationStats.merge(stats)
+    everything = sorted(latency for latencies in parts for latency in latencies)
+    assert merged.latencies_ns == everything
+    if not everything:
+        assert merged.latency_percentile_ns(fraction) is None
+        return
+    assert merged.latency_percentile_ns(fraction) == percentile(everything, fraction)
+
+    obs = Observability()
+    obs.collect_stats(merged)
+    fed = LogHistogram()
+    for latency in everything:
+        fed.record(latency)
+    assert obs.histograms["ops.latency_ns"].to_dict() == fed.to_dict()
 
 
 class TestMerge:
@@ -141,40 +158,13 @@ class TestMerge:
         merged = OperationStats.merge([])
         assert merged.ops == 0
 
-    def test_merge_weights_samples_by_stride(self):
-        """Regression: merging threads with different sample strides.
-
-        Thread A keeps every sample (stride 1); thread B downsampled
-        (stride > 1), so each of B's retained samples stands for several
-        ops.  The old merge concatenated the reservoirs unweighted, so
-        A's ops were over-represented: here A contributes 300 of 800
-        ops but ~80% of the raw samples, dragging the unweighted median
-        to A's value (10) even though most ops took B's value (1000).
-        """
-        a = OperationStats()
-        for _ in range(300):
-            a.record_op(10.0)
-        b = OperationStats()
-        b.MAX_LATENCY_SAMPLES = 100
-        for _ in range(500):
-            b.record_op(1000.0)
-        assert a._sample_stride == 1
-        assert b._sample_stride > 1
-        # The biased estimate the old code produced:
-        raw = sorted(a.latencies_ns + b.latencies_ns)
-        assert raw[int(0.5 * len(raw))] == 10.0
-        merged = OperationStats.merge([a, b])
-        # 500 of 800 ops took 1000 ns; the stride-weighted median says so.
-        assert merged.latency_percentile_ns(0.5) == 1000.0
-        assert merged._sample_stride == b._sample_stride
-        assert len(merged._sample_weights) == len(merged.latencies_ns)
-
     def test_merged_stats_keep_sampling_correctly(self):
-        """Appending to a merged result keeps weights aligned."""
+        """Recording into a merged result keeps every latency."""
         a, b = OperationStats(), OperationStats()
         a.record_op(10.0)
         b.record_op(20.0)
         merged = OperationStats.merge([a, b])
-        merged.record_op(30.0)
-        assert len(merged._sample_weights) == len(merged.latencies_ns)
-        assert merged.latency_percentile_ns(1.0) == 30.0
+        merged.record_op(5.0)
+        assert merged.latencies_ns == [10.0, 20.0, 5.0]
+        assert merged.latency_percentile_ns(0.0) == 5.0
+        assert merged.latency_percentile_ns(1.0) == 20.0

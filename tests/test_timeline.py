@@ -219,7 +219,7 @@ def test_resharding_observes_the_blade_it_adds():
     obs = Observability()
     result = run_resharding(mode="add_blade", item_count=1000, seed=3, obs=obs)
     assert result.blades_after == result.blades_before + 1
-    counters = obs.registry.to_dict()["counters"]
+    counters = obs.metrics()["counters"]
     devices = {name.split(".")[0] for name in counters if name.endswith(".wqe_processed")}
     traced = {name.split(".")[0] for name in counters
               if name.endswith(".trace_batches_dropped")}

@@ -278,7 +278,7 @@ def test_obs_exports_tenant_metrics_and_closed_loop_unchanged():
 
     obs = Observability()
     run_open_loop(app="hashtable", rate_mops=0.5, obs=obs, **RUN_KW)
-    names = obs.registry.names()
+    names = {name for kind in obs.metrics().values() for name in kind}
     assert "tenant.t0.offered" in names
     assert "tenant.t0.queue_delay_ns" in names
     assert "tenant.t0.latency_ns" in names
@@ -289,7 +289,8 @@ def test_obs_exports_tenant_metrics_and_closed_loop_unchanged():
     closed_obs = Observability()
     run_hashtable(system="race", threads=2, coroutines=2, item_count=10_000,
                   warmup_ns=0.3e6, measure_ns=0.5e6, obs=closed_obs)
-    closed_names = closed_obs.registry.names()
+    closed_names = {name for kind in closed_obs.metrics().values()
+                    for name in kind}
     assert not any(key.endswith(".offered") or key.endswith(".shed")
                    or key.endswith("queue_delay_ns") for key in closed_names)
 
