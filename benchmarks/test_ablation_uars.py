@@ -9,7 +9,7 @@ throughput recovering as sharing disappears.
 from repro.bench.report import format_table
 from repro.cluster import Cluster
 from repro.rnic import verbs
-from repro.rnic.qp import CompletionQueue, read_wr
+from repro.rnic.qp import read_wr
 import random
 
 
@@ -20,10 +20,8 @@ def run_point(total_uuars, threads=96, depth=8, measure_ns=0.8e6):
     (remote,) = cluster.add_nodes(1)
     region = remote.storage.alloc_region("bench", 1 << 20)
     context = compute.device.open_context(total_uuars)
-    context.register_mr()
     for thread in compute.threads:
-        cq = CompletionQueue(cluster.sim)
-        thread.qps[remote.node_id] = context.create_qp(remote, cq=cq)
+        thread.qps[remote.node_id] = context.create_qp(remote)
 
     def worker(thread, rng):
         qp = thread.qp_for(remote.node_id)

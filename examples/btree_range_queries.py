@@ -9,6 +9,8 @@ chain.  Run:
     python examples/btree_range_queries.py
 """
 
+import sys
+
 from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache
 from repro.apps.sherman.server import BTreeServer
 from repro.cluster import Cluster
@@ -55,11 +57,15 @@ def main():
         removed = yield from client.delete(103)
         log.append(f"delete(103) -> {removed}")
 
-    cluster.sim.spawn(app())
+    proc = cluster.sim.spawn(app())
     cluster.sim.run(until=1e9)
     smart.stop()
     for line in log:
         print(line)
+    if proc.error is not None:
+        raise proc.error
+    if proc.alive:
+        sys.exit("the app had not finished after 1 s of simulated time")
     print(f"HOPL: {client.locks.remote_acquires} remote lock acquisitions, "
           f"{client.locks.local_handovers} local hand-overs")
 

@@ -8,6 +8,8 @@ coroutine API (§5.1).  Run:
     python examples/quickstart.py
 """
 
+import sys
+
 from repro.cluster import Cluster
 from repro.core import SmartContext, SmartFeatures, SmartThread
 
@@ -21,7 +23,7 @@ def main():
     memory = cluster.add_nodes(2)
 
     # 2. Connect with SMART: one shared device context, but per-thread
-    #    QPs, CQs *and doorbell registers* -- no implicit contention.
+    #    QPs *and doorbell registers* -- no implicit contention.
     features = SmartFeatures()
     context = SmartContext(compute, memory, features)
     print(f"doorbells in use: {context.doorbells_in_use()} "
@@ -52,12 +54,16 @@ def main():
         old = yield from handle.backoff_cas_sync(counter, 5, 42)
         log.append(f"CAS 5 -> 42: {'won' if old == 5 else 'lost'}")
 
-    cluster.sim.spawn(app())
+    proc = cluster.sim.spawn(app())
     cluster.sim.run(until=1e6)  # 1 ms of simulated time
     smart.stop()
 
     for line in log:
         print(line)
+    if proc.error is not None:
+        raise proc.error
+    if proc.alive:
+        sys.exit("the app had not finished after 1 ms of simulated time")
     counters = compute.device.counters
     print(f"work requests processed: {counters.wqe_processed}")
     print(f"doorbell rings:          {counters.doorbell_rings}")

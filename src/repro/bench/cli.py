@@ -126,6 +126,18 @@ def _write_json(path: str, payload) -> None:
     print(f"wrote {path}")
 
 
+def _check_load(args) -> None:
+    """Reject an offered load that can only give nonsense before anything
+    is built: no tenant, no rate, or a tenant without a worker."""
+    if args.tenants < 1:
+        raise RunArgumentError(f"--tenants must be >= 1, got {args.tenants}")
+    if not args.rate > 0:
+        raise RunArgumentError(f"--rate must be > 0, got {args.rate}")
+    if args.workers < args.tenants:
+        raise RunArgumentError(
+            f"--workers must be >= --tenants ({args.tenants}), got {args.workers}")
+
+
 def _tenant_specs(args, arrivals, workload=None, max_queue=None,
                   admission=None) -> list:
     """``--tenants`` equal tenants sharing ``--workers`` between them,
@@ -140,7 +152,7 @@ def _tenant_specs(args, arrivals, workload=None, max_queue=None,
             max_queue_depth=max_queue,
             policy=admission or "shed",
         )
-    workers_each = max(1, args.workers // args.tenants)
+    workers_each = args.workers // args.tenants
     return [
         TenantSpec(f"t{i}", arrivals, workload=workload, slo=slo,
                    workers=workers_each)
@@ -305,10 +317,7 @@ def build_resharding_parser() -> argparse.ArgumentParser:
 
 
 def _run_resharding(args) -> int:
-    if args.tenants < 1:
-        print("--tenants must be >= 1", file=sys.stderr)
-        return 2
-
+    _check_load(args)
     from repro.traffic import PoissonArrivals, run_resharding
 
     tenants = _tenant_specs(args, PoissonArrivals(args.rate / args.tenants))
@@ -483,9 +492,7 @@ def _traffic_arrivals(args):
 
 
 def _run_traffic(args) -> int:
-    if args.tenants < 1:
-        print("--tenants must be >= 1", file=sys.stderr)
-        return 2
+    _check_load(args)
     if args.sweep is not None:
         from repro.bench.experiments import latency_throughput
 

@@ -19,7 +19,10 @@ from typing import Dict, List, Optional
 
 from repro.apps.graph.client import GraphClient, GraphStats, MODES
 from repro.apps.graph.server import GraphServer, UNVISITED
-from repro.bench.runner import build_deployment, collect_sanitizer, instrument
+from repro.bench.runner import (
+    RunArgumentError, build_deployment, check_run_args, collect_sanitizer,
+    instrument,
+)
 from repro.core.features import baseline
 from repro.rnic.config import RnicConfig
 from repro.workloads.graph import GraphSpec, checksum_u64s, edge_count
@@ -103,6 +106,10 @@ def run_graph(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if algo not in ("bfs", "pagerank"):
         raise ValueError(f"algo must be bfs or pagerank, got {algo!r}")
+    if vertices < 2:
+        raise RunArgumentError(f"vertices must be >= 2, got {vertices!r}")
+    check_run_args(0.0, degree=degree, threads=threads, coroutines=coroutines,
+                   chunk=chunk)
     deployment = build_deployment(baseline(), threads, config=config, seed=seed)
     spec = GraphSpec(
         name=f"graph-v{vertices}-d{degree}-s{seed}",

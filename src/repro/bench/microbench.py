@@ -15,6 +15,7 @@ from typing import List, Optional
 
 from repro.bench.runner import (
     Deployment,
+    RunArgumentError,
     check_run_args,
     collect_obs,
     collect_sanitizer,
@@ -24,15 +25,8 @@ from repro.bench.runner import (
 from repro.cluster import Cluster, ComputeThread
 from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
 from repro.core.features import baseline as baseline_features
-from repro.rnic import verbs
+from repro.rnic import policies, verbs
 from repro.rnic.config import RnicConfig
-from repro.rnic.policies import (
-    ConnectionPolicy,
-    MultiplexedQpPolicy,
-    PerThreadContextPolicy,
-    PerThreadQpPolicy,
-    SharedQpPolicy,
-)
 from repro.rnic.qp import read_wr, write_wr
 from repro.sim.rng import percentile
 
@@ -42,14 +36,9 @@ DEFAULT_REGION_BYTES = 1 << 30
 #: Table 1's active-thread counts: the workload jumps between them.
 TABLE1_THREADS = (36, 96)
 
-POLICIES = (
-    "shared-qp",
-    "multiplexed-qp",
-    "per-thread-qp",
-    "per-thread-context",
-    "per-thread-db",
-    "smart",
-)
+#: the five QP allocation policies, plus per-thread-db with SMART's
+#: throttling on top
+POLICIES = policies.POLICIES + ("smart",)
 
 
 @dataclass
@@ -87,20 +76,6 @@ class MicrobenchResult:
             f"#depth={self.depth}, #block_size={self.payload}, "
             f"IOPS={self.throughput_mops:.1f} M/s"
         )
-
-
-def _policy_instance(policy: str) -> Optional[ConnectionPolicy]:
-    if policy == "shared-qp":
-        return SharedQpPolicy()
-    if policy == "multiplexed-qp":
-        return MultiplexedQpPolicy(threads_per_qp=8)
-    if policy == "per-thread-qp":
-        return PerThreadQpPolicy()
-    if policy == "per-thread-context":
-        return PerThreadContextPolicy()
-    if policy in ("per-thread-db", "smart"):
-        return None  # handled via SmartContext
-    raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
 
 def _make_wrs(op: str, payload: int, depth: int, region_base: int, region_size: int,
@@ -163,8 +138,10 @@ def run_microbench(
         # A SMART worker with nothing to post never yields: the run would
         # spin inside one generator step, out of reach of any deadline.
         raise ValueError(f"depth must be >= 1 WR per batch, got {depth}")
+    if policy not in POLICIES:
+        raise RunArgumentError(f"policy must be one of {POLICIES}, got {policy!r}")
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
-                   memory_nodes=memory_nodes)
+                   memory_nodes=memory_nodes, payload=payload)
     features = None
     if policy == "smart":
         # Scale the paper's Δ = 8 ms epoch down so the C_max search
@@ -191,9 +168,8 @@ def run_microbench(
 
     smart_threads: List[SmartThread] = []
     doorbells_used = 0
-    conn = _policy_instance(policy)
-    if conn is not None:
-        conn.connect(compute, remotes)
+    if features is None:
+        policies.connect(compute, remotes, policy)
     else:
         context = SmartContext(compute, remotes, features)
         doorbells_used = context.doorbells_in_use()

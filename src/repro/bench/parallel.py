@@ -33,6 +33,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.runner import RunArgumentError
+
 
 def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS``.
@@ -106,6 +108,8 @@ def _run_spec(spec: PointSpec) -> Tuple[bool, Any]:
     exception holds, and it is the worker's frames the reader needs."""
     try:
         return True, spec.run()
+    except RunArgumentError:
+        raise  # the caller's bad argument: re-raised as itself by run_points
     except Exception as exc:
         return False, (repr(exc), traceback.format_exc())
 
@@ -151,8 +155,10 @@ def run_points(specs: Sequence[PointSpec], jobs: Optional[int] = None) -> List[A
     in input order keeps the output independent of worker scheduling.  A
     raising point becomes a :class:`PointFailure` naming its spec; a
     worker that dies breaks the executor, which surfaces as a
-    ``PointFailure`` ("died") instead of a hang.  Either way the pool is
-    dropped and the next sweep gets a fresh one.
+    ``PointFailure`` ("died") instead of a hang.  A
+    :class:`~repro.bench.runner.RunArgumentError` is raised as itself, as
+    it is in-process.  Either way the pool is dropped and the next sweep
+    gets a fresh one.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -166,6 +172,9 @@ def run_points(specs: Sequence[PointSpec], jobs: Optional[int] = None) -> List[A
     for spec, future in zip(specs, futures):
         try:
             ok, payload = future.result()
+        except RunArgumentError:
+            _drop_pool()
+            raise
         except BrokenProcessPool as exc:
             _drop_pool()
             raise PointFailure(

@@ -3,8 +3,7 @@
 Three techniques behind a verbs-like coroutine API:
 
 * :mod:`repro.core.context`  — §4.1 thread-aware resource allocation
-  (per-thread QP pools, CQs and doorbell registers on one shared device
-  context);
+  (per-thread QPs and doorbell registers on one shared device context);
 * :mod:`repro.core.throttle` — §4.2 adaptive work-request throttling
   (Algorithm 1: credit accounting plus an epoch-based search for the best
   per-thread credit ceiling);

@@ -28,9 +28,6 @@ class PerfCounters:
     protection_faults: int = 0
 
     # -- fault-injection accounting (the wasted-IOPS ledger) ------------------
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_delayed: int = 0
     retransmissions: int = 0
     wasted_wire_bytes: float = 0.0
     """Wire bytes spent on messages that were dropped, duplicated or

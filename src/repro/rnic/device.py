@@ -10,7 +10,7 @@ from repro.rnic.config import RnicConfig
 from repro.rnic.counters import PerfCounters
 from repro.rnic.doorbell import Doorbell, DoorbellAllocator
 from repro.rnic.engine import RequesterEngine, ResponderEngine
-from repro.rnic.qp import CompletionQueue, QueuePair, WorkBatch, WorkRequest
+from repro.rnic.qp import QueuePair, WorkBatch, WorkRequest
 
 
 class BatchObserver:
@@ -38,27 +38,18 @@ class DeviceContext:
 
     Sharing one context across threads keeps the MTT/MPT small (memory is
     registered once); opening one context per thread multiplies MRs and
-    thrashes the translation cache (§2.2, §4.1).
+    thrashes the translation cache (§2.2, §4.1) — the MTT model prices
+    that by ``len(device.contexts)``.
     """
 
     def __init__(self, device: "RnicDevice", total_uuars: int):
         self.device = device
         self.uar = DoorbellAllocator(device.sim, device.config, total_uuars)
-        self.mr_count = 0
-        #: MRs registered on-demand-paged (``pinned=False``); their pages
-        #: can fault at the responder (see :mod:`repro.rnic.odp`)
-        self.unpinned_mr_count = 0
         self.qps: List[QueuePair] = []
-
-    def register_mr(self, pinned: bool = True) -> None:
-        self.mr_count += 1
-        if not pinned:
-            self.unpinned_mr_count += 1
 
     def create_qp(
         self,
         remote_node,
-        cq: Optional[CompletionQueue] = None,
         doorbell: Optional[Doorbell] = None,
         share_lock=None,
     ) -> QueuePair:
@@ -71,11 +62,8 @@ class DeviceContext:
             doorbell = self.uar.bind_next()
         else:
             self.uar.bind_doorbell(doorbell)
-        if cq is None:
-            cq = CompletionQueue(self.device.sim)
-        qp = QueuePair(self, doorbell, cq, remote_node, share_lock)
+        qp = QueuePair(self, doorbell, remote_node, share_lock)
         self.qps.append(qp)
-        remote_node.device.accept_connection(qp)
         return qp
 
 
@@ -128,8 +116,6 @@ class RnicDevice:
         #: stays None until the first active message arrives, so
         #: one-sided runs never pay for the handler runtime
         self.offload = None
-        #: QPs created by remote peers that terminate at this device
-        self.accepted_qps = 0
 
     def ensure_odp(self):
         """The device's ODP state, created on first need."""
@@ -159,11 +145,6 @@ class RnicDevice:
         context = DeviceContext(self, total_uuars)
         self.contexts.append(context)
         return context
-
-    def accept_connection(self, qp: QueuePair) -> None:
-        """Memory-blade side of RC connection establishment (bookkeeping
-        only — the responder path is insensitive to QP count)."""
-        self.accepted_qps += 1
 
     def fail(self) -> None:
         """The hosting blade crashed: stop serving (idempotent)."""
@@ -242,8 +223,6 @@ class RnicDevice:
         if self.outstanding < 0:  # pragma: no cover - invariant guard
             raise RuntimeError(f"{self.name}: negative outstanding WR count")
         self.counters.cqe_delivered += n
-        batch.qp.completed_wrs += n
-        batch.qp.cq.deliver(batch)
         batch.completed_at = self.sim.now
         for observer in self.observers:
             observer.on_complete(batch)

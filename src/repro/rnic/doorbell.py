@@ -66,7 +66,6 @@ class Doorbell:
             bounce_cap=config.doorbell_bounce_cap,
         )
         self.bound_qps = 0
-        self.rings = 0
         #: distinct threads that have rung this doorbell; the spinlock's
         #: cache line is shared by all of them, so every acquisition pays
         #: a bounce per *sharer*, not just per queued waiter

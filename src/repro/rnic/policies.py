@@ -1,113 +1,82 @@
-"""QP allocation policies evaluated in §3.1 (Figure 3).
+"""The QP allocation policies of §3.1 (Figure 3) and §4.1 (Figure 13).
 
-1. Shared QP        — all threads share a single QP per remote blade.
-2. Multiplexed QP   — each QP is shared by ``q`` threads.
-3. Per-thread QP    — each thread owns a QP per remote blade; the driver's
-                      default round-robin doorbell mapping applies.
-4. Per-thread ctx   — each thread opens a private device context (own
-                      doorbells, but duplicated MRs → MTT/MPT thrashing).
+They differ in three choices only: contexts per compute blade, threads
+per QP, and where a QP's doorbell comes from.
 
-SMART's per-thread-doorbell allocation is the fourth curve of Figure 3 and
-lives in :mod:`repro.core.context` (it is part of the contribution, not a
-baseline).
+* ``shared-qp`` [Infiniswap]: one context, every thread on one QP;
+* ``multiplexed-qp`` [FaRM, LITE]: one context, 8 threads per QP;
+* ``per-thread-qp`` [Sherman, FORD]: one context, a QP per thread on the
+  driver's 16 round-robin doorbells (collapses past ~32 threads);
+* ``per-thread-context`` [X-RDMA]: a context, so doorbells, per thread,
+  whose duplicated MRs thrash the MTT/MPT cache;
+* ``per-thread-db`` (SMART): one context opened with a doorbell per
+  thread (MLX5_TOTAL_UUARS), each thread's QPs steered onto its own fresh
+  doorbell through the driver's deterministic round-robin mapping.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List
 
-from repro.sim.resources import SpinLock
 from repro.cluster import Node
+from repro.rnic.device import DeviceContext
+from repro.sim.resources import SpinLock
+
+#: threads per QP under the multiplexed policy
+MULTIPLEX_THREADS_PER_QP = 8
+
+#: policy -> (a context per thread, threads per QP (0: all), own doorbell)
+_TABLE = {
+    "shared-qp": (False, 0, False),
+    "multiplexed-qp": (False, MULTIPLEX_THREADS_PER_QP, False),
+    "per-thread-qp": (False, 1, False),
+    "per-thread-context": (True, 1, False),
+    "per-thread-db": (False, 1, True),
+}
+
+POLICIES = tuple(_TABLE)
 
 
-class ConnectionPolicy:
-    """Sets up ``thread.qps`` for every thread of a compute node."""
+def connect(compute_node: Node, memory_nodes: List[Node], policy: str) -> List[DeviceContext]:
+    """Give every thread of ``compute_node`` a QP to each of
+    ``memory_nodes`` the way ``policy`` does; returns the opened contexts."""
+    if policy not in _TABLE:
+        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    context_per_thread, threads_per_qp, own_doorbell = _TABLE[policy]
+    threads = compute_node.threads
+    if not threads:
+        raise ValueError("add threads to the compute node before connecting")
+    device = compute_node.device
+    config = compute_node.config
 
-    name = "abstract"
-
-    def connect(self, compute_node: Node, memory_nodes: List[Node]) -> None:
-        raise NotImplementedError
-
-
-class SharedQpPolicy(ConnectionPolicy):
-    """One QP per remote blade, shared by every thread [Infiniswap]."""
-
-    name = "shared-qp"
-
-    def connect(self, compute_node: Node, memory_nodes: List[Node]) -> None:
-        context = compute_node.device.open_context()
-        context.register_mr()
-        for remote in memory_nodes:
-            lock = SpinLock(
-                compute_node.sim,
-                name=f"qp-shared-{remote.node_id}",
-                bounce_ns=compute_node.config.doorbell_bounce_ns,
-                bounce_cap=compute_node.config.doorbell_bounce_cap,
-            )
-            qp = context.create_qp(remote, share_lock=lock)
-            for thread in compute_node.threads:
-                thread.qps[remote.node_id] = qp
-
-
-class MultiplexedQpPolicy(ConnectionPolicy):
-    """Each QP shared by ``threads_per_qp`` threads [FaRM, LITE]."""
-
-    def __init__(self, threads_per_qp: int = 4):
-        if threads_per_qp < 1:
-            raise ValueError("threads_per_qp must be >= 1")
-        self.threads_per_qp = threads_per_qp
-        self.name = f"multiplexed-qp(q={threads_per_qp})"
-
-    def connect(self, compute_node: Node, memory_nodes: List[Node]) -> None:
-        context = compute_node.device.open_context()
-        context.register_mr()
-        threads = compute_node.threads
-        groups = math.ceil(len(threads) / self.threads_per_qp)
+    if threads_per_qp != 1:
+        # Shared QPs: every sharer takes the driver's QP lock to post.
+        context = device.open_context()
+        per_qp = threads_per_qp or len(threads)
         for remote in memory_nodes:
             qps = []
-            for g in range(groups):
+            for g in range(-(-len(threads) // per_qp)):
+                name = (f"qp-mux-{remote.node_id}-{g}" if threads_per_qp
+                        else f"qp-shared-{remote.node_id}")
                 lock = SpinLock(
-                    compute_node.sim,
-                    name=f"qp-mux-{remote.node_id}-{g}",
-                    bounce_ns=compute_node.config.doorbell_bounce_ns,
-                    bounce_cap=compute_node.config.doorbell_bounce_cap,
+                    compute_node.sim, name=name,
+                    bounce_ns=config.doorbell_bounce_ns,
+                    bounce_cap=config.doorbell_bounce_cap,
                 )
                 qps.append(context.create_qp(remote, share_lock=lock))
             for index, thread in enumerate(threads):
-                thread.qps[remote.node_id] = qps[index // self.threads_per_qp]
+                thread.qps[remote.node_id] = qps[index // per_qp]
+        return [context]
 
-
-class PerThreadQpPolicy(ConnectionPolicy):
-    """A dedicated QP per thread; default doorbell mapping [Sherman, FORD].
-
-    This is the policy whose throughput collapses past ~32 threads: with
-    16 default doorbells, threads beyond the 4 low-latency ones share the
-    12 medium-latency doorbells round-robin.
-    """
-
-    name = "per-thread-qp"
-
-    def connect(self, compute_node: Node, memory_nodes: List[Node]) -> None:
-        context = compute_node.device.open_context()
-        context.register_mr()
-        for thread in compute_node.threads:
-            for remote in memory_nodes:
-                thread.qps[remote.node_id] = context.create_qp(remote)
-
-
-class PerThreadContextPolicy(ConnectionPolicy):
-    """A private device context (and doorbells) per thread [X-RDMA].
-
-    Avoids doorbell sharing but registers MRs once per context, inflating
-    the MTT/MPT tables and degrading the translation cache (§4.1).
-    """
-
-    name = "per-thread-context"
-
-    def connect(self, compute_node: Node, memory_nodes: List[Node]) -> None:
-        for thread in compute_node.threads:
-            context = compute_node.device.open_context()
-            context.register_mr()
-            for remote in memory_nodes:
-                thread.qps[remote.node_id] = context.create_qp(remote)
+    total_uuars = None  # the driver default: 16
+    if own_doorbell:
+        total_uuars = min(config.max_uars, len(threads) + config.low_latency_uars)
+    contexts: List[DeviceContext] = []
+    for thread in threads:
+        if context_per_thread or not contexts:
+            contexts.append(device.open_context(total_uuars))
+        context = contexts[-1]
+        doorbell = context.uar.skip_to_fresh_medium() if own_doorbell else None
+        for remote in memory_nodes:
+            thread.qps[remote.node_id] = context.create_qp(remote, doorbell=doorbell)
+    return contexts

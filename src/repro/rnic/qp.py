@@ -1,4 +1,4 @@
-"""Queue pairs, work requests and completion queues."""
+"""Queue pairs and work requests."""
 
 from __future__ import annotations
 
@@ -282,24 +282,6 @@ class WorkBatch:
         return [wr for wr in self.wrs if wr.status != WorkRequest.STATUS_OK]
 
 
-class CompletionQueue:
-    """Completion accounting for one thread's QPs.
-
-    Completions are delivered per batch (the model's granularity); the CQ
-    keeps counters so SMART's poller and the benches can observe them.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "cq"):
-        self._sim = sim
-        self.name = name
-        self.cqes_delivered = 0
-        self.batches_delivered = 0
-
-    def deliver(self, batch: WorkBatch) -> None:
-        self.cqes_delivered += batch.n
-        self.batches_delivered += 1
-
-
 class QueuePair:
     """A reliable-connection QP between a local device and a remote blade.
 
@@ -320,7 +302,6 @@ class QueuePair:
         self,
         context,
         doorbell,
-        cq: CompletionQueue,
         remote_node,
         share_lock: Optional[SpinLock] = None,
     ):
@@ -330,13 +311,10 @@ class QueuePair:
         #: the local RNIC (``context.device``, read several times per batch)
         self.device = context.device
         self.doorbell = doorbell
-        self.cq = cq
         self.remote_node = remote_node
         #: set when several threads share this QP (shared / multiplexed
         #: policies); the driver serializes them on this lock.
         self.share_lock = share_lock
-        self.posted_wrs = 0
-        self.completed_wrs = 0
         #: threads that post on this QP (contend on its driver lock)
         self.users = set()
         self.state = QueuePair.STATE_RTS
@@ -375,10 +353,6 @@ class QueuePair:
             return 0.0
         sharers = min(max(len(self.users) - 1, 0), config.doorbell_bounce_cap)
         return config.doorbell_share_ns * sharers
-
-    @property
-    def outstanding(self) -> int:
-        return self.posted_wrs - self.completed_wrs
 
     def __repr__(self) -> str:
         return f"QP({self.qp_id}, db={self.doorbell.index}, remote={self.remote_node.node_id})"

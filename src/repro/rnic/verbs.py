@@ -91,10 +91,8 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
         finally:
             if qp.share_lock is not None:
                 qp.share_lock.release(owner=thread_id)
-        doorbell.rings += 1
         device.counters.doorbell_rings += 1
 
-    qp.posted_wrs += n
     for observer in device.observers:
         observer.on_post(thread, qp, batch)
     device.requester.submit(batch)

@@ -186,7 +186,8 @@ def run_resharding(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     check_run_args(warmup_ns, phase_ns=phase_ns, threads=threads,
-                   memory_blades=memory_blades)
+                   memory_blades=memory_blades, num_shards=num_shards,
+                   item_count=item_count)
     app = ShardedHashTableApp(item_count, num_shards)
     deployment = deploy_app(app, "smart-ht", threads, compute_blades=1,
                             memory_blades=memory_blades, features=None,

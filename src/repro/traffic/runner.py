@@ -153,7 +153,8 @@ def run_open_loop(
     own feature set; the hash table and DTX deploy one compute blade
     against two memory blades, the B+Tree ``servers`` combined blades.
     """
-    check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads)
+    check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
+                   item_count=item_count)
     compute_blades = 1
     if app == "hashtable":
         adapter: App = HashTableApp(item_count)

@@ -58,24 +58,6 @@ class TestSmartContext:
         }
         assert len(dbs) == 16  # all 16 DBs shared across 80 QPs (stock driver)
 
-    def test_qp_pool_acquire_release_reuses(self):
-        _, compute, remotes, context, _ = make_smart(threads=2)
-        pool = context.pool_for(compute.threads[0])
-        created_before = pool.created
-        qp = pool.acquire(remotes[0])
-        pool.release(qp)
-        qp2 = pool.acquire(remotes[0])
-        assert qp2 is qp
-        assert pool.created == created_before + 1
-
-    def test_qp_pool_rejects_foreign_release(self):
-        _, compute, remotes, context, _ = make_smart(threads=2)
-        pool0 = context.pool_for(compute.threads[0])
-        pool1 = context.pool_for(compute.threads[1])
-        qp = pool0.acquire(remotes[0])
-        with pytest.raises(ValueError):
-            pool1.release(qp)
-
     def test_requires_threads(self):
         cluster = Cluster()
         compute = cluster.add_node()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.rnic import verbs
 from repro.rnic.config import RnicConfig
-from repro.rnic.policies import PerThreadQpPolicy
+from repro.rnic.policies import connect
 from repro.rnic.qp import read_wr, write_wr
 
 
@@ -16,7 +16,7 @@ def make_cluster(threads=1, config=None):
     compute = cluster.add_node()
     compute.add_threads(threads)
     (remote,) = cluster.add_nodes(1)
-    PerThreadQpPolicy().connect(compute, [remote])
+    connect(compute, [remote], "per-thread-qp")
     return cluster, compute, remote
 
 

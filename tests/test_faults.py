@@ -237,7 +237,8 @@ class TestFaultCompletions:
         assert statuses == [WorkRequest.STATUS_FLUSH]
         assert cluster.fabric.messages == wire_before
         assert compute.device.counters.flushed_wrs == 1
-        assert qp.posted_wrs == 1 and qp.completed_wrs == 1
+        assert compute.device.counters.cqe_delivered == 1
+        assert compute.device.outstanding == 0
 
     def test_full_loss_window_exhausts_retries(self):
         cluster, compute, remote, region, thread = _one_thread_deployment()

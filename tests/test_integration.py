@@ -149,6 +149,21 @@ class TestCli:
         ["8", "4", "--memory-nodes", "0"],
         ["traffic", "--measure-us", "0"],
         ["resharding", "--phase-us", "-1"],
+        # counts that ended in a ValueError traceback (exit 1)
+        ["offload", "--chunks", "0"],
+        ["offload", "--degree", "0"],
+        ["offload", "--threads", "0"],
+        ["offload", "--coroutines", "0"],
+        ["offload", "--vertices", "1"],
+        ["8", "4", "--block-size", "0"],
+        ["odp", "--block-size", "0"],
+        ["traffic", "--rate", "0"],
+        ["traffic", "--item-count", "0"],
+        ["resharding", "--shards", "0"],
+        ["resharding", "--item-count", "0"],
+        # ... or ran with one worker per tenant all the same (exit 0)
+        ["traffic", "--workers", "0"],
+        ["traffic", "--workers", "1", "--tenants", "2"],
     ])
     def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
         assert cli_main(argv) == 2

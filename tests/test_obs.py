@@ -20,7 +20,7 @@ from repro.obs.tracing import (
 )
 from repro.obs.validate import main as validate_main, validate_chrome_trace
 from repro.rnic import verbs
-from repro.rnic.policies import PerThreadQpPolicy
+from repro.rnic.policies import connect
 from repro.rnic.qp import read_wr
 from tests.test_trace import stamped
 
@@ -229,7 +229,7 @@ def _traced_read_cluster(obs, threads=2, reads=5):
     compute = cluster.add_node()
     compute.add_threads(threads)
     (remote,) = cluster.add_nodes(1)
-    PerThreadQpPolicy().connect(compute, [remote])
+    connect(compute, [remote], "per-thread-qp")
     obs.attach_cluster(cluster)
 
     def proc(thread):

@@ -6,7 +6,7 @@ from repro.cluster import Cluster
 from repro.memory import MemoryBlade
 from repro.rnic import verbs
 from repro.rnic.config import RnicConfig
-from repro.rnic.policies import PerThreadQpPolicy
+from repro.rnic.policies import connect
 from repro.rnic.qp import WorkRequest, cas_wr, read_wr, write_wr
 
 
@@ -15,7 +15,7 @@ def make_cluster(enforce=True):
     compute = cluster.add_node()
     compute.add_threads(1)
     (remote,) = cluster.add_nodes(1)
-    PerThreadQpPolicy().connect(compute, [remote])
+    connect(compute, [remote], "per-thread-qp")
     return cluster, compute, remote
 
 

@@ -8,21 +8,16 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.rnic import verbs
-from repro.rnic.policies import (
-    MultiplexedQpPolicy,
-    PerThreadContextPolicy,
-    PerThreadQpPolicy,
-    SharedQpPolicy,
-)
+from repro.rnic.policies import POLICIES, connect
 from repro.rnic.qp import WorkBatch, WorkRequest, cas_wr, faa_wr, read_wr, write_wr
 
 
-def make_cluster(threads=2, memory_nodes=1, policy=None):
+def make_cluster(threads=2, memory_nodes=1, policy="per-thread-qp"):
     cluster = Cluster()
     compute = cluster.add_node()
     compute.add_threads(threads)
     remotes = cluster.add_nodes(memory_nodes)
-    (policy or PerThreadQpPolicy()).connect(compute, remotes)
+    connect(compute, remotes, policy)
     return cluster, compute, remotes
 
 
@@ -218,19 +213,19 @@ class TestDataPath:
 
 class TestPolicies:
     def test_shared_qp_single_qp_for_all_threads(self):
-        cluster, compute, (remote,) = make_cluster(threads=8, policy=SharedQpPolicy())
+        cluster, compute, (remote,) = make_cluster(threads=8, policy="shared-qp")
         qps = {t.qp_for(remote.node_id) for t in compute.threads}
         assert len(qps) == 1
         assert next(iter(qps)).share_lock is not None
 
     def test_multiplexed_groups(self):
         cluster, compute, (remote,) = make_cluster(
-            threads=8, policy=MultiplexedQpPolicy(threads_per_qp=4)
+            threads=16, policy="multiplexed-qp"
         )
         qps = [t.qp_for(remote.node_id) for t in compute.threads]
         assert len(set(qps)) == 2
-        assert qps[0] is qps[3] and qps[4] is qps[7]
-        assert qps[0] is not qps[4]
+        assert qps[0] is qps[7] and qps[8] is qps[15]
+        assert qps[0] is not qps[8]
 
     def test_per_thread_qp_distinct_qps_shared_doorbells(self):
         cluster, compute, (remote,) = make_cluster(threads=20)
@@ -242,7 +237,7 @@ class TestPolicies:
 
     def test_per_thread_context_many_contexts(self):
         cluster, compute, (remote,) = make_cluster(
-            threads=8, policy=PerThreadContextPolicy()
+            threads=8, policy="per-thread-context"
         )
         assert len(compute.device.contexts) == 8
         doorbells = {
@@ -251,9 +246,31 @@ class TestPolicies:
         }
         assert len(doorbells) == 8  # no cross-thread doorbell sharing
 
-    def test_multiplexed_validates_q(self):
-        with pytest.raises(ValueError):
-            MultiplexedQpPolicy(0)
+    def test_unknown_policy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            make_cluster(policy="multiplexed-qp(q=0)")
+
+    @given(
+        policy=st.sampled_from(POLICIES),
+        threads=st.integers(1, 100),
+        blades=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_connect_follows_the_policy_table(self, policy, threads, blades):
+        _, compute, remotes = make_cluster(threads, blades, policy)
+        per_qp = {"shared-qp": threads, "multiplexed-qp": 8}.get(policy, 1)
+        for remote in remotes:
+            qps = {t.qp_for(remote.node_id) for t in compute.threads}
+            assert len(qps) == -(-threads // per_qp)
+            assert all(qp.remote_node is remote for qp in qps)
+        contexts = compute.device.contexts
+        assert len(contexts) == (threads if policy == "per-thread-context" else 1)
+        if policy == "per-thread-db":
+            own = [{qp.doorbell for qp in t.qps.values()} for t in compute.threads]
+            assert all(len(doorbells) == 1 for doorbells in own)
+            assert len(set().union(*own)) == threads
+        elif policy != "per-thread-context":
+            assert len(contexts[0].uar.doorbells) == 16
 
 
 # -- ODP (non-pinned MRs) ------------------------------------------------------
@@ -331,7 +348,7 @@ class TestOdp:
         compute = cluster.add_node()
         compute.add_threads(1)
         (remote,) = cluster.add_nodes(1)
-        PerThreadQpPolicy().connect(compute, [remote])
+        connect(compute, [remote], "per-thread-qp")
         region = remote.storage.register_region("odp", 1 << 20, pinned=False)
         base = -(-region.base // ODP_PAGE_BYTES) * ODP_PAGE_BYTES
         for page in (0, 1, 2):  # third touch evicts page 0
@@ -408,7 +425,7 @@ class TestMerging:
         compute = cluster.add_node()
         compute.add_threads(1)
         (remote,) = cluster.add_nodes(1)
-        PerThreadQpPolicy().connect(compute, [remote])
+        connect(compute, [remote], "per-thread-qp")
         qp = compute.threads[0].qp_for(remote.node_id)
         addr = remote.storage.global_addr(0)
         wrs = [read_wr(addr + i * 64, 64) for i in range(4)]
@@ -443,7 +460,7 @@ class TestMerging:
             compute = cluster.add_node()
             compute.add_threads(1)
             (remote,) = cluster.add_nodes(1)
-            PerThreadQpPolicy().connect(compute, [remote])
+            connect(compute, [remote], "per-thread-qp")
             thread = compute.threads[0]
             out = []
 
@@ -473,7 +490,7 @@ class TestMerging:
             compute = cluster.add_node()
             compute.add_threads(1)
             (remote,) = cluster.add_nodes(1)
-            PerThreadQpPolicy().connect(compute, [remote])
+            connect(compute, [remote], "per-thread-qp")
             thread = compute.threads[0]
             out = []
 

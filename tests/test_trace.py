@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.obs.tracing import STAGES, SpanTracer as Tracer
 from repro.rnic import verbs
-from repro.rnic.policies import PerThreadQpPolicy
+from repro.rnic.policies import connect
 from repro.rnic.qp import read_wr
 
 
@@ -16,7 +16,7 @@ def traced_cluster(threads=2):
     compute = cluster.add_node()
     compute.add_threads(threads)
     (remote,) = cluster.add_nodes(1)
-    PerThreadQpPolicy().connect(compute, [remote])
+    connect(compute, [remote], "per-thread-qp")
     tracer = Tracer()
     compute.device.observers = (tracer,)
     return cluster, compute, remote, tracer

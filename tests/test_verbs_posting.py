@@ -6,7 +6,7 @@ from repro.cluster import Cluster
 from repro.rnic import verbs
 from repro.rnic.config import RnicConfig, connectx6
 from repro.rnic.doorbell import Doorbell, MEDIUM_LATENCY
-from repro.rnic.policies import PerThreadQpPolicy, SharedQpPolicy
+from repro.rnic.policies import connect
 from repro.rnic.qp import read_wr
 from repro.sim import Simulator
 
@@ -60,11 +60,11 @@ class TestPostingPath:
         compute = cluster.add_node()
         compute.add_threads(2)
         (remote,) = cluster.add_nodes(1)
-        policy.connect(compute, [remote])
+        connect(compute, [remote], policy)
         return cluster, compute, remote
 
     def test_post_send_registers_doorbell_user(self):
-        cluster, compute, remote = self._setup(PerThreadQpPolicy())
+        cluster, compute, remote = self._setup("per-thread-qp")
         thread = compute.threads[0]
         qp = thread.qp_for(remote.node_id)
 
@@ -76,12 +76,13 @@ class TestPostingPath:
         cluster.sim.spawn(proc())
         cluster.sim.run()
         assert thread.thread_id in qp.doorbell.users
-        assert qp.doorbell.rings == 1
-        assert qp.posted_wrs == 1 and qp.completed_wrs == 1
-        assert qp.outstanding == 0
+        counters = compute.device.counters
+        assert counters.doorbell_rings == 1
+        assert counters.wqe_processed == 1 and counters.cqe_delivered == 1
+        assert compute.device.outstanding == 0
 
     def test_shared_qp_serializes_two_threads(self):
-        cluster, compute, remote = self._setup(SharedQpPolicy())
+        cluster, compute, remote = self._setup("shared-qp")
         qp = compute.threads[0].qp_for(remote.node_id)
         in_lock = []
 
@@ -98,12 +99,12 @@ class TestPostingPath:
         assert qp.sharing_penalty_ns(cluster.config) > 0
 
     def test_unshared_qp_has_no_share_penalty(self):
-        cluster, compute, remote = self._setup(PerThreadQpPolicy())
+        cluster, compute, remote = self._setup("per-thread-qp")
         qp = compute.threads[0].qp_for(remote.node_id)
         assert qp.sharing_penalty_ns(cluster.config) == 0.0
 
     def test_wait_completion_idempotent_after_done(self):
-        cluster, compute, remote = self._setup(PerThreadQpPolicy())
+        cluster, compute, remote = self._setup("per-thread-qp")
         thread = compute.threads[0]
         qp = thread.qp_for(remote.node_id)
         out = []
@@ -132,7 +133,7 @@ class TestPostingWithoutSuspending:
         compute = cluster.add_node()
         compute.add_threads(2)
         (remote,) = cluster.add_nodes(1)
-        policy.connect(compute, [remote])
+        connect(compute, [remote], policy)
         sim = cluster.sim
         trace = []
 
@@ -159,7 +160,7 @@ class TestPostingWithoutSuspending:
         return trace, locks, sim.events_executed
 
     def test_shared_qp_contenders_ring_in_the_parents_order(self):
-        trace, locks, events = self._two_posters(SharedQpPolicy())
+        trace, locks, events = self._two_posters("shared-qp")
         assert trace == [
             ("rung", 0, 195), ("rung", 1, 555), ("done", 0, 2253),
             ("rung", 0, 2543), ("done", 1, 2613), ("rung", 1, 2903),
@@ -170,7 +171,7 @@ class TestPostingWithoutSuspending:
         assert events == 53  # parent: 59
 
     def test_per_thread_doorbells_ring_in_the_parents_order(self):
-        trace, locks, events = self._two_posters(PerThreadQpPolicy())
+        trace, locks, events = self._two_posters("per-thread-qp")
         assert trace == [
             ("rung", 0, 120), ("rung", 1, 120), ("done", 0, 2178),
             ("done", 1, 2187), ("rung", 0, 2298), ("rung", 1, 2307),
@@ -187,7 +188,7 @@ class TestPostingWithoutSuspending:
         compute = cluster.add_node()
         compute.add_threads(1)
         (remote,) = cluster.add_nodes(1)
-        SharedQpPolicy().connect(compute, [remote])
+        connect(compute, [remote], "shared-qp")
         thread = compute.threads[0]
         qp = thread.qp_for(remote.node_id)
         made = []
@@ -211,7 +212,7 @@ class TestPostingWithoutSuspending:
         compute = cluster.add_node()
         compute.add_threads(1)
         (remote,) = cluster.add_nodes(1)
-        PerThreadQpPolicy().connect(compute, [remote])
+        connect(compute, [remote], "per-thread-qp")
         sanitizer = RdmaSanitizer().attach_cluster(cluster)
         lock = compute.threads[0].qp_for(remote.node_id).doorbell.lock
         granted = []
