@@ -39,8 +39,8 @@ def is_process_generator(fn: ast.AST) -> bool:
 
     ``yield from``-delegating functions count (all verbs helpers do), as
     does yielding the result of a known waitable factory (``timeout``,
-    ``acquire``, ``take``, …) or a ``.done`` event, and a generator that
-    takes a resource on the spot (``try_acquire``, ``try_take``, …).
+    ``acquire``, ``take``, …), and a generator that takes a resource on
+    the spot (``try_acquire``, ``try_take``, …).
     """
     yields = on_the_spot = False
     for child in own_scope(fn):
@@ -49,11 +49,7 @@ def is_process_generator(fn: ast.AST) -> bool:
         if isinstance(child, ast.Yield):
             yields = True
             value = child.value
-            if isinstance(value, ast.Call):
-                name = leaf_name(value.func)
-                if name in _PROCESS_YIELD_ATTRS:
-                    return True
-            if isinstance(value, ast.Attribute) and value.attr == "done":
+            if isinstance(value, ast.Call) and leaf_name(value.func) in _PROCESS_YIELD_ATTRS:
                 return True
         elif isinstance(child, ast.Call):
             on_the_spot |= leaf_name(child.func) in _ON_THE_SPOT_ATTRS

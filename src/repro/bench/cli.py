@@ -64,7 +64,7 @@ import sys
 import time
 from typing import Callable, List, Optional
 
-from repro.bench.microbench import POLICIES, run_microbench
+from repro.bench.microbench import ACCESS_PATTERNS, OPS, POLICIES, run_microbench
 from repro.bench.parallel import default_jobs
 from repro.bench.report import format_table, write_experiment_json
 from repro.bench.runner import RunArgumentError
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="outstanding work requests per thread (default: 8)")
     parser.add_argument("--policy", choices=POLICIES, default="smart",
                         help="QP allocation policy (default: smart)")
-    parser.add_argument("--op", choices=("read", "write"), default="read")
+    parser.add_argument("--op", choices=OPS, default="read")
     parser.add_argument("--block-size", type=int, default=8,
                         help="payload bytes per work request (default: 8)")
     parser.add_argument("--memory-nodes", type=int, default=1)
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser, {"measure_us": {"help": "measured window, simulated microseconds"}},
         measure_us=1500.0, seed=1,
     )
-    parser.add_argument("--access", choices=("random", "seq"), default="random",
+    parser.add_argument("--access", choices=ACCESS_PATTERNS, default="random",
                         help="remote address pattern per batch; 'seq' makes "
                              "WRs contiguous (mergeable)")
     parser.add_argument("--pinned-ratio", type=float, default=None,

@@ -78,26 +78,29 @@ class MicrobenchResult:
         )
 
 
+#: the bench tool's verbs and offset patterns (``op=`` / ``access=``)
+OPS = ("read", "write")
+ACCESS_PATTERNS = ("random", "seq")
+
+
 def _make_wrs(op: str, payload: int, depth: int, region_base: int, region_size: int,
               rng: random.Random, blade, access: str = "random") -> List:
+    """One batch of ``depth`` WRs: one ``rng.randrange`` per WR for
+    ``"random"``, one per batch for ``"seq"`` (``op`` and ``access`` were
+    checked by the runner)."""
     stride = max(payload, 8)
     slots = region_size // stride
+    # Addresses inside one blade add like offsets: pack the region's once.
+    base = blade.global_addr(region_base)
+    # READ takes the payload size, WRITE the (zero) payload itself.
+    make, arg = (read_wr, payload) if op == "read" else (write_wr, bytes(payload))
     if access == "seq":
         # One random window start, then `depth` contiguous slots — the
         # access pattern RDMAbox's adjacent-WR merging is built for.
-        first = rng.randrange(max(1, slots - depth + 1))
-        picked = range(first, first + depth)
-    elif access == "random":
-        picked = [rng.randrange(slots) for _ in range(depth)]
-    else:
-        raise ValueError(f"access must be 'random' or 'seq', got {access!r}")
-    # Addresses inside one blade add like offsets: pack the region's once.
-    base = blade.global_addr(region_base)
-    if op == "read":
-        return [read_wr(base + slot * stride, payload) for slot in picked]
-    if op == "write":
-        return [write_wr(base + slot * stride, b"\x00" * payload) for slot in picked]
-    raise ValueError(f"op must be 'read' or 'write', got {op!r}")
+        first = base + rng.randrange(max(1, slots - depth + 1)) * stride
+        return [make(addr, arg) for addr in range(first, first + depth * stride, stride)]
+    randrange = rng.randrange
+    return [make(base + randrange(slots) * stride, arg) for _ in range(depth)]
 
 
 def run_microbench(
@@ -140,6 +143,12 @@ def run_microbench(
         raise ValueError(f"depth must be >= 1 WR per batch, got {depth}")
     if policy not in POLICIES:
         raise RunArgumentError(f"policy must be one of {POLICIES}, got {policy!r}")
+    if op not in OPS:
+        raise RunArgumentError(f"op must be one of {OPS}, got {op!r}")
+    if access not in ACCESS_PATTERNS:
+        raise RunArgumentError(
+            f"access must be one of {ACCESS_PATTERNS}, got {access!r}"
+        )
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
                    memory_nodes=memory_nodes, payload=payload)
     features = None

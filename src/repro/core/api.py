@@ -175,7 +175,7 @@ class SmartHandle:
                 batch = yield from verbs.post_send(
                     self.thread, qp, chunk, actor=self.actor
                 )
-                batch.done._subscribe(throttler.on_complete)
+                batch._subscribe(throttler.on_complete)
                 self._pending.append(batch)
 
     def sync(self):

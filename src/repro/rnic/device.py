@@ -226,10 +226,10 @@ class RnicDevice:
         batch.completed_at = self.sim.now
         for observer in self.observers:
             observer.on_complete(batch)
-        # The CQE count, not the batch: an event holding its own batch is a
+        # The CQE count, not the batch: a batch holding itself is a
         # reference cycle, and only the cyclic collector could then free a
         # completed batch and its WRs.
-        batch.done.fire(n)
+        batch.fire(n)
 
     def __repr__(self) -> str:
         return f"RnicDevice({self.name}, contexts={len(self.contexts)})"

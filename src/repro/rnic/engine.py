@@ -14,7 +14,7 @@ import struct
 
 from repro.memory.address import BLADE_SHIFT, OFFSET_MASK, blade_of, offset_of
 from repro.rnic import qp as qpmod
-from repro.rnic.qp import WorkBatch
+from repro.rnic.qp import READ, WorkBatch
 
 _U64 = struct.Struct("<Q")
 
@@ -25,6 +25,12 @@ class RequesterEngine:
     def __init__(self, device):
         self.device = device
         self.busy_until = 0.0
+        config = device.config
+        #: the bandwidth ceiling of an issued batch: its bytes cross PCIe
+        #: and the wire, so the slower of the two (fixed by the config)
+        self.bytes_per_ns = min(
+            config.network_bytes_per_ns, config.pcie_bytes_per_ns
+        )
 
     def submit(self, batch: WorkBatch) -> None:
         """Accept a rung-in batch; schedules remote handling and completion."""
@@ -53,9 +59,7 @@ class RequesterEngine:
         wqe_miss, wqe_multiplier, wqe_dma_per_wr = device.wqe_cache.lookup(outstanding)
         mtt_hit, mtt_multiplier = device.mtt_cache.lookup(context_count)
         per_wr_ns = config.iops_service_ns * (wqe_multiplier * mtt_multiplier)
-        bandwidth_ns = batch.wire_bytes / min(
-            config.network_bytes_per_ns, config.pcie_bytes_per_ns
-        )
+        bandwidth_ns = batch.wire_bytes / self.bytes_per_ns
         # Request merging fuses adjacent WRs into fewer wire messages:
         # the issue pipeline processes one WQE per *wire* message
         # (wire_wrs == n unless RnicConfig.merge_wrs fused some).
@@ -147,6 +151,9 @@ class ResponderEngine:
     def __init__(self, device):
         self.device = device
         self.busy_until = 0.0
+        #: the config alone pages some MRs on demand (``pinned_ratio``);
+        #: otherwise only a region registered ``pinned=False`` can fault
+        self.config_pages_on_demand = device.config.pinned_ratio < 1.0
 
     def handle(self, batch: WorkBatch) -> None:
         device = self.device
@@ -178,7 +185,7 @@ class ResponderEngine:
                         nvm_penalty += config.nvm_write_extra_ns
             odp = device.odp
             if odp is None and (
-                storage.unpinned_regions or config.pinned_ratio < 1.0
+                storage.unpinned_regions or self.config_pages_on_demand
             ):
                 odp = device.ensure_odp()
             if odp is not None:
@@ -210,16 +217,25 @@ class ResponderEngine:
             raise RuntimeError(f"{device.name}: one-sided op targets a blade without memory")
         enforce = device.config.enforce_protection
         blade_tag = storage.blade_id + 1
+        # MemoryBlade.read, inlined for the common verb: the blade's bytes
+        # (power_fail replaces them, so fetched per batch) and its bound.
+        memory = storage._memory
+        capacity = storage.capacity
         for wr in batch.wrs:
             if enforce and not self._access_allowed(storage, wr):
                 wr.status = wr.STATUS_ACCESS_ERROR
                 device.counters.protection_faults += 1
                 continue
             addr = wr.remote_addr
-            if wr.opcode == qpmod.READ and addr >> BLADE_SHIFT == blade_tag:
-                # The common verb, in place; a READ addressed to another
-                # blade (or to null) gets its error from _execute.
-                wr.result = storage.read(addr & OFFSET_MASK, wr.size)
+            if wr.opcode == READ and addr >> BLADE_SHIFT == blade_tag:
+                # In place; a READ addressed to another blade (or to null)
+                # gets its error from _execute.  read_wr made size > 0.
+                offset = addr & OFFSET_MASK
+                end = offset + wr.size
+                if end > capacity:
+                    storage._check(offset, wr.size)  # raises the IndexError
+                storage.reads += 1
+                wr.result = memory[offset:end]
             else:
                 self._execute(storage, wr)
         device.counters.responder_ops += batch.n

@@ -17,8 +17,6 @@ FAA = "faa"
 #: (the near-memory offload path, see :mod:`repro.rnic.offload`)
 AM_SEND = "am_send"
 
-_OPCODES = frozenset({READ, WRITE, CAS, FAA, AM_SEND})
-
 #: Wire overhead per one-sided message (IB transport + RETH headers).
 MESSAGE_OVERHEAD_BYTES = 30
 
@@ -28,6 +26,9 @@ class WorkRequest:
 
     ``wr_id`` is free for application metadata, exactly like the verbs API
     (SMART packs the batch size into it, Algorithm 1 line 4).
+
+    Built only by the verb factories below (:func:`read_wr`,
+    :func:`write_wr`, :func:`cas_wr`, :func:`faa_wr`, :func:`am_wr`).
     """
 
     __slots__ = (
@@ -64,71 +65,91 @@ class WorkRequest:
         {STATUS_REMOTE_ABORT, STATUS_RETRY_EXCEEDED, STATUS_FLUSH}
     )
 
-    def __init__(
-        self,
-        opcode: str,
-        remote_addr: int,
-        size: int = 8,
-        payload: Optional[bytes] = None,
-        compare: int = 0,
-        swap: int = 0,
-        delta: int = 0,
-        wr_id: Any = None,
-        handler: Optional[str] = None,
-        am_args: tuple = (),
-        resp_size: int = 8,
-    ):
-        if opcode not in _OPCODES:
-            raise ValueError(f"unknown opcode {opcode!r}")
-        if opcode == WRITE:
-            if payload is None:
-                raise ValueError("WRITE requires a payload")
-            size = len(payload)
-        if opcode in (CAS, FAA) and size != 8:
-            raise ValueError("atomics operate on 8 bytes")
-        if opcode == AM_SEND and handler is None:
-            raise ValueError("AM_SEND requires a handler name")
-        if size <= 0:
-            raise ValueError("size must be positive")
-        self.opcode = opcode
-        self.remote_addr = remote_addr
-        self.size = size
-        self.payload = payload
-        self.compare = compare
-        self.swap = swap
-        self.delta = delta
-        self.wr_id = wr_id
-        self.handler = handler
-        self.am_args = am_args
-        #: declared response payload bytes (AM_SEND only; the handler's
-        #: return message, like a READ's size but for the back direction)
-        self.resp_size = resp_size
-        self.result: Any = None
-        self.status = WorkRequest.STATUS_OK
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes moved for this WR in its dominant direction."""
-        return self.size + MESSAGE_OVERHEAD_BYTES
-
     def __repr__(self) -> str:
         return f"WR({self.opcode}, addr={self.remote_addr:#x}, size={self.size})"
 
 
+# Each factory builds its WR in place — a bare ``WorkRequest()`` and its
+# thirteen fields — and checks only what its own opcode can get wrong.
+# A field the verb does not use gets the same default in every factory:
+# payload / handler / result None, compare / swap / delta 0, am_args (),
+# resp_size 8.
+
+_STATUS_OK = WorkRequest.STATUS_OK
+
+
 def read_wr(remote_addr: int, size: int, wr_id: Any = None) -> WorkRequest:
-    return WorkRequest(READ, remote_addr, size=size, wr_id=wr_id)
+    if size <= 0:
+        raise ValueError("size must be positive")
+    wr = WorkRequest()
+    wr.opcode = READ
+    wr.remote_addr = remote_addr
+    wr.size = size
+    wr.wr_id = wr_id
+    wr.payload = wr.handler = wr.result = None
+    wr.compare = wr.swap = wr.delta = 0
+    wr.am_args = ()
+    wr.resp_size = 8
+    wr.status = _STATUS_OK
+    return wr
 
 
 def write_wr(remote_addr: int, payload: bytes, wr_id: Any = None) -> WorkRequest:
-    return WorkRequest(WRITE, remote_addr, payload=payload, wr_id=wr_id)
+    if payload is None:
+        raise ValueError("WRITE requires a payload")
+    size = len(payload)
+    if size <= 0:
+        raise ValueError("size must be positive")
+    wr = WorkRequest()
+    wr.opcode = WRITE
+    wr.remote_addr = remote_addr
+    wr.size = size
+    wr.wr_id = wr_id
+    wr.payload = payload
+    wr.handler = wr.result = None
+    wr.compare = wr.swap = wr.delta = 0
+    wr.am_args = ()
+    wr.resp_size = 8
+    wr.status = _STATUS_OK
+    return wr
 
 
 def cas_wr(remote_addr: int, compare: int, swap: int, wr_id: Any = None) -> WorkRequest:
-    return WorkRequest(CAS, remote_addr, compare=compare, swap=swap, wr_id=wr_id)
+    # The blade compares the raw operand with the stored u64 and masks
+    # the swap on store: out of range, the one never matches and the
+    # other is silently truncated.
+    if not 0 <= compare < 1 << 64:
+        raise ValueError(f"CAS compare operand {compare} outside [0, 2**64)")
+    if not 0 <= swap < 1 << 64:
+        raise ValueError(f"CAS swap operand {swap} outside [0, 2**64)")
+    wr = WorkRequest()
+    wr.opcode = CAS
+    wr.remote_addr = remote_addr
+    wr.size = 8
+    wr.wr_id = wr_id
+    wr.payload = wr.handler = wr.result = None
+    wr.compare = compare
+    wr.swap = swap
+    wr.delta = 0
+    wr.am_args = ()
+    wr.resp_size = 8
+    wr.status = _STATUS_OK
+    return wr
 
 
 def faa_wr(remote_addr: int, delta: int, wr_id: Any = None) -> WorkRequest:
-    return WorkRequest(FAA, remote_addr, delta=delta, wr_id=wr_id)
+    wr = WorkRequest()
+    wr.opcode = FAA
+    wr.remote_addr = remote_addr
+    wr.size = 8
+    wr.wr_id = wr_id
+    wr.payload = wr.handler = wr.result = None
+    wr.compare = wr.swap = 0
+    wr.delta = delta
+    wr.am_args = ()
+    wr.resp_size = 8
+    wr.status = _STATUS_OK
+    return wr
 
 
 def am_wr(
@@ -142,17 +163,36 @@ def am_wr(
     """An active message: run ``handler`` with ``args`` at the blade that
     owns ``remote_addr``.  The request payload defaults to one 8-byte
     handler id plus 8 bytes per argument; ``resp_size`` declares the
-    handler's response payload."""
+    handler's response payload (like a READ's size, but for the return
+    direction)."""
+    if handler is None:
+        raise ValueError("AM_SEND requires a handler name")
     if size is None:
         size = 8 + 8 * len(args)
-    return WorkRequest(
-        AM_SEND, remote_addr, size=size, wr_id=wr_id,
-        handler=handler, am_args=tuple(args), resp_size=resp_size,
-    )
+    if size <= 0:
+        raise ValueError("size must be positive")
+    wr = WorkRequest()
+    wr.opcode = AM_SEND
+    wr.remote_addr = remote_addr
+    wr.size = size
+    wr.wr_id = wr_id
+    wr.payload = wr.result = None
+    wr.handler = handler
+    wr.compare = wr.swap = wr.delta = 0
+    wr.am_args = tuple(args)
+    wr.resp_size = resp_size
+    wr.status = _STATUS_OK
+    return wr
 
 
-class WorkBatch:
+class WorkBatch(Event):
     """A group of WRs posted by one ``post_send`` (one doorbell ring).
+
+    The batch is its own completion event: it fires with the number of
+    CQEs once the batch completes, so a poster waits with ``yield batch``
+    and reads the count back as ``batch.value``.  It fires with the
+    count, never with itself — a batch holding itself would be a
+    reference cycle only the cyclic collector could free.
 
     ``wire_bytes`` and ``write_bytes`` are hoisted out of the engines:
     each is needed several times along a batch's lifecycle (requester
@@ -177,7 +217,6 @@ class WorkBatch:
         "wrs",
         "n",
         "qp",
-        "done",
         "posted_at",
         "rung_at",
         "issued_at",
@@ -195,6 +234,11 @@ class WorkBatch:
     def __init__(self, sim: Simulator, qp: "QueuePair", wrs: List[WorkRequest]):
         if not wrs:
             raise ValueError("empty work batch")
+        # Inlined Waitable.__init__, as in Timeout: one per posted batch.
+        self._sim = sim
+        self._callbacks = []
+        self._triggered = False
+        self._value = None
         sim.next_batch_id += 1
         self.batch_id = sim.next_batch_id
         self.wrs = wrs
@@ -202,8 +246,6 @@ class WorkBatch:
         #: life prices by it
         self.n = n = len(wrs)
         self.qp = qp
-        #: fires with the number of CQEs once the batch completes
-        self.done: Event = sim.event()
         self.posted_at = sim.now
         self.rung_at = self.issued_at = self.remote_start_at = None
         self.executed_at = self.completed_at = None

@@ -116,20 +116,20 @@ def wait_completion(thread, batch: WorkBatch) -> Generator:
     sim = thread.sim
     n = batch.n
     if not config.adaptive_poll:
-        if not batch.done.triggered:
-            yield batch.done
+        if not batch.triggered:
+            yield batch
         poll_ns = config.cqe_poll_ns * n
     else:
         amortized_ns = config.cqe_poll_ns * (
             1.0 + config.poll_drain_factor * (n - 1)
         )
-        if batch.done.triggered:
+        if batch.triggered:
             # Already completed when the poller arrived: one cold drain
             # (the CQEs piled up while the thread was elsewhere).
             poll_ns = amortized_ns
         else:
             wait_start = sim.now
-            yield batch.done
+            yield batch
             if sim.now - wait_start <= config.poll_spin_ns:
                 # Caught within the spin budget — hot path, per-CQE cost.
                 poll_ns = config.cqe_poll_ns * n

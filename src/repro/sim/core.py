@@ -611,7 +611,11 @@ class Simulator:
                                 dest.append(None)
                             else:
                                 self._schedule_overflow(when2, what, None)
-                        elif cls is Timeout or cls is Event or cls is Process:
+                        elif cls is Timeout or isinstance(target, Waitable):
+                            # Waitable._subscribe, inlined (no subclass
+                            # overrides it); past the Timeout, every
+                            # waitable (Event, Process, WorkBatch) pays
+                            # the same one isinstance().
                             if target._triggered:
                                 # Next-tick delivery at the current time:
                                 # the active bucket is exactly that.
@@ -619,8 +623,6 @@ class Simulator:
                                 bucket.append(target._value)
                             else:
                                 target._callbacks.append(what)
-                        elif isinstance(target, Waitable):
-                            target._subscribe(what)
                         else:
                             raise SimulationError(
                                 f"process {what.name!r} yielded "

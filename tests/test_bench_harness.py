@@ -13,6 +13,7 @@ from repro.bench.microbench import (
 )
 from repro.bench.report import format_table, ratio, result_slug
 from repro.bench.runner import (
+    RunArgumentError,
     bench_features,
     build_deployment,
     run_btree,
@@ -63,6 +64,22 @@ class TestMicrobench:
     def test_bad_op_rejected(self):
         with pytest.raises(ValueError):
             run_microbench(policy="per-thread-db", threads=1, op="cas")
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(op="cas"), "op must be one of"),
+        (dict(access="stride"), "access must be one of"),
+    ])
+    def test_bad_op_or_access_rejected_before_the_cluster_is_built(
+        self, monkeypatch, bad, match
+    ):
+        import repro.bench.microbench as microbench
+
+        def no_cluster(*args, **kwargs):
+            raise AssertionError("the cluster was built")
+
+        monkeypatch.setattr(microbench, "Cluster", no_cluster)
+        with pytest.raises(RunArgumentError, match=match):
+            run_microbench(policy="per-thread-db", threads=1, **bad)
 
     @pytest.mark.parametrize("policy", ["smart", "per-thread-qp"])
     def test_empty_batches_rejected_before_the_run(self, policy):

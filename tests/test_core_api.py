@@ -178,8 +178,8 @@ class TestSmartHandleVerbs:
     def test_uncontended_op_allocates_no_tickets(self, features):
         """Regression: with throttling *off* every post and every op still
         built and fired an Event and took a same-tick round trip for it.
-        A lone coroutine now allocates one Event per op — the batch's
-        ``done`` — whether the features are on or off."""
+        A lone coroutine now allocates no Event at all, features on or
+        off: the batch is its own completion event."""
         cluster, _, remotes, _, smart_threads = make_smart(
             threads=1, features=features
         )
@@ -201,7 +201,7 @@ class TestSmartHandleVerbs:
         sim.run(until=1e5)
         smart.stop()
         assert smart.stats.ops == 3
-        assert len(made) == 3  # parent: 12 (begin_op, credit, doorbell, done)
+        assert len(made) == 0  # parent: 3 (the batch's ``done``)
 
     def test_end_op_without_begin_raises(self):
         _, _, _, _, smart_threads = make_smart(threads=1)

@@ -66,7 +66,7 @@ class TestHandlerRegistry:
 
     def test_am_wr_requires_handler(self):
         with pytest.raises(ValueError, match="handler"):
-            WorkRequest(opcode="am_send", remote_addr=0, size=8)
+            am_wr(0, None, size=8)
 
 
 class TestBatchRules:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.rnic import verbs
 from repro.rnic.policies import POLICIES, connect
-from repro.rnic.qp import WorkBatch, WorkRequest, cas_wr, faa_wr, read_wr, write_wr
+from repro.rnic.qp import (
+    WorkBatch, WorkRequest, am_wr, cas_wr, faa_wr, read_wr, write_wr,
+)
 
 
 def make_cluster(threads=2, memory_nodes=1, policy="per-thread-qp"):
@@ -26,7 +28,126 @@ _STATUSES = sorted(
 )
 
 
+#: every field of a WorkRequest, with the value a factory leaves in it
+#: when its verb does not use the field
+_WR_DEFAULTS = dict(
+    opcode=None, remote_addr=None, size=None, payload=None, compare=0,
+    swap=0, delta=0, wr_id=None, result=None, status=WorkRequest.STATUS_OK,
+    handler=None, am_args=(), resp_size=8,
+)
+
+_u64 = st.integers(0, (1 << 64) - 1)
+_wr_ids = st.one_of(st.none(), st.integers(), st.tuples(st.just("batch"), st.integers(1, 64)))
+
+
+def _fields(wr):
+    return {name: getattr(wr, name) for name in _WR_DEFAULTS}
+
+
+class TestFactories:
+    """Each verb factory builds its WorkRequest directly: all thirteen
+    fields are pinned against a reference table, so no factory can drift
+    from the others' defaults."""
+
+    def test_the_reference_table_names_every_field(self):
+        assert set(WorkRequest.__slots__) == set(_WR_DEFAULTS)
+
+    def test_there_is_no_generic_constructor(self):
+        with pytest.raises(TypeError):
+            WorkRequest("read", 0, size=8)
+
+    @given(addr=_u64, size=st.integers(1, 1 << 20), wr_id=_wr_ids)
+    @settings(max_examples=50, deadline=None)
+    def test_read_wr(self, addr, size, wr_id):
+        assert _fields(read_wr(addr, size, wr_id)) == dict(
+            _WR_DEFAULTS, opcode="read", remote_addr=addr, size=size, wr_id=wr_id)
+
+    @given(addr=_u64, payload=st.binary(min_size=1, max_size=256), wr_id=_wr_ids)
+    @settings(max_examples=50, deadline=None)
+    def test_write_wr(self, addr, payload, wr_id):
+        assert _fields(write_wr(addr, payload, wr_id)) == dict(
+            _WR_DEFAULTS, opcode="write", remote_addr=addr, size=len(payload),
+            payload=payload, wr_id=wr_id)
+
+    @given(addr=_u64, compare=_u64, swap=_u64, wr_id=_wr_ids)
+    @settings(max_examples=50, deadline=None)
+    def test_cas_wr(self, addr, compare, swap, wr_id):
+        assert _fields(cas_wr(addr, compare, swap, wr_id)) == dict(
+            _WR_DEFAULTS, opcode="cas", remote_addr=addr, size=8,
+            compare=compare, swap=swap, wr_id=wr_id)
+
+    @given(addr=_u64, delta=st.integers(-(1 << 70), 1 << 70), wr_id=_wr_ids)
+    @settings(max_examples=50, deadline=None)
+    def test_faa_wr(self, addr, delta, wr_id):
+        assert _fields(faa_wr(addr, delta, wr_id)) == dict(
+            _WR_DEFAULTS, opcode="faa", remote_addr=addr, size=8, delta=delta,
+            wr_id=wr_id)
+
+    @given(addr=_u64, handler=st.text(min_size=1, max_size=16),
+           args=st.lists(st.integers(), max_size=6),
+           size=st.one_of(st.none(), st.integers(1, 4096)),
+           resp_size=st.integers(0, 4096), wr_id=_wr_ids)
+    @settings(max_examples=50, deadline=None)
+    def test_am_wr(self, addr, handler, args, size, resp_size, wr_id):
+        wr = am_wr(addr, handler, args, size=size, resp_size=resp_size, wr_id=wr_id)
+        assert _fields(wr) == dict(
+            _WR_DEFAULTS, opcode="am_send", remote_addr=addr,
+            size=8 + 8 * len(args) if size is None else size,
+            handler=handler, am_args=tuple(args), resp_size=resp_size,
+            wr_id=wr_id)
+
+    @given(bad=st.one_of(
+        st.integers(max_value=0).map(lambda size: (read_wr, (0, size), "size must be positive")),
+        st.just((write_wr, (0, None), "WRITE requires a payload")),
+        st.just((write_wr, (0, b""), "size must be positive")),
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 64)).flatmap(
+            lambda out: st.sampled_from([
+                (cas_wr, (0, out, 0), "CAS compare operand"),
+                (cas_wr, (0, 0, out), "CAS swap operand"),
+            ])),
+        st.just((am_wr, (0, None), "AM_SEND requires a handler name")),
+        st.integers(max_value=0).map(
+            lambda size: (lambda: am_wr(0, "h", size=size), (), "size must be positive")),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_invalid_input_is_a_value_error_naming_it(self, bad):
+        factory, args, message = bad
+        with pytest.raises(ValueError, match=message):
+            factory(*args)
+
+    @pytest.mark.parametrize("operand", ["compare", "swap"])
+    @pytest.mark.parametrize("value", [-1, 1 << 64])
+    def test_cas_rejects_an_operand_outside_u64(self, operand, value):
+        """A CAS whose expected value the blade's u64 can never hold would
+        fail every attempt (backoff_cas_sync retries it MAX_ATTEMPTS
+        times); an oversized swap would be silently masked."""
+        operands = {"compare": 0, "swap": 0, operand: value}
+        with pytest.raises(ValueError, match=f"CAS {operand} operand {value}"):
+            cas_wr(0, **operands)
+
+
 class TestWorkBatch:
+    def test_a_yielded_batch_resumes_with_its_cqe_count(self):
+        """The batch is its own completion event: ``yield batch`` resumes
+        with the CQE count, which ``batch.value`` keeps."""
+        cluster, compute, (remote,) = make_cluster(threads=1)
+        thread = compute.threads[0]
+        qp = thread.qp_for(remote.node_id)
+        addr = remote.storage.global_addr(64)
+        got = []
+
+        def proc():
+            batch = yield from verbs.post_send(
+                thread, qp, [read_wr(addr + 8 * i, 8) for i in range(3)])
+            assert not batch.triggered
+            count = yield batch
+            got.append((count, batch.value, batch.n))
+
+        process = cluster.sim.spawn(proc())
+        cluster.sim.run()
+        assert not process.alive and process.error is None
+        assert got == [(3, 3, 3)]
+
     @given(st.lists(st.sampled_from(_STATUSES), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_size_and_ok_are_what_the_wrs_say(self, statuses):
@@ -152,8 +273,8 @@ class TestDataPath:
         assert remote.device.counters.responder_ops == 32
 
     def test_completed_batches_need_no_cyclic_collector(self):
-        # ``done`` fires with the CQE count; were it to hold its own batch,
-        # every completed batch would be a cycle only the collector frees.
+        # A batch fires with its CQE count; were it to hold itself, every
+        # completed batch would be a cycle only the collector frees.
         cluster, compute, (remote,) = make_cluster(threads=1)
         thread = compute.threads[0]
         fired = []
@@ -164,7 +285,7 @@ class TestDataPath:
             for _ in range(50):
                 batch = yield from verbs.post_and_wait(
                     thread, qp, [read_wr(addr, 8), read_wr(addr + 8, 8)])
-                fired.append(batch.done.value)
+                fired.append(batch.value)
 
         gc.collect()
         gc.disable()
@@ -189,6 +310,27 @@ class TestDataPath:
         cluster.sim.spawn(proc())
         with pytest.raises(RuntimeError, match="routed"):
             cluster.sim.run()
+
+    def test_read_past_the_blade_end_raises_the_blades_index_error(self):
+        cluster, compute, (remote,) = make_cluster()
+        thread = compute.threads[0]
+        blade = remote.storage
+        addr = blade.global_addr(blade.capacity - 4)
+
+        def proc():
+            qp = thread.qp_for(remote.node_id)
+            yield from verbs.post_and_wait(
+                thread, qp, [read_wr(addr - 8, 8), read_wr(addr, 8)])
+
+        process = cluster.sim.spawn(proc())
+        with pytest.raises(IndexError, match=(
+            rf"blade {blade.blade_id}: access \[{blade.capacity - 4}, {blade.capacity + 4}\) "
+            rf"outside capacity {blade.capacity}"
+        )):
+            cluster.sim.run()
+        # raised in the responder, not the poster: its batch never completes
+        assert process.alive and not process.error
+        assert blade.reads == 1
 
     def test_nvm_write_slower_than_dram_write(self):
         def write_latency(persistent):

@@ -203,7 +203,7 @@ class TestPostingWithoutSuspending:
         cluster.sim.spawn(proc())
         cluster.sim.run()
         assert qp.share_lock.acquisitions == qp.doorbell.lock.acquisitions == 1
-        assert made == [1]  # the batch's own ``done``; no lock ticket (parent: 3)
+        assert made == []  # parent: [1] (the batch's ``done``)
 
     def test_rdmasan_reports_a_lock_granted_on_the_spot_as_held(self):
         from repro.analysis import RdmaSanitizer
