@@ -5,9 +5,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Sequence, Set
 
-#: attribute calls whose yielded result marks a function as a process
-#: generator (sim.timeout(...), lock.acquire(...), throttler.take(...), …)
-_PROCESS_YIELD_ATTRS = {"timeout", "acquire", "take", "event", "begin_op", "all_of"}
+#: calls whose yielded result marks a function as a process generator
+#: (sim.timeout(...), Timeout(sim, d), lock.acquire(...), throttler.take(...), …)
+_PROCESS_YIELD_ATTRS = {
+    "timeout", "Timeout", "acquire", "take", "event", "begin_op", "all_of",
+}
 #: their grant-on-the-spot forms: the call itself (not yielded — that is
 #: the point) marks a generator as a process step just the same
 _ON_THE_SPOT_ATTRS = {"try_acquire", "try_take", "try_begin_op"}

@@ -24,6 +24,7 @@ from repro.apps.sherman import layout
 from repro.apps.sherman.server import TreeMeta
 from repro.core.api import SmartHandle
 from repro.memory.address import blade_of
+from repro.sim import Timeout
 
 
 class _LockState:
@@ -146,7 +147,7 @@ class BTreeClient:
         yield from handle.begin_op()
         delay = handle.thread.charge(self.client_cpu_ns)
         if delay > 0:
-            yield handle.sim.timeout(delay)
+            yield Timeout(handle.sim, delay)
         value = yield from self._lookup_inner(key)
         handle.end_op(failed=value is None)
         return value
@@ -157,7 +158,7 @@ class BTreeClient:
         yield from handle.begin_op()
         delay = handle.thread.charge(self.client_cpu_ns)
         if delay > 0:
-            yield handle.sim.timeout(delay)
+            yield Timeout(handle.sim, delay)
         yield from self._upsert_inner(key, value)
         handle.end_op()
         return True
@@ -169,7 +170,7 @@ class BTreeClient:
         yield from handle.begin_op()
         delay = handle.thread.charge(self.client_cpu_ns)
         if delay > 0:
-            yield handle.sim.timeout(delay)
+            yield Timeout(handle.sim, delay)
         removed = yield from self._delete_inner(key)
         handle.end_op(failed=not removed)
         return removed

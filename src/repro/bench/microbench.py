@@ -85,9 +85,9 @@ ACCESS_PATTERNS = ("random", "seq")
 
 def _make_wrs(op: str, payload: int, depth: int, region_base: int, region_size: int,
               rng: random.Random, blade, access: str = "random") -> List:
-    """One batch of ``depth`` WRs: one ``rng.randrange`` per WR for
-    ``"random"``, one per batch for ``"seq"`` (``op`` and ``access`` were
-    checked by the runner)."""
+    """One batch of ``depth`` WRs: one ``rng.randrange(slots)`` draw per
+    WR for ``"random"``, one per batch for ``"seq"`` (``op`` and
+    ``access`` were checked by the runner)."""
     stride = max(payload, 8)
     slots = region_size // stride
     # Addresses inside one blade add like offsets: pack the region's once.
@@ -99,8 +99,21 @@ def _make_wrs(op: str, payload: int, depth: int, region_base: int, region_size: 
         # access pattern RDMAbox's adjacent-WR merging is built for.
         first = base + rng.randrange(max(1, slots - depth + 1)) * stride
         return [make(addr, arg) for addr in range(first, first + depth * stride, stride)]
-    randrange = rng.randrange
-    return [make(base + randrange(slots) * stride, arg) for _ in range(depth)]
+    if slots < 1:
+        # randrange's own check; with k = 0 the loop below never ends
+        raise ValueError("empty range for randrange()")
+    # rng.randrange(slots), inlined: CPython's _randbelow_with_getrandbits
+    # draws k bits and redraws until the value is below slots — the same
+    # getrandbits calls in the same order, without two frames per draw.
+    getrandbits = rng.getrandbits
+    k = slots.bit_length()
+    wrs = []
+    for _ in range(depth):
+        slot = getrandbits(k)
+        while slot >= slots:
+            slot = getrandbits(k)
+        wrs.append(make(base + slot * stride, arg))
+    return wrs
 
 
 def run_microbench(

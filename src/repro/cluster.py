@@ -13,7 +13,7 @@ from repro.memory.blade import MemoryBlade
 from repro.network.fabric import Fabric
 from repro.rnic.config import RnicConfig
 from repro.rnic.device import RnicDevice
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 
 class ComputeThread:
@@ -37,11 +37,12 @@ class ComputeThread:
     def charge(self, ns: float) -> float:
         """Charge ``ns`` of serialized CPU time to this thread; returns how
         long from now the charge ends (the caller sleeps it when positive:
-        ``d = thread.charge(ns)`` / ``if d > 0: yield sim.timeout(d)``)."""
+        ``d = thread.charge(ns)`` / ``if d > 0: yield Timeout(sim, d)``)."""
         if ns < 0:
             raise ValueError("negative CPU time")
         now = self.sim.now
-        end = max(now, self.busy_until) + ns
+        busy_until = self.busy_until
+        end = (busy_until if busy_until > now else now) + ns
         self.busy_until = end
         return end - now
 
@@ -49,11 +50,13 @@ class ComputeThread:
         """:meth:`charge` and sleep, as one generator."""
         delay = self.charge(ns)
         if delay > 0:
-            yield self.sim.timeout(delay)
+            yield Timeout(self.sim, delay)
 
     def mark_busy_until_now(self) -> None:
         """Record that the CPU was spinning until the current instant."""
-        self.busy_until = max(self.busy_until, self.sim.now)
+        now = self.sim.now
+        if now > self.busy_until:
+            self.busy_until = now
 
     def qp_for(self, node_id: int):
         qp = self.qps.get(node_id)

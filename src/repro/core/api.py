@@ -33,6 +33,7 @@ from repro.rnic.qp import (
     read_wr,
     write_wr,
 )
+from repro.sim import Timeout
 
 
 class SmartThread:
@@ -212,7 +213,7 @@ class SmartHandle:
         started = self.sim.now
         for attempt in range(config.reconnect_retry_limit):
             delay = config.reconnect_probe_ns + avoider.reconnect_backoff_ns(attempt)
-            yield self.sim.timeout(delay)
+            yield Timeout(self.sim, delay)
             if remote.online:
                 qp.reset()
                 self.smart.stats.record_recovery(self.sim.now - started)
@@ -296,7 +297,7 @@ class SmartHandle:
         delay = avoider.backoff_ns(self._attempts)
         self._attempts += 1
         if delay > 0:
-            yield self.sim.timeout(delay)
+            yield Timeout(self.sim, delay)
         return old
 
     # -- operation boundaries (latency, retry stats, c_max credits) ----------------------
@@ -340,4 +341,4 @@ class SmartHandle:
         delay = self.smart.avoider.backoff_ns(self._attempts)
         self._attempts += 1
         if delay > 0:
-            yield self.sim.timeout(delay)
+            yield Timeout(self.sim, delay)

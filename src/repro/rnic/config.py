@@ -17,8 +17,29 @@ Defaults are calibrated to the paper's testbed (Mellanox ConnectX-6,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
+
+#: rates, bandwidths, the clock, capacities, and the two multipliers the
+#: model raises to or scales compute by: zero or less cannot be priced
+_POSITIVE = (
+    "max_iops", "responder_iops", "network_bandwidth_gbps",
+    "pcie_bandwidth_gbps", "cpu_ghz", "wqe_cache_capacity",
+    "blade_capacity_bytes", "wqe_miss_shape", "offload_slowdown",
+)
+#: hit ratios and the pinned fraction
+_UNIT_INTERVAL = ("mtt_shared_hit", "mtt_hit_floor", "pinned_ratio")
+#: coefficients, byte counts and retry budgets: zero is a legal setting,
+#: a negative is not (every ``*_ns`` field too, see _NON_NEGATIVE_FIELDS)
+_NON_NEGATIVE = (
+    "wqe_share_factor", "wqe_miss_penalty", "wr_base_dma_bytes",
+    "wqe_miss_dma_bytes", "mtt_hit_decay_per_context", "mtt_miss_penalty",
+    "poll_drain_factor", "low_latency_uars", "doorbell_bounce_cap",
+    "transport_retry_limit", "reconnect_retry_limit",
+)
+#: counts the model needs at least one of: a medium-latency doorbell for
+#: QPs past the dedicated ones, a resident ODP page, a handler-queue slot
+_AT_LEAST_ONE = ("medium_latency_uars", "odp_resident_pages", "offload_queue_depth")
 
 
 @dataclass(frozen=True)
@@ -220,6 +241,28 @@ class RnicConfig:
     ``cqe_poll_ns``: draining n CQEs in one wakeup costs
     ``cqe_poll_ns * (1 + factor * (n - 1))``."""
 
+    def __post_init__(self) -> None:
+        """Reject a value the model would crash on mid-run or price as
+        nonsense, naming the field."""
+        for name in _POSITIVE:
+            if not getattr(self, name) > 0:
+                self._reject(name, "> 0")
+        for name in _UNIT_INTERVAL:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                self._reject(name, "in [0, 1]")
+        for name in _NON_NEGATIVE_FIELDS:
+            if not getattr(self, name) >= 0:
+                self._reject(name, ">= 0")
+        for name in _AT_LEAST_ONE:
+            if not getattr(self, name) >= 1:
+                self._reject(name, ">= 1")
+        default_uars = self.low_latency_uars + self.medium_latency_uars
+        if not self.max_uars >= default_uars:
+            self._reject("max_uars", f">= low_latency_uars + medium_latency_uars ({default_uars})")
+
+    def _reject(self, name: str, rule: str) -> None:
+        raise ValueError(f"RnicConfig.{name} must be {rule}, got {getattr(self, name)!r}")
+
     def cycles_to_ns(self, cycles: float) -> float:
         return cycles / self.cpu_ghz
 
@@ -242,6 +285,13 @@ class RnicConfig:
     def with_overrides(self, **kwargs) -> "RnicConfig":
         """A copy with selected fields replaced."""
         return replace(self, **kwargs)
+
+
+#: what ``__post_init__`` checks for >= 0: the list above and every
+#: ``*_ns`` field (read off the class, hence built below it)
+_NON_NEGATIVE_FIELDS = _NON_NEGATIVE + tuple(
+    field.name for field in fields(RnicConfig) if field.name.endswith("_ns")
+)
 
 
 def connectx6() -> RnicConfig:

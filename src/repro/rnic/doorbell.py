@@ -70,6 +70,11 @@ class Doorbell:
         #: cache line is shared by all of them, so every acquisition pays
         #: a bounce per *sharer*, not just per queued waiter
         self.users = set()
+        #: held_cost_ns memo: (user count, WQE count) -> ns, valid for
+        #: ``_costs_config`` only — a ring priced by another config resets
+        #: it, and holding the config means its identity cannot be reused
+        self._costs = {}
+        self._costs_config = None
 
     def note_user(self, thread_id: int) -> None:
         self.users.add(thread_id)
@@ -77,9 +82,19 @@ class Doorbell:
     def held_cost_ns(self, config, n_wrs: int) -> float:
         """Time spent holding this doorbell's spinlock for one ring of
         ``n_wrs`` work requests."""
-        sharers = min(max(len(self.users) - 1, 0), config.doorbell_bounce_cap)
-        per_wqe = config.wqe_under_lock_ns * (1.0 + config.wqe_share_factor * sharers)
-        return config.doorbell_mmio_ns + config.doorbell_share_ns * sharers + per_wqe * n_wrs
+        if config is not self._costs_config:
+            self._costs = {}
+            self._costs_config = config
+        key = (len(self.users), n_wrs)
+        cost = self._costs.get(key)
+        if cost is None:
+            sharers = min(max(key[0] - 1, 0), config.doorbell_bounce_cap)
+            per_wqe = config.wqe_under_lock_ns * (1.0 + config.wqe_share_factor * sharers)
+            cost = self._costs[key] = (
+                config.doorbell_mmio_ns + config.doorbell_share_ns * sharers
+                + per_wqe * n_wrs
+            )
+        return cost
 
     def __repr__(self) -> str:
         return f"Doorbell({self.index}, {self.kind}, qps={self.bound_qps})"

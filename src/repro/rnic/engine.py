@@ -14,9 +14,10 @@ import struct
 
 from repro.memory.address import BLADE_SHIFT, OFFSET_MASK, blade_of, offset_of
 from repro.rnic import qp as qpmod
-from repro.rnic.qp import READ, WorkBatch
+from repro.rnic.qp import READ, QueuePair, WorkBatch
 
 _U64 = struct.Struct("<Q")
+_STATE_ERROR = QueuePair.STATE_ERROR
 
 
 class RequesterEngine:
@@ -45,7 +46,7 @@ class RequesterEngine:
         batch.rung_at = sim.now
 
         qp = batch.qp
-        if qp.state == qpmod.QueuePair.STATE_ERROR:
+        if qp.state == _STATE_ERROR:
             # Driver-level flush: WRs posted on an ERROR QP never reach
             # the wire; they complete immediately with a flush status.
             device.fail_batch(batch, qpmod.WorkRequest.STATUS_FLUSH)
@@ -64,8 +65,13 @@ class RequesterEngine:
         # the issue pipeline processes one WQE per *wire* message
         # (wire_wrs == n unless RnicConfig.merge_wrs fused some).
         wire_n = batch.wire_wrs
-        start = max(sim.now, self.busy_until)
-        finish = start + max(wire_n * per_wr_ns, bandwidth_ns)
+        # max(now, busy_until) + max(issue, bandwidth), as conditionals:
+        # ties keep the first operand, exactly as max() does.
+        now = sim.now
+        busy_until = self.busy_until
+        start = busy_until if busy_until > now else now
+        issue_ns = wire_n * per_wr_ns
+        finish = start + (bandwidth_ns if bandwidth_ns > issue_ns else issue_ns)
         self.busy_until = finish
 
         counters = device.counters
@@ -191,10 +197,12 @@ class ResponderEngine:
             if odp is not None:
                 odp_penalty = odp.charge(batch, sim.now)
 
-        batch.remote_start_at = sim.now
-        start = max(sim.now, self.busy_until)
+        now = batch.remote_start_at = sim.now
+        busy_until = self.busy_until
+        start = busy_until if busy_until > now else now
+        issue_ns = batch.wire_wrs * per_wr_ns
         finish = (
-            start + max(batch.wire_wrs * per_wr_ns, bandwidth_ns)
+            start + (bandwidth_ns if bandwidth_ns > issue_ns else issue_ns)
             + nvm_penalty + odp_penalty
         )
         self.busy_until = finish
@@ -221,23 +229,30 @@ class ResponderEngine:
         # (power_fail replaces them, so fetched per batch) and its bound.
         memory = storage._memory
         capacity = storage.capacity
-        for wr in batch.wrs:
-            if enforce and not self._access_allowed(storage, wr):
-                wr.status = wr.STATUS_ACCESS_ERROR
-                device.counters.protection_faults += 1
-                continue
-            addr = wr.remote_addr
-            if wr.opcode == READ and addr >> BLADE_SHIFT == blade_tag:
-                # In place; a READ addressed to another blade (or to null)
-                # gets its error from _execute.  read_wr made size > 0.
-                offset = addr & OFFSET_MASK
-                end = offset + wr.size
-                if end > capacity:
-                    storage._check(offset, wr.size)  # raises the IndexError
-                storage.reads += 1
-                wr.result = memory[offset:end]
-            else:
-                self._execute(storage, wr)
+        # In-place READs are counted here and added to the blade's tally
+        # once per batch — also when a WR below raises.
+        reads = 0
+        try:
+            for wr in batch.wrs:
+                if enforce and not self._access_allowed(storage, wr):
+                    wr.status = wr.STATUS_ACCESS_ERROR
+                    device.counters.protection_faults += 1
+                    continue
+                addr = wr.remote_addr
+                if wr.opcode == READ and addr >> BLADE_SHIFT == blade_tag:
+                    # In place; a READ addressed to another blade (or to
+                    # null) gets its error from _execute.  read_wr made
+                    # size > 0.
+                    offset = addr & OFFSET_MASK
+                    end = offset + wr.size
+                    if end > capacity:
+                        storage._check(offset, wr.size)  # raises the IndexError
+                    reads += 1
+                    wr.result = memory[offset:end]
+                else:
+                    self._execute(storage, wr)
+        finally:
+            storage.reads += reads
         device.counters.responder_ops += batch.n
         batch.executed_at = device.sim.now
         self.send_response(batch)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.rnic.qp import QueuePair, WorkBatch, WorkRequest
+from repro.sim import Timeout
 
 
 def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Generator:
@@ -42,7 +43,7 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
 
     delay = thread.charge(config.wqe_build_ns * n)
     if delay > 0:
-        yield sim.timeout(delay)
+        yield Timeout(sim, delay)
 
     # Posting on an ERROR QP skips the locks and the doorbell: the driver
     # flushes the WRs straight to the CQ with IBV_WC_WR_FLUSH_ERR
@@ -62,7 +63,7 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
                 # spinning reads (cache-line bouncing).
                 delay = thread.charge(qp.sharing_penalty_ns(config))
                 if delay > 0:
-                    yield sim.timeout(delay)
+                    yield Timeout(sim, delay)
             doorbell = qp.doorbell
             doorbell.note_user(thread_id)
             wait_start = sim.now
@@ -85,7 +86,7 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
                 # is off).
                 delay = thread.charge(doorbell.held_cost_ns(config, batch.wire_wrs))
                 if delay > 0:
-                    yield sim.timeout(delay)
+                    yield Timeout(sim, delay)
             finally:
                 doorbell.lock.release(owner=thread_id)
         finally:
@@ -137,7 +138,7 @@ def wait_completion(thread, batch: WorkBatch) -> Generator:
                 poll_ns = config.poll_yield_ns + amortized_ns
     delay = thread.charge(poll_ns)
     if delay > 0:
-        yield sim.timeout(delay)
+        yield Timeout(sim, delay)
     return batch
 
 

@@ -91,7 +91,7 @@ class Waitable:
         else:
             self._callbacks.append(callback)
 
-    def _trigger(self, value: Any) -> None:
+    def _trigger(self, value: Any = None) -> None:
         if self._triggered:
             raise SimulationError("waitable triggered twice")
         self._triggered = True
@@ -182,8 +182,10 @@ class Event(Waitable):
 
     __slots__ = ()
 
-    def fire(self, value: Any = None) -> None:
-        self._trigger(value)
+    #: ``fire(value=None)`` *is* the trigger, not a method wrapping it:
+    #: batch completions, lock hand-offs and credit tickets pay one
+    #: frame per fire, and a second fire still raises.
+    fire = Waitable._trigger
 
 
 class Process(Waitable):

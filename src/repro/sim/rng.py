@@ -22,11 +22,9 @@ _MASK_64 = (1 << 64) - 1
 def fnv1a_64(value: int) -> int:
     """FNV-1a hash of an integer's 8 little-endian bytes."""
     hashed = _FNV_OFFSET_BASIS_64
-    for _ in range(8):
-        octet = value & 0xFF
-        value >>= 8
-        hashed ^= octet
-        hashed = (hashed * _FNV_PRIME_64) & _MASK_64
+    # The low 64 bits in two's complement, so negatives hash as before.
+    for octet in (value & _MASK_64).to_bytes(8, "little"):
+        hashed = ((hashed ^ octet) * _FNV_PRIME_64) & _MASK_64
     return hashed
 
 

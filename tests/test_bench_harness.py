@@ -2,12 +2,18 @@
 experiment runners and the common apps helper."""
 
 import dataclasses
+import random
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.common import RemoteAllocator
 from repro.bench.microbench import (
+    OPS,
     MicrobenchResult,
+    _make_wrs,
     run_dynamic_microbench,
     run_microbench,
 )
@@ -87,6 +93,46 @@ class TestMicrobench:
         would spin forever inside one generator step."""
         with pytest.raises(ValueError, match="depth"):
             run_microbench(policy=policy, threads=1, depth=0)
+
+    #: a blade stand-in: _make_wrs only asks it for the region's address
+    BLADE = types.SimpleNamespace(global_addr=lambda offset: (3 << 48) | offset)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        depth=st.integers(1, 16),
+        slots=st.one_of(
+            st.integers(1, 10_000),
+            # exact powers of two and their neighbours: at slots = 2^j the
+            # draw takes j + 1 bits and is redrawn about half the time
+            st.builds(lambda e, d: max(1, (1 << e) + d),
+                      st.integers(0, 30), st.sampled_from((-1, 0, 1))),
+        ),
+        payload=st.sampled_from((1, 8, 64, 1024)),
+        slack=st.integers(0, 7),
+        op=st.sampled_from(OPS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_batch_draws_exactly_what_randrange_draws(
+        self, seed, depth, slots, payload, slack, op
+    ):
+        """The inlined draw is ``rng.randrange(slots)``: same addresses,
+        and the generator left in the same state."""
+        stride = max(payload, 8)
+        region_base = 4096
+        region_size = slots * stride + slack  # a partial slot is never drawn
+        reference = random.Random(seed)
+        base = self.BLADE.global_addr(region_base)
+        expected = [base + reference.randrange(slots) * stride for _ in range(depth)]
+        rng = random.Random(seed)
+        wrs = _make_wrs(op, payload, depth, region_base, region_size, rng, self.BLADE)
+        assert [wr.remote_addr for wr in wrs] == expected
+        assert rng.getstate() == reference.getstate()
+
+    def test_a_region_with_no_slot_is_an_empty_range(self):
+        with pytest.raises(ValueError, match="empty range"):
+            random.Random(0).randrange(0)
+        with pytest.raises(ValueError, match="empty range"):
+            _make_wrs("read", 64, 4, 0, 63, random.Random(0), self.BLADE)
 
     def test_small_run_reports_throughput(self):
         result = run_microbench(

@@ -41,6 +41,51 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.max_iops = 1e6
 
+    @pytest.mark.parametrize("field, value, rule", [
+        # rates, bandwidths, the clock and capacities: > 0
+        ("network_bandwidth_gbps", 0, "> 0"),
+        ("max_iops", 0, "> 0"),
+        ("responder_iops", -1.0, "> 0"),
+        ("pcie_bandwidth_gbps", float("nan"), "> 0"),
+        ("cpu_ghz", 0, "> 0"),
+        ("wqe_cache_capacity", 0, "> 0"),
+        ("blade_capacity_bytes", 0, "> 0"),
+        ("wqe_miss_shape", 0.0, "> 0"),
+        ("offload_slowdown", 0.0, "> 0"),
+        # every *_ns: >= 0
+        ("cqe_poll_ns", -5, ">= 0"),
+        ("doorbell_mmio_ns", -1.0, ">= 0"),
+        ("retransmit_timeout_ns", -1.0, ">= 0"),
+        # hit ratios and the pinned fraction: in [0, 1]
+        ("pinned_ratio", 1.5, r"in \[0, 1\]"),
+        ("pinned_ratio", -0.1, r"in \[0, 1\]"),
+        ("mtt_shared_hit", 1.01, r"in \[0, 1\]"),
+        ("mtt_hit_floor", -0.5, r"in \[0, 1\]"),
+        # coefficients and retry budgets: >= 0
+        ("wqe_share_factor", -1.0, ">= 0"),
+        ("mtt_miss_penalty", -0.1, ">= 0"),
+        ("transport_retry_limit", -1, ">= 0"),
+        ("doorbell_bounce_cap", -1, ">= 0"),
+        ("low_latency_uars", -1, ">= 0"),
+        # counts the model needs one of
+        ("medium_latency_uars", 0, ">= 1"),
+        ("odp_resident_pages", 0, ">= 1"),
+        ("offload_queue_depth", 0, ">= 1"),
+        # the default context's doorbells must fit the device
+        ("max_uars", 15, r">= low_latency_uars \+ medium_latency_uars \(16\)"),
+    ])
+    def test_a_value_the_model_cannot_price_is_rejected_by_name(self, field, value, rule):
+        with pytest.raises(ValueError, match=rf"^RnicConfig\.{field} must be {rule}, got"):
+            RnicConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"RnicConfig\.{field} "):
+            connectx6().with_overrides(**{field: value})
+
+    def test_boundary_values_stay_legal(self):
+        # a free doorbell, a fully on-demand region, zero retries
+        RnicConfig(doorbell_mmio_ns=0.0, doorbell_share_ns=0.0, wqe_under_lock_ns=0.0,
+                   pinned_ratio=0.0, transport_retry_limit=0, reconnect_retry_limit=0,
+                   low_latency_uars=0, max_uars=12, odp_resident_pages=1)
+
     def test_overrides_never_see_a_stale_cached_rate(self):
         config = connectx6()
         before = config.iops_service_ns  # cached on `config` from here on

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Delay, Event, Interrupt, Simulator
-from repro.sim.core import SimulationError
+from repro.sim.core import SimulationError, Waitable
 
 
 def test_timeout_advances_clock():
@@ -106,6 +106,18 @@ def test_event_double_fire_raises():
     done.fire()
     with pytest.raises(SimulationError):
         done.fire()
+
+
+def test_event_fire_is_the_trigger_itself():
+    # one frame per fire: the alias, not a method that calls _trigger
+    assert Event.fire is Waitable._trigger
+    sim = Simulator()
+    done = sim.event()
+    done.fire(7)
+    assert done.triggered and done.value == 7
+    with pytest.raises(SimulationError, match="triggered twice"):
+        done.fire(8)
+    assert done.value == 7
 
 
 def test_process_is_waitable_and_returns_value():

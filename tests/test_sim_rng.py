@@ -104,6 +104,25 @@ def test_fnv1a_known_properties():
     assert fnv1a_64(7) == fnv1a_64(7)
 
 
+def _fnv1a_64_by_shifts(value):
+    """The original loop: shift out and mask eight octets."""
+    hashed = 0xCBF29CE484222325
+    for _ in range(8):
+        octet = value & 0xFF
+        value >>= 8
+        hashed ^= octet
+        hashed = (hashed * 0x100000001B3) & ((1 << 64) - 1)
+    return hashed
+
+
+@given(st.integers(min_value=-(1 << 70), max_value=(1 << 70) - 1))
+@settings(max_examples=500, deadline=None)
+def test_fnv1a_matches_the_shift_and_mask_loop(value):
+    # negatives and values past 64 bits included: both hash the low
+    # 64 bits of the two's-complement value
+    assert fnv1a_64(value) == _fnv1a_64_by_shifts(value)
+
+
 @given(st.integers(min_value=0, max_value=40))
 @settings(max_examples=50, deadline=None)
 def test_backoff_within_bounds(attempt):

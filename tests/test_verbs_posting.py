@@ -53,6 +53,32 @@ class TestDoorbellCostModel:
         db.note_user(101)
         assert db.held_cost_ns(config, 1) == capped
 
+    @staticmethod
+    def _closed_form(config, users, n_wrs):
+        sharers = min(max(users - 1, 0), config.doorbell_bounce_cap)
+        per_wqe = config.wqe_under_lock_ns * (1.0 + config.wqe_share_factor * sharers)
+        return config.doorbell_mmio_ns + config.doorbell_share_ns * sharers + per_wqe * n_wrs
+
+    def test_memoised_cost_follows_users_joining_past_the_cap(self):
+        config = connectx6()
+        db = self._doorbell(config)
+        for user in range(config.doorbell_bounce_cap + 4):
+            db.note_user(user)
+            for n_wrs in (1, 8, 1, 8):  # the repeats are answered by the memo
+                assert db.held_cost_ns(config, n_wrs) == self._closed_form(
+                    config, user + 1, n_wrs)
+
+    def test_two_configs_on_one_doorbell_never_share_a_cost(self):
+        cheap = connectx6()
+        dear = cheap.with_overrides(doorbell_mmio_ns=500.0, wqe_under_lock_ns=90.0,
+                                    doorbell_bounce_cap=2)
+        db = self._doorbell(cheap)
+        for user in range(5):
+            db.note_user(user)
+            for config in (cheap, dear, cheap, dear, connectx6()):
+                assert db.held_cost_ns(config, 8) == self._closed_form(
+                    config, user + 1, 8)
+
 
 class TestPostingPath:
     def _setup(self, policy):
