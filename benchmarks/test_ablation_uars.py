@@ -6,42 +6,18 @@ This bench sweeps the context's UAR count at a fixed 96 threads and shows
 throughput recovering as sharing disappears.
 """
 
+from repro.bench.microbench import run_microbench
 from repro.bench.report import format_table
-from repro.cluster import Cluster
-from repro.rnic import verbs
-from repro.rnic.qp import read_wr
-import random
+from repro.rnic.config import RnicConfig
 
 
 def run_point(total_uuars, threads=96, depth=8, measure_ns=0.8e6):
-    cluster = Cluster()
-    compute = cluster.add_node()
-    compute.add_threads(threads)
-    (remote,) = cluster.add_nodes(1)
-    region = remote.storage.alloc_region("bench", 1 << 20)
-    context = compute.device.open_context(total_uuars)
-    for thread in compute.threads:
-        thread.qps[remote.node_id] = context.create_qp(remote)
-
-    def worker(thread, rng):
-        qp = thread.qp_for(remote.node_id)
-        while True:
-            wrs = [
-                read_wr(remote.storage.global_addr(
-                    region.base + rng.randrange(region.size // 8) * 8), 8)
-                for _ in range(depth)
-            ]
-            yield from verbs.post_and_wait(thread, qp, wrs)
-
-    rng = random.Random(7)
-    for thread in compute.threads:
-        cluster.sim.spawn(worker(thread, random.Random(rng.random())))
-    warmup = 0.3e6
-    cluster.sim.run(until=warmup)
-    snapshot = compute.device.counters.snapshot()
-    cluster.sim.run(until=warmup + measure_ns)
-    delta = compute.device.counters.delta(snapshot)
-    return delta.cqe_delivered / measure_ns * 1e3
+    """MOPS of the bench tool with a QP per thread on one context of
+    ``total_uuars`` UARs (the driver's four low-latency UARs included)."""
+    config = RnicConfig(medium_latency_uars=total_uuars - 4)
+    return run_microbench(policy="per-thread-qp", threads=threads, depth=depth,
+                          warmup_ns=0.3e6, measure_ns=measure_ns,
+                          config=config).throughput_mops
 
 
 def test_uar_sweep(benchmark):

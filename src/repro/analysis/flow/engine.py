@@ -1,7 +1,7 @@
 """The analysis driver: file collection, pragmas, baseline, CLI.
 
 ``analyze_source`` runs the per-file rules (SIM001–SIM005,
-FLW1xx–FLW3xx) on one module; ``analyze_paths`` reads every file once,
+FLW1xx–FLW3xx) on one module; ``analyze_paths`` reads and parses every file once,
 runs them over each and adds the cross-module protocol checker (FLW4xx)
 over app packages.
 
@@ -78,17 +78,23 @@ def _unanalyzable(path: str, message: str, line: int = 0, col: int = 0) -> FlowF
     )
 
 
-def analyze_source(source: str, path: str = "<string>") -> List[FlowFinding]:
-    """Per-file rules over one module, pragmas applied."""
+def _analyze(source: str, path: str) -> Tuple[Optional[ast.Module], List[FlowFinding]]:
+    """One module's tree and its per-file findings, pragmas applied; a
+    syntax error is one ``FLW000`` finding and no tree."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
-        return [
+        return None, [
             _unanalyzable(
                 path, f"syntax error: {error.msg}", error.lineno or 0, error.offset or 0
             )
         ]
-    return _apply_pragmas(rules_mod.check_module(tree, path), source)
+    return tree, _apply_pragmas(rules_mod.check_module(tree, path), source)
+
+
+def analyze_source(source: str, path: str = "<string>") -> List[FlowFinding]:
+    """Per-file rules over one module, pragmas applied."""
+    return _analyze(source, path)[1]
 
 
 def collect_files(paths: Sequence[Path]) -> List[Path]:
@@ -121,6 +127,7 @@ def analyze_paths(paths: Sequence[Path]) -> Tuple[List[FlowFinding], int]:
     files = collect_files(paths)
     findings: List[FlowFinding] = []
     sources: Dict[str, str] = {}
+    trees: Dict[str, ast.Module] = {}
     for file in files:
         path = str(file)
         try:
@@ -128,11 +135,16 @@ def analyze_paths(paths: Sequence[Path]) -> Tuple[List[FlowFinding], int]:
         except OSError as error:
             findings.append(_unanalyzable(path, f"unreadable: {error}"))
             continue
-        findings.extend(analyze_source(sources[path], path))
+        tree, found = _analyze(sources[path], path)
+        findings.extend(found)
+        if tree is not None:
+            trees[path] = tree
 
-    for app in protocol_mod.group_apps(sources):
+    # The protocol checker reads the trees parsed above: a module that
+    # did not parse is already its FLW000 and sits out of its app.
+    for app in protocol_mod.group_apps(trees):
         for path, found in protocol_mod.check_app(app).items():
-            findings.extend(_apply_pragmas(found, app[path]))
+            findings.extend(_apply_pragmas(found, sources[path]))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, len(files)

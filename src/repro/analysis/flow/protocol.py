@@ -38,8 +38,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.flow.astutil import leaf_name, names_in, string_pattern
-from repro.analysis.flow.rules import FlowFinding, finding_at
+from repro.analysis.flow.astutil import leaf_name, names_in, parent_map, string_pattern
+from repro.analysis.flow.rules import FlowFinding, finding_at, scope_resolver
+from repro.analysis.flow.symbols import build_symbols
 
 PROTOCOL_RULES: Dict[str, str] = {
     "FLW401": "CAS target region is allocated but never declared to the sanitizer",
@@ -204,51 +205,18 @@ def _collect_bindings(tree: ast.Module,
     return bindings
 
 
-def _scope_of(node: ast.AST, scopes: List[Tuple[ast.AST, str]]) -> str:
-    best = ""
-    for fn, qualname in scopes:
-        if (
-            getattr(fn, "lineno", 0) <= getattr(node, "lineno", 0)
-            and getattr(node, "lineno", 0) <= (getattr(fn, "end_lineno", 0) or 0)
-        ):
-            if len(qualname) > len(best):
-                best = qualname
-    return best
-
-
-def _function_scopes(tree: ast.Module) -> List[Tuple[ast.AST, str]]:
-    scopes: List[Tuple[ast.AST, str]] = []
-
-    def visit(scope: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(scope):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                scopes.append((child, qualname))
-                visit(child, f"{qualname}.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return scopes
-
-
-def build_app_model(sources: Dict[str, str]) -> AppModel:
+def build_app_model(trees: Dict[str, ast.Module]) -> AppModel:
     """Extract allocations, declarations and CAS sites from an app's
-    modules (``sources``: path -> source text) and solve the taint
+    modules (``trees``: path -> parsed module) and solve the taint
     fixpoint."""
     model = AppModel()
-    trees: Dict[str, ast.Module] = {}
     class_fields: Dict[str, List[str]] = {}
-    for path, source in sorted(sources.items()):
-        tree = ast.parse(source, filename=path)
-        trees[path] = tree
+    for _path, tree in sorted(trees.items()):
         class_fields.update(_class_fields(tree))
 
     all_bindings: List[Tuple[List[str], ast.expr]] = []
     for path, tree in sorted(trees.items()):
-        scopes = _function_scopes(tree)
+        scope_of = scope_resolver(build_symbols(tree, path), parent_map(tree))
         all_bindings.extend(_collect_bindings(tree, class_fields))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -278,7 +246,7 @@ def build_app_model(sources: Dict[str, str]) -> AppModel:
                     if pattern is not None:
                         model.declarations.append(
                             _Declaration(
-                                pattern, policy, node, path, _scope_of(node, scopes)
+                                pattern, policy, node, path, scope_of(node)
                             )
                         )
                 elif func.attr in _LOCK_DECL_ATTRS:
@@ -286,11 +254,11 @@ def build_app_model(sources: Dict[str, str]) -> AppModel:
                     model.lock_decl_args.extend(kw.value for kw in node.keywords)
                 elif func.attr in _CAS_ATTRS and node.args:
                     model.cas_sites.append(
-                        (node.args[0], node, path, _scope_of(node, scopes))
+                        (node.args[0], node, path, scope_of(node))
                     )
             elif isinstance(func, ast.Name) and func.id in _CAS_NAMES and node.args:
                 model.cas_sites.append(
-                    (node.args[0], node, path, _scope_of(node, scopes))
+                    (node.args[0], node, path, scope_of(node))
                 )
 
     # Taint fixpoint over one app-wide namespace.
@@ -310,10 +278,11 @@ def build_app_model(sources: Dict[str, str]) -> AppModel:
     return model
 
 
-def check_app(sources: Dict[str, str]) -> Dict[str, List[FlowFinding]]:
-    """Run FLW401–403 over one app; returns findings grouped by path."""
-    model = build_app_model(sources)
-    findings: Dict[str, List[FlowFinding]] = {path: [] for path in sources}
+def check_app(trees: Dict[str, ast.Module]) -> Dict[str, List[FlowFinding]]:
+    """Run FLW401–403 over one app (``trees``: path -> parsed module);
+    returns findings grouped by path."""
+    model = build_app_model(trees)
+    findings: Dict[str, List[FlowFinding]] = {path: [] for path in trees}
 
     def flag(path: str, rule: str, node: ast.AST, message: str, scope: str) -> None:
         findings[path].append(finding_at(path, rule, node, message, scope))
@@ -379,17 +348,25 @@ def check_app(sources: Dict[str, str]) -> Dict[str, List[FlowFinding]]:
     return findings
 
 
-def group_apps(sources: Dict[str, str]) -> List[Dict[str, str]]:
-    """Group modules (``sources``: path -> source text) into app units:
+def _declares_regions(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "declare_sanitizer_regions"
+        for node in ast.walk(tree)
+    )
+
+
+def group_apps(trees: Dict[str, ast.Module]) -> List[Dict[str, ast.Module]]:
+    """Group parsed modules (``trees``: path -> module) into app units:
     one unit per directory containing a ``declare_sanitizer_regions``
     definition, holding every module in that directory."""
-    by_dir: Dict[str, Dict[str, str]] = {}
-    for path in sorted(sources):
+    by_dir: Dict[str, Dict[str, ast.Module]] = {}
+    for path in sorted(trees):
         by_dir.setdefault(os.path.dirname(os.path.abspath(path)), {})[path] = (
-            sources[path]
+            trees[path]
         )
     return [
         members
         for _dirname, members in sorted(by_dir.items())
-        if any("def declare_sanitizer_regions" in text for text in members.values())
+        if any(_declares_regions(tree) for tree in members.values())
     ]

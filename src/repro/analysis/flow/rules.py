@@ -692,14 +692,10 @@ def _check_hygiene(symbols: ModuleSymbols, flag: Flag, scope_of,
 # -- entry point --------------------------------------------------------------
 
 
-def check_module(tree: ast.Module, path: str = "<string>") -> List[FlowFinding]:
-    """Run every per-file rule over one parsed module."""
-    symbols = build_symbols(tree, path)
-    parents = parent_map(tree)
-    findings: List[FlowFinding] = []
-
-    def flag(rule: str, node: ast.AST, message: str, scope: str = "") -> None:
-        findings.append(finding_at(path, rule, node, message, scope))
+def scope_resolver(symbols: ModuleSymbols,
+                   parents: Dict[ast.AST, ast.AST]) -> Callable[[ast.AST], str]:
+    """``scope_of(node)``: the qualified name of the innermost function
+    enclosing ``node`` in the module of ``symbols`` ("" at module level)."""
 
     def scope_of(node: ast.AST) -> str:
         for anc in ancestors(node, parents):
@@ -707,6 +703,19 @@ def check_module(tree: ast.Module, path: str = "<string>") -> List[FlowFinding]:
             if info is not None:
                 return info.qualname
         return ""
+
+    return scope_of
+
+
+def check_module(tree: ast.Module, path: str = "<string>") -> List[FlowFinding]:
+    """Run every per-file rule over one parsed module."""
+    symbols = build_symbols(tree, path)
+    parents = parent_map(tree)
+    scope_of = scope_resolver(symbols, parents)
+    findings: List[FlowFinding] = []
+
+    def flag(rule: str, node: ast.AST, message: str, scope: str = "") -> None:
+        findings.append(finding_at(path, rule, node, message, scope))
 
     in_rng_module = path.replace("\\", "/").endswith("sim/rng.py")
 

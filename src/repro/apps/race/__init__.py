@@ -12,7 +12,7 @@ study is preserved exactly:
   KV, CAS again), the §3.3 amplification.
 """
 
-from repro.apps.race.client import HashTableClient, RaceHashTable
+from repro.apps.race.client import HashTableClient
 from repro.apps.race.server import HashTableServer
 
-__all__ = ["HashTableClient", "HashTableServer", "RaceHashTable"]
+__all__ = ["HashTableClient", "HashTableServer"]

@@ -391,7 +391,3 @@ class HashTableClient:
             if (i & ((1 << local_depth) - 1)) == suffix and i & (1 << local_depth):
                 entry_addr = self.meta.dir_addr + layout.DIR_HEADER_BYTES + i * 8
                 yield from handle.cas_sync(entry_addr, seg_addr, new_seg_addr)
-
-
-class RaceHashTable(HashTableClient):
-    """Public alias emphasizing the baseline configuration."""

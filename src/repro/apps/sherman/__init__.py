@@ -17,7 +17,7 @@ many threads).  Structure:
 
 SMART-BT adds speculative lookup (:class:`SpeculativeCache`) and runs the
 same client on the full SMART feature set
-(``repro.bench.runner.SYSTEM_FEATURES["smart-bt"]``).
+(``repro.bench.runner.BTreeApp.systems["smart-bt"]``).
 """
 
 from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache

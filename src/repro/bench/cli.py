@@ -67,7 +67,7 @@ from typing import Callable, List, Optional
 from repro.bench.microbench import ACCESS_PATTERNS, OPS, POLICIES, run_microbench
 from repro.bench.parallel import default_jobs
 from repro.bench.report import format_table, write_experiment_json
-from repro.bench.runner import RunArgumentError
+from repro.bench.runner import APPS, RunArgumentError
 from repro.rnic.config import RnicConfig
 from repro.workloads import ycsb
 
@@ -246,8 +246,7 @@ def build_traffic_parser() -> argparse.ArgumentParser:
         description="open-loop multi-tenant traffic engine "
                     "(arrivals independent of completions)",
     )
-    parser.add_argument("--app", choices=("hashtable", "dtx", "btree"),
-                        default="hashtable")
+    parser.add_argument("--app", choices=tuple(APPS), default="hashtable")
     parser.add_argument("--system", default=None,
                         help="system under test (default: the SMART variant "
                              "for --app; e.g. race, smart-ht, ford, sherman)")
@@ -342,18 +341,13 @@ def _run_resharding(args) -> int:
         headers, rows,
         title=f"resharding ({result.mode}): queue delay around the rebalance",
     ))
-    migration = result.migration_ns
     print(f"moves={len(result.moves)}, keys_copied={result.keys_copied}, "
           f"keys_skipped={result.keys_skipped}, "
           f"mirror_writes={result.mirror_writes}, "
           f"bytes_freed={result.bytes_freed}, "
           f"blades {result.blades_before}->{result.blades_after}")
-    if migration is not None:
-        print(f"migration took {migration / 1e3:.1f} us "
-              f"(alloc p50={result.alloc_p50_ns or 0:.0f} ns over "
-              f"{result.alloc_count} region allocs)")
-    else:
-        print("no migration was triggered")
+    print(f"{result.migration_status} (alloc p50={result.alloc_p50_ns or 0:.0f} "
+          f"ns over {result.alloc_count} region allocs)")
     print(f"wall time={wall_s:.1f} s")
     if args.json:
         _write_json(args.json, result.to_dict())
@@ -389,12 +383,8 @@ def _run_odp(args) -> int:
     if any(not 0.0 <= r <= 1.0 for r in ratios or ()):
         print("--ratios values must be in [0, 1]", file=sys.stderr)
         return 2
-    depths = _csv(args.depths, int)
-    if any(d < 1 for d in depths or ()):
-        print("--depths values must be >= 1", file=sys.stderr)
-        return 2
     return _run_sweep(
-        args, odp_sweep, ratios=ratios, depths=depths,
+        args, odp_sweep, ratios=ratios, depths=_csv(args.depths, int),
         threads=args.threads, payload=args.block_size,
         measure_ns=args.measure_us * 1e3,
     )
@@ -436,7 +426,7 @@ def _run_offload(args) -> int:
         print("--skews values must be in [0, 1)", file=sys.stderr)
         return 2
     modes = _csv(args.modes, str.strip)
-    if not modes or any(m not in MODES for m in modes):
+    if not modes:
         print(f"--modes must be one or more of {MODES}", file=sys.stderr)
         return 2
     return _run_sweep(
@@ -593,9 +583,6 @@ def run_bench(args) -> int:
 
 
 def run_single(args) -> int:
-    if args.depth < 1:
-        print("depth must be >= 1 WR per batch", file=sys.stderr)
-        return 2
     if args.pinned_ratio is not None and not 0.0 <= args.pinned_ratio <= 1.0:
         print("--pinned-ratio must be in [0, 1]", file=sys.stderr)
         return 2

@@ -31,7 +31,9 @@ from repro.bench.graph_runner import run_graph
 from repro.bench.microbench import run_dynamic_microbench, run_microbench
 from repro.bench.parallel import PointSpec, run_points
 from repro.bench.report import find_knee, format_table
-from repro.bench.runner import BENCH_DELTA_NS, bench_features, run_btree, run_dtx, run_hashtable
+from repro.bench.runner import (
+    BENCH_DELTA_NS, app_class, bench_features, run_btree, run_dtx, run_hashtable,
+)
 from repro.core.features import baseline, cumulative_ladder, full
 from repro.rnic.config import RnicConfig
 from repro.traffic.resharding import run_resharding
@@ -606,14 +608,6 @@ def fig14_conflict(
 # -- open-loop latency-throughput knee (not a paper figure) --------------------------
 
 
-#: baseline vs SMART system pair swept by :func:`latency_throughput`
-_OPEN_LOOP_SYSTEMS = {
-    "hashtable": ("race", "smart-ht"),
-    "dtx": ("ford", "smart-dtx"),
-    "btree": ("sherman", "smart-bt"),
-}
-
-
 def latency_throughput(
     app: str = "hashtable",
     rates_mops: Optional[Sequence[float]] = None,
@@ -632,9 +626,11 @@ def latency_throughput(
     :func:`repro.traffic.runner.run_open_loop` and reports achieved
     throughput, total (arrival→completion) latency and queueing delay.
     Past the knee the baseline's queue grows without bound while SMART's
-    higher capacity keeps absorbing load.
+    higher capacity keeps absorbing load.  The sweep runs ``app``'s
+    baseline (its first system) against its SMART refactor.
     """
-    systems = _OPEN_LOOP_SYSTEMS[app]
+    adapter = app_class(app)
+    systems = (next(iter(adapter.systems)), adapter.default_system)
     rates_mops = rates_mops or _grid(
         (0.5, 1.0, 2.0, 4.0), (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
     )
@@ -712,13 +708,11 @@ def resharding(
     modes = modes or _grid(("add_blade",), ("add_blade", "autoscale"))
 
     def migration_note(mode, result):
-        migration = result.migration_ns
         return (
             f"{mode}: {len(result.moves)} shard move(s), "
             f"{result.keys_copied} keys copied, "
             f"{result.bytes_freed / 1024:.0f} KiB freed, "
-            + (f"migration took {migration / 1e3:.0f} us"
-               if migration is not None else "no migration triggered")
+            f"{result.migration_status}"
         )
 
     table = _sweep(

@@ -103,9 +103,9 @@ def run_graph(
     ``config``.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise RunArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     if algo not in ("bfs", "pagerank"):
-        raise ValueError(f"algo must be bfs or pagerank, got {algo!r}")
+        raise RunArgumentError(f"algo must be bfs or pagerank, got {algo!r}")
     if vertices < 2:
         raise RunArgumentError(f"vertices must be >= 2, got {vertices!r}")
     check_run_args(0.0, degree=degree, threads=threads, coroutines=coroutines,

@@ -16,6 +16,7 @@ from typing import List, Optional
 from repro.bench.runner import (
     Deployment,
     RunArgumentError,
+    bench_features,
     check_run_args,
     collect_obs,
     collect_sanitizer,
@@ -24,7 +25,7 @@ from repro.bench.runner import (
 )
 from repro.cluster import Cluster, ComputeThread
 from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
-from repro.core.features import baseline as baseline_features
+from repro.core.features import baseline as baseline_features, full
 from repro.rnic import policies, verbs
 from repro.rnic.config import RnicConfig
 from repro.rnic.qp import read_wr, write_wr
@@ -150,10 +151,6 @@ def run_microbench(
     merging fuses).  ``pinned_ratio``/``merge_wrs``/``adaptive_poll``
     are :class:`RnicConfig` fields (pass ``config``).
     """
-    if depth < 1:
-        # A SMART worker with nothing to post never yields: the run would
-        # spin inside one generator step, out of reach of any deadline.
-        raise ValueError(f"depth must be >= 1 WR per batch, got {depth}")
     if policy not in POLICIES:
         raise RunArgumentError(f"policy must be one of {POLICIES}, got {policy!r}")
     if op not in OPS:
@@ -162,18 +159,16 @@ def run_microbench(
         raise RunArgumentError(
             f"access must be one of {ACCESS_PATTERNS}, got {access!r}"
         )
+    # A SMART worker with nothing to post (depth 0) never yields: the
+    # run would spin inside one generator step, out of reach of any deadline.
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
-                   memory_nodes=memory_nodes, payload=payload)
+                   depth=depth, memory_nodes=memory_nodes, payload=payload)
     features = None
     if policy == "smart":
-        # Scale the paper's Δ = 8 ms epoch down so the C_max search
-        # converges inside a short simulation (ratios preserved).
-        features = SmartFeatures().with_overrides(
-            update_delta_ns=0.3e6,
-            backoff=False,
-            dynamic_backoff_limit=False,
-            coroutine_throttling=False,
-        )
+        # Throttling without conflict avoidance, on the bench-scale Δ so
+        # the C_max search converges inside a short simulation.
+        features = bench_features(full().with_overrides(
+            backoff=False, dynamic_backoff_limit=False, coroutine_throttling=False))
         # Measure in the stable phase, after the first UPDATE pass.
         warmup_ns = effective_warmup_ns(features, warmup_ns)
     elif policy == "per-thread-db":

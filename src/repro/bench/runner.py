@@ -53,20 +53,6 @@ def bench_features(features: SmartFeatures) -> SmartFeatures:
     return features
 
 
-#: The framework configuration of every system under test: each SMART
-#: refactor is its baseline's client on the full feature set (§5.2), and
-#: "Sherman+ w/ SL" is Sherman+ features plus a speculative cache.
-SYSTEM_FEATURES: Dict[str, Callable[[], SmartFeatures]] = {
-    "race": baseline,
-    "smart-ht": full,
-    "ford": baseline,
-    "smart-dtx": full,
-    "sherman": baseline,
-    "sherman-sl": baseline,
-    "smart-bt": full,
-}
-
-
 @dataclass
 class RunResult:
     """Aggregated outcome of one experiment point."""
@@ -353,11 +339,14 @@ def result_from_stats(
 class App:
     """What differs between the applications, as the pipeline sees it.
 
-    ``name``, ``default_system`` (the app's SMART refactor) and ``label``
-    (the result's workload column) identify it.  ``load(system,
-    deployment, seed, rebuild)`` deploys and bulk-loads ``server`` —
-    whose ``declare_sanitizer_regions`` goes to RDMASan — and returns
-    the deployment to run on (``rebuild()`` builds a fresh one).
+    ``name`` and ``label`` (the result's workload column) identify it.
+    ``systems`` maps each system the app deploys to its feature-set
+    factory, baseline first: a SMART refactor is its baseline's client
+    on the full feature set (§5.2), and it is the ``default_system``.
+    ``load(system, deployment, seed, rebuild)`` deploys and bulk-loads
+    ``server`` — whose ``declare_sanitizer_regions`` goes to RDMASan —
+    and returns the deployment to run on (``rebuild()`` builds a fresh
+    one).
     ``stream(workload, seed)`` is one client's infinite op stream
     (``None``: the app's own workload), ``make_client(smart)`` a client
     on a SMART thread, and ``dispatch(client, item)`` — a plain
@@ -365,11 +354,19 @@ class App:
     own generator — starts one stream item on it.
     """
 
+    systems: Dict[str, Callable[[], SmartFeatures]]
+    default_system: str
     #: every server is both a compute and a memory blade (Sherman)
     colocated = False
     #: clients survive a blade crash (only FORD's log-ring recovery
     #: does; see :func:`install_faults`)
     recovers_from_crash = False
+
+    @classmethod
+    def for_open_loop(cls, item_count: int, benchmark: str) -> "App":
+        """The app :func:`repro.traffic.runner.run_open_loop` deploys:
+        ``item_count`` items, default workload (``benchmark`` is DTX's)."""
+        return cls(item_count)
 
 
 class _YcsbApp(App):
@@ -389,6 +386,7 @@ class HashTableApp(_YcsbApp):
     """RACE / SMART-HT (Figures 5, 7, 8, 9)."""
 
     name = "hashtable"
+    systems = {"race": baseline, "smart-ht": full}
     default_system = "smart-ht"
 
     def load(self, system, deployment, seed, rebuild):
@@ -461,9 +459,14 @@ class DtxApp(App):
     """FORD / SMART-DTX (Figures 10, 11); an op is one committed txn."""
 
     name = "dtx"
+    systems = {"ford": baseline, "smart-dtx": full}
     default_system = "smart-dtx"
     recovers_from_crash = True
     _BENCHMARKS = {"smallbank": smallbank, "tatp": tatp}
+
+    @classmethod
+    def for_open_loop(cls, item_count: int, benchmark: str) -> "DtxApp":
+        return cls(item_count, benchmark)
 
     def __init__(self, item_count: int = 100_000, benchmark: str = "smallbank"):
         if benchmark not in self._BENCHMARKS:
@@ -514,6 +517,8 @@ class BTreeApp(_YcsbApp):
     """
 
     name = "btree"
+    #: "Sherman+ w/ SL" is Sherman+ features plus a speculative cache
+    systems = {"sherman": baseline, "sherman-sl": baseline, "smart-bt": full}
     default_system = "smart-bt"
     colocated = True
 
@@ -555,15 +560,32 @@ class BTreeApp(_YcsbApp):
         return client.insert(key, value)
 
 
+#: every app a point can name, by name (the open-loop runner's ``app``)
+APPS: Dict[str, type] = {app.name: app for app in (HashTableApp, DtxApp, BTreeApp)}
+
+
+def app_class(name: str) -> type:
+    """The :data:`APPS` adapter called ``name``; any other name is refused."""
+    if name not in APPS:
+        raise RunArgumentError(f"app must be one of {list(APPS)}, got {name!r}")
+    return APPS[name]
+
+
 # -- the pipeline --------------------------------------------------------------
 
 
 def deploy_app(app: App, system: str, threads: int, compute_blades: int,
                memory_blades: int, features: Optional[SmartFeatures],
                config: Optional[RnicConfig], seed: int) -> Deployment:
-    """Build ``system``'s cluster for ``app`` and bulk-load its server."""
+    """Build ``system``'s cluster for ``app`` and bulk-load its server;
+    a system ``app`` does not list is refused before anything is built.
+    ``features`` replaces the system's own feature set."""
+    if system not in app.systems:
+        raise RunArgumentError(
+            f"system must be one of {list(app.systems)} for {app.name}, "
+            f"got {system!r}")
     if features is None:
-        features = SYSTEM_FEATURES[system]()
+        features = app.systems[system]()
 
     def build():
         return build_deployment(features, threads, compute_blades, memory_blades,

@@ -125,15 +125,6 @@ class MemoryBlade:
             self.unpinned_regions += 1
         return region
 
-    def register_region(self, name: str, size: int, persistent: bool = False,
-                        remote_access: bool = True,
-                        pinned: Optional[bool] = None) -> Region:
-        """MR-registration view of :meth:`alloc_region` (same semantics);
-        the name apps use when the interesting property is the MR
-        bookkeeping — in particular ``pinned=False`` for ODP MRs."""
-        return self.alloc_region(name, size, persistent=persistent,
-                                 remote_access=remote_access, pinned=pinned)
-
     def free_region(self, name: str) -> None:
         """Release a region's space for reuse and scrub its content.
 

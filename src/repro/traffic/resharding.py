@@ -95,6 +95,18 @@ class ReshardingResult:
             return None
         return self.migration_end_ns - self.migration_start_ns
 
+    @property
+    def migration_status(self) -> str:
+        """The migration in words: how long it took, or that it started
+        but did not finish within the during window, or that none began."""
+        if self.migration_start_ns is None:
+            return "no migration triggered"
+        if self.migration_end_ns is None:
+            return (f"migration started at {self.migration_start_ns / 1e3:.0f} us "
+                    f"and did not finish within the {self.during_ns / 1e3:.0f} us "
+                    f"during window")
+        return f"migration took {self.migration_ns / 1e3:.0f} us"
+
     def phase_table(self) -> Dict[str, List[PhaseStats]]:
         out: Dict[str, List[PhaseStats]] = {p: [] for p in PHASES}
         for row in self.phases:

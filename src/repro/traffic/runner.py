@@ -21,9 +21,7 @@ from typing import List, Optional
 
 from repro.bench.runner import (
     App,
-    BTreeApp,
-    DtxApp,
-    HashTableApp,
+    app_class,
     check_run_args,
     collect_window,
     deploy_app,
@@ -149,23 +147,16 @@ def run_open_loop(
     arrivals unless an explicit process is given).  Each tenant's
     workers are spread round-robin over the deployment's SMART threads,
     so tenants contend for the same RNICs and fabric while keeping
-    private queues, stats and admission state.  ``system`` runs on its
-    own feature set; the hash table and DTX deploy one compute blade
-    against two memory blades, the B+Tree ``servers`` combined blades.
+    private queues, stats and admission state.  ``app`` names one of
+    :data:`repro.bench.runner.APPS`, ``system`` one of its systems (run
+    on that system's feature set); the hash table and DTX deploy one
+    compute blade against two memory blades, the B+Tree ``servers``
+    combined blades.
     """
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
                    item_count=item_count)
-    compute_blades = 1
-    if app == "hashtable":
-        adapter: App = HashTableApp(item_count)
-    elif app == "dtx":
-        adapter = DtxApp(item_count, benchmark)
-    elif app == "btree":
-        adapter = BTreeApp(item_count)
-        compute_blades = servers
-    else:
-        raise ValueError(
-            f"app must be one of ['btree', 'dtx', 'hashtable'], got {app!r}")
+    adapter = app_class(app).for_open_loop(item_count, benchmark)
+    compute_blades = servers if adapter.colocated else 1
     system = system or adapter.default_system
     if tenants is None:
         tenants = [TenantSpec(

@@ -461,8 +461,8 @@ class TestFaultCompletions:
 class TestOdpInvalidation:
     def _odp_deployment(self):
         cluster, compute, remote, region, thread = _one_thread_deployment()
-        odp_region = remote.storage.register_region("odp", 1 << 16,
-                                                    pinned=False)
+        odp_region = remote.storage.alloc_region("odp", 1 << 16,
+                                                 pinned=False)
         return cluster, compute, remote, odp_region, thread
 
     def test_storm_forces_resident_pages_to_refault(self):

@@ -44,6 +44,12 @@ def _analyze(source):
     return analyze_source(textwrap.dedent(source), "fixture.py")
 
 
+def _check_app(sources):
+    """The protocol checker over ``sources`` (path -> source text)."""
+    return protocol_mod.check_app(
+        {path: ast.parse(source, filename=path) for path, source in sources.items()})
+
+
 # -- CFG construction ---------------------------------------------------------
 
 
@@ -616,7 +622,7 @@ class Client:
 
 class TestProtocol:
     def test_stock_fixture_silent(self):
-        findings = protocol_mod.check_app(
+        findings = _check_app(
             {"app/server.py": _SERVER_OK, "app/client.py": _CLIENT}
         )
         assert all(not f for f in findings.values())
@@ -628,7 +634,7 @@ class TestProtocol:
             '        sanitizer.declare_lock_word(0, self.lock_region.base)\n', ""
         )
         assert "declare_lock_word" not in server
-        findings = protocol_mod.check_app(
+        findings = _check_app(
             {"app/server.py": server, "app/client.py": _CLIENT}
         )
         rules = [f.rule for fs in findings.values() for f in fs]
@@ -640,7 +646,7 @@ class TestProtocol:
         server = _SERVER_OK.replace(
             '"tbl_data", "optimistic-read"', '"tbl_renamed", "optimistic-read"'
         )
-        findings = protocol_mod.check_app(
+        findings = _check_app(
             {"app/server.py": server, "app/client.py": _CLIENT}
         )
         rules = [f.rule for fs in findings.values() for f in fs]
@@ -648,7 +654,7 @@ class TestProtocol:
 
     def test_flw403_unknown_policy(self):
         server = _SERVER_OK.replace('"optimistic-read"', '"optimistic"')
-        findings = protocol_mod.check_app({"app/server.py": server})
+        findings = _check_app({"app/server.py": server})
         rules = [f.rule for fs in findings.values() for f in fs]
         assert "FLW403" in rules
 
@@ -658,7 +664,7 @@ class TestProtocol:
             'sanitizer.set_region_policy(0, "tbl_data", "optimistic-read")\n'
             '        sanitizer.set_region_policy(1, "tbl_data", "exclusive")',
         )
-        findings = protocol_mod.check_app({"app/server.py": server})
+        findings = _check_app({"app/server.py": server})
         rules = [f.rule for fs in findings.values() for f in fs]
         assert "FLW403" in rules
 
@@ -668,7 +674,7 @@ def spin(handle, lock_addr):
     old = yield from handle.backoff_cas_sync(lock_addr, 0, 1)
     return old
 """
-        findings = protocol_mod.check_app(
+        findings = _check_app(
             {"app/server.py": _SERVER_OK, "app/client.py": _CLIENT,
              "app/spin.py": client}
         )
@@ -688,7 +694,7 @@ def spin(handle, lock_addr):
                 str(p): p.read_text(encoding="utf-8")
                 for p in sorted(app_dir.glob("*.py"))
             }
-            findings = protocol_mod.check_app(sources)
+            findings = _check_app(sources)
             flat = [f for fs in findings.values() for f in fs]
             assert flat == [], f"{app}: {[str(f) for f in flat]}"
 
@@ -770,6 +776,22 @@ class TestEngine:
     def test_syntax_error_reported(self):
         findings = analyze_source("def broken(:\n", "bad.py")
         assert _rules_of(findings) == ["FLW000"]
+
+    def test_syntax_error_next_to_an_app_is_reported_not_raised(self, tmp_path,
+                                                                capsys):
+        """Each file is parsed once: a module that does not parse is its
+        FLW000 and sits out of its app's protocol check, which reads the
+        trees the per-file pass parsed."""
+        app = tmp_path / "app"
+        app.mkdir()
+        (app / "server.py").write_text(_SERVER_OK)
+        (app / "client.py").write_text("def broken(:\n")
+        findings, file_count = analyze_paths([app])
+        assert file_count == 2
+        assert [(Path(f.path).name, f.rule) for f in findings] == [
+            ("client.py", "FLW000")]
+        assert main([str(app)]) == 1
+        assert "FLW000 syntax error" in capsys.readouterr().out
 
     def test_cli_gate_with_baseline(self, capsys):
         code = main([

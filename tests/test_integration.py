@@ -164,7 +164,19 @@ class TestCli:
         # ... or ran with one worker per tenant all the same (exit 0)
         ["traffic", "--workers", "0"],
         ["traffic", "--workers", "1", "--tenants", "2"],
+        # a system of another app ran under that app's label (exit 0)
+        ["traffic", "--app", "btree", "--system", "ford"],
     ])
     def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
         assert cli_main(argv) == 2
         assert "must be" in capsys.readouterr().err
+
+    def test_cli_resharding_reports_an_unfinished_migration(self, capsys):
+        """A migration still running when the during window hits its cap
+        is reported as started and unfinished, not as never triggered."""
+        assert cli_main(["resharding", "--item-count", "4000", "--phase-us", "50",
+                         "--threads", "2", "--workers", "2"]) == 0
+        printed = capsys.readouterr().out
+        assert ("migration started at 2050 us and did not finish within the "
+                "450 us during window") in printed
+        assert "no migration" not in printed

@@ -10,7 +10,7 @@ from repro.apps.sharded import (
     ShardedHashTableClient,
     ShardedHashTableService,
 )
-from repro.bench.runner import SYSTEM_FEATURES, build_deployment
+from repro.bench.runner import HashTableApp, build_deployment
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.resharding import MODES, PHASES, run_resharding
 from repro.traffic.tenant import Slo, TenantSpec
@@ -20,7 +20,7 @@ class TestMigrationIntegrity:
     def test_no_keys_lost_under_concurrent_writes(self):
         """Migrate every shard onto a new blade while a writer mutates the
         table; afterwards every key must read back its latest value."""
-        features = SYSTEM_FEATURES["smart-ht"]()
+        features = HashTableApp.systems["smart-ht"]()
         deployment = build_deployment(features, 2, 1, 2, None, seed=0)
         cluster = deployment.cluster
         sim = cluster.sim
@@ -121,6 +121,20 @@ class TestPhases:
         # Every memory blade reports allocator stats, new one included.
         assert len(result.allocator_stats) == 3
         assert all("fragmentation" in s for s in result.allocator_stats.values())
+
+    def test_unfinished_migration_is_reported_as_unfinished(self):
+        """The during window caps at 8 extra phases: a migration still
+        running then has a start and no end, and the sweep's note says
+        so instead of "no migration triggered"."""
+        from repro.bench.experiments import resharding
+
+        table = resharding(modes=("add_blade",), workers=2, threads=2,
+                           item_count=4000, phase_ns=0.05e6, jobs=1)
+        assert table.observations == [
+            "add_blade: 2 shard move(s), 0 keys copied, 0 KiB freed, "
+            "migration started at 2050 us and did not finish within the "
+            "450 us during window"
+        ]
 
     def test_rejects_unknown_mode(self):
         for mode in ("explode", "drain"):

@@ -438,7 +438,7 @@ def _read_latency(cluster, compute, remote, offset, size=8):
 class TestOdp:
     def test_unpinned_first_touch_faults_then_stays_resident(self):
         cluster, compute, (remote,) = make_cluster()
-        region = remote.storage.register_region("odp", 1 << 20, pinned=False)
+        region = remote.storage.alloc_region("odp", 1 << 20, pinned=False)
         config = cluster.config
         first = _read_latency(cluster, compute, remote, region.base)
         second = _read_latency(cluster, compute, remote, region.base)
@@ -453,14 +453,14 @@ class TestOdp:
 
     def test_pinned_default_never_creates_odp_state(self):
         cluster, compute, (remote,) = make_cluster()
-        remote.storage.register_region("pinned", 1 << 20, pinned=True)
+        remote.storage.alloc_region("pinned", 1 << 20, pinned=True)
         _read_latency(cluster, compute, remote, 4096)
         assert remote.device.odp is None
         assert remote.device.counters.odp_faults == 0
 
     def test_read_spanning_pages_faults_once_per_page(self):
         cluster, compute, (remote,) = make_cluster()
-        region = remote.storage.register_region("odp", 1 << 20, pinned=False)
+        region = remote.storage.alloc_region("odp", 1 << 20, pinned=False)
         from repro.rnic.odp import ODP_PAGE_BYTES
 
         # 3 pages: a read starting mid-page spanning two page boundaries
@@ -491,7 +491,7 @@ class TestOdp:
         compute.add_threads(1)
         (remote,) = cluster.add_nodes(1)
         connect(compute, [remote], "per-thread-qp")
-        region = remote.storage.register_region("odp", 1 << 20, pinned=False)
+        region = remote.storage.alloc_region("odp", 1 << 20, pinned=False)
         base = -(-region.base // ODP_PAGE_BYTES) * ODP_PAGE_BYTES
         for page in (0, 1, 2):  # third touch evicts page 0
             _read_latency(cluster, compute, remote,
