@@ -185,9 +185,6 @@ class RdmaSanitizer(BatchObserver):
             node.device.observers += (self,)
         self._storages.setdefault(node.node_id, node.storage)
 
-    def attach_deployment(self, deployment) -> "RdmaSanitizer":
-        return self.attach_cluster(deployment.cluster)
-
     # -- protocol declarations ---------------------------------------------
 
     def set_region_policy(self, blade_id: int, region_name: str, policy: str) -> None:
@@ -555,7 +552,7 @@ class RdmaSanitizer(BatchObserver):
     def _instant(self, kind: str, finding: Dict[str, Any]) -> None:
         """Surface the finding as an obs instant so it lands in traces."""
         for cluster in self._clusters:
-            recorder = cluster.recorder
+            recorder = cluster.sim.recorder
             if recorder is not None:
                 recorder.instant(
                     "sanitizer",

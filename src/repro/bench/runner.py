@@ -152,27 +152,32 @@ def install_faults(
     ``crash_unsafe`` names an application with no crash-recovery path:
     its seeded schedules draw link faults only, and an explicit crash
     clause is rejected here, before the simulator starts (link faults
-    are always safe — RC retransmission sits below every client).
+    are always safe — RC retransmission sits below every client).  So is
+    a spec that does not parse or names a node the deployment lacks:
+    each is a :class:`RunArgumentError`.
     """
     if faults is None:
         return None
     from repro.faults import FaultInjector, FaultSchedule
 
-    schedule = FaultSchedule.from_spec(
-        faults,
-        seed=fault_seed,
-        window_start_ns=effective_warmup_ns(deployment.features, warmup_ns),
-        window_ns=measure_ns,
-        crash_nodes=() if crash_unsafe else
-        [n.node_id for n in deployment.memory_nodes],
-    )
-    if crash_unsafe and schedule.crashes:
-        raise ValueError(
-            f"{crash_unsafe} has no crash-recovery path (only dtx recovers "
-            f"from blade crashes): its fault schedule accepts loss, dup, "
-            f"delay and invalidate clauses, not crash"
+    try:
+        schedule = FaultSchedule.from_spec(
+            faults,
+            seed=fault_seed,
+            window_start_ns=effective_warmup_ns(deployment.features, warmup_ns),
+            window_ns=measure_ns,
+            crash_nodes=() if crash_unsafe else
+            [n.node_id for n in deployment.memory_nodes],
         )
-    return FaultInjector(deployment.cluster, schedule).install()
+        if crash_unsafe and schedule.crashes:
+            raise ValueError(
+                f"{crash_unsafe} has no crash-recovery path (only dtx recovers "
+                f"from blade crashes): its fault schedule accepts loss, dup, "
+                f"delay and invalidate clauses, not crash"
+            )
+        return FaultInjector(deployment.cluster, schedule).install()
+    except ValueError as error:
+        raise RunArgumentError(str(error)) from None
 
 
 def apply_fault_stats(
@@ -217,7 +222,7 @@ def instrument(deployment: Deployment, server=None, faults=None,
         deployment, faults, fault_seed, warmup_ns, measure_ns, crash_unsafe
     )
     if obs is not None:
-        obs.attach_deployment(deployment)
+        obs.attach_cluster(deployment.cluster)
     sanitizer = None
     if sanitize:
         from repro.analysis.rdmasan import RdmaSanitizer

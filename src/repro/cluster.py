@@ -114,8 +114,8 @@ class Node:
             self.restart()
 
     def restart(self) -> None:
-        """Bring a crashed blade back online (runs the device's restore
-        hooks, e.g. recovery managers registered by a fault injector)."""
+        """Bring a crashed blade back online (the fault injector's
+        ``on_restart`` hooks, e.g. FORD's recovery manager, run after it)."""
         if self.device.online:
             raise RuntimeError(f"node {self.node_id} is already online")
         self.device.restore()
@@ -139,11 +139,8 @@ class Cluster:
     def __init__(self, config: Optional[RnicConfig] = None):
         self.config = config or RnicConfig()
         self.sim = Simulator()
-        self.fabric = Fabric(self.config.one_way_latency_ns)
+        self.fabric = Fabric(self.sim, self.config.one_way_latency_ns)
         self.nodes: List[Node] = []
-        #: optional :class:`repro.obs.tracing.TraceRecorder` (set by
-        #: :meth:`repro.obs.Observability.attach_cluster`)
-        self.recorder = None
         #: what :meth:`attach` was given (``Observability``, ``RdmaSanitizer``)
         self.attached: List = []
 

@@ -55,8 +55,6 @@ class SmartThread:
             self.sim, self.features, self.rng, thread.config.cpu_ghz, name=name
         )
         self.stats = OperationStats()
-        #: optional :class:`repro.obs.tracing.TraceRecorder` for op spans
-        self.recorder = None
 
     def handle(self) -> "SmartHandle":
         """A fresh per-coroutine handle sharing this thread's resources."""
@@ -224,7 +222,7 @@ class SmartHandle:
     def note_fault_abort(self) -> None:
         """Count an op attempt wasted by an error completion."""
         self.smart.stats.record_fault_abort()
-        recorder = self.smart.recorder
+        recorder = self.sim.recorder
         if recorder is not None:
             recorder.instant(
                 f"client-n{self.thread.node.node_id}",
@@ -317,7 +315,7 @@ class SmartHandle:
             raise RuntimeError("end_op without begin_op")
         latency = self.sim.now - self._op_started_at
         self.smart.stats.record_op(latency, retries=self._op_retries, failed=failed)
-        recorder = self.smart.recorder
+        recorder = self.sim.recorder
         if recorder is not None:
             args = {"retries": self._op_retries}
             if failed:

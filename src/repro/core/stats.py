@@ -3,7 +3,10 @@
 Every measured number is stored once: ``latencies_ns`` is the exact list
 of every recorded op's latency, and the metrics histogram
 ``Observability.collect_stats`` renders is built from it at collect time,
-only when a run is observed.
+only when a run is observed.  Open-loop arrival accounting (offered /
+shed / deferred, queueing delay) is the traffic engine's and lives on
+:class:`repro.traffic.engine.TenantState`, so this module imports
+nothing from ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import LogHistogram
 from repro.sim.rng import percentile
 
 
@@ -25,16 +27,6 @@ class OperationStats:
         self.retry_histogram: Counter = Counter()
         #: every recorded op's latency (ascending after :meth:`merge`)
         self.latencies_ns: List[float] = []
-        # -- open-loop traffic accounting (repro.traffic); all stay zero
-        # -- for closed-loop runs, so existing paths are unaffected
-        #: arrivals generated by an open-loop arrival process
-        self.offered = 0
-        #: arrivals dropped by the admission controller
-        self.shed = 0
-        #: arrivals pushed back (re-offered later) by the controller
-        self.deferred = 0
-        #: arrival -> issue queueing delay of every admitted op
-        self.queue_delay_hist = LogHistogram()
         #: ops aborted by a fault completion (flush / remote-abort /
         #: retry-exceeded) — the wasted-IOPS side of fault injection
         self.fault_aborts = 0
@@ -52,24 +44,6 @@ class OperationStats:
         if failed:
             self.failed_ops += 1
         self.latencies_ns.append(latency_ns)
-
-    # -- open-loop traffic accounting --------------------------------------
-
-    def record_offer(self) -> None:
-        """One open-loop arrival generated (admitted or not)."""
-        self.offered += 1
-
-    def record_shed(self) -> None:
-        """One arrival dropped by the admission controller."""
-        self.shed += 1
-
-    def record_deferred(self) -> None:
-        """One arrival pushed back for a later re-offer."""
-        self.deferred += 1
-
-    def record_queue_delay(self, delay_ns: float) -> None:
-        """Arrival -> issue delay of one admitted op (open-loop only)."""
-        self.queue_delay_hist.record(delay_ns)
 
     def record_fault_abort(self) -> None:
         """One op attempt thrown away because a WR completed with error."""
@@ -102,11 +76,7 @@ class OperationStats:
             total.recoveries += part.recoveries
             total.failed_recoveries += part.failed_recoveries
             total.recovery_latencies_ns.extend(part.recovery_latencies_ns)
-            total.offered += part.offered
-            total.shed += part.shed
-            total.deferred += part.deferred
             total.retry_histogram.update(part.retry_histogram)
-            total.queue_delay_hist.merge(part.queue_delay_hist)
             total.latencies_ns.extend(part.latencies_ns)
         total.latencies_ns.sort()
         total.recovery_latencies_ns.sort()

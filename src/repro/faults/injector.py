@@ -28,14 +28,9 @@ from repro.rnic.qp import QueuePair
 class FaultInjector:
     """Applies one schedule to one cluster, tracks what actually fired."""
 
-    def __init__(self, cluster, schedule: FaultSchedule,
-                 auto_reset_qps: bool = True):
+    def __init__(self, cluster, schedule: FaultSchedule):
         self.cluster = cluster
         self.schedule = schedule
-        #: reset ERROR QPs targeting a blade when that blade restarts
-        #: (transport-level auto-reconnect; apps with their own reconnect
-        #: loop, like FORD's clients, are unaffected — reset is idempotent)
-        self.auto_reset_qps = auto_reset_qps
         self.rng = random.Random(schedule.seed)
         self.installed = False
         self.crashes_fired = 0
@@ -47,9 +42,12 @@ class FaultInjector:
 
     def install(self) -> "FaultInjector":
         """Arm the schedule: link-fault windows onto the fabric, crash and
-        restart events onto the simulator clock."""
+        restart events onto the simulator clock.  A fault aimed at a node
+        the cluster does not have is a ``ValueError`` before anything is
+        armed."""
         if self.installed:
             raise RuntimeError("injector already installed")
+        self.schedule.check_nodes([node.node_id for node in self.cluster.nodes])
         self.installed = True
         sim = self.cluster.sim
         fabric = self.cluster.fabric
@@ -90,7 +88,7 @@ class FaultInjector:
 
     def _invalidate(self, inv: OdpInvalidate) -> None:
         fired = self._invalidate_odp(inv.node_id)
-        recorder = self.cluster.recorder
+        recorder = self.cluster.sim.recorder
         if recorder is not None and fired:
             recorder.instant(
                 "faults", "blades", "odp_invalidate_window",
@@ -121,7 +119,7 @@ class FaultInjector:
             return  # overlapping schedules: already down
         self.crashes_fired += 1
         node.crash()
-        recorder = self.cluster.recorder
+        recorder = self.cluster.sim.recorder
         if recorder is not None:
             recorder.instant(
                 "faults", "blades", "blade_crash", self.cluster.sim.now,
@@ -135,19 +133,21 @@ class FaultInjector:
             return
         node.restart()
         self.restarts_fired += 1
-        recorder = self.cluster.recorder
+        recorder = self.cluster.sim.recorder
         if recorder is not None:
             recorder.instant(
                 "faults", "blades", "blade_restart", self.cluster.sim.now,
                 {"node": node_id},
             )
-        if self.auto_reset_qps:
-            for peer in self.cluster.nodes:
-                for context in peer.device.contexts:
-                    for qp in context.qps:
-                        if (qp.remote_node.node_id == node_id
-                                and qp.state == QueuePair.STATE_ERROR):
-                            qp.reset()
+        # Transport-level auto-reconnect of ERROR QPs targeting the blade
+        # (apps with their own reconnect loop, like FORD's clients, are
+        # unaffected — reset is idempotent).
+        for peer in self.cluster.nodes:
+            for context in peer.device.contexts:
+                for qp in context.qps:
+                    if (qp.remote_node.node_id == node_id
+                            and qp.state == QueuePair.STATE_ERROR):
+                        qp.reset()
         for hook in self._restart_hooks:
             hook(node)
 

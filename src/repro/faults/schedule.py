@@ -124,62 +124,35 @@ class FaultSchedule:
     @classmethod
     def parse(cls, spec: str, seed: int = 0) -> "FaultSchedule":
         """Build a schedule from the compact clause syntax (see module
-        docstring)."""
+        docstring); a bad clause is a ``ValueError`` that quotes it."""
         link_faults: List[LinkFault] = []
         crashes: List[BladeCrash] = []
         invalidations: List[OdpInvalidate] = []
-        for clause in filter(None, (c.strip() for c in spec.split(","))):
-            try:
-                head, timing = clause.split("@", 1)
-                kind, value = head.split("=", 1)
-            except ValueError:
-                raise ValueError(
-                    f"bad fault clause {clause!r}: expected kind=value@start+duration"
-                )
-            node: Optional[int] = None
-            if ":" in timing:
-                timing, node_text = timing.rsplit(":", 1)
-                node = int(node_text)
-            try:
-                start_text, duration_text = timing.split("+", 1)
-            except ValueError:
-                raise ValueError(
-                    f"bad fault timing in {clause!r}: expected start+duration"
-                )
-            start = parse_duration_ns(start_text)
-            duration = parse_duration_ns(duration_text)
-            kind = kind.strip().lower()
-            if kind == "crash":
-                if node is not None:
-                    raise ValueError(
-                        f"{clause!r}: crash names its node as the value, not a suffix"
-                    )
-                crashes.append(BladeCrash(int(value), start, duration))
-            elif kind == "invalidate":
-                if node is not None:
-                    raise ValueError(
-                        f"{clause!r}: invalidate names its node as the "
-                        f"value (or 'all'), not a suffix"
-                    )
-                target = None if value.strip().lower() == "all" else int(value)
-                invalidations.append(OdpInvalidate(start, duration, target))
-            elif kind == "loss":
-                link_faults.append(LinkFault(start, duration, loss=float(value),
-                                             node_id=node))
-            elif kind == "dup":
-                link_faults.append(LinkFault(start, duration,
-                                             duplicate=float(value), node_id=node))
-            elif kind == "delay":
-                link_faults.append(LinkFault(start, duration,
-                                             extra_delay_ns=parse_duration_ns(value),
-                                             node_id=node))
+        for _, fault in _clauses(spec):
+            if isinstance(fault, BladeCrash):
+                crashes.append(fault)
+            elif isinstance(fault, OdpInvalidate):
+                invalidations.append(fault)
             else:
-                raise ValueError(
-                    f"unknown fault kind {kind!r} "
-                    f"(loss, dup, delay, crash, invalidate)"
-                )
+                link_faults.append(fault)
         return cls(tuple(link_faults), tuple(crashes), seed=seed, spec=spec,
                    invalidations=tuple(invalidations))
+
+    def check_nodes(self, node_ids: Sequence[int]) -> None:
+        """Refuse a fault aimed at a node outside ``node_ids`` (a crash,
+        an invalidation or a ``:node`` link filter); the ``ValueError``
+        names its clause (as written, for a parsed schedule) and the nodes."""
+        if self.spec is not None:
+            faults = list(_clauses(self.spec))
+        else:
+            faults = [(fault, fault) for fault in
+                      (*self.link_faults, *self.crashes, *self.invalidations)]
+        for clause, fault in faults:
+            if fault.node_id is not None and fault.node_id not in node_ids:
+                raise ValueError(
+                    f"fault clause {clause!r} targets node {fault.node_id}: "
+                    f"a node must be one of the deployment's nodes {list(node_ids)}"
+                )
 
     @classmethod
     def seeded(
@@ -236,3 +209,49 @@ class FaultSchedule:
             return cls.seeded(seed, window_start_ns, window_ns,
                               crash_nodes=crash_nodes)
         return cls.parse(spec, seed=seed)
+
+
+def _clauses(spec: str):
+    """``(clause, fault)`` for each comma-separated clause of ``spec``."""
+    for clause in filter(None, (c.strip() for c in spec.split(","))):
+        try:
+            yield clause, _parse_clause(clause)
+        except ValueError as error:
+            raise ValueError(f"bad fault clause {clause!r}: {error}") from None
+
+
+def _parse_clause(clause: str):
+    """One ``kind=value@start+duration[:node]`` clause as its fault."""
+    try:
+        head, timing = clause.split("@", 1)
+        kind, value = head.split("=", 1)
+    except ValueError:
+        raise ValueError("a clause must be kind=value@start+duration") from None
+    node: Optional[int] = None
+    if ":" in timing:
+        timing, node_text = timing.rsplit(":", 1)
+        node = int(node_text)
+    try:
+        start_text, duration_text = timing.split("+", 1)
+    except ValueError:
+        raise ValueError("its timing must be start+duration") from None
+    start = parse_duration_ns(start_text)
+    duration = parse_duration_ns(duration_text)
+    kind = kind.strip().lower()
+    if kind in ("crash", "invalidate") and node is not None:
+        raise ValueError(f"a {kind}'s node must be its value, not a suffix")
+    if kind == "crash":
+        return BladeCrash(int(value), start, duration)
+    if kind == "invalidate":
+        target = None if value.strip().lower() == "all" else int(value)
+        return OdpInvalidate(start, duration, target)
+    if kind == "loss":
+        return LinkFault(start, duration, loss=float(value), node_id=node)
+    if kind == "dup":
+        return LinkFault(start, duration, duplicate=float(value), node_id=node)
+    if kind == "delay":
+        return LinkFault(start, duration, extra_delay_ns=parse_duration_ns(value),
+                         node_id=node)
+    raise ValueError(
+        f"kind must be one of loss, dup, delay, crash, invalidate, got {kind!r}"
+    )

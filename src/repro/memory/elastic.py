@@ -2,9 +2,10 @@
 
 The admission controller already computes the honest overload signal —
 operations it had to SHED or DEFER to protect each tenant's p99.  The
-autoscaler consumes exactly that: it samples the cumulative shed/defer
-counters each period and scales out when the per-period delta crosses a
-threshold (the fleet is too small for the offered load).
+autoscaler consumes exactly that: each period it samples the cumulative
+shed/defer counters of every :class:`repro.traffic.engine.TenantState`
+and scales out when the per-period delta crosses a threshold (the fleet
+is too small for the offered load).
 
 The mechanism (adding a blade, rewiring QPs, migrating shards) is
 injected as a generator callback, so this module stays free of app- and
@@ -35,8 +36,9 @@ class Autoscaler:
     Parameters
     ----------
     sim : the simulator whose clock paces sampling.
-    tenant_states : objects exposing ``.stats.shed`` / ``.stats.deferred``
-        cumulative counters (:class:`repro.traffic.engine.TenantState`).
+    tenant_states : objects exposing ``.shed`` / ``.deferred`` cumulative
+        counters (:class:`repro.traffic.engine.TenantState`, which owns
+        the open-loop bookkeeping).
     blade_count_fn : current number of active blades.
     scale_out_fn : generator; adds one blade and rebalances onto it.
     """
@@ -73,8 +75,8 @@ class Autoscaler:
         self._stopped = True
 
     def _pressure(self):
-        shed = sum(s.stats.shed for s in self.tenant_states)
-        deferred = sum(s.stats.deferred for s in self.tenant_states)
+        shed = sum(s.shed for s in self.tenant_states)
+        deferred = sum(s.deferred for s in self.tenant_states)
         return shed, deferred
 
     def run(self):

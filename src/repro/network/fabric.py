@@ -56,9 +56,11 @@ class LinkFault:
 class Fabric:
     """Propagation-delay model between any two blades."""
 
-    def __init__(self, one_way_latency_ns: float = 1000.0):
+    def __init__(self, sim, one_way_latency_ns: float = 1000.0):
         if one_way_latency_ns < 0:
             raise ValueError("latency must be >= 0")
+        #: the cluster's simulator (its ``recorder`` slot takes fault instants)
+        self.sim = sim
         self.one_way_latency_ns = one_way_latency_ns
         self.messages = 0
         self.bytes_carried = 0
@@ -67,8 +69,6 @@ class Fabric:
         #: seeded RNG owned by the fault injector; only consulted while a
         #: fault window is active, so fault-free runs never draw from it
         self.fault_rng: Optional[random.Random] = None
-        #: optional :class:`repro.obs.tracing.TraceRecorder` for fault instants
-        self.recorder = None
         # Fault statistics
         self.messages_dropped = 0
         self.messages_duplicated = 0
@@ -117,9 +117,9 @@ class Fabric:
             self.messages_dropped += 1
         if duplicated:
             self.messages_duplicated += 1
-        if self.recorder is not None and (dropped or duplicated):
+        if self.sim.recorder is not None and (dropped or duplicated):
             name = "message_dropped" if dropped else "message_duplicated"
-            self.recorder.instant(
+            self.sim.recorder.instant(
                 "fabric", "links", name, now,
                 {"src": src, "dst": dst, "bytes": payload_bytes},
             )

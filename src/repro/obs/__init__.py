@@ -6,21 +6,25 @@ over: ``counters`` and ``gauges`` map a dotted name to ``(value, unit)``
 and ``histograms`` a name to a :class:`LogHistogram` (``ops.latency_ns``
 is built from the exact latency list of the run's ``OperationStats``).
 Nothing is recorded per op for the metrics, so a run nobody observes
-pays nothing for them.  Attach it to a cluster (and its SMART threads)
-*before* the simulation starts; afterwards collect metrics and write
-the artifacts::
+pays nothing for them.  Attach it to a cluster with
+:meth:`Observability.attach_cluster` — the one attach call — *before*
+the simulation starts; afterwards collect metrics and write the
+artifacts::
 
     obs = Observability()
     result = run_microbench(..., obs=obs)
     obs.write(trace_path="trace.json", metrics_path="metrics.json")
 
 Attachment is strictly passive — it adds one :class:`SpanTracer` to
-each device's ``observers`` and installs recorder references that
-``instant`` sites check with a single ``is not None`` test.  Neither
-ever schedules simulator events or consumes randomness, so an
-instrumented run produces *bit-identical* simulated results, and an
-un-instrumented run is byte-identical to a build without this package
-(the same determinism bar as the fault-free fast path).
+each device's ``observers`` and fills the simulator's one
+``Simulator.recorder`` slot, which every ``instant`` / span site (RNIC,
+fabric, fault injector, SMART handles, sanitizer) checks with a single
+``is not None`` test.  Neither ever schedules simulator events or
+consumes randomness, so an instrumented run produces *bit-identical*
+simulated results, and an un-instrumented run is byte-identical to a
+build without this package (the same determinism bar as the
+fault-free fast path).  Nothing outside this package imports it: the
+simulation core never loads ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -88,43 +92,26 @@ class Observability:
         self.gauges: Dict[str, Tuple[float, str]] = {}
         self.histograms: Dict[str, LogHistogram] = {}
         self.recorder = TraceRecorder()
-        self._clusters = []
 
     # -- wiring ------------------------------------------------------------
 
     def attach_cluster(self, cluster) -> "Observability":
-        """Instrument every device, the fabric and the fault layer.
+        """Trace everything on ``cluster``'s simulator: fill its recorder
+        slot and give every device a :class:`SpanTracer`.
 
         Call before the simulation runs; a node the cluster adds later is
-        attached as it joins.  Devices that already carry a tracer keep it
-        (only the recorder reference is added).
+        attached as it joins.  Devices that already carry a tracer keep it.
         """
-        cluster.recorder = self.recorder
-        cluster.fabric.recorder = self.recorder
-        if cluster not in self._clusters:
-            self._clusters.append(cluster)
+        cluster.sim.recorder = self.recorder
         cluster.attach(self)
         return self
 
     def attach_node(self, node) -> None:
         device = node.device
-        device.recorder = self.recorder
         if _tracer_of(device) is None:
             device.observers += (
                 SpanTracer(self.recorder, device.name, capacity=50_000),
             )
-
-    def attach_smart_threads(self, smart_threads) -> "Observability":
-        """Emit application-level op spans from these threads' handles."""
-        for smart in smart_threads:
-            smart.recorder = self.recorder
-        return self
-
-    def attach_deployment(self, deployment) -> "Observability":
-        """Convenience for :class:`repro.bench.runner.Deployment`."""
-        self.attach_cluster(deployment.cluster)
-        self.attach_smart_threads(deployment.smart_threads)
-        return self
 
     # -- run annotations ---------------------------------------------------
 
@@ -179,14 +166,6 @@ class Observability:
             for latency in stats.latencies_ns:
                 hist.record(latency)
             self.histograms[f"{prefix}.latency_ns"] = hist
-        # Open-loop traffic accounting (repro.traffic).  All zero for
-        # closed-loop runs, so their metrics JSON stays byte-identical.
-        if stats.offered:
-            counters[f"{prefix}.offered"] = (float(stats.offered), "")
-            counters[f"{prefix}.shed"] = (float(stats.shed), "")
-            counters[f"{prefix}.deferred"] = (float(stats.deferred), "")
-        if stats.queue_delay_hist.count:
-            self.histograms[f"{prefix}.queue_delay_ns"] = stats.queue_delay_hist
 
     def collect_memory(self, cluster) -> None:
         """Snapshot every blade allocator's occupancy/fragmentation
@@ -200,15 +179,13 @@ class Observability:
                     unit = "" if name in _ALLOCATOR_UNITLESS else "B"
                     self.gauges[f"{prefix}.{name}"] = (value, unit)
 
-    def phase_breakdown(self, cluster=None) -> Optional[Dict[str, float]]:
-        """Batch-weighted per-segment means across the attached devices."""
-        clusters = [cluster] if cluster is not None else self._clusters
+    def phase_breakdown(self, cluster) -> Optional[Dict[str, float]]:
+        """Batch-weighted per-segment means across ``cluster``'s devices."""
         summaries = []
-        for member in clusters:
-            for node in member.nodes:
-                tracer = _tracer_of(node.device)
-                if tracer is not None:
-                    summaries.append(tracer.summary())
+        for node in cluster.nodes:
+            tracer = _tracer_of(node.device)
+            if tracer is not None:
+                summaries.append(tracer.summary())
         return merge_summaries(summaries)
 
     # -- output ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Log-bucketed histograms for the metrics JSON and queueing delays.
 
 A :class:`LogHistogram` keeps HDR-style logarithmic buckets (bounded
-relative error, ~2% at the default resolution) in O(log(max value))
+relative error, ~2% at its fixed resolution) in O(log(max value))
 memory regardless of how many values are recorded, and two histograms
 merge exactly by adding bucket counts.
 
@@ -15,24 +15,24 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+#: buckets per power of two, the same for every histogram (so any two merge)
+SUB_BUCKETS = 16
+
 
 class LogHistogram:
     """Log-bucketed histogram with fixed memory and exact merging.
 
     Values (nanoseconds, but any non-negative quantity works) map to
-    bucket ``round(log2(value) * sub_buckets)``; the representative value
-    of a bucket is the inverse ``2 ** (index / sub_buckets)``, so any
-    reported percentile is within a factor ``2 ** (1 / (2*sub_buckets))``
-    (~2.2% at the default 16) of the true sample.  ``count``/``sum``/
-    ``min``/``max`` are tracked exactly.
+    bucket ``round(log2(value) * SUB_BUCKETS)``; the representative value
+    of a bucket is the inverse ``2 ** (index / SUB_BUCKETS)``, so any
+    reported percentile is within a factor ``2 ** (1 / (2*SUB_BUCKETS))``
+    (~2.2%) of the true sample.  ``count``/``sum``/``min``/``max`` are
+    tracked exactly.
     """
 
-    __slots__ = ("sub_buckets", "buckets", "count", "total", "min", "max")
+    __slots__ = ("buckets", "count", "total", "min", "max")
 
-    def __init__(self, sub_buckets: int = 16):
-        if sub_buckets <= 0:
-            raise ValueError("sub_buckets must be positive")
-        self.sub_buckets = sub_buckets
+    def __init__(self):
         self.buckets: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
@@ -42,31 +42,25 @@ class LogHistogram:
     def _index(self, value: float) -> int:
         if value <= 1.0:
             return 0
-        return int(round(math.log2(value) * self.sub_buckets))
+        return int(round(math.log2(value) * SUB_BUCKETS))
 
-    def bucket_value(self, index: int) -> float:
+    @staticmethod
+    def bucket_value(index: int) -> float:
         """Representative (geometric center) value of a bucket."""
-        return 2.0 ** (index / self.sub_buckets)
+        return 2.0 ** (index / SUB_BUCKETS)
 
-    def record(self, value: float, weight: int = 1) -> None:
+    def record(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"negative value: {value}")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive: {weight}")
         index = self._index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + weight
-        self.count += weight
-        self.total += value * weight
+        self.buckets[index] = self.buckets.get(index, 0) + 1
+        self.count += 1
+        self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other`` into this histogram (exact; returns self)."""
-        if other.sub_buckets != self.sub_buckets:
-            raise ValueError(
-                f"cannot merge histograms with different resolutions "
-                f"({self.sub_buckets} vs {other.sub_buckets})"
-            )
         for index, n in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + n
         self.count += other.count
@@ -79,7 +73,7 @@ class LogHistogram:
 
     def copy(self) -> "LogHistogram":
         """An independent snapshot (exact — same buckets and extrema)."""
-        snap = LogHistogram(self.sub_buckets)
+        snap = LogHistogram()
         snap.buckets = dict(self.buckets)
         snap.count = self.count
         snap.total = self.total
@@ -96,9 +90,7 @@ class LogHistogram:
         its own bucket extrema as bounds — within bucket resolution of
         the truth, and enough for :meth:`percentile`'s clamping.
         """
-        if baseline.sub_buckets != self.sub_buckets:
-            raise ValueError("baseline has a different resolution")
-        out = LogHistogram(self.sub_buckets)
+        out = LogHistogram()
         for index, n in self.buckets.items():
             remain = n - baseline.buckets.get(index, 0)
             if remain < 0:
@@ -135,7 +127,7 @@ class LogHistogram:
 
     def to_dict(self) -> Dict:
         return {
-            "sub_buckets": self.sub_buckets,
+            "sub_buckets": SUB_BUCKETS,
             "count": self.count,
             "sum": self.total,
             "min": self.min,

@@ -88,9 +88,6 @@ class RnicDevice:
         #: False while the hosting blade is crashed; messages to an
         #: offline device are blackholed and surface as error completions
         self.online = True
-        self.crashes = 0
-        #: callbacks invoked (with this device) when the blade restarts
-        self.on_restore: List = []
         #: blade memory served by the responder (None on pure compute blades)
         self.storage = storage
         self.contexts: List[DeviceContext] = []
@@ -106,8 +103,6 @@ class RnicDevice:
         #: and ODP invalidation at this device (wiring: appended by
         #: ``Observability`` / ``RdmaSanitizer`` attachment, empty otherwise)
         self.observers: Tuple[BatchObserver, ...] = ()
-        #: optional :class:`repro.obs.tracing.TraceRecorder` for instants
-        self.recorder = None
         #: lazily created :class:`repro.rnic.odp.OdpState`; stays None on
         #: fully pinned configurations so the fault-free fast path never
         #: pays more than one ``is None`` check
@@ -148,13 +143,10 @@ class RnicDevice:
 
     def fail(self) -> None:
         """The hosting blade crashed: stop serving (idempotent)."""
-        if not self.online:
-            return
         self.online = False
-        self.crashes += 1
 
     def restore(self) -> None:
-        """The hosting blade restarted: resume serving, run restore hooks.
+        """The hosting blade restarted: resume serving.
 
         The engine pipelines restart empty: whatever backlog the crashed
         NIC had accumulated died with it, so the pre-crash ``busy_until``
@@ -173,8 +165,6 @@ class RnicDevice:
         if self.odp is not None:
             # the restarted NIC has no cached translations
             self.odp.invalidate_all(self.sim.now)
-        for callback in list(self.on_restore):
-            callback(self)
 
     def fail_batch(self, batch: WorkBatch, status: str, delay_ns: float = 0.0) -> None:
         """Complete ``batch`` with error CQEs after ``delay_ns``.
@@ -190,8 +180,8 @@ class RnicDevice:
             self.counters.flushed_wrs += batch.n
         else:
             self.counters.error_completions += batch.n
-        if self.recorder is not None:
-            self.recorder.instant(
+        if self.sim.recorder is not None:
+            self.sim.recorder.instant(
                 self.name, "faults", "batch_failed", self.sim.now,
                 {"batch": batch.batch_id, "status": status, "wrs": batch.n},
             )

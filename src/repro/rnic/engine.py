@@ -85,8 +85,8 @@ class RequesterEngine:
         # WRITE payloads are DMA-read from host DRAM before transmission.
         counters.dram_bytes += n * wqe_dma_per_wr + batch.write_bytes
 
-        if device.recorder is not None and wqe_miss > 0.0:
-            device.recorder.instant(
+        if sim.recorder is not None and wqe_miss > 0.0:
+            sim.recorder.instant(
                 device.name, "requester", "wqe_cache_miss", sim.now,
                 {"batch": batch.batch_id, "miss_rate": round(wqe_miss, 4),
                  "outstanding": outstanding},
@@ -127,8 +127,8 @@ class RequesterEngine:
                 )
                 return
             counters.retransmissions += batch.n
-            if device.recorder is not None:
-                device.recorder.instant(
+            if sim.recorder is not None:
+                sim.recorder.instant(
                     device.name, "wire-out", "retransmit", ready_ns,
                     {"batch": batch.batch_id, "attempt": attempt + 1},
                 )
@@ -292,8 +292,8 @@ class ResponderEngine:
                 )
                 return
             origin.counters.retransmissions += batch.n
-            if origin.recorder is not None:
-                origin.recorder.instant(
+            if sim.recorder is not None:
+                sim.recorder.instant(
                     origin.name, "wire-back", "retransmit", send_ns,
                     {"batch": batch.batch_id, "lost": "ack",
                      "attempt": attempt + 1},

@@ -134,8 +134,8 @@ class OdpState:
                 resident[page] = True
                 while len(resident) > self.capacity:
                     del resident[next(iter(resident))]
-                if device.recorder is not None:
-                    device.recorder.instant(
+                if device.sim.recorder is not None:
+                    device.sim.recorder.instant(
                         device.name, "odp", "odp_fault", now,
                         {"page": page, "fault_ns": fault_ns},
                     )
@@ -153,8 +153,8 @@ class OdpState:
             return 0
         self.resident.clear()
         device.counters.odp_invalidations += len(pages)
-        if device.recorder is not None:
-            device.recorder.instant(
+        if device.sim.recorder is not None:
+            device.sim.recorder.instant(
                 device.name, "odp", "odp_invalidation", now,
                 {"pages": len(pages)},
             )

@@ -151,8 +151,8 @@ class OffloadRuntime:
             for wr in batch.wrs:
                 wr.status = WorkRequest.STATUS_HANDLER_BUSY
             counters.am_rejected += batch.n
-            if device.recorder is not None:
-                device.recorder.instant(
+            if sim.recorder is not None:
+                sim.recorder.instant(
                     device.name, "offload", "am_rejected", ready_ns,
                     {"batch": batch.batch_id, "queued": self.pending},
                 )
@@ -194,8 +194,8 @@ class OffloadRuntime:
         counters.am_handled += batch.n
         counters.responder_ops += batch.n
         batch.executed_at = device.sim.now
-        if device.recorder is not None:
-            device.recorder.span(
+        if device.sim.recorder is not None:
+            device.sim.recorder.span(
                 device.name, "offload", batch.wrs[0].handler,
                 start, device.sim.now,
                 {"batch": batch.batch_id, "wrs": batch.n},

@@ -373,8 +373,8 @@ class QueuePair:
         self.error_cause = cause
         device = self.device
         device.counters.qp_errors += 1
-        if device.recorder is not None:
-            device.recorder.instant(
+        if device.sim.recorder is not None:
+            device.sim.recorder.instant(
                 device.name, "faults", "qp_error", device.sim.now,
                 {"qp": self.qp_id, "cause": cause},
             )

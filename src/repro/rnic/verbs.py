@@ -74,8 +74,8 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
                 # the whole time, so bring its watermark up to now before
                 # the locked section.
                 thread.mark_busy_until_now()
-                if device.recorder is not None and sim.now > wait_start:
-                    device.recorder.instant(
+                if sim.recorder is not None and sim.now > wait_start:
+                    sim.recorder.instant(
                         device.name, "requester", "doorbell_stall", sim.now,
                         {"doorbell": doorbell.index, "thread": thread_id,
                          "stall_ns": sim.now - wait_start},

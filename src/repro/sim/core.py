@@ -334,6 +334,10 @@ class Simulator:
         #: when set to a list (RDMASan's leak checker does), :meth:`spawn`
         #: appends every process to it; ``None`` keeps spawn allocation-free
         self.process_registry: Optional[List[Process]] = None
+        #: the one trace-recorder slot every instant / span site reads; set
+        #: by :meth:`repro.obs.Observability.attach_cluster`, ``None`` keeps
+        #: each site to one ``is not None`` test
+        self.recorder = None
         #: per-simulation WorkBatch numbering (see repro.rnic.qp).  Scoped
         #: here rather than a process-global so batch ids — and with them
         #: traces and sanitizer reports — replay identically run-to-run.

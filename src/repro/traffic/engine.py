@@ -9,10 +9,12 @@ order is deterministic and workers park without polling.
 
 The engine measures what closed-loop runners cannot: the arrival→issue
 *queueing delay* of every admitted op (fed to a mergeable
-:class:`LogHistogram` on the tenant's stats) and the arrival→completion
-*total latency* (the tenant's ``OperationStats`` latency list, so p50/p99
-come out of the standard percentile path).  Per-tenant shed/deferred
-counters come from the admission controller's decisions.
+:class:`LogHistogram`) and the arrival→completion *total latency* (the
+tenant's ``OperationStats`` latency list, so p50/p99 come out of the
+standard percentile path).  The open-loop bookkeeping — offered, shed
+and deferred counts (the admission controller's decisions) and the
+queue-delay histogram — lives on each :class:`TenantState`, not in core's
+``OperationStats``; :meth:`OpenLoopEngine.collect` exports it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from collections import deque
 from typing import Callable, Deque, Iterator, List, Tuple
 
 from repro.core.stats import OperationStats
+from repro.obs.metrics import LogHistogram
 from repro.sim import Simulator, TokenBucket
 from repro.traffic.admission import ADMIT, DEFER, AdmissionController
 from repro.traffic.tenant import TenantSpec
@@ -34,7 +37,7 @@ class TenantState:
 
     __slots__ = (
         "spec", "stream", "queue", "tokens", "stats", "admission",
-        "max_queue_depth",
+        "max_queue_depth", "offered", "shed", "deferred", "queue_delay_hist",
     )
 
     def __init__(
@@ -52,8 +55,20 @@ class TenantState:
         self.tokens = TokenBucket(sim, 0, name=f"{spec.name}.queue")
         self.stats = OperationStats()
         self.admission = AdmissionController(spec.slo, workers, seed=seed)
+        self.reset_window()
+
+    def reset_window(self) -> None:
+        """Zero the window's counters; ``stats`` is reset in place (the
+        workers hold it).  Depth tracking restarts from the backlog."""
+        self.stats.reset()
         #: deepest the queue got since the last window reset
-        self.max_queue_depth = 0
+        self.max_queue_depth = len(self.queue)
+        #: arrivals generated / dropped / pushed back for a later re-offer
+        self.offered = 0
+        self.shed = 0
+        self.deferred = 0
+        #: arrival -> issue queueing delay of every admitted op
+        self.queue_delay_hist = LogHistogram()
 
     @property
     def backlog(self) -> int:
@@ -114,14 +129,26 @@ class OpenLoopEngine:
         current backlog.
         """
         for state in self.tenants:
-            state.stats.reset()
-            state.max_queue_depth = len(state.queue)
+            state.reset_window()
+
+    def collect(self, obs) -> None:
+        """Each tenant's metrics under ``tenant.<name>``: its op stats,
+        and — once it has been offered load — its offered / shed /
+        deferred counts, plus the queue-delay histogram when non-empty."""
+        for state in self.tenants:
+            prefix = f"tenant.{state.spec.name}"
+            obs.collect_stats(state.stats, prefix=prefix)
+            if state.offered:
+                obs.counters[f"{prefix}.offered"] = (float(state.offered), "")
+                obs.counters[f"{prefix}.shed"] = (float(state.shed), "")
+                obs.counters[f"{prefix}.deferred"] = (float(state.deferred), "")
+            if state.queue_delay_hist.count:
+                obs.histograms[f"{prefix}.queue_delay_ns"] = state.queue_delay_hist
 
     # -- processes ---------------------------------------------------------
 
     def _arrival_loop(self, state: TenantState, arrival_seed: int):
         sim = self.sim
-        stats = state.stats
         # One recycled Delay per tenant: arrival gaps vary, but the
         # kernel reads the gap at yield time, so re-arming a single
         # instance avoids a per-arrival allocation on the open-loop
@@ -130,7 +157,7 @@ class OpenLoopEngine:
         for gap in state.spec.arrivals.gaps(arrival_seed):
             yield nap.retime(gap)
             op = next(state.stream)
-            stats.record_offer()
+            state.offered += 1
             self._offer(state, op, 0)
 
     def _offer(self, state: TenantState, op, attempt: int) -> None:
@@ -140,11 +167,11 @@ class OpenLoopEngine:
             state.max_queue_depth = max(state.max_queue_depth, len(state.queue))
             state.tokens.put(1)
         elif decision is DEFER:
-            state.stats.record_deferred()
+            state.deferred += 1
             delay = state.admission.defer_delay_ns(attempt)
             self.sim.call_after(delay, self._reoffer, (state, op, attempt + 1))
         else:
-            state.stats.record_shed()
+            state.shed += 1
 
     def _reoffer(self, pending: Tuple[TenantState, object, int]) -> None:
         state, op, attempt = pending
@@ -158,8 +185,7 @@ class OpenLoopEngine:
         while True:
             yield state.tokens.take(1)
             arrived_at, op = state.queue.popleft()
-            queue_delay = sim.now - arrived_at
-            stats.record_queue_delay(queue_delay)
+            state.queue_delay_hist.record(sim.now - arrived_at)
             issued_at = sim.now
             yield from execute(op)
             admission.observe_service(sim.now - issued_at)

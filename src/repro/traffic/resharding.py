@@ -145,9 +145,9 @@ class _Snapshot:
 
     def __init__(self, state):
         self.ops = state.stats.ops
-        self.shed = state.stats.shed
-        self.deferred = state.stats.deferred
-        self.queue_hist = state.stats.queue_delay_hist.copy()
+        self.shed = state.shed
+        self.deferred = state.deferred
+        self.queue_hist = state.queue_delay_hist.copy()
 
 
 def _phase_rows(phase: str, states, snapshots=None) -> List[PhaseStats]:
@@ -156,9 +156,8 @@ def _phase_rows(phase: str, states, snapshots=None) -> List[PhaseStats]:
     whole histogram so its exact extrema clamp the percentiles."""
     rows = []
     for index, state in enumerate(states):
-        stats = state.stats
-        window = stats.queue_delay_hist
-        ops, shed, deferred = stats.ops, stats.shed, stats.deferred
+        window = state.queue_delay_hist
+        ops, shed, deferred = state.stats.ops, state.shed, state.deferred
         if snapshots is not None:
             snap = snapshots[index]
             window = window.delta(snap.queue_hist)
@@ -314,6 +313,5 @@ def run_resharding(
         obs.collect_memory(cluster)
         if alloc_hist.count:
             obs.histograms["memory.alloc_latency_ns"] = alloc_hist
-        for state in states:
-            obs.collect_stats(state.stats, prefix=f"tenant.{state.spec.name}")
+        engine.collect(obs)
     return result

@@ -30,7 +30,7 @@ from repro.bench.runner import (
 )
 from repro.core import OperationStats
 from repro.traffic.arrivals import PoissonArrivals
-from repro.traffic.engine import OpenLoopEngine
+from repro.traffic.engine import OpenLoopEngine, TenantState
 from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
 
 
@@ -82,32 +82,20 @@ class OpenLoopResult:
     def achieved_mops(self) -> float:
         return sum(t.achieved_mops for t in self.tenants)
 
-    @property
-    def shed(self) -> int:
-        return sum(t.shed for t in self.tenants)
 
-    @property
-    def deferred(self) -> int:
-        return sum(t.deferred for t in self.tenants)
-
-    @property
-    def backlog(self) -> int:
-        return sum(t.backlog for t in self.tenants)
-
-
-def _tenant_result(state, measure_ns: float) -> TenantResult:
-    stats: OperationStats = state.stats
-    queue_hist = stats.queue_delay_hist
+def _tenant_result(state: TenantState, measure_ns: float) -> TenantResult:
+    stats = state.stats
+    queue_hist = state.queue_delay_hist
     return TenantResult(
         tenant=state.spec.name,
         workers=state.spec.workers,
         nominal_mops=state.spec.arrivals.offered_mops,
-        offered_mops=stats.offered / measure_ns * 1e3,
+        offered_mops=state.offered / measure_ns * 1e3,
         achieved_mops=stats.ops / measure_ns * 1e3,
-        offered=stats.offered,
+        offered=state.offered,
         completed=stats.ops,
-        shed=stats.shed,
-        deferred=stats.deferred,
+        shed=state.shed,
+        deferred=state.deferred,
         backlog=state.backlog,
         max_queue_depth=state.max_queue_depth,
         p50_latency_ns=stats.latency_percentile_ns(0.50),
@@ -189,8 +177,7 @@ def run_open_loop(
     if obs is not None:
         merged = OperationStats.merge([s.stats for s in deployment.smart_threads])
         collect_window(obs, deployment, merged, warmup_ns, measure_ns)
-        for state in engine.tenants:
-            obs.collect_stats(state.stats, prefix=f"tenant.{state.spec.name}")
+        engine.collect(obs)
     return result
 
 

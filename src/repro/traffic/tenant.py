@@ -4,10 +4,10 @@ A :class:`TenantSpec` is the unit of multi-tenancy in the traffic
 engine: each tenant gets its own arrival process, its own operation
 queue and admission controller, and a dedicated set of worker coroutines
 (spread over the deployment's :class:`repro.core.SmartThread`\\ s, so
-tenants still contend for the same RNICs and fabric).  Per-tenant
-statistics ride in a standard :class:`repro.core.OperationStats`
-extended with queueing-delay and shed/deferred accounting, so they merge
-and export through the existing observability paths.
+tenants still contend for the same RNICs and fabric).  Per-tenant op
+statistics ride in a standard :class:`repro.core.OperationStats`; the
+open-loop counters (offered, shed, deferred, queueing delay) sit beside
+it on the engine's :class:`repro.traffic.engine.TenantState`.
 """
 
 from __future__ import annotations

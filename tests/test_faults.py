@@ -22,6 +22,7 @@ from repro.network.fabric import Fabric, LinkFault
 from repro.rnic import verbs
 from repro.rnic.qp import QueuePair, WorkRequest, read_wr, write_wr
 from repro.memory.blade import MemoryBlade
+from repro.sim import Simulator
 
 _U64 = struct.Struct("<Q")
 
@@ -110,19 +111,19 @@ class TestScheduleParsing:
 
 class TestFabricFaults:
     def test_fast_path_matches_record_and_needs_no_rng(self):
-        fabric = Fabric(1000.0)
+        fabric = Fabric(Simulator(), 1000.0)
         assert fabric.transit(64, now=0.0) == (1000.0, False, False)
         assert fabric.messages == 1 and fabric.bytes_carried == 64
         assert fabric.fault_rng is None  # never consulted
 
     def test_faults_without_rng_raise(self):
-        fabric = Fabric(1000.0)
+        fabric = Fabric(Simulator(), 1000.0)
         fabric.add_fault(LinkFault(0.0, 1e6, loss=1.0))
         with pytest.raises(RuntimeError):
             fabric.transit(8, now=10.0)
 
     def test_loss_duplication_and_delay_draws(self):
-        fabric = Fabric(1000.0)
+        fabric = Fabric(Simulator(), 1000.0)
         fabric.fault_rng = random.Random(1)
         fabric.add_fault(LinkFault(0.0, 1e6, loss=1.0, extra_delay_ns=250.0))
         delay, dropped, duplicated = fabric.transit(8, now=10.0)
@@ -140,7 +141,7 @@ class TestFabricFaults:
         assert not fault.active(2e6, src=0, dst=2)  # expired
 
     def test_clear_expired_faults(self):
-        fabric = Fabric()
+        fabric = Fabric(Simulator())
         fabric.add_fault(LinkFault(0.0, 100.0, loss=0.5))
         fabric.add_fault(LinkFault(0.0, 1e6, loss=0.5))
         fabric.clear_expired_faults(now=500.0)
@@ -165,14 +166,12 @@ class TestBladeCrash:
     def test_node_crash_and_restart(self):
         cluster = Cluster()
         node = cluster.add_node()
-        restored = []
-        node.device.on_restore.append(restored.append)
         node.crash()
-        assert not node.online and node.device.crashes == 1
+        assert not node.online
         with pytest.raises(RuntimeError):
             node.crash()
         node.restart()
-        assert node.online and restored == [node.device]
+        assert node.online
         with pytest.raises(RuntimeError):
             node.restart()
 
@@ -671,6 +670,23 @@ class TestAppPipelineFaults:
                 **APP_KW)
         assert runner.split("_")[1] in str(error.value)
         assert "loss" in str(error.value)
+
+    def test_fault_clause_naming_a_missing_node_is_rejected_up_front(
+            self, monkeypatch):
+        """Regression: a link filter (or crash) aimed at a node the
+        deployment lacks died mid-run with ``IndexError`` from
+        ``Cluster.node`` when the clause fired."""
+        from repro.bench.runner import RunArgumentError, run_dtx
+        from repro.sim import Simulator
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("the simulator started")
+
+        monkeypatch.setattr(Simulator, "run", never)
+        with pytest.raises(RunArgumentError) as error:
+            run_dtx("ford", faults="loss=0.1@1.1ms+0.3ms:7", **APP_KW)
+        assert "'loss=0.1@1.1ms+0.3ms:7'" in str(error.value)
+        assert "[0, 1, 2]" in str(error.value)
 
     def test_seeded_faults_on_app_without_recovery_draw_link_faults_only(self):
         from repro.bench.runner import run_hashtable

@@ -166,6 +166,10 @@ class TestCli:
         ["traffic", "--workers", "1", "--tenants", "2"],
         # a system of another app ran under that app's label (exit 0)
         ["traffic", "--app", "btree", "--system", "ford"],
+        # a fault clause naming a node the deployment lacks died mid-run
+        # with an IndexError, an unknown kind with a ValueError (exit 1)
+        ["4", "2", "--faults", "crash=5@0.5ms+0.3ms"],
+        ["4", "2", "--faults", "foo=1@0+1ms"],
     ])
     def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
         assert cli_main(argv) == 2

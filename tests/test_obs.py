@@ -51,7 +51,8 @@ class TestLogHistogram:
         for v in (10.0, 20.0, 30.0):
             a.record(v)
         for v in (40.0, 50.0):
-            b.record(v, weight=2)
+            b.record(v)
+            b.record(v)
         a.merge(b)
         assert a.count == 7
         assert a.total == 60.0 + 180.0
@@ -61,17 +62,9 @@ class TestLogHistogram:
             combined.record(v)
         assert a.buckets == combined.buckets
 
-    def test_merge_resolution_mismatch(self):
-        with pytest.raises(ValueError):
-            LogHistogram(16).merge(LogHistogram(8))
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            LogHistogram(0)
-        with pytest.raises(ValueError):
             LogHistogram().record(-1.0)
-        with pytest.raises(ValueError):
-            LogHistogram().record(1.0, weight=0)
         with pytest.raises(ValueError):
             LogHistogram().percentile(1.5)
 

@@ -78,15 +78,10 @@ class TestShardMap:
             ShardMap([1], num_shards=0)
 
 
-class _FakeStats:
+class _FakeTenant:
     def __init__(self):
         self.shed = 0
         self.deferred = 0
-
-
-class _FakeTenant:
-    def __init__(self):
-        self.stats = _FakeStats()
 
 
 class TestAutoscaler:
@@ -116,7 +111,7 @@ class TestAutoscaler:
         scaler, blades, log = self._build(sim, tenant)
         sim.spawn(scaler.run())
         sim.run(until=50.0)  # let the loop start and take its baseline
-        tenant.stats.shed = 5  # pressure before the first sample
+        tenant.shed = 5  # pressure before the first sample
         sim.run(until=150.0)
         assert [(what, pytest.approx(at)) for what, at in log] == [("out", 100.0)]
         assert len(blades) == 3
@@ -130,10 +125,10 @@ class TestAutoscaler:
         scaler, blades, _ = self._build(sim, tenant)
         sim.spawn(scaler.run())
         sim.run(until=50.0)
-        tenant.stats.shed = 100
+        tenant.shed = 100
         sim.run(until=350.0)  # fresh pressure; cooldown gates samples 200/300
         assert len(scaler.events) == 1
-        tenant.stats.shed = 200  # keep shedding past the cooldown
+        tenant.shed = 200  # keep shedding past the cooldown
         sim.run(until=450.0)  # sample at 400 sees the new delta -> second out
         assert len(scaler.events) == 2
 
@@ -154,7 +149,7 @@ class TestAutoscaler:
         scaler, blades, _ = self._build(sim, tenant, max_blades=3)
         loop = sim.spawn(scaler.run())
         for step in range(1, 11):  # fresh shedding every period
-            tenant.stats.shed = 100 * step
+            tenant.shed = 100 * step
             sim.run(until=100.0 * step + 50.0)
         assert loop.alive
         assert len(blades) == 3
@@ -167,7 +162,7 @@ class TestAutoscaler:
         sim.spawn(scaler.run())
         sim.run(until=150.0)
         scaler.stop()
-        tenant.stats.shed = 100
+        tenant.shed = 100
         sim.run(until=2000.0)
         assert log == []
 

@@ -194,7 +194,7 @@ def test_late_node_gets_what_its_peers_were_given():
     obs = Observability().attach_cluster(cluster)
     sanitizer = RdmaSanitizer().attach_cluster(cluster)
     late = cluster.add_node()
-    assert late.device.recorder is obs.recorder is first.device.recorder
+    assert cluster.sim.recorder is obs.recorder
     assert [type(o) for o in late.device.observers] == [
         type(o) for o in first.device.observers
     ]
