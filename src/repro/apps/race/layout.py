@@ -88,10 +88,18 @@ class Slot:
             raise ValueError("kv_units out of range")
         if self.addr & ~ADDR_MASK:
             raise ValueError("slot address needs more than 48 bits")
-        return (self.fingerprint << FP_SHIFT) | (self.kv_units << 48) | self.addr
+        return slot_word(self.fingerprint, self.addr, self.kv_units)
 
 
 EMPTY_SLOT = 0
+KV_UNITS = KV_BLOCK_BYTES // 8
+
+
+def slot_word(fp: int, addr: int, kv_units: int = KV_UNITS) -> int:
+    """The raw slot value — the one place its bit layout is written.
+    Unchecked: callers hold fields already in range (``Slot.encode``
+    checks each; the bulk loader checks its heap end once)."""
+    return (fp << FP_SHIFT) | (kv_units << 48) | addr
 
 
 def decode_slot(value: int) -> Slot:
@@ -104,11 +112,16 @@ def decode_slot(value: int) -> Slot:
 
 def make_slot(key: int, kv_addr48: int) -> int:
     """Slot value publishing a KV block at the 48-bit packed address."""
-    return Slot(fingerprint(key), KV_BLOCK_BYTES // 8, kv_addr48).encode()
+    return Slot(fingerprint(key), KV_UNITS, kv_addr48).encode()
 
 
 def pack_kv(key: int, value: int) -> bytes:
     return _KV.pack(key & _MASK_64, value & _MASK_64)
+
+
+def pack_kv_into(buffer, offset: int, key: int, value: int) -> None:
+    """:func:`pack_kv` written in place at ``buffer[offset:]``."""
+    _KV.pack_into(buffer, offset, key & _MASK_64, value & _MASK_64)
 
 
 def unpack_kv(data: bytes):
@@ -123,9 +136,15 @@ def unpack_u64(data: bytes) -> int:
     return _U64.unpack(data)[0]
 
 
-def unpack_slots(bucket: bytes):
-    """The raw slot values of one bucket, in slot order."""
-    return _SLOTS.unpack_from(bucket)
+def pack_u64_into(buffer, offset: int, value: int) -> None:
+    """:func:`pack_u64` written in place at ``buffer[offset:]``."""
+    _U64.pack_into(buffer, offset, value & _MASK_64)
+
+
+def unpack_slots(bucket, offset: int = 0):
+    """The raw slot values of the bucket at ``bucket[offset:]``, in slot
+    order."""
+    return _SLOTS.unpack_from(bucket, offset)
 
 
 def segment_bytes(buckets_per_segment: int) -> int:

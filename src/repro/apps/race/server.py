@@ -8,12 +8,18 @@ start issuing one-sided verbs.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.apps.race import layout
 from repro.cluster import Node
 from repro.memory.address import blade_of, make_addr, offset_of
+
+
+class BucketsFull(MemoryError):
+    """Both candidate buckets of a key are full: the one load failure a
+    bigger directory (more segments or buckets) cures."""
 
 
 @dataclass
@@ -159,55 +165,76 @@ class HashTableServer:
         """Load (key, value) pairs directly into blade memory.
 
         Uses the same placement as client inserts, so clients can find
-        every loaded key.  Returns the number of items loaded.
+        every loaded key: each key takes the next KV block of its blade's
+        heap and the first empty slot of bucket 1, else of bucket 2.  One
+        pass over views of the segment and heap regions, bounds-checked
+        once per load.  Returns the number of items loaded.
+
+        A blade whose heap runs out raises :class:`MemoryError`, a key
+        whose buckets are both full :class:`BucketsFull`; the keys before
+        it stay loaded, and the heap heads are stored either way, so a
+        later call (or a client's FAA) resumes behind every block handed
+        out.
         """
-        storages = {n.node_id: n.storage for n in self.memory_nodes}
-        # Resolved once per directory entry, not once per key.
-        segments = [
-            (blade_of(addr), storages[blade_of(addr)], offset_of(addr))
-            for addr in self.segment_addrs
-        ]
-        # The heap heads live in a local while loading and are stored once
-        # — also when the load fails part-way, so a later call (or a
-        # client's FAA) resumes behind every block already handed out.
-        heads = {
-            blade_id: storages[blade_id].read_u64(offset_of(head_addr))
-            for blade_id, (head_addr, _, _) in self.heaps.items()
-        }
+        placement = layout.placement
+        unpack_slots = layout.unpack_slots
+        pack_kv_into = layout.pack_kv_into
+        pack_u64_into = layout.pack_u64_into
+        slot_word = layout.slot_word
+        bucket_offset = layout.bucket_offset
+        empty, kv_bytes = layout.EMPTY_SLOT, layout.KV_BLOCK_BYTES
+        depth, buckets = self.global_depth, self.buckets_per_segment
+        nodes = self.memory_nodes
+        storages = [node.storage for node in nodes]
+        position = {node.node_id: i for i, node in enumerate(nodes)}
+        segment_regions = [self._segment_regions[node.node_id] for node in nodes]
+        heap_regions = [storage.region(f"{self.region_prefix}heap")
+                        for storage in storages]
+        # A slot holds a 48-bit heap offset; every one is below a heap end.
+        if max(region.end for region in heap_regions) > layout.ADDR_MASK + 1:
+            raise ValueError("slot address needs more than 48 bits")
+        # Per directory entry: the blade's position, and where the segment
+        # starts in that blade's segment view.
+        segments = []
+        for addr in self.segment_addrs:
+            blade = position[blade_of(addr)]
+            segments.append((blade, offset_of(addr) - segment_regions[blade].base))
+        head_offsets = [offset_of(self.heaps[node.node_id][0]) for node in nodes]
+        heads = [storage.read_u64(offset)
+                 for storage, offset in zip(storages, head_offsets)]
         loaded = 0
-        try:
-            for key, value in items:
-                dir_index, b1, b2, tag = layout.placement(
-                    key, self.global_depth, self.buckets_per_segment
-                )
-                blade_id, storage, seg_offset = segments[dir_index]
-                # Allocate the KV block by bumping the blade's heap head.
-                kv_offset = heads[blade_id]
-                _, _, heap_end = self.heaps[blade_id]
-                if kv_offset + layout.KV_BLOCK_BYTES > heap_end:
-                    raise MemoryError(f"heap exhausted on blade {blade_id}")
-                heads[blade_id] = kv_offset + layout.KV_BLOCK_BYTES
-                storage.bulk_write(kv_offset, layout.pack_kv(key, value))
-
-                slot_value = layout.Slot(
-                    tag, layout.KV_BLOCK_BYTES // 8, kv_offset
-                ).encode()
-                if not self._place(storage, seg_offset, (b1, b2), slot_value):
-                    raise MemoryError(
-                        f"bulk load: both buckets full for key {key}; "
-                        "increase segments or buckets_per_segment"
-                    )
-                loaded += 1
-        finally:
-            for blade_id, (head_addr, _, _) in self.heaps.items():
-                storages[blade_id].write_u64(offset_of(head_addr), heads[blade_id])
+        with ExitStack() as views:
+            segment_views = [views.enter_context(storage.setup_view(region))
+                             for storage, region in zip(storages, segment_regions)]
+            heap_views = [views.enter_context(storage.setup_view(region))
+                          for storage, region in zip(storages, heap_regions)]
+            try:
+                for key, value in items:
+                    dir_index, b1, b2, tag = placement(key, depth, buckets)
+                    blade, segment_start = segments[dir_index]
+                    # Allocate the KV block by bumping the blade's heap head.
+                    heap, kv_offset = heap_regions[blade], heads[blade]
+                    if kv_offset + kv_bytes > heap.end:
+                        raise MemoryError(
+                            f"heap exhausted on blade {nodes[blade].node_id}: "
+                            f"region {heap.name!r} ({heap.size} bytes) has no "
+                            f"room for another {kv_bytes}-byte KV block")
+                    heads[blade] = kv_offset + kv_bytes
+                    pack_kv_into(heap_views[blade], kv_offset - heap.base, key, value)
+                    segment = segment_views[blade]
+                    for bucket in (b1, b2):
+                        at = segment_start + bucket_offset(bucket)
+                        slots = unpack_slots(segment, at)
+                        if empty in slots:
+                            pack_u64_into(segment, at + 8 * slots.index(empty),
+                                          slot_word(tag, kv_offset))
+                            break
+                    else:
+                        raise BucketsFull(
+                            f"bulk load: both buckets full for key {key}; "
+                            "increase segments or buckets_per_segment")
+                    loaded += 1
+            finally:
+                for storage, offset, head in zip(storages, head_offsets, heads):
+                    storage.write_u64(offset, head)
         return loaded
-
-    def _place(self, storage, seg_offset: int, buckets, slot_value: int) -> bool:
-        for bucket in buckets:
-            base = seg_offset + layout.bucket_offset(bucket)
-            for slot in range(layout.SLOTS_PER_BUCKET):
-                if storage.read_u64(base + slot * 8) == layout.EMPTY_SLOT:
-                    storage.write_u64(base + slot * 8, slot_value)
-                    return True
-        return False

@@ -56,6 +56,8 @@ class MicrobenchResult:
     batch_latency_p50_ns: Optional[float] = None
     batch_latency_p99_ns: Optional[float] = None
     doorbells_used: int = 0
+    #: WRs completed OK in the window (``throughput_mops``' numerator);
+    #: error and flush CQEs are not counted
     measured_wrs: int = 0
     # Fault-injection observability (zero for fault-free runs).
     retransmissions: int = 0
@@ -247,8 +249,10 @@ def run_microbench(
     snapshot = compute.device.counters.snapshot()
     sim.run(until=warmup_ns + measure_ns)
     window = compute.device.counters.delta(snapshot)
+    # Goodput: error and flush CQEs complete a WR without doing it.
+    completed_ok = window.cqe_delivered - window.cqe_failed
 
-    throughput_mops = window.cqe_delivered / measure_ns * 1e3
+    throughput_mops = completed_ok / measure_ns * 1e3
     result = MicrobenchResult(
         policy=policy,
         threads=threads,
@@ -258,7 +262,7 @@ def run_microbench(
         throughput_mops=throughput_mops,
         dram_bytes_per_wr=window.dram_bytes_per_wr,
         doorbells_used=doorbells_used,
-        measured_wrs=window.cqe_delivered,
+        measured_wrs=completed_ok,
         retransmissions=compute.device.counters.retransmissions,
         messages_dropped=cluster.fabric.messages_dropped,
         wasted_wrs=compute.device.counters.wasted_wrs,
@@ -355,5 +359,6 @@ def run_dynamic_microbench(
     snapshot = compute.device.counters.snapshot()
     sim.run(until=total_ns)
     window = compute.device.counters.delta(snapshot)
-    throughput = window.cqe_delivered / (total_ns - warmup) * 1e3
+    completed_ok = window.cqe_delivered - window.cqe_failed
+    throughput = completed_ok / (total_ns - warmup) * 1e3
     return DynamicWorkloadResult(changing_interval_ns, throttled, throughput)

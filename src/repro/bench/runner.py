@@ -23,7 +23,7 @@ from repro.apps.ford.recovery import RecoveryManager
 from repro.apps.ford.server import DtxServer
 from repro.apps.ford.txn import TxnClient
 from repro.apps.race.client import HashTableClient
-from repro.apps.race.server import HashTableServer
+from repro.apps.race.server import BucketsFull, HashTableServer
 from repro.apps.sharded import ShardedHashTableClient, ShardedHashTableService
 from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache
 from repro.apps.sherman.server import BTreeServer
@@ -398,6 +398,7 @@ class HashTableApp(_YcsbApp):
         """Size the table for ~30% load so splits stay out of the
         measurement window; a freak both-buckets-full collision during
         loading retries with a doubled directory on a fresh deployment.
+        A table that does not fit its blades raises at once.
         """
         slots_needed = int(self.item_count / 0.30)
         buckets = 512
@@ -418,10 +419,10 @@ class HashTableApp(_YcsbApp):
                 self.server.bulk_load(YcsbWorkload.load_items(self.item_count, seed))
                 self.meta = self.server.meta()
                 return deployment
-            except MemoryError:
+            except BucketsFull:
                 segments *= 2
                 deployment = rebuild()
-        raise MemoryError("could not load the table even after resizing")
+        raise BucketsFull("could not load the table even after resizing")
 
     def make_client(self, smart):
         return HashTableClient(smart.handle(), self.meta)

@@ -114,7 +114,8 @@ class MemoryBlade:
             raise MemoryError(
                 f"blade {self.blade_id}: out of memory allocating {name!r} "
                 f"({size} bytes requested, {self.allocator.free_bytes} free, "
-                f"largest block {self.allocator.largest_free_block})"
+                f"largest block {self.allocator.largest_free_block}; the blade "
+                f"holds {self.capacity} bytes, RnicConfig.blade_capacity_bytes)"
             ) from None
         region = Region(name, base, size, persistent, remote_access, pinned)
         self._regions[name] = region
@@ -251,3 +252,14 @@ class MemoryBlade:
         """Setup-phase write that bypasses statistics (dataset loading)."""
         self._check(offset, len(data))
         self._memory[offset : offset + len(data)] = data
+
+    def setup_view(self, region: Region) -> memoryview:
+        """A writable view of one live region's bytes for a setup-phase
+        loader: bounds-checked here once, and, like :meth:`bulk_write`,
+        outside the statistics.  Index 0 is ``region.base``.  Release it
+        (``with`` or ``release()``) before the blade can power-fail: the
+        crash replaces the mapping the view points into."""
+        if self._regions.get(region.name) is not region:
+            raise KeyError(f"blade {self.blade_id}: no live region {region.name!r}")
+        self._check(region.base, region.size)
+        return memoryview(self._memory)[region.base : region.end]

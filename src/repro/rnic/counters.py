@@ -23,6 +23,10 @@ class PerfCounters:
     mtt_miss_wrs: float = 0.0
     responder_ops: int = 0
     cqe_delivered: int = 0
+    cqe_failed: int = 0
+    """CQEs of ``cqe_delivered`` that complete a failed batch (error or
+    flush, see ``RnicDevice.fail_batch``), counted when delivered.  A
+    WR's own access-error or handler-busy status is not counted here."""
     requester_busy_ns: float = 0.0
     responder_busy_ns: float = 0.0
     protection_faults: int = 0

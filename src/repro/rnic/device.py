@@ -204,6 +204,7 @@ class RnicDevice:
     def _deliver_failure(self, pair) -> None:
         batch, status = pair
         batch.qp.to_error(status)
+        self.counters.cqe_failed += batch.n
         self.complete(batch)
 
     def complete(self, batch: WorkBatch) -> None:

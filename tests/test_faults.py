@@ -625,6 +625,21 @@ class TestChaosSmoke:
         assert dataclasses.asdict(result) == dataclasses.asdict(again)
 
 
+@pytest.mark.chaos
+def test_microbench_iops_count_only_completions_that_succeed():
+    """Regression: error and flush CQEs were counted as IOPS, so this
+    seeded blade crash (every post on an ERROR QP flushes at once) read
+    44.8 M/s against 12.8 M/s fault-free."""
+    from repro.bench.microbench import run_microbench
+
+    kw = dict(policy="per-thread-db", threads=8, depth=4, measure_ns=300e3)
+    clean = run_microbench(**kw)
+    faulty = run_microbench(faults="seeded", fault_seed=1, **kw)
+    assert faulty.wasted_wrs > 0
+    assert 0 < faulty.measured_wrs <= clean.measured_wrs
+    assert faulty.throughput_mops <= clean.throughput_mops
+
+
 # -- faults through the shared app pipeline ------------------------------------
 
 APP_KW = dict(threads=2, coroutines=2, item_count=2_000,

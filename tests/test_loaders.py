@@ -12,12 +12,14 @@ tests/test_loaders.py`` prints the table for whatever tree is imported).
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.ford.server import DtxServer
 from repro.apps.race import layout
-from repro.apps.race.server import HashTableServer
+from repro.apps.race.server import BucketsFull, HashTableServer
 from repro.cluster import Cluster
-from repro.memory.address import offset_of
+from repro.memory.address import blade_of, offset_of
 from repro.rnic.config import RnicConfig
 from repro.workloads import smallbank, tatp
 
@@ -109,6 +111,127 @@ IMAGE_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_blade_image_is_byte_identical_to_the_pinned_commit(case):
     assert CASES[case]() == IMAGE_DIGESTS[case]
+
+
+# -- the one-pass RACE loader against the per-key loop it replaced ----------
+
+
+def _per_key_bulk_load(server, items) -> int:
+    """The RACE loader as a per-key loop through the blade accessors:
+    build and check a ``Slot``, probe the two buckets slot by slot with
+    ``read_u64``, write with ``bulk_write`` / ``write_u64``."""
+    storages = {n.node_id: n.storage for n in server.memory_nodes}
+    heads = {blade_id: storages[blade_id].read_u64(offset_of(head_addr))
+             for blade_id, (head_addr, _, _) in server.heaps.items()}
+    loaded = 0
+    try:
+        for key, value in items:
+            dir_index, b1, b2, tag = layout.placement(
+                key, server.global_depth, server.buckets_per_segment)
+            seg_addr = server.segment_addrs[dir_index]
+            blade_id = blade_of(seg_addr)
+            storage = storages[blade_id]
+            kv_offset = heads[blade_id]
+            if kv_offset + layout.KV_BLOCK_BYTES > server.heaps[blade_id][2]:
+                raise MemoryError(f"heap exhausted on blade {blade_id}:")
+            heads[blade_id] = kv_offset + layout.KV_BLOCK_BYTES
+            storage.bulk_write(kv_offset, layout.pack_kv(key, value))
+            slot_value = layout.Slot(
+                tag, layout.KV_BLOCK_BYTES // 8, kv_offset).encode()
+            placed = False
+            for bucket in (b1, b2):
+                base = offset_of(seg_addr) + layout.bucket_offset(bucket)
+                for slot in range(layout.SLOTS_PER_BUCKET):
+                    if storage.read_u64(base + slot * 8) == layout.EMPTY_SLOT:
+                        storage.write_u64(base + slot * 8, slot_value)
+                        placed = True
+                        break
+                if placed:
+                    break
+            if not placed:
+                raise BucketsFull(f"bulk load: both buckets full for key {key};")
+            loaded += 1
+    finally:
+        for blade_id, (head_addr, _, _) in server.heaps.items():
+            storages[blade_id].write_u64(offset_of(head_addr), heads[blade_id])
+    return loaded
+
+
+def _outcome(load, server, items):
+    """``(return value, None)`` or ``(None, the raised error)``."""
+    try:
+        return load(server, items), None
+    except MemoryError as error:
+        return None, error
+
+
+def _state(server):
+    """Every blade's bytes and heap head."""
+    return [(node.storage.read(0, node.storage.capacity),
+             node.storage.read_u64(offset_of(server.heaps[node.node_id][0])))
+            for node in server.memory_nodes]
+
+
+_items = st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                  max_size=120)
+
+
+# A second load whose first key finds its buckets full: it takes a KV
+# block and loads nothing, and the head it moved must still be stored.
+@example(blades=1, extra_doublings=0, buckets=1, heap_blocks=160,
+         first=[(k, k) for k in range(8)], second=[(100, 1)])
+@given(blades=st.integers(1, 3), extra_doublings=st.integers(0, 2),
+       buckets=st.integers(1, 16), heap_blocks=st.integers(1, 160),
+       first=_items, second=_items)
+@settings(max_examples=150, deadline=None)
+def test_one_pass_load_matches_the_per_key_loop(blades, extra_doublings, buckets,
+                                               heap_blocks, first, second):
+    """Same bytes on every blade, same heap heads, same return value or
+    error at the same key, for a load and a second load on top of it —
+    with heaps that run out part-way and buckets that fill."""
+    segments = 1
+    while segments < blades:
+        segments *= 2
+    segments <<= extra_doublings
+    servers = []
+    for _ in range(2):
+        cluster = Cluster(RnicConfig(blade_capacity_bytes=1 << 20))
+        servers.append(HashTableServer(
+            cluster.add_nodes(blades), segments=segments,
+            buckets_per_segment=buckets,
+            heap_bytes_per_blade=heap_blocks * layout.KV_BLOCK_BYTES))
+    oracle, server = servers
+    for items in (first, second):
+        expected, expected_error = _outcome(_per_key_bulk_load, oracle, items)
+        got, error = _outcome(HashTableServer.bulk_load, server, items)
+        assert got == expected
+        assert type(error) is type(expected_error)
+        if error is not None:
+            assert str(error).startswith(str(expected_error))
+        assert _state(server) == _state(oracle)
+
+
+def test_the_loader_releases_its_views():
+    """A blade can power-fail (its mapping is replaced) right after a
+    load that failed part-way, while the error and its frames live on."""
+    nodes = _blades(1)
+    server = HashTableServer(nodes, segments=1, buckets_per_segment=1)
+    with pytest.raises(BucketsFull) as failed:
+        server.bulk_load((k, k) for k in range(100))
+    nodes[0].storage.power_fail()
+    assert failed.value.__traceback__ is not None
+
+
+def test_setup_view_is_bounded_to_a_live_region():
+    storage = _blades(1)[0].storage
+    region = storage.alloc_region("r", 128)
+    with storage.setup_view(region) as view:
+        assert len(view) == 128 and not view.readonly
+        view[0:8] = b"\x01" * 8
+    assert storage.read_u64(region.base) == 0x0101010101010101
+    storage.free_region("r")
+    with pytest.raises(KeyError, match="no live region 'r'"):
+        storage.setup_view(region)
 
 
 if __name__ == "__main__":  # record mode: print the table for this src tree

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from repro.apps.race import layout
 from repro.apps.race.client import HashTableClient
-from repro.apps.race.server import HashTableServer
+from repro.apps.race.server import BucketsFull, HashTableServer
+from repro.bench.runner import HashTableApp, build_deployment, run_app, run_hashtable
 from repro.cluster import Cluster
 from repro.core import SmartContext, SmartThread
 from repro.core.features import baseline, full
+from repro.memory.address import blade_of, offset_of
+from repro.rnic.config import RnicConfig
+from repro.workloads.ycsb import READ_ONLY, YcsbWorkload
 
 
 class TestLayout:
@@ -304,3 +308,57 @@ class TestRandomizedAgainstModel:
                 assert (yield from client.search(key)) == value
 
         drive(cluster, [scenario()], until=2e10)
+
+
+def _stored_value(server, key):
+    """What a client's search finds for ``key``, read off the blade bytes:
+    the first slot of its two buckets whose fingerprint matches and whose
+    KV block holds the key."""
+    dir_index, b1, b2, fp = layout.placement(
+        key, server.global_depth, server.buckets_per_segment)
+    segment = server.segment_addrs[dir_index]
+    storage = next(node.storage for node in server.memory_nodes
+                   if node.node_id == blade_of(segment))
+    for bucket in (b1, b2):
+        raws = layout.unpack_slots(storage.read(
+            offset_of(segment) + layout.bucket_offset(bucket), layout.BUCKET_BYTES))
+        for raw in raws:
+            if raw >> layout.FP_SHIFT == fp:
+                stored_key, value = layout.unpack_kv(
+                    storage.read(raw & layout.ADDR_MASK, layout.KV_BLOCK_BYTES))
+                if stored_key == key:
+                    return value
+    return None
+
+
+class TestTableScale:
+    def test_a_table_that_does_not_fit_fails_at_once(self):
+        """800 K items ask for a 51.2 MB heap a 64 MB blade cannot hold:
+        the region error propagates, no resize-and-rebuild."""
+        def rebuild():
+            raise AssertionError("a capacity error rebuilt the deployment")
+
+        app = HashTableApp(800_000)
+        with pytest.raises(MemoryError) as error:
+            app.load("smart-ht", build_deployment(full(), threads=1), 0, rebuild)
+        assert not isinstance(error.value, BucketsFull)
+        message = str(error.value)
+        for part in ("blade 1", "'race_heap'", "51200000 bytes requested",
+                     "RnicConfig.blade_capacity_bytes"):
+            assert part in message
+        with pytest.raises(MemoryError, match="out of memory allocating 'race_heap'"):
+            run_hashtable(item_count=800_000)
+
+    def test_a_million_items_load_run_and_are_found(self):
+        items, seed = 1_000_000, 0
+        app = HashTableApp(items, READ_ONLY)
+        result = run_app(app, "smart-ht", threads=4, coroutines=4,
+                         config=RnicConfig(blade_capacity_bytes=256 << 20),
+                         warmup_ns=20e3, measure_ns=50e3, seed=seed)
+        assert result.ops > 0
+        sample = {key: value
+                  for key, value in YcsbWorkload.load_items(items, seed)
+                  if key % 9_973 == 0}
+        assert len(sample) == 101
+        for key, value in sample.items():
+            assert _stored_value(app.server, key) == value, key
