@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.memory.address import blade_of, offset_of
 from repro.rnic.device import BatchObserver
-from repro.rnic.qp import AM_SEND, CAS, FAA, READ, WRITE, QueuePair, WorkRequest
+from repro.rnic.qp import CAS, FAA, READ, WRITE, QueuePair, WorkRequest
 
 #: shadow chunk granularity (bytes = 1 << shift); 256 B keeps bucket
 #: lists short for record-sized accesses without bloating the index
@@ -158,7 +158,7 @@ class RdmaSanitizer(BatchObserver):
         self.ops_checked = 0
         self.dropped_findings = 0
         self._shadows: Dict[int, _BladeShadow] = {}
-        #: blade id -> MemoryBlade (region names in findings, AM regions)
+        #: blade id -> MemoryBlade (region names in findings)
         self._storages: Dict[int, Any] = {}
         self._batches: Dict[int, List[_Access]] = {}
         #: current holder of each tracked lock word: (blade, word) -> actor
@@ -236,29 +236,6 @@ class RdmaSanitizer(BatchObserver):
         records: List[_Access] = []
         for wr in batch.wrs:
             blade = blade_of(wr.remote_addr)
-            if wr.opcode == AM_SEND:
-                # An active message carries no address range of its own:
-                # its handler's *declared* regions are what it touches,
-                # observed as blade-local accesses.  Handler writes are
-                # exempt from lock discipline — the blade serializes
-                # handlers, that serialization IS their synchronization.
-                from repro.rnic.offload import declared_am_regions
-
-                shadow = self._shadow(blade)
-                for offset, size, cls in declared_am_regions(
-                    wr, self._storages.get(blade)
-                ):
-                    record = _Access(
-                        wr, blade, offset, cls, thread_id, node_id, actor,
-                        qp_ord, now,
-                    )
-                    record.end = offset + size
-                    if cls == "A":
-                        shadow.sync_words.add(offset)
-                    for chunk in record.chunks():
-                        shadow.chunks.setdefault(chunk, []).append(record)
-                    records.append(record)
-                continue
             start = offset_of(wr.remote_addr)
             cls = _ACCESS_CLASS[wr.opcode]
             record = _Access(wr, blade, start, cls, thread_id, node_id, actor, qp_ord, now)
@@ -350,11 +327,6 @@ class RdmaSanitizer(BatchObserver):
     ) -> None:
         if a.qp_ord == b.qp_ord:
             return  # RC executes same-QP ops in order: happens-before
-        if a.wr.opcode == AM_SEND and b.wr.opcode == AM_SEND:
-            # The blade runs handlers on one serialized core: two active
-            # messages never overlap in execution, whatever their
-            # in-flight windows look like.
-            return
         kinds = {a.cls, b.cls}
         if kinds == {"R"}:
             return
@@ -593,16 +565,6 @@ class RdmaSanitizer(BatchObserver):
                             )
                     if expect_idle:
                         self._idle_leaks(node, context)
-                if expect_idle:
-                    offload = node.device.offload
-                    if offload is not None and offload.pending:
-                        self.leaks.append(
-                            {
-                                "kind": "handler-queue",
-                                "node": node.node_id,
-                                "count": offload.pending,
-                            }
-                        )
             if expect_idle:
                 registry = cluster.sim.process_registry or []
                 for process in registry:

@@ -42,12 +42,6 @@ outstanding-WR count, with and without doorbell request merging::
     python -m repro.bench.cli odp --ratios 1.0,0.5 --depths 4,32
     python -m repro.bench.cli odp --json odp.json
 
-``offload`` sweeps the near-memory graph workload (BFS / PageRank)
-across R-MAT skew, AM fan-out and the three execution modes::
-
-    python -m repro.bench.cli offload --skews 0.0,0.6 --chunks 8,32
-    python -m repro.bench.cli offload --algo pagerank --sanitize --json out.json
-
 ``claims`` runs the claim-bearing figure grids, evaluates the paper's
 claims (``repro.bench.claims``) on them and prints the scorecard::
 
@@ -390,53 +384,6 @@ def _run_odp(args) -> int:
     )
 
 
-def build_offload_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench offload",
-        description="Near-memory offload sweep: graph skew x AM fan-out x "
-                    "execution mode (one-sided CAS vs RPC vs offload)",
-    )
-    parser.add_argument("--skews", default=None, metavar="S1,S2,...",
-                        help="R-MAT skews to sweep (default: quick grid "
-                             "0.0,0.6; REPRO_FULL=1 widens it)")
-    parser.add_argument("--chunks", default=None, metavar="C1,C2,...",
-                        help="offload fan-outs to sweep (frontier slots per "
-                             "active message; default: quick grid 8,32)")
-    parser.add_argument("--modes", default="onesided,rpc,offload",
-                        metavar="M1,M2,...",
-                        help="execution modes (default: all three)")
-    parser.add_argument("--algo", choices=("bfs", "pagerank"), default="bfs")
-    parser.add_argument("--vertices", type=int, default=192)
-    parser.add_argument("--degree", type=int, default=6)
-    add_common_flags(parser, threads=2)
-    parser.add_argument("--coroutines", type=int, default=2)
-    add_common_flags(parser, seed=0)
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run every point under RDMASan")
-    add_common_flags(parser, jobs=None, json=None)
-    return parser
-
-
-def _run_offload(args) -> int:
-    from repro.apps.graph.client import MODES
-    from repro.bench.experiments import offload_sweep
-
-    skews = _csv(args.skews, float)
-    if any(not 0.0 <= s < 1.0 for s in skews or ()):
-        print("--skews values must be in [0, 1)", file=sys.stderr)
-        return 2
-    modes = _csv(args.modes, str.strip)
-    if not modes:
-        print(f"--modes must be one or more of {MODES}", file=sys.stderr)
-        return 2
-    return _run_sweep(
-        args, offload_sweep, skews=skews, chunks=_csv(args.chunks, int),
-        modes=modes, algo=args.algo, vertices=args.vertices,
-        degree=args.degree, threads=args.threads, coroutines=args.coroutines,
-        seed=args.seed, sanitize=args.sanitize,
-    )
-
-
 def build_claims_parser() -> argparse.ArgumentParser:
     from repro.bench.claims import CLAIMS
 
@@ -676,7 +623,6 @@ SUBCOMMANDS = {
     "traffic": (build_traffic_parser, _run_traffic),
     "resharding": (build_resharding_parser, _run_resharding),
     "odp": (build_odp_parser, _run_odp),
-    "offload": (build_offload_parser, _run_offload),
     "claims": (build_claims_parser, _run_claims),
 }
 

@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.graph_runner import run_graph
 from repro.bench.microbench import run_dynamic_microbench, run_microbench
 from repro.bench.parallel import PointSpec, run_points
 from repro.bench.report import find_knee, format_table
@@ -160,8 +159,17 @@ def _mops_row(label: List, result) -> List:
 
 
 def _latency_row(label: List, result) -> List:
+    """MOPS, p50 and p99 of a closed-loop point; a point that measured no
+    operation has no latency to report and is refused, not printed as 0."""
+    if result.ops == 0:
+        raise RuntimeError(f"point {label} measured no operations")
     return label + [result.throughput_mops, _us(result.p50_latency_ns),
                     _us(result.p99_latency_ns)]
+
+
+def _median_row(label: List, result) -> List:
+    """:func:`_latency_row` without the p99 column."""
+    return _latency_row(label, result)[:-1]
 
 
 # -- Section 3: scalability bottlenecks ---------------------------------------------
@@ -429,7 +437,7 @@ def fig11_dtx_latency(
             for system in ("ford", "smart-dtx")
             for gap in gaps_ns
         ],
-        row=lambda label, r: label + [r.throughput_mops, _us(r.p50_latency_ns)],
+        row=_median_row,
         paper_claim=(
             "SMART-DTX cuts median latency by up to 45.8% (SmallBank) and "
             "77.0% (TATP); at low load the systems match"
@@ -851,66 +859,6 @@ def odp_sweep(
     )
 
 
-def offload_sweep(
-    skews: Optional[Sequence[float]] = None,
-    chunks: Optional[Sequence[int]] = None,
-    modes: Sequence[str] = ("onesided", "rpc", "offload"),
-    algo: str = "bfs",
-    vertices: int = 192,
-    degree: int = 6,
-    threads: int = 2,
-    coroutines: int = 2,
-    seed: int = 0,
-    sanitize: bool = False,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """Near-memory offload sweep: skew x fan-out x execution mode.
-
-    Each point runs the same seeded graph job (BFS by default) in one of
-    the three execution modes.  The headline: at high skew the one-sided
-    mode burns CAS round trips on already-claimed hub vertices (the
-    RACE-style wasted IOPS), while the offload mode's per-blade chunk
-    handlers claim locally and waste none — at the price of wimpy-core
-    handler occupancy.  ``chunk`` only affects the offload rows (it is
-    the AM fan-out: frontier slots per active message); other modes run
-    once per skew with the default chunk.  Every row reports the result
-    checksum, so mode-equivalence is visible directly in the table.
-    """
-    skews = skews or _grid((0.0, 0.6), (0.0, 0.2, 0.4, 0.6, 0.8))
-    chunks = chunks or _grid((8, 32), (4, 8, 16, 32, 64))
-    return _sweep(
-        name=f"Offload: near-memory {algo} — skew x fan-out x mode",
-        headers=["skew", "mode", "chunk", "elapsed_us", "edges/us",
-                 "wasted_iops", "am_msgs", "am_rejected", "handler_us",
-                 "visited", "checksum"],
-        points=[
-            ([skew, mode, chunk if mode == "offload" else "-"],
-             PointSpec(run_graph, dict(
-                 mode=mode, algo=algo, vertices=vertices, degree=degree,
-                 skew=skew, threads=threads, coroutines=coroutines,
-                 chunk=chunk, seed=seed, sanitize=sanitize,
-             )))
-            for skew in skews
-            for mode in modes
-            for chunk in (chunks if mode == "offload" else [chunks[-1]])
-        ],
-        row=lambda label, r: label + [
-            round(r.elapsed_ns / 1e3, 1), round(r.edges_per_us, 2),
-            r.wasted_iops, r.am_messages, r.am_rejected,
-            round(r.handler_busy_ns / 1e3, 1),
-            r.visited, r.levels_checksum % 10**8],
-        paper_claim=(
-            "not a SMART figure — near-memory extension: offloading "
-            "traversal chunks to blade-side handlers eliminates the "
-            "RACE-style CAS-retry wasted IOPS that one-sided claims burn "
-            "on hub vertices at high skew, trading client round trips for "
-            "wimpy-core handler occupancy; all modes produce bit-identical "
-            "results (equal checksums per skew row)"
-        ),
-        jobs=jobs,
-    )
-
-
 ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "fig3": fig3_qp_policies,
     "fig3_write": functools.partial(fig3_qp_policies, op="write"),
@@ -929,5 +877,4 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "resharding": resharding,
     "chaos": chaos_recovery,
     "odp": odp_sweep,
-    "offload": offload_sweep,
 }

@@ -27,7 +27,6 @@ from repro.rnic import verbs
 from repro.rnic.qp import (
     WorkBatch,
     WorkRequest,
-    am_wr,
     cas_wr,
     faa_wr,
     read_wr,
@@ -112,18 +111,6 @@ class SmartHandle:
 
     def faa(self, remote_addr: int, delta: int) -> WorkRequest:
         wr = faa_wr(remote_addr, delta)
-        self._buffer.append(wr)
-        return wr
-
-    def am(
-        self, remote_addr: int, handler: str, args: tuple = (),
-        resp_size: int = 8,
-    ) -> WorkRequest:
-        """Buffer an active message for the blade owning ``remote_addr``.
-
-        AMs cannot share a batch with one-sided verbs, so buffer them
-        separately (post any pending one-sided WRs first)."""
-        wr = am_wr(remote_addr, handler, args, resp_size=resp_size)
         self._buffer.append(wr)
         return wr
 
@@ -254,29 +241,6 @@ class SmartHandle:
         yield from self.post_send()
         yield from self.sync()
         return wr.result
-
-    def am_sync(
-        self, remote_addr: int, handler: str, args: tuple = (),
-        resp_size: int = 8,
-    ):
-        """Post one active message and wait for its handler's response.
-
-        A handler-queue bounce (``STATUS_HANDLER_BUSY`` backpressure) is
-        retried with the conflict avoider's truncated-exponential delay;
-        any other status returns to the caller, so fault completions
-        (remote abort, flush) surface exactly like one-sided ops.
-        Returns the completed :class:`WorkRequest` — its ``result`` holds
-        the handler's return value on success.
-        """
-        while True:
-            wr = self.am(remote_addr, handler, args, resp_size=resp_size)
-            yield from self.post_send()
-            yield from self.sync()
-            if wr.status != WorkRequest.STATUS_HANDLER_BUSY:
-                return wr
-            self._op_retries += 1
-            self.smart.avoider.record_retry()
-            yield from self.backoff_delay()
 
     def backoff_cas_sync(self, remote_addr: int, compare: int, swap: int):
         """CAS with conflict avoidance (§4.3).

@@ -65,8 +65,6 @@ _DEVICE_COUNTERS = (
     "retransmissions", "wasted_wire_bytes", "error_completions",
     "flushed_wrs", "qp_errors",
     "odp_faults", "odp_invalidations", "merged_wrs",
-    "am_handled", "am_rejected", "am_aborted", "handler_busy_ns",
-    "am_queue_peak",
 )
 
 #: allocator statistics that count events; the rest are gauges

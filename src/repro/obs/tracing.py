@@ -137,8 +137,8 @@ class SpanTracer(BatchObserver):
     """Bounded trace of batch lifecycles (oldest evicted first).
 
     Keeps the timeline of every batch that reached all five stages; one
-    that was flushed, aborted, bounced or lost on the way has a ``None``
-    stamp and is not reported.  With a ``recorder``, the four lifecycle
+    that was flushed, aborted or lost on the way has a ``None`` stamp
+    and is not reported.  With a ``recorder``, the four lifecycle
     segments of a batch are also emitted as spans grouped under ``track``
     (one lane per pipeline stage) as it completes, with all five stage
     timestamps attached as span args.

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
-#: rates, bandwidths, the clock, capacities, and the two multipliers the
-#: model raises to or scales compute by: zero or less cannot be priced
+#: rates, bandwidths, the clock, capacities, and the exponent of the
+#: WQE-miss curve: zero or less cannot be priced
 _POSITIVE = (
     "max_iops", "responder_iops", "network_bandwidth_gbps",
     "pcie_bandwidth_gbps", "cpu_ghz", "wqe_cache_capacity",
-    "blade_capacity_bytes", "wqe_miss_shape", "offload_slowdown",
+    "blade_capacity_bytes", "wqe_miss_shape",
 )
 #: hit ratios and the pinned fraction
 _UNIT_INTERVAL = ("mtt_shared_hit", "mtt_hit_floor", "pinned_ratio")
@@ -38,8 +38,8 @@ _NON_NEGATIVE = (
     "transport_retry_limit", "reconnect_retry_limit",
 )
 #: counts the model needs at least one of: a medium-latency doorbell for
-#: QPs past the dedicated ones, a resident ODP page, a handler-queue slot
-_AT_LEAST_ONE = ("medium_latency_uars", "odp_resident_pages", "offload_queue_depth")
+#: QPs past the dedicated ones, a resident ODP page
+_AT_LEAST_ONE = ("medium_latency_uars", "odp_resident_pages")
 
 
 @dataclass(frozen=True)
@@ -199,24 +199,6 @@ class RnicConfig:
     """Seed of the per-device ODP RNG (fault jitter).  Page pinned-ness
     under ``pinned_ratio`` is a pure hash of (page, seed) so it is stable
     across runs and independent of access order."""
-
-    # -- near-memory offload (active messages) ---------------------------------
-    offload_slowdown: float = 3.0
-    """Compute slowdown of the blade-side handler core relative to a host
-    core: the wimpy ARM core (or SmartNIC datapath processor) executing an
-    active-message handler runs its compute this many times slower.  Only
-    AM_SEND work requests pay it; one-sided runs never touch the knob."""
-
-    offload_dispatch_ns: float = 400.0
-    """Fixed per-active-message dispatch latency at the responder:
-    request parse, handler-table lookup and argument marshalling before
-    the handler body starts."""
-
-    offload_queue_depth: int = 64
-    """Bound of the blade-side handler queue.  An active message arriving
-    with this many already admitted-but-unexecuted is bounced back with
-    ``STATUS_HANDLER_BUSY`` (an RNR-NAK-style backpressure completion the
-    client retries with backoff) instead of queueing unboundedly."""
 
     # -- doorbell batching / adaptive polling (RDMAbox) ------------------------
     merge_wrs: bool = False

@@ -26,7 +26,7 @@ class PerfCounters:
     cqe_failed: int = 0
     """CQEs of ``cqe_delivered`` that complete a failed batch (error or
     flush, see ``RnicDevice.fail_batch``), counted when delivered.  A
-    WR's own access-error or handler-busy status is not counted here."""
+    WR's own access-error status is not counted here."""
     requester_busy_ns: float = 0.0
     responder_busy_ns: float = 0.0
     protection_faults: int = 0
@@ -61,26 +61,6 @@ class PerfCounters:
     merged_wrs: int = 0
     """WRs absorbed into a neighbour's wire message by RDMAbox-style
     request merging (posted WRs minus wire messages)."""
-
-    # -- near-memory offload accounting ----------------------------------------
-    am_handled: int = 0
-    """Active messages whose handler body executed at this blade."""
-
-    am_rejected: int = 0
-    """Active messages bounced off the full handler queue (backpressure;
-    completed with STATUS_HANDLER_BUSY, retried by the client)."""
-
-    am_aborted: int = 0
-    """Active messages aborted by a blade crash before their handler ran
-    (the exactly-once-visible crash-mid-handler path)."""
-
-    handler_busy_ns: float = 0.0
-    """Total time the blade-side handler core spent dispatching and
-    executing active messages (occupancy of the wimpy core)."""
-
-    am_queue_peak: int = 0
-    """High-water mark of the handler queue (admitted but unexecuted
-    messages); a gauge, so window deltas are not meaningful."""
 
     def snapshot(self) -> "PerfCounters":
         return PerfCounters(**vars(self))

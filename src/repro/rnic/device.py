@@ -107,10 +107,6 @@ class RnicDevice:
         #: fully pinned configurations so the fault-free fast path never
         #: pays more than one ``is None`` check
         self.odp = None
-        #: lazily created :class:`repro.rnic.offload.OffloadRuntime`;
-        #: stays None until the first active message arrives, so
-        #: one-sided runs never pay for the handler runtime
-        self.offload = None
 
     def ensure_odp(self):
         """The device's ODP state, created on first need."""
@@ -119,15 +115,6 @@ class RnicDevice:
 
             self.odp = OdpState(self)
         return self.odp
-
-    def ensure_offload(self):
-        """The device's active-message handler runtime, created on first
-        need (the first AM_SEND batch that reaches this responder)."""
-        if self.offload is None:
-            from repro.rnic.offload import OffloadRuntime
-
-            self.offload = OffloadRuntime(self)
-        return self.offload
 
     def open_context(self, total_uuars: Optional[int] = None) -> DeviceContext:
         """Open a device context with ``total_uuars`` doorbells.
@@ -158,10 +145,6 @@ class RnicDevice:
         self.online = True
         self.requester.busy_until = 0.0
         self.responder.busy_until = 0.0
-        if self.offload is not None:
-            # the handler core restarts idle; queued entries died with
-            # the crash (their scheduled executions abort when they fire)
-            self.offload.busy_until = 0.0
         if self.odp is not None:
             # the restarted NIC has no cached translations
             self.odp.invalidate_all(self.sim.now)

@@ -171,16 +171,12 @@ class ResponderEngine:
             batch.qp.device.abort_remote(batch)
             return
 
-        # Active messages pay the same reception pipeline as one-sided
-        # verbs (no NVM or ODP penalty: they carry no address range), then
-        # go to the handler runtime instead of the verb executor.
-        is_am = batch.wrs[0].opcode == qpmod.AM_SEND
         per_wr_ns = config.responder_service_ns
         bandwidth_ns = batch.wire_bytes / config.network_bytes_per_ns
         nvm_penalty = 0.0
         odp_penalty = 0.0
         storage = device.storage
-        if storage is not None and not is_am:
+        if storage is not None:
             if batch.write_bytes:
                 for wr in batch.wrs:
                     # The penalty applies when any part of the written span
@@ -207,12 +203,7 @@ class ResponderEngine:
         )
         self.busy_until = finish
         device.counters.responder_busy_ns += finish - start
-        if is_am:
-            # the runtime is created on the first AM; one-sided runs never
-            # allocate it (see :mod:`repro.rnic.offload`)
-            device.ensure_offload().admit(batch, finish)
-        else:
-            sim.call_at(finish, self._execute_and_reply, batch)
+        sim.call_at(finish, self._execute_and_reply, batch)
 
     def _execute_and_reply(self, batch: WorkBatch) -> None:
         device = self.device
@@ -258,8 +249,7 @@ class ResponderEngine:
         self.send_response(batch)
 
     def send_response(self, batch: WorkBatch) -> None:
-        """Send a handled batch's response back to its origin (also the
-        return path for active messages and handler-queue bounces)."""
+        """Send a handled batch's response back to its origin."""
         device = self.device
         origin = batch.qp.device
         sim = device.sim

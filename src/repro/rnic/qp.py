@@ -13,9 +13,6 @@ READ = "read"
 WRITE = "write"
 CAS = "cas"
 FAA = "faa"
-#: active message: run a registered handler at the responder blade
-#: (the near-memory offload path, see :mod:`repro.rnic.offload`)
-AM_SEND = "am_send"
 
 #: Wire overhead per one-sided message (IB transport + RETH headers).
 MESSAGE_OVERHEAD_BYTES = 30
@@ -28,7 +25,7 @@ class WorkRequest:
     (SMART packs the batch size into it, Algorithm 1 line 4).
 
     Built only by the verb factories below (:func:`read_wr`,
-    :func:`write_wr`, :func:`cas_wr`, :func:`faa_wr`, :func:`am_wr`).
+    :func:`write_wr`, :func:`cas_wr`, :func:`faa_wr`).
     """
 
     __slots__ = (
@@ -42,16 +39,10 @@ class WorkRequest:
         "wr_id",
         "result",
         "status",
-        "handler",
-        "am_args",
-        "resp_size",
     )
 
     STATUS_OK = "ok"
     STATUS_ACCESS_ERROR = "access-error"
-    #: active message bounced off a full blade-side handler queue
-    #: (RNR-NAK-like backpressure; retryable, does NOT error the QP)
-    STATUS_HANDLER_BUSY = "handler-busy"
     #: the remote blade died while the WR was in flight (IBV_WC_REM_OP_ERR)
     STATUS_REMOTE_ABORT = "remote-abort"
     #: RC transport exhausted its retransmissions (IBV_WC_RETRY_EXC_ERR)
@@ -70,10 +61,9 @@ class WorkRequest:
 
 
 # Each factory builds its WR in place — a bare ``WorkRequest()`` and its
-# thirteen fields — and checks only what its own opcode can get wrong.
+# ten fields — and checks only what its own opcode can get wrong.
 # A field the verb does not use gets the same default in every factory:
-# payload / handler / result None, compare / swap / delta 0, am_args (),
-# resp_size 8.
+# payload / result None, compare / swap / delta 0.
 
 _STATUS_OK = WorkRequest.STATUS_OK
 
@@ -86,10 +76,8 @@ def read_wr(remote_addr: int, size: int, wr_id: Any = None) -> WorkRequest:
     wr.remote_addr = remote_addr
     wr.size = size
     wr.wr_id = wr_id
-    wr.payload = wr.handler = wr.result = None
+    wr.payload = wr.result = None
     wr.compare = wr.swap = wr.delta = 0
-    wr.am_args = ()
-    wr.resp_size = 8
     wr.status = _STATUS_OK
     return wr
 
@@ -106,10 +94,8 @@ def write_wr(remote_addr: int, payload: bytes, wr_id: Any = None) -> WorkRequest
     wr.size = size
     wr.wr_id = wr_id
     wr.payload = payload
-    wr.handler = wr.result = None
+    wr.result = None
     wr.compare = wr.swap = wr.delta = 0
-    wr.am_args = ()
-    wr.resp_size = 8
     wr.status = _STATUS_OK
     return wr
 
@@ -127,12 +113,10 @@ def cas_wr(remote_addr: int, compare: int, swap: int, wr_id: Any = None) -> Work
     wr.remote_addr = remote_addr
     wr.size = 8
     wr.wr_id = wr_id
-    wr.payload = wr.handler = wr.result = None
+    wr.payload = wr.result = None
     wr.compare = compare
     wr.swap = swap
     wr.delta = 0
-    wr.am_args = ()
-    wr.resp_size = 8
     wr.status = _STATUS_OK
     return wr
 
@@ -143,44 +127,9 @@ def faa_wr(remote_addr: int, delta: int, wr_id: Any = None) -> WorkRequest:
     wr.remote_addr = remote_addr
     wr.size = 8
     wr.wr_id = wr_id
-    wr.payload = wr.handler = wr.result = None
+    wr.payload = wr.result = None
     wr.compare = wr.swap = 0
     wr.delta = delta
-    wr.am_args = ()
-    wr.resp_size = 8
-    wr.status = _STATUS_OK
-    return wr
-
-
-def am_wr(
-    remote_addr: int,
-    handler: str,
-    args: tuple = (),
-    size: Optional[int] = None,
-    resp_size: int = 8,
-    wr_id: Any = None,
-) -> WorkRequest:
-    """An active message: run ``handler`` with ``args`` at the blade that
-    owns ``remote_addr``.  The request payload defaults to one 8-byte
-    handler id plus 8 bytes per argument; ``resp_size`` declares the
-    handler's response payload (like a READ's size, but for the return
-    direction)."""
-    if handler is None:
-        raise ValueError("AM_SEND requires a handler name")
-    if size is None:
-        size = 8 + 8 * len(args)
-    if size <= 0:
-        raise ValueError("size must be positive")
-    wr = WorkRequest()
-    wr.opcode = AM_SEND
-    wr.remote_addr = remote_addr
-    wr.size = size
-    wr.wr_id = wr_id
-    wr.payload = wr.result = None
-    wr.handler = handler
-    wr.compare = wr.swap = wr.delta = 0
-    wr.am_args = tuple(args)
-    wr.resp_size = resp_size
     wr.status = _STATUS_OK
     return wr
 
@@ -206,11 +155,11 @@ class WorkBatch(Event):
     ``posted_at`` (built) ≤ ``rung_at`` (doorbell rung, handed to the
     requester) ≤ ``issued_at`` (requester pipeline done; a float, the
     only stamp that is not an event-loop instant) ≤ ``remote_start_at``
-    (reached the responder) ≤ ``executed_at`` (verbs / handler ran) ≤
+    (reached the responder) ≤ ``executed_at`` (verbs ran) ≤
     ``completed_at`` (CQEs delivered).
 
-    A stage the batch never reached — it was flushed, aborted, bounced
-    or lost — leaves its stamp ``None``.
+    A stage the batch never reached — it was flushed, aborted or lost —
+    leaves its stamp ``None``.
     """
 
     __slots__ = (
@@ -255,28 +204,19 @@ class WorkBatch(Event):
         wire = 0
         write_payload = 0
         response = 0
-        am_count = 0
         for wr in wrs:
             wire += wr.size + MESSAGE_OVERHEAD_BYTES
             if wr.opcode == WRITE:
                 write_payload += wr.size
                 # a WRITE's return direction is just the transport ack
                 response += MESSAGE_OVERHEAD_BYTES
-            elif wr.opcode == AM_SEND:
-                am_count += 1
-                # the handler's reply carries its declared response bytes
-                response += wr.resp_size + MESSAGE_OVERHEAD_BYTES
             else:
                 # READ response carries the data; atomics return 8 bytes
                 response += wr.size + MESSAGE_OVERHEAD_BYTES
-        if 0 < am_count < n:
-            # The responder routes whole batches: an active message rides
-            # alone or with other AMs, never mixed with one-sided verbs.
-            raise ValueError("AM_SEND cannot share a batch with one-sided WRs")
         #: wire messages this batch issues; == n unless RDMAbox request
         #: merging fused adjacent WRs (``RnicConfig.merge_wrs``)
         self.wire_wrs = n
-        if qp.device.config.merge_wrs and n > 1 and not am_count:
+        if qp.device.config.merge_wrs and n > 1:
             groups = plan_merges(wrs)
             if len(groups) < n:
                 self.wire_wrs = len(groups)

@@ -23,6 +23,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from repro.bench import experiments as exp
 
 #: workers for the pinned grids: the machine's CPUs, at most two (a tiny
@@ -57,7 +59,6 @@ TINY_GRIDS = {
                        item_count=500, phase_ns=0.3e6),
     "chaos": dict(measure_ns=1.0e6),
     "odp": dict(ratios=(1.0, 0.5), depths=(4,), threads=2, measure_ns=0.3e6),
-    "offload": dict(skews=(0.0, 0.6), chunks=(16,), vertices=64, degree=4),
 }
 
 #: experiment -> (sha256 of the sorted-key JSON, sha256 of format())
@@ -96,8 +97,6 @@ EXPERIMENT_DIGESTS = {
               "009614bbe2d7fd769c1766614b7466335ae4dd7d094b844898fdca9fa210efb2"),
     "odp": ("8887872755004869d85988002cb4e97ed83fcc924b60d5b71899342d64737719",
             "f590f7bcba00565f1675b839553cfa0d0fae9085673fc55e02f23c67b2c6df46"),
-    "offload": ("be05fb16f59a5944ca70ef7557df8c27c68a996ccb55d1ba0b20d5b8e0373322",
-                "64201cbb265a4eb7b4c67342fb4507c7b312b446fa81291c7c86441a6cf532b1"),
 }
 
 
@@ -154,18 +153,6 @@ class TestMicroExperiments:
         assert pinned[7] > 0  # seq access merges at every ratio
         assert odp[2] < pinned[2]  # faulting costs throughput
 
-    def test_offload(self):
-        result = run_pinned("offload")
-        assert result.headers[0] == "skew"
-        assert len(result.rows) == 6  # 2 skews x 3 modes, one chunk
-        for skew in (0.0, 0.6):
-            by_mode = {row[1]: row for row in result.rows if row[0] == skew}
-            # Differential invariant: one checksum across all modes.
-            assert len({row[-1] for row in by_mode.values()}) == 1
-            assert by_mode["onesided"][5] > 0  # wasted_iops column
-            assert by_mode["offload"][5] == 0
-            assert by_mode["offload"][6] > 0  # am_msgs column
-
 
 class TestHashTableExperiments:
     def test_fig5(self):
@@ -207,6 +194,25 @@ class TestDtxExperiments:
         assert all(row[4] > 0 for row in result.rows)  # p50 measured
 
 
+class TestZeroOpPoints:
+    """A 3 ms throttle gap outlasts the whole 2.5 ms window, so no
+    operation completes: such a point has no latency to print, and its
+    row names it instead of rendering a 0.00 us cell."""
+
+    def test_latency_row_refuses_a_point_with_no_operations(self):
+        with pytest.raises(RuntimeError,
+                           match=r"\['race', 3000.0\] measured no operations"):
+            exp.fig9_ht_latency(gaps_ns=(3e6,), item_count=2_000, threads=2,
+                                jobs=1)
+
+    def test_fig11_row_refuses_a_point_with_no_operations(self):
+        with pytest.raises(
+                RuntimeError,
+                match=r"\['smallbank', 'ford', 3000.0\] measured no operations"):
+            exp.fig11_dtx_latency(gaps_ns=(3e6,), item_count=2_000,
+                                  threads=2, jobs=1)
+
+
 class TestBtreeExperiments:
     def test_fig12(self):
         result = run_pinned("fig12")
@@ -241,7 +247,7 @@ class TestRegistry:
         assert set(exp.ALL_EXPERIMENTS) == {
             "fig3", "fig3_write", "fig4", "fig5", "fig7", "fig8", "fig9",
             "fig10", "fig11", "fig12", "fig13", "table1", "fig14",
-            "latency_throughput", "resharding", "chaos", "odp", "offload",
+            "latency_throughput", "resharding", "chaos", "odp",
         }
 
     def test_grid_switch(self, monkeypatch):

@@ -709,137 +709,3 @@ class TestAppPipelineFaults:
         result = run_hashtable(system="race", faults="seeded", **APP_KW)
         assert result.ops > 0 and result.crashes == 0
         assert result.messages_dropped > 0
-
-
-# -- active-message chaos (near-memory offload) -------------------------------
-
-from repro.rnic.offload import register_handler
-
-
-def _chaos_incr(storage, args):
-    (offset,) = args
-    value = storage.read_u64(offset) + 1
-    storage.write_u64(offset, value)
-    return value
-
-
-# A deliberately slow handler (20 us host-core estimate) so a crash can
-# reliably land while the message sits on the blade's handler core.
-register_handler(
-    "chaostest/incr", _chaos_incr, cost=20_000.0,
-    regions=lambda storage, args: ((args[0], 8, "A"),),
-)
-
-
-def _am_deployment():
-    cluster = Cluster()
-    compute = cluster.add_node()
-    compute.add_threads(1)
-    remote = cluster.add_node()
-    region = remote.storage.alloc_region("ctr", 64, persistent=True)
-    SmartContext(compute, [remote], baseline())
-    thread = compute.threads[0]
-    smart = SmartThread(thread, baseline(), seed=3)
-    return cluster, compute, remote, region, thread, smart
-
-
-class TestActiveMessageChaos:
-    def test_blade_crash_mid_handler_is_exactly_once_visible(self):
-        """A crash landing while the AM sits on the handler queue aborts
-        it with *nothing* executed; the client's retry after reconnect is
-        the only invocation that ever becomes visible."""
-        cluster, compute, remote, region, thread, smart = _am_deployment()
-        handle = smart.handle()
-        addr = remote.storage.global_addr(region.base)
-        outcomes = []
-
-        def monitor():
-            # Crash precisely while the message is admitted-but-unexecuted.
-            while cluster.sim.now < 1e7:
-                offload = remote.device.offload
-                if offload is not None and offload.pending > 0:
-                    remote.crash(restart_after_ns=150_000.0)
-                    return
-                yield cluster.sim.timeout(500)
-
-        def worker():
-            while True:
-                wr = yield from handle.am_sync(
-                    addr, "chaostest/incr", (region.base,)
-                )
-                if wr.status == WorkRequest.STATUS_OK:
-                    outcomes.append(("ok", wr.result))
-                    return
-                outcomes.append(("fault", wr.status))
-                handle.note_fault_abort()
-                ok = yield from handle.reconnect(remote.node_id)
-                outcomes.append(("reconnected", ok))
-
-        cluster.sim.spawn(monitor())
-        cluster.sim.spawn(worker())
-        cluster.sim.run()
-        assert outcomes == [
-            ("fault", WorkRequest.STATUS_REMOTE_ABORT),
-            ("reconnected", True),
-            ("ok", 1),
-        ]
-        # Exactly once: the aborted attempt never touched the counter.
-        assert remote.storage.read_u64(region.base) == 1
-        counters = remote.device.counters
-        assert counters.am_aborted == 1
-        assert counters.am_handled == 1
-        assert smart.stats.fault_aborts == 1
-        # The abort released its queue slot: nothing leaked.
-        assert remote.device.offload.pending == 0
-
-    def test_handler_queue_drains_clean_at_teardown(self):
-        from repro.analysis.rdmasan import RdmaSanitizer
-
-        cluster, compute, remote, region, thread, smart = _am_deployment()
-        sanitizer = RdmaSanitizer().attach_cluster(cluster)
-        handle = smart.handle()
-        addr = remote.storage.global_addr(region.base)
-        results = []
-
-        def worker():
-            for _ in range(4):
-                wr = yield from handle.am_sync(
-                    addr, "chaostest/incr", (region.base,)
-                )
-                results.append(wr.result)
-
-        cluster.sim.spawn(worker())
-        cluster.sim.run()
-        smart.stop()
-        sanitizer.finish(expect_idle=True)
-        assert results == [1, 2, 3, 4]
-        assert sanitizer.leaks == []
-        assert sanitizer.report()["findings"] == []
-
-    def test_handler_queue_leak_is_detected(self):
-        """The sanitizer's teardown check flags admitted-but-unexecuted
-        handler-queue entries when a run stops mid-flight."""
-        from repro.analysis.rdmasan import RdmaSanitizer
-
-        cluster, compute, remote, region, thread, smart = _am_deployment()
-        sanitizer = RdmaSanitizer().attach_cluster(cluster)
-        handle = smart.handle()
-        addr = remote.storage.global_addr(region.base)
-
-        def worker():
-            yield from handle.am_sync(addr, "chaostest/incr", (region.base,))
-
-        cluster.sim.spawn(worker())
-        # Advance only until the message is admitted, then stop the run
-        # with the handler still pending.
-        while (
-            remote.device.offload is None
-            or remote.device.offload.pending == 0
-        ):
-            assert cluster.sim.now < 1e7, "AM never reached the blade"
-            cluster.sim.run(until=cluster.sim.now + 1000)
-        sanitizer.finish(expect_idle=True)
-        leaks = [l for l in sanitizer.leaks if l["kind"] == "handler-queue"]
-        assert leaks == [
-            {"kind": "handler-queue", "node": remote.node_id, "count": 1}
-        ]

@@ -59,64 +59,6 @@ def test_fig4_deep_queues_lose_half_the_throughput():
     )
 
 
-# -- near-memory offload crossover (offload experiment) ------------------------
-
-
-def graph_point(mode, **rnic_knobs):
-    from repro.bench.graph_runner import run_graph
-    from repro.rnic.config import RnicConfig
-
-    return run_graph(
-        mode=mode, algo="bfs", vertices=96, degree=4, skew=0.6,
-        seed=3, chunk=16, config=RnicConfig(**rnic_knobs),
-    )
-
-
-def test_offload_eliminates_wasted_cas_at_high_skew():
-    """The headline shape: one-sided BFS burns hundreds of failed CAS
-    claims on the hub vertices of a skew-0.6 R-MAT graph; pushing the
-    claim loop to the blade eliminates them entirely and finishes an
-    order of magnitude sooner — for the bit-identical answer."""
-    onesided = graph_point("onesided")
-    offload = graph_point("offload")
-    assert onesided.elapsed_ns == pytest.approx(398917.0)
-    assert onesided.wasted_iops == 292
-    assert offload.elapsed_ns == pytest.approx(32601.0)
-    assert offload.wasted_iops == 0
-    assert offload.elapsed_ns * 10 < onesided.elapsed_ns
-    assert onesided.levels_checksum == offload.levels_checksum
-    assert onesided.visited == offload.visited == 83
-
-
-def test_rpc_trades_cas_waste_for_message_count():
-    """Per-edge RPC also avoids CAS retries, but pays one round trip per
-    edge: no wasted IOPS, yet the slowest of the three modes."""
-    onesided = graph_point("onesided")
-    rpc = graph_point("rpc")
-    assert rpc.wasted_iops == 0
-    assert rpc.am_messages == 375
-    assert rpc.elapsed_ns == pytest.approx(459473.0)
-    assert rpc.elapsed_ns > onesided.elapsed_ns
-    assert rpc.levels_checksum == onesided.levels_checksum
-
-
-def test_wimpy_core_slowdown_crossover():
-    """Offload only wins while the blade core is fast enough: the
-    advantage shrinks monotonically with ``offload_slowdown`` and flips
-    past the crossover (a 400x wimpy core loses to one-sided CAS).  The
-    answer never changes — only the clock does."""
-    onesided = graph_point("onesided")
-    fast = graph_point("offload", offload_slowdown=3.0)
-    mid = graph_point("offload", offload_slowdown=120.0)
-    slow = graph_point("offload", offload_slowdown=400.0)
-    assert fast.elapsed_ns == pytest.approx(32601.0)
-    assert mid.elapsed_ns == pytest.approx(181361.0)
-    assert slow.elapsed_ns == pytest.approx(543393.0)
-    assert fast.elapsed_ns < mid.elapsed_ns < slow.elapsed_ns
-    assert fast.elapsed_ns < onesided.elapsed_ns < slow.elapsed_ns
-    assert len({r.levels_checksum for r in (onesided, fast, mid, slow)}) == 1
-
-
 # -- cross-commit byte-identity pins for the app runners -----------------------
 #
 # Every digest below was recorded at the commit *before* the post path
@@ -132,6 +74,10 @@ def test_wimpy_core_slowdown_crossover():
 # number, a fault counter, the phase breakdown or the sanitizer report of
 # these points fails here — re-record only when a model change is
 # intended, and say so in CHANGES.md.
+#
+# The fourteen ``+obs`` digests were re-recorded when the five
+# active-message counters left the device metrics: each hashes the previous
+# payload with those counters (0.0 on every device) dropped.
 
 _HT = dict(threads=2, coroutines=2, item_count=2_000,
            warmup_ns=0.2e6, measure_ns=0.4e6)
@@ -168,48 +114,48 @@ _LOSS_SMART = dict(faults="loss=0.05@2.05ms+0.2ms", fault_seed=5)
 
 GOLDEN_DIGESTS = {
     "ht-race": "b4d421b047425e674e37d2d5dcf0be94ccc54b14fdbbf3e1a10d17d53eab800f",
-    "ht-race+obs": "5bccd1753c4cf35aa911ffbec1b8c94a6778d0f61a99f185702cf869d5e8fbd9",
+    "ht-race+obs": "990aa68e258f98d6fdd4abfb3a6eee307cb797e1bff96989109d35a5e70b15b3",
     "ht-race+sanitize": "671d4ca8ceeb23a06f12ad9059b9341a81b8b846dc2f2093727658901aa2c0e4",
     "ht-race+loss": "7979fd87e593d99232bd2492aa3dddbf84a57b8edb0ae030ccdfbe30afcf9e64",
     "ht-smart": "7a619fdf193199d0edbfc94762e37357bf613963bc84fe69994a2a586127d15f",
-    "ht-smart+obs": "e4d4f6a358d995b2bd71aee502df86452209a9cdc9c04add1a382d3f45157c12",
+    "ht-smart+obs": "b54b134dd5e4782f59ab3c92dd0bd582625d39290e4247776cafbfbc2dd1d02b",
     "ht-smart+sanitize": "65997a0877ab64e6241c132b8ad944432ce9cd1de2f5ac514076a4952b7ec4aa",
     "ht-smart+loss": "18eb8471293ba8f8837afb4216fa11fe55e80b59bf481e0cc1474ca6cacee5ed",
     "dtx-smallbank": "7171b0ebb1b676cca04871aafebd8def9364be5c04945e28035f6a7b51524200",
-    "dtx-smallbank+obs": "49a4fcbbcfb92409e8491d2610d204e1e3063c6ec44640eb809f3563608955b7",
+    "dtx-smallbank+obs": "da0cc18a2c44ecc90ed277dd92366f5d18f039e8b65a217ce818073b70331be9",
     "dtx-smallbank+sanitize": "34e53fa5f28fb54fbee982a7a4ddb90fbbff1b81913852e19254eb69f5ddd196",
     "dtx-smallbank+loss": "0f15d8555521ccedf92661a68a1a03573b3b65c8b67f9363d15aff481f5d4d7d",
     "dtx-tatp": "36216362f8843b0fe65ca2e591b565de7c8dc9b2d5195b1de259d24b5fb3d507",
-    "dtx-tatp+obs": "fa27a01ff9ecc2bfb4e3a3d202197fd6edee05a4de6a10d5c42d8e73cc8547c2",
+    "dtx-tatp+obs": "6156268e34fd2f47380367c33e793a16b0ff581db76bf647f42d256c4ae74d1f",
     "dtx-tatp+sanitize": "1ac06340399a78e4379d74866406038eb81b40eb498a4a8af1efe36a79166eb1",
     "dtx-tatp+loss": "12f3b05b58eb9e0ba5a8a2eae2735e1d25a864a926d5a803e32e4a3828c2ef90",
     "bt-sherman": "218468094cde785b99ddb69dfb74b73d33f2300edcd0b6cc333715cf645f0106",
-    "bt-sherman+obs": "4d5213733247f5b82e356bfb167b428818c4e0d98a21544e6681dbe1f96911c5",
+    "bt-sherman+obs": "be7c3f0a4a855ef133f01abee73d2023ba357929a892264ff23ec08e52e27424",
     "bt-sherman+sanitize": "ce6e4fa60dcb2587d5128113e30bf4030cf11a02c461985c0e34a462ce0f42db",
     "bt-sherman-sl": "7f69b9546d2a74bb867eee5463f6eb71712b116412ec86e0539a6359de49a476",
-    "bt-sherman-sl+obs": "3c41d9e66b8912a80179cc09a53086a04e3d8adcef49cedf989c99f4fc752916",
+    "bt-sherman-sl+obs": "e3d601431d53d8f205bc32038aabec6ff3ff932f921ff7da1a581ebe37e7e311",
     "bt-sherman-sl+sanitize": "7cf8bdd9c9ec05fc017ad3b35391f7006fa6ea88c43b40759149150360a372dd",
     "bt-smart": "fabc31b2fdfabd9acea68a8232dffe92c6235e89baab75f23e019d53c5e8e540",
-    "bt-smart+obs": "e8b9c5c5492cc11e3bb1a62e7acbe82ed3d7fcce7448ef43823d429cc29ae127",
+    "bt-smart+obs": "4548bec2c1ab0aad824017e4b08df7521f9ce5fd98f4c2ad44e1a9c39d5c6672",
     "bt-smart+sanitize": "b2776af833d3884acaf8035d3580efeae6b6ee2c2fd0bcf2c9d35700b4e6d3c4",
     "bt-smart-nohopl": "c9e46a2feebbdad3d2327850e0d1bd747086386e104e6ea8f67cef04c92d88ba",
-    "bt-smart-nohopl+obs": "3212dd7df070cb1ed5686b693efe7ee6a8197dfcc1042edd45bad3805d26ba67",
+    "bt-smart-nohopl+obs": "aced95662637df5e73b9ec1b58d66401217d7180be153cc1b4ec8f46a25e7a59",
     "bt-smart-nohopl+sanitize": "22885ecb19f48a499fc8ed53a4e259d01543ee956ca35d8f85d2824f1bcc77d3",
     "bt-sherman-nohopl": "d451b483e5f45aca0ab70ffe739057a2c0bc77818faa7834f234f93313bf12e9",
-    "bt-sherman-nohopl+obs": "3eccb3b486bd6b5bc7d7ed6b0432ea8057861368412f28b580f7657a149bcfdb",
+    "bt-sherman-nohopl+obs": "fbac3ed50b37588e3d11c092452abb538dcbf03e2c066f3daa0852dca6c24e53",
     "bt-sherman-nohopl+sanitize": "9bdeb79362b26e11ee84d2f386eed07c0b690ceaa8c6943f763c506f531e316b",
     "open-hashtable": "fde3ee6bd5bba089999f63450a3c5fd7fa4699a982726ee9f56d4cbcc16b40aa",
-    "open-hashtable+obs": "52eb61ce7d0cd28a2f51fb2a5c413c90e58a461d6efdd256cccadf2f76bd4f0a",
+    "open-hashtable+obs": "c99e1aaa48e7bbb56fa674312d172a79ab89cb927b74adc32bb9c7d65d9eeabe",
     "open-dtx": "3ea266cd12f19b47e8f700702bc369777d2adaef8750d0846f1325ac0a16de42",
-    "open-dtx+obs": "0f7e2e6f507bf14b027f55d5224e436d84406880bed5a6645baa2c1fab7b5a25",
+    "open-dtx+obs": "1dc9a9c7b1410d403da6a6e5953b334515d758661a8080a61c65c9e3c258aa8e",
     "open-btree": "16de8f8a2a5e069bdf739b635b5137f39ac87a947c5c35f7a8938864a520a8a1",
-    "open-btree+obs": "b1015c1e734429dff9c764ab148427ef0ea5fb3fe57ba30ad3b5fa8134a64af1",
+    "open-btree+obs": "b2f978fe408d3022525f40f9e737ef0615fcbef596c4d0a92186079c66be6993",
     "micro-smart": "4da43a6c0d1244f66630375c015f1fb953154b7b783d95fdc7f1bb1af1eb147d",
-    "micro-smart+obs": "b221fead80072f0520ccab083402458e8025286ae905b25f10ee7dd253a0c7fa",
+    "micro-smart+obs": "2bf2fb92002d14d9e7c50c88f733f9599bdeae2a01f2a9909ef2cf8b72ce20ba",
     "micro-smart+sanitize": "114064d70ca8576fbfdea6f5bd4908fe6263e5393bcec3c18e4c15d272c89124",
     "micro-smart+loss": "50283a029708732bb7a153ab529e0a87cba6888e4e301daca5b724822850f396",
     "micro-per-thread-qp": "89dd9a1c77ca6d238bebaf1ab5edf0a00d7ac1c951bc1a3ca3734617e268d946",
-    "micro-per-thread-qp+obs": "19fe8b22047ff82143bb2b0f366c8a770d9facb8b30378991f34de0d3ba8de21",
+    "micro-per-thread-qp+obs": "bc751530e9ff82cbf5214596a1568d197b2020ad94bf64f8cb23d82a5dbec600",
     "micro-per-thread-qp+sanitize": "7960070ede5646e5df588d15408af815ba1f216f43805201d340ef57df40a460",
     "micro-per-thread-qp+loss": "e1f6c40de4b13cb78ebc3e7798faed4c158760300f9ce909a0c54451834a397b",
     "dtx-smallbank+crash": "6a098f6cc1fbd9b3095763074fb8339d4f92f76dfbd945edf955dbf822e38ce4",

@@ -119,10 +119,7 @@ class TestCli:
         (["odp", "--ratios", "1.0,0.5", "--depths", "4", "--threads", "2",
           "--measure-us", "100", "--jobs", "1"],
          {"name", "headers", "rows"}),
-        (["offload", "--skews", "0.0", "--chunks", "8", "--modes", "offload",
-          "--vertices", "48", "--degree", "3", "--jobs", "1"],
-         {"name", "headers", "rows"}),
-    ], ids=["traffic", "resharding", "odp", "offload"])
+    ], ids=["traffic", "resharding", "odp"])
     def test_cli_subcommand_writes_json(self, argv, keys, tmp_path, capsys):
         import json
 
@@ -136,25 +133,17 @@ class TestCli:
         ["traffic", "--tenants", "0"],
         ["resharding", "--tenants", "0"],
         ["odp", "--ratios", "1.5"],
-        ["offload", "--modes", "bogus"],
         # one .json file cannot hold seventeen figures (it kept the last)
         ["--figure", "all", "--json", "out.json"],
         # an empty batch never yields: these hung instead of failing
         ["8", "0"],
         ["odp", "--depths", "4,0"],
-        # nothing to sweep: an empty table is not a result
-        ["offload", "--modes", ""],
         # a window or a count that can only give nonsense numbers
         ["8", "4", "--measure-us", "-5"],
         ["8", "4", "--memory-nodes", "0"],
         ["traffic", "--measure-us", "0"],
         ["resharding", "--phase-us", "-1"],
         # counts that ended in a ValueError traceback (exit 1)
-        ["offload", "--chunks", "0"],
-        ["offload", "--degree", "0"],
-        ["offload", "--threads", "0"],
-        ["offload", "--coroutines", "0"],
-        ["offload", "--vertices", "1"],
         ["8", "4", "--block-size", "0"],
         ["odp", "--block-size", "0"],
         ["traffic", "--rate", "0"],

@@ -10,7 +10,7 @@ from repro.cluster import Cluster
 from repro.rnic import verbs
 from repro.rnic.policies import POLICIES, connect
 from repro.rnic.qp import (
-    WorkBatch, WorkRequest, am_wr, cas_wr, faa_wr, read_wr, write_wr,
+    WorkBatch, WorkRequest, cas_wr, faa_wr, read_wr, write_wr,
 )
 
 
@@ -33,7 +33,6 @@ _STATUSES = sorted(
 _WR_DEFAULTS = dict(
     opcode=None, remote_addr=None, size=None, payload=None, compare=0,
     swap=0, delta=0, wr_id=None, result=None, status=WorkRequest.STATUS_OK,
-    handler=None, am_args=(), resp_size=8,
 )
 
 _u64 = st.integers(0, (1 << 64) - 1)
@@ -45,7 +44,7 @@ def _fields(wr):
 
 
 class TestFactories:
-    """Each verb factory builds its WorkRequest directly: all thirteen
+    """Each verb factory builds its WorkRequest directly: all ten
     fields are pinned against a reference table, so no factory can drift
     from the others' defaults."""
 
@@ -83,19 +82,6 @@ class TestFactories:
             _WR_DEFAULTS, opcode="faa", remote_addr=addr, size=8, delta=delta,
             wr_id=wr_id)
 
-    @given(addr=_u64, handler=st.text(min_size=1, max_size=16),
-           args=st.lists(st.integers(), max_size=6),
-           size=st.one_of(st.none(), st.integers(1, 4096)),
-           resp_size=st.integers(0, 4096), wr_id=_wr_ids)
-    @settings(max_examples=50, deadline=None)
-    def test_am_wr(self, addr, handler, args, size, resp_size, wr_id):
-        wr = am_wr(addr, handler, args, size=size, resp_size=resp_size, wr_id=wr_id)
-        assert _fields(wr) == dict(
-            _WR_DEFAULTS, opcode="am_send", remote_addr=addr,
-            size=8 + 8 * len(args) if size is None else size,
-            handler=handler, am_args=tuple(args), resp_size=resp_size,
-            wr_id=wr_id)
-
     @given(bad=st.one_of(
         st.integers(max_value=0).map(lambda size: (read_wr, (0, size), "size must be positive")),
         st.just((write_wr, (0, None), "WRITE requires a payload")),
@@ -105,9 +91,6 @@ class TestFactories:
                 (cas_wr, (0, out, 0), "CAS compare operand"),
                 (cas_wr, (0, 0, out), "CAS swap operand"),
             ])),
-        st.just((am_wr, (0, None), "AM_SEND requires a handler name")),
-        st.integers(max_value=0).map(
-            lambda size: (lambda: am_wr(0, "h", size=size), (), "size must be positive")),
     ))
     @settings(max_examples=100, deadline=None)
     def test_invalid_input_is_a_value_error_naming_it(self, bad):

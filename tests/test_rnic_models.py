@@ -51,7 +51,6 @@ class TestConfig:
         ("wqe_cache_capacity", 0, "> 0"),
         ("blade_capacity_bytes", 0, "> 0"),
         ("wqe_miss_shape", 0.0, "> 0"),
-        ("offload_slowdown", 0.0, "> 0"),
         # every *_ns: >= 0
         ("cqe_poll_ns", -5, ">= 0"),
         ("doorbell_mmio_ns", -1.0, ">= 0"),
@@ -70,7 +69,6 @@ class TestConfig:
         # counts the model needs one of
         ("medium_latency_uars", 0, ">= 1"),
         ("odp_resident_pages", 0, ">= 1"),
-        ("offload_queue_depth", 0, ">= 1"),
         # the default context's doorbells must fit the device
         ("max_uars", 15, r">= low_latency_uars \+ medium_latency_uars \(16\)"),
     ])

@@ -10,8 +10,6 @@ identically-seeded runs of the RNIC datapath produce identical traces.
 
 import random
 
-import pytest
-
 from repro.sim import Simulator
 
 #: The exact (time, tag) trace of :func:`_composite_scenario`, fixed by
@@ -161,73 +159,3 @@ def test_heap_order_survives_heavy_same_instant_load():
         sim.call_at(10, log.append, value)
     sim.run()
     assert log == order
-
-# -- graph differential harness (three execution modes, one answer) -----------
-
-# Eight fixed seeds spread across skews: each seed must produce
-# *bit-equal* BFS levels and PageRank ranks in every execution mode.
-GRAPH_SEEDS = (
-    (0, 0.0), (1, 0.0), (2, 0.3), (3, 0.3),
-    (4, 0.6), (5, 0.6), (6, 0.8), (7, 0.8),
-)
-
-
-def _graph_run(mode, algo, seed, skew, **overrides):
-    from repro.bench.graph_runner import run_graph
-
-    kw = dict(
-        mode=mode, algo=algo, vertices=64, degree=4, skew=skew,
-        threads=2, coroutines=2, chunk=16,
-        rounds=2, seed=seed,
-    )
-    kw.update(overrides)
-    return run_graph(**kw)
-
-
-@pytest.mark.parametrize("seed,skew", GRAPH_SEEDS)
-def test_bfs_bit_equal_across_execution_modes(seed, skew):
-    results = {
-        mode: _graph_run(mode, "bfs", seed, skew)
-        for mode in ("onesided", "rpc", "offload")
-    }
-    levels = {r.levels_checksum for r in results.values()}
-    visited = {r.visited for r in results.values()}
-    assert len(levels) == 1, f"BFS levels diverge across modes: {results}"
-    assert len(visited) == 1
-    # The traversal did real work on every seed.
-    assert results["onesided"].visited > 1
-
-
-@pytest.mark.parametrize("seed,skew", [(0, 0.0), (3, 0.3), (5, 0.6), (7, 0.8)])
-def test_pagerank_bit_equal_across_execution_modes(seed, skew):
-    results = {
-        mode: _graph_run(mode, "pagerank", seed, skew, vertices=48)
-        for mode in ("onesided", "rpc", "offload")
-    }
-    ranks = {r.ranks_checksum for r in results.values()}
-    assert len(ranks) == 1, f"PageRank ranks diverge across modes: {results}"
-
-
-def _offload_chaos_run():
-    """Offload BFS under seeded faults with the sanitizer attached."""
-    result = _graph_run(
-        "offload", "bfs", seed=3, skew=0.6, vertices=96, degree=4,
-        faults="seeded", fault_seed=7, sanitize=True,
-    )
-    return (
-        result.levels_checksum, result.visited, result.elapsed_ns,
-        result.sim_events, result.wasted_iops, result.am_messages,
-        result.am_handled, result.crashes, result.sanitizer,
-    )
-
-
-def test_offload_chaos_sanitized_run_replays_bit_identically():
-    first = _offload_chaos_run()
-    second = _offload_chaos_run()
-    assert first == second
-    # The faulted answer still matches the fault-free one: the graph
-    # lives in NVM, so a blade crash aborts messages but loses no state.
-    clean = _graph_run("offload", "bfs", seed=3, skew=0.6,
-                       vertices=96, degree=4)
-    assert first[0] == clean.levels_checksum
-    assert first[1] == clean.visited

@@ -11,7 +11,6 @@ reports exactly the batches whose timeline is whole.
 import pytest
 
 from repro.analysis.rdmasan import RdmaSanitizer
-from repro.bench.graph_runner import run_graph
 from repro.bench.microbench import run_microbench
 from repro.bench.runner import run_btree, run_dtx, run_hashtable
 from repro.cluster import Cluster
@@ -99,9 +98,6 @@ RUNS = {
     "hashtable": lambda obs: run_hashtable(obs=obs, **APP_KW),
     "dtx": lambda obs: run_dtx(obs=obs, **APP_KW),
     "btree": lambda obs: run_btree(obs=obs, **APP_KW),
-    # active messages: the AM branch of the one ResponderEngine.handle
-    "graph-offload": lambda obs: run_graph(
-        mode="offload", rounds=1, obs=obs),
 }
 
 
@@ -201,7 +197,7 @@ def test_late_node_gets_what_its_peers_were_given():
     assert sanitizer in late.device.observers
     assert late.device.observers[0] is not first.device.observers[0]  # own tracer
     assert late.device.observers[0].track == late.device.name
-    # the sanitizer knows the late blade's storage (region names, AM regions)
+    # the sanitizer knows the late blade's storage (region names)
     region = late.storage.alloc_region("late-table", 4096)
     sanitizer.set_region_policy(late.node_id, "late-table", "optimistic-read")
     assert sanitizer._storages[late.node_id] is late.storage
