@@ -172,9 +172,10 @@ class RdmaSanitizer(BatchObserver):
     # -- attachment ---------------------------------------------------------
 
     def attach_cluster(self, cluster) -> "RdmaSanitizer":
-        """Observe every device of ``cluster``, those of blades that join
-        later included; enables leak checking too."""
-        cluster.attach(self)
+        """Observe every device of ``cluster``; enables leak checking too.
+        Call after every node is added."""
+        for node in cluster.nodes:
+            self.attach_node(node)
         if cluster.sim.process_registry is None:
             cluster.sim.process_registry = []
         self._clusters.append(cluster)

@@ -47,7 +47,6 @@ class HashTableServer:
         segments: int = 64,
         buckets_per_segment: int = 512,
         heap_bytes_per_blade: int = 8 << 20,
-        region_prefix: str = "race_",
     ):
         if segments & (segments - 1):
             raise ValueError("segments must be a power of two")
@@ -60,30 +59,25 @@ class HashTableServer:
         self.buckets_per_segment = buckets_per_segment
         self.global_depth = int(math.log2(segments))
         self._segment_bytes = layout.segment_bytes(buckets_per_segment)
-        # Region names are prefixed so many table instances (one per
-        # shard in the sharded service) can coexist on the same blades.
-        self.region_prefix = region_prefix
 
         primary = self.memory_nodes[0].storage
         dir_capacity = segments * 16  # room for a few doublings
         self._dir_region = primary.alloc_region(
-            f"{region_prefix}dir", layout.DIR_HEADER_BYTES + dir_capacity * 8
+            "race_dir", layout.DIR_HEADER_BYTES + dir_capacity * 8
         )
         self.segment_addrs: List[int] = []
         self._segment_regions = {}
         for node in self.memory_nodes:
             count = self._segments_on(node)
             region = node.storage.alloc_region(
-                f"{region_prefix}segments", count * self._segment_bytes
+                "race_segments", count * self._segment_bytes
             )
             self._segment_regions[node.node_id] = region
 
         self.heaps: Dict[int, Tuple[int, int, int]] = {}
         for node in self.memory_nodes:
-            head = node.storage.alloc_region(f"{region_prefix}heap_head", 8)
-            heap = node.storage.alloc_region(
-                f"{region_prefix}heap", heap_bytes_per_blade
-            )
+            head = node.storage.alloc_region("race_heap_head", 8)
+            heap = node.storage.alloc_region("race_heap", heap_bytes_per_blade)
             node.storage.write_u64(head.base, heap.base)
             self.heaps[node.node_id] = (
                 make_addr(node.node_id, head.base),
@@ -92,24 +86,6 @@ class HashTableServer:
             )
 
         self._init_directory()
-
-    def free_regions(self) -> int:
-        """Release every region this table carved — the teardown side of
-        shard migration.  Returns the number of bytes returned to the
-        blade allocators (which zero and make them reusable)."""
-        freed = 0
-        primary = self.memory_nodes[0].storage
-        freed += self._dir_region.size
-        primary.free_region(self._dir_region.name)
-        for node in self.memory_nodes:
-            region = self._segment_regions[node.node_id]
-            freed += region.size
-            node.storage.free_region(region.name)
-            for suffix in ("heap_head", "heap"):
-                name = f"{self.region_prefix}{suffix}"
-                freed += node.storage.region(name).size
-                node.storage.free_region(name)
-        return freed
 
     def _segments_on(self, node: Node) -> int:
         """Segments hosted by ``node`` (round-robin placement)."""
@@ -188,8 +164,7 @@ class HashTableServer:
         storages = [node.storage for node in nodes]
         position = {node.node_id: i for i, node in enumerate(nodes)}
         segment_regions = [self._segment_regions[node.node_id] for node in nodes]
-        heap_regions = [storage.region(f"{self.region_prefix}heap")
-                        for storage in storages]
+        heap_regions = [storage.region("race_heap") for storage in storages]
         # A slot holds a 48-bit heap offset; every one is below a heap end.
         if max(region.end for region in heap_regions) > layout.ADDR_MASK + 1:
             raise ValueError("slot address needs more than 48 bits")

@@ -29,13 +29,6 @@ A single run prints one row per tenant; ``--sweep`` runs the
 ``latency_throughput`` knee-finder experiment over the given offered
 rates instead.
 
-``resharding`` migrates shards of a live table between blades online,
-under the same open-loop traffic, and prints per-tenant queue delay
-for the before/during/after phases::
-
-    python -m repro.bench.cli resharding --mode add_blade
-    python -m repro.bench.cli resharding --mode autoscale --json out.json
-
 ``odp`` sweeps the on-demand-paging pinned ratio against the
 outstanding-WR count, with and without doorbell request merging::
 
@@ -78,17 +71,8 @@ _WORKLOADS = {
 #: it passes that wording as an override.
 _COMMON_FLAGS = {
     "threads": {"type": int},
-    "item_count": {"type": int},
-    "warmup_us": {"type": float},
     "measure_us": {"type": float},
     "seed": {"type": int},
-    "rate": {"type": float,
-             "help": "offered load in MOPS, split across tenants"},
-    "tenants": {"type": int,
-                "help": "tenant count; each gets rate/N and workers/N"},
-    "workers": {"type": int, "help": "total worker coroutines across tenants"},
-    "slo_p99_us": {"type": float,
-                   "help": "per-tenant p99 target; enables admission control"},
     "jobs": {"type": int, "help": "process-pool workers (0 = all cores)"},
     "json": {"metavar": "PATH", "help": "also write the result as JSON to PATH"},
 }
@@ -122,7 +106,9 @@ def _write_json(path: str, payload) -> None:
 
 def _check_load(args) -> None:
     """Reject an offered load that can only give nonsense before anything
-    is built: no tenant, no rate, or a tenant without a worker."""
+    is built: no tenant, no rate, a tenant without a worker, or a peak,
+    period, skew, SLO, queue cap or sweep rate that the arrival, workload
+    and admission models refuse (a traceback, not a usage error)."""
     if args.tenants < 1:
         raise RunArgumentError(f"--tenants must be >= 1, got {args.tenants}")
     if not args.rate > 0:
@@ -130,6 +116,18 @@ def _check_load(args) -> None:
     if args.workers < args.tenants:
         raise RunArgumentError(
             f"--workers must be >= --tenants ({args.tenants}), got {args.workers}")
+    if args.peak is not None and not args.peak > 0:
+        raise RunArgumentError(f"--peak must be > 0, got {args.peak}")
+    if not args.period_us > 0:
+        raise RunArgumentError(f"--period-us must be > 0, got {args.period_us}")
+    if args.theta is not None and not args.theta >= 0:
+        raise RunArgumentError(f"--theta must be >= 0, got {args.theta}")
+    if args.slo_p99_us is not None and not args.slo_p99_us > 0:
+        raise RunArgumentError(f"--slo-p99-us must be > 0, got {args.slo_p99_us}")
+    if args.max_queue is not None and args.max_queue < 0:
+        raise RunArgumentError(f"--max-queue must be >= 0, got {args.max_queue}")
+    if any(not rate > 0 for rate in _csv(args.sweep, float) or ()):
+        raise RunArgumentError(f"--sweep rates must be > 0, got {args.sweep}")
 
 
 def _tenant_specs(args, arrivals, workload=None, max_queue=None,
@@ -154,9 +152,17 @@ def _tenant_specs(args, arrivals, workload=None, max_queue=None,
     ]
 
 
+def _check_jobs(args) -> None:
+    """A negative ``--jobs`` is a usage error, not a pool traceback."""
+    if args.jobs is not None and args.jobs < 0:
+        raise RunArgumentError(
+            f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
+
+
 def _run_sweep(args, sweep: Callable, tag: str = "", **grid) -> int:
     """Run a sweep experiment over the ``--jobs`` pool, print its table
     (``tag`` prefixes the timing line) and write ``--json``."""
+    _check_jobs(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     started = time.time()  # lint: disable=SIM001 (host wall clock)
     result = sweep(jobs=jobs, **grid)
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(same seed replays a faulty run bit-identically)")
     parser.add_argument("--sanitize", action="store_true",
                         help="attach RDMASan (remote-memory race sanitizer); "
-                             "exits 1 when any finding is reported")
+                             "exits 1 when any finding or leak is reported")
     parser.add_argument("--dump-file-path", default=None,
                         help="append a CSV result line to this file")
     parser.add_argument("--trace", default=None, metavar="PATH",
@@ -254,23 +260,27 @@ def build_traffic_parser() -> argparse.ArgumentParser:
                         choices=("deterministic", "poisson", "onoff", "ramp",
                                  "diurnal"),
                         default="poisson")
-    add_common_flags(
-        parser,
-        {"rate": {"help": "offered load in MOPS, split across tenants "
-                          "(base/trough rate for onoff/ramp/diurnal)"}},
-        rate=1.0,
-    )
+    parser.add_argument("--rate", type=float, default=1.0,
+                        help="offered load in MOPS, split across tenants "
+                             "(base/trough rate for onoff/ramp/diurnal)")
     parser.add_argument("--peak", type=float, default=None,
                         help="peak rate in MOPS for onoff/ramp/diurnal "
                              "(default: 2x --rate)")
     parser.add_argument("--period-us", type=float, default=200.0,
                         help="on+off cycle / ramp / diurnal period, "
                              "simulated microseconds")
-    add_common_flags(parser, tenants=1, workers=16, threads=8)
+    parser.add_argument("--tenants", type=int, default=1,
+                        help="tenant count; each gets rate/N and workers/N")
+    parser.add_argument("--workers", type=int, default=16,
+                        help="total worker coroutines across tenants")
+    add_common_flags(parser, threads=8)
     parser.add_argument("--servers", type=int, default=1,
                         help="btree only: combined compute+memory blades")
-    add_common_flags(parser, item_count=30_000, warmup_us=1000.0,
-                     measure_us=1500.0, seed=0, slo_p99_us=None)
+    parser.add_argument("--item-count", type=int, default=30_000)
+    parser.add_argument("--warmup-us", type=float, default=1000.0)
+    add_common_flags(parser, measure_us=1500.0, seed=0)
+    parser.add_argument("--slo-p99-us", type=float, default=None,
+                        help="per-tenant p99 target; enables admission control")
     parser.add_argument("--max-queue", type=int, default=None,
                         help="per-tenant hard queue-depth cap")
     parser.add_argument("--admission", choices=("none", "shed", "defer"),
@@ -288,64 +298,6 @@ def build_traffic_parser() -> argparse.ArgumentParser:
         jobs=None, json=None,
     )
     return parser
-
-
-def build_resharding_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench resharding",
-        description="online shard migration under live open-loop traffic "
-                    "(sharded hash table; blade join / autoscale)",
-    )
-    parser.add_argument("--mode", choices=("add_blade", "autoscale"),
-                        default="add_blade")
-    add_common_flags(parser, rate=0.4, tenants=1, workers=4, threads=4)
-    parser.add_argument("--memory-blades", type=int, default=2)
-    parser.add_argument("--shards", type=int, default=8)
-    add_common_flags(parser, item_count=2_000, warmup_us=500.0)
-    parser.add_argument("--phase-us", type=float, default=1000.0,
-                        help="length of each measured phase "
-                             "(before / during / after), simulated us")
-    add_common_flags(parser, slo_p99_us=None, seed=0, json=None)
-    return parser
-
-
-def _run_resharding(args) -> int:
-    _check_load(args)
-    from repro.traffic import PoissonArrivals, run_resharding
-
-    tenants = _tenant_specs(args, PoissonArrivals(args.rate / args.tenants))
-
-    started = time.time()  # lint: disable=SIM001 (host wall clock)
-    result = run_resharding(
-        tenants=tenants, mode=args.mode, threads=args.threads,
-        memory_blades=args.memory_blades, num_shards=args.shards,
-        item_count=args.item_count, warmup_ns=args.warmup_us * 1e3,
-        phase_ns=args.phase_us * 1e3, seed=args.seed,
-    )
-    wall_s = time.time() - started  # lint: disable=SIM001 (host wall clock)
-
-    headers = ["phase", "tenant", "completed", "shed", "deferred",
-               "queue_p50_us", "queue_p99_us"]
-    rows = [
-        [p.phase, p.tenant, p.completed, p.shed, p.deferred,
-         (p.queue_p50_ns or 0) / 1e3, (p.queue_p99_ns or 0) / 1e3]
-        for p in result.phases
-    ]
-    print(format_table(
-        headers, rows,
-        title=f"resharding ({result.mode}): queue delay around the rebalance",
-    ))
-    print(f"moves={len(result.moves)}, keys_copied={result.keys_copied}, "
-          f"keys_skipped={result.keys_skipped}, "
-          f"mirror_writes={result.mirror_writes}, "
-          f"bytes_freed={result.bytes_freed}, "
-          f"blades {result.blades_before}->{result.blades_after}")
-    print(f"{result.migration_status} (alloc p50={result.alloc_p50_ns or 0:.0f} "
-          f"ns over {result.alloc_count} region allocs)")
-    print(f"wall time={wall_s:.1f} s")
-    if args.json:
-        _write_json(args.json, result.to_dict())
-    return 0
 
 
 def build_odp_parser() -> argparse.ArgumentParser:
@@ -403,6 +355,7 @@ def build_claims_parser() -> argparse.ArgumentParser:
 def _run_claims(args) -> int:
     from repro.bench.claims import CLAIMS, scorecard
 
+    _check_jobs(args)
     # stdout is the document; progress goes to stderr
     print(scorecard(args.figure or list(CLAIMS), args.jobs,
                     progress=lambda line: print(line, file=sys.stderr)), end="")
@@ -612,7 +565,11 @@ def run_single(args) -> int:
             print(f"  {finding['kind']}: blade={finding['blade']} "
                   f"region={finding['region']} addr={finding['addr']:#x} "
                   f"bytes={finding['bytes']}")
-        if report["findings"]:
+        for leak in report["leaks"]:
+            details = " ".join(f"{key}={value}" for key, value in leak.items()
+                                if key != "kind")
+            print(f"  leak {leak['kind']}: {details}")
+        if report["findings"] or report["leaks"]:
             return 1
     return 0
 
@@ -621,7 +578,6 @@ def run_single(args) -> int:
 SUBCOMMANDS = {
     None: (build_parser, run_bench),
     "traffic": (build_traffic_parser, _run_traffic),
-    "resharding": (build_resharding_parser, _run_resharding),
     "odp": (build_odp_parser, _run_odp),
     "claims": (build_claims_parser, _run_claims),
 }

@@ -35,7 +35,6 @@ from repro.bench.runner import (
 )
 from repro.core.features import baseline, cumulative_ladder, full
 from repro.rnic.config import RnicConfig
-from repro.traffic.resharding import run_resharding
 from repro.traffic.runner import run_open_loop
 from repro.workloads.ycsb import (
     READ_HEAVY,
@@ -691,69 +690,6 @@ def latency_throughput(
     )
 
 
-# -- elastic resharding (not a paper figure) -----------------------------------------
-
-
-def resharding(
-    modes: Optional[Sequence[str]] = None,
-    rate_mops: float = 0.4,
-    workers: int = 4,
-    threads: int = 4,
-    num_shards: int = 8,
-    item_count: int = 2_000,
-    phase_ns: float = 1.0e6,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """Online shard migration under live open-loop traffic.
-
-    For each elasticity mode (blade join / autoscaler-driven join) a
-    sharded hash table serves Poisson traffic while shards move onto
-    the new blade; the table reports per-phase queue delay —
-    before, during and after the rebalance — so the SLO cost of
-    elasticity is visible directly.  See
-    :func:`repro.traffic.resharding.run_resharding`.
-    """
-    modes = modes or _grid(("add_blade",), ("add_blade", "autoscale"))
-
-    def migration_note(mode, result):
-        return (
-            f"{mode}: {len(result.moves)} shard move(s), "
-            f"{result.keys_copied} keys copied, "
-            f"{result.bytes_freed / 1024:.0f} KiB freed, "
-            f"{result.migration_status}"
-        )
-
-    table = _sweep(
-        name="Elastic resharding: per-phase queue delay around a rebalance",
-        headers=["mode", "phase", "tenant", "completed", "shed", "deferred",
-                 "queue_p50_us", "queue_p99_us"],
-        points=[
-            (mode, PointSpec(run_resharding, dict(
-                mode=mode, rate_mops=rate_mops, workers=workers, threads=threads,
-                num_shards=num_shards, item_count=item_count, phase_ns=phase_ns,
-            )))
-            for mode in modes
-        ],
-        row=lambda mode, result: [
-            [mode, p.phase, p.tenant, p.completed, p.shed, p.deferred,
-             _us(p.queue_p50_ns), _us(p.queue_p99_ns)]
-            for p in result.phases
-        ],
-        observe=lambda labelled: [migration_note(*pair) for pair in labelled],
-        paper_claim=(
-            "not a paper figure — elasticity harness: shards migrate online "
-            "between blades over one-sided verbs (dual-write + tombstone "
-            "reconciliation), source regions are freed back to the blade "
-            "allocator, and queue delay returns to its pre-migration level "
-            "in the after phase"
-        ),
-        jobs=jobs,
-    )
-    # The one table with several rows per point (one per phase).
-    table.rows = [row for per_mode in table.rows for row in per_mode]
-    return table
-
-
 # -- chaos harness (not a paper figure) ----------------------------------------------
 
 
@@ -874,7 +810,6 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "table1": table1_dynamic,
     "fig14": fig14_conflict,
     "latency_throughput": latency_throughput,
-    "resharding": resharding,
     "chaos": chaos_recovery,
     "odp": odp_sweep,
 }

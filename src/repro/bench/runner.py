@@ -8,9 +8,7 @@ loops → :func:`measure` → collect — spelled once, in :func:`run_app`.
 An :class:`App` owns only what differs between the applications.
 ``run_hashtable``/``run_dtx``/``run_btree`` bind an adapter to that
 pipeline; :func:`repro.traffic.runner.run_open_loop` drives the same
-adapters from an open-loop engine instead of closed client loops, and
-:func:`repro.traffic.resharding.run_resharding` drives
-:class:`ShardedHashTableApp` the same way while its shards migrate.
+adapters from an open-loop engine instead of closed client loops.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.apps.ford.server import DtxServer
 from repro.apps.ford.txn import TxnClient
 from repro.apps.race.client import HashTableClient
 from repro.apps.race.server import BucketsFull, HashTableServer
-from repro.apps.sharded import ShardedHashTableClient, ShardedHashTableService
 from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache
 from repro.apps.sherman.server import BTreeServer
 from repro.cluster import Cluster, Node
@@ -435,30 +432,6 @@ class HashTableApp(_YcsbApp):
         if op == UPDATE:
             return client.update(key, value)
         return client.insert(key, value)
-
-
-class ShardedHashTableApp(HashTableApp):
-    """The sharded RACE table of the resharding experiment: one small
-    table per shard, placed by a consistent-hash ring, each movable to
-    another blade online.  ``service`` is the
-    :class:`ShardedHashTableService` of ``num_shards`` shards that
-    ``load`` builds; ops dispatch as in :class:`HashTableApp`.
-    """
-
-    name = "sharded-hashtable"
-
-    def __init__(self, item_count: int, num_shards: int):
-        super().__init__(item_count)
-        self.num_shards = num_shards
-
-    def load(self, system, deployment, seed, rebuild):
-        self.service = ShardedHashTableService(deployment.memory_nodes,
-                                               self.num_shards)
-        self.service.bulk_load(YcsbWorkload.load_items(self.item_count, seed))
-        return deployment
-
-    def make_client(self, smart):
-        return ShardedHashTableClient(self.service, smart.handle())
 
 
 class DtxApp(App):

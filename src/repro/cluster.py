@@ -85,9 +85,6 @@ class Node:
             node_id=node_id,
         )
         self.threads: List[ComputeThread] = []
-        #: set by :class:`repro.core.SmartContext` when this node is a
-        #: compute blade — lets elasticity machinery add connections
-        self.smart_context = None
 
     @property
     def online(self) -> bool:
@@ -141,22 +138,10 @@ class Cluster:
         self.sim = Simulator()
         self.fabric = Fabric(self.sim, self.config.one_way_latency_ns)
         self.nodes: List[Node] = []
-        #: what :meth:`attach` was given (``Observability``, ``RdmaSanitizer``)
-        self.attached: List = []
-
-    def attach(self, instrument) -> None:
-        """Run ``instrument.attach_node(node)`` on every node, present and
-        future: a blade that joins mid-run gets what its peers were given."""
-        if instrument not in self.attached:
-            self.attached.append(instrument)
-        for node in self.nodes:
-            instrument.attach_node(node)
 
     def add_node(self) -> Node:
         node = Node(self.sim, self.config, self.fabric, len(self.nodes))
         self.nodes.append(node)
-        for instrument in self.attached:
-            instrument.attach_node(node)
         return node
 
     def add_nodes(self, count: int) -> List[Node]:

@@ -36,25 +36,6 @@ class SmartContext:
         self.features = features or SmartFeatures()
         policy = "per-thread-db" if self.features.thread_aware_alloc else "per-thread-qp"
         (self.context,) = connect(compute_node, self.memory_nodes, policy)
-        # Let elasticity machinery (the resharder) find the allocator
-        # that owns this node's QPs.
-        compute_node.smart_context = self
-
-    def connect_node(self, remote: Node) -> None:
-        """Wire every thread to a blade added after initial setup.
-
-        Scale-out path: a new memory blade joins the fleet mid-run and
-        each compute thread needs a QP to it before shards can land
-        there; with thread-aware allocation the QP joins the thread's
-        own doorbell.  Idempotent per remote."""
-        if any(n.node_id == remote.node_id for n in self.memory_nodes):
-            return
-        self.memory_nodes.append(remote)
-        for thread in self.compute_node.threads:
-            doorbell = None
-            if self.features.thread_aware_alloc:
-                doorbell = next(iter(thread.qps.values())).doorbell
-            thread.qps[remote.node_id] = self.context.create_qp(remote, doorbell=doorbell)
 
     def doorbells_in_use(self) -> int:
         return sum(1 for db in self.context.uar.doorbells if db.bound_qps > 0)

@@ -1,8 +1,8 @@
 """Arena allocation for blade memory.
 
 Replaces the original bump-pointer arena ("regions are never freed") with
-an address-ordered first-fit free list that supports free/reuse, the
-prerequisite for shard migration: split-on-alloc, coalesce-on-free.
+an address-ordered first-fit free list that supports free/reuse:
+split-on-alloc, coalesce-on-free.
 First-fit over an address-ordered list is deterministic and, while
 nothing has been freed, produces the *exact same* placement as the old
 bump pointer — which keeps every bulk-loaded table layout (and therefore
@@ -10,8 +10,8 @@ every simulated number) bit-identical to the pre-allocator code.
 
 Everything here is plain bookkeeping over integers: no simulator events,
 no RNG, no wall clock — identical call sequences produce identical
-placements, which is what lets fixed-seed cluster runs (including shard
-migrations that free and re-allocate whole regions) replay bit-identically.
+placements, which is what lets fixed-seed cluster runs replay
+bit-identically.
 """
 
 from __future__ import annotations

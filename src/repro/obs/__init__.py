@@ -7,9 +7,9 @@ and ``histograms`` a name to a :class:`LogHistogram` (``ops.latency_ns``
 is built from the exact latency list of the run's ``OperationStats``).
 Nothing is recorded per op for the metrics, so a run nobody observes
 pays nothing for them.  Attach it to a cluster with
-:meth:`Observability.attach_cluster` — the one attach call — *before*
-the simulation starts; afterwards collect metrics and write the
-artifacts::
+:meth:`Observability.attach_cluster` — the one attach call — once its
+nodes are added and *before* the simulation starts; afterwards collect
+metrics and write the artifacts::
 
     obs = Observability()
     result = run_microbench(..., obs=obs)
@@ -97,11 +97,12 @@ class Observability:
         """Trace everything on ``cluster``'s simulator: fill its recorder
         slot and give every device a :class:`SpanTracer`.
 
-        Call before the simulation runs; a node the cluster adds later is
-        attached as it joins.  Devices that already carry a tracer keep it.
+        Call before the simulation runs, after every node is added.
+        Devices that already carry a tracer keep it.
         """
         cluster.sim.recorder = self.recorder
-        cluster.attach(self)
+        for node in cluster.nodes:
+            self.attach_node(node)
         return self
 
     def attach_node(self, node) -> None:

@@ -71,39 +71,6 @@ class LogHistogram:
             self.max = other.max if self.max is None else max(self.max, other.max)
         return self
 
-    def copy(self) -> "LogHistogram":
-        """An independent snapshot (exact — same buckets and extrema)."""
-        snap = LogHistogram()
-        snap.buckets = dict(self.buckets)
-        snap.count = self.count
-        snap.total = self.total
-        snap.min = self.min
-        snap.max = self.max
-        return snap
-
-    def delta(self, baseline: "LogHistogram") -> "LogHistogram":
-        """The histogram of values recorded *since* ``baseline`` (an
-        earlier :meth:`copy` of this histogram).
-
-        Bucket counts and count/sum subtract exactly.  True min/max of
-        the window are unrecoverable from snapshots, so the delta uses
-        its own bucket extrema as bounds — within bucket resolution of
-        the truth, and enough for :meth:`percentile`'s clamping.
-        """
-        out = LogHistogram()
-        for index, n in self.buckets.items():
-            remain = n - baseline.buckets.get(index, 0)
-            if remain < 0:
-                raise ValueError("baseline is not a prefix of this histogram")
-            if remain:
-                out.buckets[index] = remain
-        out.count = self.count - baseline.count
-        out.total = self.total - baseline.total
-        if out.buckets:
-            out.min = out.bucket_value(min(out.buckets))
-            out.max = out.bucket_value(max(out.buckets))
-        return out
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

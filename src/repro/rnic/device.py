@@ -186,7 +186,12 @@ class RnicDevice:
 
     def _deliver_failure(self, pair) -> None:
         batch, status = pair
-        batch.qp.to_error(status)
+        qp = batch.qp
+        qp.to_error(status)
+        # A crash detected after its blade came back found no later
+        # restart to reconnect the QP: it gets the restart's reset now.
+        if status == WorkRequest.STATUS_REMOTE_ABORT and qp.remote_node.online:
+            qp.reset()
         self.counters.cqe_failed += batch.n
         self.complete(batch)
 

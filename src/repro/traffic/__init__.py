@@ -24,7 +24,6 @@ from repro.traffic.arrivals import (
     RampArrivals,
 )
 from repro.traffic.engine import OpenLoopEngine, TenantState
-from repro.traffic.resharding import PhaseStats, ReshardingResult, run_resharding
 from repro.traffic.runner import OpenLoopResult, TenantResult, run_open_loop
 from repro.traffic.tenant import (
     ADMIT_DEFER,
@@ -52,7 +51,4 @@ __all__ = [
     "OpenLoopResult",
     "TenantResult",
     "run_open_loop",
-    "PhaseStats",
-    "ReshardingResult",
-    "run_resharding",
 ]

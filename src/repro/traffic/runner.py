@@ -142,7 +142,7 @@ def run_open_loop(
     combined blades.
     """
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
-                   item_count=item_count)
+                   item_count=item_count, servers=servers)
     adapter = app_class(app).for_open_loop(item_count, benchmark)
     compute_blades = servers if adapter.colocated else 1
     system = system or adapter.default_system
@@ -159,12 +159,25 @@ def run_open_loop(
                             seed=seed)
     instrument(deployment, obs=obs)
 
+    # Workers go round-robin over the SMART threads across tenants; one
+    # seeder draws each tenant's stream seed, then its arrival seed.
     sim = deployment.cluster.sim
-    engine = build_engine(sim, seed, tenants, deployment.smart_threads, adapter)
+    engine = OpenLoopEngine(sim, seed=seed)
+    seeder = random.Random(seed)
+    smart_threads = deployment.smart_threads
+    worker_index = 0
+    for spec in tenants:
+        stream = adapter.stream(spec.workload, seeder.getrandbits(31))
+        executors = []
+        for _ in range(spec.workers):
+            smart = smart_threads[worker_index % len(smart_threads)]
+            executors.append(partial(_executor, adapter, smart))
+            worker_index += 1
+        engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
 
     warm = effective_warmup_ns(deployment.features, warmup_ns)
     sim.run(until=warm)
-    for smart in deployment.smart_threads:
+    for smart in smart_threads:
         smart.stats.reset()
     engine.reset_window()
     sim.run(until=warm + measure_ns)
@@ -175,30 +188,10 @@ def run_open_loop(
     )
 
     if obs is not None:
-        merged = OperationStats.merge([s.stats for s in deployment.smart_threads])
+        merged = OperationStats.merge([s.stats for s in smart_threads])
         collect_window(obs, deployment, merged, warmup_ns, measure_ns)
         engine.collect(obs)
     return result
-
-
-def build_engine(sim, seed: int, tenants: List[TenantSpec], smart_threads,
-                 app: App) -> OpenLoopEngine:
-    """An :class:`OpenLoopEngine` with every tenant wired in: its op
-    stream ``app.stream(spec.workload, stream_seed)``, one executor
-    factory per worker (round-robin over ``smart_threads`` across
-    tenants), then its arrival seed."""
-    engine = OpenLoopEngine(sim, seed=seed)
-    seeder = random.Random(seed)
-    worker_index = 0
-    for spec in tenants:
-        stream = app.stream(spec.workload, seeder.getrandbits(31))
-        executors = []
-        for _ in range(spec.workers):
-            smart = smart_threads[worker_index % len(smart_threads)]
-            executors.append(partial(_executor, app, smart))
-            worker_index += 1
-        engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
-    return engine
 
 
 def _executor(app: App, smart):

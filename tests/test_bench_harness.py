@@ -30,7 +30,6 @@ from repro.cluster import Cluster
 from repro.core import SmartContext, SmartThread
 from repro.core.features import baseline, full
 from repro.rnic.config import RnicConfig
-from repro.traffic.resharding import run_resharding
 from repro.traffic.runner import run_open_loop
 from repro.workloads.ycsb import READ_ONLY, WRITE_HEAVY
 
@@ -222,9 +221,10 @@ class TestRunners:
          {"memory_nodes": 0}, "memory_nodes"),
         (lambda **kw: run_open_loop(item_count=1_000, **kw),
          {"measure_ns": 0}, "measure_ns"),
-        (lambda **kw: run_resharding(**kw), {"phase_ns": -1.0}, "phase_ns"),
+        (lambda **kw: run_open_loop(app="btree", item_count=1_000, **kw),
+         {"servers": 0}, "servers"),
     ], ids=["negative-window", "empty-window", "negative-warmup",
-            "no-coroutines", "no-blades", "open-loop", "resharding"])
+            "no-coroutines", "no-blades", "open-loop", "open-loop-no-servers"])
     def test_bad_windows_fail_before_the_build(self, runner, bad, name,
                                                monkeypatch):
         import repro.bench.runner as runner_module
@@ -234,7 +234,6 @@ class TestRunners:
 
         monkeypatch.setattr(runner_module, "deploy_app", no_build)
         monkeypatch.setattr("repro.traffic.runner.deploy_app", no_build)
-        monkeypatch.setattr("repro.traffic.resharding.deploy_app", no_build)
         monkeypatch.setattr("repro.bench.microbench.Cluster", no_build)
         with pytest.raises(ValueError, match=f"^{name} must be"):
             runner(**bad)

@@ -55,8 +55,6 @@ TINY_GRIDS = {
     "latency_throughput": dict(rates_mops=(0.4,), threads=2, workers=4,
                                item_count=2_000, warmup_ns=0.2e6,
                                measure_ns=0.4e6),
-    "resharding": dict(modes=("add_blade",), workers=2, threads=2,
-                       item_count=500, phase_ns=0.3e6),
     "chaos": dict(measure_ns=1.0e6),
     "odp": dict(ratios=(1.0, 0.5), depths=(4,), threads=2, measure_ns=0.3e6),
 }
@@ -91,8 +89,6 @@ EXPERIMENT_DIGESTS = {
               "6972186194ae7adfa5fbfb00d9daeda5a92a0919d6e6eea7caf26b5dbf39304f"),
     "latency_throughput": ("94dd9bb66041e51607097e667a75241fd88b3910ad85dd0ada347a4119e895ab",
                            "1030b23a5cf69bc382dc094ada2009139dac07e9d86285e274b48b3c5c78bea2"),
-    "resharding": ("cf6fb4d8d2dd6e942c70ac9e3d53fabd929dc5a1baa3cf5ca7db8cb72c30df34",
-                   "97bb8ef6abecffa8c9e760676bf9bd3e14e961840d72443014d005cf722bbcfb"),
     "chaos": ("3bba9506e3aee48efed8e8a2f7c3af0ea397fa59d4b69fac5c4eb607f64e9330",
               "009614bbe2d7fd769c1766614b7466335ae4dd7d094b844898fdca9fa210efb2"),
     "odp": ("8887872755004869d85988002cb4e97ed83fcc924b60d5b71899342d64737719",
@@ -221,18 +217,13 @@ class TestBtreeExperiments:
 
 
 class TestCompanionExperiments:
-    """The three entries that are not paper figures."""
+    """Two of the entries that are not paper figures."""
 
     def test_latency_throughput(self):
         result = run_pinned("latency_throughput")
         assert result.headers[:2] == ["offered", "race_mops"]
         assert len(result.rows) == 1
         assert len(result.observations) == 2  # one knee verdict per system
-
-    def test_resharding(self):
-        result = run_pinned("resharding")
-        assert [row[1] for row in result.rows] == ["before", "during", "after"]
-        assert "shard move(s)" in result.observations[0]
 
     def test_chaos(self):
         result = run_pinned("chaos")
@@ -247,7 +238,7 @@ class TestRegistry:
         assert set(exp.ALL_EXPERIMENTS) == {
             "fig3", "fig3_write", "fig4", "fig5", "fig7", "fig8", "fig9",
             "fig10", "fig11", "fig12", "fig13", "table1", "fig14",
-            "latency_throughput", "resharding", "chaos", "odp",
+            "latency_throughput", "chaos", "odp",
         }
 
     def test_grid_switch(self, monkeypatch):

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from repro.bench.microbench import POLICIES
 from repro.cluster import Cluster
 from repro.core import SmartContext, SmartThread
 from repro.core.features import baseline
@@ -359,6 +360,88 @@ class TestFaultCompletions:
         assert statuses == [WorkRequest.STATUS_REMOTE_ABORT]
         assert qp.state == QueuePair.STATE_ERROR
 
+    def _post_twice_across_a_crash(self, cluster, remote, region, thread):
+        """Post one read at 2 us (it dies with the blade) and another at
+        200 us; return both statuses."""
+        qp = thread.qp_for(remote.node_id)
+        addr = remote.storage.global_addr(region.base)
+        statuses = []
+
+        def worker():
+            yield cluster.sim.timeout(2000)
+            batch = yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
+            statuses.append(batch.status)
+            yield cluster.sim.timeout(200_000 - cluster.sim.now)
+            batch = yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
+            statuses.append(batch.status)
+
+        cluster.sim.spawn(worker())
+        return qp, statuses
+
+    def test_abort_delivered_after_a_short_downtime_resets_the_qp(self):
+        """A downtime (30 us) shorter than crash_detect_ns (50 us): the
+        restart finds the QP still in RTS, and the abort CQE lands later.
+        Its delivery gives the QP the restart's reset; before, the QP
+        stayed in ERROR and flushed every later post."""
+        cluster, compute, remote, region, thread = _one_thread_deployment()
+        injector = FaultInjector(
+            cluster, FaultSchedule(crashes=(BladeCrash(remote.node_id, 1000.0, 30_000.0),))
+        ).install()
+        qp, statuses = self._post_twice_across_a_crash(cluster, remote, region, thread)
+        cluster.sim.run()
+        assert injector.restarts_fired == 1
+        assert statuses == [WorkRequest.STATUS_REMOTE_ABORT, WorkRequest.STATUS_OK]
+        assert qp.state == QueuePair.STATE_RTS and qp.reconnects == 1
+        assert compute.device.counters.flushed_wrs == 0
+
+    def test_abort_delivered_while_the_blade_is_down_keeps_the_error(self):
+        """The reset on delivery needs the remote back: during a longer
+        downtime the QP stays in ERROR until the restart resets it, once."""
+        cluster, compute, remote, region, thread = _one_thread_deployment()
+        FaultInjector(
+            cluster, FaultSchedule(crashes=(BladeCrash(remote.node_id, 1000.0, 100_000.0),))
+        ).install()
+        qp, statuses = self._post_twice_across_a_crash(cluster, remote, region, thread)
+        cluster.sim.run(until=80_000)  # abort delivered (~52 us), blade down
+        assert statuses == [WorkRequest.STATUS_REMOTE_ABORT]
+        assert qp.state == QueuePair.STATE_ERROR and qp.reconnects == 0
+        cluster.sim.run()
+        assert statuses == [WorkRequest.STATUS_REMOTE_ABORT, WorkRequest.STATUS_OK]
+        assert qp.state == QueuePair.STATE_RTS and qp.reconnects == 1
+
+    def test_short_crash_without_an_injector_resets_on_delivery(self):
+        """The rule is the RNIC's, not the injector's: a blade that crashes
+        and restarts on its own within crash_detect_ns leaves no ERROR QP."""
+        cluster, compute, remote, region, thread = _one_thread_deployment()
+        qp, statuses = self._post_twice_across_a_crash(cluster, remote, region, thread)
+        cluster.sim.run(until=1000)
+        remote.crash(restart_after_ns=20_000.0)
+        cluster.sim.run()
+        assert statuses == [WorkRequest.STATUS_REMOTE_ABORT, WorkRequest.STATUS_OK]
+        assert qp.state == QueuePair.STATE_RTS and qp.reconnects == 1
+
+    def test_handle_recovers_once_from_a_crash_shorter_than_detection(self):
+        """The SMART handle's reconnect finds the QP already reset: it
+        records one recovery and does not reconnect a second time."""
+        cluster, compute, remote, region, thread = _one_thread_deployment()
+        smart = SmartThread(thread, baseline(), seed=3)
+        handle = smart.handle()
+        qp = thread.qp_for(remote.node_id)
+        outcomes = []
+
+        def worker():
+            yield from handle.read_sync(remote.storage.global_addr(region.base), 8)
+            outcomes.append(handle.last_errors[0].status)
+            ok = yield from handle.reconnect(remote.node_id)
+            outcomes.append(ok)
+
+        remote.crash(restart_after_ns=20_000.0)
+        cluster.sim.spawn(worker())
+        cluster.sim.run()
+        assert outcomes == [WorkRequest.STATUS_REMOTE_ABORT, True]
+        assert qp.state == QueuePair.STATE_RTS and qp.reconnects == 1
+        assert smart.stats.recoveries == 1
+
     def test_restore_resets_engine_watermarks(self):
         cluster = Cluster()
         node = cluster.add_node()
@@ -638,6 +721,25 @@ def test_microbench_iops_count_only_completions_that_succeed():
     assert faulty.wasted_wrs > 0
     assert 0 < faulty.measured_wrs <= clean.measured_wrs
     assert faulty.throughput_mops <= clean.throughput_mops
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("fault_seed", [1, 2])
+def test_qp_errored_after_its_blade_restarted_is_reconnected(fault_seed, policy):
+    """Regression: the seeded downtime (45 us) is shorter than
+    ``crash_detect_ns`` (50 us), so the error CQEs land after the restart
+    has reset the ERROR QPs; their QPs stayed in ERROR for good and RDMASan
+    reported a ``qp-error`` leak for each (8 per seed with a QP per
+    thread, 1 with the one shared QP) under every QP policy."""
+    from repro.bench.microbench import run_microbench
+
+    result = run_microbench(policy=policy, threads=8, depth=4, measure_ns=300e3,
+                            faults="seeded", fault_seed=fault_seed, sanitize=True)
+    assert result.wasted_wrs > 0
+    assert result.sanitizer["findings"] == []
+    assert [leak for leak in result.sanitizer["leaks"]
+            if leak["kind"] == "qp-error"] == []
 
 
 # -- faults through the shared app pipeline ------------------------------------

@@ -112,14 +112,10 @@ class TestCli:
           "--threads", "2", "--workers", "4", "--tenants", "2",
           "--item-count", "2000", "--warmup-us", "200", "--measure-us", "300"],
          {"app", "system", "threads", "measure_ns", "tenants"}),
-        (["resharding", "--mode", "add_blade", "--threads", "2", "--workers", "2",
-          "--item-count", "500", "--warmup-us", "200", "--phase-us", "300"],
-         {"mode", "phases", "moves", "keys_copied", "blades_before",
-          "blades_after", "allocator_stats"}),
         (["odp", "--ratios", "1.0,0.5", "--depths", "4", "--threads", "2",
           "--measure-us", "100", "--jobs", "1"],
          {"name", "headers", "rows"}),
-    ], ids=["traffic", "resharding", "odp"])
+    ], ids=["traffic", "odp"])
     def test_cli_subcommand_writes_json(self, argv, keys, tmp_path, capsys):
         import json
 
@@ -131,9 +127,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["traffic", "--tenants", "0"],
-        ["resharding", "--tenants", "0"],
         ["odp", "--ratios", "1.5"],
-        # one .json file cannot hold seventeen figures (it kept the last)
+        # one .json file cannot hold sixteen figures (it kept the last)
         ["--figure", "all", "--json", "out.json"],
         # an empty batch never yields: these hung instead of failing
         ["8", "0"],
@@ -142,14 +137,11 @@ class TestCli:
         ["8", "4", "--measure-us", "-5"],
         ["8", "4", "--memory-nodes", "0"],
         ["traffic", "--measure-us", "0"],
-        ["resharding", "--phase-us", "-1"],
         # counts that ended in a ValueError traceback (exit 1)
         ["8", "4", "--block-size", "0"],
         ["odp", "--block-size", "0"],
         ["traffic", "--rate", "0"],
         ["traffic", "--item-count", "0"],
-        ["resharding", "--shards", "0"],
-        ["resharding", "--item-count", "0"],
         # ... or ran with one worker per tenant all the same (exit 0)
         ["traffic", "--workers", "0"],
         ["traffic", "--workers", "1", "--tenants", "2"],
@@ -159,17 +151,46 @@ class TestCli:
         # with an IndexError, an unknown kind with a ValueError (exit 1)
         ["4", "2", "--faults", "crash=5@0.5ms+0.3ms"],
         ["4", "2", "--faults", "foo=1@0+1ms"],
+        # out-of-range values each command refuses by name
+        ["8", "4", "--pinned-ratio", "1.5"],
+        ["odp", "--ratios", "-0.1"],
+        ["0", "4"],
+        ["odp", "--measure-us", "0"],
+        # values the arrival, workload and admission models refuse: these
+        # ended in a ValueError traceback (exit 1)
+        ["traffic", "--theta", "-1"],
+        ["traffic", "--slo-p99-us", "0"],
+        ["traffic", "--arrivals", "onoff", "--peak", "0"],
+        ["traffic", "--arrivals", "diurnal", "--period-us", "0"],
+        ["traffic", "--sweep", "0.5,0"],
+        ["traffic", "--max-queue", "-1"],
+        # ... an IndexError from the B+Tree deployment
+        ["traffic", "--app", "btree", "--servers", "0"],
+        # ... a ValueError from the process pool
+        ["claims", "--jobs", "-1"],
+        ["odp", "--jobs", "-1"],
+        ["--figure", "fig3", "--jobs", "-1"],
+        ["traffic", "--sweep", "0.5", "--jobs", "-1"],
     ])
     def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
         assert cli_main(argv) == 2
         assert "must be" in capsys.readouterr().err
 
-    def test_cli_resharding_reports_an_unfinished_migration(self, capsys):
-        """A migration still running when the during window hits its cap
-        is reported as started and unfinished, not as never triggered."""
-        assert cli_main(["resharding", "--item-count", "4000", "--phase-us", "50",
-                         "--threads", "2", "--workers", "2"]) == 0
+    def test_cli_sanitize_exits_1_on_a_leak(self, capsys):
+        """90 % loss exhausts the retries of every QP, which stay in ERROR
+        to the end: no finding, but leaks, and a leak fails the run."""
+        assert cli_main(["4", "2", "--measure-us", "400", "--faults",
+                         "loss=0.9@0.1ms+0.3ms", "--fault-seed", "3",
+                         "--sanitize"]) == 1
         printed = capsys.readouterr().out
-        assert ("migration started at 2050 us and did not finish within the "
-                "450 us during window") in printed
-        assert "no migration" not in printed
+        assert "findings=0, leaks=4" in printed
+        assert printed.count("leak qp-error: node=0 remote=1 cause=retry-exceeded") == 4
+
+    @pytest.mark.parametrize("fault_seed", ["1", "2"])
+    def test_cli_seeded_faults_under_sanitize_exit_0(self, fault_seed, capsys):
+        """The seeded-fault runs CI gates: each blade crash is shorter than
+        crash detection, and every QP it errs is reconnected, so the run
+        ends with no finding and no leak."""
+        assert cli_main(["8", "4", "--measure-us", "300", "--faults", "seeded",
+                         "--fault-seed", fault_seed, "--sanitize"]) == 0
+        assert "findings=0, leaks=0" in capsys.readouterr().out

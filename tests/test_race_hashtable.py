@@ -148,6 +148,29 @@ class TestServer:
         blades = {(addr >> 48) - 1 for addr in server.segment_addrs}
         assert blades == {remotes[0].node_id, remotes[1].node_id}
 
+    def test_regions_carry_fixed_names_and_the_directory_one_blade(self):
+        """One table per blade set: the directory on the first blade, a
+        segment array, heap head and heap on each, under fixed names."""
+        cluster = Cluster()
+        remotes = cluster.add_nodes(2)
+        HashTableServer(remotes, segments=8)
+        assert [[r.name for r in node.storage.regions()] for node in remotes] == [
+            ["race_dir", "race_segments", "race_heap_head", "race_heap"],
+            ["race_segments", "race_heap_head", "race_heap"],
+        ]
+
+    def test_each_heap_head_points_at_the_start_of_its_heap(self):
+        cluster = Cluster()
+        remotes = cluster.add_nodes(2)
+        server = HashTableServer(remotes, segments=8)
+        for node in remotes:
+            head = node.storage.region("race_heap_head")
+            heap = node.storage.region("race_heap")
+            assert node.storage.read_u64(head.base) == heap.base
+            head_addr, start, end = server.heaps[node.node_id]
+            assert (blade_of(head_addr), offset_of(head_addr)) == (node.node_id, head.base)
+            assert (start, end) == (heap.base, heap.end)
+
 
 class TestClientOps:
     def test_insert_search_roundtrip(self):

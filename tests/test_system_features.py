@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.runner import (
-    APPS, BTreeApp, DtxApp, HashTableApp, RunArgumentError, ShardedHashTableApp,
+    APPS, BTreeApp, DtxApp, HashTableApp, RunArgumentError,
     run_btree, run_dtx, run_hashtable,
 )
 from repro.traffic.runner import run_open_loop
@@ -18,7 +18,6 @@ class TestWrapperConfigurations:
         assert not race_features().backoff
         full = HashTableApp.systems["smart-ht"]()
         assert full.thread_aware_alloc and full.work_req_throttling and full.backoff
-        assert ShardedHashTableApp.systems is HashTableApp.systems
 
     def test_dtx_wrappers(self):
         assert not DtxApp.systems["ford"]().work_req_throttling

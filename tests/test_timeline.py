@@ -181,42 +181,44 @@ def test_tracer_and_sanitizer_compose_in_either_order():
     assert swapped.sanitizer == sanitizer_alone
 
 
-# -- a blade that joins after attachment ---------------------------------------
+# -- attachment covers every node ----------------------------------------------
 
 
-def test_late_node_gets_what_its_peers_were_given():
+def test_attach_gives_every_node_its_own_tracer_and_the_sanitizer():
+    """Attached once every node is added, each device gets a tracer of
+    its own on its own track and the one sanitizer, which knows each
+    blade's storage; attaching again changes nothing."""
     cluster = Cluster()
-    first = cluster.add_node()
+    nodes = cluster.add_nodes(3)
     obs = Observability().attach_cluster(cluster)
     sanitizer = RdmaSanitizer().attach_cluster(cluster)
-    late = cluster.add_node()
     assert cluster.sim.recorder is obs.recorder
-    assert [type(o) for o in late.device.observers] == [
-        type(o) for o in first.device.observers
-    ]
-    assert sanitizer in late.device.observers
-    assert late.device.observers[0] is not first.device.observers[0]  # own tracer
-    assert late.device.observers[0].track == late.device.name
-    # the sanitizer knows the late blade's storage (region names)
-    region = late.storage.alloc_region("late-table", 4096)
-    sanitizer.set_region_policy(late.node_id, "late-table", "optimistic-read")
-    assert sanitizer._storages[late.node_id] is late.storage
-    assert region.name == "late-table"
-    # attaching again changes nothing
+    tracers = [node.device.observers[0] for node in nodes]
+    assert len({id(tracer) for tracer in tracers}) == len(nodes)
+    assert [tracer.track for tracer in tracers] == [node.device.name for node in nodes]
+    for node in nodes:
+        assert node.device.observers[1] is sanitizer
+        assert sanitizer._storages[node.node_id] is node.storage
     obs.attach_cluster(cluster)
-    sanitizer.attach_node(late)
-    assert len(late.device.observers) == 2
+    sanitizer.attach_cluster(cluster)
+    assert [len(node.device.observers) for node in nodes] == [2, 2, 2]
 
 
-def test_resharding_observes_the_blade_it_adds():
-    """End to end: the autoscaler's ``cluster.add_node()`` lands mid-run."""
-    from repro.traffic.resharding import run_resharding
+class ClusterKeepingObs(WitnessedObs):
+    """A ``WitnessedObs`` that keeps the cluster it was attached to."""
 
-    obs = Observability()
-    result = run_resharding(mode="add_blade", item_count=1000, seed=3, obs=obs)
-    assert result.blades_after == result.blades_before + 1
-    counters = obs.metrics()["counters"]
-    devices = {name.split(".")[0] for name in counters if name.endswith(".wqe_processed")}
-    traced = {name.split(".")[0] for name in counters
-              if name.endswith(".trace_batches_dropped")}
-    assert traced == devices and len(devices) == 4
+    def attach_cluster(self, cluster):
+        self.cluster = cluster
+        return super().attach_cluster(cluster)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_runner_instruments_after_its_last_node(name):
+    """Attachment reaches only the nodes present, so each runner must add
+    every blade before it instruments: at the end of the run each node it
+    built carries the witness."""
+    obs = ClusterKeepingObs()
+    RUNS[name](obs)
+    nodes = obs.cluster.nodes
+    assert nodes
+    assert all(obs.witness in node.device.observers for node in nodes)
