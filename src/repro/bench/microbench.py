@@ -59,7 +59,8 @@ class MicrobenchResult:
     #: WRs completed OK in the window (``throughput_mops``' numerator);
     #: error and flush CQEs are not counted
     measured_wrs: int = 0
-    # Fault-injection observability (zero for fault-free runs).
+    # Fault-injection observability over the measured window (zero for
+    # fault-free runs).
     retransmissions: int = 0
     messages_dropped: int = 0
     wasted_wrs: int = 0
@@ -247,6 +248,7 @@ def run_microbench(
 
     sim.run(until=warmup_ns)
     snapshot = compute.device.counters.snapshot()
+    dropped_before = cluster.fabric.messages_dropped
     sim.run(until=warmup_ns + measure_ns)
     window = compute.device.counters.delta(snapshot)
     # Goodput: error and flush CQEs complete a WR without doing it.
@@ -263,9 +265,9 @@ def run_microbench(
         dram_bytes_per_wr=window.dram_bytes_per_wr,
         doorbells_used=doorbells_used,
         measured_wrs=completed_ok,
-        retransmissions=compute.device.counters.retransmissions,
-        messages_dropped=cluster.fabric.messages_dropped,
-        wasted_wrs=compute.device.counters.wasted_wrs,
+        retransmissions=window.retransmissions,
+        messages_dropped=cluster.fabric.messages_dropped - dropped_before,
+        wasted_wrs=window.wasted_wrs,
         odp_faults=sum(r.device.counters.odp_faults for r in remotes),
         odp_invalidations=sum(
             r.device.counters.odp_invalidations for r in remotes

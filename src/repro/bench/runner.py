@@ -85,8 +85,7 @@ class RunResult:
     #: RDMASan report (only when the run was sanitized; None otherwise)
     sanitizer: Optional[Dict] = None
     #: kernel events the whole point executed (warmup + measure) — with
-    #: the host wall-clock this gives events/sec per figure point, the
-    #: same currency as benchmarks/results/BENCH_kernel.json
+    #: the host wall-clock this gives events/sec per figure point
     sim_events: int = 0
 
 

@@ -183,7 +183,7 @@ class WorkBatch(Event):
     def __init__(self, sim: Simulator, qp: "QueuePair", wrs: List[WorkRequest]):
         if not wrs:
             raise ValueError("empty work batch")
-        # Inlined Waitable.__init__, as in Timeout: one per posted batch.
+        # Inlined Waitable.__init__: one per posted batch.
         self._sim = sim
         self._callbacks = []
         self._triggered = False

@@ -5,9 +5,9 @@ application coroutines, RNIC processing pipelines and memory blades are all
 simulated processes exchanging events in virtual nanoseconds.
 
 The kernel is deliberately small and simpy-like: a process is a Python
-generator that yields *waitables* (:class:`Timeout`, :class:`Event`,
-acquisition tickets from :class:`FifoLock`) and is resumed with the
-waitable's value.
+generator that yields a sleep (:class:`Timeout`, :class:`Delay`) or a
+*waitable* (:class:`Event`, a :class:`Process`, tickets from
+:class:`FifoLock`) and is resumed with ``None`` or the waitable's value.
 """
 
 from repro.sim.core import Delay, Event, Interrupt, Process, Simulator, Timeout

@@ -112,39 +112,38 @@ class Waitable:
                 schedule(now, callback, value)
 
 
-class Timeout(Waitable):
-    """Triggers ``delay`` nanoseconds after creation."""
+class Timeout:
+    """A sleep token: resumes the yielding process ``delay`` ns after creation.
 
-    __slots__ = ()
+    Not a waitable: creation records the deadline and schedules nothing.
+    Yielding queues one wake entry ``(token, process)`` at ``max(deadline,
+    now)``; the drain resumes the process in place when nothing is queued
+    behind that entry, else at the back of the tick, where a waitable fired
+    at the deadline would put it (docs/MODEL.md §7).
+    """
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        # Inlined Waitable.__init__ — Timeout creation is on the sleep
-        # hot path and the extra super().__init__ frame is measurable.
-        self._sim = sim
-        self._callbacks = []
-        self._triggered = False
-        self._value = None
+    __slots__ = ("deadline",)
+
+    def __init__(self, sim: "Simulator", delay: float):
         # Round first so Timeout and Delay agree on which durations are
         # negative: -0.4 rounds to 0 and is accepted by both.
         delay = int(round(delay))
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
-        # Schedule the Timeout itself (the drain loop calls _trigger) so
-        # no bound method is allocated per timeout.
-        sim._schedule_at(sim.now + delay, self, value)
+        self.deadline = sim.now + delay
 
 
 class Delay:
-    """A reusable pure-delay yield: the cheap cousin of :class:`Timeout`.
+    """A reusable pure-delay yield: the own-slot cousin of :class:`Timeout`.
 
     Yielding a ``Delay`` resumes the process ``ns`` nanoseconds later with
-    value ``None``.  Unlike a :class:`Timeout` it carries no subscriber
-    list and costs a single bucket entry instead of two (trigger + resume),
-    and — being stateless — one instance can be yielded any number of
-    times, by any number of processes.  This is the fast path for
-    throttle-gap style sleeps that fire millions of times per run: the
-    drain loop in :meth:`Simulator.run` reschedules the resume inline,
-    without touching the generic scheduling machinery at all.
+    value ``None``, from its own slot in the destination tick: it always
+    costs one bucket entry, where a :class:`Timeout` costs two when
+    something is queued behind its wake entry.  Being stateless, one
+    instance can be yielded any number of times, by any number of
+    processes.  Throttle-gap style sleeps that fire millions of times per
+    run use it; the drain loop in :meth:`Simulator.run` reschedules the
+    resume inline, as it queues a Timeout's wake entry.
     """
 
     __slots__ = ("ns",)
@@ -240,7 +239,7 @@ class Process(Waitable):
     def _resume(self, value: Any) -> None:
         # Reference implementation of one process step.  The drain loop
         # in Simulator.run() inlines exactly this sequence (plus the
-        # Delay reschedule) — keep the two in lockstep.
+        # sleep reschedules) — keep the two in lockstep.
         if not self._alive:
             return
         try:
@@ -255,9 +254,12 @@ class Process(Waitable):
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
-        if type(target) is Delay:
-            sim = self._sim
+        sim = self._sim
+        cls = type(target)
+        if cls is Delay:
             sim._schedule_at(sim.now + target.ns, self, None)
+        elif cls is Timeout:
+            sim._schedule_at(max(target.deadline, sim.now), target, self)
         elif isinstance(target, Waitable):
             target._subscribe(self)
         else:
@@ -436,8 +438,9 @@ class Simulator:
 
     # -- factories --------------------------------------------------------
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        """A sleep of ``delay`` ns (see :class:`Timeout`)."""
+        return Timeout(self, delay)
 
     def delay(self, ns: float) -> Delay:
         """A reusable pure delay (see :class:`Delay`)."""
@@ -529,11 +532,8 @@ class Simulator:
         self._active_pos = 0
         return bucket
 
-    def step(self) -> bool:
-        """Run a single event; return False when nothing is pending."""
-        bucket = self._next_bucket(None)
-        if bucket is None:
-            return False
+    def _execute(self, bucket: list) -> None:
+        """Run the active bucket's next entry (``run`` inlines this)."""
         i = self._active_pos
         what = bucket[i]
         value = bucket[i + 1]
@@ -542,10 +542,25 @@ class Simulator:
         cls = what.__class__
         if cls is Process:
             what._resume(value)
-        elif cls is Timeout or cls is Event:
+        elif cls is Timeout:
+            # A wake entry (token, process): resume in place when it is
+            # last in its tick, else join the back of the tick.
+            if self.rest_of_tick_empty():
+                value._resume(None)
+            else:
+                bucket.append(value)
+                bucket.append(None)
+        elif cls is Event:
             what._trigger(value)
         else:
             what(value)
+
+    def step(self) -> bool:
+        """Run a single event; return False when nothing is pending."""
+        bucket = self._next_bucket(None)
+        if bucket is None:
+            return False
+        self._execute(bucket)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -585,61 +600,79 @@ class Simulator:
                     # Publish the cursor: the step about to run may ask
                     # rest_of_tick_empty().
                     self._active_pos = i
-                    if what.__class__ is Process:
-                        # Fused process resume (mirrors Process._resume).
-                        if not what._alive:
-                            continue
-                        try:
-                            target = what.generator.send(value)
-                        except StopIteration as stop:
-                            what._finish(stop.value)
-                            continue
-                        except BaseException as error:
-                            what.error = error
-                            what._finish(error)
-                            raise
-                        cls = target.__class__
-                        if cls is Delay:
-                            # Fused Delay reschedule: straight into the
-                            # destination bucket, no scheduler frames.
-                            when2 = now + target.ns
-                            if when2 == now:
-                                bucket.append(what)
+                    cls = what.__class__
+                    if cls is not Process:
+                        if cls is Timeout:
+                            # A wake entry (token, process): resume in
+                            # place when nothing is queued behind it at
+                            # this instant, else join the back of the tick.
+                            if i < len(bucket):
+                                bucket.append(value)
                                 bucket.append(None)
-                            elif 0 <= when2 - base < _WHEEL_SLOTS:
-                                index = when2 & _WHEEL_MASK
-                                dest = wheel[index]
-                                if dest is None:
-                                    dest = free.pop() if free else []
-                                    wheel[index] = dest
-                                    heappush(times, when2)
-                                dest.append(what)
-                                dest.append(None)
-                            else:
-                                self._schedule_overflow(when2, what, None)
-                        elif cls is Timeout or isinstance(target, Waitable):
-                            # Waitable._subscribe, inlined (no subclass
-                            # overrides it); past the Timeout, every
-                            # waitable (Event, Process, WorkBatch) pays
-                            # the same one isinstance().
-                            if target._triggered:
-                                # Next-tick delivery at the current time:
-                                # the active bucket is exactly that.
-                                bucket.append(what)
-                                bucket.append(target._value)
-                            else:
-                                target._callbacks.append(what)
+                                continue
+                            what, value = value, None
+                        elif cls is Event:
+                            # Events scheduled as themselves (no bound
+                            # method per hand-off).
+                            what._trigger(value)
+                            continue
                         else:
-                            raise SimulationError(
-                                f"process {what.name!r} yielded "
-                                f"non-waitable {target!r}"
-                            )
-                    elif what.__class__ is Timeout or what.__class__ is Event:
-                        # Timeouts/Events are scheduled as themselves (no
-                        # per-schedule bound-method allocation).
-                        what._trigger(value)
+                            what(value)
+                            continue
+                    # Fused process resume (mirrors Process._resume).
+                    if not what._alive:
+                        continue
+                    try:
+                        target = what.generator.send(value)
+                    except StopIteration as stop:
+                        what._finish(stop.value)
+                        continue
+                    except BaseException as error:
+                        what.error = error
+                        what._finish(error)
+                        raise
+                    cls = target.__class__
+                    if cls is Delay or cls is Timeout:
+                        # Fused sleep: one entry straight into the
+                        # destination bucket, no scheduler frames — the
+                        # process itself for a Delay, a wake entry at
+                        # max(deadline, now) for a Timeout.
+                        if cls is Delay:
+                            when2 = now + target.ns
+                            head, tail = what, None
+                        else:
+                            when2 = target.deadline
+                            head, tail = target, what
+                        if when2 <= now:
+                            bucket.append(head)
+                            bucket.append(tail)
+                        elif 0 <= when2 - base < _WHEEL_SLOTS:
+                            index = when2 & _WHEEL_MASK
+                            dest = wheel[index]
+                            if dest is None:
+                                dest = free.pop() if free else []
+                                wheel[index] = dest
+                                heappush(times, when2)
+                            dest.append(head)
+                            dest.append(tail)
+                        else:
+                            self._schedule_overflow(when2, head, tail)
+                    elif isinstance(target, Waitable):
+                        # Waitable._subscribe, inlined (no subclass
+                        # overrides it): every waitable (Event, Process,
+                        # WorkBatch) pays the same one isinstance().
+                        if target._triggered:
+                            # Next-tick delivery at the current time:
+                            # the active bucket is exactly that.
+                            bucket.append(what)
+                            bucket.append(target._value)
+                        else:
+                            target._callbacks.append(what)
                     else:
-                        what(value)
+                        raise SimulationError(
+                            f"process {what.name!r} yielded "
+                            f"non-waitable {target!r}"
+                        )
             finally:
                 self.events_executed += (i - start) >> 1
         if until is not None and until > self.now:
@@ -656,19 +689,8 @@ class Simulator:
                 if until is not None and until > self.now:
                     self.now = until
                 return
-            i = self._active_pos
-            what = bucket[i]
-            value = bucket[i + 1]
-            self._active_pos = i + 2
             events += 1
-            self.events_executed += 1
-            cls = what.__class__
-            if cls is Process:
-                what._resume(value)
-            elif cls is Timeout or cls is Event:
-                what._trigger(value)
-            else:
-                what(value)
+            self._execute(bucket)
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if idle."""

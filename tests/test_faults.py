@@ -724,6 +724,23 @@ def test_microbench_iops_count_only_completions_that_succeed():
 
 
 @pytest.mark.chaos
+def test_microbench_fault_counters_cover_the_measured_window_only():
+    """Regression: ``wasted_wrs`` / ``retransmissions`` /
+    ``messages_dropped`` were read over the whole run while IOPS came from
+    the measured window.  The smart policy's extended warmup swallows
+    this crash and restart, so the window is clean (its fault-free WR
+    count) — yet 27128 wasted WRs were reported."""
+    from repro.bench.microbench import run_microbench
+
+    kw = dict(policy="smart", threads=2, depth=2, measure_ns=100e3)
+    clean = run_microbench(**kw)
+    faulty = run_microbench(faults="crash=1@0.3ms+1ms", **kw)
+    assert faulty.measured_wrs == clean.measured_wrs
+    assert faulty.wasted_wrs == 0
+    assert faulty.retransmissions == 0 and faulty.messages_dropped == 0
+
+
+@pytest.mark.chaos
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("fault_seed", [1, 2])
 def test_qp_errored_after_its_blade_restarted_is_reconnected(fault_seed, policy):

@@ -167,20 +167,20 @@ GOLDEN_DIGESTS = {
 #: count per point, so a change that puts a suspension back on the post
 #: path fails here; the record mode prints this table too.
 GOLDEN_EVENTS = {
-    "ht-race": 11806,
-    "ht-smart": 46789,
-    "dtx-smallbank": 55822,
-    "dtx-tatp": 16972,
-    "bt-sherman": 8405,
-    "bt-sherman-sl": 8343,
-    "bt-smart": 33331,
-    "bt-smart-nohopl": 33853,
-    "bt-sherman-nohopl": 8627,
-    "open-hashtable+obs": 29247,
-    "open-dtx+obs": 24437,
-    "open-btree+obs": 34833,
-    "micro-smart+obs": 81031,
-    "micro-per-thread-qp+obs": 12786,
+    "ht-race": 8625,
+    "ht-smart": 34229,
+    "dtx-smallbank": 40869,
+    "dtx-tatp": 12446,
+    "bt-sherman": 6155,
+    "bt-sherman-sl": 6109,
+    "bt-smart": 24390,
+    "bt-smart-nohopl": 24725,
+    "bt-sherman-nohopl": 6313,
+    "open-hashtable+obs": 21991,
+    "open-dtx+obs": 18428,
+    "open-btree+obs": 25982,
+    "micro-smart+obs": 58975,
+    "micro-per-thread-qp+obs": 8970,
 }
 
 

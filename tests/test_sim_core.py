@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, Event, Interrupt, Simulator
+from repro.sim import Delay, Event, Interrupt, Simulator, Timeout
 from repro.sim.core import SimulationError, Waitable
 
 
@@ -21,16 +21,20 @@ def test_timeout_advances_clock():
     assert log == [10, 15]
 
 
-def test_timeout_value_passed_to_process():
+def test_timeout_resumes_process_with_none():
+    """A Timeout is a sleep, not a waitable: it carries no value."""
     sim = Simulator()
 
     def proc():
-        value = yield sim.timeout(3, "hello")
-        return value
+        value = yield sim.timeout(3)
+        return (value, sim.now)
 
     p = sim.spawn(proc())
     sim.run()
-    assert p.value == "hello"
+    assert p.value == (None, 3)
+    assert not issubclass(Timeout, Waitable)
+    with pytest.raises(TypeError):
+        sim.timeout(3, "hello")
 
 
 def test_zero_delay_timeout_runs_same_instant():
@@ -310,18 +314,36 @@ def test_delay_rounds_and_rejects_negative():
 
 
 def test_delay_cheaper_than_timeout():
-    """A pure delay costs one heap event; a Timeout costs two."""
+    """A Delay always costs one bucket entry.  A Timeout costs one when its
+    wake entry is last in its tick (the process resumes in place) and two
+    when another entry is queued behind it (the process then joins the
+    back of the tick, as a waitable's subscriber would)."""
 
-    def sleeper(sim, waiter):
+    def sleeper(sim, waiter, log):
         yield waiter
+        log.append(("sleeper", sim.now))
 
-    sim_t = Simulator()
-    sim_t.spawn(sleeper(sim_t, sim_t.timeout(5)))
-    sim_t.run()
-    sim_d = Simulator()
-    sim_d.spawn(sleeper(sim_d, sim_d.delay(5)))
-    sim_d.run()
-    assert sim_d.events_executed == sim_t.events_executed - 1
+    def events(make_sleep, behind):
+        sim = Simulator()
+        log = []
+        sim.spawn(sleeper(sim, make_sleep(sim), log))
+        if behind:
+            # Runs at t=0 after the sleeper yielded: its entry at t=5 is
+            # queued behind the sleep's.
+            sim.call_at(0, lambda: sim.call_at(
+                5, lambda: log.append(("behind", sim.now))))
+        sim.run()
+        return sim.events_executed, log
+
+    timeout = lambda sim: sim.timeout(5)  # noqa: E731
+    delay = lambda sim: sim.delay(5)  # noqa: E731
+    # spawn's first resume + the sleep
+    assert events(timeout, behind=False) == (2, [("sleeper", 5)])  # parent: 3
+    assert events(delay, behind=False) == (2, [("sleeper", 5)])
+    # + the two callbacks; the Timeout's sleeper goes behind the t=5 one
+    assert events(timeout, behind=True) == (
+        5, [("behind", 5), ("sleeper", 5)])  # parent: 5
+    assert events(delay, behind=True) == (4, [("sleeper", 5), ("behind", 5)])
 
 
 def test_events_executed_counter():
@@ -440,4 +462,6 @@ def test_rest_of_tick_empty_only_for_the_last_step_of_an_instant(drive):
         ("proc", 7, True),
         ("late", 9, False), ("proc-9", 9, True),
     ]
-    assert sim.events_executed == 9  # 5 callbacks + 4 process steps
+    # 5 callbacks + 3 process steps; the Timeout's wake entry is the
+    # step at t=7, resumed in place
+    assert sim.events_executed == 8  # parent: 9

@@ -319,7 +319,8 @@ def test_grants_on_the_spot_keep_the_parents_order(drive):
     assert (lock.acquisitions, lock.total_wait_ns, lock.max_queue_len) == (7, 58, 2)
     assert not lock.locked and lock.owner is None
     assert bucket.tokens == 2
-    assert sim.events_executed == 99 < PARENT_EVENTS
+    # 99 while a Timeout was a waitable (trigger entry + resume entry)
+    assert sim.events_executed == 78 < PARENT_EVENTS
 
 
 def test_try_acquire_is_the_same_grant_as_acquire():

@@ -13,15 +13,20 @@ change:
 * ``peek()``/``step()``/``run(until=...)`` agree with the old heap
   semantics, checked against a reference ``(when, seq)`` heap scheduler
   on randomized event schedules that include same-tick cascades and
-  horizon-crossing offsets.
+  horizon-crossing offsets;
+* a ``Timeout`` (a sleep token, not a waitable) wakes processes in the
+  order the waitable ``Timeout`` it replaced did, under every drain
+  path — a Hypothesis differential against that old class.
 """
 
 import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.core import _WHEEL_SLOTS, SimulationError, Simulator
+from repro.sim.core import _WHEEL_SLOTS, SimulationError, Simulator, Timeout, Waitable
 
 
 class TestSameTickFifo:
@@ -365,3 +370,154 @@ class TestHeapOracle:
             assert wheel.peek() == heap.peek()
         assert not heap.step()
         assert wheel_trace == heap_trace
+
+
+# ---------------------------------------------------------------------------
+# Differential: the Timeout sleep token vs the waitable Timeout it replaced.
+# ---------------------------------------------------------------------------
+
+
+class WaitableTimeout(Waitable):
+    """The kernel's Timeout before it became a sleep token (the oracle).
+
+    A waitable that schedules its own trigger at creation; the trigger
+    appends each subscriber at the back of the tick.  Every sleep costs a
+    trigger entry and a resume entry.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sim, delay):
+        super().__init__(sim)
+        delay = int(round(delay))
+        if delay < 0:
+            raise SimulationError(f"negative timeout: {delay}")
+        sim._schedule_at(sim.now + delay, self._trigger, None)
+
+
+#: offsets drawn from every regime: same tick, the next few, far past
+#: the wheel window (the overflow calendar)
+_OFFSETS = st.sampled_from((0, 0, 1, 2, 3, 5, _WHEEL_SLOTS + 2))
+
+_OPS = st.one_of(
+    st.tuples(st.just("timeout"), _OFFSETS),
+    st.tuples(st.just("delay"), _OFFSETS),
+    st.tuples(st.just("call_at"), _OFFSETS),
+    st.tuples(st.just("fire"), st.integers(0, 2)),
+    st.tuples(st.just("wait"), st.integers(0, 2)),
+)
+
+_DRIVERS = st.one_of(
+    st.tuples(st.just("run"), st.just(0)),
+    st.tuples(st.just("step"), st.just(0)),
+    st.tuples(st.just("budget"), st.integers(1, 5)),
+    st.tuples(st.just("until"), st.sampled_from((1, 2, 3, 7, _WHEEL_SLOTS))),
+)
+
+
+def _play(sleep, scripts, calls, driver):
+    """Run ``scripts`` (one op list per process) and the top-level
+    ``calls`` under ``driver``; return the ``(time, tag)`` trace, the
+    ``(now, trace length)`` after every ``until`` slice, the final clock
+    and the kernel events executed."""
+    sim = Simulator()
+    trace = []
+    events = [sim.event() for _ in range(3)]
+
+    def fire(index, tag):
+        trace.append((sim.now, tag))
+        if not events[index].triggered:
+            events[index].fire()
+
+    def process(pid, ops):
+        for k, (op, arg) in enumerate(ops):
+            tag = f"p{pid}.{k}"
+            if op == "timeout":
+                yield sleep(sim, arg)
+            elif op == "delay":
+                yield sim.delay(arg)
+            elif op == "call_at":
+                sim.call_at(sim.now + arg, trace.append, (sim.now + arg, tag + "-cb"))
+            elif op == "fire":
+                fire(arg, tag + "-fire")
+            else:
+                yield events[arg]
+            trace.append((sim.now, tag))
+
+    for number, (when, index) in enumerate(calls):
+        sim.call_at(when, lambda pair: fire(*pair), (index, f"cb{number}"))
+    for pid, ops in enumerate(scripts):
+        sim.spawn(process(pid, ops))
+    kind, arg = driver
+    slices = []
+    if kind == "run":
+        sim.run()
+    elif kind == "step":
+        while sim.step():
+            pass
+    elif kind == "budget":
+        while sim.peek() is not None:
+            sim.run(max_events=arg)
+    else:
+        while sim.peek() is not None:
+            sim.run(until=sim.now + arg)
+            slices.append((sim.now, len(trace)))
+    return trace, slices, sim.now, sim.events_executed
+
+
+class TestTimeoutToken:
+    @given(
+        scripts=st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=4),
+        calls=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2)), max_size=4),
+        driver=_DRIVERS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_order_as_the_waitable_timeout(self, scripts, calls, driver):
+        trace, slices, now, events = _play(Timeout, scripts, calls, driver)
+        old_trace, old_slices, old_now, old_events = _play(
+            WaitableTimeout, scripts, calls, driver)
+        assert trace == old_trace
+        assert now == old_now
+        if driver[0] == "until":
+            assert slices == old_slices
+        # a wake entry is one entry where the old sleep was two, plus
+        # one more only when something was queued behind it
+        assert events <= old_events
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_timeout_created_before_it_is_yielded(self, drive):
+        """The deadline is fixed at creation, the queue position at the
+        yield: a token yielded before its deadline sleeps until it, one
+        yielded past it wakes at once, at the back of the current tick."""
+        sim = Simulator()
+        trace = []
+
+        def early():
+            token = sim.timeout(10)  # deadline 10
+            yield sim.delay(4)
+            sim.call_at(10, trace.append, (10, "queued at 4"))
+            yield token  # wake entry at 10, behind "queued at 4"
+            trace.append((sim.now, "early woke"))
+
+        def late():
+            token = sim.timeout(3)  # deadline 3
+            yield sim.delay(8)
+            sim.call_at(8, trace.append, (8, "queued at 8"))
+            yield token  # past its deadline: wake entry at 8, at the back
+            trace.append((sim.now, "late woke"))
+
+        sim.call_at(10, trace.append, (10, "queued at 0"))
+        sim.spawn(early())
+        sim.spawn(late())
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        assert trace == [
+            (8, "queued at 8"), (8, "late woke"),
+            (10, "queued at 0"), (10, "queued at 4"), (10, "early woke"),
+        ]
+        # 2 spawns + 2 delays + 3 callbacks + 2 wake entries, each last in
+        # its tick and so resumed in place
+        assert sim.events_executed == 9

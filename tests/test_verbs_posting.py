@@ -194,7 +194,7 @@ class TestPostingWithoutSuspending:
         ]
         assert locks == {"qp-shared-1": (4, 265, 1, False),
                          "db0": (4, 0, 0, False)}
-        assert events == 53  # parent: 59
+        assert events == 39  # parent: 53
 
     def test_per_thread_doorbells_ring_in_the_parents_order(self):
         trace, locks, events = self._two_posters("per-thread-qp")
@@ -204,7 +204,7 @@ class TestPostingWithoutSuspending:
             ("done", 0, 4356), ("done", 1, 4365),
         ]
         assert locks == {"db0": (2, 0, 0, False), "db1": (2, 0, 0, False)}
-        assert events == 44  # parent: 46
+        assert events == 36  # parent: 44
 
     def test_lone_poster_never_parks_on_a_lock_ticket(self):
         """One thread, nothing else at its instants: both grants are on
