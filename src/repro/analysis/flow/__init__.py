@@ -23,7 +23,7 @@ one baseline and one CLI:
 * :mod:`~repro.analysis.flow.output` — text and JSON reports.
 
 Run as ``python -m repro.analysis.flow [paths...]``; see
-``docs/MODEL.md`` §15 for the rule catalog and baseline workflow.
+``docs/MODEL.md`` §14 for the rule catalog and baseline workflow.
 """
 
 from repro.analysis.flow.engine import (  # noqa: F401

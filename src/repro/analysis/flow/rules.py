@@ -1,7 +1,7 @@
 """Per-file rules: simulation hygiene, ownership/leak, determinism
 hazards, interrupt safety.
 
-Rule catalog (see docs/MODEL.md §15 for rationale and suppression):
+Rule catalog (see docs/MODEL.md §14 for rationale and suppression):
 
 * **SIM001 wall-clock** — ``time.time``/``datetime.now``/… in simulation
   code.  Real time leaking into a run breaks determinism.

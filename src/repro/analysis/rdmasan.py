@@ -67,7 +67,6 @@ class _Access:
         "qp_ord",
         "issued_ns",
         "completed_ns",
-        "inv_ns",
     )
 
     def __init__(
@@ -93,9 +92,6 @@ class _Access:
         self.qp_ord = qp_ord
         self.issued_ns = issued_ns
         self.completed_ns: Optional[int] = None
-        #: time an ODP invalidation hit a page this access overlaps while
-        #: it was in flight (None = never); see ``on_odp_invalidate``
-        self.inv_ns: Optional[float] = None
 
     def chunks(self) -> range:
         return range(self.start >> _CHUNK_SHIFT, ((self.end - 1) >> _CHUNK_SHIFT) + 1)
@@ -222,7 +218,7 @@ class RdmaSanitizer(BatchObserver):
             _StripedLocks(base, end, stride, lock_offset, span or stride)
         )
 
-    # -- the observer calls (from rnic.verbs / rnic.device / rnic.odp) ------
+    # -- the observer calls (from rnic.verbs / rnic.device) -------------------
 
     def on_post(self, thread, qp: QueuePair, batch) -> None:
         """A batch was rung in: index its accesses as in-flight."""
@@ -282,39 +278,7 @@ class RdmaSanitizer(BatchObserver):
                     if overlap_start < overlap_end:
                         self._classify(shadow, record, other, overlap_start, overlap_end)
             if record.wr.status == WorkRequest.STATUS_OK:
-                if record.cls == "R" and record.inv_ns is not None:
-                    # The page(s) under this READ were invalidated while
-                    # it was in flight: the NIC may have DMA-ed from a
-                    # translation the host had already revoked — the
-                    # completed buffer can hold stale or torn data.
-                    self._emit(
-                        "odp-invalidated-read", record.blade,
-                        record.start, record.end, record, None,
-                        detected_ns=now,
-                        extra={"invalidated_ns": record.inv_ns},
-                    )
                 self._update_locks(shadow, record)
-
-    def on_odp_invalidate(self, blade_id: int, ranges, now: float) -> None:
-        """ODP shot down translations covering ``ranges`` (byte spans) on
-        ``blade_id``: mark every overlapping in-flight READ.  The finding
-        itself is emitted at completion time (only a completed READ can
-        have returned questionable data to the application)."""
-        shadow = self._shadows.get(blade_id)
-        if shadow is None:
-            return
-        for range_start, range_end in ranges:
-            first = range_start >> _CHUNK_SHIFT
-            last = (range_end - 1) >> _CHUNK_SHIFT
-            for chunk in range(first, last + 1):
-                for record in shadow.chunks.get(chunk, ()):
-                    if (
-                        record.cls == "R"
-                        and record.inv_ns is None
-                        and record.start < range_end
-                        and range_start < record.end
-                    ):
-                        record.inv_ns = now
 
     # -- detection ----------------------------------------------------------
 

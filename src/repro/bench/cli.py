@@ -29,12 +29,6 @@ A single run prints one row per tenant; ``--sweep`` runs the
 ``latency_throughput`` knee-finder experiment over the given offered
 rates instead.
 
-``odp`` sweeps the on-demand-paging pinned ratio against the
-outstanding-WR count, with and without doorbell request merging::
-
-    python -m repro.bench.cli odp --ratios 1.0,0.5 --depths 4,32
-    python -m repro.bench.cli odp --json odp.json
-
 ``claims`` runs the claim-bearing figure grids, evaluates the paper's
 claims (``repro.bench.claims``) on them and prints the scorecard::
 
@@ -51,11 +45,10 @@ import sys
 import time
 from typing import Callable, List, Optional
 
-from repro.bench.microbench import ACCESS_PATTERNS, OPS, POLICIES, run_microbench
+from repro.bench.microbench import OPS, POLICIES, run_microbench
 from repro.bench.parallel import default_jobs
 from repro.bench.report import format_table, write_experiment_json
 from repro.bench.runner import APPS, RunArgumentError
-from repro.rnic.config import RnicConfig
 from repro.workloads import ycsb
 
 #: ``traffic --workload`` choices
@@ -193,19 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser, {"measure_us": {"help": "measured window, simulated microseconds"}},
         measure_us=1500.0, seed=1,
     )
-    parser.add_argument("--access", choices=ACCESS_PATTERNS, default="random",
-                        help="remote address pattern per batch; 'seq' makes "
-                             "WRs contiguous (mergeable)")
-    parser.add_argument("--pinned-ratio", type=float, default=None,
-                        metavar="R",
-                        help="fraction of pages with pinned translations; "
-                             "the rest fault on demand (default: 1.0)")
-    parser.add_argument("--merge-wrs", action="store_true",
-                        help="fuse address-contiguous WRs into one wire "
-                             "message (RDMAbox-style request merging)")
-    parser.add_argument("--adaptive-poll", action="store_true",
-                        help="spin-then-yield CQ polling with amortized "
-                             "batch drain")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="fault schedule: 'seeded' or clause list, e.g. "
                              "'loss=0.02@0.5ms+1ms,crash=1@0.8ms+0.4ms' "
@@ -298,42 +278,6 @@ def build_traffic_parser() -> argparse.ArgumentParser:
         jobs=None, json=None,
     )
     return parser
-
-
-def build_odp_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench odp",
-        description="ODP pinned-ratio sweep x outstanding-WR count, with "
-                    "and without RDMAbox-style doorbell request merging",
-    )
-    parser.add_argument("--ratios", default=None, metavar="R1,R2,...",
-                        help="pinned ratios to sweep (default: quick grid "
-                             "1.0,0.75,0.5; REPRO_FULL=1 widens it)")
-    parser.add_argument("--depths", default=None, metavar="D1,D2,...",
-                        help="outstanding-WR depths to sweep "
-                             "(default: quick grid 4,32)")
-    add_common_flags(parser, threads=8)
-    parser.add_argument("--block-size", type=int, default=64, metavar="BYTES")
-    add_common_flags(
-        parser,
-        {"measure_us": {"help": "measurement window per point, simulated us"}},
-        measure_us=1000.0, jobs=None, json=None,
-    )
-    return parser
-
-
-def _run_odp(args) -> int:
-    from repro.bench.experiments import odp_sweep
-
-    ratios = _csv(args.ratios, float)
-    if any(not 0.0 <= r <= 1.0 for r in ratios or ()):
-        print("--ratios values must be in [0, 1]", file=sys.stderr)
-        return 2
-    return _run_sweep(
-        args, odp_sweep, ratios=ratios, depths=_csv(args.depths, int),
-        threads=args.threads, payload=args.block_size,
-        measure_ns=args.measure_us * 1e3,
-    )
 
 
 def build_claims_parser() -> argparse.ArgumentParser:
@@ -483,13 +427,6 @@ def run_bench(args) -> int:
 
 
 def run_single(args) -> int:
-    if args.pinned_ratio is not None and not 0.0 <= args.pinned_ratio <= 1.0:
-        print("--pinned-ratio must be in [0, 1]", file=sys.stderr)
-        return 2
-    # Flags not given keep the RnicConfig defaults.
-    config = RnicConfig(merge_wrs=args.merge_wrs, adaptive_poll=args.adaptive_poll)
-    if args.pinned_ratio is not None:
-        config = config.with_overrides(pinned_ratio=args.pinned_ratio)
     obs = None
     if args.trace or args.metrics_out:
         from repro.obs import Observability
@@ -505,8 +442,6 @@ def run_single(args) -> int:
         memory_nodes=args.memory_nodes,
         measure_ns=args.measure_us * 1e3,
         seed=args.seed,
-        access=args.access,
-        config=config,
         faults=args.faults,
         fault_seed=args.fault_seed,
         obs=obs,
@@ -525,12 +460,6 @@ def run_single(args) -> int:
             f"faults: dropped={result.messages_dropped}, "
             f"retransmits={result.retransmissions}, "
             f"wasted_wrs={result.wasted_wrs}"
-        )
-    if args.pinned_ratio is not None or args.merge_wrs:
-        print(
-            f"odp/merge: faults={result.odp_faults}, "
-            f"invalidations={result.odp_invalidations}, "
-            f"merged_wrs={result.merged_wrs}"
         )
     if args.dump_file_path:
         with open(args.dump_file_path, "a") as dump:
@@ -578,7 +507,6 @@ def run_single(args) -> int:
 SUBCOMMANDS = {
     None: (build_parser, run_bench),
     "traffic": (build_traffic_parser, _run_traffic),
-    "odp": (build_odp_parser, _run_odp),
     "claims": (build_claims_parser, _run_claims),
 }
 

@@ -34,7 +34,6 @@ from repro.bench.runner import (
     BENCH_DELTA_NS, app_class, bench_features, run_btree, run_dtx, run_hashtable,
 )
 from repro.core.features import baseline, cumulative_ladder, full
-from repro.rnic.config import RnicConfig
 from repro.traffic.runner import run_open_loop
 from repro.workloads.ycsb import (
     READ_HEAVY,
@@ -741,60 +740,6 @@ def chaos_recovery(
     )
 
 
-def odp_sweep(
-    ratios: Optional[Sequence[float]] = None,
-    depths: Optional[Sequence[int]] = None,
-    threads: int = 8,
-    payload: int = 64,
-    measure_ns: float = 1.0e6,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """ODP pinned-ratio sweep x outstanding-WR count, +/- request merging.
-
-    Every point runs the sequential-offset microbench twice: once with
-    merging/adaptive polling off, once with both on.  As ``pinned_ratio``
-    falls, more responder pages are on-demand-paged and first-touch
-    faults stretch the tail; RDMAbox-style merging fuses the contiguous
-    WRs into one wire message per doorbell, clawing back the per-WR
-    processing cost at high OWR counts.  ``pinned_ratio=1.0`` rows are
-    the pinned baseline (zero faults by construction).
-    """
-    ratios = ratios or _grid((1.0, 0.75, 0.5), (1.0, 0.9, 0.75, 0.5, 0.25))
-    depths = depths or _grid((4, 32), (2, 4, 8, 16, 32, 64))
-    return _sweep(
-        name="ODP: pinned-ratio sweep x OWR, +/- doorbell merging",
-        headers=["pinned_ratio", "depth", "MOPS", "MOPS+merge",
-                 "p50_us", "p50_us+merge", "odp_faults", "merged_wrs"],
-        points=[
-            ([ratio, depth], PointSpec(run_microbench, dict(
-                policy="per-thread-db", threads=threads, depth=depth,
-                payload=payload, op="read", access="seq",
-                config=RnicConfig(pinned_ratio=ratio, merge_wrs=merged,
-                                  adaptive_poll=merged),
-                latency_samples=True, measure_ns=measure_ns,
-            )))
-            for ratio in ratios
-            for depth in depths
-            for merged in (False, True)
-        ],
-        group=2,
-        row=lambda label, pair: label + [
-            pair[0].throughput_mops, pair[1].throughput_mops,
-            _us(pair[0].batch_latency_p50_ns), _us(pair[1].batch_latency_p50_ns),
-            pair[0].odp_faults, pair[1].merged_wrs],
-        chart_spec=("depth", ("MOPS", "MOPS+merge")),
-        paper_claim=(
-            "not a SMART figure — realism axes from related work: NP-RDMA "
-            "reports on-demand paging costs tens of us per first-touch "
-            "fault, so throughput/latency degrade smoothly as the pinned "
-            "ratio falls; RDMAbox's doorbell batching merges contiguous "
-            "WRs and recovers the per-WR RNIC processing cost at high "
-            "queue depth"
-        ),
-        jobs=jobs,
-    )
-
-
 ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "fig3": fig3_qp_policies,
     "fig3_write": functools.partial(fig3_qp_policies, op="write"),
@@ -811,5 +756,4 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "fig14": fig14_conflict,
     "latency_throughput": latency_throughput,
     "chaos": chaos_recovery,
-    "odp": odp_sweep,
 }

@@ -64,10 +64,6 @@ class MicrobenchResult:
     retransmissions: int = 0
     messages_dropped: int = 0
     wasted_wrs: int = 0
-    # ODP / request-merging observability (zero when both are off).
-    odp_faults: int = 0
-    odp_invalidations: int = 0
-    merged_wrs: int = 0
     #: batch-weighted per-segment means (only when an Observability is
     #: attached; None keeps fault-free results byte-identical)
     phase_breakdown: Optional[dict] = None
@@ -82,27 +78,21 @@ class MicrobenchResult:
         )
 
 
-#: the bench tool's verbs and offset patterns (``op=`` / ``access=``)
+#: the bench tool's verbs (``op=``)
 OPS = ("read", "write")
-ACCESS_PATTERNS = ("random", "seq")
 
 
 def _make_wrs(op: str, payload: int, depth: int, region_base: int, region_size: int,
-              rng: random.Random, blade, access: str = "random") -> List:
-    """One batch of ``depth`` WRs: one ``rng.randrange(slots)`` draw per
-    WR for ``"random"``, one per batch for ``"seq"`` (``op`` and
-    ``access`` were checked by the runner)."""
+              rng: random.Random, blade) -> List:
+    """One batch of ``depth`` WRs at uniformly random slots, one
+    ``rng.randrange(slots)`` draw per WR (``op`` was checked by the
+    runner)."""
     stride = max(payload, 8)
     slots = region_size // stride
     # Addresses inside one blade add like offsets: pack the region's once.
     base = blade.global_addr(region_base)
     # READ takes the payload size, WRITE the (zero) payload itself.
     make, arg = (read_wr, payload) if op == "read" else (write_wr, bytes(payload))
-    if access == "seq":
-        # One random window start, then `depth` contiguous slots — the
-        # access pattern RDMAbox's adjacent-WR merging is built for.
-        first = base + rng.randrange(max(1, slots - depth + 1)) * stride
-        return [make(addr, arg) for addr in range(first, first + depth * stride, stride)]
     if slots < 1:
         # randrange's own check; with k = 0 the loop below never ends
         raise ValueError("empty range for randrange()")
@@ -136,7 +126,6 @@ def run_microbench(
     fault_seed: int = 0,
     obs=None,
     sanitize=False,
-    access: str = "random",
 ) -> MicrobenchResult:
     """Run the bench tool at one (policy, threads, depth) point.
 
@@ -148,20 +137,11 @@ def run_microbench(
     ``obs`` attaches a :class:`repro.obs.Observability` before the run
     and collects metrics / the phase breakdown afterwards.  Attachment
     is passive: simulated numbers are bit-identical with or without it.
-
-    ``access`` picks the offset pattern: ``"random"`` (the paper's
-    uniform draw) or ``"seq"`` (contiguous batches — what RDMAbox-style
-    merging fuses).  ``pinned_ratio``/``merge_wrs``/``adaptive_poll``
-    are :class:`RnicConfig` fields (pass ``config``).
     """
     if policy not in POLICIES:
         raise RunArgumentError(f"policy must be one of {POLICIES}, got {policy!r}")
     if op not in OPS:
         raise RunArgumentError(f"op must be one of {OPS}, got {op!r}")
-    if access not in ACCESS_PATTERNS:
-        raise RunArgumentError(
-            f"access must be one of {ACCESS_PATTERNS}, got {access!r}"
-        )
     # A SMART worker with nothing to post (depth 0) never yields: the
     # run would spin inside one generator step, out of reach of any deadline.
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
@@ -216,7 +196,7 @@ def run_microbench(
         qp = thread.qp_for(remote.node_id)
         while True:
             wrs = _make_wrs(op, payload, depth, region.base, region.size, rng,
-                            remote.storage, access)
+                            remote.storage)
             start = sim.now
             yield from verbs.post_and_wait(thread, qp, wrs)
             if latency_samples and sim.now >= warmup_ns:
@@ -229,7 +209,7 @@ def run_microbench(
         blade = remote.storage
         while True:
             for wr in _make_wrs(op, payload, depth, region.base, region.size,
-                                rng, blade, access):
+                                rng, blade):
                 handle._buffer.append(wr)
             start = sim.now
             yield from handle.post_send()
@@ -268,11 +248,6 @@ def run_microbench(
         retransmissions=window.retransmissions,
         messages_dropped=cluster.fabric.messages_dropped - dropped_before,
         wasted_wrs=window.wasted_wrs,
-        odp_faults=sum(r.device.counters.odp_faults for r in remotes),
-        odp_invalidations=sum(
-            r.device.counters.odp_invalidations for r in remotes
-        ),
-        merged_wrs=compute.device.counters.merged_wrs,
     )
     if latencies:
         ordered = sorted(latencies)

@@ -14,7 +14,7 @@ adapters from an open-loop engine instead of closed client loops.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.apps.ford.recovery import RecoveryManager
@@ -98,6 +98,9 @@ class Deployment:
     memory_nodes: List[Node]
     smart_threads: List[SmartThread]
     features: SmartFeatures
+    #: :func:`fault_totals` when the measured window opened (set by
+    #: :func:`measure`; the fault columns count from here)
+    window_faults: Dict[str, int] = field(default_factory=dict)
 
 
 def build_deployment(
@@ -168,12 +171,29 @@ def install_faults(
         if crash_unsafe and schedule.crashes:
             raise ValueError(
                 f"{crash_unsafe} has no crash-recovery path (only dtx recovers "
-                f"from blade crashes): its fault schedule accepts loss, dup, "
-                f"delay and invalidate clauses, not crash"
+                f"from blade crashes): its fault schedule accepts loss, dup "
+                f"and delay clauses, not crash"
             )
         return FaultInjector(deployment.cluster, schedule).install()
     except ValueError as error:
         raise RunArgumentError(str(error)) from None
+
+
+#: :class:`RunResult` columns read off the fabric and device counters
+_FAULT_COLUMNS = ("messages_dropped", "retransmissions", "error_completions",
+                  "flushed_wrs", "wasted_wrs")
+
+
+def fault_totals(cluster: Cluster) -> Dict[str, int]:
+    """Whole-run totals of the fault columns: fabric drops, and the
+    device counters summed over every node."""
+    totals = dict.fromkeys(_FAULT_COLUMNS, 0)
+    totals["messages_dropped"] = cluster.fabric.messages_dropped
+    for node in cluster.nodes:
+        counters = node.device.counters
+        for name in _FAULT_COLUMNS[1:]:
+            totals[name] += getattr(counters, name)
+    return totals
 
 
 def apply_fault_stats(
@@ -183,18 +203,16 @@ def apply_fault_stats(
     injector=None,
     recovery=None,
 ) -> RunResult:
-    """Fill a result's fault/recovery columns from the run's artifacts."""
+    """Fill a result's fault/recovery columns from the run's artifacts.
+    The fabric / device columns count from the window's start, like the
+    op stats: a fault that ended in warmup leaves them at 0."""
     result.fault_aborts = stats.fault_aborts
     result.recoveries = stats.recoveries
     result.failed_recoveries = stats.failed_recoveries
     result.avg_recovery_us = stats.avg_recovery_ns / 1e3
-    result.messages_dropped = deployment.cluster.fabric.messages_dropped
-    for node in deployment.cluster.nodes:
-        counters = node.device.counters
-        result.retransmissions += counters.retransmissions
-        result.error_completions += counters.error_completions
-        result.flushed_wrs += counters.flushed_wrs
-        result.wasted_wrs += counters.wasted_wrs
+    start = deployment.window_faults
+    for name, total in fault_totals(deployment.cluster).items():
+        setattr(result, name, total - start.get(name, 0))
     if injector is not None:
         result.crashes = injector.crashes_fired
     if recovery is not None:
@@ -272,12 +290,14 @@ def measure(
     warmup_ns: float,
     measure_ns: float,
 ) -> OperationStats:
-    """Run warmup, reset stats, run the measured window, merge stats."""
+    """Run warmup, reset stats (and note the fault totals), run the
+    measured window, merge stats."""
     warmup_ns = effective_warmup_ns(deployment.features, warmup_ns)
     sim = deployment.cluster.sim
     sim.run(until=warmup_ns)
     for smart in deployment.smart_threads:
         smart.stats.reset()
+    deployment.window_faults = fault_totals(deployment.cluster)
     sim.run(until=warmup_ns + measure_ns)
     return OperationStats.merge([s.stats for s in deployment.smart_threads])
 
@@ -610,8 +630,6 @@ def run_app(
     ``app.recovers_from_crash``.
     ``obs`` attaches a :class:`repro.obs.Observability`, ``sanitize``
     RDMASan; both are passive.
-    The ODP and doorbell-batching axes (``pinned_ratio``, ``merge_wrs``,
-    ``adaptive_poll``) are :class:`RnicConfig` fields: pass ``config``.
     """
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
                    coroutines=coroutines, compute_blades=compute_blades,

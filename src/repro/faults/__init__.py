@@ -19,7 +19,6 @@ simulation is byte-for-byte the pre-fault-injection model.
 from repro.faults.schedule import (
     BladeCrash,
     FaultSchedule,
-    OdpInvalidate,
     parse_duration_ns,
 )
 from repro.faults.injector import FaultInjector
@@ -30,6 +29,5 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "LinkFault",
-    "OdpInvalidate",
     "parse_duration_ns",
 ]

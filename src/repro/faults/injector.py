@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List
 
-from repro.faults.schedule import BladeCrash, FaultSchedule, OdpInvalidate
+from repro.faults.schedule import BladeCrash, FaultSchedule
 from repro.rnic.qp import QueuePair
 
 
@@ -35,7 +35,6 @@ class FaultInjector:
         self.installed = False
         self.crashes_fired = 0
         self.restarts_fired = 0
-        self.invalidations_fired = 0
         self._restart_hooks: List[Callable] = []
 
     # -- wiring ------------------------------------------------------------
@@ -58,17 +57,8 @@ class FaultInjector:
                 # Drop the window from the fabric's scan list the moment
                 # it expires, so post-fault traffic pays no overhead.
                 sim.call_at(fault.end_ns, self._expire_link_faults, None)
-                # A link reset is an MMU-notifier trigger on ODP devices:
-                # the NIC/driver resync at the start of a loss window
-                # shoots down cached translations.  No-op on devices
-                # without ODP state (fully pinned runs are unaffected).
-                if fault.loss > 0.0:
-                    sim.call_at(fault.start_ns, self._invalidate_odp,
-                                fault.node_id)
         for crash in self.schedule.crashes:
             sim.call_at(crash.start_ns, self._crash, crash)
-        for inv in self.schedule.invalidations:
-            sim.call_at(inv.start_ns, self._invalidate, inv)
         return self
 
     def on_restart(self, hook: Callable) -> None:
@@ -85,33 +75,6 @@ class FaultInjector:
 
     def _expire_link_faults(self, _value) -> None:
         self.cluster.fabric.clear_expired_faults(self.cluster.sim.now)
-
-    def _invalidate(self, inv: OdpInvalidate) -> None:
-        fired = self._invalidate_odp(inv.node_id)
-        recorder = self.cluster.sim.recorder
-        if recorder is not None and fired:
-            recorder.instant(
-                "faults", "blades", "odp_invalidate_window",
-                self.cluster.sim.now,
-                {"node": inv.node_id, "duration_ns": inv.duration_ns},
-            )
-
-    def _invalidate_odp(self, node_id) -> int:
-        """Shoot down ODP translations on ``node_id`` (None = all nodes).
-        Pages invalidated in total is returned; devices without ODP state
-        (fully pinned runs) are untouched."""
-        if node_id is None:
-            nodes = self.cluster.nodes
-        else:
-            nodes = [self.cluster.node(node_id)]
-        pages = 0
-        for node in nodes:
-            odp = node.device.odp
-            if odp is not None:
-                pages += odp.invalidate_all(self.cluster.sim.now)
-        if pages:
-            self.invalidations_fired += 1
-        return pages
 
     def _crash(self, crash: BladeCrash) -> None:
         node = self.cluster.node(crash.node_id)
@@ -159,9 +122,6 @@ class FaultInjector:
         totals = dict(
             crashes=self.crashes_fired,
             restarts=self.restarts_fired,
-            odp_invalidation_storms=self.invalidations_fired,
-            odp_faults=0,
-            odp_invalidations=0,
             messages_dropped=fabric.messages_dropped,
             messages_duplicated=fabric.messages_duplicated,
             messages_delayed=fabric.messages_delayed,
@@ -180,6 +140,4 @@ class FaultInjector:
             totals["wasted_wrs"] += counters.wasted_wrs
             totals["wasted_wire_bytes"] += counters.wasted_wire_bytes
             totals["qp_errors"] += counters.qp_errors
-            totals["odp_faults"] += counters.odp_faults
-            totals["odp_invalidations"] += counters.odp_invalidations
         return totals

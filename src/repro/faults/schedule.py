@@ -10,14 +10,10 @@ windows and :class:`BladeCrash` events.  Three ways to build one:
       dup=0.01@0+2ms:1             duplication on node 1's links
       delay=500ns@1ms+1ms          a latency spike
       crash=2@1.3ms+0.5ms          node 2 down for 0.5 ms
-      invalidate=1@1ms+0.5ms       ODP invalidation storm on node 1
 
   clauses are comma-separated: ``kind=value@start+duration[:node]``
-  (for ``crash`` and ``invalidate`` the value *is* the node id — or
-  ``all`` for ``invalidate`` — and for ``crash`` the duration is the
-  downtime; an ``invalidate`` storm shoots down the target device's
-  resident ODP translations at the window start, and the duration marks
-  the disruption window in the trace);
+  (for ``crash`` the value *is* the node id and the duration is the
+  downtime);
 * :meth:`FaultSchedule.seeded` — a randomized plan drawn from one seed,
   for chaos sweeps.
 
@@ -68,27 +64,6 @@ class BladeCrash:
 
 
 @dataclass(frozen=True)
-class OdpInvalidate:
-    """One ODP invalidation storm: the target device's resident
-    translations are shot down at ``start_ns`` (MMU-notifier burst:
-    reclaim, registration churn, link reset).  ``node_id=None`` targets
-    every device; ``duration_ns`` marks the disruption window for the
-    trace — the storm itself is a point event."""
-
-    start_ns: float
-    duration_ns: float = 0.0
-    node_id: Optional[int] = None
-
-    def __post_init__(self):
-        if self.start_ns < 0 or self.duration_ns < 0:
-            raise ValueError("invalidate needs start_ns >= 0, duration >= 0")
-
-    @property
-    def end_ns(self) -> float:
-        return self.start_ns + self.duration_ns
-
-
-@dataclass(frozen=True)
 class FaultSchedule:
     """An immutable fault plan plus the seed that parameterizes replay."""
 
@@ -98,25 +73,21 @@ class FaultSchedule:
     #: the spec string this schedule was parsed from, if any (kept so a
     #: schedule can be shipped across process boundaries as a string)
     spec: Optional[str] = None
-    invalidations: Tuple[OdpInvalidate, ...] = ()
 
     def __post_init__(self):
         # Accept lists for convenience; store tuples (hashable/frozen).
         object.__setattr__(self, "link_faults", tuple(self.link_faults))
         object.__setattr__(self, "crashes", tuple(self.crashes))
-        object.__setattr__(self, "invalidations", tuple(self.invalidations))
 
     @property
     def empty(self) -> bool:
-        return (not self.link_faults and not self.crashes
-                and not self.invalidations)
+        return not self.link_faults and not self.crashes
 
     @property
     def horizon_ns(self) -> float:
         """When the last scheduled fault is over."""
         ends = [f.end_ns for f in self.link_faults]
         ends += [c.restart_ns for c in self.crashes]
-        ends += [inv.end_ns for inv in self.invalidations]
         return max(ends, default=0.0)
 
     # -- construction -------------------------------------------------------
@@ -127,26 +98,22 @@ class FaultSchedule:
         docstring); a bad clause is a ``ValueError`` that quotes it."""
         link_faults: List[LinkFault] = []
         crashes: List[BladeCrash] = []
-        invalidations: List[OdpInvalidate] = []
         for _, fault in _clauses(spec):
             if isinstance(fault, BladeCrash):
                 crashes.append(fault)
-            elif isinstance(fault, OdpInvalidate):
-                invalidations.append(fault)
             else:
                 link_faults.append(fault)
-        return cls(tuple(link_faults), tuple(crashes), seed=seed, spec=spec,
-                   invalidations=tuple(invalidations))
+        return cls(tuple(link_faults), tuple(crashes), seed=seed, spec=spec)
 
     def check_nodes(self, node_ids: Sequence[int]) -> None:
-        """Refuse a fault aimed at a node outside ``node_ids`` (a crash,
-        an invalidation or a ``:node`` link filter); the ``ValueError``
+        """Refuse a fault aimed at a node outside ``node_ids`` (a crash
+        or a ``:node`` link filter); the ``ValueError``
         names its clause (as written, for a parsed schedule) and the nodes."""
         if self.spec is not None:
             faults = list(_clauses(self.spec))
         else:
             faults = [(fault, fault) for fault in
-                      (*self.link_faults, *self.crashes, *self.invalidations)]
+                      (*self.link_faults, *self.crashes)]
         for clause, fault in faults:
             if fault.node_id is not None and fault.node_id not in node_ids:
                 raise ValueError(
@@ -238,13 +205,10 @@ def _parse_clause(clause: str):
     start = parse_duration_ns(start_text)
     duration = parse_duration_ns(duration_text)
     kind = kind.strip().lower()
-    if kind in ("crash", "invalidate") and node is not None:
-        raise ValueError(f"a {kind}'s node must be its value, not a suffix")
     if kind == "crash":
+        if node is not None:
+            raise ValueError("a crash's node must be its value, not a suffix")
         return BladeCrash(int(value), start, duration)
-    if kind == "invalidate":
-        target = None if value.strip().lower() == "all" else int(value)
-        return OdpInvalidate(start, duration, target)
     if kind == "loss":
         return LinkFault(start, duration, loss=float(value), node_id=node)
     if kind == "dup":
@@ -253,5 +217,5 @@ def _parse_clause(clause: str):
         return LinkFault(start, duration, extra_delay_ns=parse_duration_ns(value),
                          node_id=node)
     raise ValueError(
-        f"kind must be one of loss, dup, delay, crash, invalidate, got {kind!r}"
+        f"kind must be one of loss, dup, delay, crash, got {kind!r}"
     )

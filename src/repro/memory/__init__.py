@@ -4,7 +4,7 @@ A memory blade owns a flat byte space carved into regions (DRAM or NVM).
 One-sided operations (READ/WRITE/CAS/FAA) execute atomically at a single
 simulated instant, which is exactly the atomicity an RNIC provides for
 8-byte atomics and cacheline-sized accesses.  Regions are carved by
-a first-fit arena with free/reuse (:mod:`.allocator`).
+a bump arena and never freed (:mod:`.allocator`).
 """
 
 from repro.memory.address import (

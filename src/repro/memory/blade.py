@@ -45,10 +45,6 @@ class Region:
     #: registered for one-sided remote access (an MR in the blade's MPT);
     #: only checked when the RNIC enforces protection
     remote_access: bool = True
-    #: MR pinning: ``True`` pins every page; ``False`` registers the
-    #: region on-demand-paged (ODP — every page can fault at the
-    #: responder); ``None`` defers to ``RnicConfig.pinned_ratio``
-    pinned: Optional[bool] = None
 
     @property
     def end(self) -> int:
@@ -79,12 +75,8 @@ class MemoryBlade:
         self._bases: List[int] = []
         self._by_base: List[Region] = []
         # Offset 0 is reserved so no object lives at NULL; regions are
-        # carved from a first-fit arena that places them exactly like the
-        # historical bump pointer until something is freed.
+        # carved from a bump arena and live as long as the blade.
         self.allocator = ArenaAllocator(8, capacity)
-        #: live regions registered with an explicit ``pinned=False`` —
-        #: the responder's cheap "could anything here fault?" gate
-        self.unpinned_regions = 0
         # Statistics
         self.reads = 0
         self.writes = 0
@@ -95,15 +87,8 @@ class MemoryBlade:
     # -- region management --------------------------------------------------
 
     def alloc_region(self, name: str, size: int, persistent: bool = False,
-                     remote_access: bool = True,
-                     pinned: Optional[bool] = None) -> Region:
-        """Carve a fresh region (cacheline-aligned, freeable via free_region).
-
-        ``pinned=False`` registers the region on-demand-paged (ODP): its
-        pages can take a responder-side fault on first touch or after an
-        invalidation.  ``None`` (the default) follows the device's
-        ``pinned_ratio`` knob; ``True`` pins unconditionally.
-        """
+                     remote_access: bool = True) -> Region:
+        """Carve a fresh, cacheline-aligned region."""
         if name in self._regions:
             raise ValueError(f"region {name!r} already exists")
         if size <= 0:
@@ -113,35 +98,16 @@ class MemoryBlade:
         except MemoryError:
             raise MemoryError(
                 f"blade {self.blade_id}: out of memory allocating {name!r} "
-                f"({size} bytes requested, {self.allocator.free_bytes} free, "
-                f"largest block {self.allocator.largest_free_block}; the blade "
-                f"holds {self.capacity} bytes, RnicConfig.blade_capacity_bytes)"
+                f"({size} bytes requested, {self.allocator.free_bytes} free; "
+                f"the blade holds {self.capacity} bytes, "
+                f"RnicConfig.blade_capacity_bytes)"
             ) from None
-        region = Region(name, base, size, persistent, remote_access, pinned)
+        region = Region(name, base, size, persistent, remote_access)
         self._regions[name] = region
-        index = bisect_left(self._bases, base)
-        self._bases.insert(index, base)
-        self._by_base.insert(index, region)
-        if pinned is False:
-            self.unpinned_regions += 1
+        # the bump head only moves up: appending keeps both lists sorted
+        self._bases.append(base)
+        self._by_base.append(region)
         return region
-
-    def free_region(self, name: str) -> None:
-        """Release a region's space for reuse and scrub its content.
-
-        Freed bytes are zeroed so a later allocation can never observe a
-        previous tenant's data — and so replay stays deterministic even if
-        a straggler READ races the free (it sees zeroes, not stale state).
-        """
-        region = self._regions.pop(name, None)
-        if region is None:
-            raise KeyError(f"no region named {name!r}")
-        self.allocator.free(region.base, region.size)
-        index = bisect_left(self._bases, region.base)
-        del self._bases[index], self._by_base[index]
-        self._memory[region.base : region.end] = bytes(region.size)
-        if region.pinned is False:
-            self.unpinned_regions -= 1
 
     def find_region(self, offset: int, size: int = 1) -> Optional[Region]:
         """The region fully containing [offset, offset+size), if any."""

@@ -64,13 +64,10 @@ _DEVICE_COUNTERS = (
     "requester_busy_ns", "responder_busy_ns", "protection_faults",
     "retransmissions", "wasted_wire_bytes", "error_completions",
     "flushed_wrs", "qp_errors",
-    "odp_faults", "odp_invalidations", "merged_wrs",
 )
 
-#: allocator statistics that count events; the rest are gauges
-_ALLOCATOR_COUNTERS = ("allocs", "frees", "failed_allocs")
-#: allocator gauges that are not byte amounts
-_ALLOCATOR_UNITLESS = ("fragmentation", "free_blocks", "live_allocations")
+#: allocator statistics that count events; the rest are byte gauges
+_ALLOCATOR_COUNTERS = ("allocs", "failed_allocs")
 
 
 def _tracer_of(device) -> Optional[SpanTracer]:
@@ -167,16 +164,15 @@ class Observability:
             self.histograms[f"{prefix}.latency_ns"] = hist
 
     def collect_memory(self, cluster) -> None:
-        """Snapshot every blade allocator's occupancy/fragmentation
-        statistics (pull-based — never perturbs simulated behaviour)."""
+        """Snapshot every blade allocator's occupancy statistics
+        (pull-based — never perturbs simulated behaviour)."""
         for node in cluster.nodes:
             prefix = f"memory.blade{node.node_id}"
             for name, value in node.storage.allocator.stats().items():
                 if name in _ALLOCATOR_COUNTERS:
                     self.counters[f"{prefix}.{name}"] = (value, "")
                 else:
-                    unit = "" if name in _ALLOCATOR_UNITLESS else "B"
-                    self.gauges[f"{prefix}.{name}"] = (value, unit)
+                    self.gauges[f"{prefix}.{name}"] = (value, "B")
 
     def phase_breakdown(self, cluster) -> Optional[Dict[str, float]]:
         """Batch-weighted per-segment means across ``cluster``'s devices."""

@@ -12,13 +12,6 @@ rather than structural SRAM simulations:
   (each context registers its own MRs); one shared context hits >95%,
   many contexts decay toward 70% (§2.2).
 
-ODP interaction: a page fault on an on-demand-paged MR (see
-:mod:`repro.rnic.odp`) means the NIC had no valid translation, so every
-fault is *by definition* an MTT miss — the responder bumps the device's
-``mtt_lookups``/``mtt_miss_wrs`` counters per fault on top of the curves
-here, which stay responsible only for steady-state (pinned/resident)
-translation behaviour.
-
 Both models are pure functions of an integer operating point (the
 outstanding-WR count / the context count), which the requester engine
 re-evaluates on every submitted batch.  The evaluations are therefore

@@ -27,19 +27,19 @@ _POSITIVE = (
     "pcie_bandwidth_gbps", "cpu_ghz", "wqe_cache_capacity",
     "blade_capacity_bytes", "wqe_miss_shape",
 )
-#: hit ratios and the pinned fraction
-_UNIT_INTERVAL = ("mtt_shared_hit", "mtt_hit_floor", "pinned_ratio")
+#: hit ratios
+_UNIT_INTERVAL = ("mtt_shared_hit", "mtt_hit_floor")
 #: coefficients, byte counts and retry budgets: zero is a legal setting,
 #: a negative is not (every ``*_ns`` field too, see _NON_NEGATIVE_FIELDS)
 _NON_NEGATIVE = (
     "wqe_share_factor", "wqe_miss_penalty", "wr_base_dma_bytes",
     "wqe_miss_dma_bytes", "mtt_hit_decay_per_context", "mtt_miss_penalty",
-    "poll_drain_factor", "low_latency_uars", "doorbell_bounce_cap",
+    "low_latency_uars", "doorbell_bounce_cap",
     "transport_retry_limit", "reconnect_retry_limit",
 )
 #: counts the model needs at least one of: a medium-latency doorbell for
-#: QPs past the dedicated ones, a resident ODP page
-_AT_LEAST_ONE = ("medium_latency_uars", "odp_resident_pages")
+#: QPs past the dedicated ones
+_AT_LEAST_ONE = ("medium_latency_uars",)
 
 
 @dataclass(frozen=True)
@@ -171,57 +171,6 @@ class RnicConfig:
     out-of-region accesses complete with an access error instead of
     executing.  Off by default: the paper's workloads are all
     well-formed, and raw-offset access keeps small experiments terse."""
-
-    # -- ODP / non-pinned memory (NP-RDMA) ------------------------------------
-    pinned_ratio: float = 1.0
-    """Fraction of 4 KiB pages in ``pinned=None`` regions that behave as
-    pinned.  1.0 (the default) reproduces the paper's fully pinned setup
-    and never creates ODP state; below 1.0, a deterministic per-page hash
-    marks ``1 - pinned_ratio`` of the pages on-demand-paged.  Regions
-    registered with an explicit ``pinned=False`` are always ODP-backed
-    regardless of this knob."""
-
-    odp_fault_ns: float = 20_000.0
-    """Responder-side service of one ODP page fault (first touch of a
-    non-resident page, or re-touch after an invalidation): MMU-notifier
-    round trip + host page-table walk + MTT update.  NP-RDMA measures
-    tens of microseconds for the slow path on commodity NICs."""
-
-    odp_fault_jitter_ns: float = 8_000.0
-    """Uniform jitter added on top of ``odp_fault_ns`` per fault, drawn
-    from the seeded ODP RNG (host scheduling noise on the fault path)."""
-
-    odp_resident_pages: int = 4096
-    """Resident-set capacity, in 4 KiB pages, per device (16 MiB).  LRU
-    eviction beyond this; an evicted page faults again on next touch."""
-
-    odp_seed: int = 0
-    """Seed of the per-device ODP RNG (fault jitter).  Page pinned-ness
-    under ``pinned_ratio`` is a pure hash of (page, seed) so it is stable
-    across runs and independent of access order."""
-
-    # -- doorbell batching / adaptive polling (RDMAbox) ------------------------
-    merge_wrs: bool = False
-    """RDMAbox-style request merging: consecutive READ/WRITE WRs in one
-    post to contiguous remote addresses fuse into a single wire message
-    (one WQE, one header, one transit).  Off by default; off-runs are
-    byte-identical to the unmerged model."""
-
-    adaptive_poll: bool = False
-    """RDMAbox-style adaptive CQ polling: spin up to ``poll_spin_ns``,
-    then yield and reap the whole completion batch in one wakeup instead
-    of paying ``cqe_poll_ns`` per CQE.  Off by default."""
-
-    poll_spin_ns: float = 200.0
-    """Spin budget before the adaptive poller yields the core."""
-
-    poll_yield_ns: float = 150.0
-    """Wakeup cost (context switch back onto the CQ) after a yield."""
-
-    poll_drain_factor: float = 0.25
-    """Per-extra-CQE cost of a batched drain, as a fraction of
-    ``cqe_poll_ns``: draining n CQEs in one wakeup costs
-    ``cqe_poll_ns * (1 + factor * (n - 1))``."""
 
     def __post_init__(self) -> None:
         """Reject a value the model would crash on mid-run or price as

@@ -47,21 +47,6 @@ class PerfCounters:
     qp_errors: int = 0
     """QP transitions into the ERROR state."""
 
-    # -- ODP / request-merging accounting -------------------------------------
-    odp_faults: int = 0
-    """Responder-side page faults on on-demand-paged MRs (first touch or
-    re-touch after an invalidation)."""
-
-    odp_fault_ns: float = 0.0
-    """Total responder time spent servicing ODP faults."""
-
-    odp_invalidations: int = 0
-    """Resident translations shot down by MMU-notifier storms."""
-
-    merged_wrs: int = 0
-    """WRs absorbed into a neighbour's wire message by RDMAbox-style
-    request merging (posted WRs minus wire messages)."""
-
     def snapshot(self) -> "PerfCounters":
         return PerfCounters(**vars(self))
 

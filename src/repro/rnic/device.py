@@ -14,7 +14,7 @@ from repro.rnic.qp import QueuePair, WorkBatch, WorkRequest
 
 
 class BatchObserver:
-    """The device's one notification seam: three calls, no-ops here.
+    """The device's one notification seam: two calls, no-ops here.
 
     An observer is passive — it may read the batch (every pipeline stage
     has stamped it by the time ``on_complete`` runs, see
@@ -28,9 +28,6 @@ class BatchObserver:
 
     def on_complete(self, batch) -> None:
         """``batch``'s CQEs were delivered, OK or not (``RnicDevice.complete``)."""
-
-    def on_odp_invalidate(self, blade_id: int, ranges, now: float) -> None:
-        """ODP translations covering byte ``ranges`` of ``blade_id`` were shot down."""
 
 
 class DeviceContext:
@@ -99,22 +96,10 @@ class RnicDevice:
         #: WRs posted but not yet completed, device-wide (drives the WQE
         #: cache model)
         self.outstanding = 0
-        #: :class:`BatchObserver` objects told of every post, completion
-        #: and ODP invalidation at this device (wiring: appended by
-        #: ``Observability`` / ``RdmaSanitizer`` attachment, empty otherwise)
+        #: :class:`BatchObserver` objects told of every post and completion
+        #: at this device (wiring: appended by ``Observability`` /
+        #: ``RdmaSanitizer`` attachment, empty otherwise)
         self.observers: Tuple[BatchObserver, ...] = ()
-        #: lazily created :class:`repro.rnic.odp.OdpState`; stays None on
-        #: fully pinned configurations so the fault-free fast path never
-        #: pays more than one ``is None`` check
-        self.odp = None
-
-    def ensure_odp(self):
-        """The device's ODP state, created on first need."""
-        if self.odp is None:
-            from repro.rnic.odp import OdpState
-
-            self.odp = OdpState(self)
-        return self.odp
 
     def open_context(self, total_uuars: Optional[int] = None) -> DeviceContext:
         """Open a device context with ``total_uuars`` doorbells.
@@ -145,9 +130,6 @@ class RnicDevice:
         self.online = True
         self.requester.busy_until = 0.0
         self.responder.busy_until = 0.0
-        if self.odp is not None:
-            # the restarted NIC has no cached translations
-            self.odp.invalidate_all(self.sim.now)
 
     def fail_batch(self, batch: WorkBatch, status: str, delay_ns: float = 0.0) -> None:
         """Complete ``batch`` with error CQEs after ``delay_ns``.

@@ -17,42 +17,6 @@ from repro.rnic.config import RnicConfig
 LOW_LATENCY = "low-latency"
 MEDIUM_LATENCY = "medium-latency"
 
-#: opcodes whose adjacent WRs RDMAbox-style merging may fuse (atomics
-#: never merge — each needs its own execute-and-reply).  String literals
-#: mirror ``repro.rnic.qp.READ``/``WRITE``; importing them here would
-#: create an import cycle (qp imports this module's planner).
-_MERGEABLE_OPCODES = ("read", "write")
-
-
-def plan_merges(wrs) -> List[int]:
-    """RDMAbox-style adjacent-WR merge plan for one posted batch.
-
-    Returns the sizes of the wire-message groups, in post order: each
-    maximal run of consecutive WRs with the same mergeable opcode whose
-    remote addresses are contiguous (``next.remote_addr == prev end``)
-    becomes one group — one WQE copied under the doorbell lock, one wire
-    message, one header.  Non-mergeable WRs (atomics) and discontiguous
-    neighbours each form a singleton group.  ``sum(plan) == len(wrs)``
-    always holds; an unmergeable batch returns ``[1] * len(wrs)``.
-    """
-    groups: List[int] = []
-    run = 1
-    prev = wrs[0]
-    for wr in wrs[1:]:
-        if (
-            wr.opcode == prev.opcode
-            and wr.opcode in _MERGEABLE_OPCODES
-            and wr.remote_addr == prev.remote_addr + prev.size
-        ):
-            run += 1
-        else:
-            groups.append(run)
-            run = 1
-        prev = wr
-    groups.append(run)
-    return groups
-
-
 class Doorbell:
     """One UAR doorbell register."""
 

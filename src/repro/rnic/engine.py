@@ -61,24 +61,18 @@ class RequesterEngine:
         mtt_hit, mtt_multiplier = device.mtt_cache.lookup(context_count)
         per_wr_ns = config.iops_service_ns * (wqe_multiplier * mtt_multiplier)
         bandwidth_ns = batch.wire_bytes / self.bytes_per_ns
-        # Request merging fuses adjacent WRs into fewer wire messages:
-        # the issue pipeline processes one WQE per *wire* message
-        # (wire_wrs == n unless RnicConfig.merge_wrs fused some).
-        wire_n = batch.wire_wrs
         # max(now, busy_until) + max(issue, bandwidth), as conditionals:
         # ties keep the first operand, exactly as max() does.
         now = sim.now
         busy_until = self.busy_until
         start = busy_until if busy_until > now else now
-        issue_ns = wire_n * per_wr_ns
+        issue_ns = n * per_wr_ns
         finish = start + (bandwidth_ns if bandwidth_ns > issue_ns else issue_ns)
         self.busy_until = finish
 
         counters = device.counters
         counters.requester_busy_ns += finish - start
         counters.wqe_processed += n
-        if wire_n != n:
-            counters.merged_wrs += n - wire_n
         counters.mtt_lookups += n
         counters.wqe_cache_miss_wrs += n * wqe_miss
         counters.mtt_miss_wrs += n * (1.0 - mtt_hit)
@@ -157,9 +151,6 @@ class ResponderEngine:
     def __init__(self, device):
         self.device = device
         self.busy_until = 0.0
-        #: the config alone pages some MRs on demand (``pinned_ratio``);
-        #: otherwise only a region registered ``pinned=False`` can fault
-        self.config_pages_on_demand = device.config.pinned_ratio < 1.0
 
     def handle(self, batch: WorkBatch) -> None:
         device = self.device
@@ -174,32 +165,23 @@ class ResponderEngine:
         per_wr_ns = config.responder_service_ns
         bandwidth_ns = batch.wire_bytes / config.network_bytes_per_ns
         nvm_penalty = 0.0
-        odp_penalty = 0.0
         storage = device.storage
-        if storage is not None:
-            if batch.write_bytes:
-                for wr in batch.wrs:
-                    # The penalty applies when any part of the written span
-                    # lands in NVM, not just the first byte.
-                    if wr.opcode == qpmod.WRITE and storage.is_persistent(
-                        offset_of(wr.remote_addr), wr.size
-                    ):
-                        nvm_penalty += config.nvm_write_extra_ns
-            odp = device.odp
-            if odp is None and (
-                storage.unpinned_regions or self.config_pages_on_demand
-            ):
-                odp = device.ensure_odp()
-            if odp is not None:
-                odp_penalty = odp.charge(batch, sim.now)
+        if storage is not None and batch.write_bytes:
+            for wr in batch.wrs:
+                # The penalty applies when any part of the written span
+                # lands in NVM, not just the first byte.
+                if wr.opcode == qpmod.WRITE and storage.is_persistent(
+                    offset_of(wr.remote_addr), wr.size
+                ):
+                    nvm_penalty += config.nvm_write_extra_ns
 
         now = batch.remote_start_at = sim.now
         busy_until = self.busy_until
         start = busy_until if busy_until > now else now
-        issue_ns = batch.wire_wrs * per_wr_ns
+        issue_ns = batch.n * per_wr_ns
         finish = (
             start + (bandwidth_ns if bandwidth_ns > issue_ns else issue_ns)
-            + nvm_penalty + odp_penalty
+            + nvm_penalty
         )
         self.busy_until = finish
         device.counters.responder_busy_ns += finish - start

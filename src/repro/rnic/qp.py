@@ -6,7 +6,6 @@ from typing import Any, List, Optional
 
 from repro.sim import Event, Simulator
 from repro.sim.resources import SpinLock
-from repro.rnic.doorbell import plan_merges
 
 # One-sided verb opcodes (the only ones disaggregated apps use).
 READ = "read"
@@ -176,7 +175,6 @@ class WorkBatch(Event):
         "wire_bytes",
         "write_bytes",
         "response_bytes",
-        "wire_wrs",
         "actor",
     )
 
@@ -213,26 +211,6 @@ class WorkBatch(Event):
             else:
                 # READ response carries the data; atomics return 8 bytes
                 response += wr.size + MESSAGE_OVERHEAD_BYTES
-        #: wire messages this batch issues; == n unless RDMAbox request
-        #: merging fused adjacent WRs (``RnicConfig.merge_wrs``)
-        self.wire_wrs = n
-        if qp.device.config.merge_wrs and n > 1:
-            groups = plan_merges(wrs)
-            if len(groups) < n:
-                self.wire_wrs = len(groups)
-                wire = response = 0
-                index = 0
-                for count in groups:
-                    first = wrs[index]
-                    group_size = sum(
-                        wrs[index + k].size for k in range(count)
-                    )
-                    wire += group_size + MESSAGE_OVERHEAD_BYTES
-                    if first.opcode == WRITE:
-                        response += MESSAGE_OVERHEAD_BYTES
-                    else:
-                        response += group_size + MESSAGE_OVERHEAD_BYTES
-                    index += count
         #: bytes moved on the wire in the batch's dominant direction
         self.wire_bytes = wire
         #: WRITE payload bytes (DMA-read from host DRAM before transmit)

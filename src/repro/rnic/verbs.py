@@ -80,11 +80,7 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
                         {"doorbell": doorbell.index, "thread": thread_id,
                          "stall_ns": sim.now - wait_start},
                     )
-                # With request merging on, fused neighbours share one WQE:
-                # the write-combining copy under the lock covers wire_wrs
-                # WQEs, not one per posted WR (wire_wrs == n when merging
-                # is off).
-                delay = thread.charge(doorbell.held_cost_ns(config, batch.wire_wrs))
+                delay = thread.charge(doorbell.held_cost_ns(config, n))
                 if delay > 0:
                     yield Timeout(sim, delay)
             finally:
@@ -101,44 +97,13 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
 
 
 def wait_completion(thread, batch: WorkBatch) -> Generator:
-    """Wait until ``batch`` completes, then charge the CQ-poll CPU cost.
-
-    Fixed polling (the default) charges ``cqe_poll_ns`` per CQE.  With
-    ``RnicConfig.adaptive_poll`` the poller follows RDMAbox's
-    spin-then-yield discipline: spin up to ``poll_spin_ns`` (same per-CQE
-    cost as fixed polling — the completion was reaped hot), otherwise
-    yield the core and, on wakeup, pay ``poll_yield_ns`` once plus an
-    *amortized* drain of the whole completion batch
-    (``cqe_poll_ns * (1 + poll_drain_factor * (n - 1))``).  The
-    trade-off is RDMAbox's: slightly worse at depth 1 (the wakeup tax),
-    increasingly better as more CQEs arrive per wakeup.
-    """
-    config = thread.config
-    sim = thread.sim
-    n = batch.n
-    if not config.adaptive_poll:
-        if not batch.triggered:
-            yield batch
-        poll_ns = config.cqe_poll_ns * n
-    else:
-        amortized_ns = config.cqe_poll_ns * (
-            1.0 + config.poll_drain_factor * (n - 1)
-        )
-        if batch.triggered:
-            # Already completed when the poller arrived: one cold drain
-            # (the CQEs piled up while the thread was elsewhere).
-            poll_ns = amortized_ns
-        else:
-            wait_start = sim.now
-            yield batch
-            if sim.now - wait_start <= config.poll_spin_ns:
-                # Caught within the spin budget — hot path, per-CQE cost.
-                poll_ns = config.cqe_poll_ns * n
-            else:
-                poll_ns = config.poll_yield_ns + amortized_ns
-    delay = thread.charge(poll_ns)
+    """Wait until ``batch`` completes, then charge the CQ-poll CPU cost:
+    ``cqe_poll_ns`` per CQE."""
+    if not batch.triggered:
+        yield batch
+    delay = thread.charge(thread.config.cqe_poll_ns * batch.n)
     if delay > 0:
-        yield Timeout(sim, delay)
+        yield Timeout(thread.sim, delay)
     return batch
 
 

@@ -72,7 +72,6 @@ class TestMicrobench:
 
     @pytest.mark.parametrize("bad, match", [
         (dict(op="cas"), "op must be one of"),
-        (dict(access="stride"), "access must be one of"),
     ])
     def test_bad_op_or_access_rejected_before_the_cluster_is_built(
         self, monkeypatch, bad, match

@@ -27,6 +27,9 @@ class TestTable:
         paper_keys = [key for key in ALL_EXPERIMENTS if key.startswith(("fig", "table"))]
         assert len(paper_keys) == 13 and all(claims.CLAIMS.get(key) for key in paper_keys)
         assert set(claims.CLAIMS) <= set(ALL_EXPERIMENTS)
+        # a companion experiment earns a claim or goes; chaos is the one
+        # fault-injection harness kept without one
+        assert set(ALL_EXPERIMENTS) - set(claims.CLAIMS) == {"chaos"}
 
     def test_known_gaps_are_the_three_explained_misses(self):
         gaps = {key: [c.known_gap for c in table if c.known_gap]

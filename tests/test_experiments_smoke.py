@@ -30,7 +30,7 @@ from repro.bench import experiments as exp
 #: workers for the pinned grids: the machine's CPUs, at most two (a tiny
 #: grid has a handful of points), so a 1-CPU runner stays serial.  A
 #: point's result depends only on its spec, so the digests are the same
-#: at any worker count; fig3 and odp pin that by running at 1 and 2.
+#: at any worker count; fig3 pins that by running at 1 and 2.
 JOBS = max(1, min(2, os.cpu_count() or 1))
 
 #: experiment -> the tiny grid its smoke case runs (fig7 / fig12 scale out
@@ -56,7 +56,6 @@ TINY_GRIDS = {
                                item_count=2_000, warmup_ns=0.2e6,
                                measure_ns=0.4e6),
     "chaos": dict(measure_ns=1.0e6),
-    "odp": dict(ratios=(1.0, 0.5), depths=(4,), threads=2, measure_ns=0.3e6),
 }
 
 #: experiment -> (sha256 of the sorted-key JSON, sha256 of format())
@@ -91,8 +90,6 @@ EXPERIMENT_DIGESTS = {
                            "1030b23a5cf69bc382dc094ada2009139dac07e9d86285e274b48b3c5c78bea2"),
     "chaos": ("3bba9506e3aee48efed8e8a2f7c3af0ea397fa59d4b69fac5c4eb607f64e9330",
               "009614bbe2d7fd769c1766614b7466335ae4dd7d094b844898fdca9fa210efb2"),
-    "odp": ("8887872755004869d85988002cb4e97ed83fcc924b60d5b71899342d64737719",
-            "f590f7bcba00565f1675b839553cfa0d0fae9085673fc55e02f23c67b2c6df46"),
 }
 
 
@@ -139,15 +136,6 @@ class TestMicroExperiments:
         assert len(result.rows) == 1
         interval_ms, ratio, off, on = result.rows[0]
         assert off > 0 and on > 0
-
-    def test_odp(self):
-        result = run_pinned("odp", jobs=(1, 2))
-        assert result.headers[0] == "pinned_ratio"
-        assert len(result.rows) == 2
-        pinned, odp = result.rows
-        assert pinned[6] == 0 and odp[6] > 0  # odp_faults column
-        assert pinned[7] > 0  # seq access merges at every ratio
-        assert odp[2] < pinned[2]  # faulting costs throughput
 
 
 class TestHashTableExperiments:
@@ -238,7 +226,7 @@ class TestRegistry:
         assert set(exp.ALL_EXPERIMENTS) == {
             "fig3", "fig3_write", "fig4", "fig5", "fig7", "fig8", "fig9",
             "fig10", "fig11", "fig12", "fig13", "table1", "fig14",
-            "latency_throughput", "chaos", "odp",
+            "latency_throughput", "chaos",
         }
 
     def test_grid_switch(self, monkeypatch):

@@ -16,7 +16,6 @@ from repro.faults import (
     BladeCrash,
     FaultInjector,
     FaultSchedule,
-    OdpInvalidate,
     parse_duration_ns,
 )
 from repro.network.fabric import Fabric, LinkFault
@@ -89,22 +88,6 @@ class TestScheduleParsing:
         sched = FaultSchedule.parse("loss=0.1@0+1ms,crash=1@2ms+0.5ms")
         assert sched.horizon_ns == 2.5e6
         assert FaultSchedule().empty and FaultSchedule().horizon_ns == 0.0
-
-    def test_parse_invalidate_clauses(self):
-        sched = FaultSchedule.parse(
-            "invalidate=1@1ms+0.5ms, invalidate=all@3ms+0"
-        )
-        one, every = sched.invalidations
-        assert one.node_id == 1
-        assert one.start_ns == 1e6 and one.end_ns == 1.5e6
-        assert every.node_id is None and every.start_ns == 3e6
-        assert not sched.empty
-        assert sched.horizon_ns == 3e6
-        # like crash, invalidate names its node as the value, not a suffix
-        with pytest.raises(ValueError):
-            FaultSchedule.parse("invalidate=1@0+1ms:2")
-        with pytest.raises(ValueError):
-            OdpInvalidate(-1.0)
 
 
 # -- fabric faults ------------------------------------------------------------
@@ -537,115 +520,6 @@ class TestFaultCompletions:
         assert cluster.fabric.bytes_carried == (64 + 30) + 30
 
 
-# -- ODP invalidation storms ---------------------------------------------------
-
-
-class TestOdpInvalidation:
-    def _odp_deployment(self):
-        cluster, compute, remote, region, thread = _one_thread_deployment()
-        odp_region = remote.storage.alloc_region("odp", 1 << 16,
-                                                 pinned=False)
-        return cluster, compute, remote, odp_region, thread
-
-    def test_storm_forces_resident_pages_to_refault(self):
-        cluster, compute, remote, region, thread = self._odp_deployment()
-        injector = FaultInjector(
-            cluster,
-            FaultSchedule(invalidations=(
-                OdpInvalidate(50_000.0, 0.0, remote.node_id),
-            )),
-        ).install()
-        qp = thread.qp_for(remote.node_id)
-        addr = remote.storage.global_addr(region.base)
-
-        def worker():
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-            yield cluster.sim.timeout(100_000)  # storm fires in between
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-
-        cluster.sim.spawn(worker())
-        cluster.sim.run()
-        # first touch faulted, the storm shot the translation down, and
-        # the re-touch of the *same* page faulted again
-        assert remote.device.counters.odp_faults == 2
-        assert remote.device.counters.odp_invalidations == 1
-        assert injector.invalidations_fired == 1
-        assert injector.stats()["odp_invalidation_storms"] == 1
-        assert injector.stats()["odp_faults"] == 2
-
-    def test_loss_window_start_shoots_down_translations(self):
-        cluster, compute, remote, region, thread = self._odp_deployment()
-        # A link reset implies an MMU-notifier resync: the loss window's
-        # start doubles as an invalidation storm on ODP devices.  Loss
-        # probability 0 within the window keeps the traffic itself clean.
-        injector = FaultInjector(
-            cluster,
-            FaultSchedule(link_faults=(
-                LinkFault(50_000.0, 10_000.0, loss=1e-12),
-            )),
-        ).install()
-        qp = thread.qp_for(remote.node_id)
-        addr = remote.storage.global_addr(region.base)
-
-        def worker():
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-            yield cluster.sim.timeout(100_000)
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-
-        cluster.sim.spawn(worker())
-        cluster.sim.run()
-        assert remote.device.counters.odp_faults == 2
-        assert remote.device.counters.odp_invalidations == 1
-        assert injector.stats()["odp_invalidation_storms"] == 1
-
-    def test_pinned_run_is_immune_to_storms(self):
-        cluster, compute, remote, region, thread = _one_thread_deployment()
-        injector = FaultInjector(
-            cluster,
-            FaultSchedule(invalidations=(OdpInvalidate(50_000.0),)),
-        ).install()
-        qp = thread.qp_for(remote.node_id)
-        addr = remote.storage.global_addr(region.base)
-
-        def worker():
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-            yield cluster.sim.timeout(100_000)
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-
-        cluster.sim.spawn(worker())
-        cluster.sim.run()
-        # no ODP state anywhere: the storm is a no-op and fires nothing
-        assert remote.device.odp is None
-        assert injector.invalidations_fired == 0
-        assert injector.stats()["odp_invalidations"] == 0
-
-    def test_sanitizer_flags_read_overlapping_invalidation(self):
-        from repro.analysis.rdmasan import RdmaSanitizer
-
-        cluster, compute, remote, region, thread = self._odp_deployment()
-        sanitizer = RdmaSanitizer().attach_cluster(cluster)
-        qp = thread.qp_for(remote.node_id)
-        addr = remote.storage.global_addr(region.base)
-
-        def worker():
-            # warm the page so there is a resident translation to shoot
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-            # invalidate while the second READ is in flight
-            cluster.sim.call_after(
-                500.0,
-                lambda _v: remote.device.odp.invalidate_all(cluster.sim.now),
-                None,
-            )
-            yield from verbs.post_and_wait(thread, qp, [read_wr(addr, 8)])
-
-        cluster.sim.spawn(worker())
-        cluster.sim.run()
-        sanitizer.finish()
-        report = sanitizer.report()
-        kinds = {f["kind"] for f in report["findings"]}
-        assert "odp-invalidated-read" in kinds
-
-
 # -- end-to-end chaos smoke suite --------------------------------------------
 
 
@@ -738,6 +612,23 @@ def test_microbench_fault_counters_cover_the_measured_window_only():
     assert faulty.measured_wrs == clean.measured_wrs
     assert faulty.wasted_wrs == 0
     assert faulty.retransmissions == 0 and faulty.messages_dropped == 0
+
+
+@pytest.mark.chaos
+def test_app_fault_columns_cover_the_measured_window_only():
+    """Regression: the app runners read the fault columns over the whole
+    run while ops came from the measured window.  This crash is over 1 ms
+    before the window opens, yet 6 wasted WRs and 6 error completions
+    were reported."""
+    from repro.bench.runner import run_dtx
+
+    result = run_dtx(system="ford", threads=2, coroutines=2, item_count=2000,
+                     warmup_ns=1.5e6, measure_ns=0.3e6,
+                     faults="crash=1@0.2ms+0.3ms")
+    assert result.crashes == 1 and result.ops > 0
+    assert result.wasted_wrs == 0 == result.error_completions
+    assert result.flushed_wrs == result.retransmissions == 0
+    assert result.messages_dropped == 0
 
 
 @pytest.mark.chaos

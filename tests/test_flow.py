@@ -4,6 +4,7 @@ pragmas, baseline workflow and the CLI."""
 import ast
 import json
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -741,8 +742,13 @@ class TestBaseline:
     def test_repo_is_clean_against_committed_baseline(self):
         findings, _count = analyze_paths([SRC])
         known = baseline_mod.load(REPO_ROOT / "analysis-baseline.json")
-        new, _accepted = baseline_mod.suppress(findings, known)
+        new, accepted = baseline_mod.suppress(findings, known)
         assert new == [], [str(f) for f in new]
+        # ... and no entry outlives its code: each accepted count is used
+        used = Counter(f.fingerprint() for f in accepted)
+        stale = {key: count - used[key] for key, count in known.items()
+                 if used[key] < count}
+        assert stale == {}, f"baseline entries nothing reports: {stale}"
 
 
 # -- output formats -----------------------------------------------------------

@@ -77,7 +77,10 @@ def test_fig4_deep_queues_lose_half_the_throughput():
 #
 # The fourteen ``+obs`` digests were re-recorded when the five
 # active-message counters left the device metrics: each hashes the previous
-# payload with those counters (0.0 on every device) dropped.
+# payload with those counters (0.0 on every device) dropped.  They and the
+# eight ``micro-*`` digests were re-recorded the same way when on-demand
+# paging and request merging went: the payload minus the three device
+# counters and three ``MicrobenchResult`` fields they fed (all 0).
 
 _HT = dict(threads=2, coroutines=2, item_count=2_000,
            warmup_ns=0.2e6, measure_ns=0.4e6)
@@ -114,50 +117,50 @@ _LOSS_SMART = dict(faults="loss=0.05@2.05ms+0.2ms", fault_seed=5)
 
 GOLDEN_DIGESTS = {
     "ht-race": "b4d421b047425e674e37d2d5dcf0be94ccc54b14fdbbf3e1a10d17d53eab800f",
-    "ht-race+obs": "990aa68e258f98d6fdd4abfb3a6eee307cb797e1bff96989109d35a5e70b15b3",
+    "ht-race+obs": "fb6ece9f36bdff05b31f82ced234e606d392462ad9083509d471edcaf7b8196a",
     "ht-race+sanitize": "671d4ca8ceeb23a06f12ad9059b9341a81b8b846dc2f2093727658901aa2c0e4",
     "ht-race+loss": "7979fd87e593d99232bd2492aa3dddbf84a57b8edb0ae030ccdfbe30afcf9e64",
     "ht-smart": "7a619fdf193199d0edbfc94762e37357bf613963bc84fe69994a2a586127d15f",
-    "ht-smart+obs": "b54b134dd5e4782f59ab3c92dd0bd582625d39290e4247776cafbfbc2dd1d02b",
+    "ht-smart+obs": "a784e43fee94f2a4b031c53df2ad586155f9a2665bc737771fea3519f55f02d0",
     "ht-smart+sanitize": "65997a0877ab64e6241c132b8ad944432ce9cd1de2f5ac514076a4952b7ec4aa",
     "ht-smart+loss": "18eb8471293ba8f8837afb4216fa11fe55e80b59bf481e0cc1474ca6cacee5ed",
     "dtx-smallbank": "7171b0ebb1b676cca04871aafebd8def9364be5c04945e28035f6a7b51524200",
-    "dtx-smallbank+obs": "da0cc18a2c44ecc90ed277dd92366f5d18f039e8b65a217ce818073b70331be9",
+    "dtx-smallbank+obs": "c3a70744b04ca2f7a53d6d3c3a3b2dcdb07968899b55288d40e0bef80c47919e",
     "dtx-smallbank+sanitize": "34e53fa5f28fb54fbee982a7a4ddb90fbbff1b81913852e19254eb69f5ddd196",
     "dtx-smallbank+loss": "0f15d8555521ccedf92661a68a1a03573b3b65c8b67f9363d15aff481f5d4d7d",
     "dtx-tatp": "36216362f8843b0fe65ca2e591b565de7c8dc9b2d5195b1de259d24b5fb3d507",
-    "dtx-tatp+obs": "6156268e34fd2f47380367c33e793a16b0ff581db76bf647f42d256c4ae74d1f",
+    "dtx-tatp+obs": "438b29281dfbb468da080a1afa8eaabcb9f80ba71bddae8943b3957e643a5abd",
     "dtx-tatp+sanitize": "1ac06340399a78e4379d74866406038eb81b40eb498a4a8af1efe36a79166eb1",
     "dtx-tatp+loss": "12f3b05b58eb9e0ba5a8a2eae2735e1d25a864a926d5a803e32e4a3828c2ef90",
     "bt-sherman": "218468094cde785b99ddb69dfb74b73d33f2300edcd0b6cc333715cf645f0106",
-    "bt-sherman+obs": "be7c3f0a4a855ef133f01abee73d2023ba357929a892264ff23ec08e52e27424",
+    "bt-sherman+obs": "6884d336d78c00c04ceef59e7812b26d36153f0206113a67279fd9c6b0223a57",
     "bt-sherman+sanitize": "ce6e4fa60dcb2587d5128113e30bf4030cf11a02c461985c0e34a462ce0f42db",
     "bt-sherman-sl": "7f69b9546d2a74bb867eee5463f6eb71712b116412ec86e0539a6359de49a476",
-    "bt-sherman-sl+obs": "e3d601431d53d8f205bc32038aabec6ff3ff932f921ff7da1a581ebe37e7e311",
+    "bt-sherman-sl+obs": "23743ab7150c78c3d81dab5f41c1ebed7bdd5c7a008dce3c613af3956681a36e",
     "bt-sherman-sl+sanitize": "7cf8bdd9c9ec05fc017ad3b35391f7006fa6ea88c43b40759149150360a372dd",
     "bt-smart": "fabc31b2fdfabd9acea68a8232dffe92c6235e89baab75f23e019d53c5e8e540",
-    "bt-smart+obs": "4548bec2c1ab0aad824017e4b08df7521f9ce5fd98f4c2ad44e1a9c39d5c6672",
+    "bt-smart+obs": "165a8ef22f1476c9d6b4f58bf61e3856a35ec30911d7678174d358e61bc318fc",
     "bt-smart+sanitize": "b2776af833d3884acaf8035d3580efeae6b6ee2c2fd0bcf2c9d35700b4e6d3c4",
     "bt-smart-nohopl": "c9e46a2feebbdad3d2327850e0d1bd747086386e104e6ea8f67cef04c92d88ba",
-    "bt-smart-nohopl+obs": "aced95662637df5e73b9ec1b58d66401217d7180be153cc1b4ec8f46a25e7a59",
+    "bt-smart-nohopl+obs": "37a8cf2b77a59d09a8c241e5e95232af1e565dcbc38fd2cf169628047bd28fd2",
     "bt-smart-nohopl+sanitize": "22885ecb19f48a499fc8ed53a4e259d01543ee956ca35d8f85d2824f1bcc77d3",
     "bt-sherman-nohopl": "d451b483e5f45aca0ab70ffe739057a2c0bc77818faa7834f234f93313bf12e9",
-    "bt-sherman-nohopl+obs": "fbac3ed50b37588e3d11c092452abb538dcbf03e2c066f3daa0852dca6c24e53",
+    "bt-sherman-nohopl+obs": "71eb6830902228633884ae758568e1f7a709aa6707e7307af060d04fb1df1e7e",
     "bt-sherman-nohopl+sanitize": "9bdeb79362b26e11ee84d2f386eed07c0b690ceaa8c6943f763c506f531e316b",
     "open-hashtable": "fde3ee6bd5bba089999f63450a3c5fd7fa4699a982726ee9f56d4cbcc16b40aa",
-    "open-hashtable+obs": "c99e1aaa48e7bbb56fa674312d172a79ab89cb927b74adc32bb9c7d65d9eeabe",
+    "open-hashtable+obs": "a577b98de0ae675df573340d65df72370031ea83eacf82c07d4ed62c75335480",
     "open-dtx": "3ea266cd12f19b47e8f700702bc369777d2adaef8750d0846f1325ac0a16de42",
-    "open-dtx+obs": "1dc9a9c7b1410d403da6a6e5953b334515d758661a8080a61c65c9e3c258aa8e",
+    "open-dtx+obs": "b9680fe552cb1a4139fa1f600aa6d22e38008afc5d4f8d1b27d82216e874c30d",
     "open-btree": "16de8f8a2a5e069bdf739b635b5137f39ac87a947c5c35f7a8938864a520a8a1",
-    "open-btree+obs": "b2f978fe408d3022525f40f9e737ef0615fcbef596c4d0a92186079c66be6993",
-    "micro-smart": "4da43a6c0d1244f66630375c015f1fb953154b7b783d95fdc7f1bb1af1eb147d",
-    "micro-smart+obs": "2bf2fb92002d14d9e7c50c88f733f9599bdeae2a01f2a9909ef2cf8b72ce20ba",
-    "micro-smart+sanitize": "114064d70ca8576fbfdea6f5bd4908fe6263e5393bcec3c18e4c15d272c89124",
-    "micro-smart+loss": "50283a029708732bb7a153ab529e0a87cba6888e4e301daca5b724822850f396",
-    "micro-per-thread-qp": "89dd9a1c77ca6d238bebaf1ab5edf0a00d7ac1c951bc1a3ca3734617e268d946",
-    "micro-per-thread-qp+obs": "bc751530e9ff82cbf5214596a1568d197b2020ad94bf64f8cb23d82a5dbec600",
-    "micro-per-thread-qp+sanitize": "7960070ede5646e5df588d15408af815ba1f216f43805201d340ef57df40a460",
-    "micro-per-thread-qp+loss": "e1f6c40de4b13cb78ebc3e7798faed4c158760300f9ce909a0c54451834a397b",
+    "open-btree+obs": "05d1570f268b5e7a626820ac01f5a1f18546fb5dd4715d935c0eca1886f1b33e",
+    "micro-smart": "db0f1984d92cfe628e8d2f3a39ea6a53f21a710f01961f572a5f965d67921ea2",
+    "micro-smart+obs": "3a810119cb26847b0fdb816d9747d95fdabc9153611243b1f691ce3bf456ee69",
+    "micro-smart+sanitize": "2fe9323a59a1c565b2c2cf7de4884958800a42ba442cb3db83292483b756c2be",
+    "micro-smart+loss": "03ebe115eed70fedab37eb987e04702c307bcec623319ab336775b87d3872e55",
+    "micro-per-thread-qp": "4de0b99de1c35b20c92494d6ebfe5c80aedad2fec53a4e285ce714230c2b0ab1",
+    "micro-per-thread-qp+obs": "9d02f503258c9fbbb33fa94df56a1b891a3e5bb838b36fcee79126e274cfa408",
+    "micro-per-thread-qp+sanitize": "2c7f8dd9af56333006e520d06e61444d05a3793924fc27f1fb25356d903aafa0",
+    "micro-per-thread-qp+loss": "72461065b9d0969a5ec8d0bedf46d30aaf601f45c2606adea9f44b19fc884ccf",
     "dtx-smallbank+crash": "6a098f6cc1fbd9b3095763074fb8339d4f92f76dfbd945edf955dbf822e38ce4",
     "dtx-tatp+seeded": "9995f374b50078605b243578af583bf196b9188c5428093c80d61fd08c1ced3c",
 }

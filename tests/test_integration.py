@@ -112,10 +112,7 @@ class TestCli:
           "--threads", "2", "--workers", "4", "--tenants", "2",
           "--item-count", "2000", "--warmup-us", "200", "--measure-us", "300"],
          {"app", "system", "threads", "measure_ns", "tenants"}),
-        (["odp", "--ratios", "1.0,0.5", "--depths", "4", "--threads", "2",
-          "--measure-us", "100", "--jobs", "1"],
-         {"name", "headers", "rows"}),
-    ], ids=["traffic", "odp"])
+    ], ids=["traffic"])
     def test_cli_subcommand_writes_json(self, argv, keys, tmp_path, capsys):
         import json
 
@@ -127,19 +124,16 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["traffic", "--tenants", "0"],
-        ["odp", "--ratios", "1.5"],
-        # one .json file cannot hold sixteen figures (it kept the last)
+        # one .json file cannot hold fifteen figures (it kept the last)
         ["--figure", "all", "--json", "out.json"],
         # an empty batch never yields: these hung instead of failing
         ["8", "0"],
-        ["odp", "--depths", "4,0"],
         # a window or a count that can only give nonsense numbers
         ["8", "4", "--measure-us", "-5"],
         ["8", "4", "--memory-nodes", "0"],
         ["traffic", "--measure-us", "0"],
         # counts that ended in a ValueError traceback (exit 1)
         ["8", "4", "--block-size", "0"],
-        ["odp", "--block-size", "0"],
         ["traffic", "--rate", "0"],
         ["traffic", "--item-count", "0"],
         # ... or ran with one worker per tenant all the same (exit 0)
@@ -151,11 +145,10 @@ class TestCli:
         # with an IndexError, an unknown kind with a ValueError (exit 1)
         ["4", "2", "--faults", "crash=5@0.5ms+0.3ms"],
         ["4", "2", "--faults", "foo=1@0+1ms"],
+        # the on-demand-paging clause is gone with the model it drove
+        ["8", "4", "--faults", "invalidate=1@1ms+1ms"],
         # out-of-range values each command refuses by name
-        ["8", "4", "--pinned-ratio", "1.5"],
-        ["odp", "--ratios", "-0.1"],
         ["0", "4"],
-        ["odp", "--measure-us", "0"],
         # values the arrival, workload and admission models refuse: these
         # ended in a ValueError traceback (exit 1)
         ["traffic", "--theta", "-1"],
@@ -168,7 +161,6 @@ class TestCli:
         ["traffic", "--app", "btree", "--servers", "0"],
         # ... a ValueError from the process pool
         ["claims", "--jobs", "-1"],
-        ["odp", "--jobs", "-1"],
         ["--figure", "fig3", "--jobs", "-1"],
         ["traffic", "--sweep", "0.5", "--jobs", "-1"],
     ])

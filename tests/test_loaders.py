@@ -223,15 +223,15 @@ def test_the_loader_releases_its_views():
 
 
 def test_setup_view_is_bounded_to_a_live_region():
-    storage = _blades(1)[0].storage
+    storage, other = (node.storage for node in _blades(2))
     region = storage.alloc_region("r", 128)
     with storage.setup_view(region) as view:
         assert len(view) == 128 and not view.readonly
         view[0:8] = b"\x01" * 8
     assert storage.read_u64(region.base) == 0x0101010101010101
-    storage.free_region("r")
+    # a same-named region of another blade is not this blade's
     with pytest.raises(KeyError, match="no live region 'r'"):
-        storage.setup_view(region)
+        storage.setup_view(other.alloc_region("r", 128))
 
 
 if __name__ == "__main__":  # record mode: print the table for this src tree

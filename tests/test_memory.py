@@ -99,19 +99,6 @@ class TestRegions:
         with pytest.raises(MemoryError):
             blade.alloc_region("one_more", 1)
 
-    def test_free_region_reuses_space(self):
-        blade = MemoryBlade(0, capacity=4096)
-        a = blade.alloc_region("a", 512)
-        blade.write(a.base, b"\xff" * 512)
-        blade.free_region("a")
-        # Freed space is scrubbed and immediately reusable at the same
-        # spot (first-fit, address-ordered).
-        b = blade.alloc_region("b", 512)
-        assert b.base == a.base
-        assert blade.read(b.base, 512) == bytes(512)
-        with pytest.raises(KeyError):
-            blade.free_region("a")
-
     def test_persistence_flag(self):
         blade = MemoryBlade(0, capacity=1 << 20)
         dram = blade.alloc_region("dram", 128)
@@ -142,7 +129,6 @@ class TestRegions:
     @given(st.lists(
         st.one_of(
             st.tuples(st.just("alloc"), st.integers(1, 700), st.booleans()),
-            st.tuples(st.just("free"), st.integers(0, 63), st.just(False)),
             st.tuples(st.just("power_fail"), st.just(0), st.just(False)),
         ),
         min_size=1, max_size=40,
@@ -151,20 +137,16 @@ class TestRegions:
     def test_sorted_lookup_matches_the_linear_scan(self, steps, data):
         """``find_region`` / ``is_persistent`` (sorted bases + bisect)
         against the scan over every region they replace, after any mix of
-        allocations, frees and a power failure; queries sit on and around
+        allocations and a power failure; queries sit on and around
         every region boundary, with zero, partial-overlap and
         span-two-regions sizes."""
         blade = MemoryBlade(0, capacity=8192)
-        live = []
         for step, (op, arg, persistent) in enumerate(steps):
             if op == "alloc":
                 try:
                     blade.alloc_region(f"r{step}", arg, persistent=persistent)
-                    live.append(f"r{step}")
                 except MemoryError:
                     pass
-            elif op == "free" and live:
-                blade.free_region(live.pop(arg % len(live)))
             elif op == "power_fail":
                 blade.power_fail()
             regions = blade.regions()

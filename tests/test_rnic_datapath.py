@@ -150,6 +150,16 @@ class TestWorkBatch:
         assert batch.ok == (batch.status == WorkRequest.STATUS_OK)
         assert batch.ok == (not batch.errors())
 
+    def test_each_wr_is_its_own_wire_message(self):
+        cluster, compute, (remote,) = make_cluster()
+        qp = compute.threads[0].qp_for(remote.node_id)
+        addr = remote.storage.global_addr(0)
+        wrs = [read_wr(addr + i * 64, 64) for i in range(4)]
+        batch = WorkBatch(cluster.sim, qp, wrs)
+        # one header per WR, both directions
+        assert batch.wire_bytes == 4 * (64 + 30)
+        assert batch.response_bytes == 4 * (64 + 30)
+
 
 class TestDataPath:
     def test_read_returns_remote_bytes(self):
@@ -335,6 +345,44 @@ class TestDataPath:
 
         assert write_latency(True) > write_latency(False)
 
+    def test_nvm_penalty_applies_to_any_overlap_of_the_span(self):
+        cluster, compute, (remote,) = make_cluster()
+        vol = remote.storage.alloc_region("vol", 4096)
+        nvm = remote.storage.alloc_region("nvm", 4096, persistent=True)
+        storage = remote.storage
+        assert not storage.is_persistent(vol.base, 64)
+        assert storage.is_persistent(nvm.base, 64)
+        # A span merely *overlapping* NVM is persistent even though it
+        # starts before the region (partial landing still pays the media).
+        assert storage.is_persistent(nvm.base - 32, 64)
+        assert storage.is_persistent(nvm.end - 32, 64)
+        assert not storage.is_persistent(nvm.end, 64)
+
+    def test_nvm_straddling_write_pays_media_penalty(self):
+        def write_latency(straddle):
+            cluster, compute, (remote,) = make_cluster()
+            vol = remote.storage.alloc_region("vol", 4096)
+            nvm = remote.storage.alloc_region("nvm", 4096, persistent=True)
+            # either fully inside DRAM, or 32 B DRAM + 32 B into NVM
+            offset = nvm.base - 32 if straddle else vol.base
+            thread = compute.threads[0]
+            out = []
+
+            def proc():
+                qp = thread.qp_for(remote.node_id)
+                addr = remote.storage.global_addr(offset)
+                start = cluster.sim.now
+                yield from verbs.post_and_wait(
+                    thread, qp, [write_wr(addr, b"x" * 64)]
+                )
+                out.append(cluster.sim.now - start)
+
+            cluster.sim.spawn(proc())
+            cluster.sim.run()
+            return out[0]
+
+        assert write_latency(True) > write_latency(False)
+
 
 class TestPolicies:
     def test_shared_qp_single_qp_for_all_threads(self):
@@ -396,279 +444,3 @@ class TestPolicies:
             assert len(set().union(*own)) == threads
         elif policy != "per-thread-context":
             assert len(contexts[0].uar.doorbells) == 16
-
-
-# -- ODP (non-pinned MRs) ------------------------------------------------------
-
-
-def _read_latency(cluster, compute, remote, offset, size=8):
-    """Complete one READ of [offset, offset+size) and return its latency."""
-    thread = compute.threads[0]
-    out = []
-
-    def proc():
-        qp = thread.qp_for(remote.node_id)
-        addr = remote.storage.global_addr(offset)
-        start = cluster.sim.now
-        yield from verbs.post_and_wait(thread, qp, [read_wr(addr, size)])
-        out.append(cluster.sim.now - start)
-
-    cluster.sim.spawn(proc())
-    cluster.sim.run()
-    return out[0]
-
-
-class TestOdp:
-    def test_unpinned_first_touch_faults_then_stays_resident(self):
-        cluster, compute, (remote,) = make_cluster()
-        region = remote.storage.alloc_region("odp", 1 << 20, pinned=False)
-        config = cluster.config
-        first = _read_latency(cluster, compute, remote, region.base)
-        second = _read_latency(cluster, compute, remote, region.base)
-        # First touch pays the fault (plus seeded jitter); the page is
-        # then resident and the retouch is an ordinary read.
-        assert first >= second + config.odp_fault_ns
-        assert first <= second + config.odp_fault_ns + config.odp_fault_jitter_ns
-        assert remote.device.counters.odp_faults == 1
-        assert remote.device.counters.odp_fault_ns >= config.odp_fault_ns
-        # a faulted translation is an MTT miss by definition
-        assert remote.device.counters.mtt_miss_wrs >= 1
-
-    def test_pinned_default_never_creates_odp_state(self):
-        cluster, compute, (remote,) = make_cluster()
-        remote.storage.alloc_region("pinned", 1 << 20, pinned=True)
-        _read_latency(cluster, compute, remote, 4096)
-        assert remote.device.odp is None
-        assert remote.device.counters.odp_faults == 0
-
-    def test_read_spanning_pages_faults_once_per_page(self):
-        cluster, compute, (remote,) = make_cluster()
-        region = remote.storage.alloc_region("odp", 1 << 20, pinned=False)
-        from repro.rnic.odp import ODP_PAGE_BYTES
-
-        # 3 pages: a read starting mid-page spanning two page boundaries
-        aligned = -(-region.base // ODP_PAGE_BYTES) * ODP_PAGE_BYTES
-        _read_latency(cluster, compute, remote, aligned + 100,
-                      size=2 * ODP_PAGE_BYTES)
-        assert remote.device.counters.odp_faults == 3
-
-    def test_pinned_ratio_draw_is_static_and_order_free(self):
-        from repro.rnic.odp import page_pinned_draw
-
-        draws = [page_pinned_draw(page, seed=3) for page in range(4096)]
-        assert draws == [page_pinned_draw(p, seed=3) for p in range(4095, -1, -1)][::-1]
-        assert all(0.0 <= d < 1.0 for d in draws)
-        # roughly uniform: a 0.5 threshold splits pages about evenly
-        odp_fraction = sum(d >= 0.5 for d in draws) / len(draws)
-        assert 0.45 < odp_fraction < 0.55
-        # a different seed re-deals the pages
-        assert draws != [page_pinned_draw(p, seed=4) for p in range(4096)]
-
-    def test_resident_set_capacity_evicts_lru(self):
-        from repro.rnic.config import RnicConfig
-        from repro.rnic.odp import ODP_PAGE_BYTES
-
-        # tiny resident set: 2 pages
-        cluster = Cluster(RnicConfig(odp_resident_pages=2))
-        compute = cluster.add_node()
-        compute.add_threads(1)
-        (remote,) = cluster.add_nodes(1)
-        connect(compute, [remote], "per-thread-qp")
-        region = remote.storage.alloc_region("odp", 1 << 20, pinned=False)
-        base = -(-region.base // ODP_PAGE_BYTES) * ODP_PAGE_BYTES
-        for page in (0, 1, 2):  # third touch evicts page 0
-            _read_latency(cluster, compute, remote,
-                          base + page * ODP_PAGE_BYTES)
-        assert remote.device.counters.odp_faults == 3
-        _read_latency(cluster, compute, remote, base)  # page 0 again
-        assert remote.device.counters.odp_faults == 4
-
-    def test_nvm_penalty_applies_to_any_overlap_of_the_span(self):
-        cluster, compute, (remote,) = make_cluster()
-        vol = remote.storage.alloc_region("vol", 4096)
-        nvm = remote.storage.alloc_region("nvm", 4096, persistent=True)
-        storage = remote.storage
-        assert not storage.is_persistent(vol.base, 64)
-        assert storage.is_persistent(nvm.base, 64)
-        # A span merely *overlapping* NVM is persistent even though it
-        # starts before the region (partial landing still pays the media).
-        assert storage.is_persistent(nvm.base - 32, 64)
-        assert storage.is_persistent(nvm.end - 32, 64)
-        assert not storage.is_persistent(nvm.end, 64)
-
-    def test_nvm_straddling_write_pays_media_penalty(self):
-        def write_latency(straddle):
-            cluster, compute, (remote,) = make_cluster()
-            vol = remote.storage.alloc_region("vol", 4096)
-            nvm = remote.storage.alloc_region("nvm", 4096, persistent=True)
-            # either fully inside DRAM, or 32 B DRAM + 32 B into NVM
-            offset = nvm.base - 32 if straddle else vol.base
-            thread = compute.threads[0]
-            out = []
-
-            def proc():
-                qp = thread.qp_for(remote.node_id)
-                addr = remote.storage.global_addr(offset)
-                start = cluster.sim.now
-                yield from verbs.post_and_wait(
-                    thread, qp, [write_wr(addr, b"x" * 64)]
-                )
-                out.append(cluster.sim.now - start)
-
-            cluster.sim.spawn(proc())
-            cluster.sim.run()
-            return out[0]
-
-        assert write_latency(True) > write_latency(False)
-
-
-# -- doorbell request merging --------------------------------------------------
-
-
-def _merge_config():
-    from repro.rnic.config import RnicConfig
-
-    return RnicConfig(merge_wrs=True)
-
-
-class TestMerging:
-    def test_plan_merges_groups_contiguous_same_opcode_runs(self):
-        from repro.rnic.doorbell import plan_merges
-
-        wrs = [read_wr(0, 64), read_wr(64, 64), read_wr(128, 64),  # run of 3
-               read_wr(512, 64),                                   # gap
-               write_wr(576, b"x" * 64), write_wr(640, b"y" * 64),  # opcode flip
-               cas_wr(704, 0, 1)]                                  # atomic: alone
-        assert plan_merges(wrs) == [3, 1, 2, 1]
-        assert sum(plan_merges(wrs)) == len(wrs)
-
-    def test_merged_batch_wire_accounting(self):
-        from repro.cluster import Cluster
-        from repro.rnic.qp import WorkBatch
-
-        cluster = Cluster(_merge_config())
-        compute = cluster.add_node()
-        compute.add_threads(1)
-        (remote,) = cluster.add_nodes(1)
-        connect(compute, [remote], "per-thread-qp")
-        qp = compute.threads[0].qp_for(remote.node_id)
-        addr = remote.storage.global_addr(0)
-        wrs = [read_wr(addr + i * 64, 64) for i in range(4)]
-        batch = WorkBatch(cluster.sim, qp, wrs)
-        # 4 contiguous READs fuse into one wire message: one header for
-        # the batch instead of one per WR, both directions.
-        assert batch.wire_wrs == 1
-        assert batch.wire_bytes == 4 * 64 + 30
-        assert batch.response_bytes == 4 * 64 + 30
-        # WRITE group: the response is a single ack header
-        wwrs = [write_wr(addr + i * 64, bytes(64)) for i in range(4)]
-        wbatch = WorkBatch(cluster.sim, qp, wwrs)
-        assert wbatch.wire_wrs == 1
-        assert wbatch.response_bytes == 30
-        assert wbatch.write_bytes == 4 * 64
-
-    def test_merge_off_keeps_per_wr_messages(self):
-        cluster, compute, (remote,) = make_cluster()
-        from repro.rnic.qp import WorkBatch
-
-        qp = compute.threads[0].qp_for(remote.node_id)
-        addr = remote.storage.global_addr(0)
-        wrs = [read_wr(addr + i * 64, 64) for i in range(4)]
-        batch = WorkBatch(cluster.sim, qp, wrs)
-        assert batch.wire_wrs == 4
-        assert batch.wire_bytes == 4 * (64 + 30)
-        assert batch.response_bytes == 4 * (64 + 30)
-
-    def test_merging_completes_contiguous_batches_faster(self):
-        def batch_latency(config):
-            cluster = Cluster(config)
-            compute = cluster.add_node()
-            compute.add_threads(1)
-            (remote,) = cluster.add_nodes(1)
-            connect(compute, [remote], "per-thread-qp")
-            thread = compute.threads[0]
-            out = []
-
-            def proc():
-                qp = thread.qp_for(remote.node_id)
-                addr = remote.storage.global_addr(0)
-                wrs = [read_wr(addr + i * 64, 64) for i in range(16)]
-                start = cluster.sim.now
-                yield from verbs.post_and_wait(thread, qp, wrs)
-                out.append((cluster.sim.now - start,
-                            compute.device.counters.merged_wrs))
-            cluster.sim.spawn(proc())
-            cluster.sim.run()
-            return out[0]
-
-        plain_ns, plain_merged = batch_latency(None)
-        merged_ns, merged_count = batch_latency(_merge_config())
-        assert plain_merged == 0
-        assert merged_count == 15  # 16 WRs fused into one wire message
-        assert merged_ns < plain_ns
-
-    def test_adaptive_poll_amortizes_large_batches(self):
-        from repro.rnic.config import RnicConfig
-
-        def batch_latency(config, depth):
-            cluster = Cluster(config)
-            compute = cluster.add_node()
-            compute.add_threads(1)
-            (remote,) = cluster.add_nodes(1)
-            connect(compute, [remote], "per-thread-qp")
-            thread = compute.threads[0]
-            out = []
-
-            def proc():
-                qp = thread.qp_for(remote.node_id)
-                addr = remote.storage.global_addr(0)
-                wrs = [read_wr(addr + i * 8, 8) for i in range(depth)]
-                start = cluster.sim.now
-                yield from verbs.post_and_wait(thread, qp, wrs)
-                out.append(cluster.sim.now - start)
-            cluster.sim.spawn(proc())
-            cluster.sim.run()
-            return out[0]
-
-        fixed = batch_latency(None, 32)
-        adaptive = batch_latency(RnicConfig(adaptive_poll=True), 32)
-        # RTT (2 us) far exceeds the spin budget, so the poller yields and
-        # drains the 32 CQEs amortized — cheaper than 32 per-CQE polls.
-        assert adaptive < fixed
-        # At depth 1 the wakeup tax makes the adaptive poller *slower*.
-        assert batch_latency(RnicConfig(adaptive_poll=True), 1) > \
-            batch_latency(None, 1)
-
-
-# -- feature-off byte identity -------------------------------------------------
-
-
-class TestFeatureOffIdentity:
-    KW = dict(policy="per-thread-db", threads=4, depth=8, payload=64,
-              warmup_ns=0.1e6, measure_ns=0.3e6, latency_samples=True)
-
-    def test_knobs_off_is_byte_identical_to_default(self):
-        import dataclasses
-
-        from repro.bench.microbench import run_microbench
-        from repro.rnic.config import RnicConfig
-
-        stock = run_microbench(**self.KW)
-        knobs_off = run_microbench(**self.KW, config=RnicConfig(
-            pinned_ratio=1.0, merge_wrs=False, adaptive_poll=False))
-        assert dataclasses.asdict(stock) == dataclasses.asdict(knobs_off)
-
-    def test_odp_merge_run_replays_bit_identically(self):
-        import dataclasses
-
-        from repro.bench.microbench import run_microbench
-        from repro.rnic.config import RnicConfig
-
-        kw = dict(self.KW, access="seq", faults="invalidate=all@0.2ms+0",
-                  fault_seed=3, sanitize=True, config=RnicConfig(
-                      pinned_ratio=0.5, merge_wrs=True, adaptive_poll=True))
-        first = run_microbench(**kw)
-        second = run_microbench(**kw)
-        assert dataclasses.asdict(first) == dataclasses.asdict(second)
-        assert first.odp_faults > 0 and first.merged_wrs > 0
-        assert first.odp_invalidations > 0

@@ -55,9 +55,7 @@ class TestConfig:
         ("cqe_poll_ns", -5, ">= 0"),
         ("doorbell_mmio_ns", -1.0, ">= 0"),
         ("retransmit_timeout_ns", -1.0, ">= 0"),
-        # hit ratios and the pinned fraction: in [0, 1]
-        ("pinned_ratio", 1.5, r"in \[0, 1\]"),
-        ("pinned_ratio", -0.1, r"in \[0, 1\]"),
+        # hit ratios: in [0, 1]
         ("mtt_shared_hit", 1.01, r"in \[0, 1\]"),
         ("mtt_hit_floor", -0.5, r"in \[0, 1\]"),
         # coefficients and retry budgets: >= 0
@@ -68,7 +66,6 @@ class TestConfig:
         ("low_latency_uars", -1, ">= 0"),
         # counts the model needs one of
         ("medium_latency_uars", 0, ">= 1"),
-        ("odp_resident_pages", 0, ">= 1"),
         # the default context's doorbells must fit the device
         ("max_uars", 15, r">= low_latency_uars \+ medium_latency_uars \(16\)"),
     ])
@@ -79,10 +76,10 @@ class TestConfig:
             connectx6().with_overrides(**{field: value})
 
     def test_boundary_values_stay_legal(self):
-        # a free doorbell, a fully on-demand region, zero retries
+        # a free doorbell, zero retries
         RnicConfig(doorbell_mmio_ns=0.0, doorbell_share_ns=0.0, wqe_under_lock_ns=0.0,
-                   pinned_ratio=0.0, transport_retry_limit=0, reconnect_retry_limit=0,
-                   low_latency_uars=0, max_uars=12, odp_resident_pages=1)
+                   transport_retry_limit=0, reconnect_retry_limit=0,
+                   low_latency_uars=0, max_uars=12)
 
     def test_overrides_never_see_a_stale_cached_rate(self):
         config = connectx6()
