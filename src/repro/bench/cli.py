@@ -20,14 +20,13 @@ Figure grids run through the same tool: ``--figure fig7`` regenerates a
 paper figure, and ``--jobs N`` (or ``REPRO_JOBS=N``) fans its
 independent simulation points out over a process pool.
 
-``traffic`` is a subcommand driving the open-loop multi-tenant engine::
+``traffic`` is a subcommand driving the open-loop Poisson queue::
 
     python -m repro.bench.cli traffic --app hashtable --rate 2.0
     python -m repro.bench.cli traffic --sweep 0.5,1,2,4 --json knee.json
 
-A single run prints one row per tenant; ``--sweep`` runs the
-``latency_throughput`` knee-finder experiment over the given offered
-rates instead.
+A single run prints one row; ``--sweep`` runs the ``latency_throughput``
+knee-finder experiment over the given offered rates instead.
 
 ``claims`` runs the claim-bearing figure grids, evaluates the paper's
 claims (``repro.bench.claims``) on them and prints the scorecard::
@@ -98,51 +97,13 @@ def _write_json(path: str, payload) -> None:
 
 
 def _check_load(args) -> None:
-    """Reject an offered load that can only give nonsense before anything
-    is built: no tenant, no rate, a tenant without a worker, or a peak,
-    period, skew, SLO, queue cap or sweep rate that the arrival, workload
-    and admission models refuse (a traceback, not a usage error)."""
-    if args.tenants < 1:
-        raise RunArgumentError(f"--tenants must be >= 1, got {args.tenants}")
-    if not args.rate > 0:
-        raise RunArgumentError(f"--rate must be > 0, got {args.rate}")
-    if args.workers < args.tenants:
-        raise RunArgumentError(
-            f"--workers must be >= --tenants ({args.tenants}), got {args.workers}")
-    if args.peak is not None and not args.peak > 0:
-        raise RunArgumentError(f"--peak must be > 0, got {args.peak}")
-    if not args.period_us > 0:
-        raise RunArgumentError(f"--period-us must be > 0, got {args.period_us}")
+    """Reject a skew or sweep rate the workload and arrival models refuse
+    (a traceback, not a usage error) before anything is built; the
+    runner itself refuses a zero rate or worker count."""
     if args.theta is not None and not args.theta >= 0:
         raise RunArgumentError(f"--theta must be >= 0, got {args.theta}")
-    if args.slo_p99_us is not None and not args.slo_p99_us > 0:
-        raise RunArgumentError(f"--slo-p99-us must be > 0, got {args.slo_p99_us}")
-    if args.max_queue is not None and args.max_queue < 0:
-        raise RunArgumentError(f"--max-queue must be >= 0, got {args.max_queue}")
     if any(not rate > 0 for rate in _csv(args.sweep, float) or ()):
         raise RunArgumentError(f"--sweep rates must be > 0, got {args.sweep}")
-
-
-def _tenant_specs(args, arrivals, workload=None, max_queue=None,
-                  admission=None) -> list:
-    """``--tenants`` equal tenants sharing ``--workers`` between them,
-    under the SLO the admission flags ask for (none given: admit all)."""
-    from repro.traffic import NO_SLO, Slo, TenantSpec
-
-    slo = NO_SLO
-    if args.slo_p99_us is not None or max_queue is not None:
-        slo = Slo(
-            target_p99_ns=(args.slo_p99_us * 1e3
-                           if args.slo_p99_us is not None else None),
-            max_queue_depth=max_queue,
-            policy=admission or "shed",
-        )
-    workers_each = args.workers // args.tenants
-    return [
-        TenantSpec(f"t{i}", arrivals, workload=workload, slo=slo,
-                   workers=workers_each)
-        for i in range(args.tenants)
-    ]
 
 
 def _check_jobs(args) -> None:
@@ -223,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 def build_traffic_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench traffic",
-        description="open-loop multi-tenant traffic engine "
+        description="open-loop Poisson load "
                     "(arrivals independent of completions)",
     )
     parser.add_argument("--app", choices=tuple(APPS), default="hashtable")
@@ -236,37 +197,16 @@ def build_traffic_parser() -> argparse.ArgumentParser:
                         help="override the workload's Zipfian skew")
     parser.add_argument("--benchmark", choices=("smallbank", "tatp"),
                         default="smallbank", help="DTX benchmark")
-    parser.add_argument("--arrivals",
-                        choices=("deterministic", "poisson", "onoff", "ramp",
-                                 "diurnal"),
-                        default="poisson")
     parser.add_argument("--rate", type=float, default=1.0,
-                        help="offered load in MOPS, split across tenants "
-                             "(base/trough rate for onoff/ramp/diurnal)")
-    parser.add_argument("--peak", type=float, default=None,
-                        help="peak rate in MOPS for onoff/ramp/diurnal "
-                             "(default: 2x --rate)")
-    parser.add_argument("--period-us", type=float, default=200.0,
-                        help="on+off cycle / ramp / diurnal period, "
-                             "simulated microseconds")
-    parser.add_argument("--tenants", type=int, default=1,
-                        help="tenant count; each gets rate/N and workers/N")
+                        help="offered Poisson load in MOPS")
     parser.add_argument("--workers", type=int, default=16,
-                        help="total worker coroutines across tenants")
+                        help="worker coroutines draining the queue")
     add_common_flags(parser, threads=8)
     parser.add_argument("--servers", type=int, default=1,
                         help="btree only: combined compute+memory blades")
     parser.add_argument("--item-count", type=int, default=30_000)
     parser.add_argument("--warmup-us", type=float, default=1000.0)
     add_common_flags(parser, measure_us=1500.0, seed=0)
-    parser.add_argument("--slo-p99-us", type=float, default=None,
-                        help="per-tenant p99 target; enables admission control")
-    parser.add_argument("--max-queue", type=int, default=None,
-                        help="per-tenant hard queue-depth cap")
-    parser.add_argument("--admission", choices=("none", "shed", "defer"),
-                        default=None,
-                        help="over-budget policy (default: shed when an SLO "
-                             "is set, else none)")
     parser.add_argument("--sweep", default=None, metavar="RATES",
                         help="comma-separated offered rates (MOPS): run the "
                              "latency_throughput knee sweep instead of one point")
@@ -306,25 +246,6 @@ def _run_claims(args) -> int:
     return 0
 
 
-def _traffic_arrivals(args):
-    from repro.traffic import (
-        DeterministicArrivals, OnOffArrivals, PoissonArrivals, RampArrivals,
-    )
-
-    rate = args.rate / args.tenants
-    peak = (args.peak if args.peak is not None else 2.0 * args.rate) / args.tenants
-    period_ns = args.period_us * 1e3
-    if args.arrivals == "deterministic":
-        return DeterministicArrivals(rate)
-    if args.arrivals == "poisson":
-        return PoissonArrivals(rate)
-    if args.arrivals == "onoff":
-        return OnOffArrivals(on_rate_mops=peak, off_rate_mops=0.0,
-                             mean_on_ns=period_ns / 2, mean_off_ns=period_ns / 2)
-    return RampArrivals(start_mops=rate, end_mops=peak, period_ns=period_ns,
-                        shape="linear" if args.arrivals == "ramp" else "diurnal")
-
-
 def _run_traffic(args) -> int:
     _check_load(args)
     if args.sweep is not None:
@@ -342,37 +263,24 @@ def _run_traffic(args) -> int:
     workload = _WORKLOADS.get(args.workload)
     if args.theta is not None:
         workload = (workload or ycsb.WRITE_HEAVY).with_theta(args.theta)
-    if args.app == "dtx":
-        workload = args.benchmark
-
-    tenants = _tenant_specs(args, _traffic_arrivals(args), workload,
-                            args.max_queue, args.admission)
 
     started = time.time()  # lint: disable=SIM001 (host wall clock)
     result = run_open_loop(
-        app=args.app, system=args.system, tenants=tenants,
-        threads=args.threads, servers=args.servers,
-        item_count=args.item_count, benchmark=args.benchmark,
-        warmup_ns=args.warmup_us * 1e3, measure_ns=args.measure_us * 1e3,
-        seed=args.seed,
+        app=args.app, system=args.system, rate_mops=args.rate,
+        workload=workload, workers=args.workers, threads=args.threads,
+        servers=args.servers, item_count=args.item_count,
+        benchmark=args.benchmark, warmup_ns=args.warmup_us * 1e3,
+        measure_ns=args.measure_us * 1e3, seed=args.seed,
     )
     wall_s = time.time() - started  # lint: disable=SIM001 (host wall clock)
-    headers = ["tenant", "offered", "achieved", "shed", "deferred", "backlog",
-               "p50_us", "p99_us", "queue_p99_us"]
-    rows = [
-        [t.tenant, t.offered_mops, t.achieved_mops, t.shed, t.deferred,
-         t.backlog, (t.p50_latency_ns or 0) / 1e3, (t.p99_latency_ns or 0) / 1e3,
-         (t.queue_p99_ns or 0) / 1e3]
-        for t in result.tenants
-    ]
     print(format_table(
-        headers, rows,
-        title=f"open-loop {result.app} ({result.system}), "
-              f"{args.arrivals} arrivals",
+        ["offered", "achieved", "backlog", "p50_us", "p99_us", "queue_p99_us"],
+        [[result.offered_mops, result.achieved_mops, result.backlog,
+          (result.p50_latency_ns or 0) / 1e3, (result.p99_latency_ns or 0) / 1e3,
+          (result.queue_p99_ns or 0) / 1e3]],
+        title=f"open-loop {result.app} ({result.system}), Poisson arrivals",
     ))
-    print(f"total: offered={result.offered_mops:.3f} MOPS, "
-          f"achieved={result.achieved_mops:.3f} MOPS, "
-          f"wall time={wall_s:.1f} s")
+    print(f"wall time={wall_s:.1f} s")
     if args.json:
         _write_json(args.json, dataclasses.asdict(result))
     return 0

@@ -34,7 +34,7 @@ from repro.bench.runner import (
     BENCH_DELTA_NS, app_class, bench_features, run_btree, run_dtx, run_hashtable,
 )
 from repro.core.features import baseline, cumulative_ladder, full
-from repro.traffic.runner import run_open_loop
+from repro.traffic import run_open_loop
 from repro.workloads.ycsb import (
     READ_HEAVY,
     READ_ONLY,
@@ -629,7 +629,7 @@ def latency_throughput(
     Unlike the closed-loop Fig 9/11 sweeps (which thin load by inserting
     idle gaps and therefore cannot observe queueing delay), this sweep
     offers Poisson arrivals at fixed rates through
-    :func:`repro.traffic.runner.run_open_loop` and reports achieved
+    :func:`repro.traffic.run_open_loop` and reports achieved
     throughput, total (arrival→completion) latency and queueing delay.
     Past the knee the baseline's queue grows without bound while SMART's
     higher capacity keeps absorbing load.  The sweep runs ``app``'s
@@ -641,17 +641,17 @@ def latency_throughput(
         (0.5, 1.0, 2.0, 4.0), (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
     )
 
-    def tenant_row(rate, results):
+    def rate_row(rate, results):
         row = [rate]
-        for tenant in (result.tenants[0] for result in results):
-            row += [tenant.achieved_mops, _us(tenant.p99_latency_ns),
-                    _us(tenant.queue_p99_ns)]
+        for result in results:
+            row += [result.achieved_mops, _us(result.p99_latency_ns),
+                    _us(result.queue_p99_ns)]
         return row
 
     def knees(labelled):
         observations = []
         for index, system in enumerate(systems):
-            achieved = [results[index].tenants[0].achieved_mops
+            achieved = [results[index].achieved_mops
                         for _, results in labelled]
             knee = find_knee(list(rates_mops), achieved)
             observations.append(
@@ -676,7 +676,7 @@ def latency_throughput(
             for system in systems
         ],
         group=len(systems),
-        row=tenant_row,
+        row=rate_row,
         observe=knees,
         paper_claim=(
             "not a paper figure — open-loop companion to Figs 9/11: offered "

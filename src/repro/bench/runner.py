@@ -7,8 +7,8 @@ arm faults → attach observability → attach the sanitizer → spawn client
 loops → :func:`measure` → collect — spelled once, in :func:`run_app`.
 An :class:`App` owns only what differs between the applications.
 ``run_hashtable``/``run_dtx``/``run_btree`` bind an adapter to that
-pipeline; :func:`repro.traffic.runner.run_open_loop` drives the same
-adapters from an open-loop engine instead of closed client loops.
+pipeline; :func:`repro.traffic.run_open_loop` drives the same adapters
+from an open-loop Poisson queue instead of closed client loops.
 """
 
 from __future__ import annotations
@@ -179,19 +179,20 @@ def install_faults(
         raise RunArgumentError(str(error)) from None
 
 
-#: :class:`RunResult` columns read off the fabric and device counters
-_FAULT_COLUMNS = ("messages_dropped", "retransmissions", "error_completions",
-                  "flushed_wrs", "wasted_wrs")
+#: :class:`RunResult` columns read off the device counters
+_DEVICE_COLUMNS = ("retransmissions", "error_completions", "flushed_wrs",
+                   "wasted_wrs")
 
 
 def fault_totals(cluster: Cluster) -> Dict[str, int]:
-    """Whole-run totals of the fault columns: fabric drops, and the
-    device counters summed over every node."""
-    totals = dict.fromkeys(_FAULT_COLUMNS, 0)
+    """Whole-run totals of the fault columns: fabric drops, blade crashes
+    (power failures) and the device counters, summed over every node."""
+    totals = dict.fromkeys(("messages_dropped", "crashes") + _DEVICE_COLUMNS, 0)
     totals["messages_dropped"] = cluster.fabric.messages_dropped
     for node in cluster.nodes:
+        totals["crashes"] += node.storage.power_failures
         counters = node.device.counters
-        for name in _FAULT_COLUMNS[1:]:
+        for name in _DEVICE_COLUMNS:
             totals[name] += getattr(counters, name)
     return totals
 
@@ -200,12 +201,14 @@ def apply_fault_stats(
     result: RunResult,
     stats: OperationStats,
     deployment: Deployment,
-    injector=None,
-    recovery=None,
+    rolled_back: int,
 ) -> RunResult:
     """Fill a result's fault/recovery columns from the run's artifacts.
-    The fabric / device columns count from the window's start, like the
-    op stats: a fault that ended in warmup leaves them at 0."""
+    Every column counts from the window's start, like the op stats: the
+    fabric / crash / device columns are deltas from
+    ``deployment.window_faults``, and ``rolled_back`` is the caller's
+    count of records rolled back by restarts inside the window.  A fault
+    that ended in warmup leaves them at 0."""
     result.fault_aborts = stats.fault_aborts
     result.recoveries = stats.recoveries
     result.failed_recoveries = stats.failed_recoveries
@@ -213,10 +216,7 @@ def apply_fault_stats(
     start = deployment.window_faults
     for name, total in fault_totals(deployment.cluster).items():
         setattr(result, name, total - start.get(name, 0))
-    if injector is not None:
-        result.crashes = injector.crashes_fired
-    if recovery is not None:
-        result.rolled_back = recovery.rolled_back
+    result.rolled_back = rolled_back
     return result
 
 
@@ -368,11 +368,11 @@ class App:
     ``server`` — whose ``declare_sanitizer_regions`` goes to RDMASan —
     and returns the deployment to run on (``rebuild()`` builds a fresh
     one).
-    ``stream(workload, seed)`` is one client's infinite op stream
-    (``None``: the app's own workload), ``make_client(smart)`` a client
-    on a SMART thread, and ``dispatch(client, item)`` — a plain
-    function, so nothing sits between the driver loop and the client's
-    own generator — starts one stream item on it.
+    ``stream(seed)`` is one client's infinite op stream,
+    ``make_client(smart)`` a client on a SMART thread, and
+    ``dispatch(client, item)`` — a plain function, so nothing sits
+    between the driver loop and the client's own generator — starts one
+    stream item on it.
     """
 
     systems: Dict[str, Callable[[], SmartFeatures]]
@@ -384,10 +384,12 @@ class App:
     recovers_from_crash = False
 
     @classmethod
-    def for_open_loop(cls, item_count: int, benchmark: str) -> "App":
-        """The app :func:`repro.traffic.runner.run_open_loop` deploys:
-        ``item_count`` items, default workload (``benchmark`` is DTX's)."""
-        return cls(item_count)
+    def for_open_loop(cls, item_count: int, benchmark: str,
+                      workload: Optional[YcsbWorkload]) -> "App":
+        """The app :func:`repro.traffic.run_open_loop` deploys:
+        ``item_count`` items under the YCSB mix ``workload`` (``None``:
+        write-heavy); ``benchmark`` is DTX's."""
+        return cls(item_count, workload)
 
 
 class _YcsbApp(App):
@@ -399,8 +401,8 @@ class _YcsbApp(App):
         self.workload = workload or WRITE_HEAVY
         self.label = self.workload.name
 
-    def stream(self, workload, seed):
-        return (workload or self.workload).stream(self.item_count, seed)
+    def stream(self, seed):
+        return self.workload.stream(self.item_count, seed)
 
 
 class HashTableApp(_YcsbApp):
@@ -463,7 +465,14 @@ class DtxApp(App):
     _BENCHMARKS = {"smallbank": smallbank, "tatp": tatp}
 
     @classmethod
-    def for_open_loop(cls, item_count: int, benchmark: str) -> "DtxApp":
+    def for_open_loop(cls, item_count: int, benchmark: str,
+                      workload: Optional[YcsbWorkload]) -> "DtxApp":
+        """DTX runs ``benchmark``; a YCSB mix is refused."""
+        if workload is not None:
+            raise RunArgumentError(
+                f"workload must be None for dtx, which runs benchmark="
+                f"{benchmark!r} (a YCSB mix is for hashtable / btree), got "
+                f"{getattr(workload, 'name', workload)!r}")
         return cls(item_count, benchmark)
 
     def __init__(self, item_count: int = 100_000, benchmark: str = "smallbank"):
@@ -489,10 +498,7 @@ class DtxApp(App):
         injector.wire_ford_recovery(recovery, self.log_rings)
         return recovery
 
-    def stream(self, workload, seed):
-        if workload not in (None, self.label):
-            raise ValueError(
-                f"this DTX point runs {self.label}, got workload {workload!r}")
+    def stream(self, seed):
         return self.benchmark.transaction_stream(self.item_count, seed)
 
     def make_client(self, smart):
@@ -642,18 +648,27 @@ def run_app(
         obs, sanitize,
         crash_unsafe=None if app.recovers_from_crash else app.name,
     )
+    sim = deployment.cluster.sim
     recovery = None
+    rolled_back_before = 0  # by restarts up to the window's opening
     if injector is not None and app.recovers_from_crash:
         recovery = app.wire_recovery(injector)
+        opens = int(round(effective_warmup_ns(deployment.features, warmup_ns)))
 
-    sim = deployment.cluster.sim
+        def note_rollbacks(_node):
+            nonlocal rolled_back_before
+            if sim.now <= opens:
+                rolled_back_before = recovery.rolled_back
+
+        injector.on_restart(note_rollbacks)
+
     # One reusable pure-delay object serves every coroutine's gap sleeps
     # (the kernel's cheap Timeout alternative for fire-and-forget waits).
     gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
     stream_seed = random.Random(seed)
     clients = [
         sim.spawn(client_loop(
-            app, smart, app.stream(None, stream_seed.getrandbits(31)), gap))
+            app, smart, app.stream(stream_seed.getrandbits(31)), gap))
         for smart in deployment.smart_threads
         for _ in range(coroutines)
     ]
@@ -663,7 +678,9 @@ def run_app(
         stats, system, app.label, threads, coroutines, compute_blades,
         measure_ns, sim=sim,
     )
-    apply_fault_stats(result, stats, deployment, injector, recovery)
+    apply_fault_stats(
+        result, stats, deployment,
+        recovery.rolled_back - rolled_back_before if recovery else 0)
     result = collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
     return collect_sanitizer(sanitizer, result)
 

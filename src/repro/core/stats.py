@@ -3,10 +3,10 @@
 Every measured number is stored once: ``latencies_ns`` is the exact list
 of every recorded op's latency, and the metrics histogram
 ``Observability.collect_stats`` renders is built from it at collect time,
-only when a run is observed.  Open-loop arrival accounting (offered /
-shed / deferred, queueing delay) is the traffic engine's and lives on
-:class:`repro.traffic.engine.TenantState`, so this module imports
-nothing from ``repro.obs``.
+only when a run is observed.  Open-loop arrival accounting (offered
+count, queueing delay) is the open-loop queue's and lives on
+:class:`repro.traffic.OpenLoopQueue`, so this module imports nothing
+from ``repro.obs``.
 """
 
 from __future__ import annotations

@@ -17,12 +17,8 @@ from typing import Dict
 
 
 class ArenaAllocator:
-    """Bump allocator over ``[base, end)``.
-
-    ``Observability.collect_memory`` reads the occupancy counters through
-    :meth:`stats` — pull-based, so metric collection never perturbs
-    simulated behaviour.
-    """
+    """Bump allocator over ``[base, end)``; :meth:`stats` reports its
+    occupancy counters."""
 
     def __init__(self, base: int, end: int):
         if not 0 <= base < end:

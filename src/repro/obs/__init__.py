@@ -66,10 +66,6 @@ _DEVICE_COUNTERS = (
     "flushed_wrs", "qp_errors",
 )
 
-#: allocator statistics that count events; the rest are byte gauges
-_ALLOCATOR_COUNTERS = ("allocs", "failed_allocs")
-
-
 def _tracer_of(device) -> Optional[SpanTracer]:
     """The :class:`SpanTracer` among ``device``'s observers, if any."""
     for observer in device.observers:
@@ -162,17 +158,6 @@ class Observability:
             for latency in stats.latencies_ns:
                 hist.record(latency)
             self.histograms[f"{prefix}.latency_ns"] = hist
-
-    def collect_memory(self, cluster) -> None:
-        """Snapshot every blade allocator's occupancy statistics
-        (pull-based — never perturbs simulated behaviour)."""
-        for node in cluster.nodes:
-            prefix = f"memory.blade{node.node_id}"
-            for name, value in node.storage.allocator.stats().items():
-                if name in _ALLOCATOR_COUNTERS:
-                    self.counters[f"{prefix}.{name}"] = (value, "")
-                else:
-                    self.gauges[f"{prefix}.{name}"] = (value, "B")
 
     def phase_breakdown(self, cluster) -> Optional[Dict[str, float]]:
         """Batch-weighted per-segment means across ``cluster``'s devices."""

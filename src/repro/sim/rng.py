@@ -106,8 +106,8 @@ class ScrambledZipfianGenerator:
 def exponential_interval_ns(mean_ns: float, rng: random.Random) -> float:
     """One exponentially distributed inter-arrival gap with the given mean.
 
-    The building block of the open-loop Poisson/MMPP arrival processes in
-    :mod:`repro.traffic.arrivals` — kept here so every source of
+    The building block of the open-loop Poisson arrivals in
+    :mod:`repro.traffic` — kept here so every source of
     randomness in a run flows through seeded ``random.Random`` instances
     and stays bit-replayable.
     """

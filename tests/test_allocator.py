@@ -57,22 +57,6 @@ class TestBladeAllocator:
             blade.alloc(4096)
         assert blade.stats()["failed_allocs"] == 1
 
-    def test_publish_metrics(self):
-        from repro.cluster import Cluster
-        from repro.obs import Observability
-
-        cluster = Cluster()
-        node = cluster.add_node()
-        node.storage.alloc_region("r", 64)
-        obs = Observability()
-        obs.collect_memory(cluster)
-        snap = obs.metrics()
-        prefix = f"memory.blade{node.node_id}"
-        assert snap["counters"][f"{prefix}.allocs"] == {"value": 1.0, "unit": ""}
-        assert snap["gauges"][f"{prefix}.capacity"] == {
-            "value": float(node.storage.allocator.capacity), "unit": "B"}
-        assert snap["gauges"][f"{prefix}.bytes_in_use"] == {"value": 64.0, "unit": "B"}
-
 
 class ArenaMachine(RuleBasedStateMachine):
     """The arena against the obviously correct model: each allocation

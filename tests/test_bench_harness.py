@@ -30,7 +30,7 @@ from repro.cluster import Cluster
 from repro.core import SmartContext, SmartThread
 from repro.core.features import baseline, full
 from repro.rnic.config import RnicConfig
-from repro.traffic.runner import run_open_loop
+from repro.traffic import run_open_loop
 from repro.workloads.ycsb import READ_ONLY, WRITE_HEAVY
 
 
@@ -205,7 +205,7 @@ class TestRunners:
             app="hashtable", rate_mops=0.5, threads=1, workers=2,
             item_count=1_000, warmup_ns=0.05e6, measure_ns=0.1e6,
         )
-        assert open_loop.tenants[0].completed > 0
+        assert open_loop.completed > 0
 
     @pytest.mark.parametrize("runner,bad,name", [
         (lambda **kw: run_hashtable(item_count=1_000, **kw),
@@ -222,8 +222,13 @@ class TestRunners:
          {"measure_ns": 0}, "measure_ns"),
         (lambda **kw: run_open_loop(app="btree", item_count=1_000, **kw),
          {"servers": 0}, "servers"),
+        (lambda **kw: run_open_loop(item_count=1_000, **kw),
+         {"rate_mops": 0}, "rate_mops"),
+        (lambda **kw: run_open_loop(item_count=1_000, **kw),
+         {"workers": 0}, "workers"),
     ], ids=["negative-window", "empty-window", "negative-warmup",
-            "no-coroutines", "no-blades", "open-loop", "open-loop-no-servers"])
+            "no-coroutines", "no-blades", "open-loop", "open-loop-no-servers",
+            "open-loop-no-rate", "open-loop-no-workers"])
     def test_bad_windows_fail_before_the_build(self, runner, bad, name,
                                                monkeypatch):
         import repro.bench.runner as runner_module
@@ -232,9 +237,9 @@ class TestRunners:
             raise AssertionError("the cluster was built")
 
         monkeypatch.setattr(runner_module, "deploy_app", no_build)
-        monkeypatch.setattr("repro.traffic.runner.deploy_app", no_build)
+        monkeypatch.setattr("repro.traffic.deploy_app", no_build)
         monkeypatch.setattr("repro.bench.microbench.Cluster", no_build)
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(RunArgumentError, match=f"^{name} must be"):
             runner(**bad)
 
     def test_run_hashtable_race_baseline(self):

@@ -81,6 +81,13 @@ def test_fig4_deep_queues_lose_half_the_throughput():
 # eight ``micro-*`` digests were re-recorded the same way when on-demand
 # paging and request merging went: the payload minus the three device
 # counters and three ``MicrobenchResult`` fields they fed (all 0).
+#
+# The six ``open-*`` digests were re-recorded when the open-loop path
+# became one Poisson queue: each hashes the previous payload with its one
+# tenant (shed = deferred = 0) flattened into the result, minus the
+# ``tenant``, ``shed``, ``deferred`` and ``nominal_mops`` (the
+# ``rate_mops`` input) keys, and its ``tenant.t0.*`` metrics renamed
+# ``open_loop.*`` without the zero ``.shed`` / ``.deferred`` counters.
 
 _HT = dict(threads=2, coroutines=2, item_count=2_000,
            warmup_ns=0.2e6, measure_ns=0.4e6)
@@ -147,12 +154,12 @@ GOLDEN_DIGESTS = {
     "bt-sherman-nohopl": "d451b483e5f45aca0ab70ffe739057a2c0bc77818faa7834f234f93313bf12e9",
     "bt-sherman-nohopl+obs": "71eb6830902228633884ae758568e1f7a709aa6707e7307af060d04fb1df1e7e",
     "bt-sherman-nohopl+sanitize": "9bdeb79362b26e11ee84d2f386eed07c0b690ceaa8c6943f763c506f531e316b",
-    "open-hashtable": "fde3ee6bd5bba089999f63450a3c5fd7fa4699a982726ee9f56d4cbcc16b40aa",
-    "open-hashtable+obs": "a577b98de0ae675df573340d65df72370031ea83eacf82c07d4ed62c75335480",
-    "open-dtx": "3ea266cd12f19b47e8f700702bc369777d2adaef8750d0846f1325ac0a16de42",
-    "open-dtx+obs": "b9680fe552cb1a4139fa1f600aa6d22e38008afc5d4f8d1b27d82216e874c30d",
-    "open-btree": "16de8f8a2a5e069bdf739b635b5137f39ac87a947c5c35f7a8938864a520a8a1",
-    "open-btree+obs": "05d1570f268b5e7a626820ac01f5a1f18546fb5dd4715d935c0eca1886f1b33e",
+    "open-hashtable": "dd1ac88b5c8bacf6de34bef337a2ba1706be8b5447123ec9556d8e3c9cb9e7fb",
+    "open-hashtable+obs": "8deef941e1cd2b4a7fc8a6a9f3fed6404738f7ab80bf98bdd035cbc8df78515f",
+    "open-dtx": "922ac2de9458e68809af25a1490b00c525f5bab1f8903d53054f4d2513ead257",
+    "open-dtx+obs": "ad62cbc2e1002662add57a034e39de91772160eee62900c9d7ac46c91ed24973",
+    "open-btree": "ebe39485ce4bf3f9e13c041369059566d43906de85f22aeeb66301be17f791cc",
+    "open-btree+obs": "cfb0f0b7232ee9e3fb601fe2ff594aea277a982a2a882b65b0d881abb230408d",
     "micro-smart": "db0f1984d92cfe628e8d2f3a39ea6a53f21a710f01961f572a5f965d67921ea2",
     "micro-smart+obs": "3a810119cb26847b0fdb816d9747d95fdabc9153611243b1f691ce3bf456ee69",
     "micro-smart+sanitize": "2fe9323a59a1c565b2c2cf7de4884958800a42ba442cb3db83292483b756c2be",
@@ -224,10 +231,10 @@ def _golden_run(point, extra, with_obs):
 
     from repro.bench import microbench, runner
     from repro.obs import Observability
-    from repro.traffic import runner as traffic_runner
+    from repro import traffic
 
     runner_name, kwargs = _POINTS[point]
-    for module in (runner, microbench, traffic_runner):
+    for module in (runner, microbench, traffic):
         run_point = getattr(module, runner_name, None)
         if run_point is not None:
             break

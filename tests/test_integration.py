@@ -109,9 +109,10 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,keys", [
         (["traffic", "--app", "dtx", "--benchmark", "tatp", "--rate", "0.3",
-          "--threads", "2", "--workers", "4", "--tenants", "2",
+          "--threads", "2", "--workers", "4",
           "--item-count", "2000", "--warmup-us", "200", "--measure-us", "300"],
-         {"app", "system", "threads", "measure_ns", "tenants"}),
+         {"app", "system", "threads", "measure_ns", "offered", "completed",
+          "p99_latency_ns", "queue_p99_ns"}),
     ], ids=["traffic"])
     def test_cli_subcommand_writes_json(self, argv, keys, tmp_path, capsys):
         import json
@@ -123,7 +124,6 @@ class TestCli:
         assert keys <= set(payload)
 
     @pytest.mark.parametrize("argv", [
-        ["traffic", "--tenants", "0"],
         # one .json file cannot hold fifteen figures (it kept the last)
         ["--figure", "all", "--json", "out.json"],
         # an empty batch never yields: these hung instead of failing
@@ -136,9 +136,8 @@ class TestCli:
         ["8", "4", "--block-size", "0"],
         ["traffic", "--rate", "0"],
         ["traffic", "--item-count", "0"],
-        # ... or ran with one worker per tenant all the same (exit 0)
+        # ... or ran with one worker all the same (exit 0)
         ["traffic", "--workers", "0"],
-        ["traffic", "--workers", "1", "--tenants", "2"],
         # a system of another app ran under that app's label (exit 0)
         ["traffic", "--app", "btree", "--system", "ford"],
         # a fault clause naming a node the deployment lacks died mid-run
@@ -149,14 +148,12 @@ class TestCli:
         ["8", "4", "--faults", "invalidate=1@1ms+1ms"],
         # out-of-range values each command refuses by name
         ["0", "4"],
-        # values the arrival, workload and admission models refuse: these
-        # ended in a ValueError traceback (exit 1)
+        # values the workload and arrival models refuse: these ended in a
+        # ValueError traceback (exit 1)
         ["traffic", "--theta", "-1"],
-        ["traffic", "--slo-p99-us", "0"],
-        ["traffic", "--arrivals", "onoff", "--peak", "0"],
-        ["traffic", "--arrivals", "diurnal", "--period-us", "0"],
         ["traffic", "--sweep", "0.5,0"],
-        ["traffic", "--max-queue", "-1"],
+        # a YCSB mix for the DTX app ran TATP / SmallBank regardless (exit 0)
+        ["traffic", "--app", "dtx", "--workload", "read-only"],
         # ... an IndexError from the B+Tree deployment
         ["traffic", "--app", "btree", "--servers", "0"],
         # ... a ValueError from the process pool

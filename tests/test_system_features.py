@@ -6,7 +6,7 @@ from repro.bench.runner import (
     APPS, BTreeApp, DtxApp, HashTableApp, RunArgumentError,
     run_btree, run_dtx, run_hashtable,
 )
-from repro.traffic.runner import run_open_loop
+from repro.traffic import run_open_loop
 
 
 class TestWrapperConfigurations:
