@@ -1,4 +1,4 @@
-"""Small AST helpers shared by the rule families and the protocol checker."""
+"""Small AST helpers shared by the rule families."""
 
 from __future__ import annotations
 
@@ -58,13 +58,6 @@ def is_process_generator(fn: ast.AST) -> bool:
     return yields and on_the_spot
 
 
-def is_generator(fn: ast.AST) -> bool:
-    """Does ``fn`` contain a yield in its own scope?"""
-    return any(
-        isinstance(child, (ast.Yield, ast.YieldFrom)) for child in own_scope(fn)
-    )
-
-
 def parent_map(root: ast.AST) -> Dict[ast.AST, ast.AST]:
     """child node -> parent node, over the whole tree."""
     parents: Dict[ast.AST, ast.AST] = {}
@@ -86,37 +79,6 @@ def call_text(node: ast.AST) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - exotic nodes
         return repr(node)
-
-
-def string_pattern(node: ast.AST) -> Optional[str]:
-    """A region-name pattern from a string expression.
-
-    Constants give themselves; f-strings give their literal parts with
-    ``*`` in place of every formatted field (``f"tbl_{name}_p{i}"`` →
-    ``tbl_*_p*``); anything else is unresolvable (``None``).
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        parts = []
-        for piece in node.values:
-            if isinstance(piece, ast.Constant) and isinstance(piece.value, str):
-                parts.append(piece.value)
-            else:
-                parts.append("*")
-        return "".join(parts)
-    return None
-
-
-def names_in(node: ast.AST) -> Set[str]:
-    """Every identifier (Name ids and Attribute attrs) under ``node``."""
-    found: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
-    return found
 
 
 def handler_names(handler: ast.ExceptHandler) -> Set[str]:

@@ -24,8 +24,7 @@ continuation) which is the safe direction for the may-analyses in
 releases") is only ever weakened, never strengthened, by extra paths.
 
 ``yield`` points do not get edges of their own — they are ordinary
-expression positions — but :meth:`CFG.yields_in` exposes them so the
-interrupt-safety rules can treat each one as a potential throw site.
+expression positions.
 """
 
 from __future__ import annotations
@@ -88,25 +87,6 @@ class CFG:
             return [item.context_expr for item in stmt.items]
         return [stmt]
 
-    def yields_in(self, node: int) -> List[ast.expr]:
-        """The yield expressions evaluated by node's own statement."""
-        roots: Sequence[ast.AST] = self.own_exprs(node)
-        found = []
-        for root in roots:
-            for sub in ast.walk(root):
-                if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                    found.append(sub)
-                elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.Lambda)):
-                    # walk() is non-prunable; skip nothing here because
-                    # nested defs inside a *statement* still belong to a
-                    # different scope — filter them out instead.
-                    pass
-        return [
-            y for y in found
-            if not _inside_nested_function(roots, y)
-        ]
-
     def has_path(
         self, start: int, goal: int, blocked: Optional[Set[int]] = None
     ) -> bool:
@@ -147,16 +127,6 @@ def _contains_direct_acquire(stmt: ast.AST) -> bool:
             and sub.func.attr in attrs
         ):
             return True
-    return False
-
-
-def _inside_nested_function(roots: Sequence[ast.AST], node: ast.AST) -> bool:
-    """Is ``node`` under a nested def/lambda within any of ``roots``?"""
-    for root in roots:
-        for sub in ast.walk(root):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                if any(inner is node for inner in ast.walk(sub)):
-                    return True
     return False
 
 

@@ -1,17 +1,16 @@
 """The analysis driver: file collection, pragmas, baseline, CLI.
 
-``analyze_source`` runs the per-file rules (SIM001–SIM005,
-FLW1xx–FLW3xx) on one module; ``analyze_paths`` reads and parses every file once,
-runs them over each and adds the cross-module protocol checker (FLW4xx)
-over app packages.
+``analyze_source`` runs the per-file rules on one module;
+``analyze_paths`` reads every file under its paths once and runs them
+over each.
 
 Suppression is a ``# lint: disable=RULE[,RULE...]`` comment, honored on
 either the first *or* the last line of the flagged statement (multi-line
 calls keep their pragma next to the closing parenthesis)::
 
-    old = yield from handle.cas_sync(  # lint: disable=FLW401
-        entry_addr, seg_addr, new_seg_addr
-    )
+    wall_s = (
+        time.time() - started
+    )  # lint: disable=SIM001
 
 Exit status: 0 when no *new* findings remain after the baseline
 (``--baseline``); 1 otherwise.  ``--write-baseline`` records the
@@ -31,12 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.flow import baseline as baseline_mod
 from repro.analysis.flow import output as output_mod
-from repro.analysis.flow import protocol as protocol_mod
-from repro.analysis.flow import rules as rules_mod
-from repro.analysis.flow.rules import FlowFinding
-
-#: the complete rule catalog (per-file + protocol families)
-RULES: Dict[str, str] = {**rules_mod.RULES, **protocol_mod.PROTOCOL_RULES}
+from repro.analysis.flow.rules import RULES, FlowFinding, check_module
 
 _PRAGMA = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -78,23 +72,16 @@ def _unanalyzable(path: str, message: str, line: int = 0, col: int = 0) -> FlowF
     )
 
 
-def _analyze(source: str, path: str) -> Tuple[Optional[ast.Module], List[FlowFinding]]:
-    """One module's tree and its per-file findings, pragmas applied; a
-    syntax error is one ``FLW000`` finding and no tree."""
+def analyze_source(source: str, path: str = "<string>") -> List[FlowFinding]:
+    """Per-file rules over one module, pragmas applied; a syntax error
+    is one ``FLW000`` finding."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
-        return None, [
-            _unanalyzable(
-                path, f"syntax error: {error.msg}", error.lineno or 0, error.offset or 0
-            )
-        ]
-    return tree, _apply_pragmas(rules_mod.check_module(tree, path), source)
-
-
-def analyze_source(source: str, path: str = "<string>") -> List[FlowFinding]:
-    """Per-file rules over one module, pragmas applied."""
-    return _analyze(source, path)[1]
+        return [_unanalyzable(
+            path, f"syntax error: {error.msg}", error.lineno or 0, error.offset or 0
+        )]
+    return _apply_pragmas(check_module(tree, path), source)
 
 
 def collect_files(paths: Sequence[Path]) -> List[Path]:
@@ -126,26 +113,14 @@ def analyze_paths(paths: Sequence[Path]) -> Tuple[List[FlowFinding], int]:
     """
     files = collect_files(paths)
     findings: List[FlowFinding] = []
-    sources: Dict[str, str] = {}
-    trees: Dict[str, ast.Module] = {}
     for file in files:
         path = str(file)
         try:
-            sources[path] = file.read_text(encoding="utf-8")
+            source = file.read_text(encoding="utf-8")
         except OSError as error:
             findings.append(_unanalyzable(path, f"unreadable: {error}"))
             continue
-        tree, found = _analyze(sources[path], path)
-        findings.extend(found)
-        if tree is not None:
-            trees[path] = tree
-
-    # The protocol checker reads the trees parsed above: a module that
-    # did not parse is already its FLW000 and sits out of its app.
-    for app in protocol_mod.group_apps(trees):
-        for path, found in protocol_mod.check_app(app).items():
-            findings.extend(_apply_pragmas(found, sources[path]))
-
+        findings.extend(analyze_source(source, path))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, len(files)
 
@@ -153,7 +128,8 @@ def analyze_paths(paths: Sequence[Path]) -> Tuple[List[FlowFinding], int]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.flow",
-        description="Static analysis of the simulator (SIM001-SIM005, FLW101-FLW403).",
+        description="Static analysis of the simulator "
+                    f"({', '.join(RULES)}).",
     )
     parser.add_argument(
         "paths",

@@ -1,33 +1,28 @@
-"""Per-file rules: simulation hygiene, ownership/leak, determinism
-hazards, interrupt safety.
+"""Per-file rules: simulation hygiene, lock leaks, determinism hazards,
+interrupt safety.
 
-Rule catalog (see docs/MODEL.md §14 for rationale and suppression):
+Rule catalog (see docs/MODEL.md §14 for rationale and suppression, and
+§14.1 for the seeded-mutation study each rule passed: it catches a bug
+the tests, the golden digests and RDMASan all miss):
 
 * **SIM001 wall-clock** — ``time.time``/``datetime.now``/… in simulation
   code.  Real time leaking into a run breaks determinism.
 * **SIM002 unseeded-random** — ``random``-module functions outside
   ``sim/rng.py``.  Use a seeded ``random.Random`` instance.
 * **SIM003 broad-except** — a broad ``except``/``except Exception``
-  inside a process generator that can swallow
-  :class:`~repro.sim.core.Interrupt`.
+  inside a process generator that does not re-raise: it swallows
+  :class:`~repro.sim.core.Interrupt` and every error a run must
+  surface.
 * **SIM004 float-timestamp-equality** — ``==``/``!=`` on simulation
   timestamps that may be floats (``busy_until`` and friends).
 * **SIM005 non-waitable-yield** — a process yields a literal (the kernel
   would raise at run time, on whichever path reaches it first).
 * **FLW101 lock-path-leak** — a lock/token acquired in a function
-  (``yield x.acquire()`` / ``yield from x.acquire()`` / ``yield
-  x.take()``) is released on at least one path but *not* on every path
-  to function exit (abrupt exits included).  Functions with zero
-  releases of the key transfer ownership elsewhere and are exempt.
-* **FLW102 interrupt-unsafe-hold** — a process generator yields while
-  holding a directly-acquired lock, outside any ``try`` whose
-  ``finally`` releases it: an :class:`~repro.sim.core.Interrupt`
-  delivered at that yield leaks the lock.
-* **FLW103 unjoined-spawn** — ``spawn(...)`` as a bare expression
-  statement: the returned Process — its completion event *and* its
-  ``error`` — can never be observed.
-* **FLW201 nondet-set-order** — iteration over a set drives
-  scheduling or RNG calls; set order varies across interpreter runs.
+  (``yield x.acquire()`` / ``yield x.take()``, or granted on the spot by
+  ``x.try_acquire()`` / ``x.try_take()``) is released on at least one
+  path but *not* on every path to function exit (abrupt exits
+  included).  Functions with zero releases of the key transfer
+  ownership elsewhere and are exempt.
 * **FLW202 float-ns-accumulation** — ``+=``/``-=`` of float-valued
   arithmetic into a ``*_ns`` name without ``int(round(...))``.
 * **FLW203 unthreaded-seed** — ``Random()`` seeded from the OS, or a
@@ -68,9 +63,6 @@ RULES: Dict[str, str] = {
     "SIM004": "float equality comparison on simulation timestamps",
     "SIM005": "process yields a non-Waitable literal",
     "FLW101": "resource acquired but not released on every path to exit",
-    "FLW102": "yield while holding a lock without a finally that releases it",
-    "FLW103": "spawned process neither stored nor awaited",
-    "FLW201": "set iteration order feeds scheduling/RNG decisions",
     "FLW202": "float arithmetic accumulates into a *_ns value",
     "FLW203": "RNG seed not threaded from configuration",
     "FLW301": "yield inside a broad except handler of a process generator",
@@ -82,9 +74,6 @@ _WALL_CLOCK_TIME = {
     "perf_counter_ns",
 }
 _WALL_CLOCK_DATETIME = {"now", "utcnow", "today"}
-_SCHEDULING_CALLS = {
-    "spawn", "call_at", "call_after", "timeout", "fire", "interrupt", "schedule",
-}
 _RNG_CALLS = {
     "random", "randrange", "randint", "choice", "choices", "shuffle",
     "sample", "uniform", "getrandbits", "gauss", "expovariate", "randbytes",
@@ -145,26 +134,21 @@ Flag = Callable[..., None]
 # -- resource-key extraction --------------------------------------------------
 
 
-def _acquire_call(node: ast.expr) -> Optional[Tuple[ast.Call, str]]:
-    """``(call, kind)`` when ``node`` is a ``yield``/``yield from`` of an
-    acquire-style call; kind is 'direct' for ``yield x.acquire(...)``
-    (FifoLock idiom) and for a bare ``x.try_acquire(...)`` — a grant
-    without a yield, assumed (may-analysis) to have succeeded —
-    'delegated' for ``yield from helper.acquire(...)``."""
+def _acquire_call(node: ast.expr) -> Optional[ast.Call]:
+    """The call when ``node`` acquires a sim lock or token directly:
+    ``yield x.acquire(...)`` (FifoLock idiom) or a bare
+    ``x.try_acquire(...)`` — a grant without a yield, assumed
+    (may-analysis) to have succeeded.  ``yield from helper.acquire(...)``
+    delegates to an app-level protocol (sherman's lock table hands over
+    across functions) and is not tracked."""
     if isinstance(node, ast.Call):
         if isinstance(node.func, ast.Attribute) and node.func.attr in SPOT_ACQUIRES:
-            return node, "direct"
+            return node
         return None
     if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
         call = node.value
-        kind = "direct"
-    elif isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
-        call = node.value
-        kind = "delegated"
-    else:
-        return None
-    if isinstance(call.func, ast.Attribute) and call.func.attr in ACQUIRE_PAIRS:
-        return call, kind
+        if isinstance(call.func, ast.Attribute) and call.func.attr in ACQUIRE_PAIRS:
+            return call
     return None
 
 
@@ -201,16 +185,14 @@ def _keys_match(acquired: Tuple[str, Optional[str]],
     return acquired[1] == released[1]
 
 
-# -- ownership rules (CFG + dataflow) ----------------------------------------
+# -- FLW101: lock leaks (CFG + dataflow) -------------------------------------
 
 
-def _check_ownership(info, flag: Flag,
-                     parents: Dict[ast.AST, ast.AST]) -> None:
-    fn = info.node
-    cfg = build_cfg(fn)
+def _check_ownership(info, flag: Flag) -> None:
+    cfg = build_cfg(info.node)
 
-    # Acquire sites: node id -> (key, release attr, kind, call node).
-    acquires: Dict[int, Tuple[Tuple[str, Optional[str]], str, str, ast.Call]] = {}
+    # Acquire sites: node id -> (key, call node).
+    acquires: Dict[int, Tuple[Tuple[str, Optional[str]], ast.Call]] = {}
     releases: Dict[int, Set[Tuple[str, Optional[str]]]] = {}
     release_attrs: Set[str] = set()
     for node_id in range(cfg.node_count):
@@ -220,20 +202,12 @@ def _check_ownership(info, flag: Flag,
         # register every nested acquire twice.
         for root in cfg.own_exprs(node_id):
             for expr in ast.walk(root):
-                found = _acquire_call(expr)
-                if found is None:
+                call = _acquire_call(expr)
+                if call is None:
                     continue
-                call, kind = found
-                if kind != "direct":
-                    # ``yield from helper.acquire(...)`` delegates to an
-                    # app-level protocol (sherman's lock table hands over
-                    # across functions); only the sim-lock idiom is tracked.
-                    continue
-                key = _resource_key(call)
                 attr = SPOT_ACQUIRES.get(call.func.attr, call.func.attr)
-                release_attr = ACQUIRE_PAIRS[attr]
-                acquires[node_id] = (key, release_attr, kind, call)
-                release_attrs.add(release_attr)
+                acquires[node_id] = (_resource_key(call), call)
+                release_attrs.add(ACQUIRE_PAIRS[attr])
     if not acquires:
         return
     # ``if not x.try_acquire(): yield x.acquire()`` is one acquisition:
@@ -241,7 +215,7 @@ def _check_ownership(info, flag: Flag,
     # (the test granted it) — not in the header's own post-state, which
     # is also the pre-state of the yield that may still be interrupted.
     slow_half: Dict[int, int] = {}  # the yield's node -> the header's
-    for header, (key, _attr, _kind, call) in acquires.items():
+    for header, (key, call) in acquires.items():
         stmt = cfg.stmts[header]
         if not (
             call.func.attr in SPOT_ACQUIRES
@@ -258,7 +232,7 @@ def _check_ownership(info, flag: Flag,
             if (
                 slow is not None
                 and slow[0] == key
-                and slow[3].func.attr == SPOT_ACQUIRES[call.func.attr]
+                and slow[1].func.attr == SPOT_ACQUIRES[call.func.attr]
             ):
                 slow_half[node_id] = header
     for node_id in range(cfg.node_count):
@@ -290,14 +264,14 @@ def _check_ownership(info, flag: Flag,
     # two facts) so each site reports independently.
     gen: Dict[int, Set[object]] = {}
     kill: Dict[int, Set[object]] = {}
-    facts: Dict[object, Tuple[Tuple[str, Optional[str]], str, str, ast.Call, int]] = {}
+    facts: Dict[object, Tuple[Tuple[str, Optional[str]], ast.Call]] = {}
     edge_gen: Dict[Tuple[int, int], Set[object]] = {}
     paired_headers = set(slow_half.values())
-    for node_id, (key, release_attr, kind, call) in acquires.items():
+    for node_id, (key, call) in acquires.items():
         header = slow_half.get(node_id, node_id)
         fact = ("res", header)
         if header == node_id:
-            facts[fact] = (key, release_attr, kind, call, node_id)
+            facts[fact] = (key, call)
         if node_id not in paired_headers:
             gen[node_id] = {fact}
     for node_id, header in slow_half.items():
@@ -307,18 +281,18 @@ def _check_ownership(info, flag: Flag,
         for succ in cfg.succs[header] & cfg.succs[node_id]:
             edge_gen[(header, succ)] = {("res", header)}
     for node_id, released in releases.items():
-        killed: Set[object] = set()
-        for fact, (key, _attr, _kind, _call, acq_node) in facts.items():
-            if any(_keys_match(key, rel) for rel in released):
-                killed.add(fact)
+        killed = {
+            fact for fact, (key, _call) in facts.items()
+            if any(_keys_match(key, rel) for rel in released)
+        }
         if killed:
             kill[node_id] = killed
 
     in_facts, _out = forward_may(cfg, gen, kill, edge_gen)
 
-    # FLW101: held at EXIT though the function does release it somewhere.
+    # Held at EXIT though the function does release it somewhere.
     for fact in in_facts[EXIT]:
-        key, release_attr, kind, call, acq_node = facts[fact]
+        key, call = facts[fact]
         has_release = any(
             any(_keys_match(key, rel) for rel in released)
             for released in releases.values()
@@ -333,118 +307,8 @@ def _check_ownership(info, flag: Flag,
             scope=info.qualname,
         )
 
-    # FLW102: yields while holding a *directly* yielded lock, with no
-    # finally-release covering the yield.
-    reported: Set[object] = set()
-    for node_id in sorted(
-        range(cfg.node_count),
-        key=lambda n: getattr(cfg.stmts[n], "lineno", 0) if cfg.stmts[n] else 0,
-    ):
-        stmt = cfg.stmts[node_id]
-        if stmt is None:
-            continue
-        yields = cfg.yields_in(node_id)
-        if not yields:
-            continue
-        for fact in in_facts.get(node_id, ()):  # held entering this stmt
-            if fact in reported:
-                continue
-            key, release_attr, kind, call, acq_node = facts[fact]
-            if kind != "direct":
-                continue
-            has_release = any(
-                any(_keys_match(key, rel) for rel in released)
-                for released in releases.values()
-            )
-            if not has_release:
-                continue
-            if node_id in releases and any(
-                _keys_match(key, rel) for rel in releases[node_id]
-            ):
-                continue  # this statement is (or contains) the release
-            if node_id in acquires:
-                acq_here = acquires[node_id][0]
-                if _keys_match(key, acq_here) and acquires[node_id][3] is call:
-                    continue
-            if _finally_protected(stmt, key, release_attr, parents):
-                continue
-            reported.add(fact)
-            flag(
-                "FLW102", stmt,
-                f"yield while holding {key[0]} (acquired line {call.lineno}) "
-                "outside a try/finally that releases it; an Interrupt "
-                "delivered here leaks the lock",
-                scope=info.qualname,
-            )
-
-
-def _finally_protected(stmt: ast.AST, key: Tuple[str, Optional[str]],
-                       release_attr: str,
-                       parents: Dict[ast.AST, ast.AST]) -> bool:
-    """Is ``stmt`` inside a ``try`` body whose ``finally`` releases key?"""
-    child = stmt
-    for node in ancestors(stmt, parents):
-        if isinstance(node, ast.Try) and node.finalbody:
-            in_protected = any(
-                child is s or any(child is sub for sub in ast.walk(s))
-                for s in (*node.body, *node.orelse, *node.handlers)
-            )
-            if in_protected:
-                for final_stmt in node.finalbody:
-                    released = _release_keys(final_stmt, release_attr)
-                    if any(_keys_match(key, rel) for rel in released):
-                        return True
-        child = node
-    return False
-
-
-# -- FLW103: unjoined spawns --------------------------------------------------
-
-
-def _check_spawns(symbols: ModuleSymbols, flag: Flag, scope_of) -> None:
-    for node in ast.walk(symbols.tree):
-        if not isinstance(node, ast.Expr):
-            continue
-        value = node.value
-        if isinstance(value, (ast.Yield, ast.YieldFrom)):
-            continue  # awaited
-        if (
-            isinstance(value, ast.Call)
-            and leaf_name(value.func) == "spawn"
-        ):
-            flag(
-                "FLW103", node,
-                "spawn(...) result discarded: the Process (completion event "
-                "and error) can never be awaited or checked — store the "
-                "handle",
-                scope=scope_of(node),
-            )
-
 
 # -- determinism hazards ------------------------------------------------------
-
-
-def _set_valued_iter(node: ast.expr, set_locals: Set[str],
-                     set_attrs: Set[str]) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in {"set", "frozenset"}
-    if isinstance(node, ast.Name):
-        return node.id in set_locals
-    if isinstance(node, ast.Attribute):
-        return node.attr in set_attrs
-    return False
-
-
-def _body_schedules_or_draws(stmts: List[ast.stmt]) -> Optional[ast.AST]:
-    for stmt in stmts:
-        for sub in own_scope_many(stmt):
-            if isinstance(sub, ast.Call):
-                name = leaf_name(sub.func)
-                if name in _SCHEDULING_CALLS or name in _RNG_CALLS:
-                    return sub
-    return None
 
 
 def own_scope_many(stmt: ast.stmt):
@@ -454,45 +318,10 @@ def own_scope_many(stmt: ast.stmt):
 
 def _check_determinism(symbols: ModuleSymbols, flag: Flag,
                        in_rng_module: bool) -> None:
-    # Set-typed attribute names anywhere in the module (``self.users =
-    # set()`` inside __init__ marks ``users``).
-    set_attrs: Set[str] = set()
-    for node in ast.walk(symbols.tree):
-        if isinstance(node, ast.Assign):
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            value = node.value
-        else:
-            continue
-        if isinstance(value, (ast.Set, ast.SetComp)) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in {"set", "frozenset"}
-        ):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Attribute):
-                    set_attrs.add(target.attr)
-
     for info in symbols.functions:
-        fn_sets = info.set_names | symbols.set_names
         for node in own_scope(info.node):
-            # FLW201
-            if isinstance(node, ast.For) and _set_valued_iter(
-                node.iter, fn_sets, set_attrs
-            ):
-                culprit = _body_schedules_or_draws(node.body)
-                if culprit is not None:
-                    flag(
-                        "FLW201", node,
-                        "iterating a set while scheduling or drawing RNG "
-                        f"inside the loop ({call_text(culprit)[:60]}): set "
-                        "order is not stable across runs — iterate "
-                        "sorted(...) instead",
-                        scope=info.qualname,
-                    )
             # FLW202
-            elif isinstance(node, ast.AugAssign) and isinstance(
+            if isinstance(node, ast.AugAssign) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):
                 target_name = leaf_name(node.target)
@@ -721,8 +550,7 @@ def check_module(tree: ast.Module, path: str = "<string>") -> List[FlowFinding]:
 
     _check_hygiene(symbols, flag, scope_of, in_rng_module)
     for info in symbols.functions:
-        _check_ownership(info, flag, parents)
-    _check_spawns(symbols, flag, scope_of)
+        _check_ownership(info, flag)
     _check_determinism(symbols, flag, in_rng_module)
     _check_interrupt_safety(symbols, flag)
 

@@ -2,11 +2,7 @@
 
 The rules need shallow, reliable facts — not full type inference:
 
-* which names a module imports (``random``, ``time``, aliases included);
-* the classes and functions defined, with nesting (qualified names);
-* which local/attribute names are bound to *set-typed* values (set
-  literals, ``set(...)``, set comprehensions) — the determinism rules
-  treat iteration over those as unordered;
+* the functions defined, with nesting (qualified names);
 * which functions are (process) generators.
 
 Everything is computed in one pass and kept as plain dicts so the rule
@@ -17,31 +13,23 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
-from repro.analysis.flow.astutil import is_generator, is_process_generator, own_scope
+from repro.analysis.flow.astutil import is_process_generator
 
 
 @dataclass
 class FunctionInfo:
     node: ast.AST
     qualname: str
-    is_generator: bool
     is_process: bool
-    #: function-local names bound to a set-typed value
-    set_names: Set[str] = field(default_factory=set)
 
 
 @dataclass
 class ModuleSymbols:
     path: str
     tree: ast.Module
-    #: local alias -> imported module/object dotted name
-    imports: Dict[str, str] = field(default_factory=dict)
     functions: List[FunctionInfo] = field(default_factory=list)
-    #: module-level and ``self.``-attribute names bound to set-typed values
-    set_names: Set[str] = field(default_factory=set)
-    classes: Dict[str, ast.ClassDef] = field(default_factory=dict)
 
     def function_for(self, node: ast.AST) -> Optional[FunctionInfo]:
         for info in self.functions:
@@ -50,45 +38,8 @@ class ModuleSymbols:
         return None
 
 
-def _is_set_valued(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in {"set", "frozenset"}
-    return False
-
-
-def _collect_set_bindings(scope: ast.AST, into: Set[str]) -> None:
-    for child in own_scope(scope):
-        targets: List[ast.expr] = []
-        if isinstance(child, ast.Assign):
-            targets, value = child.targets, child.value
-        elif isinstance(child, ast.AnnAssign) and child.value is not None:
-            targets, value = [child.target], child.value
-        else:
-            continue
-        if not _is_set_valued(value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                into.add(target.id)
-            elif isinstance(target, ast.Attribute):
-                into.add(target.attr)
-
-
 def build_symbols(tree: ast.Module, path: str = "<string>") -> ModuleSymbols:
     symbols = ModuleSymbols(path=path, tree=tree)
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                symbols.imports[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                qual = f"{node.module}.{alias.name}" if node.module else alias.name
-                symbols.imports[alias.asname or alias.name] = qual
-
-    _collect_set_bindings(tree, symbols.set_names)
 
     def visit(scope: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(scope):
@@ -97,17 +48,11 @@ def build_symbols(tree: ast.Module, path: str = "<string>") -> ModuleSymbols:
                 info = FunctionInfo(
                     node=child,
                     qualname=qualname,
-                    is_generator=is_generator(child),
                     is_process=is_process_generator(child),
                 )
-                _collect_set_bindings(child, info.set_names)
                 symbols.functions.append(info)
                 visit(child, f"{qualname}.")
             elif isinstance(child, ast.ClassDef):
-                symbols.classes[f"{prefix}{child.name}"] = child
-                # Class-level set attributes count as module-wide facts
-                # (``self.users = set()`` in __init__ is caught by the
-                # attribute form of _collect_set_bindings above).
                 visit(child, f"{prefix}{child.name}.")
             else:
                 visit(child, prefix)

@@ -96,14 +96,29 @@ def _write_json(path: str, payload) -> None:
     print(f"wrote {path}")
 
 
+#: ``traffic`` flags of one point that ``--sweep`` does not take: the
+#: knee sweep runs each app's baseline and SMART system on its default
+#: mix, benchmark and seed, at the rates ``--sweep`` lists
+_ONE_POINT_FLAGS = ("system", "workload", "theta", "benchmark", "rate", "seed")
+
+
 def _check_load(args) -> None:
     """Reject a skew or sweep rate the workload and arrival models refuse
-    (a traceback, not a usage error) before anything is built; the
-    runner itself refuses a zero rate or worker count."""
+    (a traceback, not a usage error), and a one-point flag beside
+    ``--sweep`` (silently dropped, not swept), before anything is built;
+    the runner itself refuses a zero rate or worker count."""
     if args.theta is not None and not args.theta >= 0:
         raise RunArgumentError(f"--theta must be >= 0, got {args.theta}")
     if any(not rate > 0 for rate in _csv(args.sweep, float) or ()):
         raise RunArgumentError(f"--sweep rates must be > 0, got {args.sweep}")
+    if args.sweep is not None:
+        defaults = build_traffic_parser()
+        for name in _ONE_POINT_FLAGS:
+            default = defaults.get_default(name)
+            if getattr(args, name) != default:
+                raise RunArgumentError(
+                    f"--{name} must be left at its default ({default}) with "
+                    f"--sweep, got {getattr(args, name)}")
 
 
 def _check_jobs(args) -> None:

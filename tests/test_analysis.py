@@ -399,6 +399,11 @@ def test_sim001_wall_clock():
     assert _rules(analyze_source(src)) == ["SIM001"]
     suppressed = "import time\n\ndef f():\n    return time.time()  # lint: disable=SIM001\n"
     assert analyze_source(suppressed) == []
+    # The bench report shape: a figure's JSON stamped with the time it
+    # was written differs run to run, where no golden digest looks.
+    src = ("import json, time\n\ndef write(result, path):\n"
+           "    path.write_text(json.dumps({**result, 'written_at': time.time()}))\n")
+    assert _rules(analyze_source(src)) == ["SIM001"]
 
 
 def test_sim002_unseeded_random():
@@ -407,6 +412,11 @@ def test_sim002_unseeded_random():
     # random.Random(seed) is fine, and rng.py itself is exempt.
     assert analyze_source("import random\nr = random.Random(3)\n") == []
     assert analyze_source(src, path="src/repro/sim/rng.py") == []
+    # The bench CLI shape: a default fault seed drawn from the global
+    # generator, so an unseeded faulty run cannot be replayed.
+    src = ("import random\n\ndef flags(parser):\n"
+           "    parser.add(fault_seed=random.randrange(1 << 16))\n")
+    assert _rules(analyze_source(src)) == ["SIM002"]
 
 
 SIM003_FIXTURE = """\
@@ -433,12 +443,29 @@ def test_sim003_broad_except_in_process_generator():
     # A non-process function may catch broadly.
     plain = "def f():\n    try:\n        g()\n    except Exception:\n        pass\n"
     assert analyze_source(plain) == []
+    # The bench runner shape: a client loop that skips any op that
+    # raises ends a run whose blade never came back quietly, where the
+    # runner must fail loudly.
+    src = ("def client_loop(dispatch, client, stream):\n"
+           "    for item in stream:\n"
+           "        try:\n"
+           "            yield from dispatch(client, item)\n"
+           "        except Exception:\n"
+           "            continue\n")
+    assert _rules(analyze_source(src)) == ["SIM003"]
 
 
 def test_sim004_float_timestamp_equality():
     src = "def f(self, now):\n    return self.busy_until == now\n"
     assert _rules(analyze_source(src)) == ["SIM004"]
     assert analyze_source("def f(self, now):\n    return self.busy_until >= now\n") == []
+    # The microbench shape: latency sampled when ``now != warmup_ns``
+    # instead of from the window on, which only a latency-sampling run
+    # of a verbs policy (no digest) would show.
+    src = ("def worker(sim, warmup_ns, samples):\n"
+           "    if sim.now != warmup_ns:\n"
+           "        samples.append(sim.now)\n")
+    assert _rules(analyze_source(src)) == ["SIM004"]
 
 
 def test_sim005_yield_non_waitable_literal():

@@ -11,6 +11,10 @@ from repro.core.features import SmartFeatures, baseline, full
 from repro.workloads.ycsb import WRITE_HEAVY
 
 
+def _joined(argv):
+    return pytest.param(argv, id=" ".join(argv))
+
+
 class TestDeterminism:
     def test_microbench_deterministic(self):
         a = run_microbench(policy="per-thread-db", threads=4, depth=4,
@@ -123,43 +127,54 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert keys <= set(payload)
 
+    # Every row names its id, so deleting a row renames no other case: the
+    # first rows keep the positional ids they were collected under, later
+    # rows are named by their argv.
     @pytest.mark.parametrize("argv", [
         # one .json file cannot hold fifteen figures (it kept the last)
-        ["--figure", "all", "--json", "out.json"],
+        pytest.param(["--figure", "all", "--json", "out.json"], id="argv0"),
         # an empty batch never yields: these hung instead of failing
-        ["8", "0"],
+        pytest.param(["8", "0"], id="argv1"),
         # a window or a count that can only give nonsense numbers
-        ["8", "4", "--measure-us", "-5"],
-        ["8", "4", "--memory-nodes", "0"],
-        ["traffic", "--measure-us", "0"],
+        pytest.param(["8", "4", "--measure-us", "-5"], id="argv2"),
+        pytest.param(["8", "4", "--memory-nodes", "0"], id="argv3"),
+        pytest.param(["traffic", "--measure-us", "0"], id="argv4"),
         # counts that ended in a ValueError traceback (exit 1)
-        ["8", "4", "--block-size", "0"],
-        ["traffic", "--rate", "0"],
-        ["traffic", "--item-count", "0"],
+        pytest.param(["8", "4", "--block-size", "0"], id="argv5"),
+        pytest.param(["traffic", "--rate", "0"], id="argv6"),
+        pytest.param(["traffic", "--item-count", "0"], id="argv7"),
         # ... or ran with one worker all the same (exit 0)
-        ["traffic", "--workers", "0"],
+        pytest.param(["traffic", "--workers", "0"], id="argv8"),
         # a system of another app ran under that app's label (exit 0)
-        ["traffic", "--app", "btree", "--system", "ford"],
+        pytest.param(["traffic", "--app", "btree", "--system", "ford"], id="argv9"),
         # a fault clause naming a node the deployment lacks died mid-run
         # with an IndexError, an unknown kind with a ValueError (exit 1)
-        ["4", "2", "--faults", "crash=5@0.5ms+0.3ms"],
-        ["4", "2", "--faults", "foo=1@0+1ms"],
+        pytest.param(["4", "2", "--faults", "crash=5@0.5ms+0.3ms"], id="argv10"),
+        pytest.param(["4", "2", "--faults", "foo=1@0+1ms"], id="argv11"),
         # the on-demand-paging clause is gone with the model it drove
-        ["8", "4", "--faults", "invalidate=1@1ms+1ms"],
+        pytest.param(["8", "4", "--faults", "invalidate=1@1ms+1ms"], id="argv12"),
         # out-of-range values each command refuses by name
-        ["0", "4"],
+        pytest.param(["0", "4"], id="argv13"),
         # values the workload and arrival models refuse: these ended in a
         # ValueError traceback (exit 1)
-        ["traffic", "--theta", "-1"],
-        ["traffic", "--sweep", "0.5,0"],
+        pytest.param(["traffic", "--theta", "-1"], id="argv14"),
+        pytest.param(["traffic", "--sweep", "0.5,0"], id="argv15"),
         # a YCSB mix for the DTX app ran TATP / SmallBank regardless (exit 0)
-        ["traffic", "--app", "dtx", "--workload", "read-only"],
+        pytest.param(["traffic", "--app", "dtx", "--workload", "read-only"], id="argv16"),
         # ... an IndexError from the B+Tree deployment
-        ["traffic", "--app", "btree", "--servers", "0"],
+        pytest.param(["traffic", "--app", "btree", "--servers", "0"], id="argv17"),
         # ... a ValueError from the process pool
-        ["claims", "--jobs", "-1"],
-        ["--figure", "fig3", "--jobs", "-1"],
-        ["traffic", "--sweep", "0.5", "--jobs", "-1"],
+        pytest.param(["claims", "--jobs", "-1"], id="argv18"),
+        pytest.param(["--figure", "fig3", "--jobs", "-1"], id="argv19"),
+        pytest.param(["traffic", "--sweep", "0.5", "--jobs", "-1"], id="argv20"),
+        # one-point flags that --sweep silently dropped (exit 0, the
+        # same table with and without them)
+        _joined(["traffic", "--sweep", "0.5", "--workload", "read-only"]),
+        _joined(["traffic", "--sweep", "0.5", "--theta", "0.5"]),
+        _joined(["traffic", "--sweep", "0.5", "--system", "race"]),
+        _joined(["traffic", "--sweep", "0.5", "--rate", "2"]),
+        _joined(["traffic", "--sweep", "0.5", "--seed", "3"]),
+        _joined(["traffic", "--sweep", "0.5", "--benchmark", "tatp"]),
     ])
     def test_cli_subcommand_rejects_bad_values(self, argv, capsys):
         assert cli_main(argv) == 2
