@@ -2,7 +2,7 @@
 
 Single-node hygiene rules (SIM001–SIM005) and *path* properties (FLW101,
 FLW202, FLW203, FLW301, FLW302) share one parse, one finding type, one
-pragma syntax, one baseline and one CLI:
+pragma syntax and one CLI:
 
 * :mod:`~repro.analysis.flow.symbols` — per-module symbol tables
   (functions with qualified names, process generators);
@@ -14,12 +14,10 @@ pragma syntax, one baseline and one CLI:
 * :mod:`~repro.analysis.flow.rules` — the rule families: simulation
   hygiene (SIM001–SIM005), lock leaks (FLW101), determinism hazards
   (FLW202, FLW203) and interrupt safety (FLW301, FLW302);
-* :mod:`~repro.analysis.flow.baseline` — the committed-findings baseline
-  (the CI gate fails only on *new* findings);
 * :mod:`~repro.analysis.flow.output` — text and JSON reports.
 
 Run as ``python -m repro.analysis.flow [paths...]``; see
-``docs/MODEL.md`` §14 for the rule catalog and baseline workflow, and
+``docs/MODEL.md`` §14 for the rule catalog and the gate, and
 §14.1 for the seeded-mutation study that decided which rules are kept.
 """
 

@@ -1,4 +1,4 @@
-"""The analysis driver: file collection, pragmas, baseline, CLI.
+"""The analysis engine: file collection, pragmas, CLI.
 
 ``analyze_source`` runs the per-file rules on one module;
 ``analyze_paths`` reads every file under its paths once and runs them
@@ -12,9 +12,8 @@ calls keep their pragma next to the closing parenthesis)::
         time.time() - started
     )  # lint: disable=SIM001
 
-Exit status: 0 when no *new* findings remain after the baseline
-(``--baseline``); 1 otherwise.  ``--write-baseline`` records the
-current findings as accepted.
+Exit status: 0 when no finding remains after the pragmas; 1 otherwise.
+A pragma is the one way to accept a finding.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import tokenize
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow import baseline as baseline_mod
 from repro.analysis.flow import output as output_mod
 from repro.analysis.flow.rules import RULES, FlowFinding, check_module
 
@@ -143,45 +141,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="text",
         help="report format",
     )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="accepted-findings file; only NEW findings fail the gate",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings as the baseline and exit 0",
-    )
     options = parser.parse_args(argv)
     paths = options.paths or [Path(__file__).resolve().parents[2]]
 
     findings, file_count = analyze_paths(paths)
-
-    if options.write_baseline:
-        if options.baseline is None:
-            parser.error("--write-baseline requires --baseline FILE")
-        counts = baseline_mod.dump(findings, options.baseline)
-        print(
-            f"baseline: {sum(counts.values())} finding(s) under "
-            f"{len(counts)} fingerprint(s) written to {options.baseline}"
-        )
-        return 0
-
-    accepted_count = 0
-    if options.baseline is not None:
-        known = baseline_mod.load(options.baseline)
-        findings, accepted = baseline_mod.suppress(findings, known)
-        accepted_count = len(accepted)
-
     if options.format == "json":
         print(output_mod.to_json(findings, file_count))
     else:
-        report = output_mod.to_text(findings, file_count)
-        if accepted_count:
-            report += f" ({accepted_count} baseline finding(s) suppressed)"
-        print(report)
+        print(output_mod.to_text(findings, file_count))
     return 1 if findings else 0
 
 

@@ -33,7 +33,7 @@ the tests, the golden digests and RDMASan all miss):
   ``finally``; a second interrupt (or generator close) skips cleanup.
 
 Every rule reports :class:`FlowFinding` records; the engine applies
-pragmas and the baseline.
+pragmas.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.flow import baseline
 from repro.analysis.flow.astutil import (
     BROAD_EXCEPTION_NAMES,
     ancestors,
@@ -89,11 +88,12 @@ class FlowFinding:
     rule: str
     message: str
     #: enclosing function qualname ('' at module level) — the stable
-    #: scope component of baseline fingerprints
+    #: scope component of the fingerprint
     scope: str = ""
 
     def fingerprint(self) -> str:
-        return baseline.fingerprint(self.path, self.scope, self.rule)
+        """``path::scope::rule``: the finding's id without line numbers."""
+        return f"{self.path}::{self.scope}::{self.rule}"
 
     def to_dict(self) -> Dict[str, object]:
         return {

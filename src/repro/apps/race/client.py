@@ -288,6 +288,7 @@ class HashTableClient:
             yield from self.refresh_directory()
             return
 
+        failure = None
         try:
             header = yield from handle.read_sync(seg_addr, 8)
             local_depth = layout.unpack_u64(header)
@@ -307,8 +308,13 @@ class HashTableClient:
             yield from self._update_directory_entries(
                 dir_index, seg_addr, new_seg_addr, local_depth, new_depth
             )
-        finally:
-            yield from handle.write_sync(seg_addr + 8, layout.pack_u64(0))
+        except GeneratorExit:
+            raise  # the run is over: no remote release can happen
+        except BaseException as error:  # lint: disable=SIM003 (re-raised after the release)
+            failure = error
+        yield from handle.write_sync(seg_addr + 8, layout.pack_u64(0))
+        if failure is not None:
+            raise failure
         yield from self.refresh_directory()
 
     def _redistribute(self, seg_addr, new_seg_addr, blade_id, local_depth, new_depth):
@@ -364,6 +370,7 @@ class HashTableClient:
             yield from handle.backoff_delay()
             yield from self.refresh_directory()
             return
+        failure = None
         try:
             header = yield from handle.read_sync(dir_addr, 16)
             depth = layout.unpack_u64(header[0:8])
@@ -376,8 +383,13 @@ class HashTableClient:
             )
             yield from handle.write_sync(dir_addr, layout.pack_u64(depth + 1))
             yield from handle.write_sync(dir_addr + 8, layout.pack_u64(count * 2))
-        finally:
-            yield from handle.write_sync(dir_addr + 16, layout.pack_u64(0))
+        except GeneratorExit:
+            raise  # the run is over: no remote release can happen
+        except BaseException as error:  # lint: disable=SIM003 (re-raised after the release)
+            failure = error
+        yield from handle.write_sync(dir_addr + 16, layout.pack_u64(0))
+        if failure is not None:
+            raise failure
 
     def _update_directory_entries(
         self, dir_index, seg_addr, new_seg_addr, local_depth, new_depth

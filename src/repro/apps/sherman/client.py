@@ -451,6 +451,7 @@ class BTreeClient:
         meta_lock = self.meta.meta_addr + 16
         yield from self.locks.acquire(handle, meta_lock)
         raced = False
+        failure = None
         try:
             data = yield from handle.read_sync(self.meta.meta_addr, 16)
             root_addr, height = layout.unpack_entry(data)
@@ -475,7 +476,12 @@ class BTreeClient:
                 yield from handle.sync()
                 self.meta.root_addr, self.meta.height = new_addr, level
                 self.index_cache[new_addr] = new_root
-        finally:
-            yield from self.locks.release(handle, meta_lock)
+        except GeneratorExit:
+            raise  # the run is over: no remote release can happen
+        except BaseException as error:  # lint: disable=SIM003 (re-raised after the release)
+            failure = error
+        yield from self.locks.release(handle, meta_lock)
+        if failure is not None:
+            raise failure
         if raced:
             yield from self._insert_separator(level, sep_key, child_addr, left_addr)

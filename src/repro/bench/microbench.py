@@ -18,10 +18,10 @@ from repro.bench.runner import (
     RunArgumentError,
     bench_features,
     check_run_args,
-    collect_obs,
-    collect_sanitizer,
+    collect,
     effective_warmup_ns,
     instrument,
+    run_window,
 )
 from repro.cluster import Cluster, ComputeThread
 from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
@@ -226,10 +226,8 @@ def run_microbench(
         for thread in compute.threads:
             workers.append(sim.spawn(raw_worker(thread, random.Random(rng.random()))))
 
-    sim.run(until=warmup_ns)
-    snapshot = compute.device.counters.snapshot()
-    dropped_before = cluster.fabric.messages_dropped
-    sim.run(until=warmup_ns + measure_ns)
+    snapshot = run_window(deployment, warmup_ns, measure_ns,
+                          compute.device.counters.snapshot)
     window = compute.device.counters.delta(snapshot)
     # Goodput: error and flush CQEs complete a WR without doing it.
     completed_ok = window.cqe_delivered - window.cqe_failed
@@ -245,9 +243,6 @@ def run_microbench(
         dram_bytes_per_wr=window.dram_bytes_per_wr,
         doorbells_used=doorbells_used,
         measured_wrs=completed_ok,
-        retransmissions=window.retransmissions,
-        messages_dropped=cluster.fabric.messages_dropped - dropped_before,
-        wasted_wrs=window.wasted_wrs,
     )
     if latencies:
         ordered = sorted(latencies)
@@ -256,8 +251,8 @@ def run_microbench(
     stats = None
     if smart_threads:
         stats = OperationStats.merge([s.stats for s in smart_threads])
-    collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
-    return collect_sanitizer(sanitizer, result)
+    return collect(result, deployment, stats, warmup_ns, measure_ns, obs,
+                   sanitizer)
 
 
 @dataclass
@@ -331,10 +326,12 @@ def run_dynamic_microbench(
     ]
     control_process = sim.spawn(controller())
 
+    # Table 1's own warmup: its throttled features carry adaptive credit,
+    # whose effective warmup would move the window.
     warmup = min(2e6, total_ns / 10)
-    sim.run(until=warmup)
-    snapshot = compute.device.counters.snapshot()
-    sim.run(until=total_ns)
+    deployment = Deployment(cluster, [compute], remotes, smart_threads, features)
+    snapshot = run_window(deployment, warmup, total_ns - warmup,
+                          compute.device.counters.snapshot)
     window = compute.device.counters.delta(snapshot)
     completed_ok = window.cqe_delivered - window.cqe_failed
     throughput = completed_ok / (total_ns - warmup) * 1e3

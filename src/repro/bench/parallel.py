@@ -167,24 +167,26 @@ def run_points(specs: Sequence[PointSpec], jobs: Optional[int] = None) -> List[A
     # The pool is sized by the jobs request (not the grid) so repeated
     # sweeps of different sizes reuse the same warm workers.
     pool = _get_pool(jobs)
-    futures = [pool.submit(_run_spec, spec) for spec in specs]
     results = []
-    for spec, future in zip(specs, futures):
-        try:
+    try:
+        # Submitting is inside the try: a worker that dies before every
+        # point is submitted breaks the pool at ``submit`` already.
+        futures = [pool.submit(_run_spec, spec) for spec in specs]
+        for spec, future in zip(specs, futures):
             ok, payload = future.result()
-        except RunArgumentError:
-            _drop_pool()
-            raise
-        except BrokenProcessPool as exc:
-            _drop_pool()
-            raise PointFailure(
-                None,
-                f"a worker process died with {len(specs) - len(results)} "
-                f"point(s) outstanding ({exc})",
-            ) from exc
-        if not ok:
-            _drop_pool()
-            message, worker_traceback = payload
-            raise PointFailure(spec, message, worker_traceback)
-        results.append(payload)
+            if not ok:
+                _drop_pool()
+                message, worker_traceback = payload
+                raise PointFailure(spec, message, worker_traceback)
+            results.append(payload)
+    except RunArgumentError:
+        _drop_pool()
+        raise
+    except BrokenProcessPool as exc:
+        _drop_pool()
+        raise PointFailure(
+            None,
+            f"a worker process died with {len(specs) - len(results)} "
+            f"point(s) outstanding ({exc})",
+        ) from exc
     return results

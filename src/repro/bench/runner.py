@@ -2,13 +2,13 @@
 
 SMART-HT/-DTX/-BT are the RACE/FORD/Sherman clients plus a framework
 configuration (§5), so a point of any of them runs through the same
-steps — config overrides → build the cluster → bulk-load the server →
-arm faults → attach observability → attach the sanitizer → spawn client
-loops → :func:`measure` → collect — spelled once, in :func:`run_app`.
+steps — build the cluster → bulk-load the server → :func:`instrument`
+(faults, observability, RDMASan) → spawn the load (closed client loops,
+or with ``rate_mops`` an open-loop :class:`repro.traffic.OpenLoopQueue`)
+→ :func:`measure` → :func:`collect` — spelled once, in :func:`run_app`.
 An :class:`App` owns only what differs between the applications.
-``run_hashtable``/``run_dtx``/``run_btree`` bind an adapter to that
-pipeline; :func:`repro.traffic.run_open_loop` drives the same adapters
-from an open-loop Poisson queue instead of closed client loops.
+:func:`run_window` is the one code that runs a point's simulator and
+:func:`collect` the one collect step; the microbenchmarks use both too.
 """
 
 from __future__ import annotations
@@ -50,23 +50,12 @@ def bench_features(features: SmartFeatures) -> SmartFeatures:
     return features
 
 
-@dataclass
-class RunResult:
-    """Aggregated outcome of one experiment point."""
+@dataclass(kw_only=True)
+class PointColumns:
+    """The columns every app point reports beside its own: fault and
+    recovery counts over the measured window (all zero for fault-free
+    runs), the phase breakdown and the RDMASan report."""
 
-    system: str
-    workload: str
-    threads: int
-    coroutines: int
-    compute_blades: int
-    throughput_mops: float
-    p50_latency_ns: Optional[float]
-    p99_latency_ns: Optional[float]
-    avg_retries: float
-    retry_distribution: Dict[int, float]
-    ops: int
-    measure_ns: float
-    # Fault-injection observability (all stay zero for fault-free runs).
     fault_aborts: int = 0
     recoveries: int = 0
     failed_recoveries: int = 0
@@ -84,6 +73,24 @@ class RunResult:
     phase_breakdown: Optional[Dict] = None
     #: RDMASan report (only when the run was sanitized; None otherwise)
     sanitizer: Optional[Dict] = None
+
+
+@dataclass
+class RunResult(PointColumns):
+    """Aggregated outcome of one closed-loop experiment point."""
+
+    system: str
+    workload: str
+    threads: int
+    coroutines: int
+    compute_blades: int
+    throughput_mops: float
+    p50_latency_ns: Optional[float]
+    p99_latency_ns: Optional[float]
+    avg_retries: float
+    retry_distribution: Dict[int, float]
+    ops: int
+    measure_ns: float
     #: kernel events the whole point executed (warmup + measure) — with
     #: the host wall-clock this gives events/sec per figure point
     sim_events: int = 0
@@ -99,7 +106,7 @@ class Deployment:
     smart_threads: List[SmartThread]
     features: SmartFeatures
     #: :func:`fault_totals` when the measured window opened (set by
-    #: :func:`measure`; the fault columns count from here)
+    #: :func:`run_window`; the fault columns count from here)
     window_faults: Dict[str, int] = field(default_factory=dict)
 
 
@@ -132,53 +139,6 @@ def build_deployment(
     return Deployment(cluster, compute_nodes, memory_nodes, smart_threads, features)
 
 
-def install_faults(
-    deployment: Deployment,
-    faults,
-    fault_seed: int,
-    warmup_ns: float,
-    measure_ns: float,
-    crash_unsafe: Optional[str] = None,
-):
-    """Arm a fault schedule on a freshly built deployment.
-
-    ``faults`` is ``None`` (no-op, the run is bit-identical to a build
-    without fault injection), a :class:`repro.faults.FaultSchedule`, the
-    literal ``"seeded"``, or a clause spec string (see
-    :meth:`repro.faults.FaultSchedule.parse`).  Seeded schedules target
-    the measurement window and crash only memory blades.
-
-    ``crash_unsafe`` names an application with no crash-recovery path:
-    its seeded schedules draw link faults only, and an explicit crash
-    clause is rejected here, before the simulator starts (link faults
-    are always safe — RC retransmission sits below every client).  So is
-    a spec that does not parse or names a node the deployment lacks:
-    each is a :class:`RunArgumentError`.
-    """
-    if faults is None:
-        return None
-    from repro.faults import FaultInjector, FaultSchedule
-
-    try:
-        schedule = FaultSchedule.from_spec(
-            faults,
-            seed=fault_seed,
-            window_start_ns=effective_warmup_ns(deployment.features, warmup_ns),
-            window_ns=measure_ns,
-            crash_nodes=() if crash_unsafe else
-            [n.node_id for n in deployment.memory_nodes],
-        )
-        if crash_unsafe and schedule.crashes:
-            raise ValueError(
-                f"{crash_unsafe} has no crash-recovery path (only dtx recovers "
-                f"from blade crashes): its fault schedule accepts loss, dup "
-                f"and delay clauses, not crash"
-            )
-        return FaultInjector(deployment.cluster, schedule).install()
-    except ValueError as error:
-        raise RunArgumentError(str(error)) from None
-
-
 #: :class:`RunResult` columns read off the device counters
 _DEVICE_COLUMNS = ("retransmissions", "error_completions", "flushed_wrs",
                    "wasted_wrs")
@@ -197,44 +157,52 @@ def fault_totals(cluster: Cluster) -> Dict[str, int]:
     return totals
 
 
-def apply_fault_stats(
-    result: RunResult,
-    stats: OperationStats,
-    deployment: Deployment,
-    rolled_back: int,
-) -> RunResult:
-    """Fill a result's fault/recovery columns from the run's artifacts.
-    Every column counts from the window's start, like the op stats: the
-    fabric / crash / device columns are deltas from
-    ``deployment.window_faults``, and ``rolled_back`` is the caller's
-    count of records rolled back by restarts inside the window.  A fault
-    that ended in warmup leaves them at 0."""
-    result.fault_aborts = stats.fault_aborts
-    result.recoveries = stats.recoveries
-    result.failed_recoveries = stats.failed_recoveries
-    result.avg_recovery_us = stats.avg_recovery_ns / 1e3
-    start = deployment.window_faults
-    for name, total in fault_totals(deployment.cluster).items():
-        setattr(result, name, total - start.get(name, 0))
-    result.rolled_back = rolled_back
-    return result
-
-
 def instrument(deployment: Deployment, server=None, faults=None,
                fault_seed: int = 0, warmup_ns: float = 0.0,
                measure_ns: float = 0.0, obs=None, sanitize=False,
                crash_unsafe: Optional[str] = None):
     """The attach sequence every runner performs on a loaded deployment;
     each step is a no-op (and the run byte-identical to a build without
-    that package) when its argument is off.  Arms ``faults`` (see
-    :func:`install_faults`), attaches the ``obs`` Observability, then
-    RDMASan — ``sanitize`` is ``True`` or an existing
+    that package) when its argument is off.  Returns ``(injector,
+    sanitizer)``.
+
+    ``faults`` arms a :class:`repro.faults.FaultSchedule`, the literal
+    ``"seeded"`` or a clause spec string (see
+    :meth:`repro.faults.FaultSchedule.parse`).  Seeded schedules target
+    the measurement window, which opens at ``warmup_ns`` (the effective
+    warmup, see :func:`effective_warmup_ns`), and crash only memory
+    blades.  ``crash_unsafe`` names an application with no crash-recovery
+    path: its seeded schedules draw link faults only, and a crash clause
+    is refused before the simulator starts (link faults are always safe
+    — RC retransmission sits below every client).  So is a spec that does
+    not parse or names a node the deployment lacks: each is a
+    :class:`RunArgumentError`.  Then the ``obs`` Observability is
+    attached, then RDMASan — ``sanitize`` is ``True`` or an existing
     :class:`repro.analysis.RdmaSanitizer` to reuse — with ``server``'s
-    regions declared to it.  Returns ``(injector, sanitizer)``.
+    regions declared to it.
     """
-    injector = install_faults(
-        deployment, faults, fault_seed, warmup_ns, measure_ns, crash_unsafe
-    )
+    injector = None
+    if faults is not None:
+        from repro.faults import FaultInjector, FaultSchedule
+
+        try:
+            schedule = FaultSchedule.from_spec(
+                faults,
+                seed=fault_seed,
+                window_start_ns=warmup_ns,
+                window_ns=measure_ns,
+                crash_nodes=() if crash_unsafe else
+                [n.node_id for n in deployment.memory_nodes],
+            )
+            if crash_unsafe and schedule.crashes:
+                raise ValueError(
+                    f"{crash_unsafe} has no crash-recovery path (only dtx "
+                    f"recovers from blade crashes): its fault schedule "
+                    f"accepts loss, dup and delay clauses, not crash"
+                )
+            injector = FaultInjector(deployment.cluster, schedule).install()
+        except ValueError as error:
+            raise RunArgumentError(str(error)) from None
     if obs is not None:
         obs.attach_cluster(deployment.cluster)
     sanitizer = None
@@ -248,19 +216,11 @@ def instrument(deployment: Deployment, server=None, faults=None,
     return injector, sanitizer
 
 
-def collect_sanitizer(sanitizer, result):
-    """Run teardown leak checks and embed the report (no-op on None)."""
-    if sanitizer is not None:
-        sanitizer.finish()
-        result.sanitizer = sanitizer.report()
-    return result
-
-
 class RunArgumentError(ValueError):
     """A runner argument that could only give a meaningless point."""
 
 
-def check_run_args(warmup_ns: float, **positive: float) -> None:
+def check_run_args(warmup_ns: float = 0.0, **positive: float) -> None:
     """Fail before anything is built on a window or a count that can only
     give nonsense: ``warmup_ns`` must be >= 0, every other argument (the
     measured window, thread / coroutine / blade counts) > 0.  The error
@@ -273,11 +233,12 @@ def check_run_args(warmup_ns: float, **positive: float) -> None:
 
 
 def effective_warmup_ns(features: SmartFeatures, warmup_ns: float) -> float:
-    """The warmup :func:`measure` will actually use.
+    """The warmup a point of ``features`` actually runs.
 
     Adaptive-credit systems extend warmup to cover the C_max search
-    phase; fault schedules anchored to the measurement window must use
-    the same boundary (stats are reset at its end).
+    phase.  A runner computes it once per point: the window, the fault
+    schedule anchored to it and :func:`collect`'s phases all read that
+    one value.
     """
     if features.work_req_throttling and features.adaptive_credit:
         update_phase = len(features.cmax_candidates) * features.update_delta_ns
@@ -285,73 +246,57 @@ def effective_warmup_ns(features: SmartFeatures, warmup_ns: float) -> float:
     return warmup_ns
 
 
-def measure(
-    deployment: Deployment,
-    warmup_ns: float,
-    measure_ns: float,
-) -> OperationStats:
-    """Run warmup, reset stats (and note the fault totals), run the
-    measured window, merge stats."""
-    warmup_ns = effective_warmup_ns(deployment.features, warmup_ns)
+def run_window(deployment: Deployment, warmup_ns: float, measure_ns: float,
+               on_open: Optional[Callable[[], object]] = None):
+    """Run one point's simulator: the warmup up to ``warmup_ns`` (already
+    effective), then open the window — reset every SMART thread's stats,
+    note :func:`fault_totals` in ``deployment.window_faults``, call
+    ``on_open`` — and run the ``measure_ns`` window.  Returns what
+    ``on_open`` returned (a counter snapshot, say)."""
     sim = deployment.cluster.sim
     sim.run(until=warmup_ns)
     for smart in deployment.smart_threads:
         smart.stats.reset()
     deployment.window_faults = fault_totals(deployment.cluster)
+    opened = on_open() if on_open is not None else None
     sim.run(until=warmup_ns + measure_ns)
+    return opened
+
+
+def measure(deployment: Deployment, warmup_ns: float, measure_ns: float,
+            on_open: Optional[Callable[[], object]] = None) -> OperationStats:
+    """:func:`run_window`, then the SMART threads' window stats merged."""
+    run_window(deployment, warmup_ns, measure_ns, on_open)
     return OperationStats.merge([s.stats for s in deployment.smart_threads])
 
 
-def collect_window(
-    obs,
-    deployment: Deployment,
-    stats: Optional[OperationStats],
-    warmup_ns: float,
-    measure_ns: float,
-) -> None:
-    """Record the warmup/measure phases, the cluster's counters and the
-    merged op stats (when there are any) into an attached Observability."""
-    warmup_ns = effective_warmup_ns(deployment.features, warmup_ns)
-    obs.phase("warmup", 0, warmup_ns)
-    obs.phase("measure", warmup_ns, warmup_ns + measure_ns)
-    obs.collect_cluster(deployment.cluster, window_ns=measure_ns)
-    if stats is not None:
-        obs.collect_stats(stats)
-
-
-def collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns):
-    """Post-run collection into an attached Observability (no-op on None)."""
+def collect(result, deployment: Deployment, stats: Optional[OperationStats],
+            warmup_ns: float, measure_ns: float, obs=None, sanitizer=None,
+            rolled_back: int = 0):
+    """The one collect step after :func:`run_window`: each
+    :func:`fault_totals` column ``result`` declares becomes its delta
+    from ``deployment.window_faults`` (a fault that ended in warmup
+    leaves it at 0) and ``rolled_back`` the caller's count of records
+    rolled back inside the window; ``obs`` gets the phases, the cluster's
+    counters, ``stats`` and the phase breakdown; ``sanitizer`` runs its
+    leak checks and embeds its report."""
+    start = deployment.window_faults
+    for name, total in fault_totals(deployment.cluster).items():
+        if hasattr(result, name):
+            setattr(result, name, total - start[name])
+    if hasattr(result, "rolled_back"):
+        result.rolled_back = rolled_back
     if obs is not None:
-        collect_window(obs, deployment, stats, warmup_ns, measure_ns)
+        obs.phase("warmup", 0, warmup_ns)
+        obs.phase("measure", warmup_ns, warmup_ns + measure_ns)
+        obs.collect_cluster(deployment.cluster, window_ns=measure_ns)
+        if stats is not None:
+            obs.collect_stats(stats)
         result.phase_breakdown = obs.phase_breakdown(deployment.cluster)
+    if sanitizer is not None:
+        sanitizer.finish()
+        result.sanitizer = sanitizer.report()
     return result
-
-
-def result_from_stats(
-    stats: OperationStats,
-    system: str,
-    workload: str,
-    threads: int,
-    coroutines: int,
-    compute_blades: int,
-    measure_ns: float,
-    sim: Optional["object"] = None,
-) -> RunResult:
-    return RunResult(
-        sim_events=sim.events_executed if sim is not None else 0,
-        system=system,
-        workload=workload,
-        threads=threads,
-        coroutines=coroutines,
-        compute_blades=compute_blades,
-        throughput_mops=stats.ops / measure_ns * 1e3,
-        p50_latency_ns=stats.latency_percentile_ns(0.50),
-        p99_latency_ns=stats.latency_percentile_ns(0.99),
-        avg_retries=stats.avg_retries,
-        retry_distribution=stats.retry_distribution(),
-        ops=stats.ops,
-        measure_ns=measure_ns,
-    )
 
 
 # -- what differs between the applications -------------------------------------
@@ -380,7 +325,7 @@ class App:
     #: every server is both a compute and a memory blade (Sherman)
     colocated = False
     #: clients survive a blade crash (only FORD's log-ring recovery
-    #: does; see :func:`install_faults`)
+    #: does; see :func:`instrument`)
     recovers_from_crash = False
 
     @classmethod
@@ -625,24 +570,34 @@ def run_app(
     fault_seed: int = 0,
     obs=None,
     sanitize=False,
-) -> RunResult:
-    """One closed-loop point of ``app`` (the arguments every app runner
-    shares).
+    rate_mops: Optional[float] = None,
+):
+    """One point of ``app`` (the arguments every app runner shares).
 
-    ``throttle_gap_ns`` inserts idle time between ops (used by the
-    Fig-9 throughput/latency curve to sweep offered load).
-    ``faults`` arms a fault schedule (see :func:`install_faults`): link
+    The load is ``coroutines`` closed-loop clients per SMART thread, and
+    the point a :class:`RunResult`; ``throttle_gap_ns`` inserts idle time
+    between their ops (the Fig-9 curve's offered-load sweep).  With
+    ``rate_mops`` it is open-loop: Poisson arrivals at that rate, served
+    by ``coroutines`` workers per SMART thread, and the point a
+    :class:`repro.traffic.OpenLoopResult`.
+    ``faults`` arms a fault schedule (see :func:`instrument`): link
     faults for every app, blade crashes only where
     ``app.recovers_from_crash``.
     ``obs`` attaches a :class:`repro.obs.Observability`, ``sanitize``
     RDMASan; both are passive.
     """
+    open_loop = {} if rate_mops is None else {"rate_mops": rate_mops}
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
                    coroutines=coroutines, compute_blades=compute_blades,
-                   memory_blades=memory_blades)
+                   memory_blades=memory_blades, **open_loop)
+    if open_loop and throttle_gap_ns > 0:
+        raise RunArgumentError(
+            f"throttle_gap_ns must be 0 for an open-loop point (rate_mops="
+            f"{rate_mops!r} sets its load), got {throttle_gap_ns!r}")
     deployment = deploy_app(
         app, system, threads, compute_blades, memory_blades, features, config, seed
     )
+    warmup_ns = effective_warmup_ns(deployment.features, warmup_ns)
     injector, sanitizer = instrument(
         deployment, app.server, faults, fault_seed, warmup_ns, measure_ns,
         obs, sanitize,
@@ -653,7 +608,7 @@ def run_app(
     rolled_back_before = 0  # by restarts up to the window's opening
     if injector is not None and app.recovers_from_crash:
         recovery = app.wire_recovery(injector)
-        opens = int(round(effective_warmup_ns(deployment.features, warmup_ns)))
+        opens = int(round(warmup_ns))
 
         def note_rollbacks(_node):
             nonlocal rolled_back_before
@@ -662,27 +617,47 @@ def run_app(
 
         injector.on_restart(note_rollbacks)
 
-    # One reusable pure-delay object serves every coroutine's gap sleeps
-    # (the kernel's cheap Timeout alternative for fire-and-forget waits).
-    gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
-    stream_seed = random.Random(seed)
-    clients = [
-        sim.spawn(client_loop(
-            app, smart, app.stream(stream_seed.getrandbits(31)), gap))
-        for smart in deployment.smart_threads
-        for _ in range(coroutines)
-    ]
+    queue = None
+    if open_loop:
+        from repro.traffic import OpenLoopQueue
 
-    stats = measure(deployment, warmup_ns, measure_ns)
-    result = result_from_stats(
-        stats, system, app.label, threads, coroutines, compute_blades,
-        measure_ns, sim=sim,
-    )
-    apply_fault_stats(
-        result, stats, deployment,
-        recovery.rolled_back - rolled_back_before if recovery else 0)
-    result = collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
-    return collect_sanitizer(sanitizer, result)
+        queue = OpenLoopQueue.serve(sim, app, deployment.smart_threads,
+                                    coroutines, rate_mops, seed)
+    else:
+        # One reusable pure-delay object serves every coroutine's gap
+        # sleeps (the kernel's cheap Timeout alternative for
+        # fire-and-forget waits).
+        gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
+        stream_seed = random.Random(seed)
+        for smart in deployment.smart_threads:
+            for _ in range(coroutines):
+                sim.spawn(client_loop(
+                    app, smart, app.stream(stream_seed.getrandbits(31)), gap))
+
+    stats = measure(deployment, warmup_ns, measure_ns,
+                    None if queue is None else queue.reset_window)
+    if queue is None:
+        result = RunResult(
+            system=system, workload=app.label, threads=threads,
+            coroutines=coroutines, compute_blades=compute_blades,
+            throughput_mops=stats.ops / measure_ns * 1e3,
+            p50_latency_ns=stats.latency_percentile_ns(0.50),
+            p99_latency_ns=stats.latency_percentile_ns(0.99),
+            avg_retries=stats.avg_retries,
+            retry_distribution=stats.retry_distribution(),
+            ops=stats.ops, measure_ns=measure_ns,
+            sim_events=sim.events_executed)
+    else:
+        result = queue.result(app.name, system, threads, measure_ns)
+        if obs is not None:
+            queue.collect(obs)
+    result.fault_aborts = stats.fault_aborts
+    result.recoveries = stats.recoveries
+    result.failed_recoveries = stats.failed_recoveries
+    result.avg_recovery_us = stats.avg_recovery_ns / 1e3
+    return collect(result, deployment, stats, warmup_ns, measure_ns, obs,
+                   sanitizer,
+                   recovery.rolled_back - rolled_back_before if recovery else 0)
 
 
 def run_hashtable(system: str = "smart-ht",

@@ -1,23 +1,26 @@
 """Open-loop load: one Poisson queue in front of an app's clients.
 
-The closed-loop runners in :mod:`repro.bench.runner` issue each op only
-after the previous one completes, which under-reports latency past
-saturation (coordinated omission).  :func:`run_open_loop` generates
-arrivals independently of service progress:
+The closed-loop load of :func:`repro.bench.runner.run_app` issues each op
+only after the previous one completes, which under-reports latency past
+saturation (coordinated omission).  ``run_app(..., rate_mops=r)``
+generates arrivals independently of service progress instead, through
+one :class:`OpenLoopQueue`:
 
 * one arrival process draws seeded Poisson gaps
   (:func:`repro.sim.rng.exponential_interval_ns`) and appends one
   workload op per arrival to a FIFO queue, putting one token in a
   :class:`repro.sim.TokenBucket` for it;
-* ``workers`` coroutines, each with its own app client and placed
-  round-robin over the deployment's SMART threads, take a token, pop the
-  oldest op and run it.
+* ``coroutines`` workers per SMART thread, each with its own app client
+  (worker *i* on thread *i* mod *T*), take a token, pop the oldest op and
+  run it.
 
 Each op's arrival→issue delay goes to a :class:`LogHistogram`, its
 arrival→completion latency to an :class:`OperationStats`, so p50/p99 come
-out of the standard percentile path.  The point runs as a
-:mod:`repro.bench.parallel` sweep point, so every argument stays
-picklable.
+out of the standard percentile path.  Everything else — faults, RDMASan,
+observability, the window and the collect step — is ``run_app``'s, as it
+is for a closed-loop point.  :func:`run_open_loop` names the app and
+counts workers in total; it runs as a :mod:`repro.bench.parallel` sweep
+point, so every argument stays picklable.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from typing import Deque, Optional, Tuple
 
 from repro.bench.runner import (
     App,
+    PointColumns,
+    RunArgumentError,
     app_class,
     check_run_args,
-    collect_window,
-    deploy_app,
-    effective_warmup_ns,
-    instrument,
+    run_app,
 )
 from repro.core import OperationStats
 from repro.obs.metrics import LogHistogram
@@ -43,7 +45,7 @@ from repro.sim.rng import exponential_interval_ns
 
 
 @dataclass
-class OpenLoopResult:
+class OpenLoopResult(PointColumns):
     """Measured-window outcome of one open-loop point."""
 
     app: str
@@ -76,14 +78,35 @@ class OpenLoopQueue:
     measured window's counters."""
 
     __slots__ = ("queue", "tokens", "stats", "offered", "max_queue_depth",
-                 "queue_delay_hist")
+                 "queue_delay_hist", "workers")
 
     def __init__(self, sim: Simulator):
         #: (arrival_time_ns, op) arrived but not yet issued
         self.queue: Deque[Tuple[int, object]] = deque()
         self.tokens = TokenBucket(sim, 0, name="open_loop.queue")
         self.stats = OperationStats()
+        self.workers = 0
         self.reset_window()
+
+    @classmethod
+    def serve(cls, sim: Simulator, app: App, smart_threads, coroutines: int,
+              rate_mops: float, seed: int) -> "OpenLoopQueue":
+        """A queue fed by Poisson arrivals at ``rate_mops`` and drained by
+        ``coroutines`` workers per SMART thread, placed round-robin.  One
+        seeder draws the stream seed, then the arrival seed; the arrival
+        process is spawned before the workers."""
+        seeder = random.Random(seed)
+        stream = app.stream(seeder.getrandbits(31))
+        state = cls(sim)
+        sim.spawn(
+            _arrivals(sim, state, stream, rate_mops, seeder.getrandbits(31)),
+            name="open_loop.arrivals")
+        state.workers = coroutines * len(smart_threads)
+        for index in range(state.workers):
+            sim.spawn(_worker(sim, state, app,
+                              smart_threads[index % len(smart_threads)]),
+                      name=f"open_loop.w{index}")
+        return state
 
     def reset_window(self) -> None:
         """Zero the window's counters at the warmup/measure boundary.
@@ -94,6 +117,29 @@ class OpenLoopQueue:
         self.offered = 0
         self.max_queue_depth = len(self.queue)
         self.queue_delay_hist = LogHistogram()
+
+    def result(self, app: str, system: str, threads: int,
+               measure_ns: float) -> OpenLoopResult:
+        """The window's :class:`OpenLoopResult` (its fault columns are
+        filled by the runner's collect step)."""
+        stats = self.stats
+        queue_hist = self.queue_delay_hist
+        return OpenLoopResult(
+            app=app, system=system, threads=threads, measure_ns=measure_ns,
+            workers=self.workers,
+            offered_mops=self.offered / measure_ns * 1e3,
+            achieved_mops=stats.ops / measure_ns * 1e3,
+            offered=self.offered,
+            completed=stats.ops,
+            backlog=len(self.queue),
+            max_queue_depth=self.max_queue_depth,
+            p50_latency_ns=stats.latency_percentile_ns(0.50),
+            p99_latency_ns=stats.latency_percentile_ns(0.99),
+            queue_p50_ns=queue_hist.percentile(0.50),
+            queue_p99_ns=queue_hist.percentile(0.99),
+            queue_mean_ns=queue_hist.mean,
+            avg_retries=stats.avg_retries,
+        )
 
     def collect(self, obs) -> None:
         """The window's metrics under ``open_loop.``: op stats, offered
@@ -144,76 +190,29 @@ def run_open_loop(
     servers: int = 1,
     item_count: int = 50_000,
     benchmark: str = "smallbank",
-    config=None,
-    warmup_ns: float = 1.0e6,
-    measure_ns: float = 2.0e6,
-    seed: int = 0,
-    obs=None,
+    **run,
 ) -> OpenLoopResult:
-    """One open-loop point: Poisson arrivals at ``rate_mops`` served by
-    ``workers`` coroutines spread round-robin over the SMART threads.
+    """One open-loop point of the app called ``app``: Poisson arrivals at
+    ``rate_mops`` served by ``workers`` coroutines, an equal share on each
+    SMART thread (``workers`` must be a multiple of their count).
 
     ``app`` names one of :data:`repro.bench.runner.APPS`, ``system`` one
     of its systems; ``workload`` is the YCSB mix of the hash table and
     B+Tree (``None``: write-heavy), ``benchmark`` DTX's.  The hash table
     and DTX deploy one compute blade against two memory blades, the
-    B+Tree ``servers`` combined blades.
+    B+Tree ``servers`` combined blades.  ``run`` is
+    :func:`repro.bench.runner.run_app`'s keyword arguments (``config``,
+    the window, ``seed``, ``faults``, ``obs``, ``sanitize``, …).
     """
-    check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
-                   item_count=item_count, servers=servers,
-                   rate_mops=rate_mops, workers=workers)
+    check_run_args(threads=threads, item_count=item_count, servers=servers,
+                   workers=workers)
     adapter = app_class(app).for_open_loop(item_count, benchmark, workload)
     compute_blades = servers if adapter.colocated else 1
-    system = system or adapter.default_system
-    deployment = deploy_app(adapter, system, threads, compute_blades,
-                            memory_blades=2, features=None, config=config,
-                            seed=seed)
-    instrument(deployment, obs=obs)
-
-    # One seeder draws the stream seed, then the arrival seed; the
-    # arrival process is spawned before the workers.
-    sim = deployment.cluster.sim
-    seeder = random.Random(seed)
-    stream = adapter.stream(seeder.getrandbits(31))
-    state = OpenLoopQueue(sim)
-    smart_threads = deployment.smart_threads
-    processes = [sim.spawn(
-        _arrivals(sim, state, stream, rate_mops, seeder.getrandbits(31)),
-        name="open_loop.arrivals")]
-    processes += [
-        sim.spawn(_worker(sim, state, adapter,
-                          smart_threads[index % len(smart_threads)]),
-                  name=f"open_loop.w{index}")
-        for index in range(workers)
-    ]
-
-    warm = effective_warmup_ns(deployment.features, warmup_ns)
-    sim.run(until=warm)
-    for smart in smart_threads:
-        smart.stats.reset()
-    state.reset_window()
-    sim.run(until=warm + measure_ns)
-
-    stats = state.stats
-    queue_hist = state.queue_delay_hist
-    result = OpenLoopResult(
-        app=app, system=system, threads=threads, measure_ns=measure_ns,
-        workers=workers,
-        offered_mops=state.offered / measure_ns * 1e3,
-        achieved_mops=stats.ops / measure_ns * 1e3,
-        offered=state.offered,
-        completed=stats.ops,
-        backlog=len(state.queue),
-        max_queue_depth=state.max_queue_depth,
-        p50_latency_ns=stats.latency_percentile_ns(0.50),
-        p99_latency_ns=stats.latency_percentile_ns(0.99),
-        queue_p50_ns=queue_hist.percentile(0.50),
-        queue_p99_ns=queue_hist.percentile(0.99),
-        queue_mean_ns=queue_hist.mean,
-        avg_retries=stats.avg_retries,
-    )
-    if obs is not None:
-        merged = OperationStats.merge([s.stats for s in smart_threads])
-        collect_window(obs, deployment, merged, warmup_ns, measure_ns)
-        state.collect(obs)
-    return result
+    smart_threads = threads * compute_blades
+    if workers % smart_threads:
+        raise RunArgumentError(
+            f"workers must be a multiple of the {smart_threads} SMART "
+            f"threads, got {workers!r}")
+    return run_app(adapter, system or adapter.default_system, threads=threads,
+                   coroutines=workers // smart_threads,
+                   compute_blades=compute_blades, rate_mops=rate_mops, **run)

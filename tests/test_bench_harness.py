@@ -237,7 +237,6 @@ class TestRunners:
             raise AssertionError("the cluster was built")
 
         monkeypatch.setattr(runner_module, "deploy_app", no_build)
-        monkeypatch.setattr("repro.traffic.deploy_app", no_build)
         monkeypatch.setattr("repro.bench.microbench.Cluster", no_build)
         with pytest.raises(RunArgumentError, match=f"^{name} must be"):
             runner(**bad)

@@ -650,6 +650,43 @@ def test_qp_errored_after_its_blade_restarted_is_reconnected(fault_seed, policy)
             if leak["kind"] == "qp-error"] == []
 
 
+#: an open-loop FORD point whose window is 0.5–1.5 ms
+OPEN_DTX_KW = dict(app="dtx", system="ford", rate_mops=0.3, threads=2,
+                   workers=4, item_count=2_000, warmup_ns=0.5e6,
+                   measure_ns=1.0e6, sanitize=True)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("faults,fault_seed", [
+    ("seeded", 1),
+    ("crash=2@1.0ms+0.3ms", 0),
+], ids=["seeded", "crash-in-window"])
+def test_open_loop_point_takes_faults_and_rdmasan(faults, fault_seed):
+    """An open-loop point runs through ``run_app``'s pipeline, so it arms
+    faults, wires FORD's recovery and runs RDMASan like a closed-loop
+    point: the blade crash inside the window is counted with its
+    rollbacks and wasted WRs, and the sanitizer finds nothing."""
+    from repro.traffic import run_open_loop
+
+    result = run_open_loop(faults=faults, fault_seed=fault_seed, **OPEN_DTX_KW)
+    assert result.completed > 0
+    assert result.crashes == 1 and result.recoveries > 0
+    assert result.rolled_back >= 1 and result.wasted_wrs > 0
+    assert result.sanitizer["findings"] == [] == result.sanitizer["leaks"]
+
+
+@pytest.mark.chaos
+def test_open_loop_fault_columns_cover_the_measured_window_only():
+    """A crash and restart inside the warmup leave the window's fault
+    columns at 0, as they do for a closed-loop point."""
+    from repro.traffic import run_open_loop
+
+    result = run_open_loop(faults="crash=2@0.1ms+0.2ms", **OPEN_DTX_KW)
+    assert result.completed > 0
+    assert result.crashes == 0 == result.rolled_back
+    assert result.wasted_wrs == 0 == result.error_completions
+
+
 # -- faults through the shared app pipeline ------------------------------------
 
 APP_KW = dict(threads=2, coroutines=2, item_count=2_000,

@@ -88,6 +88,15 @@ def test_fig4_deep_queues_lose_half_the_throughput():
 # ``tenant``, ``shed``, ``deferred`` and ``nominal_mops`` (the
 # ``rate_mops`` input) keys, and its ``tenant.t0.*`` metrics renamed
 # ``open_loop.*`` without the zero ``.shed`` / ``.deferred`` counters.
+#
+# They were re-recorded again when open-loop load became a mode of
+# ``run_app``: ``OpenLoopResult`` gained the fault / recovery columns,
+# ``phase_breakdown`` and ``sanitizer`` it shares with ``RunResult``.  Each
+# payload minus those keys (all zero / ``None``, but for the ``+obs``
+# points' phase breakdown) hashes to the previous digest, and the kernel
+# event counts are unchanged.  The ``open-*+sanitize`` and ``open-*+loss``
+# pins were recorded then, since open-loop points took no ``faults`` /
+# ``sanitize`` before; each ``+loss`` point retransmits inside the window.
 
 _HT = dict(threads=2, coroutines=2, item_count=2_000,
            warmup_ns=0.2e6, measure_ns=0.4e6)
@@ -154,12 +163,18 @@ GOLDEN_DIGESTS = {
     "bt-sherman-nohopl": "d451b483e5f45aca0ab70ffe739057a2c0bc77818faa7834f234f93313bf12e9",
     "bt-sherman-nohopl+obs": "71eb6830902228633884ae758568e1f7a709aa6707e7307af060d04fb1df1e7e",
     "bt-sherman-nohopl+sanitize": "9bdeb79362b26e11ee84d2f386eed07c0b690ceaa8c6943f763c506f531e316b",
-    "open-hashtable": "dd1ac88b5c8bacf6de34bef337a2ba1706be8b5447123ec9556d8e3c9cb9e7fb",
-    "open-hashtable+obs": "8deef941e1cd2b4a7fc8a6a9f3fed6404738f7ab80bf98bdd035cbc8df78515f",
-    "open-dtx": "922ac2de9458e68809af25a1490b00c525f5bab1f8903d53054f4d2513ead257",
-    "open-dtx+obs": "ad62cbc2e1002662add57a034e39de91772160eee62900c9d7ac46c91ed24973",
-    "open-btree": "ebe39485ce4bf3f9e13c041369059566d43906de85f22aeeb66301be17f791cc",
-    "open-btree+obs": "cfb0f0b7232ee9e3fb601fe2ff594aea277a982a2a882b65b0d881abb230408d",
+    "open-hashtable": "aeefde5209722636fc42fc2ae3a84127e83c39d03580d290462b544c77e26dc0",
+    "open-hashtable+obs": "fbe7d06c58f2c5d28a8ecf6618e317fc4e906718796fb977cf5f9796b793349e",
+    "open-hashtable+sanitize": "08a74424532da002348857213cea9eb556c81de6270f568d73f54c2c3ed69b23",
+    "open-hashtable+loss": "35c52400935c5b15ef663ff9f4a7482d80aca0395806ac1c8fd8d95e1aea4e01",
+    "open-dtx": "77f90969c668286a39d36506648edd5f7874f5eb6ca047d0dea6b5bdfb411316",
+    "open-dtx+obs": "6db7a2a7f0679eacc0bcd4bac92f34255a5fa6d343bb8b7134944c2f283e36ec",
+    "open-dtx+sanitize": "eae4f27efc1693f376cb874cbaaa0afc76c4ef2e65ed3c94028a7e679d013988",
+    "open-dtx+loss": "54b483054c79e9f61c48175145a75a5570cd0ca79acabb73969156b00c821a8f",
+    "open-btree": "80aadd9fb4d8645ce43091147187b0cf88f490ff99b8b54070d4d1b683d70591",
+    "open-btree+obs": "4bef7928381a67ea9a086516cfdf8d84e4d027d9354a18a0c2eb47ac34747a5d",
+    "open-btree+sanitize": "c2b512cf7b1925de84e96f09209c29252044d6c58488e995d6ff42537db93010",
+    "open-btree+loss": "909403ded6d933d884e3f998f900f58d4576bb356a97de6bece927dc9d190fb1",
     "micro-smart": "db0f1984d92cfe628e8d2f3a39ea6a53f21a710f01961f572a5f965d67921ea2",
     "micro-smart+obs": "3a810119cb26847b0fdb816d9747d95fdabc9153611243b1f691ce3bf456ee69",
     "micro-smart+sanitize": "2fe9323a59a1c565b2c2cf7de4884958800a42ba442cb3db83292483b756c2be",
@@ -200,13 +215,12 @@ def _golden_cases():
     for name, (runner, kwargs) in _POINTS.items():
         cases.append((name, name, {}, False))
         cases.append((f"{name}+obs", name, {}, True))
-        if runner == "run_open_loop":  # no faults / sanitize arguments
-            continue
         cases.append((f"{name}+sanitize", name, dict(sanitize=True), False))
         if runner == "run_btree":  # gained faults= in PR 12: replay-tested
             continue
-        smart = kwargs.get("system", kwargs.get("policy")) in (
-            "smart-ht", "smart-dtx", "smart")
+        # an open-loop point without a system runs its app's SMART one
+        smart = runner == "run_open_loop" or kwargs.get(
+            "system", kwargs.get("policy")) in ("smart-ht", "smart-dtx", "smart")
         cases.append((f"{name}+loss", name, _LOSS_SMART if smart else _LOSS, False))
     cases.append(("dtx-smallbank+crash", "dtx-smallbank",
                   dict(faults="loss=0.01@2.05ms+0.3ms,crash=2@2.1ms+0.15ms",
@@ -217,7 +231,7 @@ def _golden_cases():
 
 
 def _golden_run(point, extra, with_obs):
-    """``(digest, kernel events)`` of one pinned point.
+    """``(digest, kernel events, result)`` of one pinned point.
 
     The digest covers simulated output only: ``RunResult.sim_events`` and
     the ``sim.events_executed`` counter say what the point cost the host,
@@ -249,7 +263,7 @@ def _golden_run(point, extra, with_obs):
             events = int(counted["value"])
         payload = {"result": payload, "metrics": metrics}
     blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest(), events
+    return hashlib.sha256(blob.encode()).hexdigest(), events, result
 
 
 @pytest.mark.parametrize(
@@ -258,8 +272,10 @@ def _golden_run(point, extra, with_obs):
 )
 def test_runner_results_are_byte_identical_to_the_pinned_commit(
         case, point, extra, with_obs):
-    digest, events = _golden_run(point, extra, with_obs)
+    digest, events, result = _golden_run(point, extra, with_obs)
     assert digest == GOLDEN_DIGESTS[case]
+    if case.endswith("+loss"):
+        assert result.retransmissions > 0, case
     if case in GOLDEN_EVENTS:
         assert events == GOLDEN_EVENTS[case], (
             f"{case}: kernel events {events} != pinned {GOLDEN_EVENTS[case]} "
@@ -270,7 +286,7 @@ def test_runner_results_are_byte_identical_to_the_pinned_commit(
 
 
 if __name__ == "__main__":  # record mode: print both tables for this src tree
-    runs = [(case, *_golden_run(point, extra, with_obs))
+    runs = [(case, *_golden_run(point, extra, with_obs)[:2])
             for case, point, extra, with_obs in _golden_cases()]
     print("GOLDEN_DIGESTS = {")
     for case, digest, _events in runs:

@@ -120,6 +120,32 @@ class TestFailurePropagation:
         with pytest.raises(PointFailure, match="died"):
             run_points(grid, jobs=2)
 
+    def test_pool_that_breaks_while_submitting_is_a_point_failure(
+            self, monkeypatch):
+        """A worker that dies before every point is submitted breaks the
+        pool at ``submit``: that is a ``PointFailure`` too, the broken
+        pool is dropped and the next sweep gets a fresh one."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.bench import parallel
+
+        pool = parallel._get_pool(2)
+        submit = pool.submit
+        calls = []
+
+        def submit_then_break(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "submit", submit_then_break)
+        grid = [PointSpec(run_ok, dict(value=i)) for i in range(4)]
+        with pytest.raises(PointFailure, match="died"):
+            run_points(grid, jobs=2)
+        assert parallel._get_pool(2) is not pool
+        assert run_points(grid, jobs=2) == [0, 2, 4, 6]
+
     def test_pool_rebuilt_after_failure(self):
         """The sweep after a failure gets a fresh pool and just works."""
         grid = [PointSpec(run_ok, dict(value=i)) for i in range(8)]

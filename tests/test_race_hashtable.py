@@ -299,6 +299,26 @@ class TestSplits:
         assert client.meta.global_depth >= 2  # table actually grew
 
 
+    def test_a_run_cut_off_inside_a_split_closes_quietly(self, capsys,
+                                                          monkeypatch):
+        """Insert-only load splits segments until the window closes; the
+        clients cut off holding a split's lock are closed when the run is
+        collected, without a remote release (the run is over) and so
+        without ``generator ignored GeneratorExit`` on stderr."""
+        import gc
+        import sys
+
+        monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
+        result = run_hashtable(
+            system="race", workload=YcsbWorkload("insert-only", 0, 0, 1),
+            threads=4, coroutines=8, item_count=2000, warmup_ns=0.2e6,
+            measure_ns=2e6)
+        assert result.ops > 0
+        del result
+        gc.collect()
+        assert capsys.readouterr().err == ""
+
+
 class TestRandomizedAgainstModel:
     def test_random_ops_match_dict(self):
         cluster, _, (client,), _ = deploy(threads=1, segments=16, buckets=64)

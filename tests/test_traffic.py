@@ -85,16 +85,16 @@ def test_same_seed_runs_bit_identical():
 def test_read_only_workload_issues_no_cas(monkeypatch):
     """``workload`` reaches the app: a read-only mix never touches a
     blade's atomics, the default write-heavy one does."""
-    import repro.traffic as traffic
+    import repro.bench.runner as runner
 
     deployments = []
-    deploy = traffic.deploy_app
+    deploy = runner.deploy_app
 
     def keep(*args, **kwargs):
         deployments.append(deploy(*args, **kwargs))
         return deployments[-1]
 
-    monkeypatch.setattr(traffic, "deploy_app", keep)
+    monkeypatch.setattr(runner, "deploy_app", keep)
     reads = run_open_loop(app="hashtable", rate_mops=0.5,
                           workload=ycsb.READ_ONLY, **RUN_KW)
     writes = run_open_loop(app="hashtable", rate_mops=0.5, **RUN_KW)
