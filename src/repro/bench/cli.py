@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="payload bytes per work request (default: 8)")
     parser.add_argument("--memory-nodes", type=int, default=1)
     add_common_flags(
-        parser, {"measure_us": {"help": "measured window, simulated microseconds"}},
+        parser, {"measure_us": {"help": "measured window, simulated microseconds"},
+                 "seed": {"help": "draws the WR addresses and each thread's memory node"}},
         measure_us=1500.0, seed=1,
     )
     parser.add_argument("--faults", default=None, metavar="SPEC",
@@ -221,7 +222,8 @@ def build_traffic_parser() -> argparse.ArgumentParser:
                         help="btree only: combined compute+memory blades")
     parser.add_argument("--item-count", type=int, default=30_000)
     parser.add_argument("--warmup-us", type=float, default=1000.0)
-    add_common_flags(parser, measure_us=1500.0, seed=0)
+    add_common_flags(parser, {"seed": {"help": "draws the op stream and the arrival gaps"}},
+                     measure_us=1500.0, seed=0)
     parser.add_argument("--sweep", default=None, metavar="RATES",
                         help="comma-separated offered rates (MOPS): run the "
                              "latency_throughput knee sweep instead of one point")

@@ -34,7 +34,7 @@ from repro.bench.runner import (
     BENCH_DELTA_NS, app_class, bench_features, run_btree, run_dtx, run_hashtable,
 )
 from repro.core.features import baseline, cumulative_ladder, full
-from repro.traffic import run_open_loop
+from repro.traffic import OpenLoopResult, run_open_loop
 from repro.workloads.ycsb import (
     READ_HEAVY,
     READ_ONLY,
@@ -156,18 +156,37 @@ def _mops_row(label: List, result) -> List:
     return label + [result.throughput_mops]
 
 
-def _latency_row(label: List, result) -> List:
-    """MOPS, p50 and p99 of a closed-loop point; a point that measured no
-    operation has no latency to report and is refused, not printed as 0."""
-    if result.ops == 0:
+def _load_row(label: List, result) -> List:
+    """Offered and achieved MOPS, p50 and p99 of a closed-loop point (it offers
+    what it completes) or an open-loop one (the arrivals its window saw); a
+    point that measured no operation is refused, not printed as 0 us."""
+    open_loop = isinstance(result, OpenLoopResult)
+    if (result.completed if open_loop else result.ops) == 0:
         raise RuntimeError(f"point {label} measured no operations")
-    return label + [result.throughput_mops, _us(result.p50_latency_ns),
-                    _us(result.p99_latency_ns)]
+    done = result.achieved_mops if open_loop else result.throughput_mops
+    return label + [result.offered_mops if open_loop else done, done,
+                    _us(result.p50_latency_ns), _us(result.p99_latency_ns)]
 
 
-def _median_row(label: List, result) -> List:
-    """:func:`_latency_row` without the p99 column."""
-    return _latency_row(label, result)[:-1]
+def _latency_row(label: List, result) -> List:
+    """:func:`_load_row` without the offered column."""
+    row = _load_row(label, result)
+    del row[len(label)]
+    return row
+
+
+#: the load label of a closed-loop point in Figs 9 and 11
+FULL = "full"
+
+
+def _load_points(run: Callable, systems: Sequence[str], threads: int, item_count: int,
+                 rates_mops: Sequence[float], label: List, **kwargs) -> List:
+    """Figs 9/11: each system at full load (closed loop), then at each offered
+    rate (open loop: Poisson arrivals served by the same 8 coroutines a thread)."""
+    return [(label + [system, load], _app_point(
+                run, system, threads, item_count, **kwargs,
+                **({} if load == FULL else {"rate_mops": load})))
+            for system in systems for load in (FULL, *rates_mops)]
 
 
 # -- Section 3: scalability bottlenecks ---------------------------------------------
@@ -359,26 +378,19 @@ def fig8_breakdown(
 
 
 def fig9_ht_latency(
-    gaps_ns: Optional[Sequence[float]] = None,
+    rates_mops: Optional[Sequence[float]] = None,
     item_count: int = 50_000,
     threads: int = 96,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Figure 9: throughput vs latency (read-only, 96 threads)."""
-    gaps_ns = gaps_ns or _grid(
-        (0.0, 20_000.0), (0.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 40_000.0, 80_000.0)
-    )
+    rates_mops = rates_mops or _grid((1.0, 2.0, 4.0, 8.0), (1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
     return _sweep(
         name="Figure 9: hash table throughput vs latency (read-only, 96 threads)",
-        headers=["system", "gap_us", "MOPS", "p50_us", "p99_us"],
-        points=[
-            ([system, gap / 1e3], _app_point(
-                run_hashtable, system, threads, item_count,
-                workload=READ_ONLY, throttle_gap_ns=gap))
-            for system in ("race", "smart-ht")
-            for gap in gaps_ns
-        ],
-        row=_latency_row,
+        headers=["system", "load", "offered", "MOPS", "p50_us", "p99_us"],
+        points=_load_points(run_hashtable, ("race", "smart-ht"), threads, item_count,
+                            rates_mops, [], workload=READ_ONLY),
+        row=_load_row,
         paper_claim=(
             "SMART-HT cuts median latency by 69.6% and tail latency by up to "
             "80.6% at matched throughput"
@@ -417,25 +429,20 @@ def fig10_dtx(
 
 
 def fig11_dtx_latency(
-    gaps_ns: Optional[Sequence[float]] = None,
+    rates_mops: Optional[Sequence[float]] = None,
     item_count: int = 50_000,
     threads: int = 96,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Figure 11: throughput vs median latency, 96 threads x 8 coroutines."""
-    gaps_ns = gaps_ns or _grid((0.0, 40_000.0), (0.0, 5_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0))
+    rates_mops = rates_mops or _grid((0.1, 0.4), (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4))
     return _sweep(
         name="Figure 11: DTX throughput vs median latency (96 threads)",
-        headers=["benchmark", "system", "gap_us", "Mtxn/s", "p50_us"],
-        points=[
-            ([benchmark, system, gap / 1e3], _app_point(
-                run_dtx, system, threads, item_count,
-                benchmark=benchmark, throttle_gap_ns=gap))
-            for benchmark in ("smallbank", "tatp")
-            for system in ("ford", "smart-dtx")
-            for gap in gaps_ns
-        ],
-        row=_median_row,
+        headers=["benchmark", "system", "load", "offered", "Mtxn/s", "p50_us"],
+        points=[point for benchmark in ("smallbank", "tatp") for point in _load_points(
+            run_dtx, ("ford", "smart-dtx"), threads, item_count, rates_mops, [benchmark],
+            benchmark=benchmark)],
+        row=lambda label, r: _load_row(label, r)[:-1],  # no p99 column
         paper_claim=(
             "SMART-DTX cuts median latency by up to 45.8% (SmallBank) and "
             "77.0% (TATP); at low load the systems match"
@@ -626,11 +633,11 @@ def latency_throughput(
 ) -> ExperimentResult:
     """Open-loop offered-load sweep: find the latency-throughput knee.
 
-    Unlike the closed-loop Fig 9/11 sweeps (which thin load by inserting
-    idle gaps and therefore cannot observe queueing delay), this sweep
-    offers Poisson arrivals at fixed rates through
-    :func:`repro.traffic.run_open_loop` and reports achieved
-    throughput, total (arrival→completion) latency and queueing delay.
+    Like the open-loop points of Figs 9/11, this sweep offers Poisson
+    arrivals at fixed rates, here through the by-name
+    :func:`repro.traffic.run_open_loop` with ``workers`` in total, and
+    reports achieved throughput, total (arrival→completion) latency and
+    queueing delay.
     Past the knee the baseline's queue grows without bound while SMART's
     higher capacity keeps absorbing load.  The sweep runs ``app``'s
     baseline (its first system) against its SMART refactor.

@@ -543,14 +543,12 @@ def deploy_app(app: App, system: str, threads: int, compute_blades: int,
     return app.load(system, build(), seed, build)
 
 
-def client_loop(app: App, smart: SmartThread, stream, gap):
+def client_loop(app: App, smart: SmartThread, stream):
     """One closed-loop client coroutine: next op when the last completes."""
     client = app.make_client(smart)
     dispatch = app.dispatch
     for item in stream:
         yield from dispatch(client, item)
-        if gap is not None:
-            yield gap
 
 
 def run_app(
@@ -565,7 +563,6 @@ def run_app(
     warmup_ns: float = 1.0e6,
     measure_ns: float = 2.0e6,
     seed: int = 0,
-    throttle_gap_ns: float = 0.0,
     faults=None,
     fault_seed: int = 0,
     obs=None,
@@ -574,12 +571,12 @@ def run_app(
 ):
     """One point of ``app`` (the arguments every app runner shares).
 
-    The load is ``coroutines`` closed-loop clients per SMART thread, and
-    the point a :class:`RunResult`; ``throttle_gap_ns`` inserts idle time
-    between their ops (the Fig-9 curve's offered-load sweep).  With
-    ``rate_mops`` it is open-loop: Poisson arrivals at that rate, served
-    by ``coroutines`` workers per SMART thread, and the point a
-    :class:`repro.traffic.OpenLoopResult`.
+    The load is ``coroutines`` closed-loop clients per SMART thread (full
+    load), and the point a :class:`RunResult`.  With ``rate_mops`` it is
+    open-loop: Poisson arrivals at that rate, served by ``coroutines``
+    workers per SMART thread, and the point a
+    :class:`repro.traffic.OpenLoopResult`; this is the one way to offer
+    less than full load (the Fig 9 / 11 matched-rate sweeps).
     ``faults`` arms a fault schedule (see :func:`instrument`): link
     faults for every app, blade crashes only where
     ``app.recovers_from_crash``.
@@ -590,10 +587,6 @@ def run_app(
     check_run_args(warmup_ns, measure_ns=measure_ns, threads=threads,
                    coroutines=coroutines, compute_blades=compute_blades,
                    memory_blades=memory_blades, **open_loop)
-    if open_loop and throttle_gap_ns > 0:
-        raise RunArgumentError(
-            f"throttle_gap_ns must be 0 for an open-loop point (rate_mops="
-            f"{rate_mops!r} sets its load), got {throttle_gap_ns!r}")
     deployment = deploy_app(
         app, system, threads, compute_blades, memory_blades, features, config, seed
     )
@@ -624,15 +617,11 @@ def run_app(
         queue = OpenLoopQueue.serve(sim, app, deployment.smart_threads,
                                     coroutines, rate_mops, seed)
     else:
-        # One reusable pure-delay object serves every coroutine's gap
-        # sleeps (the kernel's cheap Timeout alternative for
-        # fire-and-forget waits).
-        gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
         stream_seed = random.Random(seed)
         for smart in deployment.smart_threads:
             for _ in range(coroutines):
                 sim.spawn(client_loop(
-                    app, smart, app.stream(stream_seed.getrandbits(31)), gap))
+                    app, smart, app.stream(stream_seed.getrandbits(31))))
 
     stats = measure(deployment, warmup_ns, measure_ns,
                     None if queue is None else queue.reset_window)

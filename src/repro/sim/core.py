@@ -141,9 +141,9 @@ class Delay:
     costs one bucket entry, where a :class:`Timeout` costs two when
     something is queued behind its wake entry.  Being stateless, one
     instance can be yielded any number of times, by any number of
-    processes.  Throttle-gap style sleeps that fire millions of times per
-    run use it; the drain loop in :meth:`Simulator.run` reschedules the
-    resume inline, as it queues a Timeout's wake entry.
+    processes.  Idle waits that fire millions of times per run (Table 1's
+    parked workers) use it; the drain loop in :meth:`Simulator.run`
+    reschedules the resume inline, as it queues a Timeout's wake entry.
     """
 
     __slots__ = ("ns",)

@@ -274,18 +274,6 @@ class TestRunners:
             )
             assert result.ops > 10, system
 
-    def test_throttle_gap_lowers_throughput(self):
-        fast = run_hashtable(
-            "smart-ht", READ_ONLY, threads=2, coroutines=4,
-            item_count=2_000, warmup_ns=0.3e6, measure_ns=1.0e6,
-        )
-        slow = run_hashtable(
-            "smart-ht", READ_ONLY, threads=2, coroutines=4,
-            item_count=2_000, warmup_ns=0.3e6, measure_ns=1.0e6,
-            throttle_gap_ns=50_000.0,
-        )
-        assert slow.throughput_mops < fast.throughput_mops / 2
-
 
 #: One tiny point of every runner a ``CLAIMS`` key sweeps (fig3/4/13,
 #: fig5/7/8/9/14, fig10/11, fig12, table1, latency_throughput).

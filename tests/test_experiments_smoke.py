@@ -44,9 +44,9 @@ TINY_GRIDS = {
     "fig7": dict(threads=(2,), compute_blades=(2,), scale_out_threads=2,
                  item_count=5_000),
     "fig8": dict(threads=(2,), item_count=5_000),
-    "fig9": dict(gaps_ns=(0.0,), item_count=5_000, threads=4),
+    "fig9": dict(rates_mops=(1.0,), item_count=5_000, threads=4),
     "fig10": dict(threads=(2,), item_count=2_000),
-    "fig11": dict(gaps_ns=(0.0,), item_count=2_000, threads=4),
+    "fig11": dict(rates_mops=(0.2,), item_count=2_000, threads=4),
     "fig12": dict(threads=(2,), servers=(2,), scale_out_threads=2,
                   item_count=5_000),
     "fig13": dict(threads=(4,), batches=(4,)),
@@ -72,12 +72,12 @@ EXPERIMENT_DIGESTS = {
              "0eefa6a174e7d08904a3892596f99cdddc6c82701d38c206097af0d087261a6f"),
     "fig8": ("76075c61b5bc6a4c71ecabd253ce611430da30faf2e0d93e37e75d424301d881",
              "8c774e1bcdf6f9051d0e28afc20165402a869a75e499f99e40a07cbd9c779054"),
-    "fig9": ("623aab0ca128e2d314520ad5505bb7fe556eb80d66d3bed03a57449d7302588a",
-             "7024cafb485830afb6f42c32991424f34f40587f25e0ff67f9969bff8d6e000a"),
+    "fig9": ("4dd19202deea4e999e701daaa8be232961e427e67e01753b591e0ac15b114871",
+             "c80e08e41b79e07ebce3b73ba91df41468478aa41c84fc8664d0d893a7b6bfbc"),
     "fig10": ("39a520940b56304346bef569e185e7cd28813810b2f36623edc31c5aec257d54",
               "61ed587eea59e2d72abd398625ef245a7af48b0527d8b75459d63be0054cc889"),
-    "fig11": ("35e3d4fe12dcb14b5ebcc542bc7a79e9082777e5b9debfe705a0ed2c3c0bf988",
-              "37541ac09d4af735b080a472508b78bd98cfc97a4d5f363c204097b0107acc4b"),
+    "fig11": ("0ccff342d2df7de7357e738451cbd6cb7dfd438b57333e6ea11340742cfb74f8",
+              "2ad3458ff47e3dbefecda9f7c63ea0182a14d5e04d350dcee8152e7335a9c285"),
     "fig12": ("d00707f188d921fe2bc94081b6f0ac9524420c6b870ec5593d3d8da626f4290b",
               "e730b2d84da65ae572300440e54a09f4915830940ff459b13395ad248da850e3"),
     "fig13": ("601434e2f7e9e029931c3b05181d5d780e7537a7e00a4fcd67a65f73fc4951df",
@@ -159,7 +159,8 @@ class TestHashTableExperiments:
 
     def test_fig9(self):
         result = run_pinned("fig9")
-        assert {row[0] for row in result.rows} == {"race", "smart-ht"}
+        assert [row[:2] for row in result.rows] == [
+            ["race", "full"], ["race", 1.0], ["smart-ht", "full"], ["smart-ht", 1.0]]
 
     def test_fig14(self):
         result = run_pinned("fig14")
@@ -175,25 +176,26 @@ class TestDtxExperiments:
 
     def test_fig11(self):
         result = run_pinned("fig11")
-        assert all(row[4] > 0 for row in result.rows)  # p50 measured
+        assert all(row[5] > 0 for row in result.rows)  # p50 measured
 
 
 class TestZeroOpPoints:
-    """A 3 ms throttle gap outlasts the whole 2.5 ms window, so no
-    operation completes: such a point has no latency to print, and its
-    row names it instead of rendering a 0.00 us cell."""
+    """At 1e-6 MOPS (one arrival per simulated second on average) no op
+    arrives in the 2.5 ms run, so the open-loop point completes nothing:
+    it has no latency to print, and its row names it instead of
+    rendering a 0.00 us cell."""
 
-    def test_latency_row_refuses_a_point_with_no_operations(self):
+    def test_load_row_refuses_a_point_with_no_operations(self):
         with pytest.raises(RuntimeError,
-                           match=r"\['race', 3000.0\] measured no operations"):
-            exp.fig9_ht_latency(gaps_ns=(3e6,), item_count=2_000, threads=2,
+                           match=r"\['race', 1e-06\] measured no operations"):
+            exp.fig9_ht_latency(rates_mops=(1e-6,), item_count=2_000, threads=2,
                                 jobs=1)
 
     def test_fig11_row_refuses_a_point_with_no_operations(self):
         with pytest.raises(
                 RuntimeError,
-                match=r"\['smallbank', 'ford', 3000.0\] measured no operations"):
-            exp.fig11_dtx_latency(gaps_ns=(3e6,), item_count=2_000,
+                match=r"\['smallbank', 'ford', 1e-06\] measured no operations"):
+            exp.fig11_dtx_latency(rates_mops=(1e-6,), item_count=2_000,
                                   threads=2, jobs=1)
 
 

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro.bench.report import find_knee
-from repro.bench.runner import RunArgumentError
+from repro.bench.runner import RunArgumentError, run_dtx, run_hashtable
 from repro.traffic import run_open_loop
 from repro.workloads import ycsb
 
@@ -51,8 +51,6 @@ def test_poisson_arrivals_mean_and_replay():
 
 def test_low_load_p50_matches_closed_loop():
     """No queueing at low load: open-loop p50 == closed-loop service p50."""
-    from repro.bench.runner import run_hashtable
-
     closed = run_hashtable(system="smart-ht", threads=4, coroutines=1,
                            item_count=20_000, warmup_ns=0.5e6,
                            measure_ns=1.0e6, seed=0)
@@ -104,6 +102,23 @@ def test_read_only_workload_issues_no_cas(monkeypatch):
     assert atomics[0] == 0 < atomics[1]
 
 
+@pytest.mark.parametrize("runner,app,kwargs", [
+    (run_hashtable, "hashtable", dict(system="race", workload=ycsb.READ_ONLY)),
+    (run_dtx, "dtx", dict(system="ford", benchmark="tatp")),
+])
+def test_rate_keyword_equals_the_by_name_wrapper(runner, app, kwargs):
+    """Figs 9/11 build an open-loop point as ``run_hashtable`` /
+    ``run_dtx(..., rate_mops=r, coroutines=c)``; ``latency_throughput``,
+    the CLI and the ``open-*`` golden digests as ``run_open_loop(app=...,
+    workers=c x threads)``.  Both give the same point, field for field."""
+    point = dict(rate_mops=0.5, threads=4, item_count=5_000,
+                 warmup_ns=0.3e6, measure_ns=0.5e6, seed=3)
+    direct = runner(coroutines=2, **kwargs, **point)
+    by_name = run_open_loop(app=app, workers=8, **kwargs, **point)
+    assert direct.completed > 50
+    assert dataclasses.asdict(direct) == dataclasses.asdict(by_name)
+
+
 def test_dtx_refuses_a_ycsb_workload():
     with pytest.raises(RunArgumentError, match="workload must be None for dtx"):
         run_open_loop(app="dtx", workload=ycsb.READ_ONLY, **RUN_KW)
@@ -130,8 +145,6 @@ def test_obs_exports_tenant_metrics_and_closed_loop_unchanged():
     names = {name for kind in obs.metrics().values() for name in kind}
     assert {"open_loop.offered", "open_loop.queue_delay_ns",
             "open_loop.latency_ns"} <= names
-
-    from repro.bench.runner import run_hashtable
 
     closed_obs = Observability()
     run_hashtable(system="race", threads=2, coroutines=2, item_count=10_000,
