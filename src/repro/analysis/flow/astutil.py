@@ -8,7 +8,7 @@ from typing import Dict, Iterator, Optional, Sequence, Set
 #: calls whose yielded result marks a function as a process generator
 #: (sim.timeout(...), Timeout(sim, d), lock.acquire(...), throttler.take(...), …)
 _PROCESS_YIELD_ATTRS = {
-    "timeout", "Timeout", "acquire", "take", "event", "begin_op", "all_of",
+    "timeout", "Timeout", "acquire", "take", "event", "begin_op",
 }
 #: their grant-on-the-spot forms: the call itself (not yielded — that is
 #: the point) marks a generator as a process step just the same

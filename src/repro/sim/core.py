@@ -6,22 +6,17 @@ scheduling order, so a fixed RNG seed reproduces a run exactly.
 
 Scheduler internals (see docs/MODEL.md §12 for the full story): pending
 events live in per-tick *buckets* — flat ``[what, value, what, value,
-...]`` lists — indexed by a timing wheel of ``_WHEEL_SLOTS`` single-tick
-slots covering the window ``[base, base + _WHEEL_SLOTS)``.  A small heap
-orders the *distinct occupied tick times* of the wheel (one heap push/pop
-per tick, not per event), and events beyond the window land in an
-overflow calendar (``{when: bucket}`` plus a heap of its distinct times)
-whose buckets migrate into wheel slots wholesale when the window
-advances.  Executing a tick drains its whole bucket in insertion order,
-which preserves the old heap's ``(when, seq)`` total order exactly while
-replacing per-event O(log n) heap churn with list appends.
+...]`` lists — held in one calendar ``{tick: bucket}``.  A min-heap orders
+the calendar's *distinct pending ticks* (one heap push/pop per tick, not
+per event).  Executing a tick drains its whole bucket in insertion order,
+which preserves a per-event heap's ``(when, seq)`` total order exactly
+while replacing its O(log n) churn with list appends.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import partial
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -30,12 +25,6 @@ class SimulationError(RuntimeError):
 
 #: Sentinel distinguishing "no value given" from an explicit ``None``.
 _NO_VALUE = object()
-
-#: Wheel geometry: one slot per integer-nanosecond tick, so a slot holds
-#: exactly one bucket and same-tick FIFO order is the bucket's list order.
-_WHEEL_BITS = 13
-_WHEEL_SLOTS = 1 << _WHEEL_BITS
-_WHEEL_MASK = _WHEEL_SLOTS - 1
 
 
 def _invoke_noarg(callback: Callable[[], None]) -> None:
@@ -272,32 +261,6 @@ class Process(Waitable):
         self._trigger(value)
 
 
-class _AllOfCollector:
-    """Gathers the values of an ``all_of`` join.
-
-    One shared instance replaces the per-waitable closure factory: each
-    input gets an index-carrying bound callback, and the event fires with
-    the value list itself once the last slot fills (no defensive copy —
-    every slot is final by then).
-    """
-
-    __slots__ = ("done", "values", "remaining")
-
-    def __init__(self, done: Event, count: int):
-        self.done = done
-        self.values: List[Any] = [None] * count
-        self.remaining = count
-
-    def callback(self, index: int) -> Callable[[Any], None]:
-        return partial(self._collect, index)
-
-    def _collect(self, index: int, value: Any) -> None:
-        self.values[index] = value
-        self.remaining -= 1
-        if self.remaining == 0:
-            self.done.fire(self.values)
-
-
 class Simulator:
     """The event loop.
 
@@ -312,15 +275,10 @@ class Simulator:
     """
 
     def __init__(self):
-        #: wheel slot -> bucket (or None); slot index is ``when & mask``
-        self._wheel: List[Optional[list]] = [None] * _WHEEL_SLOTS
-        #: minheap of the distinct tick times occupying wheel slots
-        self._wheel_times: List[int] = []
-        #: start of the window the wheel covers (aligned to the wheel size)
-        self._base = 0
-        #: far-future calendar: {when: bucket} + minheap of its times
-        self._overflow: dict = {}
-        self._overflow_times: List[int] = []
+        #: pending tick -> its bucket (the tick being drained is not here)
+        self._calendar: Dict[int, list] = {}
+        #: minheap of the calendar's ticks, one entry per tick
+        self._times: List[int] = []
         #: drained bucket lists recycled here instead of reallocated
         self._free: List[list] = []
         #: bucket currently being drained (events scheduled for ``now``
@@ -366,39 +324,11 @@ class Simulator:
                 bucket.append(what)
                 bucket.append(value)
                 return
-        offset = when - self._base
-        if 0 <= offset < _WHEEL_SLOTS:
-            index = when & _WHEEL_MASK
-            bucket = self._wheel[index]
-            if bucket is None:
-                free = self._free
-                bucket = free.pop() if free else []
-                self._wheel[index] = bucket
-                heapq.heappush(self._wheel_times, when)
-            bucket.append(what)
-            bucket.append(value)
-        else:
-            self._schedule_overflow(when, what, value)
-
-    def _schedule_overflow(self, when: int, what: Any, value: Any) -> None:
-        """Slow path for events beyond the wheel window (or a stale base)."""
-        bucket = self._overflow.get(when)
+        bucket = self._calendar.get(when)
         if bucket is None:
             free = self._free
-            bucket = free.pop() if free else []
-            if (
-                not self._wheel_times
-                and not self._overflow_times
-                and self._active is None
-            ):
-                # Nothing pending anywhere: slide the window straight to
-                # the new event instead of paying a migration later.
-                self._base = when & ~_WHEEL_MASK
-                self._wheel[when & _WHEEL_MASK] = bucket
-                heapq.heappush(self._wheel_times, when)
-            else:
-                self._overflow[when] = bucket
-                heapq.heappush(self._overflow_times, when)
+            bucket = self._calendar[when] = free.pop() if free else []
+            heapq.heappush(self._times, when)
         bucket.append(what)
         bucket.append(value)
 
@@ -455,30 +385,12 @@ class Simulator:
             self.process_registry.append(process)
         return process
 
-    def all_of(self, waitables: Iterable[Waitable]) -> Event:
-        """An event that fires (with a list of values) once all inputs have.
-
-        Inputs that already triggered are fine: their (deferred) delivery
-        is counted like any other, so the result preserves input order
-        regardless of completion order.
-        """
-        waitables = list(waitables)
-        done = self.event()
-        if not waitables:
-            done.fire([])
-            return done
-        collector = _AllOfCollector(done, len(waitables))
-        for index, waitable in enumerate(waitables):
-            waitable._subscribe(collector.callback(index))
-        return done
-
     # -- execution --------------------------------------------------------
 
     def _next_bucket(self, until: Optional[int]) -> Optional[list]:
         """Advance to the earliest pending tick and return its bucket.
 
-        Recycles an exhausted active bucket, migrates overflow pages into
-        the wheel when the window empties, honours ``until``, and sets
+        Recycles an exhausted active bucket, honours ``until``, and sets
         ``self.now``/``self._active`` for the drain.  Returns ``None``
         when nothing (eligible) is pending.
         """
@@ -494,39 +406,14 @@ class Simulator:
                 free.append(bucket)
             self._active = None
             self._active_pos = 0
-        times = self._wheel_times
-        overflow_times = self._overflow_times
+        times = self._times
         if not times:
-            if not overflow_times:
-                return None
-            # The window is empty: slide it to the earliest overflow page
-            # and migrate every bucket that now fits — wholesale, the
-            # bucket list itself becomes the wheel slot.
-            base = self._base = overflow_times[0] & ~_WHEEL_MASK
-            horizon = base + _WHEEL_SLOTS
-            overflow = self._overflow
-            wheel = self._wheel
-            while overflow_times and overflow_times[0] < horizon:
-                when = heapq.heappop(overflow_times)
-                wheel[when & _WHEEL_MASK] = overflow.pop(when)
-                heapq.heappush(times, when)
+            return None
         when = times[0]
-        if overflow_times and overflow_times[0] < when:
-            # A stale window (base slid past ``now`` by an ``until``-bounded
-            # run) can leave near-term events in the overflow calendar;
-            # serve its bucket directly so order is preserved regardless.
-            when = overflow_times[0]
-            if until is not None and when > until:
-                return None
-            heapq.heappop(overflow_times)
-            bucket = self._overflow.pop(when)
-        else:
-            if until is not None and when > until:
-                return None
-            heapq.heappop(times)
-            index = when & _WHEEL_MASK
-            bucket = self._wheel[index]
-            self._wheel[index] = None
+        if until is not None and when > until:
+            return None
+        heapq.heappop(times)
+        bucket = self._calendar.pop(when)
         self.now = when
         self._active = bucket
         self._active_pos = 0
@@ -570,16 +457,15 @@ class Simulator:
             return
         if until is not None:
             until = int(round(until))
-        wheel = self._wheel
+        calendar = self._calendar
         free = self._free
-        times = self._wheel_times
+        times = self._times
         heappush = heapq.heappush
         while True:
             bucket = self._next_bucket(until)
             if bucket is None:
                 break
             now = self.now
-            base = self._base
             i = self._active_pos
             start = i
             # Drain the whole tick.  The outer loop rechecks the length —
@@ -646,17 +532,15 @@ class Simulator:
                         if when2 <= now:
                             bucket.append(head)
                             bucket.append(tail)
-                        elif 0 <= when2 - base < _WHEEL_SLOTS:
-                            index = when2 & _WHEEL_MASK
-                            dest = wheel[index]
+                        else:
+                            dest = calendar.get(when2)
                             if dest is None:
-                                dest = free.pop() if free else []
-                                wheel[index] = dest
+                                dest = calendar[when2] = (
+                                    free.pop() if free else []
+                                )
                                 heappush(times, when2)
                             dest.append(head)
                             dest.append(tail)
-                        else:
-                            self._schedule_overflow(when2, head, tail)
                     elif isinstance(target, Waitable):
                         # Waitable._subscribe, inlined (no subclass
                         # overrides it): every waitable (Event, Process,
@@ -697,14 +581,5 @@ class Simulator:
         bucket = self._active
         if bucket is not None and self._active_pos < len(bucket):
             return self.now
-        times = self._wheel_times
-        overflow_times = self._overflow_times
-        if times:
-            # A stale window can leave near-term events in the overflow
-            # calendar (see _next_bucket) — the true head is the minimum.
-            if overflow_times and overflow_times[0] < times[0]:
-                return overflow_times[0]
-            return times[0]
-        if overflow_times:
-            return overflow_times[0]
-        return None
+        times = self._times
+        return times[0] if times else None

@@ -56,10 +56,6 @@ class FifoLock:
     def locked(self) -> bool:
         return self._locked
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self, owner: Any = None) -> Waitable:
         ticket = self._sim.event()
         if not self._locked and not self._waiters:
@@ -169,10 +165,6 @@ class TokenBucket:
     @property
     def tokens(self) -> int:
         return self._tokens
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def take(self, amount: int = 1) -> Waitable:
         """Waitable that fires once ``amount`` tokens have been debited."""

@@ -171,35 +171,6 @@ def test_run_until_beyond_last_event_sets_clock():
     assert sim.now == 55
 
 
-def test_all_of_collects_values():
-    sim = Simulator()
-
-    def child(delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def parent():
-        procs = [sim.spawn(child(10, "a")), sim.spawn(child(5, "b"))]
-        values = yield sim.all_of(procs)
-        return (values, sim.now)
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.value == (["a", "b"], 10)
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-
-    def parent():
-        values = yield sim.all_of([])
-        return values
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.value == []
-
-
 def test_interrupt_delivered_as_exception():
     sim = Simulator()
     caught = []
@@ -355,43 +326,6 @@ def test_events_executed_counter():
     sim.call_at(sim.now + 1, lambda: None)
     assert sim.step()
     assert sim.events_executed == 4
-
-
-def test_all_of_with_already_triggered_inputs():
-    """Regression: inputs that fired before the join must still be
-    collected (in input order) instead of being dropped or double-fired."""
-    sim = Simulator()
-    first = sim.event()
-    first.fire("early")
-
-    def child():
-        yield sim.timeout(6)
-        return "late"
-
-    def parent():
-        values = yield sim.all_of([first, sim.spawn(child())])
-        return (values, sim.now)
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.value == (["early", "late"], 6)
-
-
-def test_all_of_all_already_triggered():
-    sim = Simulator()
-    events = []
-    for index in range(3):
-        event = sim.event()
-        event.fire(index)
-        events.append(event)
-
-    def parent():
-        values = yield sim.all_of(events)
-        return values
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.value == [0, 1, 2]
 
 
 # -- the one rule for skipping a suspension (MODEL.md §12) ---------------------

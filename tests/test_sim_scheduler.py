@@ -1,19 +1,19 @@
-"""Timing-wheel scheduler edge cases (repro.sim.core.Simulator).
+"""Calendar scheduler edge cases (repro.sim.core.Simulator).
 
-The kernel replaced a per-event binary heap with a timing wheel plus an
-overflow calendar.  These tests pin the properties the swap must not
-change:
+The kernel replaced a per-event binary heap with a calendar of per-tick
+buckets ordered by a heap of distinct pending ticks.  These tests pin the
+properties the swap must not change:
 
 * same-tick FIFO — events at one instant run in scheduling order, even
-  when they were inserted through different paths (wheel slot before the
-  tick, active-bucket append mid-drain) or the tick crosses a bucket
-  recycle boundary;
-* far-future events land in the overflow calendar and migrate into the
-  wheel (or are served directly) in correct global time order;
+  when they were inserted through different paths (calendar bucket
+  before the tick, active-bucket append mid-drain) or the tick crosses a
+  bucket recycle boundary;
+* far-future events, chains of them and near-term events scheduled after
+  a bounded ``run(until=...)`` run in correct global time order;
 * ``peek()``/``step()``/``run(until=...)`` agree with the old heap
   semantics, checked against a reference ``(when, seq)`` heap scheduler
-  on randomized event schedules that include same-tick cascades and
-  horizon-crossing offsets;
+  on randomized event schedules that include same-tick cascades, near,
+  mid and far offsets, and schedules made between sliced runs;
 * a ``Timeout`` (a sleep token, not a waitable) wakes processes in the
   order the waitable ``Timeout`` it replaced did, under every drain
   path — a Hypothesis differential against that old class.
@@ -26,7 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import _WHEEL_SLOTS, SimulationError, Simulator, Timeout, Waitable
+from repro.sim.core import SimulationError, Simulator, Timeout, Waitable
+
+#: the scale of a "far" offset: the oracles draw near (< 64 ns), mid
+#: (< _HORIZON) and far (>= _HORIZON) timers
+_HORIZON = 8192
 
 
 class TestSameTickFifo:
@@ -67,17 +71,16 @@ class TestSameTickFifo:
         sim.run()
         assert trace == [(t, i) for t in (5, 6, 7) for i in range(4)]
 
-    def test_same_slot_different_rotation_does_not_collide(self):
-        """t and t + _WHEEL_SLOTS map to the same wheel index; the second
-        must not be drained with the first."""
+    def test_ticks_far_apart_do_not_collide(self):
+        """Ticks whole horizons apart each run alone, in time order."""
         sim = Simulator()
         trace = []
         sim.call_at(100, trace.append, "near")
-        sim.call_at(100 + _WHEEL_SLOTS, trace.append, "far")
-        sim.call_at(100 + 3 * _WHEEL_SLOTS, trace.append, "farther")
+        sim.call_at(100 + _HORIZON, trace.append, "far")
+        sim.call_at(100 + 3 * _HORIZON, trace.append, "farther")
         sim.run()
         assert trace == ["near", "far", "farther"]
-        assert sim.now == 100 + 3 * _WHEEL_SLOTS
+        assert sim.now == 100 + 3 * _HORIZON
 
     def test_process_and_callback_interleave_fifo(self):
         sim = Simulator()
@@ -99,73 +102,44 @@ class TestSameTickFifo:
         assert trace == ["cb0", "cb1", "p0", "p1"]
 
 
-class TestOverflowCalendar:
-    def test_far_future_lands_in_overflow_and_migrates(self):
-        sim = Simulator()
-        trace = []
-        sim.call_at(10, trace.append, "near")
-        far = 10 * _WHEEL_SLOTS + 7
-        sim.call_at(far, trace.append, "far")
-        # The far event cannot fit the current window.
-        assert far in sim._overflow
-        sim.run(until=20)
-        assert trace == ["near"]
-        # Still parked in overflow; visible to peek().
-        assert sim.peek() == far
-        sim.run()
-        assert trace == ["near", "far"]
-        assert sim.now == far
-        assert not sim._overflow and not sim._overflow_times
-
+class TestFarFuture:
     def test_overflow_preserves_same_tick_fifo(self):
         sim = Simulator()
         trace = []
-        far = 2 * _WHEEL_SLOTS + 123
+        far = 2 * _HORIZON + 123
         for i in range(10):
             sim.call_at(far, trace.append, i)
         sim.run()
         assert trace == list(range(10))
 
-    def test_empty_wheel_rebases_directly(self):
-        """With nothing pending, a far-future schedule slides the window
-        instead of paying a migration."""
-        sim = Simulator()
-        trace = []
-        far = 100 * _WHEEL_SLOTS + 42
-        sim.call_at(far, trace.append, "only")
-        assert not sim._overflow  # eager rebase, straight into the wheel
-        sim.run()
-        assert trace == ["only"] and sim.now == far
-
     def test_cascading_far_future_chains(self):
-        """Events that schedule further far-future events keep migrating
-        correctly across many window slides."""
+        """Events that schedule further far-future events run in time
+        order, hop after hop."""
         sim = Simulator()
         trace = []
 
         def hop(n):
             trace.append((sim.now, n))
             if n < 20:
-                sim.call_at(sim.now + _WHEEL_SLOTS + 1, hop, n + 1)
+                sim.call_at(sim.now + _HORIZON + 1, hop, n + 1)
 
         sim.call_at(5, hop, 0)
         sim.run()
         assert [n for _, n in trace] == list(range(21))
         whens = [t for t, _ in trace]
         assert whens == sorted(whens)
-        assert whens[-1] == 5 + 20 * (_WHEEL_SLOTS + 1)
+        assert whens[-1] == 5 + 20 * (_HORIZON + 1)
 
     def test_stale_window_straggler_served_in_order(self):
-        """An ``until``-bounded run can leave the window based past
-        ``now``; a new near-term event then lands in the overflow
-        calendar *behind* later wheel entries and must still run first."""
+        """An ``until``-bounded run that stops short of a far event; a
+        near-term event scheduled afterwards must still run first."""
         sim = Simulator()
         trace = []
-        far = 3 * _WHEEL_SLOTS
+        far = 3 * _HORIZON
         sim.call_at(far, trace.append, "late")
-        sim.run(until=10)  # eager rebase slid the window to `far`
+        sim.run(until=10)
         assert sim.now == 10
-        sim.call_at(50, trace.append, "early")  # before the window base
+        sim.call_at(50, trace.append, "early")
         assert sim.peek() == 50
         sim.run()
         assert trace == ["early", "late"]
@@ -214,7 +188,7 @@ class TestDelayRetime:
 
 
 # ---------------------------------------------------------------------------
-# Randomized oracle: the wheel vs a reference (when, seq) heap scheduler.
+# Randomized oracle: the kernel vs a reference (when, seq) heap scheduler.
 # ---------------------------------------------------------------------------
 
 
@@ -265,9 +239,10 @@ def _load_schedule(sim, trace, seed, initial=40, budget=300):
 
     Callbacks record ``(now, event_id)`` and may schedule more callbacks
     at offsets drawn from every interesting regime: same tick, next
-    tick, within the wheel window, and far past the horizon.  All
-    randomness derives from ``seed`` and the event id, so two schedulers
-    executing in the same order draw identical schedules.
+    tick, near, mid and far past ``_HORIZON``.  All randomness derives
+    from ``seed`` and the event id, so two schedulers executing in the
+    same order draw identical schedules.  Returns the callback factory,
+    so a test can schedule more events of the same kind from outside.
     """
     state = {"next_id": initial, "budget": budget}
 
@@ -284,8 +259,8 @@ def _load_schedule(sim, trace, seed, initial=40, budget=300):
                 offset = rng.choice((
                     0, 0, 1,
                     rng.randrange(1, 64),
-                    rng.randrange(1, _WHEEL_SLOTS),
-                    rng.randrange(_WHEEL_SLOTS, 20 * _WHEEL_SLOTS),
+                    rng.randrange(1, _HORIZON),
+                    rng.randrange(_HORIZON, 20 * _HORIZON),
                 ))
                 sim.call_at(sim.now + offset, make_cb(child), None)
         return cb
@@ -294,82 +269,108 @@ def _load_schedule(sim, trace, seed, initial=40, budget=300):
     for eid in range(initial):
         when = rng.choice((
             rng.randrange(0, 8),                       # dense same-tick
-            rng.randrange(0, _WHEEL_SLOTS),            # in-window
-            rng.randrange(_WHEEL_SLOTS, 30 * _WHEEL_SLOTS),  # overflow
+            rng.randrange(0, _HORIZON),                # mid
+            rng.randrange(_HORIZON, 30 * _HORIZON),    # far
         ))
         sim.call_at(when, make_cb(eid), None)
+    return make_cb
 
 
 @pytest.mark.parametrize("seed", range(8))
 class TestHeapOracle:
     def test_full_run_matches_heap(self, seed):
-        wheel_trace, heap_trace = [], []
-        wheel, heap = Simulator(), HeapScheduler()
-        _load_schedule(wheel, wheel_trace, seed)
+        sim_trace, heap_trace = [], []
+        sim, heap = Simulator(), HeapScheduler()
+        _load_schedule(sim, sim_trace, seed)
         _load_schedule(heap, heap_trace, seed)
-        wheel.run()
+        sim.run()
         heap.run()
-        assert wheel_trace == heap_trace
-        assert wheel.now == heap.now
-        assert wheel.peek() is None and heap.peek() is None
+        assert sim_trace == heap_trace
+        assert sim.now == heap.now
+        assert sim.peek() is None and heap.peek() is None
 
     def test_chunked_run_until_matches_heap(self, seed):
         """run(until=...) in random increments: identical traces, nows
         and peek() after every chunk."""
-        wheel_trace, heap_trace = [], []
-        wheel, heap = Simulator(), HeapScheduler()
-        _load_schedule(wheel, wheel_trace, seed)
+        sim_trace, heap_trace = [], []
+        sim, heap = Simulator(), HeapScheduler()
+        _load_schedule(sim, sim_trace, seed)
         _load_schedule(heap, heap_trace, seed)
         rng = random.Random(seed ^ 0xC0FFEE)
         until = 0
-        while wheel.peek() is not None or heap.peek() is not None:
+        while sim.peek() is not None or heap.peek() is not None:
             until += rng.choice((
                 1, 7, rng.randrange(1, 600),
-                rng.randrange(1, 3 * _WHEEL_SLOTS),
+                rng.randrange(1, 3 * _HORIZON),
             ))
-            wheel.run(until=until)
+            sim.run(until=until)
             heap.run(until=until)
-            assert wheel_trace == heap_trace
-            assert wheel.now == heap.now == until or wheel.now == heap.now
-            assert wheel.peek() == heap.peek()
-        assert wheel_trace == heap_trace
+            assert sim_trace == heap_trace
+            assert sim.now == heap.now == until
+            assert sim.peek() == heap.peek()
+        assert sim_trace == heap_trace
 
     def test_stepwise_matches_heap(self, seed):
-        wheel_trace, heap_trace = [], []
-        wheel, heap = Simulator(), HeapScheduler()
-        _load_schedule(wheel, wheel_trace, seed, initial=20, budget=120)
+        sim_trace, heap_trace = [], []
+        sim, heap = Simulator(), HeapScheduler()
+        _load_schedule(sim, sim_trace, seed, initial=20, budget=120)
         _load_schedule(heap, heap_trace, seed, initial=20, budget=120)
         while True:
-            assert wheel.peek() == heap.peek()
-            advanced = wheel.step()
+            assert sim.peek() == heap.peek()
+            advanced = sim.step()
             assert advanced == heap.step()
-            assert wheel_trace == heap_trace
+            assert sim_trace == heap_trace
             if not advanced:
                 break
-            assert wheel.now == heap.now
+            assert sim.now == heap.now
 
     def test_mixed_step_and_run_matches_heap(self, seed):
         """Interleaving step() with bounded run() calls must not disturb
-        the order (the wheel's partially-drained active bucket is the
+        the order (the kernel's partially-drained active bucket is the
         tricky state here)."""
-        wheel_trace, heap_trace = [], []
-        wheel, heap = Simulator(), HeapScheduler()
-        _load_schedule(wheel, wheel_trace, seed)
+        sim_trace, heap_trace = [], []
+        sim, heap = Simulator(), HeapScheduler()
+        _load_schedule(sim, sim_trace, seed)
         _load_schedule(heap, heap_trace, seed)
         rng = random.Random(seed ^ 0xBEEF)
-        while wheel.peek() is not None:
+        while sim.peek() is not None:
             if rng.random() < 0.5:
                 for _ in range(rng.randrange(1, 6)):
-                    assert wheel.step() == heap.step()
+                    assert sim.step() == heap.step()
             else:
-                until = wheel.now + rng.randrange(0, 2 * _WHEEL_SLOTS)
-                wheel.run(until=until)
+                until = sim.now + rng.randrange(0, 2 * _HORIZON)
+                sim.run(until=until)
                 heap.run(until=until)
-            assert wheel_trace == heap_trace
-            assert wheel.now == heap.now
-            assert wheel.peek() == heap.peek()
+            assert sim_trace == heap_trace
+            assert sim.now == heap.now
+            assert sim.peek() == heap.peek()
         assert not heap.step()
-        assert wheel_trace == heap_trace
+        assert sim_trace == heap_trace
+
+    def test_schedules_between_slices_match_heap(self, seed):
+        """``call_at`` made *outside* the drain, between sliced
+        ``run(until=...)`` calls (as ``bench.runner.run_window`` and a
+        sliced benchmark run do), at ``now``, ``now + 1`` and far ahead:
+        identical traces, clocks and ``peek()`` after every slice."""
+        sim_trace, heap_trace = [], []
+        sim, heap = Simulator(), HeapScheduler()
+        sim_cb = _load_schedule(sim, sim_trace, seed)
+        heap_cb = _load_schedule(heap, heap_trace, seed)
+        rng = random.Random(seed ^ 0xFACADE)
+        eid = first = 1 << 20
+        while sim.peek() is not None or heap.peek() is not None:
+            for _ in range(rng.randrange(1, 4) if eid < first + 60 else 0):
+                offset = rng.choice((
+                    0, 1, rng.randrange(_HORIZON, 10 * _HORIZON)))
+                sim.call_at(sim.now + offset, sim_cb(eid), None)
+                heap.call_at(heap.now + offset, heap_cb(eid), None)
+                eid += 1
+            until = sim.now + rng.choice((0, 1, rng.randrange(1, 3 * _HORIZON)))
+            sim.run(until=until)
+            heap.run(until=until)
+            assert sim_trace == heap_trace
+            assert sim.now == heap.now
+            assert sim.peek() == heap.peek()
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +396,8 @@ class WaitableTimeout(Waitable):
         sim._schedule_at(sim.now + delay, self._trigger, None)
 
 
-#: offsets drawn from every regime: same tick, the next few, far past
-#: the wheel window (the overflow calendar)
-_OFFSETS = st.sampled_from((0, 0, 1, 2, 3, 5, _WHEEL_SLOTS + 2))
+#: offsets drawn from every regime: same tick, the next few, far
+_OFFSETS = st.sampled_from((0, 0, 1, 2, 3, 5, _HORIZON + 2))
 
 _OPS = st.one_of(
     st.tuples(st.just("timeout"), _OFFSETS),
@@ -411,7 +411,7 @@ _DRIVERS = st.one_of(
     st.tuples(st.just("run"), st.just(0)),
     st.tuples(st.just("step"), st.just(0)),
     st.tuples(st.just("budget"), st.integers(1, 5)),
-    st.tuples(st.just("until"), st.sampled_from((1, 2, 3, 7, _WHEEL_SLOTS))),
+    st.tuples(st.just("until"), st.sampled_from((1, 2, 3, 7, _HORIZON))),
 )
 
 
